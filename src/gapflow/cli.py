@@ -31,7 +31,7 @@ from .dispersive import ModelParams
 from .reynolds import CoupledState, DriverConfig, RunReport
 from .spectral import BoundaryLift, GridField, StateVW
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 SERIES_COLUMNS = ("t", "min_w", "max_u", "mass_residual", "norm_X", "contraction_ratio")
 SNAPSHOT_COLUMNS = ("t", "field", "index", "value")
@@ -59,7 +59,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully resolved, validated run configuration.
 
-    T is always the numeric horizon; T_source records whether it came from the
+    Every field but init_arrays is one config key of _CONFIG_KEYS, which
+    fixes its text form.  T is always the numeric horizon; T_source records whether it came from the
     config verbatim or from the constructive horizon estimate ("auto").  For
     file-loaded initial data the arrays live in init_arrays and the file's
     content hash enters the canonical echo (and thus the config hash).
@@ -96,51 +97,13 @@ class RunConfig:
 
     def canonical(self) -> str:
         """Deterministic full echo: every key explicit, defaults filled, T resolved."""
-
-        def opt(x):
-            return "" if x is None else repr(float(x))
-
-        lines = [
-            "[params]",
-            f"beta_F = {float(self.beta_F)!r}",
-            f"beta_p = {float(self.beta_p)!r}",
-            f"theta1 = {float(self.theta1)!r}",
-            f"theta2 = {float(self.theta2)!r}",
-            f"eps1 = {float(self.eps1)!r}",
-            "",
-            "[init]",
-            f"kind = {self.init_kind}",
-            f"u_amp = {float(self.u_amp)!r}",
-            f"w_amp = {float(self.w_amp)!r}",
-            f"v_amp = {float(self.v_amp)!r}",
-            f"file = {self.init_file}",
-            f"file_sha256 = {self.init_file_sha256}",
-            "",
-            "[discretization]",
-            f"k_max = {self.k_max}",
-            f"n = {self.n}",
-            f"N_t = {self.N_t}",
-            "",
-            "[run]",
-            f"T = {float(self.T)!r}",
-            f"T_source = {self.T_source}",
-            f"tol = {float(self.tol)!r}",
-            f"max_iter = {self.max_iter}",
-            f"quench_eps = {opt(self.quench_eps)}",
-            f"u_cap = {opt(self.u_cap)}",
-            f"chunk_init = {opt(self.chunk_init)}",
-            f"chunk_cap = {opt(self.chunk_cap)}",
-            "",
-            "[output]",
-            f"outdir = {self.outdir}",
-            "snapshots = " + ",".join(repr(float(t)) for t in self.snapshots),
-            f"seed = {self.seed}",
-            "",
-            "[sweep]",
-            "beta_F_values = " + ",".join(repr(float(b)) for b in self.sweep_beta_F),
-            "beta_p_values = " + ",".join(repr(float(b)) for b in self.sweep_beta_p),
-            "",
-        ]
+        lines = []
+        for section in dict.fromkeys(sec for sec, *_ in _CONFIG_KEYS):
+            lines.append(f"[{section}]")
+            for sec, key, name, kind, _ in _CONFIG_KEYS:
+                if sec == section:
+                    lines.append(f"{key} = {_echo(kind, getattr(self, name))}")
+            lines.append("")
         return "\n".join(lines)
 
     @property
@@ -183,44 +146,81 @@ class RunConfig:
         )
 
 
-_SCHEMA = {
-    "params": ("beta_F", "beta_p", "theta1", "theta2", "eps1"),
-    "init": ("kind", "u_amp", "w_amp", "v_amp", "file", "file_sha256"),
-    "discretization": ("k_max", "n", "N_t"),
-    "run": ("T", "T_source", "tol", "max_iter", "quench_eps", "u_cap", "chunk_init", "chunk_cap"),
-    "output": ("outdir", "snapshots", "seed"),
-    "sweep": ("beta_F_values", "beta_p_values"),
-}
+# Every config key: (section, key, RunConfig field, kind, default text).  The
+# kind fixes how the text converts and echoes: "float" (a value is required),
+# "float?" (empty means None), "floats" (comma list), "int", "str" (kept as
+# written) and "horizon" (run.T: kept as written, since it may be "auto", and
+# echoed as the resolved float).  parse_config resolves init.file_sha256 and
+# run.T_source further.  Sections and keys echo in this order.
+_CONFIG_KEYS = (
+    ("params", "beta_F", "beta_F", "float", "1.0"),
+    ("params", "beta_p", "beta_p", "float", "0.5"),
+    ("params", "theta1", "theta1", "float", "1.0"),
+    ("params", "theta2", "theta2", "float", "1.0"),
+    ("params", "eps1", "eps1", "float", "0.5"),
+    ("init", "kind", "init_kind", "str", "single-bump"),
+    ("init", "u_amp", "u_amp", "float", "0.1"),
+    ("init", "w_amp", "w_amp", "float", "0.05"),
+    ("init", "v_amp", "v_amp", "float", "0.0"),
+    ("init", "file", "init_file", "str", ""),
+    ("init", "file_sha256", "init_file_sha256", "str", ""),
+    ("discretization", "k_max", "k_max", "int", "48"),
+    ("discretization", "n", "n", "int", "48"),
+    ("discretization", "N_t", "N_t", "int", "32"),
+    ("run", "T", "T", "horizon", "0.02"),
+    ("run", "T_source", "T_source", "str", ""),
+    ("run", "tol", "tol", "float", "1e-9"),
+    ("run", "max_iter", "max_iter", "int", "40"),
+    ("run", "quench_eps", "quench_eps", "float?", ""),
+    ("run", "u_cap", "u_cap", "float?", ""),
+    ("run", "chunk_init", "chunk_init", "float?", ""),
+    ("run", "chunk_cap", "chunk_cap", "float?", ""),
+    ("output", "outdir", "outdir", "str", "out"),
+    ("output", "snapshots", "snapshots", "floats", ""),
+    ("output", "seed", "seed", "int", "0"),
+    ("sweep", "beta_F_values", "sweep_beta_F", "floats", ""),
+    ("sweep", "beta_p_values", "sweep_beta_p", "floats", ""),
+)
 
-_DEFAULTS = {
-    ("params", "beta_F"): "1.0",
-    ("params", "beta_p"): "0.5",
-    ("params", "theta1"): "1.0",
-    ("params", "theta2"): "1.0",
-    ("params", "eps1"): "0.5",
-    ("init", "kind"): "single-bump",
-    ("init", "u_amp"): "0.1",
-    ("init", "w_amp"): "0.05",
-    ("init", "v_amp"): "0.0",
-    ("init", "file"): "",
-    ("init", "file_sha256"): "",
-    ("discretization", "k_max"): "48",
-    ("discretization", "n"): "48",
-    ("discretization", "N_t"): "32",
-    ("run", "T"): "0.02",
-    ("run", "T_source"): "",
-    ("run", "tol"): "1e-9",
-    ("run", "max_iter"): "40",
-    ("run", "quench_eps"): "",
-    ("run", "u_cap"): "",
-    ("run", "chunk_init"): "",
-    ("run", "chunk_cap"): "",
-    ("output", "outdir"): "out",
-    ("output", "snapshots"): "",
-    ("output", "seed"): "0",
-    ("sweep", "beta_F_values"): "",
-    ("sweep", "beta_p_values"): "",
-}
+
+def _echo(kind: str, value) -> str:
+    if kind == "floats":
+        return ",".join(repr(float(x)) for x in value)
+    if value is None:
+        return ""
+    if kind in ("float", "float?", "horizon"):
+        return repr(float(value))
+    return str(value)
+
+
+def _convert(kind: str, name: str, text: str, violations: list):
+    """The value of one key from its text; a failed conversion appends a violation."""
+    if kind in ("str", "horizon"):
+        return text
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            violations.append(f"{name}: not an integer (got {text!r})")
+            return 0
+    if kind == "floats":
+        out = []
+        for piece in text.split(",") if text else ():
+            try:
+                out.append(float(piece.strip()))
+            except ValueError:
+                violations.append(f"{name}: not a number (got {piece.strip()!r})")
+        return tuple(out)
+    if text == "":
+        if kind == "float?":
+            return None
+        violations.append(f"{name}: value required")
+        return math.nan
+    try:
+        return float(text)
+    except ValueError:
+        violations.append(f"{name}: not a number (got {text!r})")
+        return math.nan
 
 
 def _resolve_auto_T(p: ModelParams, init: CoupledState) -> float:
@@ -248,77 +248,27 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError([f"syntax: {exc!s}".replace("\n", " ")]) from exc
 
-    raw = dict(_DEFAULTS)
+    raw = {(sec, key): default for sec, key, _, _, default in _CONFIG_KEYS}
+    sections = {sec for sec, _ in raw}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             violations.append(f"unknown section [{section}]")
             continue
         for key, value in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in raw:
                 violations.append(f"unknown key {section}.{key}")
             else:
                 raw[(section, key)] = value.strip()
-
-    def take_float(sec, key, allow_empty=False):
-        s = raw[(sec, key)]
-        if s == "":
-            if allow_empty:
-                return None
-            violations.append(f"{sec}.{key}: value required")
-            return math.nan
-        try:
-            return float(s)
-        except ValueError:
-            violations.append(f"{sec}.{key}: not a number (got {s!r})")
-            return math.nan
-
-    def take_int(sec, key):
-        s = raw[(sec, key)]
-        try:
-            return int(s)
-        except ValueError:
-            violations.append(f"{sec}.{key}: not an integer (got {s!r})")
-            return 0
-
-    def take_float_list(sec, key):
-        s = raw[(sec, key)]
-        if s == "":
-            return ()
-        out = []
-        for piece in s.split(","):
-            try:
-                out.append(float(piece.strip()))
-            except ValueError:
-                violations.append(f"{sec}.{key}: not a number (got {piece.strip()!r})")
-        return tuple(out)
-
-    beta_F = take_float("params", "beta_F")
-    beta_p = take_float("params", "beta_p")
-    theta1 = take_float("params", "theta1")
-    theta2 = take_float("params", "theta2")
-    eps1 = take_float("params", "eps1")
-    init_kind = raw[("init", "kind")]
-    u_amp = take_float("init", "u_amp")
-    w_amp = take_float("init", "w_amp")
-    v_amp = take_float("init", "v_amp")
-    init_file = raw[("init", "file")]
-    file_sha_given = raw[("init", "file_sha256")].strip().lower()
-    k_max = take_int("discretization", "k_max")
-    n = take_int("discretization", "n")
-    N_t = take_int("discretization", "N_t")
-    T_raw = raw[("run", "T")]
-    T_source_raw = raw[("run", "T_source")].strip().lower()
-    tol = take_float("run", "tol")
-    max_iter = take_int("run", "max_iter")
-    quench_eps = take_float("run", "quench_eps", allow_empty=True)
-    u_cap = take_float("run", "u_cap", allow_empty=True)
-    chunk_init = take_float("run", "chunk_init", allow_empty=True)
-    chunk_cap = take_float("run", "chunk_cap", allow_empty=True)
-    outdir = raw[("output", "outdir")]
-    snapshots = take_float_list("output", "snapshots")
-    seed = take_int("output", "seed")
-    sweep_bF = take_float_list("sweep", "beta_F_values")
-    sweep_bp = take_float_list("sweep", "beta_p_values")
+    c = {
+        name: _convert(kind, f"{sec}.{key}", raw[(sec, key)], violations)
+        for sec, key, name, kind, _ in _CONFIG_KEYS
+    }
+    beta_F, beta_p, theta1, theta2, eps1 = (c[k] for k in ("beta_F", "beta_p", "theta1", "theta2", "eps1"))
+    init_kind, init_file, k_max, n, N_t = (c[k] for k in ("init_kind", "init_file", "k_max", "n", "N_t"))
+    tol, max_iter, seed, T_raw = (c[k] for k in ("tol", "max_iter", "seed", "T"))
+    quench_eps, u_cap, chunk_init, chunk_cap = (c[k] for k in ("quench_eps", "u_cap", "chunk_init", "chunk_cap"))
+    file_sha_given = c["init_file_sha256"].strip().lower()
+    T_source_raw = c["T_source"].strip().lower()
 
     # semantic validation (mirrors every model/driver invariant checked downstream)
     if np.isfinite(beta_F) and beta_F < 0:
@@ -431,34 +381,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(violations)
 
     cfg = RunConfig(
-        beta_F=beta_F,
-        beta_p=beta_p,
-        theta1=theta1,
-        theta2=theta2,
-        eps1=eps1,
-        init_kind=init_kind,
-        u_amp=u_amp,
-        w_amp=w_amp,
-        v_amp=v_amp,
-        init_file=init_file,
-        k_max=k_max,
-        n=n,
-        N_t=N_t,
-        T=T,
-        T_source=T_source,
-        tol=tol,
-        max_iter=max_iter,
-        quench_eps=quench_eps,
-        u_cap=u_cap,
-        chunk_init=chunk_init,
-        chunk_cap=chunk_cap,
-        outdir=outdir,
-        snapshots=snapshots,
-        seed=seed,
-        sweep_beta_F=sweep_bF,
-        sweep_beta_p=sweep_bp,
-        init_arrays=init_arrays,
-        init_file_sha256=file_sha,
+        **{**c, "T": T, "T_source": T_source, "init_file_sha256": file_sha}, init_arrays=init_arrays
     )
 
     if needs_resolution:
@@ -497,6 +420,12 @@ class RunRecord:
 
 def _fmt(x) -> str:
     return "%.17g" % float(x)
+
+
+def _json_float(x) -> float | None:
+    """x as a float, or None (JSON null) where it is undefined (NaN) or infinite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _snapshot_at(report: RunReport, t_req: float) -> dict:
@@ -544,12 +473,12 @@ def _record_payload(record: RunRecord) -> dict:
         "tol": float(rep.tol),
         "compat_proxy": float(rep.compat_proxy),
         "series": {
-            "t": [float(r.t) for r in rep.series],
-            "min_w": [float(r.min_w) for r in rep.series],
-            "max_u": [float(r.max_u) for r in rep.series],
-            "mass_residual": [float(r.mass_residual) for r in rep.series],
-            "norm_X": [float(r.norm_X) for r in rep.series],
-            "contraction_ratio": [float(r.contraction_ratio) for r in rep.series],
+            "t": [_json_float(r.t) for r in rep.series],
+            "min_w": [_json_float(r.min_w) for r in rep.series],
+            "max_u": [_json_float(r.max_u) for r in rep.series],
+            "mass_residual": [_json_float(r.mass_residual) for r in rep.series],
+            "norm_X": [_json_float(r.norm_X) for r in rep.series],
+            "contraction_ratio": [_json_float(r.contraction_ratio) for r in rep.series],
         },
         "snapshots": list(record.snapshots),
     }
@@ -561,7 +490,8 @@ def export(record: RunRecord, fmt: str, outdir: str) -> dict:
     csv: series.csv (columns exactly t,min_w,max_u,mass_residual,norm_X,
     contraction_ratio; floats %.17g) and snapshots.csv (t,field,index,value;
     field in {u, v, w}, u indexed by grid node, v/w by mode number).
-    json: record.json (schema_version-tagged, sorted keys, NaN for undefined).
+    json: record.json (schema_version-tagged, sorted keys, strict JSON: null
+    for undefined or non-finite series values).
     """
     os.makedirs(outdir, exist_ok=True)
     files = {}
@@ -596,7 +526,7 @@ def export(record: RunRecord, fmt: str, outdir: str) -> dict:
     elif fmt == "json":
         path = os.path.join(outdir, "record.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_record_payload(record), fh, sort_keys=True, indent=1)
+            json.dump(_record_payload(record), fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
         files["record"] = path
     else:
@@ -915,17 +845,21 @@ def _suite_elliptic(seed: int) -> list:
         GridField(values=np.zeros(16), bv=0.0),
         GridField(values=np.ones(16), bv=1.0),
     )
-    sec = ry.sector_check(op)
-    results.append(
-        CheckResult(
-            "elliptic.sector",
-            np.isfinite(sec.M_bound) and sec.M_bound > 0,
-            sec.M_bound,
-            math.inf,
-            note=f"angle={sec.angle:.4f}",
-        )
-    )
+    results.append(_sector_gate(op))
     return results
+
+
+def _sector_gate(op: ry.PstarOperator) -> CheckResult:
+    """Resolvent products along the sampled rays against 1/sin(pi - widest ray).
+
+    That bound is exact for a normal operator with real spectrum, such as the
+    constant-coefficient one of the elliptic suite; a non-normal operator
+    can exceed it and then fails the check.
+    """
+    sec = ry.sector_check(op)
+    bound = 1.0 / math.sin(math.pi - sec.angle)
+    passed = bool(sec.M_bound <= bound * (1.0 + 1e-9))
+    return CheckResult("elliptic.sector", passed, sec.M_bound, bound, note=f"angle={sec.angle:.4f}")
 
 
 def _suite_convergence(seed: int) -> list:
@@ -1003,15 +937,15 @@ def cmd_verify(suite: str, seed: int = 0, out: str | None = None, quiet: bool = 
                 {
                     "name": r.name,
                     "passed": bool(r.passed),
-                    "measured": float(r.measured),
-                    "bound": float(r.bound),
+                    "measured": _json_float(r.measured),
+                    "bound": _json_float(r.bound),
                     "note": r.note,
                 }
                 for r in summary.results
             ],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+            json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
     return summary
 

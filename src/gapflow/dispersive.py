@@ -8,8 +8,9 @@ Given u(t) (pressure, boundary value theta1), solve for the plate state
     G(w~) = -beta_F/(w~ + theta2)^2 + beta_p (theta1 - 1),
 
 by Picard iteration, with the semigroup T and the Duhamel kicks from
-gapflow.spectral.  Also provides the horizon formula T0, the solution
-operators W and W2 = v/w, the Frechet derivative of W, and empirical
+gapflow.spectral.  Also provides the fixed-point loop shared by every
+contraction in the package, the constants chain and its horizon T0, the
+Frechet derivative of the solution operator W, and empirical
 Lipschitz/Hoelder constant estimators used by the verification suites.
 
 The contraction theory constants (C1, C2, L_G, T0, L_W, ...) are rigorous but
@@ -19,10 +20,9 @@ bounds, which is what the audits check (bound >= measured, never equality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 
 from .spectral import (
     BoundaryLift,
@@ -33,12 +33,11 @@ from .spectral import (
     dealias_apply,
     duhamel_step,
     grid,
-    int_sine,
+    inverse_sine_transform,
     lifted_norm_H2,
     norm_Hk,
-    pad_modes,
     plate_eigenvalues,
-    semigroup_apply,
+    refined_min,
     sine_transform,
     sobolev_embedding_constant,
 )
@@ -90,13 +89,7 @@ class VWPath:
 
     def min_gap(self, lift: BoundaryLift, pad: int = 2) -> float:
         """min over states and the pad-refined grid of w = w~ + theta2."""
-        k_max = self.states[0].k_max
-        n_fine = pad * k_max + 1
-        worst = np.inf
-        for s in self.states:
-            vals = dst(pad_modes(s.w, n_fine), type=1) / 2.0 + lift.theta2
-            worst = min(worst, float(np.min(vals)))
-        return worst
+        return min(refined_min(s.w, lift.theta2, pad) for s in self.states)
 
 
 @dataclass
@@ -130,25 +123,12 @@ def path_diff_norm(a: VWPath, b: VWPath) -> float:
     )
 
 
-def eval_G(w_tilde, p: ModelParams) -> GridField:
-    """G(w~) = -beta_F/(w~+theta2)^2 + beta_p(theta1 - 1), pointwise on the input grid.
-
-    Raises QuenchSignal if the gap w~ + theta2 is not strictly positive
-    anywhere on the supplied nodes.  The Picard loop calls this on the
-    2x-padded grid (see _forcing_modes), which is where the dealiasing
-    happens; on a plain GridField it is direct arithmetic.
-    """
-    vals = w_tilde.values if isinstance(w_tilde, GridField) else np.asarray(w_tilde, dtype=float)
-    w_full = vals + p.lift.theta2
-    m = float(np.min(w_full))
-    if m <= 0.0:
-        raise QuenchSignal("gap closed: w <= 0 while evaluating G", min_value=m)
-    g_bv = -p.beta_F / p.lift.theta2**2 + p.beta_p * (p.lift.theta1 - 1.0)
-    return GridField(values=-p.beta_F / w_full**2 + p.beta_p * (p.lift.theta1 - 1.0), bv=g_bv)
-
-
 def _G_modes(w_modes: np.ndarray, p: ModelParams, pad: int = 2) -> np.ndarray:
-    """Mode coefficients of G(w~): dealiased pointwise evaluation on the pad grid."""
+    """Mode coefficients of G(w~) = -beta_F/(w~+theta2)^2 + beta_p(theta1 - 1).
+
+    G is evaluated pointwise on the pad-refined grid (the dealiasing) and
+    raises QuenchSignal where the gap w~ + theta2 is not strictly positive.
+    """
 
     def g_of(w_fine):
         m = float(np.min(w_fine))
@@ -215,6 +195,13 @@ class ContractionConstants:
     def r_max(self) -> float:
         return self.kappa / (2.0 * self.C)
 
+    def radius(self, r: float | None = None) -> float:
+        """The ball radius r (default 0.9 r_max); raises unless 0 < r < r_max = kappa/(2C)."""
+        r = 0.9 * self.r_max if r is None else r
+        if not (0.0 < r < self.r_max):
+            raise ValueError(f"r={r} outside (0, kappa/(2C)) = (0, {self.r_max:.6g})")
+        return r
+
 
 def contraction_constants(p: ModelParams, w0: GridField) -> ContractionConstants:
     kappa = kappa_of(w0)
@@ -237,8 +224,7 @@ def contraction_constants(p: ModelParams, w0: GridField) -> ContractionConstants
 def estimate_LG(p: ModelParams, w0: GridField, r: float) -> float:
     """Lipschitz bound L_G = beta_F * C2 for G on the ball of radius r < kappa/(2C)."""
     cc = contraction_constants(p, w0)
-    if not (0.0 < r < cc.r_max):
-        raise ValueError(f"r={r} outside the admissible range (0, kappa/(2C)) = (0, {cc.r_max:.6g})")
+    cc.radius(r)
     return cc.L_G
 
 
@@ -272,6 +258,13 @@ def delta_o_bound(init: StateVW, spec: PlateSpectrum, r: float, cap: float = 1.0
     return lo
 
 
+def _T0_branches(cc: ContractionConstants, g0h2: float, M0: float, delta_o: float) -> tuple:
+    """(delta_o, 1/(2 M0 L_G), kappa/(2M0) / ((L_G+1)kappa + 2C||G0||_H2)); T0 is their minimum."""
+    branch2 = 1.0 / (2.0 * M0 * cc.L_G) if cc.L_G > 0 else np.inf
+    branch3 = cc.kappa / (2.0 * M0) / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * g0h2)
+    return delta_o, branch2, branch3
+
+
 def estimate_T0(
     p: ModelParams,
     w0: GridField,
@@ -282,12 +275,8 @@ def estimate_T0(
 ) -> float:
     """Horizon formula T0 = min{ delta_o, 1/(2 M0 L_G), kappa/(2M0) / ((L_G+1)kappa + 2C||G0||_H2) }."""
     cc = contraction_constants(p, w0)
-    if not (0.0 < r < cc.r_max):
-        raise ValueError(f"r={r} outside (0, kappa/(2C)) = (0, {cc.r_max:.6g})")
-    g0h2 = g0_norm_H2(p, w0, u0)
-    branch2 = 1.0 / (2.0 * M0 * cc.L_G) if cc.L_G > 0 else np.inf
-    branch3 = cc.kappa / (2.0 * M0) / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * g0h2)
-    return float(min(delta_o, branch2, branch3))
+    cc.radius(r)
+    return float(min(_T0_branches(cc, g0_norm_H2(p, w0, u0), M0, delta_o)))
 
 
 def dom_A_norm(init: StateVW, spec: PlateSpectrum) -> float:
@@ -300,20 +289,13 @@ def dom_A_norm(init: StateVW, spec: PlateSpectrum) -> float:
 
 
 @dataclass(frozen=True)
-class TheoryConstants:
+class TheoryConstants(ContractionConstants):
     """Full existence-theory constant chain for one data set (kappa ... L_e).
 
     These are rigorous upper bounds, not sharp values: audits verify
     measured <= bound, and the coupled driver treats them as diagnostics.
     """
 
-    kappa: float
-    C: float
-    C_tilde: float
-    C1: float
-    C2: float
-    C3: float
-    L_G: float
     g0_h2: float
     delta_o: float
     T0: float
@@ -348,16 +330,11 @@ def theory_constants(
     -> L_W2, L_U (Hoelder-in-time) -> L_e (pressure-side Lipschitz of F).
     """
     cc = contraction_constants(p, w0)
-    if r is None:
-        r = 0.9 * cc.r_max
-    if not (0.0 < r < cc.r_max):
-        raise ValueError(f"r={r} outside (0, {cc.r_max:.6g})")
+    r = cc.radius(r)
     spec = plate_eigenvalues(init.k_max)
-    d_o = delta_o_bound(init, spec, r, cap=delta_cap)
     g0h2 = g0_norm_H2(p, w0, u0)
-    b2 = 1.0 / (2.0 * M0 * cc.L_G) if cc.L_G > 0 else np.inf
-    b3 = cc.kappa / (2.0 * M0) / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * g0h2)
-    T0 = float(min(d_o, b2, b3))
+    branches = _T0_branches(cc, g0h2, M0, delta_o_bound(init, spec, r, cap=delta_cap))
+    T0 = float(min(branches))
 
     L_W = T0 * M0 * p.beta_p * np.exp(M0 * cc.L_G * T0)
     v0_l2 = norm_Hk(init.v, 0)
@@ -390,17 +367,11 @@ def theory_constants(
     C_t4 = cc.C * cc.C1 * (L_U + v0_l2 * w0_inv_h2)
 
     return TheoryConstants(
-        kappa=cc.kappa,
-        C=cc.C,
-        C_tilde=cc.C_tilde,
-        C1=cc.C1,
-        C2=cc.C2,
-        C3=cc.C3,
-        L_G=cc.L_G,
+        **vars(cc),
         g0_h2=g0h2,
-        delta_o=d_o,
+        delta_o=branches[0],
         T0=T0,
-        T0_branches=(d_o, b2, b3),
+        T0_branches=branches,
         L_W=float(L_W),
         L_W2=float(L_W2),
         C_t1=float(C_t1),
@@ -418,18 +389,37 @@ def theory_constants(
 # --- Picard construction of the mild solution --------------------------------
 
 
-def _sweep(
-    init: StateVW,
-    spec: PlateSpectrum,
-    times: np.ndarray,
-    forcing: np.ndarray,
-    rule: str = "exp_trapezoid",
-) -> list:
+def fixed_point(step, x0, dist, tol: float, max_iter: int, diverged) -> tuple:
+    """Iterate x <- step(x) from x0 until dist(new, old) <= tol.
+
+    Returns (x, diffs, ratios, status): the last iterate, the distance moved
+    by each sweep (len(diffs) is the sweep count), the ratios of successive
+    distances (taken when the earlier one is finite and positive), and status
+    "converged", "diverged" (diverged(ratios) held after a sweep that missed
+    tol) or "exhausted" (max_iter sweeps without either).  Callers turn the
+    last two into their own exceptions.
+    """
+    x, diffs, ratios = x0, [], []
+    for _ in range(max_iter):
+        new = step(x)
+        diffs.append(dist(new, x))
+        prev = diffs[-2] if len(diffs) > 1 else np.nan
+        if np.isfinite(prev) and prev > 0:
+            ratios.append(diffs[-1] / prev)
+        x = new
+        if diffs[-1] <= tol:
+            return x, diffs, ratios, "converged"
+        if diverged(ratios):
+            return x, diffs, ratios, "diverged"
+    return x, diffs, ratios, "exhausted"
+
+
+def _sweep(init: StateVW, spec: PlateSpectrum, times: np.ndarray, forcing: np.ndarray) -> list:
     """March the Duhamel step across the grid with the given per-node forcing modes."""
     states = [init]
     s = init
     for i in range(times.size - 1):
-        s = duhamel_step(s, spec, forcing[i], forcing[i + 1], times[i], times[i + 1], rule=rule)
+        s = duhamel_step(s, spec, forcing[i], forcing[i + 1], times[i], times[i + 1])
         states.append(s)
     return states
 
@@ -442,14 +432,14 @@ def picard_dispersive(
     tol: float = 1e-10,
     max_iter: int = 200,
     r: float | None = None,
-    rule: str = "exp_trapezoid",
 ) -> tuple:
     """Construct the mild solution on u_path.times (must end at T) by Picard sweeps.
 
     The certified regime is T below the estimate_T0 horizon, where the sweep
     map is a contraction with ratio <= T*M0*L_G; the implementation accepts
     any finite horizon, measures the actual ratios, and raises
-    PicardDivergence only on observed non-contraction.
+    PicardDivergence on observed non-contraction (two successive ratios
+    >= 1) or when max_iter sweeps miss tol.
     """
     times = u_path.times
     if abs(times[-1] - T) > 1e-12 * max(1.0, T):
@@ -460,55 +450,44 @@ def picard_dispersive(
     if u_modes.shape[1] != k_max:
         raise ValueError("pressure grid size and state k_max must agree")
 
-    w0_field = GridField(
-        values=dst(init.w, type=1) / 2.0 + p.lift.theta2, bv=p.lift.theta2
-    )
+    w0_field = GridField(values=inverse_sine_transform(init.w).values + p.lift.theta2, bv=p.lift.theta2)
     cc = contraction_constants(p, w0_field)
     r_used = 0.9 * cc.r_max if r is None else r
 
-    g_frozen = _G_modes(init.w, p)
-    forcing = np.stack([g_frozen + p.beta_p * u_modes[i] for i in range(times.size)])
-    path = VWPath(times=times, states=_sweep(init, spec, times, forcing, rule))
+    def march(g):
+        """One Duhamel sweep with G given per node (rows of g, or one row for all)."""
+        return VWPath(times=times, states=_sweep(init, spec, times, g + p.beta_p * u_modes))
 
-    ratios: list = []
-    prev_diff = np.nan
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        forcing = np.stack(
-            [_G_modes(s.w, p) + p.beta_p * u_modes[i] for i, s in enumerate(path.states)]
+    path, diffs, ratios, status = fixed_point(
+        lambda path: march(np.stack([_G_modes(s.w, p) for s in path.states])),
+        march(_G_modes(init.w, p)),  # first sweep: G frozen at w~0
+        path_diff_norm,
+        tol,
+        max_iter,
+        lambda ratios: len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0,
+    )
+    if status == "diverged":
+        raise PicardDivergence(
+            f"Picard sweeps stopped contracting (last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
+            f"horizon T={T:.3g} is past the contraction regime",
+            PicardReport(len(diffs), ratios, False, T, r_used),
         )
-        new_path = VWPath(times=times, states=_sweep(init, spec, times, forcing, rule))
-        diff = path_diff_norm(new_path, path)
-        if np.isfinite(prev_diff) and prev_diff > 0:
-            ratios.append(diff / prev_diff)
-        path = new_path
-        if diff <= tol:
-            converged = True
-            break
-        if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
-            report = PicardReport(n_iter, ratios, False, T, r_used)
-            raise PicardDivergence(
-                f"Picard sweeps stopped contracting (last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
-                f"horizon T={T:.3g} is past the contraction regime",
-                report,
-            )
-        prev_diff = diff
 
     drift = max(norm_Hk(s.w - init.w, 2) for s in path.states)
     min_w = path.min_gap(p.lift)
     report = PicardReport(
-        iterations=n_iter,
+        iterations=len(diffs),
         contraction_ratios=ratios,
-        converged=converged,
+        converged=status == "converged",
         T_used=T,
         r_used=r_used,
         sup_drift=drift,
         min_w=min_w,
     )
-    if not converged:
+    if status == "exhausted":
+        last = diffs[-1] if diffs else np.nan
         raise PicardDivergence(
-            f"no convergence to tol={tol:g} within {max_iter} sweeps (last diff {prev_diff:.3g})",
+            f"no convergence to tol={tol:g} within {max_iter} sweeps (last diff {last:.3g})",
             report,
         )
     # Lower-bound preservation: inside the certified ball the gap cannot lose
@@ -519,44 +498,6 @@ def picard_dispersive(
             f"but min w = {min_w:.6g} < kappa/2 = {cc.kappa/2:.6g}"
         )
     return path, report
-
-
-@dataclass(frozen=True)
-class WPath:
-    """Solution operator output on the grid: velocity v and the full gap w = w~ + theta2."""
-
-    times: np.ndarray
-    v: list
-    w: list
-
-
-def solution_operator_W(
-    p: ModelParams,
-    u_path: PressurePath,
-    init: StateVW,
-    T: float,
-    tol: float = 1e-10,
-) -> WPath:
-    vw, _ = picard_dispersive(p, u_path, init, T, tol=tol)
-    th2 = p.lift.theta2
-    vs, ws = [], []
-    for s in vw.states:
-        vs.append(GridField(values=dst(s.v, type=1) / 2.0, bv=0.0))
-        ws.append(GridField(values=dst(s.w, type=1) / 2.0 + th2, bv=th2))
-    return WPath(times=vw.times, v=vs, w=ws)
-
-
-def eval_W2(vw: VWPath, lift: BoundaryLift) -> list:
-    """W2 = v/w pointwise per sample (on the collocation grid)."""
-    out = []
-    for s in vw.states:
-        v_vals = dst(s.v, type=1) / 2.0
-        w_vals = dst(s.w, type=1) / 2.0 + lift.theta2
-        m = float(np.min(w_vals))
-        if m <= 0.0:
-            raise QuenchSignal("gap closed while evaluating W2 = v/w", min_value=m)
-        out.append(GridField(values=v_vals / w_vals, bv=0.0))
-    return out
 
 
 def frechet_W(
@@ -581,45 +522,38 @@ def frechet_W(
     spec = plate_eigenvalues(k_max)
     q_path = np.asarray(q_path, dtype=float)
     zero = StateVW(np.zeros(k_max), np.zeros(k_max))
-    w_modes = [s.w for s in vw.states]
 
-    def lin_forcing(wq_modes_at):
-        out = np.empty((times.size, k_max))
-        for i in range(times.size):
-            def f(w_fine, wq_fine):
-                m = float(np.min(w_fine))
-                if m <= 0.0:
-                    raise QuenchSignal("gap closed inside frechet_W", min_value=m)
-                return 2.0 * p.beta_F * wq_fine / w_fine**3
+    def f(w_fine, wq_fine):
+        m = float(np.min(w_fine))
+        if m <= 0.0:
+            raise QuenchSignal("gap closed inside frechet_W", min_value=m)
+        return 2.0 * p.beta_F * wq_fine / w_fine**3
 
-            out[i] = dealias_apply(f, w_modes[i], wq_modes_at[i], bvs=(p.lift.theta2, 0.0)) + p.beta_p * q_path[i]
-        return out
+    def sweep(path):
+        forcing = np.empty((times.size, k_max))
+        for i, (s, sq) in enumerate(zip(vw.states, path.states)):
+            forcing[i] = dealias_apply(f, s.w, sq.w, bvs=(p.lift.theta2, 0.0)) + p.beta_p * q_path[i]
+        return VWPath(times=times, states=_sweep(zero, spec, times, forcing))
 
-    wq = [zero] * times.size
-    path = VWPath(times=times, states=list(wq))
-    prev_diff = np.nan
-    for n_iter in range(1, max_iter + 1):
-        forcing = lin_forcing([s.w for s in path.states])
-        new_states = _sweep(zero, spec, times, forcing)
-        new_path = VWPath(times=times, states=new_states)
-        diff = path_diff_norm(new_path, path)
-        path = new_path
-        if diff <= tol:
-            break
-        if np.isfinite(prev_diff) and prev_diff > 0 and diff / prev_diff >= 1.0:
-            raise PicardDivergence(
-                f"frechet_W linear sweeps not contracting (diff {prev_diff:.3g} -> {diff:.3g})",
-                PicardReport(n_iter, [diff / prev_diff], False, float(times[-1]), np.nan),
-            )
-        prev_diff = diff
-    else:
+    path, diffs, ratios, status = fixed_point(
+        sweep,
+        VWPath(times=times, states=[zero] * times.size),
+        path_diff_norm,
+        tol,
+        max_iter,
+        lambda ratios: bool(ratios) and ratios[-1] >= 1.0,
+    )
+    if status == "diverged":
+        raise PicardDivergence(
+            f"frechet_W linear sweeps not contracting (diff {diffs[-2]:.3g} -> {diffs[-1]:.3g})",
+            PicardReport(len(diffs), [ratios[-1]], False, float(times[-1]), np.nan),
+        )
+    if status == "exhausted":
         raise PicardDivergence(
             f"frechet_W: no convergence to {tol:g} in {max_iter} sweeps",
             PicardReport(max_iter, [], False, float(times[-1]), np.nan),
         )
-    vq = [s.v for s in path.states]
-    wq = [s.w for s in path.states]
-    return vq, wq
+    return [s.v for s in path.states], [s.w for s in path.states]
 
 
 def empirical_lipschitz_W(

@@ -5,7 +5,7 @@ This module owns the gas-film side of the model and the fully coupled run:
 * ``eval_F`` -- the Reynolds nonlinearity F(u; v, w) on the interior grid,
 * ``assemble_Pstar`` -- the Dirichlet-realized linearization of F at the
   initial data (the exact Jacobian of the discrete ``eval_F`` in u),
-* elliptic / sectorial / graph-norm diagnostics of that linearization,
+* elliptic and sectorial diagnostics of that linearization,
 * ``linear_parabolic_solve`` -- the analytic-semigroup propagator realized by
   dense matrix exponentials with exponential-trapezoid forcing,
 * ``gamma_iterate`` -- the outer contraction that produces the pressure fixed
@@ -54,14 +54,12 @@ __all__ = [
     "assemble_Pstar",
     "elliptic_form_check",
     "sector_check",
-    "graph_norm_equivalence",
     "linear_parabolic_solve",
     "gamma_iterate",
     "frechet_F",
     "holder_F_check",
     "mol_rhs",
     "integrate_reference",
-    "quench_monitor",
     "run_coupled",
     "continue_run",
     "mass_balance_residual",
@@ -168,17 +166,33 @@ class RunReport:
     config: "DriverConfig | None" = None
 
 
+# Driver policy.  A chunk that contracts with ratio <= _GROW_BELOW grows
+# 1.5x; once a chunk is below _TAIL_FLOOR and below _TAIL_FRACTION of the
+# remaining horizon, the Runge-Kutta tail finishes the run; a run stops with
+# "budget" after _MAX_CHUNKS chunk attempts.
+_GROW_BELOW = 0.2
+_TAIL_FLOOR = 1e-4
+_TAIL_FRACTION = 0.05
+_MAX_CHUNKS = 10_000
+# Hoelder exponent in the admissible horizon T (1/(2 rho))^(1/alpha) that a
+# GammaDivergence reports for a measured outer ratio rho.
+_ALPHA = 0.2
+
+
 @dataclass
 class DriverConfig:
     """Adaptive-chunk driver knobs.
 
     ``n_t`` time samples per chunk; ``tol`` is the outer Gamma tolerance
-    (inner plate solves run at 0.01 tol).  A chunk that fails to contract is
-    halved; one that contracts with ratio <= grow_below is grown 1.5x (capped
-    by ``chunk_cap``).  When the chunk falls below ``tail_floor`` and below
-    ``tail_fraction`` of the remaining horizon (imminent quench collapses the
-    contraction horizon like kappa^3/beta_F), the driver finishes with the
-    Runge-Kutta tail on the same semidiscretization.
+    (inner plate solves run at 0.01 tol) and ``max_iter`` its sweep limit.
+    The first chunk is ``chunk_init`` (default: min(T, 0.05 kappa^3/beta_F),
+    the contraction horizon of the initial gap) and no chunk exceeds
+    ``chunk_cap``.  A chunk that fails to contract is halved and one that
+    contracts fast is grown; when imminent quench collapses the contraction
+    horizon (like kappa^3/beta_F), the driver finishes with the Runge-Kutta
+    tail on the same semidiscretization.  The run stops with "quench" once
+    the gap falls to ``quench_eps`` and with "pressure_blowup" once max|u|
+    reaches ``u_cap``.
     """
 
     n_t: int = 32
@@ -186,14 +200,8 @@ class DriverConfig:
     max_iter: int = 40
     chunk_init: float | None = None
     chunk_cap: float | None = None
-    grow_below: float = 0.2
-    tail_floor: float = 1e-4
-    tail_fraction: float = 0.05
-    max_chunks: int = 10_000
     quench_eps: float | None = None  # default 1e-3 * theta2
     u_cap: float | None = None  # default 1e6 * theta1
-    alpha: float = 0.2
-    store_tail_every: int | None = None
 
 
 class GammaDivergence(PicardDivergence):
@@ -250,19 +258,7 @@ def _w_min_fine(w_modes: np.ndarray, theta2: float, pad: int = 2) -> float:
     dip between coarse nodes long before a coarse sample crosses the
     threshold.
     """
-    k = w_modes.size
-    n_fine = pad * k + 1
-    vals = sp.inverse_sine_transform(sp.pad_modes(w_modes, n_fine)).values + theta2
-    return min(float(vals.min()), theta2)
-
-
-def _grid_l2(values: np.ndarray, h: float) -> float:
-    return math.sqrt(h * float(np.dot(values, values)))
-
-
-def _grid_h1_seminorm(values: np.ndarray, h: float) -> float:
-    d = np.diff(_pad(values, 0.0)) / h
-    return math.sqrt(h * float(np.dot(d, d)))
+    return min(sp.refined_min(w_modes, theta2, pad), theta2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +326,6 @@ def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator
     idx = np.arange(n - 1)
     m[idx + 1, idx] = sub[1:]
     m[idx, idx + 1] = sup[:-1]
-
-    if (
-        np.all(u0.values == 1.0)
-        and u0.bv == 1.0
-        and np.all(w0.values == 1.0)
-        and w0.bv == 1.0
-        and np.all(v0.values == 0.0)
-    ):
-        lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / h**2
-        if not np.allclose(m, lap, rtol=1e-13, atol=0.0):
-            raise AssertionError("constant-coefficient reduction to the Laplacian failed")
-
     return PstarOperator(matrix=m, u0=u0, v0=v0, w0=w0, h=h)
 
 
@@ -463,24 +447,6 @@ def sector_check(
     return SectorReport(omega_shift=omega, angle=max(ray_angles), M_bound=M, samples=samples)
 
 
-def graph_norm_equivalence(op: PstarOperator, trials: int = 200, seed: int = 0) -> float:
-    """Smallest empirical gamma_0 >= 1 with the two-sided H2 <-> graph-norm bound."""
-    n = op.u0.n
-    rng = np.random.default_rng(seed)
-    decay = np.arange(1, n + 1, dtype=float) ** -2.5
-    gamma = 1.0
-    for _ in range(trials):
-        modes = rng.normal(size=n) * decay
-        g = sp.inverse_sine_transform(modes).values
-        h2 = sp.norm_Hk(modes, 2)
-        l2 = sp.norm_Hk(modes, 0)
-        pg = op.matrix @ g
-        pg_l2 = sp.norm_Hk(sp.sine_transform(GridField(values=pg, bv=0.0)), 0)
-        ratio = h2 / (l2 + pg_l2)
-        gamma = max(gamma, ratio, 1.0 / ratio)
-    return gamma
-
-
 # ---------------------------------------------------------------------------
 # analytic-semigroup linear solve
 # ---------------------------------------------------------------------------
@@ -557,13 +523,12 @@ def _path_h2_diff(a: PressurePath, b: PressurePath) -> float:
     return worst
 
 
-def _plate_grids(vw: VWPath, n: int, theta2: float):
-    """Synthesize (v, w) grid fields on the n-point grid for every sample."""
-    vs, ws = [], []
-    for s in vw.states:
-        vs.append(GridField(values=_modes_to_grid(s.v, n), bv=0.0))
-        ws.append(GridField(values=_modes_to_grid(s.w, n, lift=theta2), bv=theta2))
-    return vs, ws
+def _plate_fields(s: StateVW, n: int, theta2: float) -> tuple:
+    """(v, w) of one plate state as grid fields on the n-point grid; w carries its trace theta2."""
+    return (
+        GridField(values=_modes_to_grid(s.v, n), bv=0.0),
+        GridField(values=_modes_to_grid(s.w, n, lift=theta2), bv=theta2),
+    )
 
 
 def gamma_iterate(
@@ -573,14 +538,13 @@ def gamma_iterate(
     T: float,
     tol: float = 1e-8,
     max_iter: int = 40,
-    inner_tol: float | None = None,
-    alpha: float = 0.2,
     return_plate: bool = False,
 ):
     """Fixed-point sweep for the pressure path (full u, trace theta_1).
 
-    Each sweep: solve the plate subproblem for the current pressure, evaluate
-    the Reynolds nonlinearity along the resulting (v, w), and propagate
+    Each sweep: solve the plate subproblem for the current pressure (at
+    0.01 tol), evaluate the Reynolds nonlinearity along the resulting
+    (v, w), and propagate
     u~ -> e^{t P*} u~_0 + int e^{(t-s) P*} { F(u~)(s) - P* u~(s) } ds with the
     linearization frozen at the initial data.  Measured sup-t H2 ratios of
     successive differences are the contraction diagnostics; a ratio >= 0.9
@@ -599,24 +563,18 @@ def gamma_iterate(
     th1, th2 = p.lift.theta1, p.lift.theta2
     if abs(u_path.samples[0].bv - th1) > 1e-12 * max(1.0, th1):
         raise ValueError("pressure path must carry boundary trace theta1")
-    if inner_tol is None:
-        inner_tol = 0.01 * tol
+    inner_tol = 0.01 * tol
     N_t = times.size - 1
 
     u0_vals = u_path.samples[0].values
     u0_field = u_path.samples[0]
-    v0 = GridField(values=_modes_to_grid(init_vw.v, n), bv=0.0)
-    w0 = GridField(values=_modes_to_grid(init_vw.w, n, lift=th2), bv=th2)
+    v0, w0 = _plate_fields(init_vw, n, th2)
     op = assemble_Pstar(u0_field, v0, w0)
     u0_tilde = u0_vals - th1
 
-    current = u_path
-    ratios: list = []
-    prev_diff = None
-    plate = None
-    for it in range(1, max_iter + 1):
+    def sweep(current):
         plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
-        v_grids, w_grids = _plate_grids(plate, n, th2)
+        v_grids, w_grids = zip(*(_plate_fields(s, n, th2) for s in plate.states))
         forcing = []
         for i in range(N_t + 1):
             Fi = eval_F(current.samples[i], v_grids[i], w_grids[i], p).values
@@ -627,48 +585,28 @@ def gamma_iterate(
         # initial datum itself -- pin it bitwise rather than via the
         # subtract-add float roundtrip
         fresh_samples[0] = GridField(values=u0_vals.copy(), bv=th1)
-        fresh = PressurePath(times=times.copy(), samples=fresh_samples)
-        diff = _path_h2_diff(fresh, current)
-        if prev_diff is not None and prev_diff > 0:
-            ratios.append(diff / prev_diff)
-        current = fresh
-        if diff <= tol:
-            report = PicardReport(
-                iterations=it,
-                contraction_ratios=ratios,
-                converged=True,
-                T_used=T,
-                r_used=float("nan"),
-            )
-            if return_plate:
-                plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
-                return current, report, plate
-            return current, report
-        if ratios and ratios[-1] >= 0.9:
-            rho = ratios[-1]
-            T_adm = T * (0.5 / rho) ** (1.0 / alpha)
-            report = PicardReport(
-                iterations=it, contraction_ratios=ratios, converged=False, T_used=T, r_used=float("nan")
-            )
-            raise GammaDivergence(
-                f"outer contraction failed: measured ratio {rho:.3g} at T={T:.3g}; "
-                f"the contraction criterion implies an admissible horizon of about {T_adm:.3g}",
-                report,
-                ratio=rho,
-                T_admissible=T_adm,
-            )
-        prev_diff = diff
-    report = PicardReport(
-        iterations=max_iter, contraction_ratios=ratios, converged=False, T_used=T, r_used=float("nan")
+        return PressurePath(times=times.copy(), samples=fresh_samples)
+
+    current, diffs, ratios, status = dp.fixed_point(
+        sweep, u_path, _path_h2_diff, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
     )
+    converged = status == "converged"
+    report = PicardReport(len(diffs), ratios, converged, T_used=T, r_used=float("nan"))
+    if converged:
+        if return_plate:
+            plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
+            return current, report, plate
+        return current, report
     rho = ratios[-1] if ratios else float("nan")
-    T_adm = T * (0.5 / rho) ** (1.0 / alpha) if ratios else float("nan")
-    raise GammaDivergence(
-        f"outer iteration exhausted {max_iter} sweeps without reaching tol={tol:.3g}",
-        report,
-        ratio=rho,
-        T_admissible=T_adm,
-    )
+    T_adm = T * (0.5 / rho) ** (1.0 / _ALPHA) if ratios else float("nan")
+    if status == "diverged":
+        message = (
+            f"outer contraction failed: measured ratio {rho:.3g} at T={T:.3g}; "
+            f"the contraction criterion implies an admissible horizon of about {T_adm:.3g}"
+        )
+    else:
+        message = f"outer iteration exhausted {max_iter} sweeps without reaching tol={tol:.3g}"
+    raise GammaDivergence(message, report, ratio=rho, T_admissible=T_adm)
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +700,11 @@ def holder_F_check(
 
     plate, _ = dp.picard_dispersive(p, u_path, init_vw, T, tol=inner_tol)
     dW = dp.frechet_W(p, q_modes, plate, tol=inner_tol)
-    v_grids, w_grids = _plate_grids(plate, n, th2)
+    v_grids, w_grids = zip(*(_plate_fields(s, n, th2) for s in plate.states))
     F_series = [
         eval_F(u_path.samples[i], v_grids[i], w_grids[i], p).values for i in range(times.size)
     ]
-    v0 = GridField(values=_modes_to_grid(init_vw.v, n), bv=0.0)
-    w0 = GridField(values=_modes_to_grid(init_vw.w, n, lift=th2), bv=th2)
+    v0, w0 = _plate_fields(init_vw, n, th2)
     op = assemble_Pstar(u_path.samples[0], v0, w0)
     Fp = frechet_F(u_path, q_modes, plate, dW, p)
     q_grids = [_modes_to_grid(np.asarray(q_modes[i], dtype=float), n) for i in range(times.size)]
@@ -960,17 +897,8 @@ def integrate_reference(
     return out
 
 
-def quench_monitor(s: CoupledState, quench_eps: float, u_cap: float, p: ModelParams) -> str:
-    """Classify a state: 'quench' (gap at/below threshold), 'pressure_blowup', or 'alive'.
-
-    The plate state carries the deviation from the rest gap, so theta2 comes
-    from the supplied parameters when the grid gap is synthesized.
-    """
-    w_min = _w_min_fine(s.vw.w, p.lift.theta2)
-    return _status_of(s.u.values, w_min, quench_eps, u_cap)
-
-
 def _status_of(u_vals: np.ndarray, w_min: float, quench_eps: float, u_cap: float) -> str:
+    """Classify a state: 'quench' (gap at/below threshold), 'pressure_blowup', or 'alive'."""
     if w_min <= quench_eps:
         return "quench"
     if float(np.abs(u_vals).max()) >= u_cap:
@@ -989,8 +917,7 @@ def compat_regularity_proxy(state: CoupledState, p: ModelParams, sigma: float = 
     exists at the discrete level; this decay proxy is logged, never gated on)."""
     n = state.u.n
     th2 = p.lift.theta2
-    w0 = GridField(values=_modes_to_grid(state.vw.w, n, lift=th2), bv=th2)
-    v0 = GridField(values=_modes_to_grid(state.vw.v, n), bv=0.0)
+    v0, w0 = _plate_fields(state.vw, n, th2)
     F0 = eval_F(state.u, v0, w0, p)
     c = sp.sine_transform(F0)
     k = np.arange(1, c.size + 1) * math.pi
@@ -1027,18 +954,8 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
 
     w_min0 = _w_min_fine(state.vw.w, th2)
     status0 = _status_of(state.u.values, w_min0, quench_eps, u_cap)
-    series: list = []
+    series: list = [_step_record(state, w_min0, spec)]
     states: list = [state]
-    series.append(
-        StepRecord(
-            t=state.t,
-            min_w=w_min0,
-            max_u=float(state.u.values.max()),
-            mass_residual=float("nan"),
-            norm_X=sp.norm_X(state.vw, spec),
-            contraction_ratio=float("nan"),
-        )
-    )
     if status0 != "alive":
         return _finalize_report(p, init, T, config, status0, series, states, proxy, quench_eps, u_cap)
 
@@ -1062,16 +979,13 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         if remaining <= 1e-12 * max(1.0, abs(t_end)):
             termination = "converged"
             break
-        if chunks_done >= config.max_chunks:
+        if chunks_done >= _MAX_CHUNKS:
             termination = "budget"
             note = "chunk budget exhausted"
             break
         this_chunk = min(chunk, remaining)
-        use_tail = this_chunk < config.tail_floor and this_chunk < config.tail_fraction * remaining
-        if use_tail:
-            termination, note = _rk4_tail(
-                p, state, remaining, quench_eps, u_cap, config, series, states, spec
-            )
+        if this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
+            termination, note = _rk4_tail(p, state, remaining, quench_eps, u_cap, series, states, spec)
             t_now = states[-1].t
             state = states[-1]
             break
@@ -1084,7 +998,6 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
                 this_chunk,
                 tol=config.tol,
                 max_iter=config.max_iter,
-                alpha=config.alpha,
                 return_plate=True,
             )
         except (GammaDivergence, PicardDivergence, QuenchSignal):
@@ -1103,16 +1016,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             abs_t = t_now + u_new.times[i]
             cs = CoupledState(u=u_new.samples[i], vw=vw_i, t=abs_t)
             states.append(cs)
-            series.append(
-                StepRecord(
-                    t=abs_t,
-                    min_w=w_min,
-                    max_u=float(u_vals.max()),
-                    mass_residual=float("nan"),
-                    norm_X=sp.norm_X(vw_i, spec),
-                    contraction_ratio=ratio,
-                )
-            )
+            series.append(_step_record(cs, w_min, spec, ratio))
             if status != "alive":
                 stop_at = i
                 stop_status = status
@@ -1128,7 +1032,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         if stop_at is not None:
             termination = stop_status
             break
-        if ratio <= config.grow_below:
+        if ratio <= _GROW_BELOW:
             chunk = chunk * 1.5
             if config.chunk_cap is not None:
                 chunk = min(chunk, config.chunk_cap)
@@ -1138,15 +1042,12 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     )
 
 
-def _rk4_tail(p, state, remaining, quench_eps, u_cap, config, series, states, spec):
+def _rk4_tail(p, state, remaining, quench_eps, u_cap, series, states, spec):
     """Resolve the final approach with the oracle integrator; returns (termination, note)."""
     omega_max = float(spec.omega[-1])
     dt = 0.25 / omega_max
-    store = config.store_tail_every
     try:
-        tail = integrate_reference(
-            p, state, remaining, dt, store_every=store, quench_eps=quench_eps, u_cap=u_cap
-        )
+        tail = integrate_reference(p, state, remaining, dt, quench_eps=quench_eps, u_cap=u_cap)
     except QuenchSignal as sig:
         _append_tail(sig.trajectory[1:], p, series, states, spec)
         return "quench", "contraction horizon collapsed; touchdown resolved by the reference scheme"
@@ -1158,19 +1059,14 @@ def _rk4_tail(p, state, remaining, quench_eps, u_cap, config, series, states, sp
 
 
 def _append_tail(tail_states, p, series, states, spec):
-    th2 = p.lift.theta2
     for cs in tail_states:
         states.append(cs)
-        series.append(
-            StepRecord(
-                t=cs.t,
-                min_w=_w_min_fine(cs.vw.w, th2),
-                max_u=float(cs.u.values.max()),
-                mass_residual=float("nan"),
-                norm_X=sp.norm_X(cs.vw, spec),
-                contraction_ratio=float("nan"),
-            )
-        )
+        series.append(_step_record(cs, _w_min_fine(cs.vw.w, p.lift.theta2), spec))
+
+
+def _step_record(cs: CoupledState, w_min: float, spec, ratio: float = float("nan")) -> StepRecord:
+    """Series row of one state; mass_residual is filled in once the run is over."""
+    return StepRecord(cs.t, w_min, float(cs.u.values.max()), float("nan"), sp.norm_X(cs.vw, spec), ratio)
 
 
 def _finalize_report(
@@ -1226,21 +1122,14 @@ def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None 
     if status != "alive":
         raise ValueError(f"cannot continue: final state is not alive ({status})")
     second = run_coupled(report.params, report.final_state, extra_T, cfg)
-    return RunReport(
-        params=report.params,
-        k_max=report.k_max,
-        n=report.n,
-        n_t=report.n_t,
-        tol=report.tol,
+    return replace(
+        report,
         T=report.T + extra_T,
         termination=second.termination,
         series=report.series + second.series[1:],
         T_used=report.T_used + second.T_used,
         final_state=second.final_state,
         states=report.states + second.states[1:],
-        compat_proxy=report.compat_proxy,
-        quench_eps=report.quench_eps,
-        u_cap=report.u_cap,
         quench_time=second.quench_time,
         note=second.note or report.note,
         config=cfg,

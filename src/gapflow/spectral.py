@@ -19,7 +19,7 @@ square invertible map and round-trips are exact to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
@@ -154,6 +154,17 @@ def pad_modes(m: np.ndarray, k_new: int) -> np.ndarray:
     return out
 
 
+def refined_values(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> np.ndarray:
+    """sum_k m_k sin(k*pi*x) + bv on the pad-refined grid of pad*K + 1 interior nodes."""
+    n_fine = pad * np.asarray(m).size + 1
+    return dst(pad_modes(m, n_fine), type=1) / 2.0 + bv
+
+
+def refined_min(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> float:
+    """min of refined_values(m, bv, pad); the boundary trace bv is not one of the samples."""
+    return float(np.min(refined_values(m, bv, pad)))
+
+
 def dealias_apply(func, *mode_args, bvs=None, pad: int = 2):
     """Apply a pointwise nonlinearity on a pad-times refined grid, truncate back.
 
@@ -167,11 +178,7 @@ def dealias_apply(func, *mode_args, bvs=None, pad: int = 2):
     n_fine = pad * k_max + 1
     if bvs is None:
         bvs = (0.0,) * len(mode_args)
-    fine_fields = []
-    for m, bv in zip(mode_args, bvs):
-        vals = dst(pad_modes(m, n_fine), type=1) / 2.0 + bv
-        fine_fields.append(vals)
-    out = func(*fine_fields)
+    out = func(*(refined_values(m, bv, pad) for m, bv in zip(mode_args, bvs)))
     coeffs = dst(np.asarray(out, dtype=float), type=1) / (n_fine + 1)
     return coeffs[:k_max]
 

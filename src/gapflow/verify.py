@@ -301,10 +301,7 @@ def inverse_power_bounds_check(
     assembly of the estimates chain.
     """
     cc = dp.contraction_constants(p, w0)
-    if r is None:
-        r = 0.9 * cc.r_max
-    if not (0.0 < r < cc.r_max):
-        raise ValueError(f"r={r} outside (0, kappa/(2C)) = (0, {cc.r_max:.6g})")
+    r = cc.radius(r)
     k_max = w0.n
     n_f = 4 * k_max + 3
     xf = sp.grid(n_f)
@@ -368,9 +365,7 @@ def lipschitz_G_check(
     measured quotients sit far below it (the chain is existence-grade, not
     sharp), and the audit's job is zero violations, not tightness.
     """
-    cc = dp.contraction_constants(p, w0)
-    if r is None:
-        r = 0.9 * cc.r_max
+    r = dp.contraction_constants(p, w0).radius(r)
     L = dp.estimate_LG(p, w0, r)
     k_max = w0.n
     n_f = 4 * k_max + 3
@@ -413,8 +408,7 @@ def lipschitz_F_check(
     n = u0.n
     rng = np.random.default_rng(seed)
     decay = np.arange(1, n + 1, dtype=float) ** -3
-    v_field = GridField(values=ry._modes_to_grid(init.v, n), bv=0.0)
-    w_field = GridField(values=ry._modes_to_grid(init.w, n, lift=w0.bv), bv=w0.bv)
+    v_field, w_field = ry._plate_fields(init, n, w0.bv)
     worst = 0.0
     for _ in range(trials):
         m1 = rng.normal(size=n) * decay

@@ -17,6 +17,16 @@ from gapflow.cli import CheckResult, ConfigError, SweepCell
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN / Infinity / -Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 SMALL = """
 [params]
 beta_F = 1.0
@@ -67,10 +77,9 @@ class TestParseConfig:
 
     def test_canonical_echo_lists_every_key(self):
         text = cli.parse_config("").canonical()
-        for section, keys in cli._SCHEMA.items():
+        for section, key, *_ in cli._CONFIG_KEYS:
             assert f"[{section}]" in text
-            for key in keys:
-                assert f"\n{key} = " in text or text.startswith(f"{key} = ")
+            assert f"\n{key} = " in text or text.startswith(f"{key} = ")
 
     def test_echo_round_trip_and_hash(self):
         c1 = cli.parse_config(SMALL)
@@ -189,6 +198,17 @@ T = -0.5
         ref = cli.parse_config((REPO_CONFIGS / "reference.ini").read_text())
         assert ref.canonical() == cli.parse_config("").canonical()
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("reference.ini", "a05e3175995e7c67ebdc6ff62547041b6935d584aadd1a6021f076331e62f005"),
+            ("quench.ini", "2d0f787721bc8eaad428e54492c86cc1732caa01372272debf2595fc2788bc9d"),
+        ],
+    )
+    def test_shipped_config_hash_is_pinned(self, name, digest):
+        # the canonical echo is a file format: its bytes, and so the hash, never drift
+        assert cli.parse_config((REPO_CONFIGS / name).read_text()).config_hash == digest
+
     def test_shipped_quench_config_parses(self):
         cfg = cli.parse_config((REPO_CONFIGS / "quench.ini").read_text())
         assert cfg.beta_F == 25.0 and cfg.beta_p == 1.0 and cfg.eps1 == 0.2
@@ -236,14 +256,16 @@ class TestSimulateAndExport:
         cfg = small_cfg()
         cli.cmd_simulate(cfg, out=str(tmp_path), quiet=True)
         raw = (tmp_path / "record.json").read_text()
-        d = json.loads(raw)
-        assert d["schema_version"] == cli.SCHEMA_VERSION
+        d = strict_json(raw)
+        assert d["schema_version"] == cli.SCHEMA_VERSION == "1.1"
         assert d["config_hash"] == cfg.config_hash
         assert d["code_version"] == gapflow.__version__
         assert d["termination"] == "converged" and d["quench_time"] is None
         n_rows = len(d["series"]["t"])
         for col in ("min_w", "max_u", "mass_residual", "norm_X", "contraction_ratio"):
             assert len(d["series"][col]) == n_rows
+        # undefined values are null: no contraction ratio before the first chunk
+        assert d["series"]["contraction_ratio"][0] is None
         # serialization is canonical: re-dumping the parsed payload reproduces the file
         assert json.dumps(d, sort_keys=True, indent=1) + "\n" == raw
 
@@ -312,12 +334,28 @@ class TestVerify:
 
     def test_summary_json_written(self, tmp_path):
         cli.cmd_verify("benchmark", out=str(tmp_path), quiet=True)
-        d = json.loads((tmp_path / "verify_benchmark.json").read_text())
+        d = strict_json((tmp_path / "verify_benchmark.json").read_text())
         assert d["schema_version"] == cli.SCHEMA_VERSION
         assert d["suite"] == "benchmark" and d["passed"] is True
         for r in d["results"]:
             assert isinstance(r["passed"], bool)
             assert isinstance(r["measured"], float)
+
+    def test_elliptic_suite_sector_gate_can_fail(self, tmp_path):
+        summary = cli.cmd_verify("elliptic", out=str(tmp_path), quiet=True)
+        sector = {r.name: r for r in summary.results}["elliptic.sector"]
+        # normal constant-coefficient operator: M just under 1/sin(pi/4) = sqrt(2)
+        assert sector.passed and sector.measured <= sector.bound == pytest.approx(math.sqrt(2.0))
+        strict_json((tmp_path / "verify_elliptic.json").read_text())
+        n = 16
+        op = ry.assemble_Pstar(
+            cli.GridField(values=np.ones(n), bv=1.0),
+            cli.GridField(values=np.zeros(n), bv=0.0),
+            cli.GridField(values=np.ones(n), bv=1.0),
+        )
+        op.matrix[np.arange(n - 1), np.arange(1, n)] += 0.5 * (n + 1) ** 2  # non-normal
+        skewed = cli._sector_gate(op)
+        assert not skewed.passed and skewed.measured > 1.9
 
     def test_failing_suite_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setitem(
@@ -458,6 +496,6 @@ tol = 1e-7
         )
         assert rc == 0
         assert "termination=quench" in capsys.readouterr().out
-        d = json.loads((tmp_path / "q" / "record.json").read_text())
+        d = strict_json((tmp_path / "q" / "record.json").read_text())
         assert d["termination"] == "quench"
         assert 0.2 < d["quench_time"] < 0.3

@@ -21,26 +21,33 @@ def w0_field_of(init, theta2=1.0):
     return sp.GridField(values=sp.inverse_sine_transform(init.w).values + theta2, bv=theta2)
 
 
+def constant_modes(c, k, pad=2):
+    """Mode coefficients of the constant c as _G_modes forms them: DST on the pad grid, truncated."""
+    return c * sp.sine_transform(np.ones(pad * k + 1))[:k]
+
+
 def test_eval_G_flat_gap():
     p = base_params(beta_F=1.0, beta_p=1.0)
-    g = dp.eval_G(sp.GridField(values=np.zeros(16)), p)
-    assert np.allclose(g.values, -1.0)
-    assert g.bv == pytest.approx(-1.0)
+    g = dp._G_modes(np.zeros(16), p)
+    # w = theta2 = 1 everywhere: G = -1/1 + 1*(1-1) = -1
+    assert np.allclose(g, constant_modes(-1.0, 16), rtol=1e-14, atol=1e-15)
 
 
 def test_eval_G_arithmetic():
-    p = dp.ModelParams(beta_F=2.0, beta_p=3.0, lift=sp.BoundaryLift(2.0, 1.0), eps1=0.5)
-    g = dp.eval_G(sp.GridField(values=np.ones(8)), p)
-    # -2/(1+1)^2 + 3*(2-1) = 2.5
-    assert np.allclose(g.values, 2.5)
+    p = dp.ModelParams(beta_F=2.0, beta_p=3.0, lift=sp.BoundaryLift(2.0, 2.0), eps1=0.5)
+    g = dp._G_modes(np.zeros(8), p)
+    # -2/2^2 + 3*(2-1) = 2.5
+    assert np.allclose(g, constant_modes(2.5, 8), rtol=1e-14, atol=1e-15)
 
 
 def test_eval_G_quench():
     p = base_params()
-    ok = dp.eval_G(sp.GridField(values=np.full(8, -0.5)), p)  # gap 0.5, fine
-    assert np.all(np.isfinite(ok.values))
+    dip = np.zeros(8)
+    dip[0] = -0.5  # gap 1 - 0.5 sin(pi x) >= 0.5, fine
+    assert np.all(np.isfinite(dp._G_modes(dip, p)))
+    dip[0] = -1.05  # gap 1 - 1.05 sin(pi x) < 0 around the midpoint
     with pytest.raises(sp.QuenchSignal):
-        dp.eval_G(sp.GridField(values=np.full(8, -1.0)), p)
+        dp._G_modes(dip, p)
 
 
 def test_estimate_LG_r_range_and_value():
@@ -232,31 +239,14 @@ def test_solution_operator_W_initial_value_and_stationarity():
     init = small_bump_state(k, amp=0.05)
     T = 0.01
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
-    wp = dp.solution_operator_W(p, up, init, T)
+    path, _ = dp.picard_dispersive(p, up, init, T)
     # W(u)(0) = (v0, w0) exactly
-    assert np.allclose(wp.v[0].values, sp.inverse_sine_transform(init.v).values, atol=1e-15)
-    assert np.allclose(wp.w[0].values, sp.inverse_sine_transform(init.w).values + 1.0, atol=1e-15)
+    assert np.array_equal(path.states[0].v, init.v)
+    assert np.array_equal(path.states[0].w, init.w)
     # determinism: identical inputs, identical bits
-    wp2 = dp.solution_operator_W(p, up, init, T)
-    for a, b in zip(wp.w, wp2.w):
-        assert np.array_equal(a.values, b.values)
-
-
-def test_eval_W2_values_and_quench():
-    k = 16
-    times = np.array([0.0, 0.1])
-    zero = np.zeros(k)
-    states = [sp.StateVW(zero, zero), sp.StateVW(zero, zero)]
-    out = dp.eval_W2(dp.VWPath(times=times, states=states), LIFT)
-    assert np.allclose(out[0].values, 0.0)
-    # v = 1 (as a field), w~ such that w = 2: v/w = 0.5; build modes of constants
-    ones = sp.sine_transform(np.ones(k))
-    states = [sp.StateVW(ones, ones), sp.StateVW(ones, ones)]  # w~ = 1 -> w = 2
-    out = dp.eval_W2(dp.VWPath(times=times, states=states), LIFT)
-    assert np.allclose(out[0].values, 0.5, atol=1e-12)
-    crash = [sp.StateVW(zero, -2.0 * ones)]  # w ~ -1
-    with pytest.raises(sp.QuenchSignal):
-        dp.eval_W2(dp.VWPath(times=np.array([0.0]), states=crash), LIFT)
+    path2, _ = dp.picard_dispersive(p, up, init, T)
+    for a, b in zip(path.states, path2.states):
+        assert np.array_equal(a.v, b.v) and np.array_equal(a.w, b.w)
 
 
 def test_frechet_W_zero_and_fd_order():

@@ -225,10 +225,7 @@ def _convert(kind: str, name: str, text: str, violations: list):
 
 def _resolve_auto_T(p: ModelParams, init: CoupledState) -> float:
     """Constructive horizon: T0 from the contraction constants of the initial data."""
-    n = init.u.n
-    w0 = GridField(
-        values=ry._modes_to_grid(init.vw.w, n, lift=p.lift.theta2), bv=p.lift.theta2
-    )
+    w0 = GridField(values=sp.inverse_sine_transform(init.vw.w) + p.lift.theta2, bv=p.lift.theta2)
     cc = dp.contraction_constants(p, w0)
     r = 0.9 * cc.r_max
     spec = sp.plate_eigenvalues(init.vw.k_max)
@@ -759,7 +756,7 @@ def _suite_lipschitz(seed: int) -> list:
     ]
     w0m = np.zeros(n)
     w0m[0] = 0.05
-    w0 = GridField(values=ry._modes_to_grid(w0m, n, lift=1.0), bv=1.0)
+    w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
     u0 = GridField(values=np.full(n, 1.0), bv=1.0)
     lf = vf.lipschitz_F_check(
         _SUITE_PARAMS, u0, w0, StateVW(v=np.zeros(n), w=w0m), trials=1000, seed=seed + 1
@@ -780,17 +777,8 @@ def _suite_lipschitz(seed: int) -> list:
         base = r.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
         base = 0.05 * base / max(1e-12, sp.norm_Hk(base, 2))
         ts = np.linspace(0, T, n_t + 1)
-        return dp.PressurePath(
-            times=ts,
-            samples=[
-                GridField(
-                    values=1.0
-                    + ry._modes_to_grid(base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)), n),
-                    bv=1.0,
-                )
-                for t in ts
-            ],
-        )
+        modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
+        return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
     cal = ry.holder_F_check(rand_path(seed + 3), q, alpha, T, _SUITE_PARAMS, init)
     ver = ry.holder_F_check(

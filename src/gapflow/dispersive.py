@@ -31,7 +31,8 @@ from .spectral import (
     QuenchSignal,
     StateVW,
     dealias_apply,
-    duhamel_step,
+    duhamel_coeffs,
+    duhamel_sweep,
     grid,
     inverse_sine_transform,
     lifted_norm_H2,
@@ -63,33 +64,32 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PressurePath:
-    """u sampled on an increasing time grid; each sample carries bv = theta1."""
+    """u on an increasing time grid starting at 0: values[i] holds the interior
+    samples at times[i], shape (n_t + 1, n); bv is the boundary trace theta1."""
 
     times: np.ndarray
-    samples: list
+    values: np.ndarray
+    bv: float
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must start at 0 and increase strictly")
-        if len(self.samples) != self.times.size:
-            raise ValueError("one sample per time node required")
-
-    def tilde_modes(self) -> np.ndarray:
-        """Mode coefficients of u~ = u - theta1 at every node, shape (n_t, k_max)."""
-        return np.stack([sine_transform(s.values - s.bv) for s in self.samples])
+        if self.values.ndim != 2 or self.values.shape[0] != self.times.size or self.values.shape[1] < 3:
+            raise ValueError("values need one row of n >= 3 interior samples per time node")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("pressure values must be finite")
 
 
 @dataclass(frozen=True)
 class VWPath:
-    """Plate trajectory in mode space on the same time grid."""
+    """Plate trajectory in mode space: v[i] and w[i] (w~ = w - theta2) at times[i],
+    each of shape (n_t + 1, k_max)."""
 
     times: np.ndarray
-    states: list
-
-    def min_gap(self, lift: BoundaryLift, pad: int = 2) -> float:
-        """min over states and the pad-refined grid of w = w~ + theta2."""
-        return min(refined_min(s.w, lift.theta2, pad) for s in self.states)
+    v: np.ndarray
+    w: np.ndarray
 
 
 @dataclass
@@ -111,16 +111,19 @@ class PicardDivergence(RuntimeError):
         self.report = report
 
 
-def state_norm_L2H2(s: StateVW) -> float:
-    """|| (v, w) ||_{L2 x H2} = sqrt( ||v||_L2^2 + ||w||_H2^2 ) in mode space."""
-    return float(np.sqrt(norm_Hk(s.v, 0) ** 2 + norm_Hk(s.w, 2) ** 2))
+def state_norm_L2H2(v: np.ndarray, w: np.ndarray):
+    """|| (v, w) ||_{L2 x H2} = sqrt( ||v||_L2^2 + ||w||_H2^2 ) in mode space, along the last axis."""
+    return np.sqrt(norm_Hk(v, 0) ** 2 + norm_Hk(w, 2) ** 2)
 
 
 def path_diff_norm(a: VWPath, b: VWPath) -> float:
-    return max(
-        state_norm_L2H2(StateVW(sa.v - sb.v, sa.w - sb.w))
-        for sa, sb in zip(a.states, b.states)
-    )
+    """sup_t || (a - b)(t) ||_{L2 x H2} over the nodes of two plate paths."""
+    return float(np.max(state_norm_L2H2(a.v - b.v, a.w - b.w)))
+
+
+def pressure_diff_norm(a: PressurePath, b: PressurePath) -> float:
+    """sup_t || a(t) - b(t) ||_H2 over the nodes of two pressure paths (the lifts cancel)."""
+    return float(np.max(norm_Hk(sine_transform(a.values - b.values), 2)))
 
 
 def _G_modes(w_modes: np.ndarray, p: ModelParams, pad: int = 2) -> np.ndarray:
@@ -128,6 +131,7 @@ def _G_modes(w_modes: np.ndarray, p: ModelParams, pad: int = 2) -> np.ndarray:
 
     G is evaluated pointwise on the pad-refined grid (the dealiasing) and
     raises QuenchSignal where the gap w~ + theta2 is not strictly positive.
+    A (rows, k) array of mode vectors gives one row of coefficients per row.
     """
 
     def g_of(w_fine):
@@ -139,7 +143,7 @@ def _G_modes(w_modes: np.ndarray, p: ModelParams, pad: int = 2) -> np.ndarray:
     return dealias_apply(g_of, w_modes, bvs=(p.lift.theta2,), pad=pad)
 
 
-def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField, pad: int = 4) -> float:
+def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
     """||G0||_H2 with G0 = G(w~0) + beta_p u~0, split into zero-trace part + constant.
 
     The zero-trace part -beta_F (1/w0^2 - 1/theta2^2) + beta_p u~0 vanishes at
@@ -158,7 +162,7 @@ def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField, pad: int = 4) -> fl
             raise QuenchSignal("gap closed while forming G0", min_value=m)
         return -p.beta_F * (1.0 / w_fine**2 - 1.0 / th2**2) + p.beta_p * u_fine
 
-    z_modes = dealias_apply(z_of, w_modes, u_modes, bvs=(th2, 0.0), pad=pad)[:k_max]
+    z_modes = dealias_apply(z_of, w_modes, u_modes, bvs=(th2, 0.0), pad=4)[:k_max]
     cb = -p.beta_F / th2**2 + p.beta_p * (p.lift.theta1 - 1.0)
     return lifted_norm_H2(z_modes, cb)
 
@@ -318,22 +322,22 @@ def theory_constants(
     w0: GridField,
     u0: GridField,
     init: StateVW,
-    r: float | None = None,
     alpha: float = 0.2,
-    M0: float = 1.0,
-    delta_cap: float = 1.0,
 ) -> TheoryConstants:
     """Evaluate the whole constants chain on concrete data.
 
     kappa, C -> C_tilde -> C1 (inverse-gap H2 bound) -> C2, C3 (difference
     bounds for 1/w^2, 1/w^3) -> L_G -> T0 -> L_W (pressure-to-plate Lipschitz)
     -> L_W2, L_U (Hoelder-in-time) -> L_e (pressure-side Lipschitz of F).
+    The ball radius is the default 0.9 kappa/(2C), the semigroup bound M0 is 1
+    (T is unitary in X) and delta_o is capped at 1.
     """
+    M0 = 1.0
     cc = contraction_constants(p, w0)
-    r = cc.radius(r)
+    r = cc.radius()
     spec = plate_eigenvalues(init.k_max)
     g0h2 = g0_norm_H2(p, w0, u0)
-    branches = _T0_branches(cc, g0h2, M0, delta_o_bound(init, spec, r, cap=delta_cap))
+    branches = _T0_branches(cc, g0h2, M0, delta_o_bound(init, spec, r, cap=1.0))
     T0 = float(min(branches))
 
     L_W = T0 * M0 * p.beta_p * np.exp(M0 * cc.L_G * T0)
@@ -414,16 +418,6 @@ def fixed_point(step, x0, dist, tol: float, max_iter: int, diverged) -> tuple:
     return x, diffs, ratios, "exhausted"
 
 
-def _sweep(init: StateVW, spec: PlateSpectrum, times: np.ndarray, forcing: np.ndarray) -> list:
-    """March the Duhamel step across the grid with the given per-node forcing modes."""
-    states = [init]
-    s = init
-    for i in range(times.size - 1):
-        s = duhamel_step(s, spec, forcing[i], forcing[i + 1], times[i], times[i + 1])
-        states.append(s)
-    return states
-
-
 def picard_dispersive(
     p: ModelParams,
     u_path: PressurePath,
@@ -431,7 +425,6 @@ def picard_dispersive(
     T: float,
     tol: float = 1e-10,
     max_iter: int = 200,
-    r: float | None = None,
 ) -> tuple:
     """Construct the mild solution on u_path.times (must end at T) by Picard sweeps.
 
@@ -439,27 +432,29 @@ def picard_dispersive(
     map is a contraction with ratio <= T*M0*L_G; the implementation accepts
     any finite horizon, measures the actual ratios, and raises
     PicardDivergence on observed non-contraction (two successive ratios
-    >= 1) or when max_iter sweeps miss tol.
+    >= 1) or when max_iter sweeps miss tol.  The ball radius reported (and
+    used by the lower-bound check) is the default 0.9 kappa/(2C).
     """
     times = u_path.times
     if abs(times[-1] - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"u_path must be sampled up to T={T}, got times[-1]={times[-1]}")
     k_max = init.k_max
     spec = plate_eigenvalues(k_max)
-    u_modes = u_path.tilde_modes()
+    u_modes = sine_transform(u_path.values - u_path.bv)
     if u_modes.shape[1] != k_max:
         raise ValueError("pressure grid size and state k_max must agree")
 
-    w0_field = GridField(values=inverse_sine_transform(init.w).values + p.lift.theta2, bv=p.lift.theta2)
+    w0_field = GridField(values=inverse_sine_transform(init.w) + p.lift.theta2, bv=p.lift.theta2)
     cc = contraction_constants(p, w0_field)
-    r_used = 0.9 * cc.r_max if r is None else r
+    r_used = cc.radius()
+    coeffs = duhamel_coeffs(spec.omega, np.diff(times))
 
     def march(g):
         """One Duhamel sweep with G given per node (rows of g, or one row for all)."""
-        return VWPath(times=times, states=_sweep(init, spec, times, g + p.beta_p * u_modes))
+        return VWPath(times, *duhamel_sweep(init, spec.omega, coeffs, g + p.beta_p * u_modes))
 
     path, diffs, ratios, status = fixed_point(
-        lambda path: march(np.stack([_G_modes(s.w, p) for s in path.states])),
+        lambda path: march(_G_modes(path.w, p)),
         march(_G_modes(init.w, p)),  # first sweep: G frozen at w~0
         path_diff_norm,
         tol,
@@ -473,8 +468,8 @@ def picard_dispersive(
             PicardReport(len(diffs), ratios, False, T, r_used),
         )
 
-    drift = max(norm_Hk(s.w - init.w, 2) for s in path.states)
-    min_w = path.min_gap(p.lift)
+    drift = float(np.max(norm_Hk(path.w - init.w, 2)))
+    min_w = refined_min(path.w, p.lift.theta2)
     report = PicardReport(
         iterations=len(diffs),
         contraction_ratios=ratios,
@@ -500,12 +495,15 @@ def picard_dispersive(
     return path, report
 
 
+# sweep limit of the linear Frechet solve
+_FRECHET_MAX_ITER = 200
+
+
 def frechet_W(
     p: ModelParams,
     q_path: np.ndarray,
     vw: VWPath,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> tuple:
     """Directional derivative (v'(u)q, w'(u)q) along a zero-trace perturbation path q.
 
@@ -514,12 +512,14 @@ def frechet_W(
         (v'q, w'q)(t) = int_0^t T(t-s) ( beta_p q(s) + 2 beta_F [w'q](s)/[w(s)]^3, 0 ) ds
 
     by the same Duhamel/Picard machinery as the forward solve (q_path is the
-    array of q mode coefficients per node, shape (n_t, k_max)).  Both
-    components vanish at t = 0 by construction.
+    array of q mode coefficients per node, shape (n_t + 1, k_max)).  Returns
+    the arrays (v'q, w'q) of the same shape; both vanish at t = 0 by
+    construction.
     """
     times = vw.times
-    k_max = vw.states[0].k_max
+    k_max = vw.v.shape[1]
     spec = plate_eigenvalues(k_max)
+    coeffs = duhamel_coeffs(spec.omega, np.diff(times))
     q_path = np.asarray(q_path, dtype=float)
     zero = StateVW(np.zeros(k_max), np.zeros(k_max))
 
@@ -530,17 +530,15 @@ def frechet_W(
         return 2.0 * p.beta_F * wq_fine / w_fine**3
 
     def sweep(path):
-        forcing = np.empty((times.size, k_max))
-        for i, (s, sq) in enumerate(zip(vw.states, path.states)):
-            forcing[i] = dealias_apply(f, s.w, sq.w, bvs=(p.lift.theta2, 0.0)) + p.beta_p * q_path[i]
-        return VWPath(times=times, states=_sweep(zero, spec, times, forcing))
+        forcing = dealias_apply(f, vw.w, path.w, bvs=(p.lift.theta2, 0.0)) + p.beta_p * q_path
+        return VWPath(times, *duhamel_sweep(zero, spec.omega, coeffs, forcing))
 
     path, diffs, ratios, status = fixed_point(
         sweep,
-        VWPath(times=times, states=[zero] * times.size),
+        VWPath(times, np.zeros(vw.v.shape), np.zeros(vw.w.shape)),
         path_diff_norm,
         tol,
-        max_iter,
+        _FRECHET_MAX_ITER,
         lambda ratios: bool(ratios) and ratios[-1] >= 1.0,
     )
     if status == "diverged":
@@ -550,10 +548,10 @@ def frechet_W(
         )
     if status == "exhausted":
         raise PicardDivergence(
-            f"frechet_W: no convergence to {tol:g} in {max_iter} sweeps",
-            PicardReport(max_iter, [], False, float(times[-1]), np.nan),
+            f"frechet_W: no convergence to {tol:g} in {_FRECHET_MAX_ITER} sweeps",
+            PicardReport(_FRECHET_MAX_ITER, [], False, float(times[-1]), np.nan),
         )
-    return [s.v for s in path.states], [s.w for s in path.states]
+    return path.v, path.w
 
 
 def empirical_lipschitz_W(
@@ -565,16 +563,28 @@ def empirical_lipschitz_W(
     tol: float = 1e-10,
 ) -> float:
     """sup_t ||W(u1)(t) - W(u2)(t)||_{L2 x H2} / sup_t ||u1(t) - u2(t)||_H2."""
-    du = max(
-        norm_Hk(sine_transform(a.values - b.values), 2)
-        for a, b in zip(u1_path.samples, u2_path.samples)
-    )
+    du = pressure_diff_norm(u1_path, u2_path)
     if du == 0.0:
         return 0.0
     vw1, _ = picard_dispersive(p, u1_path, init, T, tol=tol)
     vw2, _ = picard_dispersive(p, u2_path, init, T, tol=tol)
     dw = path_diff_norm(vw1, vw2)
     return dw / du
+
+
+def holder_seminorm(times: np.ndarray, values: np.ndarray, norm, alpha: float) -> float:
+    """max over node pairs i < j of norm(values[j] - values[i]) / (t_j - t_i)^alpha.
+
+    norm maps a stack of differences (one per row) to their norms.  The powers
+    are taken one pair at a time in scalar arithmetic, which the vectorized
+    power does not reproduce to the last bit.
+    """
+    worst = 0.0
+    for i in range(times.size - 1):
+        dists = norm(values[i + 1 :] - values[i]).tolist()
+        gaps = (times[i + 1 :] - times[i]).tolist()
+        worst = max(worst, *(d / h**alpha for d, h in zip(dists, gaps)))
+    return worst
 
 
 def empirical_holder(path, alpha: float) -> float:
@@ -585,26 +595,18 @@ def empirical_holder(path, alpha: float) -> float:
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha in (0, 1] required")
-    times = path.times
-    if times.size < 3:
+    if path.times.size < 3:
         raise ValueError("need at least 3 time samples")
-    worst = 0.0
     if isinstance(path, VWPath):
-        items = path.states
-        dist = lambda a, b: state_norm_L2H2(StateVW(a.v - b.v, a.w - b.w))
-    else:
-        items = [sine_transform(s.values - s.bv) for s in path.samples]
-        dist = lambda a, b: norm_Hk(a - b, 2)
-    for i in range(times.size):
-        for j in range(i + 1, times.size):
-            h = times[j] - times[i]
-            worst = max(worst, dist(items[j], items[i]) / h**alpha)
-    return worst
+        k = path.v.shape[1]
+        return holder_seminorm(
+            path.times, np.concatenate([path.v, path.w], axis=1), lambda d: state_norm_L2H2(d[:, :k], d[:, k:]), alpha
+        )
+    return holder_seminorm(path.times, sine_transform(path.values - path.bv), lambda d: norm_Hk(d, 2), alpha)
 
 
 def uniform_pressure_path(u_fn, T: float, n_t: int, n: int, theta1: float) -> PressurePath:
     """Sample u_fn(x, t) on the uniform time grid (n_t steps) and interior nodes."""
     ts = np.linspace(0.0, T, n_t + 1)
     x = grid(n)
-    samples = [GridField(values=np.asarray(u_fn(x, t), dtype=float), bv=theta1) for t in ts]
-    return PressurePath(times=ts, samples=samples)
+    return PressurePath(times=ts, values=np.array([u_fn(x, t) for t in ts], dtype=float), bv=theta1)

@@ -15,6 +15,13 @@ so every spectral norm in this module carries the factor 1/2, e.g.
 Collocation grid: x_j = j/(n+1), j = 1..n (interior nodes only; the boundary
 value of a field lives in GridField.bv).  With n = k_max the type-I DST is a
 square invertible map and round-trips are exact to rounding.
+
+Array convention: the transforms, the refined-grid synthesis, dealias_apply
+and norm_Hk act along the last axis, so a (n_t + 1, k) array holds a whole
+time path (one row per node) and is transformed in one call; every row comes
+out bitwise equal to transforming it on its own.  The Duhamel march takes
+its rotation and kick coefficients for all steps at once (duhamel_coeffs)
+and writes one row per node.
 """
 
 from __future__ import annotations
@@ -119,22 +126,21 @@ def plate_eigenvalues(k_max: int, biharmonic_only: bool = False) -> PlateSpectru
     return PlateSpectrum(mu=mu, omega=np.sqrt(mu), biharmonic_only=biharmonic_only)
 
 
-def sine_transform(f) -> np.ndarray:
-    """Forward DST: coeffs_k = 2/(n+1) * sum_j f(x_j) sin(k*pi*x_j).
+def sine_transform(f: np.ndarray) -> np.ndarray:
+    """Forward DST along the last axis: coeffs_k = 2/(n+1) * sum_j f(x_j) sin(k*pi*x_j).
 
     Exactly inverts inverse_sine_transform when n = k_max.  Note the transform
     sees only the interior samples; a constant boundary lift leaks into the
     coefficients as the sine series of the constant (~ 4/(k*pi) for odd k),
     which is the intended analytic behavior.
     """
-    values = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
-    return dst(values, type=1) / (values.size + 1)
+    f = np.asarray(f, dtype=float)
+    return dst(f, type=1, axis=-1) / (f.shape[-1] + 1)
 
 
-def inverse_sine_transform(m: np.ndarray, bv: float = 0.0) -> GridField:
-    """Evaluate sum_k m_k sin(k*pi*x_j) on the n = k_max grid (plus boundary tag bv)."""
-    m = np.asarray(m, dtype=float)
-    return GridField(values=dst(m, type=1) / 2.0, bv=bv)
+def inverse_sine_transform(m: np.ndarray) -> np.ndarray:
+    """Evaluate sum_k m_k sin(k*pi*x_j) on the n = k_max grid, along the last axis."""
+    return dst(np.asarray(m, dtype=float), type=1, axis=-1) / 2.0
 
 
 def eval_modes_on(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -144,20 +150,12 @@ def eval_modes_on(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sin(np.outer(x, k * np.pi)) @ m
 
 
-def pad_modes(m: np.ndarray, k_new: int) -> np.ndarray:
-    """Zero-pad (or truncate) a mode vector to length k_new."""
-    m = np.asarray(m, dtype=float)
-    if k_new <= m.size:
-        return m[:k_new].copy()
-    out = np.zeros(k_new)
-    out[: m.size] = m
-    return out
-
-
 def refined_values(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> np.ndarray:
     """sum_k m_k sin(k*pi*x) + bv on the pad-refined grid of pad*K + 1 interior nodes."""
-    n_fine = pad * np.asarray(m).size + 1
-    return dst(pad_modes(m, n_fine), type=1) / 2.0 + bv
+    m = np.asarray(m, dtype=float)
+    padded = np.zeros(m.shape[:-1] + (pad * m.shape[-1] + 1,))
+    padded[..., : m.shape[-1]] = m
+    return inverse_sine_transform(padded) + bv
 
 
 def refined_min(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> float:
@@ -168,19 +166,18 @@ def refined_min(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> float:
 def dealias_apply(func, *mode_args, bvs=None, pad: int = 2):
     """Apply a pointwise nonlinearity on a pad-times refined grid, truncate back.
 
-    Each argument is a mode vector of length K; it is zero-padded to pad*K + 1
-    modes, evaluated on the matching fine grid (with its boundary lift added),
-    func is applied pointwise, and the raw result is transformed back and
-    truncated to K modes.  Raw samples in, coefficients out — same convention
-    as sine_transform, so a constant output shows up as its sine series.
+    Each argument holds mode vectors of length K along its last axis; they are
+    zero-padded to pad*K + 1 modes, evaluated on the matching fine grid (with
+    their boundary lift added), func is applied pointwise, and the raw result
+    is transformed back and truncated to K modes.  Raw samples in,
+    coefficients out — same convention as sine_transform, so a constant
+    output shows up as its sine series.
     """
-    k_max = np.asarray(mode_args[0]).size
-    n_fine = pad * k_max + 1
+    k_max = np.shape(mode_args[0])[-1]
     if bvs is None:
         bvs = (0.0,) * len(mode_args)
     out = func(*(refined_values(m, bv, pad) for m, bv in zip(mode_args, bvs)))
-    coeffs = dst(np.asarray(out, dtype=float), type=1) / (n_fine + 1)
-    return coeffs[:k_max]
+    return sine_transform(out)[..., :k_max]
 
 
 # Two-double angle handling for the rotation phases.  With omega_k ~ (k pi)^2
@@ -207,9 +204,10 @@ def _two_prod(a, b):
     return p, err
 
 
-def reduced_cossin(omega: np.ndarray, t: float):
-    """cos/sin of omega*t with exact product + double-double mod-2pi reduction."""
-    p, e = _two_prod(np.asarray(omega, dtype=float), float(t))
+def reduced_cossin(omega: np.ndarray, t):
+    """cos/sin of omega*t (t a scalar or an array that broadcasts against omega)
+    with exact product + double-double mod-2pi reduction."""
+    p, e = _two_prod(np.asarray(omega, dtype=float), np.asarray(t, dtype=float))
     n = np.round(p / _TWO_PI_HI)
     r_hi, r_lo = _two_prod(n, _TWO_PI_HI)
     theta = ((p - r_hi) - r_lo) + e - n * _TWO_PI_LO
@@ -224,9 +222,13 @@ def semigroup_apply(s: StateVW, spec: PlateSpectrum, t: float) -> StateVW:
     """
     if t < 0:
         raise ValueError("semigroup time must be >= 0")
-    om = spec.omega
-    c, sn = reduced_cossin(om, t)
-    return StateVW(v=-s.w * om * sn + s.v * c, w=s.w * c + s.v * sn / om)
+    c, sn = reduced_cossin(spec.omega, t)
+    return StateVW(*_rotate(s.v, s.w, spec.omega, c, sn))
+
+
+def _rotate(v, w, om, c, sn) -> tuple:
+    """(v, w) turned by the mode-wise rotation with cos c and sin sn."""
+    return -w * om * sn + v * c, w * c + v * sn / om
 
 
 def norm_X(s: StateVW, spec: PlateSpectrum | None = None) -> float:
@@ -246,17 +248,19 @@ def _hk_weights(k_max: int, k: int) -> np.ndarray:
     return lam
 
 
-def norm_Hk(f: np.ndarray, k: int) -> float:
+def norm_Hk(f: np.ndarray, k: int):
     """Spectral Sobolev norm sqrt( sum_m (1 + (m pi)^2 + ... + (m pi)^{2k}) f_m^2 / 2 ).
 
     Exact for zero-trace functions in the sine span; see lifted_norm_H2 for
     fields carrying a boundary lift.  k up to 3 is supported (H^3 shows up in
-    the elliptic form constants).
+    the elliptic form constants).  A float for one mode vector, an array of
+    norms (one per row) for a stack of them.
     """
     f = np.asarray(f, dtype=float)
     if k not in (0, 1, 2, 3):
         raise ValueError("norm_Hk supports k in {0,1,2,3}")
-    return float(np.sqrt(0.5 * np.sum(_hk_weights(f.size, k) * f**2)))
+    norms = np.sqrt(0.5 * np.sum(_hk_weights(f.shape[-1], k) * f**2, axis=-1))
+    return norms if f.ndim > 1 else float(norms)
 
 
 def int_sine(k_max: int) -> np.ndarray:
@@ -298,7 +302,11 @@ def lifted_norm_H2(f: np.ndarray, bv: float, slope: float = 0.0) -> float:
     return float(np.sqrt(l2 + h1 + h2))
 
 
-def sobolev_embedding_constant(k_max: int, n_scan: int = 4096) -> float:
+# scan points of the embedding-constant maximization over x
+_EMBED_SCAN = 4096
+
+
+def sobolev_embedding_constant(k_max: int) -> float:
     """Sharp H2 -> Linf embedding constant on the k_max-mode sine subspace.
 
     By Cauchy-Schwarz, |f(x)| = |sum f_k sin(k pi x)| <= ||f||_H2 * C(x) with
@@ -313,7 +321,7 @@ def sobolev_embedding_constant(k_max: int, n_scan: int = 4096) -> float:
 
     def c_of(km):
         lam = _hk_weights(km, 2)
-        x = (np.arange(1, n_scan + 1) - 0.5) / n_scan
+        x = (np.arange(1, _EMBED_SCAN + 1) - 0.5) / _EMBED_SCAN
         s = np.sin(np.outer(x, np.pi * np.arange(1, km + 1))) ** 2
         return float(np.sqrt(2.0 * np.max(s @ (1.0 / lam))))
 
@@ -356,6 +364,35 @@ def _kick_coeffs(x: np.ndarray):
     return S, A, B
 
 
+def duhamel_coeffs(omega: np.ndarray, h: np.ndarray) -> tuple:
+    """Rotation and kick coefficients of the exp-trapezoid step for each step size in h.
+
+    Returns (h, cos, sin, S - A, A, A - B, B); all but h have shape (len(h), k).
+    Computed once, they serve every sweep over the same time grid.
+    """
+    h = np.asarray(h, dtype=float)
+    c, sn = reduced_cossin(omega, h[:, None])
+    S, A, B = _kick_coeffs(omega * h[:, None])
+    return h, c, sn, S - A, A, A - B, B
+
+
+def duhamel_sweep(init: StateVW, omega: np.ndarray, coeffs: tuple, forcing: np.ndarray) -> tuple:
+    """March the mild solution from init across the steps of coeffs (see duhamel_coeffs).
+
+    forcing holds the v-equation forcing modes at every node, shape
+    (n_steps + 1, k).  Returns (v, w) of the same shape; row 0 is init.
+    """
+    h, c, sn, s_a, a, a_b, b = coeffs
+    v = np.empty(forcing.shape)
+    w = np.empty(forcing.shape)
+    v[0], w[0] = init.v, init.w
+    for i in range(h.size):
+        rot_v, rot_w = _rotate(v[i], w[i], omega, c[i], sn[i])
+        v[i + 1] = rot_v + h[i] * (forcing[i] * s_a[i] + forcing[i + 1] * a[i])
+        w[i + 1] = rot_w + h[i] * h[i] * (forcing[i] * a_b[i] + forcing[i + 1] * b[i])
+    return v, w
+
+
 def duhamel_step(
     s: StateVW,
     spec: PlateSpectrum,
@@ -368,7 +405,8 @@ def duhamel_step(
     """Advance the mild solution one step; forcing enters the v-equation only.
 
     rule = "exp_trapezoid": piecewise-linear g, trig kernels integrated exactly
-    (order 2, uniformly in omega; exact for constant and linear-in-t forcing).
+    (order 2, uniformly in omega; exact for constant and linear-in-t forcing);
+    the one-step case of duhamel_sweep.
     rule = "trapezoid": plain trapezoid on the kernel-weighted integrand (also
     order 2 but with an omega*h-dependent constant; kept for Richardson
     cross-checks of the exp-trapezoid kick).
@@ -376,18 +414,16 @@ def duhamel_step(
     h = t1 - t0
     if h < 0:
         raise ValueError("duhamel_step needs t1 >= t0")
+    om = spec.omega
+    if rule == "exp_trapezoid":
+        v, w = duhamel_sweep(s, om, duhamel_coeffs(om, [h]), np.array([g0, g1], dtype=float))
+        return StateVW(v=v[1], w=w[1])
+    if rule != "trapezoid":
+        raise ValueError(f"unknown quadrature rule {rule!r}")
     rot = semigroup_apply(s, spec, h)
     g0 = np.asarray(g0, dtype=float)
     g1 = np.asarray(g1, dtype=float)
-    om = spec.omega
-    if rule == "exp_trapezoid":
-        S, A, B = _kick_coeffs(om * h)
-        dv = h * (g0 * (S - A) + g1 * A)
-        dw = h * h * (g0 * (A - B) + g1 * B)
-    elif rule == "trapezoid":
-        x = om * h
-        dv = 0.5 * h * (g0 * np.cos(x) + g1)
-        dw = 0.5 * h * (g0 * np.sin(x) / om)
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+    x = om * h
+    dv = 0.5 * h * (g0 * np.cos(x) + g1)
+    dw = 0.5 * h * (g0 * np.sin(x) / om)
     return StateVW(v=rot.v + dv, w=rot.w + dw)

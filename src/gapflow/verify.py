@@ -139,20 +139,16 @@ class RegularityFit:
     k_used: np.ndarray = field(repr=False)
 
 
-def regularity_exponent_fit(
-    modes: np.ndarray,
-    k_range: tuple = (9, 101),
-    window: int = 5,
-    residual_threshold: float = 0.6,
-) -> RegularityFit:
+def regularity_exponent_fit(modes: np.ndarray, k_range: tuple = (9, 101)) -> RegularityFit:
     """Least-squares slope of the windowed max envelope of odd-mode amplitudes.
 
     At a generic time the oscillator factor (1 - cos om_k t) scatters the raw
-    amplitudes across [0, 2] x envelope; the max over a window of `window`
+    amplitudes across [0, 2] x envelope; the max over a window of 5
     consecutive odd modes tracks the envelope itself.  Even modes are excluded
     (they vanish identically for the constant load).  An RMS log-residual
-    above residual_threshold marks the fit inconclusive.
+    above 0.6 marks the fit inconclusive.
     """
+    window, residual_threshold = 5, 0.6
     modes = np.asarray(modes, dtype=float)
     k_lo, k_hi = k_range
     ks = np.arange(max(1, k_lo), min(modes.size, k_hi) + 1)
@@ -219,7 +215,6 @@ def algebra_property_check(
     k_max: int = 32,
     seed: int = 0,
     calibration_trials: int = 2000,
-    margin: float = 1.5,
 ) -> AlgebraReport:
     """Calibrate C_alg with ||fg||_H2 <= C_alg ||f||_H2 ||g||_H2, then verify fresh.
 
@@ -227,8 +222,9 @@ def algebra_property_check(
     4x refined grid and measured through the same lifted-H2 metric, the
     discrete shadow of the algebra property.  The constant pair f = g = 1
     (ratio exactly 1) anchors the calibration set, and the calibrated constant
-    carries a safety margin over the worst observed ratio.
+    carries a 1.5x safety margin over the worst observed ratio.
     """
+    margin = 1.5
     n_f = 4 * k_max + 3
     xf = sp.grid(n_f)
     decay = np.arange(1, k_max + 1, dtype=float) ** -2.2
@@ -395,33 +391,33 @@ def lipschitz_F_check(
     u0: GridField,
     w0: GridField,
     init: StateVW,
-    ball: float = 0.2,
     trials: int = 1000,
     seed: int = 0,
 ) -> LipschitzReport:
     """Audit ||F(u1) - F(u2)||_L2 <= L_e ||u1 - u2||_H2 at frozen (v, w).
 
     L_e is the nonlinearity constant from the theory chain for the given data;
-    pressure samples are drawn in an H2 ball of radius `ball` around u0.
+    pressure samples are drawn in an H2 ball of radius 0.2 around u0.
     """
+    ball = 0.2
     tc = dp.theory_constants(p, w0, u0, init)
     n = u0.n
     rng = np.random.default_rng(seed)
     decay = np.arange(1, n + 1, dtype=float) ** -3
-    v_field, w_field = ry._plate_fields(init, n, w0.bv)
+    v_field, w_field = ry._plate_fields(init, w0.bv)
     worst = 0.0
     for _ in range(trials):
         m1 = rng.normal(size=n) * decay
         m2 = rng.normal(size=n) * decay
         m1 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m1, 2))
         m2 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m2, 2))
-        u1 = GridField(values=u0.values + ry._modes_to_grid(m1, n), bv=u0.bv)
-        u2 = GridField(values=u0.values + ry._modes_to_grid(m2, n), bv=u0.bv)
+        u1 = GridField(values=u0.values + sp.inverse_sine_transform(m1), bv=u0.bv)
+        u2 = GridField(values=u0.values + sp.inverse_sine_transform(m2), bv=u0.bv)
         dF = ry.eval_F(u1, v_field, w_field, p).values - ry.eval_F(u2, v_field, w_field, p).values
         den = sp.norm_Hk(m1 - m2, 2)
         if den == 0.0:
             continue
-        num = sp.norm_Hk(sp.sine_transform(GridField(values=dF, bv=0.0)), 0)
+        num = sp.norm_Hk(sp.sine_transform(dF), 0)
         worst = max(worst, num / den)
     return LipschitzReport(
         name="F", bound=tc.L_e, worst_ratio=worst, trials=trials, passed=worst <= tc.L_e
@@ -460,21 +456,20 @@ def _smooth_init(n: int) -> CoupledState:
     return CoupledState(u=u, vw=StateVW(v=np.zeros(n), w=w))
 
 
-def _driver_observable(p: ModelParams, n: int, T: float, tol: float, n_t: int, k_obs: int = 8):
+def _driver_observable(p: ModelParams, n: int, T: float, tol: float, n_t: int):
+    """The first 8 pressure and gap modes of the driver's final state."""
     rep = ry.run_coupled(p, _smooth_init(n), T, DriverConfig(n_t=n_t, tol=tol))
     if rep.termination != "converged":
         raise RuntimeError(f"convergence study run did not converge: {rep.termination}")
-    u_modes = sp.sine_transform(
-        GridField(values=rep.final_state.u.values - p.lift.theta1, bv=0.0)
-    )
-    return np.concatenate([u_modes[:k_obs], rep.final_state.vw.w[:k_obs]])
+    u_modes = sp.sine_transform(rep.final_state.u.values - p.lift.theta1)
+    return np.concatenate([u_modes[:8], rep.final_state.vw.w[:8]])
 
 
-def convergence_study(
-    p: ModelParams | None = None,
-    T: float = 0.01,
-) -> ConvergenceStudy:
+def convergence_study() -> ConvergenceStudy:
     """Self-convergence orders of the integrators along their refinement axes.
+
+    The studies run the model beta_F = 1, beta_p = 0.5, theta1 = theta2 = 1,
+    eps1 = 0.5 (plate_k with beta_F = 0, see below) to the horizon T = 0.01.
 
     oracle_dt: classical Runge-Kutta self-convergence, expected order 4.
     driver_h: coupled driver under grid doubling, expected order 2 (the
@@ -486,8 +481,8 @@ def convergence_study(
     gamma_tol: driver final state vs outer tolerance, expected slope ~1
         (the iteration stops once successive sweeps differ by tol).
     """
-    if p is None:
-        p = ModelParams(beta_F=1.0, beta_p=0.5, lift=sp.BoundaryLift(1.0, 1.0), eps1=0.5)
+    p = ModelParams(beta_F=1.0, beta_p=0.5, lift=sp.BoundaryLift(1.0, 1.0), eps1=0.5)
+    T = 0.01
     rows = []
 
     # --- oracle_dt ---------------------------------------------------------
@@ -530,7 +525,7 @@ def convergence_study(
         w1 = np.zeros(k)
         w1[0] = 0.1
         vw, _ = dp.picard_dispersive(p_k, path, StateVW(v=np.zeros(k), w=w1), T, tol=1e-13)
-        return vw.states[-1].w
+        return vw.w[-1]
 
     k_levels = (8, 16, 32)
     ref = plate_w(64)

@@ -109,7 +109,7 @@ def test_c04_picard_contraction():
         vm = rng.normal(size=k) * decay
         vm *= 0.1 * 0.9 * r_flat / max(1e-12, sp.norm_Hk(vm, 0))
         init = StateVW(v=vm, w=wm)
-        w0 = GridField(values=sp.inverse_sine_transform(wm).values + theta2, bv=theta2)
+        w0 = GridField(values=sp.inverse_sine_transform(wm) + theta2, bv=theta2)
 
         cc = dp.contraction_constants(p, w0)
         r = 0.9 * cc.r_max
@@ -143,7 +143,7 @@ def test_c05_oracle_equivalence():
     p = base_params()
     n = 128
     init = smooth_init(n)
-    w0 = GridField(values=ry._modes_to_grid(init.vw.w, n, lift=1.0), bv=1.0)
+    w0 = GridField(values=sp.inverse_sine_transform(init.vw.w) + 1.0, bv=1.0)
     tc = dp.theory_constants(p, w0, init.u, init.vw)
     T = min(tc.T0, 0.05)
     n_t = 8
@@ -152,14 +152,11 @@ def test_c05_oracle_equivalence():
     traj = ry.integrate_reference(p, init, T, T / n_t, store_every=1)
     gap = scale = 0.0
     for i in range(n_t + 1):
-        du = u_fix.samples[i].values - traj[i].u.values
-        dwm = plate.states[i].w - traj[i].vw.w
-        gap = max(gap, sp.norm_Hk(sp.sine_transform(GridField(values=du, bv=0.0)), 1))
+        du = u_fix.values[i] - traj[i].u.values
+        dwm = plate.w[i] - traj[i].vw.w
+        gap = max(gap, sp.norm_Hk(sp.sine_transform(du), 1))
         gap = max(gap, sp.norm_Hk(dwm, 1))
-        scale = max(
-            scale,
-            sp.norm_Hk(sp.sine_transform(GridField(values=traj[i].u.values - 1.0, bv=0.0)), 1),
-        )
+        scale = max(scale, sp.norm_Hk(sp.sine_transform(traj[i].u.values - 1.0), 1))
     h = 1.0 / (n + 1)
     dt = T / n_t
     allowance = max(1e-8, 5 * (h**2 + dt**2)) * max(scale, 1.0)
@@ -185,12 +182,12 @@ def test_c06_lower_bound_family():
             vw=StateVW(v=np.zeros(n), w=wm),
         )
         kappa = ry._w_min_fine(wm, 1.0)
-        w0 = GridField(values=ry._modes_to_grid(wm, n, lift=1.0), bv=1.0)
+        w0 = GridField(values=sp.inverse_sine_transform(wm) + 1.0, bv=1.0)
         tc = dp.theory_constants(p, w0, init.u, init.vw)
         T = min(tc.T0, 0.05)
         guess = ry._constant_path(init.u, T, 8)
         _, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10, return_plate=True)
-        min_w = plate.min_gap(p.lift)
+        min_w = sp.refined_min(plate.w, p.lift.theta2)
         margins.append(min_w - kappa / 2.0)
         if min_w < kappa / 2.0:
             violations += 1
@@ -239,22 +236,11 @@ def test_c08_frechet_consistency():
     vq, wq = dp.frechet_W(p, q, path, tol=5e-14)
     errs_W = []
     for h in hs:
-        up_h = dp.PressurePath(
-            times=up.times,
-            samples=[
-                GridField(values=s.values + h * sp.inverse_sine_transform(q[i]).values, bv=1.0)
-                for i, s in enumerate(up.samples)
-            ],
-        )
+        up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
         ph, _ = dp.picard_dispersive(p, up_h, init, T, tol=1e-13)
         errs_W.append(
             max(
-                dp.state_norm_L2H2(
-                    StateVW(
-                        (ph.states[i].v - path.states[i].v) / h - vq[i],
-                        (ph.states[i].w - path.states[i].w) / h - wq[i],
-                    )
-                )
+                dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
                 for i in range(n_t + 1)
             )
         )
@@ -270,23 +256,19 @@ def test_c08_frechet_consistency():
     u_fix, _, plate = ry.gamma_iterate(guess, p2, init2, T2, tol=1e-12, return_plate=True)
     rng = np.random.default_rng(9)
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
-    qg = ry._modes_to_grid(qm, n)
+    qg = sp.inverse_sine_transform(qm)
     q2 = np.tile(qm, (Nt + 1, 1))
     dW = dp.frechet_W(p2, q2, plate, tol=1e-13)
-    analytic = ry.frechet_F(u_fix, q2, plate, dW, p2)[Nt].values
+    analytic = ry.frechet_F(u_fix, q2, plate, dW, p2)[Nt]
 
     def F_at(pp, plate_path, i):
-        vg = GridField(values=ry._modes_to_grid(plate_path.states[i].v, n), bv=0.0)
-        wg = GridField(values=ry._modes_to_grid(plate_path.states[i].w, n, lift=1.0), bv=1.0)
-        return ry.eval_F(pp.samples[i], vg, wg, p2).values
+        vg, wg = ry._plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
+        return ry.eval_F(GridField(pp.values[i], pp.bv), vg, wg, p2).values
 
     base = F_at(u_fix, plate, Nt)
     errs_F = []
     for h in hs:
-        pert = dp.PressurePath(
-            times=u_fix.times.copy(),
-            samples=[GridField(values=s.values + h * qg, bv=s.bv) for s in u_fix.samples],
-        )
+        pert = dp.PressurePath(times=u_fix.times.copy(), values=u_fix.values + h * qg, bv=u_fix.bv)
         plate2, _ = dp.picard_dispersive(p2, pert, init2, T2, tol=1e-13)
         fd = (F_at(pert, plate2, Nt) - base) / h
         errs_F.append(np.abs(fd - analytic).max())
@@ -353,7 +335,7 @@ def test_c11_calibrated_constant_audits():
     results["lipschitz_G"] = lg.passed
 
     w0m = np.r_[0.05, np.zeros(n - 1)]
-    w0 = GridField(values=ry._modes_to_grid(w0m, n, lift=1.0), bv=1.0)
+    w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
     u0 = GridField(values=np.full(n, 1.0), bv=1.0)
     lf = vf.lipschitz_F_check(p, u0, w0, StateVW(v=np.zeros(n), w=w0m), trials=1000, seed=14)
     results["lipschitz_F"] = lf.passed
@@ -371,16 +353,8 @@ def test_c11_calibrated_constant_audits():
         base = r.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
         base = 0.05 * base / max(1e-12, sp.norm_Hk(base, 2))
         ts = np.linspace(0, T, n_t + 1)
-        return dp.PressurePath(
-            times=ts,
-            samples=[
-                GridField(
-                    values=1.0 + ry._modes_to_grid(base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)), n),
-                    bv=1.0,
-                )
-                for t in ts
-            ],
-        )
+        modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
+        return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
     cal = ry.holder_F_check(rand_path(100), q, alpha, T, p, init)
     holder_ok = True

@@ -49,3 +49,40 @@ def test_every_module_level_definition_is_used():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, "defined but used nowhere: " + ", ".join(unused)
+
+
+def _defaulted(fn) -> dict:
+    """{parameter: position} of fn's parameters with a default; keyword-only ones have position None."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None})
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """An option (a parameter with a default) that no call site in src/, tests/ or
+    perfbench/ passes, by keyword or by position, is a constant in disguise.
+    Calls are matched by the function's name; a call that splats *args or
+    **kwargs counts as passing every option."""
+    options = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _defaulted(node):
+                options.setdefault(node.name, {}).update(_defaulted(node))
+    passed = set()
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in options:
+                continue
+            splat = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            keywords = {k.arg for k in node.keywords}
+            for param, pos in options[name].items():
+                if splat or param in keywords or (pos is not None and pos < len(node.args)):
+                    passed.add((name, param))
+    never = [f"{fn}({param})" for fn, params in sorted(options.items()) for param in params if (fn, param) not in passed]
+    assert not never, "options no caller passes: " + ", ".join(never)

@@ -18,7 +18,7 @@ def small_bump_state(k, amp=0.1):
 
 
 def w0_field_of(init, theta2=1.0):
-    return sp.GridField(values=sp.inverse_sine_transform(init.w).values + theta2, bv=theta2)
+    return sp.GridField(values=sp.inverse_sine_transform(init.w) + theta2, bv=theta2)
 
 
 def constant_modes(c, k, pad=2):
@@ -48,6 +48,12 @@ def test_eval_G_quench():
     dip[0] = -1.05  # gap 1 - 1.05 sin(pi x) < 0 around the midpoint
     with pytest.raises(sp.QuenchSignal):
         dp._G_modes(dip, p)
+    # a (rows, k) path of gaps: one row of coefficients per node, bitwise equal
+    # to row-by-row calls, and one closed gap anywhere quenches the whole call
+    rows = 0.05 * np.random.default_rng(5).normal(size=(33, 8))
+    assert np.array_equal(dp._G_modes(rows, p), [dp._G_modes(r, p) for r in rows])
+    with pytest.raises(sp.QuenchSignal):
+        dp._G_modes(np.vstack([rows, dip]), p)
 
 
 def test_estimate_LG_r_range_and_value():
@@ -131,7 +137,7 @@ def test_delta_o_certifies_continuity():
     assert d_o > 0
     for t in np.linspace(1e-6, d_o, 37):
         moved = sp.semigroup_apply(init, spec, t)
-        dev = dp.state_norm_L2H2(sp.StateVW(moved.v - init.v, moved.w - init.w))
+        dev = dp.state_norm_L2H2(moved.v - init.v, moved.w - init.w)
         assert dev <= r / 2 * (1 + 1e-12)
 
 
@@ -171,8 +177,8 @@ def test_picard_matches_constant_forcing_to_second_order():
         path, _ = dp.picard_dispersive(p, up, init, T, tol=1e-14)
         w_exact = c * 2 * np.sin(spec.omega * T / 2) ** 2 / spec.mu
         v_exact = c * np.sin(spec.omega * T) / spec.omega
-        dw = np.max(np.abs(path.states[-1].w - w_exact)) / np.max(np.abs(w_exact))
-        dv = np.max(np.abs(path.states[-1].v - v_exact)) / np.max(np.abs(v_exact))
+        dw = np.max(np.abs(path.w[-1] - w_exact)) / np.max(np.abs(w_exact))
+        dv = np.max(np.abs(path.v[-1] - v_exact)) / np.max(np.abs(v_exact))
         return max(dw, dv)
 
     assert rel_dev(1e-3) < 1e-6
@@ -188,8 +194,8 @@ def test_picard_zero_couplings_is_pure_semigroup():
     assert rep.iterations == 1
     spec = sp.plate_eigenvalues(k)
     n0 = sp.norm_X(init, spec)
-    for s in path.states:
-        assert abs(sp.norm_X(s, spec) - n0) <= 1e-10 * n0
+    for v, w in zip(path.v, path.w):
+        assert abs(sp.norm_X(sp.StateVW(v, w), spec) - n0) <= 1e-10 * n0
 
 
 def test_picard_uniqueness_wrt_time_resolution_tail():
@@ -217,16 +223,16 @@ def test_strictness_residual_decays_with_dt():
     def residual(n_t):
         up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(5 * t), T, n_t, k, 1.0)
         path, _ = dp.picard_dispersive(p, up, init, T, tol=1e-13)
-        u_modes = up.tilde_modes()
+        u_modes = sp.sine_transform(up.values - up.bv)
         dt = T / n_t
         worst = 0.0
         for i in range(1, n_t):
-            sdot_v = (path.states[i + 1].v - path.states[i - 1].v) / (2 * dt)
-            sdot_w = (path.states[i + 1].w - path.states[i - 1].w) / (2 * dt)
-            g = dp._G_modes(path.states[i].w, p) + p.beta_p * u_modes[i]
-            res_v = sdot_v - (-spec.mu * path.states[i].w + g)
-            res_w = sdot_w - path.states[i].v
-            worst = max(worst, dp.state_norm_L2H2(sp.StateVW(res_v, res_w)))
+            sdot_v = (path.v[i + 1] - path.v[i - 1]) / (2 * dt)
+            sdot_w = (path.w[i + 1] - path.w[i - 1]) / (2 * dt)
+            g = dp._G_modes(path.w[i], p) + p.beta_p * u_modes[i]
+            res_v = sdot_v - (-spec.mu * path.w[i] + g)
+            res_w = sdot_w - path.v[i]
+            worst = max(worst, dp.state_norm_L2H2(res_v, res_w))
         return worst
 
     r1, r2 = residual(64), residual(128)
@@ -241,12 +247,11 @@ def test_solution_operator_W_initial_value_and_stationarity():
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
     path, _ = dp.picard_dispersive(p, up, init, T)
     # W(u)(0) = (v0, w0) exactly
-    assert np.array_equal(path.states[0].v, init.v)
-    assert np.array_equal(path.states[0].w, init.w)
+    assert np.array_equal(path.v[0], init.v)
+    assert np.array_equal(path.w[0], init.w)
     # determinism: identical inputs, identical bits
     path2, _ = dp.picard_dispersive(p, up, init, T)
-    for a, b in zip(path.states, path2.states):
-        assert np.array_equal(a.v, b.v) and np.array_equal(a.w, b.w)
+    assert np.array_equal(path.v, path2.v) and np.array_equal(path.w, path2.w)
 
 
 def test_frechet_W_zero_and_fd_order():
@@ -269,22 +274,11 @@ def test_frechet_W_zero_and_fd_order():
     errs = []
     hs = (1e-2, 1e-3, 1e-4)
     for h in hs:
-        up_h = dp.PressurePath(
-            times=up.times,
-            samples=[
-                sp.GridField(values=s.values + h * sp.inverse_sine_transform(q[i]).values, bv=1.0)
-                for i, s in enumerate(up.samples)
-            ],
-        )
+        up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
         ph, _ = dp.picard_dispersive(p, up_h, init, T, tol=1e-13)
         errs.append(
             max(
-                dp.state_norm_L2H2(
-                    sp.StateVW(
-                        (ph.states[i].v - path.states[i].v) / h - vq[i],
-                        (ph.states[i].w - path.states[i].w) / h - wq[i],
-                    )
-                )
+                dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
                 for i in range(n_t + 1)
             )
         )

@@ -80,7 +80,7 @@ class TestEvalF:
         p = base_params()
         n = k = 48
         w0m = np.concatenate([[0.05], np.zeros(k - 1)])
-        w0 = GridField(values=ry._modes_to_grid(w0m, n, lift=1.0), bv=1.0)
+        w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
         u0 = GridField(values=np.full(n, 1.0), bv=1.0)
         tc = dp.theory_constants(p, w0, u0, StateVW(v=np.zeros(k), w=w0m))
         rng = np.random.default_rng(11)
@@ -92,10 +92,10 @@ class TestEvalF:
             m2 = rng.normal(size=k) * decay
             m1 *= 0.2 / max(1e-12, sp.norm_Hk(m1, 2))
             m2 *= 0.2 / max(1e-12, sp.norm_Hk(m2, 2))
-            u1 = GridField(values=1.0 + ry._modes_to_grid(m1, n), bv=1.0)
-            u2 = GridField(values=1.0 + ry._modes_to_grid(m2, n), bv=1.0)
+            u1 = GridField(values=1.0 + sp.inverse_sine_transform(m1), bv=1.0)
+            u2 = GridField(values=1.0 + sp.inverse_sine_transform(m2), bv=1.0)
             dF = ry.eval_F(u1, v_field, w0, p).values - ry.eval_F(u2, v_field, w0, p).values
-            num = sp.norm_Hk(sp.sine_transform(GridField(values=dF, bv=0.0)), 0)
+            num = sp.norm_Hk(sp.sine_transform(dF), 0)
             worst = max(worst, num / sp.norm_Hk(m1 - m2, 2))
         assert 0.0 < worst <= tc.L_e
 
@@ -251,12 +251,12 @@ class TestSectorAndGraphNorm:
         lam1 = -4 / h**2 * math.sin(math.pi * h / 2) ** 2
         modes = np.zeros(n)
         modes[0] = 1.0
-        g = sp.inverse_sine_transform(modes).values
+        g = sp.inverse_sine_transform(modes)
         pg = op.matrix @ g
         # eigenvector: P* g = lam1 g on the grid
         assert np.abs(pg - lam1 * g).max() <= 1e-9 * abs(lam1)
         ratio = sp.norm_Hk(modes, 2) / (
-            sp.norm_Hk(modes, 0) + sp.norm_Hk(sp.sine_transform(GridField(values=pg, bv=0.0)), 0)
+            sp.norm_Hk(modes, 0) + sp.norm_Hk(sp.sine_transform(pg), 0)
         )
         expected = math.sqrt(1 + math.pi**2 + math.pi**4) / (1 + abs(lam1))
         assert ratio == pytest.approx(expected, rel=1e-9)
@@ -280,10 +280,10 @@ class TestLinearParabolicSolve:
         op = self._heat_op(n)
         modes = np.zeros(n)
         modes[2] = 1.0
-        u0 = sp.inverse_sine_transform(modes).values
+        u0 = sp.inverse_sine_transform(modes)
         T, Nt = 0.02, 32
         path = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T, Nt)
-        got = sp.sine_transform(path.samples[-1])[2]
+        got = sp.sine_transform(path.values[-1])[2]
         h = 1.0 / (n + 1)
         lam = -4 / h**2 * math.sin(3 * math.pi * h / 2) ** 2
         assert abs(got - math.exp(lam * T)) <= 5e-14
@@ -295,9 +295,9 @@ class TestLinearParabolicSolve:
             op = self._heat_op(n)
             modes = np.zeros(n)
             modes[0] = 1.0
-            u0 = sp.inverse_sine_transform(modes).values
+            u0 = sp.inverse_sine_transform(modes)
             path = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T, Nt)
-            got = sp.sine_transform(path.samples[-1])[0]
+            got = sp.sine_transform(path.values[-1])[0]
             errs.append(abs(got - math.exp(-math.pi**2 * T)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -307,14 +307,14 @@ class TestLinearParabolicSolve:
         F = np.sin(np.pi * sp.grid(n))
         path = ry.linear_parabolic_solve(op, [F] * 129, np.zeros(n), 3.0, 128)
         steady = -np.linalg.solve(op.matrix, F)
-        assert np.abs(path.samples[-1].values - steady).max() <= 1e-12
+        assert np.abs(path.values[-1] - steady).max() <= 1e-12
 
     def test_initial_value_exact(self):
         n = 16
         op = self._heat_op(n)
         u0 = np.sin(np.pi * sp.grid(n)) * 0.3
         path = ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, u0, 0.1, 4)
-        assert np.array_equal(path.samples[0].values, u0)
+        assert np.array_equal(path.values[0], u0)
 
     def test_shape_validation(self):
         n = 8
@@ -338,7 +338,7 @@ class TestGammaIterate:
         guess = ry._constant_path(eq.u, 1e-3, 12)
         u_fix, rep = ry.gamma_iterate(guess, p, eq.vw, 1e-3, tol=1e-10)
         assert rep.converged and rep.iterations == 1
-        assert max(np.abs(s.values - eq.u.values).max() for s in u_fix.samples) == 0.0
+        assert np.abs(u_fix.values - eq.u.values).max() == 0.0
 
     def test_initial_sample_is_datum_bitwise(self):
         p = base_params()
@@ -346,8 +346,8 @@ class TestGammaIterate:
         u0 = bump_pressure(n, amp=0.07)
         guess = ry._constant_path(u0, 5e-3, 16)
         u_fix, rep = ry.gamma_iterate(guess, p, bump_state(k), 5e-3, tol=1e-10)
-        assert np.array_equal(u_fix.samples[0].values, u0.values)
-        assert u_fix.samples[0].bv == 1.0
+        assert np.array_equal(u_fix.values[0], u0.values)
+        assert u_fix.bv == 1.0
 
     def test_contraction_ratio_small_at_short_horizon(self):
         p = base_params()
@@ -384,7 +384,7 @@ class TestGammaIterate:
         k = n = 16
         u0 = bump_pressure(n)
         times = np.array([0.0, 0.3, 1.0]) * 1e-3
-        path = PressurePath(times=times, samples=[u0] * 3)
+        path = PressurePath(times=times, values=np.tile(u0.values, (3, 1)), bv=u0.bv)
         with pytest.raises(ValueError):
             ry.gamma_iterate(path, p, bump_state(k), 1e-3)
         guess = ry._constant_path(u0, 1e-3, 4)
@@ -412,7 +412,7 @@ class TestFrechetF:
         q = np.zeros((Nt + 1, n))
         dW = dp.frechet_W(p, q, plate, tol=1e-12)
         out = ry.frechet_F(u_fix, q, plate, dW, p)
-        assert all(np.abs(f.values).max() == 0.0 for f in out)
+        assert np.abs(out).max() == 0.0
 
     def test_matches_linearization_at_t0(self):
         p = base_params()
@@ -424,11 +424,10 @@ class TestFrechetF:
         q = np.tile(qm, (Nt + 1, 1))
         dW = dp.frechet_W(p, q, plate, tol=1e-13)
         out = ry.frechet_F(u_fix, q, plate, dW, p)
-        v0 = GridField(values=ry._modes_to_grid(plate.states[0].v, n), bv=0.0)
-        w0 = GridField(values=ry._modes_to_grid(plate.states[0].w, n, lift=1.0), bv=1.0)
-        op = ry.assemble_Pstar(u_fix.samples[0], v0, w0)
-        ref = op.matrix @ ry._modes_to_grid(qm, n)
-        assert np.abs(out[0].values - ref).max() <= 1e-12 * np.abs(ref).max()
+        v0, w0 = ry._plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
+        op = ry.assemble_Pstar(GridField(u_fix.values[0], u_fix.bv), v0, w0)
+        ref = op.matrix @ sp.inverse_sine_transform(qm)
+        assert np.abs(out[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_directional_difference_first_order(self):
         p = base_params(beta_F=2.0, beta_p=1.0)
@@ -437,23 +436,19 @@ class TestFrechetF:
         u_fix, _, plate = _gamma_solution(p, n, T, Nt, tol=1e-12)
         rng = np.random.default_rng(9)
         qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
-        qg = ry._modes_to_grid(qm, n)
+        qg = sp.inverse_sine_transform(qm)
         q = np.tile(qm, (Nt + 1, 1))
         dW = dp.frechet_W(p, q, plate, tol=1e-13)
-        analytic = ry.frechet_F(u_fix, q, plate, dW, p)[Nt].values
+        analytic = ry.frechet_F(u_fix, q, plate, dW, p)[Nt]
 
         def F_at(path, plate_path, i):
-            vg = GridField(values=ry._modes_to_grid(plate_path.states[i].v, n), bv=0.0)
-            wg = GridField(values=ry._modes_to_grid(plate_path.states[i].w, n, lift=1.0), bv=1.0)
-            return ry.eval_F(path.samples[i], vg, wg, p).values
+            vg, wg = ry._plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
+            return ry.eval_F(GridField(path.values[i], path.bv), vg, wg, p).values
 
         base = F_at(u_fix, plate, Nt)
         errs = []
         for h_fd in (1e-2, 1e-3, 1e-4):
-            pert = PressurePath(
-                times=u_fix.times.copy(),
-                samples=[GridField(values=s.values + h_fd * qg, bv=s.bv) for s in u_fix.samples],
-            )
+            pert = PressurePath(times=u_fix.times.copy(), values=u_fix.values + h_fd * qg, bv=u_fix.bv)
             plate2, _ = dp.picard_dispersive(p, pert, bump_state(n), T, tol=1e-13)
             fd = (F_at(pert, plate2, Nt) - base) / h_fd
             errs.append(np.abs(fd - analytic).max())
@@ -467,14 +462,8 @@ class TestHolderF:
         base = r.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
         base = amp * base / max(1e-12, sp.norm_Hk(base, 2))
         times = np.linspace(0, T, n_t + 1)
-        samples = [
-            GridField(
-                values=1.0 + ry._modes_to_grid(base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)), n),
-                bv=1.0,
-            )
-            for t in times
-        ]
-        return PressurePath(times=times, samples=samples)
+        modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in times])
+        return PressurePath(times=times, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
     def test_calibrate_then_verify_fresh_path(self):
         p = base_params()
@@ -647,8 +636,8 @@ class TestRunCoupled:
         spec = sp.plate_eigenvalues(k)
         traj = ry.integrate_reference(p, init, T, 0.4 / float(spec.omega[-1]), store_every=10**9)
         du = rep.final_state.u.values - traj[-1].u.values
-        gap = sp.norm_Hk(sp.sine_transform(GridField(values=du, bv=0.0)), 1)
-        scale = sp.norm_Hk(sp.sine_transform(GridField(values=traj[-1].u.values - 1.0, bv=0.0)), 1)
+        gap = sp.norm_Hk(sp.sine_transform(du), 1)
+        scale = sp.norm_Hk(sp.sine_transform(traj[-1].u.values - 1.0), 1)
         h = 1.0 / (n + 1)
         dt = T / cfg.n_t
         assert gap <= max(1e-8, 5 * (h**2 + dt**2)) * max(scale, 1.0)
@@ -698,6 +687,19 @@ class TestRunCoupled:
         init = CoupledState(u=bump_pressure(16), vw=bump_state(24))
         with pytest.raises(ValueError):
             ry.run_coupled(p, init, 0.01)
+        with pytest.raises(ValueError, match="k_max == n"):
+            ry.integrate_reference(p, init, 0.01, 1e-7)
+
+    def test_pressure_floor_stop_has_its_own_termination(self):
+        # u0 dips to 0.9 below the floor eps1 = 0.95: the first sample of the
+        # first chunk ends the run with "pressure_floor" and says why
+        p = base_params(eps1=0.95)
+        n = 16
+        u0 = GridField(values=1.0 - 0.1 * np.sin(np.pi * sp.grid(n)), bv=1.0)
+        rep = ry.run_coupled(p, CoupledState(u=u0, vw=bump_state(n)), 0.01, DriverConfig(n_t=8, tol=1e-8))
+        assert rep.termination == "pressure_floor"
+        assert rep.note.startswith("pressure positivity floor eps1=0.95 violated")
+        assert len(rep.states) == 2 and rep.quench_time is None
 
     def test_quenched_initial_state_returns_immediately(self):
         p = base_params()

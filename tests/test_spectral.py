@@ -52,8 +52,13 @@ def test_round_trip_identity():
     rng = np.random.default_rng(7)
     for n in (8, 33, 128):
         m = rng.normal(size=n)
-        again = sp.sine_transform(sp.inverse_sine_transform(m).values)
+        again = sp.sine_transform(sp.inverse_sine_transform(m))
         assert np.max(np.abs(again - m)) < 1e-12 * max(1.0, np.max(np.abs(m)))
+        # a stack of rows transforms along the last axis, each row bitwise as on its own
+        rows = rng.normal(size=(5, n))
+        for transform in (sp.sine_transform, sp.inverse_sine_transform):
+            assert np.array_equal(transform(rows), [transform(r) for r in rows])
+        assert np.array_equal(sp.norm_Hk(rows, 2), [sp.norm_Hk(r, 2) for r in rows])
 
 
 def test_semigroup_t0_identity_and_negative_rejected():
@@ -218,6 +223,33 @@ def test_duhamel_rule_convergence_order():
         assert min(order1, order2) > 1.8, (rule, errs)
 
 
+def test_duhamel_sweep_matches_step_by_step():
+    # the sweep with coefficients for all steps at once is bitwise equal to
+    # stepping duhamel_step node to node, and to the step as written out
+    # before the coefficients were shared (rotation, then the exp-trapezoid
+    # kick at that step's own h); linspace steps differ in the last ulp, so
+    # each step must keep its own h
+    rng = np.random.default_rng(12)
+    k, n_t = 64, 32
+    spec = sp.plate_eigenvalues(k)
+    times = np.linspace(0.0, 0.013, n_t + 1)
+    forcing = rng.normal(size=(n_t + 1, k))
+    init = sp.StateVW(rng.normal(size=k), rng.normal(size=k))
+    v, w = sp.duhamel_sweep(init, spec.omega, sp.duhamel_coeffs(spec.omega, np.diff(times)), forcing)
+    s = ref = init
+    for i in range(n_t):
+        s = sp.duhamel_step(s, spec, forcing[i], forcing[i + 1], times[i], times[i + 1])
+        h = times[i + 1] - times[i]
+        rot = sp.semigroup_apply(ref, spec, h)
+        S, A, B = sp._kick_coeffs(spec.omega * h)
+        ref = sp.StateVW(
+            v=rot.v + h * (forcing[i] * (S - A) + forcing[i + 1] * A),
+            w=rot.w + h * h * (forcing[i] * (A - B) + forcing[i + 1] * B),
+        )
+        for state in (s, ref):
+            assert np.array_equal(v[i + 1], state.v) and np.array_equal(w[i + 1], state.w)
+
+
 def test_dealias_apply_plain_product():
     # product of two low-mode fields computed with 2x padding lands close to
     # the analytic projection (fine-grid reference); the residual is the
@@ -231,6 +263,11 @@ def test_dealias_apply_plain_product():
     x = sp.grid(4097)
     reference = sp.sine_transform(np.sin(np.pi * x) * np.sin(2 * np.pi * x))[:k_max]
     assert np.max(np.abs(got - reference)) < 1e-4
+    # (rows, k) arguments: one product per row, bitwise equal to row-by-row calls
+    rng = np.random.default_rng(4)
+    A, B = rng.normal(size=(2, 7, k_max))
+    rowwise = [sp.dealias_apply(lambda f, g: f * g, r, s, bvs=(1.5, 0.0)) for r, s in zip(A, B)]
+    assert np.array_equal(sp.dealias_apply(lambda f, g: f * g, A, B, bvs=(1.5, 0.0)), rowwise)
 
 
 def test_dealias_padding_beats_no_padding():
@@ -276,7 +313,7 @@ def test_grid_field_validation():
 @given(st.integers(min_value=3, max_value=200), st.integers(min_value=0, max_value=2**32 - 1))
 def test_round_trip_property(n, seed):
     m = np.random.default_rng(seed).normal(size=n)
-    again = sp.sine_transform(sp.inverse_sine_transform(m).values)
+    again = sp.sine_transform(sp.inverse_sine_transform(m))
     assert np.max(np.abs(again - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
 
 

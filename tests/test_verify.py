@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from gapflow import reynolds as ry
 from gapflow import spectral as sp
 from gapflow import verify as vf
 from gapflow.dispersive import ModelParams
@@ -173,7 +172,7 @@ class TestLipschitzChecks:
         n = 24
         w0m = np.zeros(n)
         w0m[0] = 0.05
-        w0 = GridField(values=ry._modes_to_grid(w0m, n, lift=1.0), bv=1.0)
+        w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
         u0 = GridField(values=np.full(n, 1.0), bv=1.0)
         rep = vf.lipschitz_F_check(P, u0, w0, StateVW(v=np.zeros(n), w=w0m), trials=300, seed=2)
         assert rep.passed

@@ -126,21 +126,25 @@ def pressure_diff_norm(a: PressurePath, b: PressurePath) -> float:
     return float(np.max(norm_Hk(sine_transform(a.values - b.values), 2)))
 
 
+def _G_fine(w_fine: np.ndarray, p: ModelParams) -> np.ndarray:
+    """G = -beta_F/w^2 + beta_p(theta1 - 1) at gap samples w_fine (trace included).
+
+    Raises QuenchSignal where the gap is not strictly positive.
+    """
+    m = float(np.min(w_fine))
+    if m <= 0.0:
+        raise QuenchSignal("gap closed: w <= 0 on the dealiasing grid", min_value=m)
+    return -p.beta_F / w_fine**2 + p.beta_p * (p.lift.theta1 - 1.0)
+
+
 def _G_modes(w_modes: np.ndarray, p: ModelParams, pad: int = 2) -> np.ndarray:
     """Mode coefficients of G(w~) = -beta_F/(w~+theta2)^2 + beta_p(theta1 - 1).
 
-    G is evaluated pointwise on the pad-refined grid (the dealiasing) and
-    raises QuenchSignal where the gap w~ + theta2 is not strictly positive.
-    A (rows, k) array of mode vectors gives one row of coefficients per row.
+    G is evaluated pointwise on the pad-refined grid (the dealiasing, see
+    _G_fine).  A (rows, k) array of mode vectors gives one row of
+    coefficients per row.
     """
-
-    def g_of(w_fine):
-        m = float(np.min(w_fine))
-        if m <= 0.0:
-            raise QuenchSignal("gap closed: w <= 0 on the dealiasing grid", min_value=m)
-        return -p.beta_F / w_fine**2 + p.beta_p * (p.lift.theta1 - 1.0)
-
-    return dealias_apply(g_of, w_modes, bvs=(p.lift.theta2,), pad=pad)
+    return dealias_apply(lambda w_fine: _G_fine(w_fine, p), w_modes, bvs=(p.lift.theta2,), pad=pad)
 
 
 def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:

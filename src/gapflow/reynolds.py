@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -51,6 +52,7 @@ __all__ = [
     "DriverConfig",
     "GammaDivergence",
     "BlowupSignal",
+    "EndgameBudgetSignal",
     "HolderFReport",
     "eval_F",
     "assemble_Pstar",
@@ -155,7 +157,7 @@ class RunReport:
     n_t: int
     tol: float
     T: float
-    termination: str  # converged | quench | pressure_blowup | pressure_floor | budget
+    termination: str  # converged | quench | pressure_blowup | pressure_floor | budget | endgame_budget
     series: list
     T_used: float
     final_state: CoupledState
@@ -250,6 +252,19 @@ def _plate_fields(s: StateVW, theta2: float) -> tuple:
     )
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} values must be finite")
+
+
+@lru_cache(maxsize=None)
+def _plate_mu(k_max: int) -> np.ndarray:
+    """mu_k of plate_eigenvalues(k_max), cached read-only for the oracle right-hand side."""
+    mu = sp.plate_eigenvalues(k_max).mu
+    mu.setflags(write=False)
+    return mu
+
+
 def _w_min_fine(w_modes: np.ndarray, theta2: float) -> float:
     """Gap minimum over the doubled sine grid (plus the boundary trace).
 
@@ -266,6 +281,25 @@ def _w_min_fine(w_modes: np.ndarray, theta2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _reynolds(u: np.ndarray, u_bv: float, v: np.ndarray, w: np.ndarray, w_bv: float) -> np.ndarray:
+    """The Reynolds stencil of eval_F on interior samples, along the last axis.
+
+    u and w carry the Dirichlet traces u_bv and w_bv.  A (rows, n) stack gives
+    one row of F per row, each bitwise equal to its own call.  No checks: the
+    callers test the gap and finiteness.
+    """
+    h = 1.0 / (u.shape[-1] + 1)
+    up = _pad(u, u_bv)
+    wp = _pad(w, w_bv)
+    a = wp**3 * up
+    a_face = 0.5 * (a[..., :-1] + a[..., 1:])
+    # differences by slicing: what np.diff computes, without its call overhead
+    du_face = (up[..., 1:] - up[..., :-1]) / h
+    flux = a_face * du_face
+    div = (flux[..., 1:] - flux[..., :-1]) / h
+    return div / w - (v / w) * u
+
+
 def eval_F(u: GridField, v: GridField, w: GridField, p: ModelParams) -> GridField:
     """Reynolds right-hand side F = (1/w) D(w^3 u D u) - (v/w) u on interior nodes.
 
@@ -279,16 +313,7 @@ def eval_F(u: GridField, v: GridField, w: GridField, p: ModelParams) -> GridFiel
     w_min = min(float(w.values.min()), w.bv)
     if w_min <= 0.0:
         raise QuenchSignal("gap closed while evaluating F", min_value=w_min)
-    h = 1.0 / (n + 1)
-    up = _pad(u.values, u.bv)
-    wp = _pad(w.values, w.bv)
-    a = wp**3 * up
-    a_face = 0.5 * (a[:-1] + a[1:])
-    du_face = np.diff(up) / h
-    flux = a_face * du_face
-    div = np.diff(flux) / h
-    vals = div / w.values - (v.values / w.values) * u.values
-    return GridField(values=vals, bv=0.0)
+    return GridField(values=_reynolds(u.values, u.bv, v.values, w.values, w.bv), bv=0.0)
 
 
 def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator:
@@ -515,16 +540,21 @@ def linear_parabolic_solve(
 
 
 def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
-    """F(u; v, w) at every node of a pressure path and its plate path, shape (n_t + 1, n)."""
+    """F(u; v, w) at every node of a pressure path and its plate path, shape (n_t + 1, n).
+
+    Each row is bitwise eval_F at its node; the first node whose gap is
+    closed raises the quench signal.
+    """
     th2 = p.lift.theta2
     v_grid = sp.inverse_sine_transform(plate.v)
     w_grid = sp.inverse_sine_transform(plate.w) + th2
-    return np.array(
-        [
-            eval_F(GridField(u, u_path.bv), GridField(v, 0.0), GridField(w, th2), p).values
-            for u, v, w in zip(u_path.values, v_grid, w_grid)
-        ]
-    )
+    w_min = np.minimum(w_grid.min(axis=-1), th2)
+    closed = np.flatnonzero(w_min <= 0.0)
+    if closed.size:
+        raise QuenchSignal("gap closed while evaluating F", min_value=w_min[closed[0]])
+    F = _reynolds(u_path.values, u_path.bv, v_grid, w_grid, th2)
+    _require_finite("F", F)
+    return F
 
 
 def gamma_iterate(
@@ -736,25 +766,49 @@ def holder_F_check(
 # ---------------------------------------------------------------------------
 
 
-def mol_rhs(s: CoupledState, p: ModelParams) -> tuple:
-    """Time derivative (du on the grid, dv and dw in mode space).
+def mol_rhs(u: np.ndarray, v: np.ndarray, w: np.ndarray, p: ModelParams) -> tuple:
+    """Time derivative (du on the grid, dv and dw in mode space) of one oracle stage.
 
-    The plate operator acts spectrally; the gap forcing G(w~) is evaluated on
-    the doubled dealiasing grid exactly as in the plate solver, and the
-    pressure coupling uses the sine expansion of the grid samples -- the same
-    forcing recipe the Picard construction uses, so the two integrators share
-    one semidiscretization.
+    u holds the interior pressure samples (trace theta1), v and w the plate
+    modes (w~ = w - theta2), with k_max == n.  The plate operator acts
+    spectrally; the gap forcing G(w~) is evaluated on the doubled dealiasing
+    grid exactly as in the plate solver, and the pressure coupling uses the
+    sine expansion of the grid samples -- the same forcing recipe the Picard
+    construction uses, so the two integrators share one semidiscretization.
+    The transforms are the cached one-row matrices of sp.sine_matrices.
+
+    Raises ValueError when u, the synthesized v or w, or du is not finite,
+    and the quench signal when the gap (trace included) closes on the grid
+    or, after that, on the dealiasing grid.
     """
     th1, th2 = p.lift.theta1, p.lift.theta2
-    v_grid, w_grid = _plate_fields(s.vw, th2)
-    du = eval_F(s.u, v_grid, w_grid, p).values
+    syn, ana, syn2, ana2 = sp.sine_matrices(w.size)
+    v_grid = syn @ v
+    w_grid = syn @ w + th2
+    for name, values in (("u", u), ("v", v_grid), ("w", w_grid)):
+        _require_finite(name, values)
+    w_min = min(float(w_grid.min()), th2)
+    if w_min <= 0.0:
+        raise QuenchSignal("gap closed while evaluating F", min_value=w_min)
+    du = _reynolds(u, th1, v_grid, w_grid, th2)
+    _require_finite("du", du)
+    g = ana2 @ dp._G_fine(syn2 @ w + th2, p) + p.beta_p * (ana @ (u - th1))
+    dv = -_plate_mu(w.size) * w + g
+    return du, dv, v.copy()
 
-    spec = sp.plate_eigenvalues(s.vw.k_max)
-    u_modes = sp.sine_transform(s.u.values - th1)
-    g = dp._G_modes(s.vw.w, p) + p.beta_p * u_modes
-    dv = -spec.mu * s.vw.w + g
-    dw = s.vw.v.copy()
-    return du, dv, dw
+
+# Sub-steps the Runge-Kutta endgame may take to resolve a step in which the
+# gap closed.
+_ENDGAME_SUBSTEPS = 400
+
+
+class EndgameBudgetSignal(RuntimeError):
+    """The Runge-Kutta endgame used all its sub-steps with the gap still above the quench threshold."""
+
+    def __init__(self, message: str, min_value: float, t: float):
+        super().__init__(message)
+        self.min_value = float(min_value)
+        self.t = float(t)
 
 
 def integrate_reference(
@@ -769,52 +823,52 @@ def integrate_reference(
     """Classical four-stage Runge-Kutta on mol_rhs; the independent oracle.
 
     Requires dt <= 0.5/omega_max (explicit stability with a 5.6x margin under
-    the RK4 imaginary-axis limit |z| <= 2*sqrt(2)) and k_max == n.  Returns
-    sampled states, always including the first and last.  Raises the quench
-    signal when the gap reaches quench_eps (or closes entirely).
+    the RK4 imaginary-axis limit |z| <= 2*sqrt(2)), k_max == n and the
+    pressure trace theta1.  Returns sampled states, always including the
+    first and last.  Raises the quench signal when the gap reaches quench_eps
+    (or closes entirely); a step in which a stage sees the gap closed is
+    redone in adaptive sub-steps, and EndgameBudgetSignal reports that
+    _ENDGAME_SUBSTEPS of them did not resolve it.  Every signal carries the
+    stored trajectory, ending at the state where it was raised.
     """
     if init.vw.k_max != init.u.n:
         raise ValueError(f"integrate_reference requires k_max == n (got k_max={init.vw.k_max}, n={init.u.n})")
-    spec = sp.plate_eigenvalues(init.vw.k_max)
-    omega_max = float(spec.omega[-1])
+    th1, th2 = p.lift.theta1, p.lift.theta2
+    if abs(init.u.bv - th1) > 1e-12 * max(1.0, th1):
+        raise ValueError("the initial pressure must carry boundary trace theta1")
+    omega_max = float(sp.plate_eigenvalues(init.vw.k_max).omega[-1])
     if dt > 0.5 / omega_max:
         raise ValueError(f"step-size violation: dt={dt} exceeds 0.5/omega_max={0.5 / omega_max:.3e}")
     steps = max(1, int(round(T / dt)))
     dt = T / steps
     if store_every is None:
         store_every = max(1, steps // 512)
-    th2 = p.lift.theta2
     floor = 0.0 if quench_eps is None else quench_eps
 
-    u = init.u.values.copy()
-    v = init.vw.v.copy()
-    w = init.vw.w.copy()
-    th1 = init.u.bv
-    t = init.t
-    out = [CoupledState(u=GridField(values=u.copy(), bv=th1), vw=StateVW(v=v.copy(), w=w.copy()), t=t)]
+    def sample(u_s, v_s, w_s, t_s):
+        return CoupledState(u=GridField(values=u_s.copy(), bv=th1), vw=StateVW(v=v_s.copy(), w=w_s.copy()), t=t_s)
 
-    def rhs(u_vals, v_m, w_m):
-        state = CoupledState(u=GridField(values=u_vals, bv=th1), vw=StateVW(v=v_m, w=w_m), t=0.0)
-        return mol_rhs(state, p)
+    u, v, w = init.u.values, init.vw.v, init.vw.w
+    out = [sample(u, v, w, init.t)]
 
     def rk_step(u0, v0, w0, step):
-        k1 = rhs(u0, v0, w0)
-        k2 = rhs(u0 + 0.5 * step * k1[0], v0 + 0.5 * step * k1[1], w0 + 0.5 * step * k1[2])
-        k3 = rhs(u0 + 0.5 * step * k2[0], v0 + 0.5 * step * k2[1], w0 + 0.5 * step * k2[2])
-        k4 = rhs(u0 + step * k3[0], v0 + step * k3[1], w0 + step * k3[2])
+        k1 = mol_rhs(u0, v0, w0, p)
+        k2 = mol_rhs(u0 + 0.5 * step * k1[0], v0 + 0.5 * step * k1[1], w0 + 0.5 * step * k1[2], p)
+        k3 = mol_rhs(u0 + 0.5 * step * k2[0], v0 + 0.5 * step * k2[1], w0 + 0.5 * step * k2[2], p)
+        k4 = mol_rhs(u0 + step * k3[0], v0 + step * k3[1], w0 + step * k3[2], p)
         return (
             u0 + (step / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
             v0 + (step / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
             w0 + (step / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
         )
 
-    def quench_raise(u_f, v_f, w_f, t_f, w_min_f):
-        out.append(
-            CoupledState(u=GridField(values=u_f.copy(), bv=th1), vw=StateVW(v=v_f.copy(), w=w_f.copy()), t=t_f)
-        )
-        sig = QuenchSignal("gap reached the quench threshold", min_value=w_min_f, t=t_f)
+    def stop(sig, u_f, v_f, w_f, t_f):
+        out.append(sample(u_f, v_f, w_f, t_f))
         sig.trajectory = out
         raise sig
+
+    def quench_raise(u_f, v_f, w_f, t_f, w_min_f):
+        stop(QuenchSignal("gap reached the quench threshold", min_value=w_min_f, t=t_f), u_f, v_f, w_f, t_f)
 
     def endgame(u0, v0, w0, t0, span):
         """The gap died inside a full step: roll back and sub-step adaptively
@@ -822,7 +876,7 @@ def integrate_reference(
         u_l, v_l, w_l, t_l = u0, v0, w0, t0
         left = span
         dt_loc = span / 2.0
-        for _ in range(400):
+        for _ in range(_ENDGAME_SUBSTEPS):
             if left <= 1e-12 * span:
                 return u_l, v_l, w_l
             try:
@@ -837,7 +891,12 @@ def integrate_reference(
             w_min_l = _w_min_fine(w_l, th2)
             if w_min_l <= floor:
                 quench_raise(u_l, v_l, w_l, t_l, w_min_l)
-        quench_raise(u_l, v_l, w_l, t_l, _w_min_fine(w_l, th2))
+        w_min_l = _w_min_fine(w_l, th2)
+        message = (
+            f"Runge-Kutta endgame used its {_ENDGAME_SUBSTEPS} sub-steps at t={t_l:.6g} "
+            f"with min w={w_min_l:.6g} above the quench threshold"
+        )
+        stop(EndgameBudgetSignal(message, min_value=w_min_l, t=t_l), u_l, v_l, w_l, t_l)
 
     for m in range(steps):
         t_pre = init.t + m * dt
@@ -850,17 +909,11 @@ def integrate_reference(
         if w_min <= floor:
             quench_raise(u, v, w, t, w_min)
         if u_cap is not None and float(np.abs(u).max()) >= u_cap:
-            out.append(
-                CoupledState(u=GridField(values=u.copy(), bv=th1), vw=StateVW(v=v.copy(), w=w.copy()), t=t)
-            )
-            sig2 = BlowupSignal(f"pressure blowup: max|u| exceeded {u_cap} at t={t}")
-            sig2.trajectory = out
-            sig2.t = t
-            raise sig2
+            sig = BlowupSignal(f"pressure blowup: max|u| exceeded {u_cap} at t={t}")
+            sig.t = t
+            stop(sig, u, v, w, t)
         if (m + 1) % store_every == 0 or m + 1 == steps:
-            out.append(
-                CoupledState(u=GridField(values=u.copy(), bv=th1), vw=StateVW(v=v.copy(), w=w.copy()), t=t)
-            )
+            out.append(sample(u, v, w, t))
     return out
 
 
@@ -1022,6 +1075,9 @@ def _rk4_tail(p, state, remaining, quench_eps, u_cap, series, states, spec):
     except BlowupSignal as sig:
         _append_tail(sig.trajectory[1:], p, series, states, spec)
         return "pressure_blowup", "pressure cap crossed during the reference-scheme tail"
+    except EndgameBudgetSignal as sig:
+        _append_tail(sig.trajectory[1:], p, series, states, spec)
+        return "endgame_budget", str(sig)
     _append_tail(tail[1:], p, series, states, spec)
     return "converged", "tail integrated with the reference scheme"
 
@@ -1122,16 +1178,12 @@ def mass_balance_residual(trajectory: list, p: ModelParams) -> np.ndarray:
     n = trajectory[0].u.n
     h = 1.0 / (n + 1)
     ts = np.array([s.t for s in trajectory])
-    mass = np.empty(ts.size)
-    flux = np.empty(ts.size)
-    for i, s in enumerate(trajectory):
-        w_grid = sp.inverse_sine_transform(s.vw.w) + th2
-        f = w_grid * s.u.values
-        mass[i] = h * (th2 * th1 + float(f.sum()))  # trapezoid: half of each boundary value twice
-        u = s.u.values
-        ux0 = (-3.0 * th1 + 4.0 * u[0] - u[1]) / (2.0 * h)
-        ux1 = (3.0 * th1 - 4.0 * u[-1] + u[-2]) / (2.0 * h)
-        flux[i] = th2**3 * th1 * (ux1 - ux0)
+    u = np.array([s.u.values for s in trajectory])
+    w_grid = sp.inverse_sine_transform(np.array([s.vw.w for s in trajectory])) + th2
+    mass = h * (th2 * th1 + (w_grid * u).sum(axis=-1))  # trapezoid: half of each boundary value twice
+    ux0 = (-3.0 * th1 + 4.0 * u[:, 0] - u[:, 1]) / (2.0 * h)
+    ux1 = (3.0 * th1 - 4.0 * u[:, -1] + u[:, -2]) / (2.0 * h)
+    flux = th2**3 * th1 * (ux1 - ux0)
     dmass = np.gradient(mass, ts, edge_order=2)
     return np.abs(dmass - flux)
 

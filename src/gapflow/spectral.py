@@ -21,12 +21,15 @@ and norm_Hk act along the last axis, so a (n_t + 1, k) array holds a whole
 time path (one row per node) and is transformed in one call; every row comes
 out bitwise equal to transforming it on its own.  The Duhamel march takes
 its rotation and kick coefficients for all steps at once (duhamel_coeffs)
-and writes one row per node.
+and writes one row per node.  Callers that transform one row at a time in a
+hot loop (the Runge-Kutta oracle) use the cached dense matrices of
+sine_matrices instead of a DST dispatch per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dst
@@ -141,6 +144,34 @@ def sine_transform(f: np.ndarray) -> np.ndarray:
 def inverse_sine_transform(m: np.ndarray) -> np.ndarray:
     """Evaluate sum_k m_k sin(k*pi*x_j) on the n = k_max grid, along the last axis."""
     return dst(np.asarray(m, dtype=float), type=1, axis=-1) / 2.0
+
+
+@lru_cache(maxsize=None)
+def sine_matrices(k: int) -> tuple:
+    """Dense one-row form of the sine layer at k modes: (syn, ana, syn2, ana2).
+
+    syn (k, k) is inverse_sine_transform on the n = k grid, syn[j, i] =
+    sin((i+1)(j+1) pi/(k+1)); ana = 2/(k+1) syn is sine_transform (syn is
+    symmetric); syn2 (2k+1, k) synthesizes on the pad-2 grid of
+    refined_values; ana2 = syn2.T/(k+1) (k, 2k+1) is the pad-2 analysis
+    truncated to k modes, so ana2 @ func(syn2 @ m + bv) is
+    dealias_apply(func, m, bvs=(bv,)).  The products agree with the DST forms
+    to rounding, not bitwise.  A small matrix-vector product beats a DST
+    dispatch for one row; batched paths keep the DST.  Built on first use of
+    each k and cached; the arrays are read-only.
+    """
+
+    def sin_table(n_nodes):
+        # j*i reduced mod 2(n_nodes+1) in integers keeps the angle in [0, 2 pi)
+        ji = np.outer(np.arange(1, n_nodes + 1), np.arange(1, k + 1)) % (2 * (n_nodes + 1))
+        return np.sin(np.pi * ji / (n_nodes + 1))
+
+    syn = sin_table(k)
+    syn2 = sin_table(2 * k + 1)
+    mats = (syn, (2.0 / (k + 1)) * syn, syn2, np.ascontiguousarray(syn2.T) / (k + 1))
+    for m in mats:
+        m.setflags(write=False)
+    return mats
 
 
 def eval_modes_on(m: np.ndarray, x: np.ndarray) -> np.ndarray:

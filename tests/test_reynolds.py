@@ -76,6 +76,24 @@ class TestEvalF:
         with pytest.raises(QuenchSignal):
             ry.eval_F(u, v, GridField(values=w_vals, bv=0.5), p)
 
+    def test_F_path_is_row_wise_eval_F(self):
+        p = base_params()
+        n, n_t = 16, 8
+        rng = np.random.default_rng(3)
+        decay = np.arange(1, n + 1, dtype=float) ** -2
+        times = np.linspace(0.0, 0.01, n_t + 1)
+        u_path = PressurePath(times=times, values=1.0 + 0.1 * rng.normal(size=(n_t + 1, n)), bv=1.0)
+        plate = dp.VWPath(times=times, v=rng.normal(size=(n_t + 1, n)) * decay, w=0.1 * rng.normal(size=(n_t + 1, n)) * decay)
+        F = ry._F_path(u_path, plate, p)
+        for u, v, w, row in zip(u_path.values, plate.v, plate.w, F):
+            v_grid = GridField(values=sp.inverse_sine_transform(v), bv=0.0)
+            w_grid = GridField(values=sp.inverse_sine_transform(w) + 1.0, bv=1.0)
+            assert np.array_equal(row, ry.eval_F(GridField(values=u, bv=1.0), v_grid, w_grid, p).values)
+        # one node with a closed gap quenches the whole path
+        plate.w[5] = sp.sine_transform(np.full(n, -2.0))
+        with pytest.raises(QuenchSignal):
+            ry._F_path(u_path, plate, p)
+
     def test_lipschitz_in_u_below_theory_constant(self):
         p = base_params()
         n = k = 48
@@ -509,7 +527,7 @@ class TestMolOracle:
     def test_mol_rhs_equilibrium_nearly_zero(self):
         p = base_params()
         eq = ry.equilibrium_state(p, 32, 32)
-        du, dv, dw = ry.mol_rhs(eq, p)
+        du, dv, dw = ry.mol_rhs(eq.u.values, eq.vw.v, eq.vw.w, p)
         assert np.abs(du).max() == 0.0
         assert np.abs(dv).max() <= 1e-11
         assert np.abs(dw).max() == 0.0
@@ -519,19 +537,107 @@ class TestMolOracle:
         n = k = 16
         rng = np.random.default_rng(2)
         v = rng.normal(size=k) * 0.1
-        s = CoupledState(
-            u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=v, w=bump_state(k).w)
-        )
-        du, dv, dw = ry.mol_rhs(s, p)
+        du, dv, dw = ry.mol_rhs(np.full(n, 1.0), v, bump_state(k).w, p)
         assert np.array_equal(dw, v)  # kinematic identity dw/dt = v, exactly
         # frozen plate (v = 0): constant pressure over a static gap is stationary
-        s0 = CoupledState(
-            u=GridField(values=np.full(n, 1.0), bv=1.0),
-            vw=StateVW(v=np.zeros(k), w=bump_state(k).w),
-        )
-        du0, _, dw0 = ry.mol_rhs(s0, p)
+        du0, _, dw0 = ry.mol_rhs(np.full(n, 1.0), np.zeros(k), bump_state(k).w, p)
         assert np.abs(du0).max() == 0.0
         assert np.abs(dw0).max() == 0.0
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_mol_rhs_matches_the_grid_field_recipe(self, n):
+        # the matrix right-hand side against eval_F on GridFields, the DST
+        # gap forcing and the DST pressure coupling, within 1e-13 of the sup norm
+        p = ModelParams(beta_F=2.0, beta_p=0.7, lift=BoundaryLift(1.1, 0.9), eps1=0.5)
+        th1, th2 = p.lift.theta1, p.lift.theta2
+        spec = sp.plate_eigenvalues(n)
+        rng = np.random.default_rng(n)
+        decay = np.arange(1, n + 1, dtype=float) ** -2
+        for _ in range(5):
+            u = th1 + 0.2 * rng.normal(size=n)
+            v = rng.normal(size=n) * decay
+            w = 0.1 * rng.normal(size=n) * decay
+            v_grid = GridField(values=sp.inverse_sine_transform(v), bv=0.0)
+            w_grid = GridField(values=sp.inverse_sine_transform(w) + th2, bv=th2)
+            want_du = ry.eval_F(GridField(values=u, bv=th1), v_grid, w_grid, p).values
+            want_dv = -spec.mu * w + (dp._G_modes(w, p) + p.beta_p * sp.sine_transform(u - th1))
+            du, dv, dw = ry.mol_rhs(u, v, w, p)
+            assert np.max(np.abs(du - want_du)) <= 1e-13 * np.max(np.abs(want_du))
+            assert np.max(np.abs(dv - want_dv)) <= 1e-13 * np.max(np.abs(want_dv))
+            assert np.array_equal(dw, v)
+
+    def test_mol_rhs_quenches_between_coarse_nodes(self):
+        # one tall coarse spike: every coarse gap is positive, but the sine
+        # interpolant's side lobes close the gap on the dealiasing grid
+        p = base_params()
+        n = 16
+        spike = np.zeros(n)
+        spike[7] = 10.0
+        w = sp.sine_transform(spike)
+        assert min(sp.inverse_sine_transform(w).min() + 1.0, 1.0) > 0.0
+        fine_min = sp.refined_min(w, 1.0)
+        assert fine_min <= 0.0
+        with pytest.raises(QuenchSignal, match="dealiasing grid") as exc:
+            ry.mol_rhs(np.full(n, 1.0), np.zeros(n), w, p)
+        assert exc.value.min_value == pytest.approx(fine_min, abs=1e-12)
+        # a gap closed at a coarse node is reported first
+        w_closed = w - sp.sine_transform(np.full(n, 2.0))
+        with pytest.raises(QuenchSignal, match="evaluating F"):
+            ry.mol_rhs(np.full(n, 1.0), np.zeros(n), w_closed, p)
+
+    def test_mol_rhs_rejects_non_finite_input(self):
+        p = base_params()
+        n = 16
+        w = bump_state(n).w
+        u = np.full(n, 1.0)
+        u[3] = np.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            ry.mol_rhs(u, np.zeros(n), w, p)
+        v = np.zeros(n)
+        v[5] = np.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            ry.mol_rhs(np.full(n, 1.0), v, w, p)
+
+    def test_oracle_builds_grid_fields_only_for_stored_samples(self, monkeypatch):
+        # regression guard on the lean right-hand side: no per-stage GridField
+        p = base_params()
+        init = smooth_coupled_init(16)
+        built = []
+        post_init = GridField.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(GridField, "__post_init__", counting)
+        traj = ry.integrate_reference(p, init, 2e-4, 2e-5, store_every=3)
+        assert len(traj) == 5  # steps 3, 6, 9 and the last, plus the initial state
+        assert len(built) == len(traj)
+
+    def test_endgame_budget_has_its_own_signal_and_termination(self, monkeypatch):
+        # a mode-1 dip to 0.01 falling at speed 1e3: the first full step closes
+        # the gap inside a stage, so the oracle rolls back into its endgame
+        p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
+        n = 16
+        w = np.zeros(n)
+        w[0] = -0.99
+        v = np.zeros(n)
+        v[0] = -1e3
+        init = CoupledState(u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=v, w=w))
+        dt = 0.25 / float(sp.plate_eigenvalues(n).omega[-1])
+        with pytest.raises(QuenchSignal):  # the full budget resolves the touchdown
+            ry.integrate_reference(p, init, 1e-3, dt, quench_eps=1e-3)
+        monkeypatch.setattr(ry, "_ENDGAME_SUBSTEPS", 1)
+        with pytest.raises(ry.EndgameBudgetSignal) as exc:
+            ry.integrate_reference(p, init, 1e-3, dt, quench_eps=1e-3)
+        sig = exc.value
+        assert not isinstance(sig, QuenchSignal)
+        assert sig.min_value > 1e-3 and sig.t == init.t
+        assert sig.trajectory[-1].t == sig.t and len(sig.trajectory) == 2
+        rep = ry.run_coupled(p, init, 1e-3)
+        assert rep.termination == "endgame_budget"
+        assert rep.quench_time is None
+        assert "t=0 " in rep.note and "min w=" in rep.note
 
     def test_linear_case_matches_semigroup_fourth_order(self):
         p0 = base_params(beta_F=0.0, beta_p=0.0)
@@ -816,6 +922,33 @@ class TestMassBalance:
         r1 = peak(32, 2e-6)
         r2 = peak(64, 2e-6)
         assert 3.0 <= r1 / r2 <= 5.5, (r1, r2)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_batched_residual_equals_the_per_state_loop(self, n):
+        # the stacked transform and row sums reproduce the state-by-state
+        # recipe bitwise
+        p = base_params()
+        th1, th2 = p.lift.theta1, p.lift.theta2
+        rng = np.random.default_rng(n)
+        decay = np.arange(1, n + 1, dtype=float) ** -2
+        traj = [
+            CoupledState(
+                u=GridField(values=th1 + 0.1 * rng.normal(size=n), bv=th1),
+                vw=StateVW(v=np.zeros(n), w=0.1 * rng.normal(size=n) * decay),
+                t=0.01 * i + 0.001 * rng.random(),
+            )
+            for i in range(20)
+        ]
+        h = 1.0 / (n + 1)
+        mass, flux = [], []
+        for s in traj:
+            u = s.u.values
+            mass.append(h * (th2 * th1 + float(((sp.inverse_sine_transform(s.vw.w) + th2) * u).sum())))
+            ux0 = (-3.0 * th1 + 4.0 * u[0] - u[1]) / (2.0 * h)
+            ux1 = (3.0 * th1 - 4.0 * u[-1] + u[-2]) / (2.0 * h)
+            flux.append(th2**3 * th1 * (ux1 - ux0))
+        want = np.abs(np.gradient(np.array(mass), np.array([s.t for s in traj]), edge_order=2) - np.array(flux))
+        assert np.array_equal(ry.mass_balance_residual(traj, p), want)
 
     def test_short_trajectory_returns_nan(self):
         p = base_params()

@@ -270,6 +270,32 @@ def test_dealias_apply_plain_product():
     assert np.array_equal(sp.dealias_apply(lambda f, g: f * g, A, B, bvs=(1.5, 0.0)), rowwise)
 
 
+@pytest.mark.parametrize("k", [16, 64, 128])
+def test_sine_matrices_match_the_transforms(k):
+    # the cached one-row matrices agree with the DST forms within 1e-13 of the sup norm
+    syn, ana, syn2, ana2 = sp.sine_matrices(k)
+    assert syn.shape == ana.shape == (k, k) and syn2.shape == (2 * k + 1, k) and ana2.shape == (k, 2 * k + 1)
+    assert np.array_equal(syn, syn.T) and np.array_equal(ana2, syn2.T / (k + 1))
+    rng = np.random.default_rng(k)
+    m = rng.normal(size=k) * np.arange(1, k + 1) ** -2.0
+    f = rng.normal(size=k)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    assert close(syn @ m, sp.inverse_sine_transform(m))
+    assert close(ana @ f, sp.sine_transform(f))
+    assert close(syn2 @ m + 1.0, sp.refined_values(m, 1.0))
+
+    def func(g):
+        return 1.0 / g**2
+
+    assert close(ana2 @ func(syn2 @ m + 2.0), sp.dealias_apply(func, m, bvs=(2.0,)))
+    assert sp.sine_matrices(k) is sp.sine_matrices(k)  # cached
+    with pytest.raises(ValueError):
+        syn[0, 0] = 0.0  # read-only, since every caller shares them
+
+
 def test_dealias_padding_beats_no_padding():
     # squaring the highest retained mode: without padding sin^2(k_max pi x)
     # aliases catastrophically onto the low modes; with 2x padding the result

@@ -679,14 +679,19 @@ def _suite_semigroup(seed: int) -> list:
     spec = sp.plate_eigenvalues(k)
     rng = np.random.default_rng(seed)
     decay = np.arange(1, k + 1, dtype=float) ** -2.0
-    times = np.linspace(0.0, 100.0, 33)[1:]
+    phases = [sp.reduced_cossin(spec.omega, float(t)) for t in np.linspace(0.0, 100.0, 33)[1:]]
+
+    def norm_X(v, w):  # sp.norm_X, one norm per row
+        return np.sqrt(0.5 * np.sum(v**2, axis=-1) + 0.5 * np.sum(spec.mu * w**2, axis=-1))
+
     worst = 0.0
-    for _ in range(100):
-        s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
-        base = sp.norm_X(s0, spec)
-        for t in times:
-            drift = abs(sp.norm_X(sp.semigroup_apply(s0, spec, float(t)), spec) - base)
-            worst = max(worst, drift / base)
+    for rows in sp.audit_blocks(100):
+        # one state per row, v then w: the draw order of StateVW(v=..., w=...)
+        v, w = (rng.normal(size=(rows, 2, k)) * decay).transpose(1, 0, 2)
+        base = norm_X(v, w)
+        for c, sn in phases:
+            drift = np.abs(norm_X(*sp._rotate(v, w, spec.omega, c, sn)) - base)
+            worst = max(worst, float(np.max(drift / base)))
     results = [CheckResult("semigroup.norm_conservation", worst <= 1e-10, worst, 1e-10)]
     s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
     ab = sp.semigroup_apply(sp.semigroup_apply(s0, spec, 0.7), spec, 2.6)
@@ -747,6 +752,11 @@ def _suite_constants(seed: int) -> list:
     return results
 
 
+# Paths the Hoelder audit calibrates on: its constants spread about 5x across
+# one path family, so a single path would leave the 2x margin to chance.
+_HOLDER_CALIBRATION_PATHS = 4
+
+
 def _suite_lipschitz(seed: int) -> list:
     n = 32
     w0_flat = GridField(values=np.full(n, 1.0), bv=1.0)
@@ -765,7 +775,7 @@ def _suite_lipschitz(seed: int) -> list:
         CheckResult("lipschitz.F", lf.passed, lf.worst_ratio, lf.bound, note=f"{lf.trials} pairs")
     )
 
-    # Hoelder audit of the right-hand side: calibrate once, verify fresh
+    # Hoelder audit of the right-hand side: calibrate on several paths, verify on a fresh one
     T, n_t, alpha = 5e-3, 10, 0.2
     init = StateVW(v=np.zeros(n), w=w0m)
     rng = np.random.default_rng(seed + 2)
@@ -780,10 +790,12 @@ def _suite_lipschitz(seed: int) -> list:
         modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
         return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
-    cal = ry.holder_F_check(rand_path(seed + 3), q, alpha, T, _SUITE_PARAMS, init)
-    ver = ry.holder_F_check(
-        rand_path(seed + 4), q, alpha, T, _SUITE_PARAMS, init, L_A=2 * cal.L_A, L_B=2 * cal.L_B
-    )
+    cal = [
+        ry.holder_F_check(rand_path([seed + 3, j]), q, alpha, T, _SUITE_PARAMS, init)
+        for j in range(_HOLDER_CALIBRATION_PATHS)
+    ]
+    L_A, L_B = max(c.L_A for c in cal), max(c.L_B for c in cal)
+    ver = ry.holder_F_check(rand_path(seed + 4), q, alpha, T, _SUITE_PARAMS, init, L_A=2 * L_A, L_B=2 * L_B)
     worst = max(
         ver.measured_A / ver.bound_A if ver.bound_A > 0 else 0.0,
         ver.measured_B / ver.bound_B if ver.bound_B > 0 else 0.0,
@@ -794,7 +806,7 @@ def _suite_lipschitz(seed: int) -> list:
             ver.passed,
             worst,
             1.0,
-            note=f"L_A={cal.L_A:.4g} L_B={cal.L_B:.4g} (2x margin)",
+            note=f"L_A={L_A:.4g} L_B={L_B:.4g} (2x margin)",
         )
     )
     return results

@@ -294,6 +294,16 @@ def norm_Hk(f: np.ndarray, k: int):
     return norms if f.ndim > 1 else float(norms)
 
 
+# Rows per evaluation block of the Monte Carlo audits: measuring stacked draws
+# a block at a time keeps their working memory independent of the trial count.
+_AUDIT_BLOCK = 256
+
+
+def audit_blocks(trials: int) -> list:
+    """Row counts of the consecutive evaluation blocks that cover trials draws."""
+    return [min(_AUDIT_BLOCK, trials - start) for start in range(0, trials, _AUDIT_BLOCK)]
+
+
 def int_sine(k_max: int) -> np.ndarray:
     """int_0^1 sin(k pi x) dx = (1 - (-1)^k)/(k pi)  (4/(k pi) for odd k, 0 even)."""
     k = np.arange(1, k_max + 1, dtype=float)
@@ -306,7 +316,7 @@ def int_x_sine(k_max: int) -> np.ndarray:
     return (-1.0) ** np.arange(2, k_max + 2) / (k * np.pi)
 
 
-def lifted_norm_H2(f: np.ndarray, bv: float, slope: float = 0.0) -> float:
+def lifted_norm_H2(f: np.ndarray, bv, slope: float = 0.0):
     """H2 norm of ell(x) + f(x) where ell(x) = bv + slope*(x - 1/2) ... i.e. an affine lift.
 
     The sine-spectral H2 norm only sees the zero-trace part; for lifted fields
@@ -318,19 +328,23 @@ def lifted_norm_H2(f: np.ndarray, bv: float, slope: float = 0.0) -> float:
                                int_0^1 f' dx = f(1)-f(0) = 0 for zero-trace f),
         ||(ell + f)''||_L2^2 = ||f''||_L2^2   (ell'' = 0).
 
-    So only the L2 term needs the closed-form sine moments.
+    So only the L2 term needs the closed-form sine moments.  Like norm_Hk it
+    acts along the last axis: a float for one mode vector, one norm per row
+    for a stack, each bitwise its own call; bv may instead hold one value per
+    row.
     """
     f = np.asarray(f, dtype=float)
-    k_max = f.size
+    k_max = f.shape[-1]
     a = slope
     b = bv - 0.5 * slope  # ell(x) = a x + b
     int_ell_sq = a**2 / 3.0 + a * b + b**2
-    int_ell_f = a * np.sum(f * int_x_sine(k_max)) + b * np.sum(f * int_sine(k_max))
+    int_ell_f = a * np.sum(f * int_x_sine(k_max), axis=-1) + b * np.sum(f * int_sine(k_max), axis=-1)
     kpi2 = (np.pi * np.arange(1, k_max + 1)) ** 2
-    l2 = 0.5 * np.sum(f**2) + int_ell_sq + 2.0 * int_ell_f
-    h1 = 0.5 * np.sum(kpi2 * f**2) + a**2  # cross term vanishes: int f' = 0
-    h2 = 0.5 * np.sum(kpi2**2 * f**2)
-    return float(np.sqrt(l2 + h1 + h2))
+    l2 = 0.5 * np.sum(f**2, axis=-1) + int_ell_sq + 2.0 * int_ell_f
+    h1 = 0.5 * np.sum(kpi2 * f**2, axis=-1) + a**2  # cross term vanishes: int f' = 0
+    h2 = 0.5 * np.sum(kpi2**2 * f**2, axis=-1)
+    norms = np.sqrt(l2 + h1 + h2)
+    return norms if f.ndim > 1 else float(norms)
 
 
 # scan points of the embedding-constant maximization over x

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,6 +194,9 @@ def regularity_exponent_fit(modes: np.ndarray, k_range: tuple = (9, 101)) -> Reg
 # ---------------------------------------------------------------------------
 # calibrated Monte Carlo audits
 # ---------------------------------------------------------------------------
+#
+# Each audit draws its samples one at a time, in a fixed order from its seed,
+# and measures them in blocks of stacked rows (sp.audit_blocks).
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,25 @@ def _lifted_draw(rng, k_max: int, decay: np.ndarray):
     return theta, modes
 
 
+def _draw_block(rows: int, draw) -> tuple:
+    """rows samples of draw() (each a tuple), stacked field by field in drawing order."""
+    return tuple(np.array(col) for col in zip(*(draw() for _ in range(rows))))
+
+
+@lru_cache(maxsize=None)
+def _fine_sines(k_max: int) -> np.ndarray:
+    """Read-only (k_max, 4 k_max + 3) table: modes @ table is eval_modes_on on the 4x refined grid, per row."""
+    table = np.sin(np.outer(np.arange(1, k_max + 1, dtype=float) * np.pi, sp.grid(4 * k_max + 3)))
+    table.setflags(write=False)
+    return table
+
+
+def _worst(num, den) -> float:
+    """Largest num/den over the rows whose den is not zero; 0 when there is none."""
+    keep = den != 0.0
+    return float(np.max(num / np.where(keep, den, 1.0), where=keep, initial=0.0))
+
+
 def algebra_property_check(
     trials: int = 10_000,
     k_max: int = 32,
@@ -225,32 +248,25 @@ def algebra_property_check(
     carries a 1.5x safety margin over the worst observed ratio.
     """
     margin = 1.5
-    n_f = 4 * k_max + 3
-    xf = sp.grid(n_f)
+    table = _fine_sines(k_max)
     decay = np.arange(1, k_max + 1, dtype=float) ** -2.2
 
-    def ratio_of(thf, mf, thg, mg):
-        sf = sp.eval_modes_on(mf, xf)
-        sg = sp.eval_modes_on(mg, xf)
-        prod_modes = sp.sine_transform((thf + sf) * (thg + sg) - thf * thg)
-        num = sp.lifted_norm_H2(prod_modes, thf * thg)
-        den = sp.lifted_norm_H2(mf, thf) * sp.lifted_norm_H2(mg, thg)
-        return num / den
+    def worst_ratio(thf, mf, thg, mg):
+        th = thf * thg
+        prod = (thf[:, None] + mf @ table) * (thg[:, None] + mg @ table) - th[:, None]
+        num = sp.lifted_norm_H2(sp.sine_transform(prod), th)
+        return _worst(num, sp.lifted_norm_H2(mf, thf) * sp.lifted_norm_H2(mg, thg))
 
-    rng_cal = np.random.default_rng(seed)
-    worst_cal = ratio_of(1.0, np.zeros(k_max), 1.0, np.zeros(k_max))  # the anchor pair
-    for _ in range(calibration_trials):
-        thf, mf = _lifted_draw(rng_cal, k_max, decay)
-        thg, mg = _lifted_draw(rng_cal, k_max, decay)
-        worst_cal = max(worst_cal, ratio_of(thf, mf, thg, mg))
+    def audit(rng, n_pairs):
+        def pair():
+            return _lifted_draw(rng, k_max, decay) + _lifted_draw(rng, k_max, decay)
+
+        return max((worst_ratio(*_draw_block(rows, pair)) for rows in sp.audit_blocks(n_pairs)), default=0.0)
+
+    one, zero = np.ones(1), np.zeros((1, k_max))
+    worst_cal = max(worst_ratio(one, zero, one, zero), audit(np.random.default_rng(seed), calibration_trials))
     C_alg = margin * worst_cal
-
-    rng_fresh = np.random.default_rng(seed + 1)
-    worst_fresh = 0.0
-    for _ in range(trials):
-        thf, mf = _lifted_draw(rng_fresh, k_max, decay)
-        thg, mg = _lifted_draw(rng_fresh, k_max, decay)
-        worst_fresh = max(worst_fresh, ratio_of(thf, mf, thg, mg))
+    worst_fresh = audit(np.random.default_rng(seed + 1), trials)
     return AlgebraReport(
         C_alg=C_alg,
         worst_calibration=worst_cal,
@@ -299,33 +315,29 @@ def inverse_power_bounds_check(
     cc = dp.contraction_constants(p, w0)
     r = cc.radius(r)
     k_max = w0.n
-    n_f = 4 * k_max + 3
-    xf = sp.grid(n_f)
-    base_modes = sp.sine_transform(w0.values - w0.bv)
-    base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
+    table = _fine_sines(k_max)
+    base_fine = sp.sine_transform(w0.values - w0.bv) @ table + w0.bv
     rng = np.random.default_rng(seed)
 
-    def inv_modes(wt_modes, kpow):
-        w_fine = base_fine + sp.eval_modes_on(wt_modes, xf)
+    def inv_modes(d, kpows):
+        w_fine = base_fine + d @ table
         if float(w_fine.min()) <= 0.0:
             raise RuntimeError("gap closed inside the sampling ball (r too large)")
-        return sp.sine_transform(w_fine ** (-float(kpow)) - w0.bv ** (-float(kpow)))
+        return [sp.sine_transform(w_fine ** (-float(k)) - w0.bv ** (-float(k))) for k in kpows]
 
     worst_single = [0.0, 0.0, 0.0]
     worst_d1 = 0.0
     worst_d2 = 0.0
-    for _ in range(trials):
-        d1 = _ball_draw(rng, k_max, r)
-        d2 = _ball_draw(rng, k_max, r)
+    for rows in sp.audit_blocks(trials):
+        d1, d2 = _draw_block(rows, lambda: (_ball_draw(rng, k_max, r), _ball_draw(rng, k_max, r)))
+        inv1 = inv_modes(d1, (1, 2, 3))
+        inv2 = inv_modes(d2, (1, 2))
         for kpow in (1, 2, 3):
-            nrm = sp.lifted_norm_H2(inv_modes(d1, kpow), w0.bv ** (-float(kpow)))
-            worst_single[kpow - 1] = max(worst_single[kpow - 1], nrm / cc.C1**kpow)
+            nrm = sp.lifted_norm_H2(inv1[kpow - 1], w0.bv ** (-float(kpow)))
+            worst_single[kpow - 1] = max(worst_single[kpow - 1], _worst(nrm, cc.C1**kpow))
         den = sp.norm_Hk(d1 - d2, 2)
-        if den > 0:
-            g1 = inv_modes(d1, 1) - inv_modes(d2, 1)
-            g2 = inv_modes(d1, 2) - inv_modes(d2, 2)
-            worst_d1 = max(worst_d1, sp.norm_Hk(g1, 2) / (cc.C2 * den))
-            worst_d2 = max(worst_d2, sp.norm_Hk(g2, 2) / (cc.C3 * den))
+        worst_d1 = max(worst_d1, _worst(sp.norm_Hk(inv1[0] - inv2[0], 2), cc.C2 * den))
+        worst_d2 = max(worst_d2, _worst(sp.norm_Hk(inv1[1] - inv2[1], 2), cc.C3 * den))
     passed = max(worst_single) <= 1.0 and worst_d1 <= 1.0 and worst_d2 <= 1.0
     return InversePowerReport(
         C1=cc.C1,
@@ -364,23 +376,16 @@ def lipschitz_G_check(
     r = dp.contraction_constants(p, w0).radius(r)
     L = dp.estimate_LG(p, w0, r)
     k_max = w0.n
-    n_f = 4 * k_max + 3
-    xf = sp.grid(n_f)
-    base_modes = sp.sine_transform(w0.values - w0.bv)
-    base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
+    table = _fine_sines(k_max)
+    base_fine = sp.sine_transform(w0.values - w0.bv) @ table + w0.bv
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        d1 = _ball_draw(rng, k_max, r)
-        d2 = _ball_draw(rng, k_max, r)
-        den = sp.norm_Hk(d1 - d2, 2)
-        if den == 0.0:
-            continue
-        w1 = base_fine + sp.eval_modes_on(d1, xf)
-        w2 = base_fine + sp.eval_modes_on(d2, xf)
+    for rows in sp.audit_blocks(trials):
+        d1, d2 = _draw_block(rows, lambda: (_ball_draw(rng, k_max, r), _ball_draw(rng, k_max, r)))
+        w1 = base_fine + d1 @ table
+        w2 = base_fine + d2 @ table
         g_diff = -p.beta_F / w1**2 + p.beta_F / w2**2
-        num = sp.norm_Hk(sp.sine_transform(g_diff), 2)
-        worst = max(worst, num / den)
+        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(g_diff), 2), sp.norm_Hk(d1 - d2, 2)))
     return LipschitzReport(
         name="G", bound=L, worst_ratio=worst, trials=trials, passed=worst <= L
     )
@@ -397,7 +402,8 @@ def lipschitz_F_check(
     """Audit ||F(u1) - F(u2)||_L2 <= L_e ||u1 - u2||_H2 at frozen (v, w).
 
     L_e is the nonlinearity constant from the theory chain for the given data;
-    pressure samples are drawn in an H2 ball of radius 0.2 around u0.
+    pressure samples are drawn in an H2 ball of radius 0.2 around u0 and
+    measured through the Reynolds stencil of eval_F.
     """
     ball = 0.2
     tc = dp.theory_constants(p, w0, u0, init)
@@ -405,20 +411,22 @@ def lipschitz_F_check(
     rng = np.random.default_rng(seed)
     decay = np.arange(1, n + 1, dtype=float) ** -3
     v_field, w_field = ry._plate_fields(init, w0.bv)
+    ry._require_open_gap(w_field)
+    v, w = v_field.values, w_field.values
+
+    def draw():  # both mode vectors of a pair, then both radii
+        return rng.normal(size=n) * decay, rng.normal(size=n) * decay, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
+
     worst = 0.0
-    for _ in range(trials):
-        m1 = rng.normal(size=n) * decay
-        m2 = rng.normal(size=n) * decay
-        m1 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m1, 2))
-        m2 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m2, 2))
-        u1 = GridField(values=u0.values + sp.inverse_sine_transform(m1), bv=u0.bv)
-        u2 = GridField(values=u0.values + sp.inverse_sine_transform(m2), bv=u0.bv)
-        dF = ry.eval_F(u1, v_field, w_field, p).values - ry.eval_F(u2, v_field, w_field, p).values
-        den = sp.norm_Hk(m1 - m2, 2)
-        if den == 0.0:
-            continue
-        num = sp.norm_Hk(sp.sine_transform(dF), 0)
-        worst = max(worst, num / den)
+    for rows in sp.audit_blocks(trials):
+        m1, m2, s1, s2 = _draw_block(rows, draw)
+        m1 *= (ball * s1 / np.maximum(1e-300, sp.norm_Hk(m1, 2)))[:, None]
+        m2 *= (ball * s2 / np.maximum(1e-300, sp.norm_Hk(m2, 2)))[:, None]
+        u1 = u0.values + sp.inverse_sine_transform(m1)
+        u2 = u0.values + sp.inverse_sine_transform(m2)
+        dF = ry._reynolds(u1, u0.bv, v, w, w_field.bv) - ry._reynolds(u2, u0.bv, v, w, w_field.bv)
+        ry._require_finite("F", dF)
+        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(dF), 0), sp.norm_Hk(m1 - m2, 2)))
     return LipschitzReport(
         name="F", bound=tc.L_e, worst_ratio=worst, trials=trials, passed=worst <= tc.L_e
     )

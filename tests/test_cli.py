@@ -328,6 +328,55 @@ class TestVerify:
         assert "semigroup.norm_conservation" in names
         assert "semigroup.cocycle" in names
 
+    def test_semigroup_suite_matches_the_per_sample_loop(self):
+        # the per-sample loop the blocked suite replaced, kept as the reference
+        seed, k = 4, 256
+        spec = cli.sp.plate_eigenvalues(k)
+        rng = np.random.default_rng(seed)
+        decay = np.arange(1, k + 1, dtype=float) ** -2.0
+        worst = 0.0
+        for _ in range(100):
+            s0 = cli.StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
+            base = cli.sp.norm_X(s0, spec)
+            for t in np.linspace(0.0, 100.0, 33)[1:]:
+                drift = abs(cli.sp.norm_X(cli.sp.semigroup_apply(s0, spec, float(t)), spec) - base)
+                worst = max(worst, drift / base)
+        conservation, cocycle = cli._suite_semigroup(seed)
+        assert conservation.passed == (worst <= 1e-10) and conservation.passed
+        assert conservation.measured <= 1e-14 and worst <= 1e-14  # rounding level on both sides
+        # the cocycle state is the next draw: equal bits mean the same stream was consumed
+        s0 = cli.StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
+        ab = cli.sp.semigroup_apply(cli.sp.semigroup_apply(s0, spec, 0.7), spec, 2.6)
+        direct = cli.sp.semigroup_apply(s0, spec, 3.3)
+        gap = max(float(np.abs(ab.v - direct.v).max()), float(np.abs(ab.w - direct.w).max()))
+        scale = max(float(np.abs(direct.v).max()), float(np.abs(direct.w).max()))
+        assert cocycle.measured == gap / scale
+
+    @pytest.mark.parametrize("seed", [40, 96])
+    def test_lipschitz_suite_passes_where_one_calibration_path_failed(self, seed):
+        # one calibration path gave 1.461 (seed 40) and 1.019 (seed 96) against 1.0
+        summary = cli.cmd_verify("lipschitz", seed=seed, quiet=True)
+        assert summary.passed
+        holder = {r.name: r for r in summary.results}["lipschitz.holder_F"]
+        assert holder.measured <= 1.0
+
+    def test_holder_audit_fails_on_a_roughened_F(self, monkeypatch):
+        real = ry._F_path
+        calls = []
+
+        def rough(u_path, plate, p):
+            F = real(u_path, plate, p)
+            calls.append(1)
+            if len(calls) > cli._HOLDER_CALIBRATION_PATHS:  # the verification call
+                F = F.copy()
+                F[5] *= 2.0  # F jumps to twice its value at one time node
+            return F
+
+        monkeypatch.setattr(ry, "_F_path", rough)
+        holder = {r.name: r for r in cli._suite_lipschitz(0)}["lipschitz.holder_F"]
+        assert len(calls) == cli._HOLDER_CALIBRATION_PATHS + 1
+        assert not holder.passed and holder.measured > 1.0
+
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown suite"):
             cli.cmd_verify("bogus")

@@ -225,6 +225,66 @@ class TestEllipticForm:
             assert rep.passed, f"triple {trial}: worst slack {rep.worst_slack}"
 
 
+    @pytest.mark.parametrize("trials", [300, 100])
+    def test_blocked_check_matches_the_per_sample_loop(self, trials):
+        # the per-sample loop the blocked check replaced, kept as the reference
+        rng_op = np.random.default_rng(3)
+        n = 48
+        x = sp.grid(n)
+        uo = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1)
+        wo = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x)
+        op = ry.assemble_Pstar(
+            GridField(values=uo, bv=1.0), GridField(values=0.1 * x, bv=0.0), GridField(values=wo, bv=1.0)
+        )
+        rep = ry.elliptic_form_check(op, trials=trials, seed=5)
+        A = ry._principal_matrix(op)
+        h = op.h
+        rng = np.random.default_rng(5)
+        worst = np.inf
+        ok = True
+        for _ in range(trials):
+            q = rng.normal(size=n)
+            lhs = abs(h * float(q @ (A @ q)))
+            dq2 = h * float(np.sum((np.diff(ry._pad(q, 0.0)) / h) ** 2))
+            q2 = h * float(np.dot(q, q))
+            slack = lhs - (rep.K * dq2 - rep.K_o * q2)
+            worst = min(worst, slack)
+            if slack < -1e-9 * max(1.0, lhs):
+                ok = False
+        assert rep.passed == ok
+        assert rep.worst_slack == pytest.approx(worst, rel=1e-13, abs=0)
+
+    def test_one_violating_row_fails_the_check(self, monkeypatch):
+        n = 31
+        op = ry.assemble_Pstar(
+            GridField(values=np.ones(n), bv=1.0),
+            GridField(values=np.zeros(n), bv=0.0),
+            GridField(values=np.ones(n), bv=1.0),
+        )
+        assert ry.elliptic_form_check(op, trials=300, seed=1).passed
+        # a principal part that vanishes on one direction: rows of q along it
+        # violate the form, and a single such row in a block must fail it
+        A = ry._principal_matrix(op)
+        e = np.zeros(n)
+        e[n // 2] = 1.0
+        monkeypatch.setattr(ry, "_principal_matrix", lambda _op: A - np.outer(A @ e, e))
+        assert ry.elliptic_form_check(op, trials=300, seed=1).passed  # random q barely see it
+        real_rng = np.random.default_rng
+
+        class OneRowAlong:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def normal(self, size):
+                q = self._rng.normal(size=size)
+                q[-1] = 1000.0 * e  # the last row of every block
+                return q
+
+        monkeypatch.setattr(ry.np.random, "default_rng", OneRowAlong)
+        rep = ry.elliptic_form_check(op, trials=300, seed=1)
+        assert not rep.passed and rep.worst_slack < 0
+
+
 # ---------------------------------------------------------------------------
 # sector & graph norm
 # ---------------------------------------------------------------------------

@@ -139,6 +139,46 @@ def test_lifted_norm_H2_against_quadrature():
     assert sp.lifted_norm_H2(fm, bv, slope) == pytest.approx(dense, rel=1e-12)
 
 
+def _lifted_norm_H2_before_rows(f, bv, slope=0.0):
+    """lifted_norm_H2 as it was before it took stacks (1-d only), kept as the reference."""
+    f = np.asarray(f, dtype=float)
+    k_max = f.size
+    a = slope
+    b = bv - 0.5 * slope
+    int_ell_sq = a**2 / 3.0 + a * b + b**2
+    int_ell_f = a * np.sum(f * sp.int_x_sine(k_max)) + b * np.sum(f * sp.int_sine(k_max))
+    kpi2 = (np.pi * np.arange(1, k_max + 1)) ** 2
+    l2 = 0.5 * np.sum(f**2) + int_ell_sq + 2.0 * int_ell_f
+    h1 = 0.5 * np.sum(kpi2 * f**2) + a**2
+    h2 = 0.5 * np.sum(kpi2**2 * f**2)
+    return float(np.sqrt(l2 + h1 + h2))
+
+
+@pytest.mark.parametrize("k", [12, 32, 131])
+def test_lifted_norm_H2_rows_are_bitwise_the_one_row_calls(k):
+    rng = np.random.default_rng(k)
+    stack = rng.normal(size=(300, k)) / np.arange(1, k + 1) ** 2.2
+    for bv, slope in ((1.3, 0.0), (0.7, 0.4), (0.0, 0.0)):
+        rows = sp.lifted_norm_H2(stack, bv, slope)
+        assert rows.shape == (300,)
+        one = [sp.lifted_norm_H2(f, bv, slope) for f in stack]
+        assert all(isinstance(x, float) for x in one)
+        assert np.array_equal(rows, one)
+        assert one == [_lifted_norm_H2_before_rows(f, bv, slope) for f in stack]
+    # one lift per row: Python's scalar b**2 and numpy's square may differ in the last bit
+    bvs = rng.uniform(0.25, 2.25, size=300)
+    rows = sp.lifted_norm_H2(stack, bvs)
+    one = np.array([_lifted_norm_H2_before_rows(f, float(b)) for f, b in zip(stack, bvs)])
+    assert np.max(np.abs(rows - one) / one) <= 1e-15
+
+
+def test_audit_blocks_cover_the_trials():
+    assert sp.audit_blocks(0) == []
+    assert sp.audit_blocks(100) == [100]
+    assert sp.audit_blocks(256) == [256]
+    assert sp.audit_blocks(1000) == [256, 256, 256, 232]
+
+
 def test_embedding_constant_bounds_and_stability():
     C = sp.sobolev_embedding_constant(128)
     # single test function lower bound: sup|sin(pi x)| / ||sin(pi x)||_H2

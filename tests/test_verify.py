@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from gapflow import dispersive as dp
+from gapflow import reynolds as ry
 from gapflow import spectral as sp
 from gapflow import verify as vf
 from gapflow.dispersive import ModelParams
@@ -177,6 +179,217 @@ class TestLipschitzChecks:
         rep = vf.lipschitz_F_check(P, u0, w0, StateVW(v=np.zeros(n), w=w0m), trials=300, seed=2)
         assert rep.passed
         assert 0.0 < rep.worst_ratio < rep.bound
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference loops of the Monte Carlo audits
+# ---------------------------------------------------------------------------
+#
+# The audits draw their samples one at a time and measure them in blocks of
+# stacked rows.  These are the per-sample loops they replaced, kept word for
+# word as the reference: the same draws must give the same verdicts and the
+# same worst values to rounding (the refined-grid synthesis is one matrix
+# product per block instead of one per sample, so bits may differ).
+
+
+def _ref_algebra(trials, k_max, seed, calibration_trials):
+    margin = 1.5
+    n_f = 4 * k_max + 3
+    xf = sp.grid(n_f)
+    decay = np.arange(1, k_max + 1, dtype=float) ** -2.2
+
+    def ratio_of(thf, mf, thg, mg):
+        sf = sp.eval_modes_on(mf, xf)
+        sg = sp.eval_modes_on(mg, xf)
+        prod_modes = sp.sine_transform((thf + sf) * (thg + sg) - thf * thg)
+        num = sp.lifted_norm_H2(prod_modes, thf * thg)
+        den = sp.lifted_norm_H2(mf, thf) * sp.lifted_norm_H2(mg, thg)
+        return num / den
+
+    rng_cal = np.random.default_rng(seed)
+    worst_cal = ratio_of(1.0, np.zeros(k_max), 1.0, np.zeros(k_max))
+    for _ in range(calibration_trials):
+        thf, mf = vf._lifted_draw(rng_cal, k_max, decay)
+        thg, mg = vf._lifted_draw(rng_cal, k_max, decay)
+        worst_cal = max(worst_cal, ratio_of(thf, mf, thg, mg))
+    rng_fresh = np.random.default_rng(seed + 1)
+    worst_fresh = 0.0
+    for _ in range(trials):
+        thf, mf = vf._lifted_draw(rng_fresh, k_max, decay)
+        thg, mg = vf._lifted_draw(rng_fresh, k_max, decay)
+        worst_fresh = max(worst_fresh, ratio_of(thf, mf, thg, mg))
+    C_alg = margin * worst_cal
+    return dict(C_alg=C_alg, worst_calibration=worst_cal, worst_fresh=worst_fresh, passed=worst_fresh <= C_alg)
+
+
+def _ref_inverse_power(p, w0, trials, seed):
+    cc = dp.contraction_constants(p, w0)
+    r = cc.radius(None)
+    k_max = w0.n
+    xf = sp.grid(4 * k_max + 3)
+    base_modes = sp.sine_transform(w0.values - w0.bv)
+    base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
+    rng = np.random.default_rng(seed)
+
+    def inv_modes(wt_modes, kpow):
+        w_fine = base_fine + sp.eval_modes_on(wt_modes, xf)
+        if float(w_fine.min()) <= 0.0:
+            raise RuntimeError("gap closed inside the sampling ball (r too large)")
+        return sp.sine_transform(w_fine ** (-float(kpow)) - w0.bv ** (-float(kpow)))
+
+    worst_single = [0.0, 0.0, 0.0]
+    worst_d1 = 0.0
+    worst_d2 = 0.0
+    for _ in range(trials):
+        d1 = vf._ball_draw(rng, k_max, r)
+        d2 = vf._ball_draw(rng, k_max, r)
+        for kpow in (1, 2, 3):
+            nrm = sp.lifted_norm_H2(inv_modes(d1, kpow), w0.bv ** (-float(kpow)))
+            worst_single[kpow - 1] = max(worst_single[kpow - 1], nrm / cc.C1**kpow)
+        den = sp.norm_Hk(d1 - d2, 2)
+        if den > 0:
+            g1 = inv_modes(d1, 1) - inv_modes(d2, 1)
+            g2 = inv_modes(d1, 2) - inv_modes(d2, 2)
+            worst_d1 = max(worst_d1, sp.norm_Hk(g1, 2) / (cc.C2 * den))
+            worst_d2 = max(worst_d2, sp.norm_Hk(g2, 2) / (cc.C3 * den))
+    passed = max(worst_single) <= 1.0 and worst_d1 <= 1.0 and worst_d2 <= 1.0
+    return dict(worst_single=tuple(worst_single), worst_diff1=worst_d1, worst_diff2=worst_d2, passed=passed)
+
+
+def _ref_lipschitz_G(p, w0, trials, seed):
+    r = dp.contraction_constants(p, w0).radius(None)
+    L = dp.estimate_LG(p, w0, r)
+    k_max = w0.n
+    xf = sp.grid(4 * k_max + 3)
+    base_modes = sp.sine_transform(w0.values - w0.bv)
+    base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        d1 = vf._ball_draw(rng, k_max, r)
+        d2 = vf._ball_draw(rng, k_max, r)
+        den = sp.norm_Hk(d1 - d2, 2)
+        if den == 0.0:
+            continue
+        w1 = base_fine + sp.eval_modes_on(d1, xf)
+        w2 = base_fine + sp.eval_modes_on(d2, xf)
+        g_diff = -p.beta_F / w1**2 + p.beta_F / w2**2
+        num = sp.norm_Hk(sp.sine_transform(g_diff), 2)
+        worst = max(worst, num / den)
+    return dict(bound=L, worst_ratio=worst, passed=worst <= L)
+
+
+def _ref_lipschitz_F(p, u0, w0, init, trials, seed):
+    ball = 0.2
+    tc = dp.theory_constants(p, w0, u0, init)
+    n = u0.n
+    rng = np.random.default_rng(seed)
+    decay = np.arange(1, n + 1, dtype=float) ** -3
+    v_field, w_field = ry._plate_fields(init, w0.bv)
+    worst = 0.0
+    for _ in range(trials):
+        m1 = rng.normal(size=n) * decay
+        m2 = rng.normal(size=n) * decay
+        m1 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m1, 2))
+        m2 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m2, 2))
+        u1 = GridField(values=u0.values + sp.inverse_sine_transform(m1), bv=u0.bv)
+        u2 = GridField(values=u0.values + sp.inverse_sine_transform(m2), bv=u0.bv)
+        dF = ry.eval_F(u1, v_field, w_field, p).values - ry.eval_F(u2, v_field, w_field, p).values
+        den = sp.norm_Hk(m1 - m2, 2)
+        if den == 0.0:
+            continue
+        num = sp.norm_Hk(sp.sine_transform(dF), 0)
+        worst = max(worst, num / den)
+    return dict(bound=tc.L_e, worst_ratio=worst, passed=worst <= tc.L_e)
+
+
+def _assert_matches(report, ref):
+    for key, want in ref.items():
+        got = getattr(report, key)
+        if isinstance(want, bool):
+            assert got == want, key
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=key)
+
+
+def _bump_w0(n):
+    w0m = np.zeros(n)
+    w0m[0] = 0.05
+    return w0m, GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
+
+
+class _ConstantRng:
+    """Stands in for a generator: every draw of a pair is the same, so no pair differs."""
+
+    def normal(self, size):
+        return np.ones(size)
+
+    def uniform(self, low, high):
+        return 0.5 * (low + high)
+
+
+class TestBatchedAuditsMatchPerSampleLoops:
+    # 300 trials = one full block and a part block; 100 = less than a block
+    TRIALS = (300, 100)
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_algebra(self, trials):
+        rep = vf.algebra_property_check(trials=trials, k_max=32, seed=7, calibration_trials=trials + 17)
+        _assert_matches(rep, _ref_algebra(trials, 32, 7, trials + 17))
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_inverse_power(self, trials):
+        _, w0 = _bump_w0(32)
+        rep = vf.inverse_power_bounds_check(P, w0, trials=trials, seed=8)
+        _assert_matches(rep, _ref_inverse_power(P, w0, trials, 8))
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_lipschitz_G(self, trials):
+        _, w0 = _bump_w0(32)
+        rep = vf.lipschitz_G_check(P, w0, trials=trials, seed=9)
+        _assert_matches(rep, _ref_lipschitz_G(P, w0, trials, 9))
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_lipschitz_F(self, trials):
+        w0m, w0 = _bump_w0(32)
+        u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(32)), bv=1.0)
+        init = StateVW(v=np.zeros(32), w=w0m)
+        rep = vf.lipschitz_F_check(P, u0, w0, init, trials=trials, seed=10)
+        _assert_matches(rep, _ref_lipschitz_F(P, u0, w0, init, trials, 10))
+
+    @pytest.mark.parametrize("row", [3, 40])
+    @pytest.mark.parametrize("second", [False, True])
+    def test_inverse_power_gap_closure_in_one_row_raises(self, monkeypatch, row, second):
+        # the sample of one row of the second block closes the gap
+        n = 16
+        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        closing = 2 * (256 + row) + int(second)
+        calls = []
+        real = vf._ball_draw
+
+        def draw(rng, k_max, r):
+            calls.append(1)
+            d = real(rng, k_max, r)
+            return np.r_[-2.0, np.zeros(k_max - 1)] if len(calls) == closing + 1 else d
+
+        monkeypatch.setattr(vf, "_ball_draw", draw)
+        with pytest.raises(RuntimeError, match="gap closed inside the sampling ball"):
+            vf.inverse_power_bounds_check(P, w0, trials=300, seed=0)
+        assert len(calls) == 2 * 300  # the block was drawn whole, then measured
+        calls.clear()
+        with pytest.raises(RuntimeError, match="gap closed inside the sampling ball"):
+            _ref_inverse_power(P, w0, 300, 0)
+
+    @pytest.mark.filterwarnings("error")  # a skipped row must not be divided by its zero
+    def test_pairs_with_zero_denominator_are_skipped(self, monkeypatch):
+        w0m, w0 = _bump_w0(16)
+        u0 = GridField(values=np.full(16, 1.0), bv=1.0)
+        monkeypatch.setattr(vf.np.random, "default_rng", lambda seed: _ConstantRng())
+        assert vf.lipschitz_G_check(P, w0, trials=300).worst_ratio == 0.0
+        rep = vf.lipschitz_F_check(P, u0, w0, StateVW(v=np.zeros(16), w=w0m), trials=300)
+        assert rep.worst_ratio == 0.0 and rep.passed
+        inv = vf.inverse_power_bounds_check(P, w0, trials=300)
+        assert inv.worst_diff1 == inv.worst_diff2 == 0.0 and max(inv.worst_single) > 0.0
 
 
 class TestConvergenceStudy:

@@ -101,6 +101,7 @@ class PicardReport:
     r_used: float
     sup_drift: float = np.nan  # sup_t ||w~(t) - w~0||_H2 of the converged run
     min_w: float = np.nan      # min gap over the fine grid after convergence
+    banach_ratio: float = np.nan  # largest ratio measured above the rounding floor (gamma_iterate)
 
 
 class PicardDivergence(RuntimeError):

@@ -67,6 +67,7 @@ __all__ = [
     "run_coupled",
     "continue_run",
     "mass_balance_residual",
+    "mass_balance_terms",
     "equilibrium_state",
     "compat_regularity_proxy",
 ]
@@ -144,7 +145,7 @@ class StepRecord:
     max_u: float
     mass_residual: float
     norm_X: float
-    contraction_ratio: float
+    contraction_ratio: float  # the chunk's PicardReport.banach_ratio; NaN on the Runge-Kutta tail
 
 
 @dataclass
@@ -562,6 +563,29 @@ def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
     return F
 
 
+# A recorded contraction ratio uses only successive differences at least this
+# many times the rounding floor of the H2 difference norm.
+_FLOOR_MARGIN = 1e3
+
+
+def _banach_ratio(diffs: list, path: PressurePath) -> float:
+    """Banach's estimate of the contraction constant from the Gamma differences.
+
+    The largest ratio d_{i+1}/d_i of successive sweep differences whose two
+    differences are both at least _FLOOR_MARGIN times the rounding floor, NaN
+    when there is none.  The floor, eps max|u| (n pi)^2, is the H2 norm of a
+    unit roundoff of the largest sample on the top grid mode: a difference
+    near it is rounding noise, and so is a ratio of two such.  Above it each
+    difference is known to 1/_FLOOR_MARGIN of itself, so the ratio to
+    2/_FLOOR_MARGIN.
+    """
+    values = path.values
+    floor = np.finfo(float).eps * float(np.abs(values).max()) * (math.pi * values.shape[-1]) ** 2
+    d = np.asarray(diffs, dtype=float)
+    above = np.minimum(d[:-1], d[1:]) >= _FLOOR_MARGIN * floor
+    return float(np.max(d[1:][above] / d[:-1][above])) if above.any() else float("nan")
+
+
 def gamma_iterate(
     u_path: PressurePath,
     p: ModelParams,
@@ -615,7 +639,9 @@ def gamma_iterate(
         sweep, u_path, dp.pressure_diff_norm, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
     )
     converged = status == "converged"
-    report = PicardReport(len(diffs), ratios, converged, T_used=T, r_used=float("nan"))
+    report = PicardReport(
+        len(diffs), ratios, converged, T_used=T, r_used=float("nan"), banach_ratio=_banach_ratio(diffs, current)
+    )
     if converged:
         if return_plate:
             plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
@@ -1030,6 +1056,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             chunks_done += 1
             continue
 
+        # chunk growth reads the last ratio; the series records Banach's estimate
         ratio = rep.contraction_ratios[-1] if rep.contraction_ratios else 0.0
         stop_at = None
         stop_status = "alive"
@@ -1042,7 +1069,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
                 u=GridField(values=u_vals, bv=u_new.bv), vw=StateVW(v=plate.v[i], w=plate.w[i]), t=abs_t
             )
             states.append(cs)
-            series.append(_step_record(cs, w_min, spec, ratio))
+            series.append(_step_record(cs, w_min, spec, rep.banach_ratio))
             if status != "alive":
                 stop_at = i
                 stop_status = status
@@ -1179,6 +1206,13 @@ def mass_balance_residual(trajectory: list, p: ModelParams) -> np.ndarray:
     """
     if len(trajectory) < 3:
         return np.full(len(trajectory), np.nan)
+    ts, mass, flux = mass_balance_terms(trajectory, p)
+    dmass = np.gradient(mass, ts, edge_order=2)
+    return np.abs(dmass - flux)
+
+
+def mass_balance_terms(trajectory: list, p: ModelParams) -> tuple:
+    """(t, int w u dx, [w^3 u u_x]_0^1) at each state of a trajectory, the terms of mass_balance_residual."""
     th1, th2 = p.lift.theta1, p.lift.theta2
     n = trajectory[0].u.n
     h = 1.0 / (n + 1)
@@ -1188,9 +1222,7 @@ def mass_balance_residual(trajectory: list, p: ModelParams) -> np.ndarray:
     mass = h * (th2 * th1 + (w_grid * u).sum(axis=-1))  # trapezoid: half of each boundary value twice
     ux0 = (-3.0 * th1 + 4.0 * u[:, 0] - u[:, 1]) / (2.0 * h)
     ux1 = (3.0 * th1 - 4.0 * u[:, -1] + u[:, -2]) / (2.0 * h)
-    flux = th2**3 * th1 * (ux1 - ux0)
-    dmass = np.gradient(mass, ts, edge_order=2)
-    return np.abs(dmass - flux)
+    return ts, mass, th2**3 * th1 * (ux1 - ux0)
 
 
 def equilibrium_state(p: ModelParams, k_max: int, n: int | None = None) -> CoupledState:

@@ -1,0 +1,66 @@
+"""Run `simulate` on a shipped config the way the golden files were written.
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
+        python tests/golden_run.py CONFIG OUTDIR [--scale-E X] [--wrong-K2]
+
+CONFIG is a file name in configs/.  OUTDIR receives the series.csv and
+snapshots.csv that `gapflow simulate` writes, and mass_terms.csv: per series
+row the time, int w u dx and the boundary flux [w^3 u u_x]_0^1, the terms the
+mass-balance residual is formed from (tests/test_golden.py compares that
+residual against their size).
+
+Re-pinning the golden files is this script with OUTDIR tests/golden
+(reference.ini) or tests/golden/quench (quench.ini), run with the pools
+pinned to one thread as above.
+
+--scale-E X multiplies E = exp(dt P*) of the pressure propagator by 1 + X;
+--wrong-K2 replaces its K2 = dt phi_2(dt P*) by K1/2.  Both exist to show which
+changes the golden comparison lets through and which it catches.
+"""
+
+import argparse
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("config")
+    parser.add_argument("outdir")
+    parser.add_argument("--scale-E", type=float, default=0.0)
+    parser.add_argument("--wrong-K2", action="store_true")
+    args = parser.parse_args(argv)
+
+    from gapflow import cli
+    from gapflow import reynolds as ry
+
+    if args.scale_E or args.wrong_K2:
+        exact = ry._propagator
+
+        def perturbed(op, dt):
+            E, K1, K2 = exact(op, dt)
+            return E * (1.0 + args.scale_E), K1, 0.5 * K1 if args.wrong_K2 else K2
+
+        ry._propagator = perturbed
+
+    cfg = cli._load_config(str(ROOT / "configs" / args.config))
+    os.makedirs(args.outdir, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        record = cli.cmd_simulate(cfg, out=tmp, quiet=True)
+        for name in ("series.csv", "snapshots.csv"):
+            shutil.copyfile(os.path.join(tmp, name), os.path.join(args.outdir, name))
+    ts, mass, flux = ry.mass_balance_terms(record.report.states, cfg.model_params())
+    with open(os.path.join(args.outdir, "mass_terms.csv"), "w", encoding="utf-8") as fh:
+        fh.write("t,mass,flux\n")
+        for row in zip(ts, mass, flux):
+            fh.write(",".join(cli._fmt(x) for x in row) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,22 +1,27 @@
-"""Pinned outputs: `simulate` must keep reproducing the series.csv and
-snapshots.csv stored in tests/golden/ (configs/reference.ini) and
-tests/golden/quench/ (configs/quench.ini).  Refactors of the numerical core
-are checked against these files, which were written before the refactor.
+"""Pinned outputs: `simulate` must keep reproducing the physics stored in
+tests/golden/ (configs/reference.ini) and tests/golden/quench/
+(configs/quench.ini).  Refactors of the numerical core are checked against
+these files, which are written before the refactor by tests/golden_run.py.
 
-reference.ini: relative difference at most 1e-12 on every value, NaN equal
-to NaN.
+The contract compares each column by what it can carry:
 
-quench.ini: series.csv at 1e-12 relative, except mass_residual from the row
-where the driver hands off to the Runge-Kutta tail on, at 1e-9: that column
-is a central time difference across the tail's tiny steps, and 1e-9 is the
-quench-time tolerance.  snapshots.csv per field and per time at
-max |diff| <= 1e-9 * max |value|: modes that vanish by symmetry hold only
-rounding noise, so a plain relative check on them would be meaningless.
+* t, min_w, max_u and norm_X: at most RTOL = 1e-12 relative, NaN equal to NaN.
+* mass_residual = |d/dt int w u - flux| cancels terms of order one, and its
+  time derivative is a difference quotient of int w u over the local step dt.
+  It is compared at RTOL against the size of the terms it is formed from,
+  |int w u| / dt + |flux|, read from the pinned mass_terms.csv.
+* contraction_ratio is Banach's estimate from Gamma differences at least
+  reynolds._FLOOR_MARGIN times their rounding floor, so it is known to
+  2 / _FLOOR_MARGIN relative, and compared at that.
+* snapshots.csv per field and per time: max |diff| <= rtol * max |value|,
+  since modes that vanish by symmetry hold only rounding noise.  rtol is RTOL
+  for reference.ini and 1e-9 for quench.ini, whose final snapshot comes from
+  the Runge-Kutta tail at the touchdown.
 
-The runs go through the command line in a child process with the BLAS and
-OpenMP pools pinned to one thread, as the golden files were written: the
-contraction ratios in series.csv change in the fourth digit with the size of
-the OpenBLAS pool."""
+The runs are child processes with the BLAS and OpenMP pools pinned to one
+thread, as the golden files were written.  The last tests show the strength
+of the contract: a rounding-level change of the pressure propagator passes
+it, and a 1e-9 change or a wrong phi_2 kick fails it."""
 
 import csv
 import os
@@ -27,11 +32,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gapflow import reynolds as ry
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
-TAIL_MASS_RTOL = 1e-9
-SNAPSHOT_SUP_RTOL = 1e-9
+RATIO_RTOL = 2.0 / ry._FLOOR_MARGIN
+SNAPSHOT_RTOL = {"reference.ini": RTOL, "quench.ini": 1e-9}
+GOLDEN_DIRS = {"reference.ini": GOLDEN, "quench.ini": GOLDEN / "quench"}
 
 
 def _read(path):
@@ -39,16 +47,63 @@ def _read(path):
         return list(csv.reader(fh))
 
 
-def _simulate(config, out):
+def _simulate(config, out, *perturbation):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    cmd = [sys.executable, "-m", "gapflow.cli", "simulate", "--config", str(ROOT / "configs" / config), "--out", str(out)]
+    cmd = [sys.executable, str(ROOT / "tests" / "golden_run.py"), config, str(out), *perturbation]
     subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=600)
     return out
 
 
-def _numeric(rows, columns):
-    return np.array([[float(r[c]) for c in columns] for r in rows])
+def _numeric(rows):
+    return np.array([[float(x) for x in r] for r in rows])
+
+
+def series_mismatches(golden, fresh):
+    """Messages for the series.csv values of fresh outside the contract with golden."""
+    want = _read(golden / "series.csv")
+    got = _read(fresh / "series.csv")
+    if got[0] != want[0]:
+        return ["header changed"]
+    if len(got) != len(want):
+        return [f"{len(got) - 1} rows, golden has {len(want) - 1}"]
+    header = want[0]
+    a, b = _numeric(got[1:]), _numeric(want[1:])
+    ts, mass, flux = _numeric(_read(golden / "mass_terms.csv")[1:]).T
+    atol = np.zeros(b.shape)
+    rtol = np.full(b.shape, RTOL)
+    col = header.index("mass_residual")
+    rtol[:, col] = 0.0
+    atol[:, col] = RTOL * (np.abs(mass) / np.gradient(ts) + np.abs(flux))
+    rtol[:, header.index("contraction_ratio")] = RATIO_RTOL
+    bad = np.argwhere(~(np.abs(a - b) <= atol + rtol * np.abs(b)) & ~(np.isnan(a) & np.isnan(b)))
+    return [f"series row {i + 1}, {header[j]}: {a[i, j]!r} against {b[i, j]!r}" for i, j in bad]
+
+
+def snapshot_mismatches(golden, fresh, rtol):
+    """Messages for the (time, field) groups of fresh's snapshots.csv outside rtol of their sup norm."""
+    want = _read(golden / "snapshots.csv")
+    got = _read(fresh / "snapshots.csv")
+    if got[0] != want[0]:
+        return ["header changed"]
+    if [r[:3] for r in got[1:]] != [r[:3] for r in want[1:]]:
+        return ["t, field or index columns changed"]
+    groups = {}
+    for row_w, row_g in zip(want[1:], got[1:]):
+        groups.setdefault((row_w[0], row_w[1]), []).append((float(row_w[3]), float(row_g[3])))
+    out = []
+    for (t, field), pairs in groups.items():
+        b, a = np.array(pairs).T
+        scale = np.max(np.abs(b))
+        err = np.max(np.abs(a - b))
+        if not err <= rtol * scale:
+            out.append(f"{field} at t={t}: max |diff| {err:.3g} against sup {scale:.3g}")
+    return out
+
+
+def mismatches(config, fresh):
+    golden = GOLDEN_DIRS[config]
+    return series_mismatches(golden, fresh) + snapshot_mismatches(golden, fresh, SNAPSHOT_RTOL[config])
 
 
 @pytest.fixture(scope="module")
@@ -61,53 +116,42 @@ def fresh_quench(tmp_path_factory):
     return _simulate("quench.ini", tmp_path_factory.mktemp("golden_quench"))
 
 
-@pytest.mark.parametrize("name, text_columns", [("series.csv", ()), ("snapshots.csv", (1,))])
-def test_simulate_reference_matches_golden(fresh, name, text_columns):
-    want = _read(GOLDEN / name)
-    got = _read(fresh / name)
-    assert got[0] == want[0], "header changed"
-    assert len(got) == len(want), f"{len(got) - 1} rows, golden has {len(want) - 1}"
-    rows_w, rows_g = want[1:], got[1:]
-    for col in text_columns:
-        assert [r[col] for r in rows_g] == [r[col] for r in rows_w]
-    numeric = [c for c in range(len(want[0])) if c not in text_columns]
-    a = _numeric(rows_g, numeric)
-    b = _numeric(rows_w, numeric)
-    close = np.isclose(a, b, rtol=RTOL, atol=0.0, equal_nan=True)
-    bad = np.argwhere(~close)
-    assert bad.size == 0, f"{len(bad)} values differ beyond {RTOL:g} relative, first at row {bad[0][0] + 1}"
+def test_simulate_reference_series_matches_golden(fresh):
+    bad = series_mismatches(GOLDEN, fresh)
+    assert not bad, f"{len(bad)} values outside the contract, first: {bad[0]}"
+
+
+def test_simulate_reference_snapshots_match_golden(fresh):
+    bad = snapshot_mismatches(GOLDEN, fresh, RTOL)
+    assert not bad, bad[0]
 
 
 def test_simulate_quench_series_matches_golden(fresh_quench):
-    want = _read(GOLDEN / "quench" / "series.csv")
-    got = _read(fresh_quench / "series.csv")
-    assert got[0] == want[0], "header changed"
-    assert len(got) == len(want), f"{len(got) - 1} rows, golden has {len(want) - 1}"
-    header = want[0]
-    a = _numeric(got[1:], range(len(header)))
-    b = _numeric(want[1:], range(len(header)))
-    # tail rows carry no contraction ratio; the handoff row is the one before
-    # the first of them, and its mass residual already differences a tail state
-    tail = np.flatnonzero(np.isnan(b[1:, header.index("contraction_ratio")])) + 1
-    handoff = int(tail[0]) - 1
-    assert b[handoff, header.index("t")] == pytest.approx(0.2425687, abs=1e-7)
-    rtol = np.full(b.shape, RTOL)
-    rtol[handoff:, header.index("mass_residual")] = TAIL_MASS_RTOL
-    close = np.isclose(a, b, rtol=rtol, atol=0.0, equal_nan=True)
-    bad = np.argwhere(~close)
-    assert bad.size == 0, f"{len(bad)} values differ beyond tolerance, first at row {bad[0][0] + 1}, column {header[bad[0][1]]}"
+    golden = GOLDEN / "quench"
+    want = _numeric(_read(golden / "series.csv")[1:])
+    # the Runge-Kutta tail records no contraction ratio; the driver hands off
+    # to it after the last Gamma row, at t = 0.2425687
+    handoff = np.flatnonzero(np.isfinite(want[:, -1]))[-1]
+    assert want[handoff, 0] == pytest.approx(0.2425687, abs=1e-7)
+    bad = series_mismatches(golden, fresh_quench)
+    assert not bad, f"{len(bad)} values outside the contract, first: {bad[0]}"
 
 
 def test_simulate_quench_snapshots_match_golden(fresh_quench):
-    want = _read(GOLDEN / "quench" / "snapshots.csv")
-    got = _read(fresh_quench / "snapshots.csv")
-    assert got[0] == want[0], "header changed"
-    assert [r[:3] for r in got[1:]] == [r[:3] for r in want[1:]], "t, field or index columns changed"
-    groups = {}
-    for row_w, row_g in zip(want[1:], got[1:]):
-        groups.setdefault((row_w[0], row_w[1]), []).append((float(row_w[3]), float(row_g[3])))
-    for (t, field), pairs in groups.items():
-        b, a = np.array(pairs).T
-        scale = np.max(np.abs(b))
-        err = np.max(np.abs(a - b))
-        assert err <= SNAPSHOT_SUP_RTOL * scale, f"{field} at t={t}: max |diff| {err:.3g} against sup {scale:.3g}"
+    bad = snapshot_mismatches(GOLDEN / "quench", fresh_quench, SNAPSHOT_RTOL["quench.ini"])
+    assert not bad, bad[0]
+
+
+@pytest.mark.parametrize("config", ["reference.ini", "quench.ini"])
+def test_rounding_level_change_of_E_passes(tmp_path, config):
+    assert mismatches(config, _simulate(config, tmp_path, "--scale-E", "1e-15")) == []
+
+
+def test_1e9_change_of_E_fails(tmp_path):
+    bad = mismatches("reference.ini", _simulate("reference.ini", tmp_path, "--scale-E", "1e-9"))
+    assert any("max_u" in m for m in bad) and any(m.startswith("u at") for m in bad)
+
+
+def test_wrong_K2_fails(tmp_path):
+    bad = mismatches("reference.ini", _simulate("reference.ini", tmp_path, "--wrong-K2"))
+    assert any("max_u" in m for m in bad) and any(m.startswith("u at") for m in bad)

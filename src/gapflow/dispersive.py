@@ -132,7 +132,7 @@ def _G_fine(w_fine: np.ndarray, p: ModelParams) -> np.ndarray:
 
     Raises QuenchSignal where the gap is not strictly positive.
     """
-    m = float(np.min(w_fine))
+    m = float(w_fine.min())
     if m <= 0.0:
         raise QuenchSignal("gap closed: w <= 0 on the dealiasing grid", min_value=m)
     return -p.beta_F / w_fine**2 + p.beta_p * (p.lift.theta1 - 1.0)

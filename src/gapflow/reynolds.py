@@ -240,7 +240,8 @@ class HolderFReport:
 
 def _pad(values: np.ndarray, bv: float) -> np.ndarray:
     """Interior samples with the boundary value bv added at both ends of the last axis."""
-    out = np.full(values.shape[:-1] + (values.shape[-1] + 2,), bv, dtype=float)
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 2,))
+    out[..., 0] = out[..., -1] = bv
     out[..., 1:-1] = values
     return out
 
@@ -259,11 +260,11 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=None)
-def _plate_mu(k_max: int) -> np.ndarray:
-    """mu_k of plate_eigenvalues(k_max), cached read-only for the oracle right-hand side."""
-    mu = sp.plate_eigenvalues(k_max).mu
-    mu.setflags(write=False)
-    return mu
+def _neg_plate_mu(k_max: int) -> np.ndarray:
+    """-mu_k of plate_eigenvalues(k_max), cached read-only for the oracle right-hand side."""
+    neg_mu = -sp.plate_eigenvalues(k_max).mu
+    neg_mu.setflags(write=False)
+    return neg_mu
 
 
 def _w_min_fine(w_modes: np.ndarray, theta2: float) -> float:
@@ -289,16 +290,20 @@ def _reynolds(u: np.ndarray, u_bv: float, v: np.ndarray, w: np.ndarray, w_bv: fl
     one row of F per row, each bitwise equal to its own call.  No checks: the
     callers test the gap and finiteness.
     """
-    h = 1.0 / (u.shape[-1] + 1)
-    up = _pad(u, u_bv)
-    wp = _pad(w, w_bv)
+    return _reynolds_padded(_pad(u, u_bv), v, _pad(w, w_bv))
+
+
+def _reynolds_padded(up: np.ndarray, v: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """_reynolds on u and w given with their traces as end samples (n + 2 along the last axis)."""
+    h = 1.0 / (up.shape[-1] - 1)
     a = wp**3 * up
     a_face = 0.5 * (a[..., :-1] + a[..., 1:])
     # differences by slicing: what np.diff computes, without its call overhead
     du_face = (up[..., 1:] - up[..., :-1]) / h
     flux = a_face * du_face
     div = (flux[..., 1:] - flux[..., :-1]) / h
-    return div / w - (v / w) * u
+    w = wp[..., 1:-1]
+    return div / w - (v / w) * up[..., 1:-1]
 
 
 def eval_F(u: GridField, v: GridField, w: GridField, p: ModelParams) -> GridField:
@@ -563,22 +568,15 @@ def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
     return F
 
 
-# A recorded contraction ratio uses only successive differences at least this
-# many times the rounding floor of the H2 difference norm.
+# Margin over the rounding floor of the Gamma differences a recorded ratio uses
 _FLOOR_MARGIN = 1e3
 
 
 def _banach_ratio(diffs: list, path: PressurePath) -> float:
-    """Banach's estimate of the contraction constant from the Gamma differences.
-
-    The largest ratio d_{i+1}/d_i of successive sweep differences whose two
-    differences are both at least _FLOOR_MARGIN times the rounding floor, NaN
-    when there is none.  The floor, eps max|u| (n pi)^2, is the H2 norm of a
-    unit roundoff of the largest sample on the top grid mode: a difference
-    near it is rounding noise, and so is a ratio of two such.  Above it each
-    difference is known to 1/_FLOOR_MARGIN of itself, so the ratio to
-    2/_FLOOR_MARGIN.
-    """
+    """Banach's estimate of the contraction constant: the largest ratio d_{i+1}/d_i
+    of successive Gamma differences with both at least _FLOOR_MARGIN times the
+    rounding floor eps max|u| (n pi)^2 (the H2 norm of a unit roundoff on the
+    top grid mode), so known to 2/_FLOOR_MARGIN; NaN if there is none."""
     values = path.values
     floor = np.finfo(float).eps * float(np.abs(values).max()) * (math.pi * values.shape[-1]) ** 2
     d = np.asarray(diffs, dtype=float)
@@ -639,9 +637,7 @@ def gamma_iterate(
         sweep, u_path, dp.pressure_diff_norm, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
     )
     converged = status == "converged"
-    report = PicardReport(
-        len(diffs), ratios, converged, T_used=T, r_used=float("nan"), banach_ratio=_banach_ratio(diffs, current)
-    )
+    report = PicardReport(len(diffs), ratios, converged, T, float("nan"), banach_ratio=_banach_ratio(diffs, current))
     if converged:
         if return_plate:
             plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
@@ -797,35 +793,54 @@ def holder_F_check(
 # ---------------------------------------------------------------------------
 
 
-def mol_rhs(u: np.ndarray, v: np.ndarray, w: np.ndarray, p: ModelParams) -> tuple:
-    """Time derivative (du on the grid, dv and dw in mode space) of one oracle stage.
+def _stack(u: np.ndarray, v: np.ndarray, w: np.ndarray, theta1: float) -> np.ndarray:
+    """The oracle's stacked state (theta1, u, theta1, v, w): interior pressure samples with their traces, plate modes."""
+    return np.concatenate(([theta1], u, [theta1], v, w))
 
-    u holds the interior pressure samples (trace theta1), v and w the plate
-    modes (w~ = w - theta2), with k_max == n.  The plate operator acts
-    spectrally; the gap forcing G(w~) is evaluated on the doubled dealiasing
-    grid exactly as in the plate solver, and the pressure coupling uses the
-    sine expansion of the grid samples -- the same forcing recipe the Picard
-    construction uses, so the two integrators share one semidiscretization.
-    The transforms are the cached one-row matrices of sp.sine_matrices.
+
+_ZERO = np.zeros(1)  # a trace entry of the oracle's derivative
+
+
+def mol_rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Time derivative of one oracle stage on the stacked state y = _stack(u, v, w, theta1).
+
+    u holds the interior pressure samples, v and w the plate modes (w~ = w -
+    theta2), with k_max == n; the derivative has the same layout, zero at the
+    trace entries.  The plate operator acts spectrally; the gap forcing G(w~)
+    is evaluated on the doubled dealiasing grid exactly as in the plate
+    solver, and the pressure coupling uses the sine expansion of the grid
+    samples -- the same forcing recipe the Picard construction uses, so the
+    two integrators share one semidiscretization.  The transforms are the
+    cached one-row matrices of sp.sine_matrices.
 
     Raises ValueError when u, the synthesized v or w, or du is not finite,
     and the quench signal when the gap (trace included) closes on the grid
     or, after that, on the dealiasing grid.
     """
     th1, th2 = p.lift.theta1, p.lift.theta2
-    syn, ana, syn2, ana2 = sp.sine_matrices(w.size)
-    v_grid = syn @ v
-    w_grid = syn @ w + th2
-    for name, values in (("u", u), ("v", v_grid), ("w", w_grid)):
-        _require_finite(name, values)
-    w_min = min(float(w_grid.min()), th2)
+    n = (y.size - 2) // 3
+    syn, ana, syn2, ana2 = sp.sine_matrices(n)
+    up, vw, w = y[: n + 2], y[n + 2 :], y[2 * n + 2 :]
+    grid = (syn @ vw.reshape(2, n, 1)).reshape(2 * n)  # two matrix-vector products, bitwise
+    v_grid = grid[:n]
+    wp = _pad(grid[n:] + th2, th2)
+    # a cheap guard: the named checks run whenever it is not finite
+    if not math.isfinite(up @ up + grid @ grid):
+        for name, values in (("u", up), ("v", v_grid), ("w", wp)):
+            _require_finite(name, values)
+    w_min = float(wp.min())  # the traces are theta2
     if w_min <= 0.0:
         raise QuenchSignal("gap closed while evaluating F", min_value=w_min)
-    du = _reynolds(u, th1, v_grid, w_grid, th2)
+    du = _reynolds_padded(up, v_grid, wp)
     _require_finite("du", du)
-    g = ana2 @ dp._G_fine(syn2 @ w + th2, p) + p.beta_p * (ana @ (u - th1))
-    dv = -_plate_mu(w.size) * w + g
-    return du, dv, v.copy()
+    g = ana2 @ dp._G_fine(syn2 @ w + th2, p) + p.beta_p * (ana @ (up[1:-1] - th1))
+    return np.concatenate((_ZERO, du, _ZERO, _neg_plate_mu(n) * w + g, vw[:n]))
+
+
+def _w_min_oracle(w_modes: np.ndarray, theta2: float) -> float:
+    """_w_min_fine to rounding, by the cached pad-2 synthesis matrix (a float shift is monotone)."""
+    syn2 = sp.sine_matrices(w_modes.size)[2]
+    return min(float((syn2 @ w_modes).min()) + theta2, theta2)
 
 
 # Sub-steps the Runge-Kutta endgame may take to resolve a step in which the
@@ -851,7 +866,7 @@ def integrate_reference(
     quench_eps: float | None = None,
     u_cap: float | None = None,
 ) -> list:
-    """Classical four-stage Runge-Kutta on mol_rhs; the independent oracle.
+    """Classical four-stage Runge-Kutta on the stacked state of mol_rhs; the independent oracle.
 
     Requires dt <= 0.5/omega_max (explicit stability with a 5.6x margin under
     the RK4 imaginary-axis limit |z| <= 2*sqrt(2)), k_max == n and the
@@ -862,12 +877,13 @@ def integrate_reference(
     _ENDGAME_SUBSTEPS of them did not resolve it.  Every signal carries the
     stored trajectory, ending at the state where it was raised.
     """
-    if init.vw.k_max != init.u.n:
-        raise ValueError(f"integrate_reference requires k_max == n (got k_max={init.vw.k_max}, n={init.u.n})")
+    n = init.u.n
+    if init.vw.k_max != n:
+        raise ValueError(f"integrate_reference requires k_max == n (got k_max={init.vw.k_max}, n={n})")
     th1, th2 = p.lift.theta1, p.lift.theta2
     if abs(init.u.bv - th1) > 1e-12 * max(1.0, th1):
         raise ValueError("the initial pressure must carry boundary trace theta1")
-    omega_max = float(sp.plate_eigenvalues(init.vw.k_max).omega[-1])
+    omega_max = float(sp.plate_eigenvalues(n).omega[-1])
     if dt > 0.5 / omega_max:
         raise ValueError(f"step-size violation: dt={dt} exceeds 0.5/omega_max={0.5 / omega_max:.3e}")
     steps = max(1, int(round(T / dt)))
@@ -875,76 +891,74 @@ def integrate_reference(
     if store_every is None:
         store_every = max(1, steps // 512)
     floor = 0.0 if quench_eps is None else quench_eps
+    u_of, v_of, w_of = slice(1, n + 1), slice(n + 2, 2 * n + 2), slice(2 * n + 2, None)
 
-    def sample(u_s, v_s, w_s, t_s):
-        return CoupledState(u=GridField(values=u_s.copy(), bv=th1), vw=StateVW(v=v_s.copy(), w=w_s.copy()), t=t_s)
+    def sample(y_s, t_s):
+        u_s, v_s, w_s = y_s[u_of].copy(), y_s[v_of].copy(), y_s[w_of].copy()
+        return CoupledState(u=GridField(values=u_s, bv=th1), vw=StateVW(v=v_s, w=w_s), t=t_s)
 
-    u, v, w = init.u.values, init.vw.v, init.vw.w
-    out = [sample(u, v, w, init.t)]
+    y = _stack(init.u.values, init.vw.v, init.vw.w, th1)
+    out = [sample(y, init.t)]
 
-    def rk_step(u0, v0, w0, step):
-        k1 = mol_rhs(u0, v0, w0, p)
-        k2 = mol_rhs(u0 + 0.5 * step * k1[0], v0 + 0.5 * step * k1[1], w0 + 0.5 * step * k1[2], p)
-        k3 = mol_rhs(u0 + 0.5 * step * k2[0], v0 + 0.5 * step * k2[1], w0 + 0.5 * step * k2[2], p)
-        k4 = mol_rhs(u0 + step * k3[0], v0 + step * k3[1], w0 + step * k3[2], p)
-        return (
-            u0 + (step / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            v0 + (step / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            w0 + (step / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-        )
+    def rk_step(y0, step):
+        k1 = mol_rhs(y0, p)
+        k2 = mol_rhs(y0 + 0.5 * step * k1, p)
+        k3 = mol_rhs(y0 + 0.5 * step * k2, p)
+        k4 = mol_rhs(y0 + step * k3, p)
+        return y0 + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def stop(sig, u_f, v_f, w_f, t_f):
-        out.append(sample(u_f, v_f, w_f, t_f))
+    def stop(sig, y_f, t_f):
+        out.append(sample(y_f, t_f))
         sig.trajectory = out
         raise sig
 
-    def quench_raise(u_f, v_f, w_f, t_f, w_min_f):
-        stop(QuenchSignal("gap reached the quench threshold", min_value=w_min_f, t=t_f), u_f, v_f, w_f, t_f)
+    def quench_raise(y_f, t_f, w_min_f):
+        stop(QuenchSignal("gap reached the quench threshold", min_value=w_min_f, t=t_f), y_f, t_f)
 
-    def endgame(u0, v0, w0, t0, span):
+    def endgame(y0, t0, span):
         """The gap died inside a full step: roll back and sub-step adaptively
         until the monitor band is crossed cleanly (or the span survives)."""
-        u_l, v_l, w_l, t_l = u0, v0, w0, t0
+        y_l, t_l = y0, t0
         left = span
         dt_loc = span / 2.0
         for _ in range(_ENDGAME_SUBSTEPS):
             if left <= 1e-12 * span:
-                return u_l, v_l, w_l
+                return y_l
             try:
-                u_n, v_n, w_n = rk_step(u_l, v_l, w_l, min(dt_loc, left))
+                y_n = rk_step(y_l, min(dt_loc, left))
             except QuenchSignal:
                 dt_loc /= 2.0
                 if dt_loc < 1e-14 * span:
-                    quench_raise(u_l, v_l, w_l, t_l, _w_min_fine(w_l, th2))
+                    quench_raise(y_l, t_l, _w_min_oracle(y_l[w_of], th2))
                 continue
             taken = min(dt_loc, left)
-            u_l, v_l, w_l, t_l, left = u_n, v_n, w_n, t_l + taken, left - taken
-            w_min_l = _w_min_fine(w_l, th2)
+            y_l, t_l, left = y_n, t_l + taken, left - taken
+            w_min_l = _w_min_oracle(y_l[w_of], th2)
             if w_min_l <= floor:
-                quench_raise(u_l, v_l, w_l, t_l, w_min_l)
-        w_min_l = _w_min_fine(w_l, th2)
+                quench_raise(y_l, t_l, w_min_l)
+        w_min_l = _w_min_oracle(y_l[w_of], th2)
         message = (
             f"Runge-Kutta endgame used its {_ENDGAME_SUBSTEPS} sub-steps at t={t_l:.6g} "
             f"with min w={w_min_l:.6g} above the quench threshold"
         )
-        stop(EndgameBudgetSignal(message, min_value=w_min_l, t=t_l), u_l, v_l, w_l, t_l)
+        stop(EndgameBudgetSignal(message, min_value=w_min_l, t=t_l), y_l, t_l)
 
     for m in range(steps):
         t_pre = init.t + m * dt
         try:
-            u, v, w = rk_step(u, v, w, dt)
+            y = rk_step(y, dt)
         except QuenchSignal:
-            u, v, w = endgame(u, v, w, t_pre, dt)
+            y = endgame(y, t_pre, dt)
         t = init.t + (m + 1) * dt
-        w_min = _w_min_fine(w, th2)
+        w_min = _w_min_oracle(y[w_of], th2)
         if w_min <= floor:
-            quench_raise(u, v, w, t, w_min)
-        if u_cap is not None and float(np.abs(u).max()) >= u_cap:
+            quench_raise(y, t, w_min)
+        if u_cap is not None and float(np.abs(y[u_of]).max()) >= u_cap:
             sig = BlowupSignal(f"pressure blowup: max|u| exceeded {u_cap} at t={t}")
             sig.t = t
-            stop(sig, u, v, w, t)
+            stop(sig, y, t)
         if (m + 1) % store_every == 0 or m + 1 == steps:
-            out.append(sample(u, v, w, t))
+            out.append(sample(y, t))
     return out
 
 
@@ -1207,8 +1221,7 @@ def mass_balance_residual(trajectory: list, p: ModelParams) -> np.ndarray:
     if len(trajectory) < 3:
         return np.full(len(trajectory), np.nan)
     ts, mass, flux = mass_balance_terms(trajectory, p)
-    dmass = np.gradient(mass, ts, edge_order=2)
-    return np.abs(dmass - flux)
+    return np.abs(np.gradient(mass, ts, edge_order=2) - flux)
 
 
 def mass_balance_terms(trajectory: list, p: ModelParams) -> tuple:

@@ -583,11 +583,50 @@ class TestHolderF:
 # ---------------------------------------------------------------------------
 
 
+def stacked_rhs(u, v, w, p):
+    """mol_rhs on the stacked state of (u, v, w), split back into (du, dv, dw); the trace entries must be zero."""
+    n = u.size
+    dy = ry.mol_rhs(ry._stack(u, v, w, p.lift.theta1), p)
+    assert dy.shape == (3 * n + 2,) and dy[0] == dy[n + 1] == 0.0
+    return dy[1 : n + 1], dy[n + 2 : 2 * n + 2], dy[2 * n + 2 :]
+
+
+def three_array_mol_rhs(u, v, w, p):
+    """The oracle right-hand side on three separate arrays, as it was before the stacked state: the reference."""
+    th1, th2 = p.lift.theta1, p.lift.theta2
+    syn, ana, syn2, ana2 = sp.sine_matrices(w.size)
+    v_grid = syn @ v
+    w_grid = syn @ w + th2
+    for name, values in (("u", u), ("v", v_grid), ("w", w_grid)):
+        ry._require_finite(name, values)
+    w_min = min(float(w_grid.min()), th2)
+    if w_min <= 0.0:
+        raise QuenchSignal("gap closed while evaluating F", min_value=w_min)
+    du = ry._reynolds(u, th1, v_grid, w_grid, th2)
+    ry._require_finite("du", du)
+    g = ana2 @ dp._G_fine(syn2 @ w + th2, p) + p.beta_p * (ana @ (u - th1))
+    dv = -sp.plate_eigenvalues(w.size).mu * w + g
+    return du, dv, v.copy()
+
+
+def three_array_rk_step(u0, v0, w0, step, p):
+    """One classical Runge-Kutta step on three separate arrays, as it was before the stacked state."""
+    k1 = three_array_mol_rhs(u0, v0, w0, p)
+    k2 = three_array_mol_rhs(u0 + 0.5 * step * k1[0], v0 + 0.5 * step * k1[1], w0 + 0.5 * step * k1[2], p)
+    k3 = three_array_mol_rhs(u0 + 0.5 * step * k2[0], v0 + 0.5 * step * k2[1], w0 + 0.5 * step * k2[2], p)
+    k4 = three_array_mol_rhs(u0 + step * k3[0], v0 + step * k3[1], w0 + step * k3[2], p)
+    return (
+        u0 + (step / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+        v0 + (step / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+        w0 + (step / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+    )
+
+
 class TestMolOracle:
     def test_mol_rhs_equilibrium_nearly_zero(self):
         p = base_params()
         eq = ry.equilibrium_state(p, 32, 32)
-        du, dv, dw = ry.mol_rhs(eq.u.values, eq.vw.v, eq.vw.w, p)
+        du, dv, dw = stacked_rhs(eq.u.values, eq.vw.v, eq.vw.w, p)
         assert np.abs(du).max() == 0.0
         assert np.abs(dv).max() <= 1e-11
         assert np.abs(dw).max() == 0.0
@@ -597,10 +636,10 @@ class TestMolOracle:
         n = k = 16
         rng = np.random.default_rng(2)
         v = rng.normal(size=k) * 0.1
-        du, dv, dw = ry.mol_rhs(np.full(n, 1.0), v, bump_state(k).w, p)
+        du, dv, dw = stacked_rhs(np.full(n, 1.0), v, bump_state(k).w, p)
         assert np.array_equal(dw, v)  # kinematic identity dw/dt = v, exactly
         # frozen plate (v = 0): constant pressure over a static gap is stationary
-        du0, _, dw0 = ry.mol_rhs(np.full(n, 1.0), np.zeros(k), bump_state(k).w, p)
+        du0, _, dw0 = stacked_rhs(np.full(n, 1.0), np.zeros(k), bump_state(k).w, p)
         assert np.abs(du0).max() == 0.0
         assert np.abs(dw0).max() == 0.0
 
@@ -621,7 +660,7 @@ class TestMolOracle:
             w_grid = GridField(values=sp.inverse_sine_transform(w) + th2, bv=th2)
             want_du = ry.eval_F(GridField(values=u, bv=th1), v_grid, w_grid, p).values
             want_dv = -spec.mu * w + (dp._G_modes(w, p) + p.beta_p * sp.sine_transform(u - th1))
-            du, dv, dw = ry.mol_rhs(u, v, w, p)
+            du, dv, dw = stacked_rhs(u, v, w, p)
             assert np.max(np.abs(du - want_du)) <= 1e-13 * np.max(np.abs(want_du))
             assert np.max(np.abs(dv - want_dv)) <= 1e-13 * np.max(np.abs(want_dv))
             assert np.array_equal(dw, v)
@@ -638,12 +677,12 @@ class TestMolOracle:
         fine_min = sp.refined_min(w, 1.0)
         assert fine_min <= 0.0
         with pytest.raises(QuenchSignal, match="dealiasing grid") as exc:
-            ry.mol_rhs(np.full(n, 1.0), np.zeros(n), w, p)
+            stacked_rhs(np.full(n, 1.0), np.zeros(n), w, p)
         assert exc.value.min_value == pytest.approx(fine_min, abs=1e-12)
         # a gap closed at a coarse node is reported first
         w_closed = w - sp.sine_transform(np.full(n, 2.0))
         with pytest.raises(QuenchSignal, match="evaluating F"):
-            ry.mol_rhs(np.full(n, 1.0), np.zeros(n), w_closed, p)
+            stacked_rhs(np.full(n, 1.0), np.zeros(n), w_closed, p)
 
     def test_mol_rhs_rejects_non_finite_input(self):
         p = base_params()
@@ -652,11 +691,86 @@ class TestMolOracle:
         u = np.full(n, 1.0)
         u[3] = np.nan
         with pytest.raises(ValueError, match="values must be finite"):
-            ry.mol_rhs(u, np.zeros(n), w, p)
+            stacked_rhs(u, np.zeros(n), w, p)
         v = np.zeros(n)
         v[5] = np.nan
         with pytest.raises(ValueError, match="values must be finite"):
-            ry.mol_rhs(np.full(n, 1.0), v, w, p)
+            stacked_rhs(np.full(n, 1.0), v, w, p)
+
+    def test_mol_rhs_checks_in_order(self):
+        # each named check fires with its own message, in the order u, v, w,
+        # coarse gap; a non-finite value beats a closed gap
+        p = base_params()
+        n = 16
+        w_closed = bump_state(n).w - sp.sine_transform(np.full(n, 2.0))
+        for field in ("u", "v", "w"):
+            u, v, w = np.full(n, 1.0), np.zeros(n), w_closed.copy()
+            {"u": u, "v": v, "w": w}[field][2] = np.inf
+            with pytest.raises(ValueError, match=f"^{field} values must be finite"):
+                stacked_rhs(u, v, w, p)
+        with pytest.raises(QuenchSignal, match="evaluating F"):
+            stacked_rhs(np.full(n, 1.0), np.zeros(n), w_closed, p)
+
+    def test_mol_rhs_rejects_non_finite_du(self):
+        # finite u, v, w over an open gap whose flux overflows: only du is not finite
+        p = base_params()
+        n = 16
+        u = np.full(n, 1.0)
+        u[3] = 1e300
+        with pytest.raises(ValueError, match="^du values must be finite"):
+            stacked_rhs(u, np.zeros(n), bump_state(n).w, p)
+        with pytest.raises(ValueError, match="^du values must be finite"):
+            three_array_mol_rhs(u, np.zeros(n), bump_state(n).w, p)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_stacked_steps_are_bitwise_the_three_array_steps(self, n):
+        p = ModelParams(beta_F=2.0, beta_p=0.7, lift=BoundaryLift(1.1, 0.9), eps1=0.5)
+        rng = np.random.default_rng(n + 1)
+        decay = np.arange(1, n + 1, dtype=float) ** -2
+        u = p.lift.theta1 + 0.2 * np.sin(np.pi * sp.grid(n)) + 0.01 * rng.normal(size=n)
+        v = 0.1 * rng.normal(size=n) * decay
+        w = 0.05 * rng.normal(size=n) * decay
+        init = CoupledState(u=GridField(values=u, bv=p.lift.theta1), vw=StateVW(v=v, w=w))
+        steps = 4
+        T = steps * 0.25 / float(sp.plate_eigenvalues(n).omega[-1])
+        traj = ry.integrate_reference(p, init, T, T / steps, store_every=1)
+        assert len(traj) == steps + 1
+        state = (u, v, w)
+        for m in range(1, steps + 1):
+            state = three_array_rk_step(*state, T / steps, p)
+            got = (traj[m].u.values, traj[m].vw.v, traj[m].vw.w)
+            assert all(np.array_equal(a, b) for a, b in zip(got, state)), m
+
+    def test_matrix_monitor_agrees_with_the_dst_monitor(self):
+        rng = np.random.default_rng(11)
+        for k in (16, 24, 64):
+            decay = np.arange(1, k + 1, dtype=float) ** -1.5
+            for _ in range(50):
+                w = rng.normal(size=k) * decay * 10.0 ** rng.uniform(-3, 0)
+                for th2 in (1.0, 0.3):
+                    want = ry._w_min_fine(w, th2)
+                    assert abs(ry._w_min_oracle(w, th2) - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_oracle_stops_at_the_step_of_the_dst_monitor(self, monkeypatch):
+        # the quench problem at n = 24: both monitors see the threshold crossed
+        # at the same step, with the same trajectory
+        p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
+        n = 24
+        init = CoupledState(u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n)))
+        dt = 0.5 / float(sp.plate_eigenvalues(n).omega[-1])
+
+        def touchdown():
+            with pytest.raises(QuenchSignal) as exc:
+                ry.integrate_reference(p, init, 1.0, dt, quench_eps=1e-3)
+            return exc.value
+
+        matrix = touchdown()
+        monkeypatch.setattr(ry, "_w_min_oracle", ry._w_min_fine)
+        dst = touchdown()
+        assert 0.2 < matrix.t < 0.3 and matrix.t == dst.t
+        assert abs(matrix.min_value - dst.min_value) <= 1e-13
+        assert [s.t for s in matrix.trajectory] == [s.t for s in dst.trajectory]
+        assert np.array_equal(matrix.trajectory[-1].u.values, dst.trajectory[-1].u.values)
 
     def test_oracle_builds_grid_fields_only_for_stored_samples(self, monkeypatch):
         # regression guard on the lean right-hand side: no per-stage GridField

@@ -559,24 +559,6 @@ def frechet_W(
     return path.v, path.w
 
 
-def empirical_lipschitz_W(
-    p: ModelParams,
-    u1_path: PressurePath,
-    u2_path: PressurePath,
-    init: StateVW,
-    T: float,
-    tol: float = 1e-10,
-) -> float:
-    """sup_t ||W(u1)(t) - W(u2)(t)||_{L2 x H2} / sup_t ||u1(t) - u2(t)||_H2."""
-    du = pressure_diff_norm(u1_path, u2_path)
-    if du == 0.0:
-        return 0.0
-    vw1, _ = picard_dispersive(p, u1_path, init, T, tol=tol)
-    vw2, _ = picard_dispersive(p, u2_path, init, T, tol=tol)
-    dw = path_diff_norm(vw1, vw2)
-    return dw / du
-
-
 def holder_seminorm(times: np.ndarray, values: np.ndarray, norm, alpha: float) -> float:
     """max over node pairs i < j of norm(values[j] - values[i]) / (t_j - t_i)^alpha.
 

@@ -269,6 +269,7 @@ def norm_X(s: StateVW, spec: PlateSpectrum | None = None) -> float:
     return float(np.sqrt(0.5 * np.sum(s.v**2) + 0.5 * np.sum(spec.mu * s.w**2)))
 
 
+@lru_cache(maxsize=None)
 def _hk_weights(k_max: int, k: int) -> np.ndarray:
     kpi2 = (np.pi * np.arange(1, k_max + 1)) ** 2
     lam = np.ones(k_max)
@@ -276,6 +277,7 @@ def _hk_weights(k_max: int, k: int) -> np.ndarray:
     for _ in range(k):
         p = p * kpi2
         lam = lam + p
+    lam.setflags(write=False)
     return lam
 
 

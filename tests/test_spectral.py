@@ -118,6 +118,31 @@ def test_norm_Hk_values():
         sp.norm_Hk(f, 5)
 
 
+def _hk_weights_uncached(k_max, k):
+    """The H^k weights as norm_Hk built them on every call before they were cached."""
+    kpi2 = (np.pi * np.arange(1, k_max + 1)) ** 2
+    lam = np.ones(k_max)
+    p = np.ones(k_max)
+    for _ in range(k):
+        p = p * kpi2
+        lam = lam + p
+    return lam
+
+
+@pytest.mark.parametrize("k_max", [3, 16, 64])
+def test_norm_Hk_with_cached_weights_is_bitwise_unchanged(k_max):
+    rng = np.random.default_rng(k_max)
+    stack = rng.normal(size=(50, k_max)) / np.arange(1, k_max + 1) ** 2
+    for k in (0, 1, 2, 3):
+        lam = _hk_weights_uncached(k_max, k)
+        want = np.sqrt(0.5 * np.sum(lam * stack**2, axis=-1))
+        assert np.array_equal(sp.norm_Hk(stack, k), want)
+        assert [sp.norm_Hk(f, k) for f in stack] == [float(np.sqrt(0.5 * np.sum(lam * f**2))) for f in stack]
+        cached = sp._hk_weights(k_max, k)
+        assert cached is sp._hk_weights(k_max, k) and not cached.flags.writeable
+        assert np.array_equal(cached, lam)
+
+
 def test_lifted_norm_H2_against_quadrature():
     # dense Gauss quadrature of ||ell + f||_H2 for an affine lift
     from numpy.polynomial.legendre import leggauss

@@ -122,7 +122,7 @@ def test_simulate_reference_series_matches_golden(fresh):
 
 
 def test_simulate_reference_snapshots_match_golden(fresh):
-    bad = snapshot_mismatches(GOLDEN, fresh, RTOL)
+    bad = snapshot_mismatches(GOLDEN, fresh, SNAPSHOT_RTOL["reference.ini"])
     assert not bad, bad[0]
 
 

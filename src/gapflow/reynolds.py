@@ -7,7 +7,7 @@ This module owns the gas-film side of the model and the fully coupled run:
   initial data (the exact Jacobian of the discrete ``eval_F`` in u),
 * elliptic and sectorial diagnostics of that linearization,
 * ``linear_parabolic_solve`` -- the analytic-semigroup propagator realized by
-  dense matrix exponentials with exponential-trapezoid forcing,
+  dense exp / phi_1 / phi_2 matrices of P* with exponential-trapezoid forcing,
 * ``gamma_iterate`` -- the outer contraction that produces the pressure fixed
   point (each sweep solves the plate subproblem for the current pressure),
 * ``frechet_F`` / ``holder_F_check`` -- derivative assembly and the Hoelder
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from . import dispersive as dp
 from . import spectral as sp
@@ -96,6 +96,11 @@ class PstarOperator:
     w0: GridField
     h: float
     _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _eigen(self):
+        """(W, lam, W_inv) with matrix = W diag(lam) W_inv, or None (_symmetrized_eigen)."""
+        return _symmetrized_eigen(self.matrix)
 
 
 @dataclass
@@ -489,26 +494,73 @@ def sector_check(
 # ---------------------------------------------------------------------------
 
 
+# Largest condition number max(s)/min(s) of the diagonal similarity S that
+# the eigen route of _propagator accepts; its rounding grows with cond(S).
+_COND_S_MAX = 1e3
+
+# phi_2 is summed from its Taylor series where |z| <= 1, since
+# (expm1(z) - z) / z^2 cancels there; the first term left out is 1/20! < 1e-18.
+_PHI2_TAYLOR = 1.0 / np.array([math.factorial(j + 2) for j in range(18)])
+
+
+def _phi12(z: np.ndarray) -> tuple:
+    """phi_1(z) = expm1(z)/z and phi_2(z) = (expm1(z) - z)/z^2, elementwise."""
+    small = np.abs(z) <= 1.0
+    zz = np.where(small, 1.0, z)
+    em1 = np.expm1(z)
+    phi2 = np.where(small, np.polynomial.polynomial.polyval(z, _PHI2_TAYLOR), (em1 - zz) / zz**2)
+    phi1 = np.where(small, 1.0 + z * phi2, em1 / zz)
+    return phi1, phi2
+
+
+def _symmetrized_eigen(m: np.ndarray):
+    """Eigen-factorisation m = W diag(lam) W_inv of a real tridiagonal matrix.
+
+    Where every sub_i sup_i > 0, the diagonal S with s_{i+1}/s_i =
+    sqrt(sub_i/sup_i) makes S^-1 m S symmetric tridiagonal, with off-diagonal
+    sqrt(sub_i sup_i); its eigenpairs (lam, V) give W = S V and W_inv = V^T S^-1.
+    None when some sub_i sup_i <= 0 or cond(S) > _COND_S_MAX.
+    """
+    sub, sup = np.diag(m, -1), np.diag(m, 1)
+    if not np.all(sub * sup > 0.0):
+        return None
+    s = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))
+    if not s.max() <= _COND_S_MAX * s.min():
+        return None
+    lam, V = eigh_tridiagonal(np.diag(m), np.sqrt(sub * sup))
+    return s[:, None] * V, lam, V.T / s
+
+
 def _propagator(op: PstarOperator, dt: float):
-    """E = exp(dt P*), K1 = dt phi_1(dt P*), K2 = dt phi_2(dt P*) from one augmented expm."""
+    """E = exp(dt P*), K1 = dt phi_1(dt P*), K2 = dt phi_2(dt P*), as dense matrices.
+
+    P* is tridiagonal, so where a diagonal similarity symmetrizes it
+    (_symmetrized_eigen) each of the three is W f(dt lam) W_inv for a scalar
+    f (Hochbruck & Ostermann, Exponential integrators, Acta Numerica 19,
+    2010).  Otherwise they are blocks of one expm of the 3n x 3n augmented
+    matrix [[dt P*, I, 0], [0, 0, I], [0, 0, 0]].
+    """
     key = float(dt)
     cached = op._prop_cache.get(key)
     if cached is not None:
         return cached
-    n = op.matrix.shape[0]
-    aug = np.zeros((3 * n, 3 * n))
-    aug[:n, :n] = dt * op.matrix
-    aug[:n, n : 2 * n] = np.eye(n)
-    aug[n : 2 * n, 2 * n :] = np.eye(n)
-    try:
+    if op._eigen is not None:
+        W, lam, W_inv = op._eigen
+        z = dt * lam
+        phi1, phi2 = _phi12(z)
+        E, K1, K2 = ((W * f) @ W_inv for f in (np.exp(z), dt * phi1, dt * phi2))
+    else:
+        n = op.matrix.shape[0]
+        aug = np.zeros((3 * n, 3 * n))
+        aug[:n, :n] = dt * op.matrix
+        aug[:n, n : 2 * n] = np.eye(n)
+        aug[n : 2 * n, 2 * n :] = np.eye(n)
         big = expm(aug)
-    except Exception as exc:  # pragma: no cover - scipy failure surface
-        raise RuntimeError("matrix exponential failed (ill-conditioned operator)") from exc
-    if not np.all(np.isfinite(big)):
+        E = big[:n, :n]
+        K1 = dt * big[:n, n : 2 * n]
+        K2 = dt * big[:n, 2 * n :]
+    if not all(np.all(np.isfinite(a)) for a in (E, K1, K2)):
         raise RuntimeError("matrix exponential overflow (ill-conditioned operator)")
-    E = big[:n, :n]
-    K1 = dt * big[:n, n : 2 * n]
-    K2 = dt * big[:n, 2 * n :]
     op._prop_cache[key] = (E, K1, K2)
     return E, K1, K2
 
@@ -523,8 +575,8 @@ def linear_parabolic_solve(
     """March phi(t) = e^{t P*} u0 + int_0^t e^{(t-s) P*} F(s) ds with exact kicks.
 
     F_path holds the forcing at the N_t + 1 nodes, shape (N_t + 1, n).  The
-    forcing is interpolated linearly on each step; phi_1/phi_2 kick matrices
-    from the augmented exponential make that quadrature exact, so constant
+    forcing is interpolated linearly on each step; the phi_1/phi_2 kick
+    matrices of _propagator make that quadrature exact, so constant
     forcings and steady states are reproduced to rounding.  Returns the
     shifted (zero-trace) path, bv = 0.
     """
@@ -625,7 +677,7 @@ def gamma_iterate(
     def sweep(current):
         plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
         F = _F_path(current, plate, p)
-        forcing = np.array([f - op.matrix @ (u - th1) for f, u in zip(F, current.values)])
+        forcing = F - (current.values - th1) @ op.matrix.T
         fresh = linear_parabolic_solve(op, forcing, u0_tilde, T, N_t).values + th1
         # the Duhamel integral vanishes at t=0, so the initial sample is the
         # initial datum itself -- pin it bitwise rather than via the

@@ -14,8 +14,10 @@ Re-pinning the golden files is this script with OUTDIR tests/golden
 pinned to one thread as above.
 
 --scale-E X multiplies E = exp(dt P*) of the pressure propagator by 1 + X;
---wrong-K2 replaces its K2 = dt phi_2(dt P*) by K1/2.  Both exist to show which
-changes the golden comparison lets through and which it catches.
+on both shipped configs that is the E of the eigen route of
+reynolds._propagator, which no operator of theirs leaves for the augmented
+expm.  --wrong-K2 replaces its K2 = dt phi_2(dt P*) by K1/2.  Both exist to
+show which changes the golden comparison lets through and which it catches.
 """
 
 import argparse

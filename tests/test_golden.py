@@ -19,7 +19,8 @@ The contract compares each column by what it can carry:
   the Runge-Kutta tail at the touchdown.
 
 The runs are child processes with the BLAS and OpenMP pools pinned to one
-thread, as the golden files were written.  The last tests show the strength
+thread, as the golden files were written; a run with two threads must write
+the same bytes.  The last tests show the strength
 of the contract: a rounding-level change of the pressure propagator passes
 it, and a 1e-9 change or a wrong phi_2 kick fails it."""
 
@@ -47,8 +48,8 @@ def _read(path):
         return list(csv.reader(fh))
 
 
-def _simulate(config, out, *perturbation):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _simulate(config, out, *perturbation, threads="1"):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     cmd = [sys.executable, str(ROOT / "tests" / "golden_run.py"), config, str(out), *perturbation]
     subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=600)
@@ -140,6 +141,14 @@ def test_simulate_quench_series_matches_golden(fresh_quench):
 def test_simulate_quench_snapshots_match_golden(fresh_quench):
     bad = snapshot_mismatches(GOLDEN / "quench", fresh_quench, SNAPSHOT_RTOL["quench.ini"])
     assert not bad, bad[0]
+
+
+@pytest.mark.parametrize("config", ["reference.ini", "quench.ini"])
+def test_outputs_do_not_depend_on_the_blas_pool_size(request, tmp_path, config):
+    one = request.getfixturevalue("fresh" if config == "reference.ini" else "fresh_quench")
+    two = _simulate(config, tmp_path, threads="2")
+    for name in ("series.csv", "snapshots.csv", "mass_terms.csv"):
+        assert (two / name).read_bytes() == (one / name).read_bytes(), f"{name} differs between 1 and 2 threads"
 
 
 @pytest.mark.parametrize("config", ["reference.ini", "quench.ini"])

@@ -3,10 +3,14 @@ diagnostics, the semigroup linear solve, the outer contraction, the RK4
 oracle, the coupled driver, continuation, and the balance diagnostics."""
 
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
+from gapflow import cli
 from gapflow import dispersive as dp
 from gapflow import reynolds as ry
 from gapflow import spectral as sp
@@ -19,6 +23,7 @@ from gapflow.reynolds import (
 )
 from gapflow.spectral import BoundaryLift, GridField, QuenchSignal, StateVW
 
+ROOT = Path(__file__).resolve().parent.parent
 LIFT = BoundaryLift(1.0, 1.0)
 
 
@@ -35,6 +40,14 @@ def bump_state(k, amp=0.05):
 def bump_pressure(n, amp=0.1):
     x = sp.grid(n)
     return GridField(values=1.0 + amp * np.sin(np.pi * x), bv=1.0)
+
+
+def heat_op(n):
+    return ry.assemble_Pstar(
+        GridField(values=np.ones(n), bv=1.0),
+        GridField(values=np.zeros(n), bv=0.0),
+        GridField(values=np.ones(n), bv=1.0),
+    )
 
 
 def smooth_coupled_init(n):
@@ -172,6 +185,155 @@ class TestAssemblePstar:
         assert E1 is E2
         E3, _, _ = ry._propagator(op, 0.02)
         assert E3 is not E1
+
+
+# ---------------------------------------------------------------------------
+# the propagator of P*
+# ---------------------------------------------------------------------------
+
+
+def augmented_propagator(m, dt):
+    """E, K1, K2 as blocks of one expm of [[dt P*, I, 0], [0, 0, I], [0, 0, 0]]: the reference."""
+    n = m.shape[0]
+    aug = np.zeros((3 * n, 3 * n))
+    aug[:n, :n] = dt * m
+    aug[:n, n : 2 * n] = np.eye(n)
+    aug[n : 2 * n, 2 * n :] = np.eye(n)
+    big = scipy.linalg.expm(aug)
+    return big[:n, :n], dt * big[:n, n : 2 * n], dt * big[:n, 2 * n :]
+
+
+SWEEP_CELL_256 = """[params]
+beta_F = 1.0
+beta_p = 0.5
+[init]
+kind = single-bump
+u_amp = 0.1
+w_amp = 0.05
+v_amp = 0.1
+[discretization]
+k_max = 256
+n = 256
+N_t = 32
+[run]
+T = 0.2
+tol = 1e-9
+"""
+
+
+@pytest.fixture(scope="module")
+def run_operators(tmp_path_factory):
+    """{run: [(operator, dt), ...]} for every propagator a simulate run builds."""
+    configs = {
+        "reference.ini": cli._load_config(str(ROOT / "configs" / "reference.ini")),
+        "quench.ini": cli._load_config(str(ROOT / "configs" / "quench.ini")),
+        "sweep cell n = 256": cli.parse_config(SWEEP_CELL_256),
+    }
+    found = {}
+    exact = ry._propagator
+    for name, cfg in configs.items():
+        seen = found[name] = {}
+
+        def spy(op, dt):
+            seen[id(op), dt] = (op, dt)
+            return exact(op, dt)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ry, "_propagator", spy)
+            cli.cmd_simulate(cfg, out=str(tmp_path_factory.mktemp("run")), quiet=True)
+    return {name: list(seen.values()) for name, seen in found.items()}
+
+
+def count_expm(monkeypatch):
+    calls = []
+    exact = ry.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return exact(a)
+
+    monkeypatch.setattr(ry, "expm", counting)
+    return calls
+
+
+class TestPropagator:
+    # Bounds on |eigen route - reference| / sup|reference| for (E, K1, K2),
+    # the reference's own rounding included.  Measured: reference.ini 3.0e-15,
+    # 2.2e-15, 2.1e-15; quench.ini 1.5e-14, 6.0e-15, 4.0e-15; the n = 256
+    # cell 1.2e-13, 4.7e-14, 3.1e-14.
+    @pytest.mark.parametrize(
+        "run, tol",
+        [
+            ("reference.ini", (5e-15, 5e-15, 5e-15)),
+            ("quench.ini", (2e-14, 1e-14, 1e-14)),
+            ("sweep cell n = 256", (2e-13, 1e-13, 1e-13)),
+        ],
+    )
+    def test_eigen_route_matches_the_augmented_expm(self, run_operators, run, tol):
+        ops = run_operators[run]
+        for op, dt in ops:
+            assert op._eigen is not None, "a shipped run left the eigen route"
+            got = ry._propagator(op, dt)
+            for name, g, r, bound in zip(("E", "K1", "K2"), got, augmented_propagator(op.matrix, dt), tol):
+                err = np.abs(g - r).max() / np.abs(r).max()
+                assert err <= bound, f"{run}: {name} at dt={dt} off by {err:.3g} of its sup norm"
+
+    @pytest.mark.parametrize(
+        "z",
+        [0.0, 1e-8, -1e-8, 1.0, np.nextafter(1.0, 2.0), -1.0, np.nextafter(-1.0, -2.0), 1.2, -50.0],
+    )
+    def test_phi_functions_against_mpmath(self, z):
+        # |z| <= 1 takes phi_2's series, just past 1 the expm1 quotient
+        phi1, phi2 = ry._phi12(np.array([z]))
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            Z = mpmath.mpf(z)
+            want1 = mpmath.mpf(1) if z == 0 else mpmath.expm1(Z) / Z
+            want2 = mpmath.mpf(0.5) if z == 0 else (mpmath.expm1(Z) - Z) / Z**2
+            assert abs(phi1[0] - want1) <= 2 * eps * abs(want1)
+            assert abs(phi2[0] - want2) <= 2 * eps * abs(want2)
+
+    def test_sign_changing_off_diagonals_take_the_augmented_expm(self, monkeypatch):
+        # w drops tenfold where u triples: the face flux of row 6 turns the
+        # coupling to its left neighbour negative (sub_5 < 0 < sup_5)
+        n = 12
+        u = np.ones(n)
+        u[6:] = 3.0
+        w = np.ones(n)
+        w[6:] = 0.1
+        op = ry.assemble_Pstar(
+            GridField(values=u, bv=1.0), GridField(values=np.zeros(n), bv=0.0), GridField(values=w, bv=1.0)
+        )
+        sub, sup = np.diag(op.matrix, -1), np.diag(op.matrix, 1)
+        assert np.any(sub * sup <= 0.0)
+        calls = count_expm(monkeypatch)
+        got = ry._propagator(op, 1e-3)
+        assert calls == [(3 * n, 3 * n)]
+        for g, r in zip(got, augmented_propagator(op.matrix, 1e-3)):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("cond, route", [(0.99 * ry._COND_S_MAX, "eigen"), (1.01 * ry._COND_S_MAX, "expm")])
+    def test_ill_conditioned_symmetrizer_takes_the_augmented_expm(self, monkeypatch, cond, route):
+        # a diagonal similarity of the heat operator: same spectrum, cond(S) =
+        # cond; just under the limit the eigen route is off by 2.3e-13, about
+        # cond(S) times the unit roundoff (1.1e-15 at cond(S) = 1)
+        n = 12
+        heat = heat_op(n)
+        r = cond ** (1.0 / (n - 1))
+        m = heat.matrix.copy()
+        idx = np.arange(n - 1)
+        m[idx + 1, idx] *= r
+        m[idx, idx + 1] /= r
+        op = ry.PstarOperator(matrix=m, u0=heat.u0, v0=heat.v0, w0=heat.w0, h=heat.h)
+        calls = count_expm(monkeypatch)
+        got = ry._propagator(op, 1e-3)
+        ref = augmented_propagator(m, 1e-3)
+        if route == "expm":
+            assert calls == [(3 * n, 3 * n)]
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        else:
+            assert calls == []
+            assert all(np.abs(g - r).max() <= 1e-12 * np.abs(r).max() for g, r in zip(got, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +508,9 @@ class TestSectorAndGraphNorm:
 
 
 class TestLinearParabolicSolve:
-    def _heat_op(self, n):
-        return ry.assemble_Pstar(
-            GridField(values=np.ones(n), bv=1.0),
-            GridField(values=np.zeros(n), bv=0.0),
-            GridField(values=np.ones(n), bv=1.0),
-        )
-
     def test_heat_decay_exact_for_discrete_operator(self):
         n = 64
-        op = self._heat_op(n)
+        op = heat_op(n)
         modes = np.zeros(n)
         modes[2] = 1.0
         u0 = sp.inverse_sine_transform(modes)
@@ -370,7 +525,7 @@ class TestLinearParabolicSolve:
         errs = []
         T, Nt = 0.02, 16
         for n in (32, 64):
-            op = self._heat_op(n)
+            op = heat_op(n)
             modes = np.zeros(n)
             modes[0] = 1.0
             u0 = sp.inverse_sine_transform(modes)
@@ -381,7 +536,7 @@ class TestLinearParabolicSolve:
 
     def test_constant_forcing_steady_state(self):
         n = 48
-        op = self._heat_op(n)
+        op = heat_op(n)
         F = np.sin(np.pi * sp.grid(n))
         path = ry.linear_parabolic_solve(op, [F] * 129, np.zeros(n), 3.0, 128)
         steady = -np.linalg.solve(op.matrix, F)
@@ -389,14 +544,14 @@ class TestLinearParabolicSolve:
 
     def test_initial_value_exact(self):
         n = 16
-        op = self._heat_op(n)
+        op = heat_op(n)
         u0 = np.sin(np.pi * sp.grid(n)) * 0.3
         path = ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, u0, 0.1, 4)
         assert np.array_equal(path.values[0], u0)
 
     def test_shape_validation(self):
         n = 8
-        op = self._heat_op(n)
+        op = heat_op(n)
         with pytest.raises(ValueError):
             ry.linear_parabolic_solve(op, [np.zeros(n)] * 3, np.zeros(n), 0.1, 4)
         with pytest.raises(ValueError):

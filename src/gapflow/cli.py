@@ -28,12 +28,11 @@ from . import reynolds as ry
 from . import spectral as sp
 from . import verify as vf
 from .dispersive import ModelParams
-from .reynolds import CoupledState, DriverConfig, RunReport
+from .reynolds import SERIES_COLUMNS, CoupledState, DriverConfig, RunReport
 from .spectral import BoundaryLift, GridField, StateVW
 
 SCHEMA_VERSION = "1.1"
 
-SERIES_COLUMNS = ("t", "min_w", "max_u", "mass_residual", "norm_X", "contraction_ratio")
 SNAPSHOT_COLUMNS = ("t", "field", "index", "value")
 SWEEP_COLUMNS = ("beta_F", "beta_p", "termination", "T_used", "quench_time", "note")
 
@@ -426,15 +425,14 @@ def _json_float(x) -> float | None:
 
 
 def _snapshot_at(report: RunReport, t_req: float) -> dict:
-    ts = np.array([s.t for s in report.states])
-    i = int(np.argmin(np.abs(ts - t_req)))
-    s = report.states[i]
+    tr = report.trajectory
+    i = int(np.argmin(np.abs(tr.t - t_req)))
     return {
         "t_requested": float(t_req),
-        "t": float(s.t),
-        "u": [float(v) for v in s.u.values],
-        "v": [float(v) for v in s.vw.v],
-        "w": [float(v) for v in s.vw.w],
+        "t": float(tr.t[i]),
+        "u": tr.u[i].tolist(),
+        "v": tr.v[i].tolist(),
+        "w": tr.w[i].tolist(),
     }
 
 
@@ -469,14 +467,7 @@ def _record_payload(record: RunRecord) -> dict:
         "n_t": rep.n_t,
         "tol": float(rep.tol),
         "compat_proxy": float(rep.compat_proxy),
-        "series": {
-            "t": [_json_float(r.t) for r in rep.series],
-            "min_w": [_json_float(r.min_w) for r in rep.series],
-            "max_u": [_json_float(r.max_u) for r in rep.series],
-            "mass_residual": [_json_float(r.mass_residual) for r in rep.series],
-            "norm_X": [_json_float(r.norm_X) for r in rep.series],
-            "contraction_ratio": [_json_float(r.contraction_ratio) for r in rep.series],
-        },
+        "series": {c: [_json_float(x) for x in rep.series[c]] for c in SERIES_COLUMNS},
         "snapshots": list(record.snapshots),
     }
 
@@ -496,21 +487,8 @@ def export(record: RunRecord, fmt: str, outdir: str) -> dict:
         series_path = os.path.join(outdir, "series.csv")
         with open(series_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for r in record.report.series:
-                fh.write(
-                    ",".join(
-                        _fmt(x)
-                        for x in (
-                            r.t,
-                            r.min_w,
-                            r.max_u,
-                            r.mass_residual,
-                            r.norm_X,
-                            r.contraction_ratio,
-                        )
-                    )
-                    + "\n"
-                )
+            for row in zip(*(record.report.series[c] for c in SERIES_COLUMNS)):
+                fh.write(",".join(_fmt(x) for x in row) + "\n")
         snap_path = os.path.join(outdir, "snapshots.csv")
         with open(snap_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
@@ -681,16 +659,13 @@ def _suite_semigroup(seed: int) -> list:
     decay = np.arange(1, k + 1, dtype=float) ** -2.0
     phases = [sp.reduced_cossin(spec.omega, float(t)) for t in np.linspace(0.0, 100.0, 33)[1:]]
 
-    def norm_X(v, w):  # sp.norm_X, one norm per row
-        return np.sqrt(0.5 * np.sum(v**2, axis=-1) + 0.5 * np.sum(spec.mu * w**2, axis=-1))
-
     worst = 0.0
     for rows in sp.audit_blocks(100):
         # one state per row, v then w: the draw order of StateVW(v=..., w=...)
         v, w = (rng.normal(size=(rows, 2, k)) * decay).transpose(1, 0, 2)
-        base = norm_X(v, w)
+        base = sp.norm_X(v, w, spec)
         for c, sn in phases:
-            drift = np.abs(norm_X(*sp._rotate(v, w, spec.omega, c, sn)) - base)
+            drift = np.abs(sp.norm_X(*sp._rotate(v, w, spec.omega, c, sn), spec) - base)
             worst = max(worst, float(np.max(drift / base)))
     results = [CheckResult("semigroup.norm_conservation", worst <= 1e-10, worst, 1e-10)]
     s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)

@@ -47,7 +47,7 @@ __all__ = [
     "SectorReport",
     "EllipticReport",
     "CoupledState",
-    "StepRecord",
+    "Trajectory",
     "RunReport",
     "DriverConfig",
     "GammaDivergence",
@@ -144,18 +144,44 @@ class CoupledState:
 
 
 @dataclass
-class StepRecord:
-    t: float
-    min_w: float
-    max_u: float
-    mass_residual: float
-    norm_X: float
-    contraction_ratio: float  # the chunk's PicardReport.banach_ratio; NaN on the Runge-Kutta tail
+class Trajectory:
+    """A run as (time, .) arrays: row i is the state at time t[i].
+
+    u (N, n) holds the interior pressure samples, whose boundary trace is
+    theta1; v and w (N, k_max) hold the plate modes (w~ = w - theta2).
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    theta1: float
+
+    def state(self, i: int) -> CoupledState:
+        return CoupledState(
+            u=GridField(values=self.u[i], bv=self.theta1), vw=StateVW(v=self.v[i], w=self.w[i]), t=float(self.t[i])
+        )
+
+
+def _join(parts: list) -> Trajectory:
+    """The rows of several trajectories in order; each part after the first
+    starts at the last row of the one before, so its first row is dropped."""
+    rows = [(p.t, p.u, p.v, p.w) if i == 0 else (p.t[1:], p.u[1:], p.v[1:], p.w[1:]) for i, p in enumerate(parts)]
+    return Trajectory(*(np.concatenate(col) for col in zip(*rows)), theta1=parts[0].theta1)
+
+
+# The columns of RunReport.series, in the order the exporters write them.
+SERIES_COLUMNS = ("t", "min_w", "max_u", "mass_residual", "norm_X", "contraction_ratio")
 
 
 @dataclass
 class RunReport:
-    """Per-run record: parameters, discretization, termination, series."""
+    """Per-run record: parameters, discretization, termination, series.
+
+    series maps each name of SERIES_COLUMNS to one value per trajectory row;
+    contraction_ratio is the chunk's PicardReport.banach_ratio, NaN at the
+    initial row and on the Runge-Kutta tail.
+    """
 
     params: ModelParams
     k_max: int
@@ -164,16 +190,19 @@ class RunReport:
     tol: float
     T: float
     termination: str  # converged | quench | pressure_blowup | pressure_floor | budget | endgame_budget
-    series: list
+    series: dict
     T_used: float
-    final_state: CoupledState
-    states: list
+    trajectory: Trajectory
     compat_proxy: float
     quench_eps: float
     u_cap: float
     quench_time: float | None = None
     note: str = ""
     config: "DriverConfig | None" = None
+
+    @property
+    def final_state(self) -> CoupledState:
+        return self.trajectory.state(-1)
 
 
 # Driver policy.  A chunk that contracts with ratio <= _GROW_BELOW grows
@@ -272,15 +301,15 @@ def _neg_plate_mu(k_max: int) -> np.ndarray:
     return neg_mu
 
 
-def _w_min_fine(w_modes: np.ndarray, theta2: float) -> float:
-    """Gap minimum over the doubled sine grid (plus the boundary trace).
+def _w_min_fine(w_modes: np.ndarray, theta2: float):
+    """Gap minimum over the doubled sine grid (plus the boundary trace), one per row of w_modes.
 
     The nonlinear terms are evaluated on this refined grid, so touchdown
     detection must look there too: near quench the mode-limited profile can
     dip between coarse nodes long before a coarse sample crosses the
     threshold.
     """
-    return min(sp.refined_min(w_modes, theta2, 2), theta2)
+    return np.minimum(sp.refined_values(w_modes, theta2).min(axis=-1), theta2)
 
 
 # ---------------------------------------------------------------------------
@@ -348,43 +377,38 @@ def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator
     if min(float(w0.values.min()), w0.bv) <= 0.0:
         raise ValueError("coefficient positivity violation: w0 must be strictly positive")
     h = 1.0 / (n + 1)
-    up = _pad(u0.values, u0.bv)
-    wp = _pad(w0.values, w0.bv)
-    a = wp**3 * up
-    a_face = 0.5 * (a[:-1] + a[1:])  # length n+1, faces j-1/2 for j=1..n+1
+    up, w3, aL, aR, inv_wh2 = _faces(u0, w0, h)
     du_face = np.diff(up)  # undivided differences u_{j+1}-u_j at faces
-    w3 = wp**3
-    inv_wh2 = 1.0 / (w0.values * h * h)
-
-    # interior row i (0-based): neighbours via faces L=i, R=i+1
-    aL, aR = a_face[:-1], a_face[1:]
     duL, duR = du_face[:-1], du_face[1:]
     sub = (aL - 0.5 * w3[:-2] * duL) * inv_wh2  # d F_i / d u_{i-1}
     sup = (aR + 0.5 * w3[2:] * duR) * inv_wh2  # d F_i / d u_{i+1}
     diag = (-aL - aR + 0.5 * w3[1:-1] * (duR - duL)) * inv_wh2 - v0.values / w0.values
+    return PstarOperator(matrix=_tridiagonal(sub, diag, sup), u0=u0, v0=v0, w0=w0, h=h)
 
+
+def _faces(u0: GridField, w0: GridField, h: float) -> tuple:
+    """Face arithmetic of the linearization: (u0 and w0^3 padded with their traces,
+    the averages of w0^3 u0 on the left and right face of each interior node, 1/(w0 h^2))."""
+    up = _pad(u0.values, u0.bv)
+    w3 = _pad(w0.values, w0.bv) ** 3
+    a = w3 * up
+    a_face = 0.5 * (a[:-1] + a[1:])  # length n+1, faces j-1/2 for j=1..n+1
+    return up, w3, a_face[:-1], a_face[1:], 1.0 / (w0.values * h * h)
+
+
+def _tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Dense matrix whose row i holds sub[i], diag[i], sup[i] at columns i-1, i, i+1 (sub[0], sup[-1] fall outside)."""
     m = np.diag(diag)
-    idx = np.arange(n - 1)
+    idx = np.arange(diag.size - 1)
     m[idx + 1, idx] = sub[1:]
     m[idx, idx + 1] = sup[:-1]
-    return PstarOperator(matrix=m, u0=u0, v0=v0, w0=w0, h=h)
+    return m
 
 
 def _principal_matrix(op: PstarOperator) -> np.ndarray:
     """Highest-order part (1/w0) D(w0^3 u0 D q) of the assembled operator."""
-    n = op.u0.n
-    h = op.h
-    up = _pad(op.u0.values, op.u0.bv)
-    wp = _pad(op.w0.values, op.w0.bv)
-    a = wp**3 * up
-    a_face = 0.5 * (a[:-1] + a[1:])
-    inv_wh2 = 1.0 / (op.w0.values * h * h)
-    aL, aR = a_face[:-1], a_face[1:]
-    m = np.diag(-(aL + aR) * inv_wh2)
-    idx = np.arange(n - 1)
-    m[idx + 1, idx] = (aL * inv_wh2)[1:]
-    m[idx, idx + 1] = (aR * inv_wh2)[:-1]
-    return m
+    _, _, aL, aR, inv_wh2 = _faces(op.u0, op.w0, op.h)
+    return _tridiagonal(aL * inv_wh2, -(aL + aR) * inv_wh2, aR * inv_wh2)
 
 
 def _lifted_h3(modes: np.ndarray, bv: float) -> float:
@@ -917,17 +941,17 @@ def integrate_reference(
     store_every: int | None = None,
     quench_eps: float | None = None,
     u_cap: float | None = None,
-) -> list:
+) -> Trajectory:
     """Classical four-stage Runge-Kutta on the stacked state of mol_rhs; the independent oracle.
 
     Requires dt <= 0.5/omega_max (explicit stability with a 5.6x margin under
     the RK4 imaginary-axis limit |z| <= 2*sqrt(2)), k_max == n and the
-    pressure trace theta1.  Returns sampled states, always including the
-    first and last.  Raises the quench signal when the gap reaches quench_eps
-    (or closes entirely); a step in which a stage sees the gap closed is
-    redone in adaptive sub-steps, and EndgameBudgetSignal reports that
-    _ENDGAME_SUBSTEPS of them did not resolve it.  Every signal carries the
-    stored trajectory, ending at the state where it was raised.
+    pressure trace theta1.  Returns the sampled states as a Trajectory,
+    always including the first and last.  Raises the quench signal when the
+    gap reaches quench_eps (or closes entirely); a step in which a stage sees
+    the gap closed is redone in adaptive sub-steps, and EndgameBudgetSignal
+    reports that _ENDGAME_SUBSTEPS of them did not resolve it.  Every signal
+    carries the stored Trajectory, ending at the state where it was raised.
     """
     n = init.u.n
     if init.vw.k_max != n:
@@ -944,13 +968,13 @@ def integrate_reference(
         store_every = max(1, steps // 512)
     floor = 0.0 if quench_eps is None else quench_eps
     u_of, v_of, w_of = slice(1, n + 1), slice(n + 2, 2 * n + 2), slice(2 * n + 2, None)
-
-    def sample(y_s, t_s):
-        u_s, v_s, w_s = y_s[u_of].copy(), y_s[v_of].copy(), y_s[w_of].copy()
-        return CoupledState(u=GridField(values=u_s, bv=th1), vw=StateVW(v=v_s, w=w_s), t=t_s)
-
     y = _stack(init.u.values, init.vw.v, init.vw.w, th1)
-    out = [sample(y, init.t)]
+    samples = [(init.t, y)]  # the stored (t, y); no step writes into a stored y
+
+    def trajectory():
+        ts, ys = zip(*samples)
+        rows = np.array(ys)
+        return Trajectory(np.array(ts), rows[:, u_of], rows[:, v_of], rows[:, w_of], th1)
 
     def rk_step(y0, step):
         k1 = mol_rhs(y0, p)
@@ -960,12 +984,14 @@ def integrate_reference(
         return y0 + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def stop(sig, y_f, t_f):
-        out.append(sample(y_f, t_f))
-        sig.trajectory = out
-        raise sig
+        """sig with its time and the stored Trajectory, which ends at (t_f, y_f).  The
+        caller raises it, so no frame on its traceback holds it in a reference cycle."""
+        samples.append((t_f, y_f))
+        sig.t, sig.trajectory = t_f, trajectory()
+        return sig
 
     def quench_raise(y_f, t_f, w_min_f):
-        stop(QuenchSignal("gap reached the quench threshold", min_value=w_min_f, t=t_f), y_f, t_f)
+        raise stop(QuenchSignal("gap reached the quench threshold", min_value=w_min_f), y_f, t_f)
 
     def endgame(y0, t0, span):
         """The gap died inside a full step: roll back and sub-step adaptively
@@ -993,7 +1019,7 @@ def integrate_reference(
             f"Runge-Kutta endgame used its {_ENDGAME_SUBSTEPS} sub-steps at t={t_l:.6g} "
             f"with min w={w_min_l:.6g} above the quench threshold"
         )
-        stop(EndgameBudgetSignal(message, min_value=w_min_l, t=t_l), y_l, t_l)
+        raise stop(EndgameBudgetSignal(message, min_value=w_min_l, t=t_l), y_l, t_l)
 
     for m in range(steps):
         t_pre = init.t + m * dt
@@ -1006,21 +1032,17 @@ def integrate_reference(
         if w_min <= floor:
             quench_raise(y, t, w_min)
         if u_cap is not None and float(np.abs(y[u_of]).max()) >= u_cap:
-            sig = BlowupSignal(f"pressure blowup: max|u| exceeded {u_cap} at t={t}")
-            sig.t = t
-            stop(sig, y, t)
+            raise stop(BlowupSignal(f"pressure blowup: max|u| exceeded {u_cap} at t={t}"), y, t)
         if (m + 1) % store_every == 0 or m + 1 == steps:
-            out.append(sample(y, t))
-    return out
+            samples.append((t, y))
+    return trajectory()
 
 
-def _status_of(u_vals: np.ndarray, w_min: float, quench_eps: float, u_cap: float) -> str:
-    """Classify a state: 'quench' (gap at/below threshold), 'pressure_blowup', or 'alive'."""
-    if w_min <= quench_eps:
-        return "quench"
-    if float(np.abs(u_vals).max()) >= u_cap:
-        return "pressure_blowup"
-    return "alive"
+def _status_of(u: np.ndarray, w_min, quench_eps: float, u_cap: float) -> np.ndarray:
+    """Classify each row of pressure samples u with its gap minimum w_min:
+    'quench' (gap at/below threshold) before 'pressure_blowup', else 'alive'."""
+    blowup = np.abs(u).max(axis=-1) >= u_cap
+    return np.where(w_min <= quench_eps, "quench", np.where(blowup, "pressure_blowup", "alive"))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,19 +1086,18 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     th1, th2 = p.lift.theta1, p.lift.theta2
     quench_eps = config.quench_eps if config.quench_eps is not None else 1e-3 * th2
     u_cap = config.u_cap if config.u_cap is not None else 1e6 * th1
-    spec = sp.plate_eigenvalues(k)
 
     proxy = compat_regularity_proxy(init, p)
-    state = CoupledState(u=GridField(values=init.u.values.copy(), bv=init.u.bv), vw=init.vw, t=init.t)
+    # the stored run: trajectory parts for _join, and the contraction ratio of each row they add
+    parts = [Trajectory(np.array([init.t]), init.u.values[None], init.vw.v[None], init.vw.w[None], th1)]
+    ratios = [np.full(1, np.nan)]
 
-    w_min0 = _w_min_fine(state.vw.w, th2)
-    status0 = _status_of(state.u.values, w_min0, quench_eps, u_cap)
-    series: list = [_step_record(state, w_min0, spec)]
-    states: list = [state]
+    # the initial state is checked for quench and blowup, not for the pressure floor
+    kappa0 = float(_w_min_fine(init.vw.w, th2))
+    status0 = str(_status_of(init.u.values, kappa0, quench_eps, u_cap))
     if status0 != "alive":
-        return _finalize_report(p, init, T, config, status0, series, states, proxy, quench_eps, u_cap)
+        return _finalize_report(p, init, T, config, status0, parts, ratios, proxy, quench_eps, u_cap)
 
-    kappa0 = w_min0
     if p.beta_F > 0:
         guess = 0.05 * kappa0**3 / p.beta_F
     else:
@@ -1086,13 +1107,13 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         chunk = min(chunk, config.chunk_cap)
     chunk = min(chunk, T)
 
-    t_now = state.t
+    state = init
     t_end = init.t + T
     chunks_done = 0
     termination = "budget"
     note = ""
     while True:
-        remaining = t_end - t_now
+        remaining = t_end - state.t
         if remaining <= 1e-12 * max(1.0, abs(t_end)):
             termination = "converged"
             break
@@ -1102,9 +1123,9 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             break
         this_chunk = min(chunk, remaining)
         if this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
-            termination, note = _rk4_tail(p, state, remaining, quench_eps, u_cap, series, states, spec)
-            t_now = states[-1].t
-            state = states[-1]
+            termination, note, tail = _rk4_tail(p, state, remaining, quench_eps, u_cap)
+            parts.append(tail)
+            ratios.append(np.full(tail.t.size - 1, np.nan))
             break
         guess_path = _constant_path(state.u, this_chunk, config.n_t)
         try:
@@ -1124,81 +1145,57 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
 
         # chunk growth reads the last ratio; the series records Banach's estimate
         ratio = rep.contraction_ratios[-1] if rep.contraction_ratios else 0.0
-        stop_at = None
-        stop_status = "alive"
-        for i in range(1, u_new.times.size):
-            w_min = _w_min_fine(plate.w[i], th2)
-            u_vals = u_new.values[i]
-            status = _status_of(u_vals, w_min, quench_eps, u_cap)
-            abs_t = t_now + u_new.times[i]
-            cs = CoupledState(
-                u=GridField(values=u_vals, bv=u_new.bv), vw=StateVW(v=plate.v[i], w=plate.w[i]), t=abs_t
-            )
-            states.append(cs)
-            series.append(_step_record(cs, w_min, spec, rep.banach_ratio))
-            if status != "alive":
-                stop_at = i
-                stop_status = status
-                break
-            if float(u_vals.min()) < p.eps1 * (1.0 - 1e-9):
-                stop_at = i
-                stop_status = "pressure_floor"
-                note = f"pressure positivity floor eps1={p.eps1} violated at t={abs_t:.6g}"
-                break
-        state = states[-1]
-        t_now = state.t
+        # the chunk is cut after its first row that is not alive; at one row
+        # quench and blowup take precedence over the pressure floor
+        u_rows = u_new.values[1:]
+        status = _status_of(u_rows, _w_min_fine(plate.w[1:], th2), quench_eps, u_cap)
+        below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
+        status = np.where((status == "alive") & below_floor, "pressure_floor", status)
+        dead = np.flatnonzero(status != "alive")
+        rows = dead[0] + 2 if dead.size else u_new.times.size
+        parts.append(Trajectory(state.t + u_new.times[:rows], u_new.values[:rows], plate.v[:rows], plate.w[:rows], th1))
+        ratios.append(np.full(rows - 1, rep.banach_ratio))
+        state = parts[-1].state(-1)
         chunks_done += 1
-        if stop_at is not None:
-            termination = stop_status
+        if dead.size:
+            termination = str(status[dead[0]])
+            if termination == "pressure_floor":
+                note = f"pressure positivity floor eps1={p.eps1} violated at t={state.t:.6g}"
             break
         if ratio <= _GROW_BELOW:
             chunk = chunk * 1.5
             if config.chunk_cap is not None:
                 chunk = min(chunk, config.chunk_cap)
 
-    return _finalize_report(
-        p, init, T, config, termination, series, states, proxy, quench_eps, u_cap, note
-    )
+    return _finalize_report(p, init, T, config, termination, parts, ratios, proxy, quench_eps, u_cap, note)
 
 
-def _rk4_tail(p, state, remaining, quench_eps, u_cap, series, states, spec):
-    """Resolve the final approach with the oracle integrator; returns (termination, note)."""
-    omega_max = float(spec.omega[-1])
-    dt = 0.25 / omega_max
+def _rk4_tail(p, state, remaining, quench_eps, u_cap):
+    """Resolve the final approach with the oracle integrator; returns (termination, note, Trajectory)."""
+    dt = 0.25 / float(sp.plate_eigenvalues(state.vw.k_max).omega[-1])
     try:
         tail = integrate_reference(p, state, remaining, dt, quench_eps=quench_eps, u_cap=u_cap)
     except QuenchSignal as sig:
-        _append_tail(sig.trajectory[1:], p, series, states, spec)
-        return "quench", "contraction horizon collapsed; touchdown resolved by the reference scheme"
+        return "quench", "contraction horizon collapsed; touchdown resolved by the reference scheme", sig.trajectory
     except BlowupSignal as sig:
-        _append_tail(sig.trajectory[1:], p, series, states, spec)
-        return "pressure_blowup", "pressure cap crossed during the reference-scheme tail"
+        return "pressure_blowup", "pressure cap crossed during the reference-scheme tail", sig.trajectory
     except EndgameBudgetSignal as sig:
-        _append_tail(sig.trajectory[1:], p, series, states, spec)
-        return "endgame_budget", str(sig)
-    _append_tail(tail[1:], p, series, states, spec)
-    return "converged", "tail integrated with the reference scheme"
+        return "endgame_budget", str(sig), sig.trajectory
+    return "converged", "tail integrated with the reference scheme", tail
 
 
-def _append_tail(tail_states, p, series, states, spec):
-    for cs in tail_states:
-        states.append(cs)
-        series.append(_step_record(cs, _w_min_fine(cs.vw.w, p.lift.theta2), spec))
-
-
-def _step_record(cs: CoupledState, w_min: float, spec, ratio: float = float("nan")) -> StepRecord:
-    """Series row of one state; mass_residual is filled in once the run is over."""
-    return StepRecord(cs.t, w_min, float(cs.u.values.max()), float("nan"), sp.norm_X(cs.vw, spec), ratio)
-
-
-def _finalize_report(
-    p, init, T, config, termination, series, states, proxy, quench_eps, u_cap, note=""
-):
-    final = states[-1]
-    quench_time = final.t if termination == "quench" else None
-    residuals = mass_balance_residual(states, p)
-    for rec, r in zip(series, residuals):
-        rec.mass_residual = float(r)
+def _finalize_report(p, init, T, config, termination, parts, ratios, proxy, quench_eps, u_cap, note=""):
+    """The RunReport of a run stored as trajectory parts (see _join) and the contraction ratio of each row they add."""
+    tr = _join(parts)
+    columns = (
+        tr.t,
+        _w_min_fine(tr.w, p.lift.theta2),
+        tr.u.max(axis=-1),
+        mass_balance_residual(tr, p),
+        sp.norm_X(tr.v, tr.w, sp.plate_eigenvalues(init.vw.k_max)),
+        np.concatenate(ratios),
+    )
+    t_final = float(tr.t[-1])
     return RunReport(
         params=p,
         k_max=init.vw.k_max,
@@ -1207,14 +1204,13 @@ def _finalize_report(
         tol=config.tol,
         T=T,
         termination=termination,
-        series=series,
-        T_used=final.t - init.t,
-        final_state=final,
-        states=states,
+        series=dict(zip(SERIES_COLUMNS, columns)),
+        T_used=t_final - init.t,
+        trajectory=tr,
         compat_proxy=proxy,
         quench_eps=quench_eps,
         u_cap=u_cap,
-        quench_time=quench_time,
+        quench_time=t_final if termination == "quench" else None,
         note=note,
         config=config,
     )
@@ -1226,7 +1222,8 @@ def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None 
     The concatenated trajectory must agree with a single longer run over the
     overlap (restart re-assembles the linearization from data the two runs
     share to within tol).  Refuses to continue past quench or blowup; zero
-    extra horizon is the identity.
+    extra horizon is the identity.  Each part keeps the series values of its
+    own run, mass_residual included.
     """
     if report.termination != "converged":
         raise ValueError(f"cannot continue a run that terminated with '{report.termination}'")
@@ -1235,12 +1232,7 @@ def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None 
     if extra_T == 0:
         return replace(report)
     cfg = config if config is not None else report.config
-    status = _status_of(
-        report.final_state.u.values,
-        _w_min_fine(report.final_state.vw.w, report.params.lift.theta2),
-        report.quench_eps,
-        report.u_cap,
-    )
+    status = _status_of(report.trajectory.u[-1], report.series["min_w"][-1], report.quench_eps, report.u_cap)
     if status != "alive":
         raise ValueError(f"cannot continue: final state is not alive ({status})")
     second = run_coupled(report.params, report.final_state, extra_T, cfg)
@@ -1248,10 +1240,9 @@ def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None 
         report,
         T=report.T + extra_T,
         termination=second.termination,
-        series=report.series + second.series[1:],
+        series={c: np.concatenate((report.series[c], second.series[c][1:])) for c in SERIES_COLUMNS},
         T_used=report.T_used + second.T_used,
-        final_state=second.final_state,
-        states=report.states + second.states[1:],
+        trajectory=_join([report.trajectory, second.trajectory]),
         quench_time=second.quench_time,
         note=second.note or report.note,
         config=cfg,
@@ -1263,35 +1254,33 @@ def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None 
 # ---------------------------------------------------------------------------
 
 
-def mass_balance_residual(trajectory: list, p: ModelParams) -> np.ndarray:
-    """|d/dt int w u dx  -  [w^3 u u_x]_0^1| along a trajectory of coupled states.
+def mass_balance_residual(trajectory: Trajectory, p: ModelParams) -> np.ndarray:
+    """|d/dt int w u dx  -  [w^3 u u_x]_0^1| at each row of a trajectory.
 
     Quadrature is the trapezoid rule including the boundary values theta2 *
     theta1; boundary derivatives are second-order one-sided; the time
     derivative is the central difference (one-sided at the ends).
     """
-    if len(trajectory) < 3:
-        return np.full(len(trajectory), np.nan)
+    if trajectory.t.size < 3:
+        return np.full(trajectory.t.size, np.nan)
     ts, mass, flux = mass_balance_terms(trajectory, p)
     return np.abs(np.gradient(mass, ts, edge_order=2) - flux)
 
 
-def mass_balance_terms(trajectory: list, p: ModelParams) -> tuple:
-    """(t, int w u dx, [w^3 u u_x]_0^1) at each state of a trajectory, the terms of mass_balance_residual."""
+def mass_balance_terms(trajectory: Trajectory, p: ModelParams) -> tuple:
+    """(t, int w u dx, [w^3 u u_x]_0^1) at each row of a trajectory, the terms of mass_balance_residual."""
     th1, th2 = p.lift.theta1, p.lift.theta2
-    n = trajectory[0].u.n
-    h = 1.0 / (n + 1)
-    ts = np.array([s.t for s in trajectory])
-    u = np.array([s.u.values for s in trajectory])
-    w_grid = sp.inverse_sine_transform(np.array([s.vw.w for s in trajectory])) + th2
+    u = trajectory.u
+    h = 1.0 / (u.shape[-1] + 1)
+    w_grid = sp.inverse_sine_transform(trajectory.w) + th2
     mass = h * (th2 * th1 + (w_grid * u).sum(axis=-1))  # trapezoid: half of each boundary value twice
     ux0 = (-3.0 * th1 + 4.0 * u[:, 0] - u[:, 1]) / (2.0 * h)
     ux1 = (3.0 * th1 - 4.0 * u[:, -1] + u[:, -2]) / (2.0 * h)
-    return ts, mass, th2**3 * th1 * (ux1 - ux0)
+    return trajectory.t, mass, th2**3 * th1 * (ux1 - ux0)
 
 
-def equilibrium_state(p: ModelParams, k_max: int, n: int | None = None) -> CoupledState:
-    """Stationary fixture: u = theta1, v = 0, and w~ solving A w~ + G(w~) = 0.
+def equilibrium_state(p: ModelParams, k_max: int) -> CoupledState:
+    """Stationary fixture on the n = k_max grid: u = theta1, v = 0, and w~ solving A w~ + G(w~) = 0.
 
     Newton iteration with the Jacobian approximated by its dominant spectral
     diagonal -mu (exact as beta_F -> 0), damped on residual increase, to a
@@ -1300,8 +1289,6 @@ def equilibrium_state(p: ModelParams, k_max: int, n: int | None = None) -> Coupl
     exact constant fixed point.
     """
     tol, max_iter = 1e-12, 200
-    if n is None:
-        n = k_max
     spec = sp.plate_eigenvalues(k_max)
     w = np.zeros(k_max)
     res = dp._G_modes(w, p) - spec.mu * w
@@ -1328,5 +1315,5 @@ def equilibrium_state(p: ModelParams, k_max: int, n: int | None = None) -> Coupl
     else:
         raise RuntimeError(f"equilibrium iteration stalled at residual {res_norm:.3e}")
     th1 = p.lift.theta1
-    u = GridField(values=np.full(n, th1), bv=th1)
+    u = GridField(values=np.full(k_max, th1), bv=th1)
     return CoupledState(u=u, vw=StateVW(v=np.zeros(k_max), w=w), t=0.0)

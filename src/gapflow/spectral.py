@@ -189,9 +189,9 @@ def refined_values(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> np.ndarray:
     return inverse_sine_transform(padded) + bv
 
 
-def refined_min(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> float:
-    """min of refined_values(m, bv, pad); the boundary trace bv is not one of the samples."""
-    return float(np.min(refined_values(m, bv, pad)))
+def refined_min(m: np.ndarray, bv: float = 0.0) -> float:
+    """min of refined_values(m, bv); the boundary trace bv is not one of the samples."""
+    return float(np.min(refined_values(m, bv)))
 
 
 def dealias_apply(func, *mode_args, bvs=None, pad: int = 2):
@@ -262,11 +262,14 @@ def _rotate(v, w, om, c, sn) -> tuple:
     return -w * om * sn + v * c, w * c + v * sn / om
 
 
-def norm_X(s: StateVW, spec: PlateSpectrum | None = None) -> float:
-    """Energy norm of the state space X = L2 x H2*: sqrt( sum v_k^2/2 + sum mu_k w_k^2/2 )."""
-    if spec is None:
-        spec = plate_eigenvalues(s.k_max)
-    return float(np.sqrt(0.5 * np.sum(s.v**2) + 0.5 * np.sum(spec.mu * s.w**2)))
+def norm_X(v: np.ndarray, w: np.ndarray, spec: PlateSpectrum):
+    """Energy norm of the state space X = L2 x H2*: sqrt( sum v_k^2/2 + sum mu_k w_k^2/2 ).
+
+    Acts along the last axis of the mode arrays v and w: a float for one
+    state, one norm per row for a stack of states (a path).
+    """
+    norms = np.sqrt(0.5 * np.sum(v**2, axis=-1) + 0.5 * np.sum(spec.mu * w**2, axis=-1))
+    return norms if norms.ndim else float(norms)
 
 
 @lru_cache(maxsize=None)
@@ -312,23 +315,15 @@ def int_sine(k_max: int) -> np.ndarray:
     return (1.0 - (-1.0) ** np.arange(1, k_max + 1)) / (k * np.pi)
 
 
-def int_x_sine(k_max: int) -> np.ndarray:
-    """int_0^1 x sin(k pi x) dx = (-1)^{k+1}/(k pi)."""
-    k = np.arange(1, k_max + 1, dtype=float)
-    return (-1.0) ** np.arange(2, k_max + 2) / (k * np.pi)
-
-
-def lifted_norm_H2(f: np.ndarray, bv, slope: float = 0.0):
-    """H2 norm of ell(x) + f(x) where ell(x) = bv + slope*(x - 1/2) ... i.e. an affine lift.
+def lifted_norm_H2(f: np.ndarray, bv):
+    """H2 norm of bv + f(x): a sine series f lifted by the constant bv.
 
     The sine-spectral H2 norm only sees the zero-trace part; for lifted fields
     (the physical w0 = theta2 + w~0, or G0 with its constant term) the L2 piece
-    picks up cross terms:
+    picks up cross terms, while the derivatives do not see the constant:
 
-        ||ell + f||_L2^2 = ||f||_L2^2 + int ell^2 + 2 int ell f,
-        ||(ell + f)'||_L2^2 = ||f'||_L2^2 + slope^2 + 2*slope*int f'     (int f' = 0 boundary-to-boundary? no:
-                               int_0^1 f' dx = f(1)-f(0) = 0 for zero-trace f),
-        ||(ell + f)''||_L2^2 = ||f''||_L2^2   (ell'' = 0).
+        ||bv + f||_L2^2 = ||f||_L2^2 + bv^2 + 2 bv int f,
+        ||(bv + f)'||_L2^2 = ||f'||_L2^2,   ||(bv + f)''||_L2^2 = ||f''||_L2^2.
 
     So only the L2 term needs the closed-form sine moments.  Like norm_Hk it
     acts along the last axis: a float for one mode vector, one norm per row
@@ -337,13 +332,9 @@ def lifted_norm_H2(f: np.ndarray, bv, slope: float = 0.0):
     """
     f = np.asarray(f, dtype=float)
     k_max = f.shape[-1]
-    a = slope
-    b = bv - 0.5 * slope  # ell(x) = a x + b
-    int_ell_sq = a**2 / 3.0 + a * b + b**2
-    int_ell_f = a * np.sum(f * int_x_sine(k_max), axis=-1) + b * np.sum(f * int_sine(k_max), axis=-1)
     kpi2 = (np.pi * np.arange(1, k_max + 1)) ** 2
-    l2 = 0.5 * np.sum(f**2, axis=-1) + int_ell_sq + 2.0 * int_ell_f
-    h1 = 0.5 * np.sum(kpi2 * f**2, axis=-1) + a**2  # cross term vanishes: int f' = 0
+    l2 = 0.5 * np.sum(f**2, axis=-1) + bv**2 + 2.0 * (bv * np.sum(f * int_sine(k_max), axis=-1))
+    h1 = 0.5 * np.sum(kpi2 * f**2, axis=-1)
     h2 = 0.5 * np.sum(kpi2**2 * f**2, axis=-1)
     norms = np.sqrt(l2 + h1 + h2)
     return norms if f.ndim > 1 else float(norms)

@@ -498,7 +498,7 @@ def convergence_study() -> ConvergenceStudy:
     init = _smooth_init(n)
     dts = (8e-5, 4e-5, 2e-5)  # errors above the rounding floor; 8e-5 < 0.5/omega_max = 8.79e-5
     finals = [
-        ry.integrate_reference(p, init, T, dt, store_every=10**9)[-1].u.values for dt in dts
+        ry.integrate_reference(p, init, T, dt, store_every=10**9).u[-1] for dt in dts
     ]
     e1 = float(np.abs(finals[0] - finals[1]).max())
     e2 = float(np.abs(finals[1] - finals[2]).max())

@@ -56,7 +56,7 @@ def main(argv=None):
         record = cli.cmd_simulate(cfg, out=tmp, quiet=True)
         for name in ("series.csv", "snapshots.csv"):
             shutil.copyfile(os.path.join(tmp, name), os.path.join(args.outdir, name))
-    ts, mass, flux = ry.mass_balance_terms(record.report.states, cfg.model_params())
+    ts, mass, flux = ry.mass_balance_terms(record.report.trajectory, cfg.model_params())
     with open(os.path.join(args.outdir, "mass_terms.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,mass,flux\n")
         for row in zip(ts, mass, flux):

@@ -69,9 +69,10 @@ def test_c03_semigroup_unitarity():
     worst = 0.0
     for _ in range(100):
         s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
-        base = sp.norm_X(s0, spec)
+        base = sp.norm_X(s0.v, s0.w, spec)
         for t in times:
-            drift = abs(sp.norm_X(sp.semigroup_apply(s0, spec, float(t)), spec) - base)
+            turned = sp.semigroup_apply(s0, spec, float(t))
+            drift = abs(sp.norm_X(turned.v, turned.w, spec) - base)
             worst = max(worst, drift / base)
     el = time.perf_counter() - t0
     _report(3, "semigroup unitarity", worst <= 1e-10, f"max relative drift={worst:.3e} (tol 1e-10, 100 states, t in [0,100])", el, cap=10.0)
@@ -152,11 +153,11 @@ def test_c05_oracle_equivalence():
     traj = ry.integrate_reference(p, init, T, T / n_t, store_every=1)
     gap = scale = 0.0
     for i in range(n_t + 1):
-        du = u_fix.values[i] - traj[i].u.values
-        dwm = plate.w[i] - traj[i].vw.w
+        du = u_fix.values[i] - traj.u[i]
+        dwm = plate.w[i] - traj.w[i]
         gap = max(gap, sp.norm_Hk(sp.sine_transform(du), 1))
         gap = max(gap, sp.norm_Hk(dwm, 1))
-        scale = max(scale, sp.norm_Hk(sp.sine_transform(traj[i].u.values - 1.0), 1))
+        scale = max(scale, sp.norm_Hk(sp.sine_transform(traj.u[i] - 1.0), 1))
     h = 1.0 / (n + 1)
     dt = T / n_t
     allowance = max(1e-8, 5 * (h**2 + dt**2)) * max(scale, 1.0)
@@ -306,7 +307,7 @@ def test_c10_quench_dichotomy():
         u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n))
     )
     rep = ry.run_coupled(p, init, 1.0, DriverConfig(n_t=32, tol=1e-8))
-    quenched = rep.termination == "quench" and rep.series[-1].min_w <= 1e-3 * p.lift.theta2
+    quenched = rep.termination == "quench" and rep.series["min_w"][-1] <= 1e-3 * p.lift.theta2
     spec = sp.plate_eigenvalues(n)
     with pytest.raises(sp.QuenchSignal) as exc:
         ry.integrate_reference(

@@ -193,9 +193,9 @@ def test_picard_zero_couplings_is_pure_semigroup():
     path, rep = dp.picard_dispersive(p, up, init, 0.5)
     assert rep.iterations == 1
     spec = sp.plate_eigenvalues(k)
-    n0 = sp.norm_X(init, spec)
+    n0 = sp.norm_X(init.v, init.w, spec)
     for v, w in zip(path.v, path.w):
-        assert abs(sp.norm_X(sp.StateVW(v, w), spec) - n0) <= 1e-10 * n0
+        assert abs(sp.norm_X(v, w, spec) - n0) <= 1e-10 * n0
 
 
 def test_picard_uniqueness_wrt_time_resolution_tail():

@@ -2,6 +2,7 @@
 diagnostics, the semigroup linear solve, the outer contraction, the RK4
 oracle, the coupled driver, continuation, and the balance diagnostics."""
 
+import gc
 import math
 from pathlib import Path
 
@@ -52,6 +53,17 @@ def heat_op(n):
 
 def smooth_coupled_init(n):
     return CoupledState(u=bump_pressure(n), vw=bump_state(n))
+
+
+def trajectory_of(states):
+    """The Trajectory whose rows are the given coupled states."""
+    return ry.Trajectory(
+        t=np.array([s.t for s in states]),
+        u=np.array([s.u.values for s in states]),
+        v=np.array([s.vw.v for s in states]),
+        w=np.array([s.vw.w for s in states]),
+        theta1=states[0].u.bv,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +579,7 @@ class TestGammaIterate:
     def test_equilibrium_fixed_in_one_iteration(self):
         p = base_params()
         k = n = 32
-        eq = ry.equilibrium_state(p, k, n)
+        eq = ry.equilibrium_state(p, k)
         guess = ry._constant_path(eq.u, 1e-3, 12)
         u_fix, rep = ry.gamma_iterate(guess, p, eq.vw, 1e-3, tol=1e-10)
         assert rep.converged and rep.iterations == 1
@@ -780,7 +792,7 @@ def three_array_rk_step(u0, v0, w0, step, p):
 class TestMolOracle:
     def test_mol_rhs_equilibrium_nearly_zero(self):
         p = base_params()
-        eq = ry.equilibrium_state(p, 32, 32)
+        eq = ry.equilibrium_state(p, 32)
         du, dv, dw = stacked_rhs(eq.u.values, eq.vw.v, eq.vw.w, p)
         assert np.abs(du).max() == 0.0
         assert np.abs(dv).max() <= 1e-11
@@ -889,11 +901,11 @@ class TestMolOracle:
         steps = 4
         T = steps * 0.25 / float(sp.plate_eigenvalues(n).omega[-1])
         traj = ry.integrate_reference(p, init, T, T / steps, store_every=1)
-        assert len(traj) == steps + 1
+        assert traj.t.size == steps + 1
         state = (u, v, w)
         for m in range(1, steps + 1):
             state = three_array_rk_step(*state, T / steps, p)
-            got = (traj[m].u.values, traj[m].vw.v, traj[m].vw.w)
+            got = (traj.u[m], traj.v[m], traj.w[m])
             assert all(np.array_equal(a, b) for a, b in zip(got, state)), m
 
     def test_matrix_monitor_agrees_with_the_dst_monitor(self):
@@ -924,11 +936,12 @@ class TestMolOracle:
         dst = touchdown()
         assert 0.2 < matrix.t < 0.3 and matrix.t == dst.t
         assert abs(matrix.min_value - dst.min_value) <= 1e-13
-        assert [s.t for s in matrix.trajectory] == [s.t for s in dst.trajectory]
-        assert np.array_equal(matrix.trajectory[-1].u.values, dst.trajectory[-1].u.values)
+        assert np.array_equal(matrix.trajectory.t, dst.trajectory.t)
+        assert np.array_equal(matrix.trajectory.u[-1], dst.trajectory.u[-1])
 
     def test_oracle_builds_grid_fields_only_for_stored_samples(self, monkeypatch):
-        # regression guard on the lean right-hand side: no per-stage GridField
+        # regression guard on the lean right-hand side: no per-stage GridField,
+        # and the stored samples are rows of one Trajectory, not GridFields
         p = base_params()
         init = smooth_coupled_init(16)
         built = []
@@ -940,8 +953,8 @@ class TestMolOracle:
 
         monkeypatch.setattr(GridField, "__post_init__", counting)
         traj = ry.integrate_reference(p, init, 2e-4, 2e-5, store_every=3)
-        assert len(traj) == 5  # steps 3, 6, 9 and the last, plus the initial state
-        assert len(built) == len(traj)
+        assert traj.t.size == 5  # steps 3, 6, 9 and the last, plus the initial state
+        assert not built
 
     def test_endgame_budget_has_its_own_signal_and_termination(self, monkeypatch):
         # a mode-1 dip to 0.01 falling at speed 1e3: the first full step closes
@@ -962,7 +975,7 @@ class TestMolOracle:
         sig = exc.value
         assert not isinstance(sig, QuenchSignal)
         assert sig.min_value > 1e-3 and sig.t == init.t
-        assert sig.trajectory[-1].t == sig.t and len(sig.trajectory) == 2
+        assert sig.trajectory.t[-1] == sig.t and sig.trajectory.t.size == 2
         rep = ry.run_coupled(p, init, 1e-3)
         assert rep.termination == "endgame_budget"
         assert rep.quench_time is None
@@ -985,11 +998,11 @@ class TestMolOracle:
             traj = ry.integrate_reference(p0, init, T, dt, store_every=10**9)
             exact = sp.semigroup_apply(StateVW(v=v0, w=w0), spec, T)
             errs.append(
-                max(np.abs(traj[-1].vw.v - exact.v).max(), np.abs(traj[-1].vw.w - exact.w).max())
+                max(np.abs(traj.v[-1] - exact.v).max(), np.abs(traj.w[-1] - exact.w).max())
             )
         order = math.log2(errs[0] / errs[1])
         assert 3.6 <= order <= 4.4, (errs, order)
-        drift = abs(sp.norm_X(traj[-1].vw, spec) - sp.norm_X(StateVW(v=v0, w=w0), spec))
+        drift = abs(sp.norm_X(traj.v[-1], traj.w[-1], spec) - sp.norm_X(v0, w0, spec))
         assert drift <= 1e-6
 
     def test_nonlinear_self_convergence_fourth_order(self):
@@ -1000,7 +1013,7 @@ class TestMolOracle:
         finals = {}
         for dt in (4e-5, 2e-5, 1e-5):
             traj = ry.integrate_reference(p, init, T, dt, store_every=10**9)
-            finals[dt] = traj[-1].u.values
+            finals[dt] = traj.u[-1]
         d1 = np.abs(finals[4e-5] - finals[2e-5]).max()
         d2 = np.abs(finals[2e-5] - finals[1e-5]).max()
         order = math.log2(d1 / d2)
@@ -1020,6 +1033,27 @@ class TestMolOracle:
         dt = 0.4 / float(spec.omega[-1])
         with pytest.raises(BlowupSignal):
             ry.integrate_reference(p, init, 0.01, dt, u_cap=1.0 + 1e-6)
+
+    @pytest.mark.parametrize("limit", [{"quench_eps": 1e-3}, {"u_cap": 1.0 + 1e-9}])
+    def test_caught_signal_leaves_no_reference_cycle(self, limit):
+        # a signal held by a frame of its own traceback would keep the oracle's
+        # and its callers' frames, stored run included, until a cyclic collection
+        p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
+        n = 16
+        init = CoupledState(u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n)))
+        dt = 0.5 / float(sp.plate_eigenvalues(n).omega[-1])
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                ry.integrate_reference(p, init, 1.0, dt, **limit)
+            except (QuenchSignal, BlowupSignal) as sig:
+                assert sig.trajectory.t[-1] == sig.t
+            else:
+                pytest.fail("the oracle reached the horizon without a signal")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -1070,27 +1104,28 @@ class TestRunCoupled:
         assert rep.T_used == pytest.approx(T, rel=1e-12)
         spec = sp.plate_eigenvalues(k)
         traj = ry.integrate_reference(p, init, T, 0.4 / float(spec.omega[-1]), store_every=10**9)
-        du = rep.final_state.u.values - traj[-1].u.values
+        du = rep.final_state.u.values - traj.u[-1]
         gap = sp.norm_Hk(sp.sine_transform(du), 1)
-        scale = sp.norm_Hk(sp.sine_transform(traj[-1].u.values - 1.0), 1)
+        scale = sp.norm_Hk(sp.sine_transform(traj.u[-1] - 1.0), 1)
         h = 1.0 / (n + 1)
         dt = T / cfg.n_t
         assert gap <= max(1e-8, 5 * (h**2 + dt**2)) * max(scale, 1.0)
         assert gap <= 1e-5  # regression anchor well below the formula allowance
         # lower-bound invariant: the gap never dips below half its initial floor
-        assert min(r.min_w for r in rep.series) >= 0.5 * rep.series[0].min_w
+        assert rep.series["min_w"].min() >= 0.5 * rep.series["min_w"][0]
 
     def test_series_and_states_aligned(self):
         p = base_params()
         n = k = 32
         rep = ry.run_coupled(p, smooth_coupled_init(n), 0.01, DriverConfig(n_t=16, tol=1e-8))
-        assert len(rep.series) == len(rep.states)
-        ts = np.array([r.t for r in rep.series])
+        assert all(rep.series[c].shape == rep.trajectory.t.shape for c in ry.SERIES_COLUMNS)
+        ts = rep.series["t"]
+        assert np.array_equal(ts, rep.trajectory.t)
         assert np.all(np.diff(ts) > 0)
         assert ts[0] == 0.0
         assert np.isfinite(rep.compat_proxy)
-        assert all(np.isfinite(r.mass_residual) for r in rep.series)
-        assert all(np.isfinite(r.norm_X) for r in rep.series)
+        assert np.all(np.isfinite(rep.series["mass_residual"]))
+        assert np.all(np.isfinite(rep.series["norm_X"]))
 
     def test_quench_run_agrees_with_oracle(self):
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
@@ -1101,7 +1136,7 @@ class TestRunCoupled:
         rep = ry.run_coupled(p, init, 2.0, DriverConfig(n_t=16, tol=1e-7))
         assert rep.termination == "quench"
         assert rep.quench_time is not None and rep.quench_time < 0.5
-        assert rep.series[-1].min_w <= rep.quench_eps
+        assert rep.series["min_w"][-1] <= rep.quench_eps
         spec = sp.plate_eigenvalues(k)
         with pytest.raises(QuenchSignal) as exc:
             ry.integrate_reference(
@@ -1114,7 +1149,7 @@ class TestRunCoupled:
         p = base_params()
         rep = ry.run_coupled(p, smooth_coupled_init(32), 0.01, DriverConfig(n_t=16, tol=1e-8))
         assert rep.termination == "converged"
-        assert all(r.min_w > rep.quench_eps for r in rep.series)
+        assert np.all(rep.series["min_w"] > rep.quench_eps)
         assert rep.quench_time is None
 
     def test_driver_requires_matching_shapes(self):
@@ -1134,7 +1169,56 @@ class TestRunCoupled:
         rep = ry.run_coupled(p, CoupledState(u=u0, vw=bump_state(n)), 0.01, DriverConfig(n_t=8, tol=1e-8))
         assert rep.termination == "pressure_floor"
         assert rep.note.startswith("pressure positivity floor eps1=0.95 violated")
-        assert len(rep.states) == 2 and rep.quench_time is None
+        assert rep.trajectory.t.size == 2 and rep.quench_time is None
+
+    @pytest.mark.parametrize(
+        "rows, termination, stop",
+        [
+            # two conditions at different rows: the earlier row ends the run
+            ({2: "floor", 3: "quench"}, "pressure_floor", 2),
+            ({2: "quench", 3: "floor"}, "quench", 2),
+            ({1: "blowup", 2: "quench"}, "pressure_blowup", 1),
+            # several at one row: quench before blowup before the floor
+            ({3: "quench floor"}, "quench", 3),
+            ({3: "quench blowup floor"}, "quench", 3),
+            ({3: "blowup floor"}, "pressure_blowup", 3),
+        ],
+    )
+    def test_chunk_is_cut_at_its_first_row_that_is_not_alive(self, monkeypatch, rows, termination, stop):
+        # the driver's stop rule on a prepared chunk of n_t = 4 steps: row i
+        # holds a pressure below the floor eps1 = 0.5, past the cap u_cap = 10,
+        # and/or a gap closed at the midpoint, as rows[i] says
+        p = base_params()
+        n = 16
+        init = smooth_coupled_init(n)
+
+        def prepared_chunk(path, p, init_vw, T, tol, max_iter, return_plate):
+            u = path.values.copy()
+            w = np.tile(init_vw.w, (path.times.size, 1))
+            for i, conditions in rows.items():
+                if "floor" in conditions:
+                    u[i, 0] = 0.1
+                if "blowup" in conditions:
+                    u[i, -1] = 20.0
+                if "quench" in conditions:
+                    w[i, 0] = -1.0
+            report = dp.PicardReport(1, [0.5], True, T, math.nan, banach_ratio=0.25)
+            return PressurePath(path.times, u, path.bv), report, dp.VWPath(path.times, np.zeros_like(w), w)
+
+        monkeypatch.setattr(ry, "gamma_iterate", prepared_chunk)
+        cfg = DriverConfig(n_t=4, chunk_init=0.01, u_cap=10.0)
+        rep = ry.run_coupled(p, init, 0.01, cfg)
+        t_stop = np.linspace(0.0, 0.01, 5)[stop]
+        assert rep.termination == termination
+        assert np.array_equal(rep.trajectory.t, np.linspace(0.0, 0.01, 5)[: stop + 1])
+        assert rep.T_used == t_stop and rep.final_state.t == t_stop
+        assert rep.quench_time == (t_stop if termination == "quench" else None)
+        if termination == "pressure_floor":
+            assert rep.note == f"pressure positivity floor eps1=0.5 violated at t={t_stop:.6g}"
+        else:
+            assert rep.note == ""
+        ratios = rep.series["contraction_ratio"]
+        assert math.isnan(ratios[0]) and np.all(ratios[1:] == 0.25)
 
     def test_quenched_initial_state_returns_immediately(self):
         p = base_params()
@@ -1165,15 +1249,9 @@ class TestContinueRun:
         half = ry.run_coupled(p, init, T / 2, cfg)
         joined = ry.continue_run(half, T / 2, cfg)
         assert joined.termination == "converged"
-        assert len(joined.states) == len(full.states)
-        worst = max(
-            max(
-                np.abs(a.u.values - b.u.values).max(),
-                np.abs(a.vw.w - b.vw.w).max(),
-                np.abs(a.vw.v - b.vw.v).max(),
-            )
-            for a, b in zip(full.states, joined.states)
-        )
+        assert joined.trajectory.t.size == full.trajectory.t.size
+        a, b = full.trajectory, joined.trajectory
+        worst = max(np.abs(a.u - b.u).max(), np.abs(a.w - b.w).max(), np.abs(a.v - b.v).max())
         assert worst <= 10 * cfg.tol
 
     def test_cocycle_different_chunking(self):
@@ -1199,7 +1277,7 @@ class TestContinueRun:
         rep = ry.run_coupled(p, smooth_coupled_init(24), 0.005, DriverConfig(n_t=8, tol=1e-8))
         same = ry.continue_run(rep, 0.0)
         assert same.T_used == rep.T_used
-        assert len(same.states) == len(rep.states)
+        assert same.trajectory.t.size == rep.trajectory.t.size
         assert same.termination == "converged"
 
     def test_refuses_from_quench(self):
@@ -1228,13 +1306,13 @@ class TestContinueRun:
 class TestMassBalance:
     def test_equilibrium_residual_zero(self):
         p = base_params()
-        eq = ry.equilibrium_state(p, 24, 24)
+        eq = ry.equilibrium_state(p, 24)
         traj = [
             CoupledState(u=eq.u, vw=eq.vw, t=0.0),
             CoupledState(u=eq.u, vw=eq.vw, t=0.5),
             CoupledState(u=eq.u, vw=eq.vw, t=1.0),
         ]
-        res = ry.mass_balance_residual(traj, p)
+        res = ry.mass_balance_residual(trajectory_of(traj), p)
         assert np.abs(res).max() <= 1e-12
 
     def test_richardson_second_order(self):
@@ -1277,19 +1355,19 @@ class TestMassBalance:
             ux1 = (3.0 * th1 - 4.0 * u[-1] + u[-2]) / (2.0 * h)
             flux.append(th2**3 * th1 * (ux1 - ux0))
         want = np.abs(np.gradient(np.array(mass), np.array([s.t for s in traj]), edge_order=2) - np.array(flux))
-        assert np.array_equal(ry.mass_balance_residual(traj, p), want)
+        assert np.array_equal(ry.mass_balance_residual(trajectory_of(traj), p), want)
 
     def test_short_trajectory_returns_nan(self):
         p = base_params()
-        eq = ry.equilibrium_state(p, 8, 8)
-        res = ry.mass_balance_residual([eq], p)
+        eq = ry.equilibrium_state(p, 8)
+        res = ry.mass_balance_residual(trajectory_of([eq]), p)
         assert res.size == 1 and np.isnan(res[0])
 
 
 class TestEquilibriumState:
     def test_stationarity_and_gap(self):
         p = base_params(beta_F=2.0, beta_p=1.0)
-        eq = ry.equilibrium_state(p, 32, 32)
+        eq = ry.equilibrium_state(p, 32)
         spec = sp.plate_eigenvalues(32)
         res = dp._G_modes(eq.vw.w, p) - spec.mu * eq.vw.w
         assert np.abs(res).max() <= 1e-11
@@ -1298,5 +1376,5 @@ class TestEquilibriumState:
 
     def test_compat_proxy_zero_at_equilibrium(self):
         p = base_params()
-        eq = ry.equilibrium_state(p, 16, 16)
+        eq = ry.equilibrium_state(p, 16)
         assert ry.compat_regularity_proxy(eq, p) == 0.0

@@ -83,9 +83,10 @@ def test_semigroup_norm_conservation():
     rng = np.random.default_rng(3)
     spec = sp.plate_eigenvalues(256)
     s = sp.StateVW(rng.normal(size=256), rng.normal(size=256))
-    n0 = sp.norm_X(s, spec)
+    n0 = sp.norm_X(s.v, s.w, spec)
     for t in (0.01, 1.0, 37.5, 100.0):
-        nt = sp.norm_X(sp.semigroup_apply(s, spec, t), spec)
+        turned = sp.semigroup_apply(s, spec, t)
+        nt = sp.norm_X(turned.v, turned.w, spec)
         assert abs(nt - n0) <= 1e-10 * n0
 
 
@@ -96,16 +97,21 @@ def test_semigroup_law():
     for t, tau in ((0.25, 0.5), (1.0, 0.6875), (40.0, 24.0)):
         a = sp.semigroup_apply(s, spec, t + tau)
         b = sp.semigroup_apply(sp.semigroup_apply(s, spec, t), spec, tau)
-        scale = sp.norm_X(a, spec)
-        assert sp.norm_X(sp.StateVW(a.v - b.v, a.w - b.w), spec) <= 1e-12 * scale
+        scale = sp.norm_X(a.v, a.w, spec)
+        assert sp.norm_X(a.v - b.v, a.w - b.w, spec) <= 1e-12 * scale
 
 
 def test_norm_X_values():
     spec = sp.plate_eigenvalues(4)
-    z = sp.StateVW(np.zeros(4), np.zeros(4))
-    assert sp.norm_X(z, spec) == 0.0
-    s = sp.StateVW(np.array([1.0, 0, 0, 0]), np.zeros(4))
-    assert sp.norm_X(s, spec) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    assert sp.norm_X(np.zeros(4), np.zeros(4), spec) == 0.0
+    assert sp.norm_X(np.array([1.0, 0, 0, 0]), np.zeros(4), spec) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    # a stack of states: one norm per row, each bitwise its own call
+    rng = np.random.default_rng(8)
+    v, w = rng.normal(size=(2, 50, 4))
+    rows = sp.norm_X(v, w, spec)
+    one = [sp.norm_X(a, b, spec) for a, b in zip(v, w)]
+    assert rows.shape == (50,) and all(isinstance(x, float) for x in one)
+    assert np.array_equal(rows, one)
 
 
 def test_norm_Hk_values():
@@ -144,7 +150,7 @@ def test_norm_Hk_with_cached_weights_is_bitwise_unchanged(k_max):
 
 
 def test_lifted_norm_H2_against_quadrature():
-    # dense Gauss quadrature of ||ell + f||_H2 for an affine lift
+    # dense Gauss quadrature of ||bv + f||_H2 for a constant lift
     from numpy.polynomial.legendre import leggauss
 
     rng = np.random.default_rng(11)
@@ -152,26 +158,25 @@ def test_lifted_norm_H2_against_quadrature():
     xs = 0.5 * (xs + 1)
     ws = 0.5 * ws
     fm = rng.normal(size=12) / np.arange(1, 13) ** 3
-    bv, slope = 1.3, 0.4
+    bv = 1.3
     kpi = np.pi * np.arange(1, 13)
     f0 = np.sin(np.outer(xs, kpi)) @ fm
     f1 = (np.cos(np.outer(xs, kpi)) * kpi) @ fm
     f2 = (-np.sin(np.outer(xs, kpi)) * kpi**2) @ fm
-    a, b = slope, bv - 0.5 * slope
-    dense = np.sqrt(
-        np.sum(ws * (a * xs + b + f0) ** 2) + np.sum(ws * (a + f1) ** 2) + np.sum(ws * f2**2)
-    )
-    assert sp.lifted_norm_H2(fm, bv, slope) == pytest.approx(dense, rel=1e-12)
+    dense = np.sqrt(np.sum(ws * (bv + f0) ** 2) + np.sum(ws * f1**2) + np.sum(ws * f2**2))
+    assert sp.lifted_norm_H2(fm, bv) == pytest.approx(dense, rel=1e-12)
 
 
-def _lifted_norm_H2_before_rows(f, bv, slope=0.0):
-    """lifted_norm_H2 as it was before it took stacks (1-d only), kept as the reference."""
+def _lifted_norm_H2_before_rows(f, bv):
+    """lifted_norm_H2 as it was before it took stacks (1-d only) and with its
+    affine lift bv + slope (x - 1/2) at slope 0, kept as the reference."""
     f = np.asarray(f, dtype=float)
     k_max = f.size
-    a = slope
-    b = bv - 0.5 * slope
+    a = 0.0
+    b = bv - 0.5 * a
+    int_x_sine = (-1.0) ** np.arange(2, k_max + 2) / (np.arange(1, k_max + 1) * np.pi)
     int_ell_sq = a**2 / 3.0 + a * b + b**2
-    int_ell_f = a * np.sum(f * sp.int_x_sine(k_max)) + b * np.sum(f * sp.int_sine(k_max))
+    int_ell_f = a * np.sum(f * int_x_sine) + b * np.sum(f * sp.int_sine(k_max))
     kpi2 = (np.pi * np.arange(1, k_max + 1)) ** 2
     l2 = 0.5 * np.sum(f**2) + int_ell_sq + 2.0 * int_ell_f
     h1 = 0.5 * np.sum(kpi2 * f**2) + a**2
@@ -183,13 +188,13 @@ def _lifted_norm_H2_before_rows(f, bv, slope=0.0):
 def test_lifted_norm_H2_rows_are_bitwise_the_one_row_calls(k):
     rng = np.random.default_rng(k)
     stack = rng.normal(size=(300, k)) / np.arange(1, k + 1) ** 2.2
-    for bv, slope in ((1.3, 0.0), (0.7, 0.4), (0.0, 0.0)):
-        rows = sp.lifted_norm_H2(stack, bv, slope)
+    for bv in (1.3, 0.0):
+        rows = sp.lifted_norm_H2(stack, bv)
         assert rows.shape == (300,)
-        one = [sp.lifted_norm_H2(f, bv, slope) for f in stack]
+        one = [sp.lifted_norm_H2(f, bv) for f in stack]
         assert all(isinstance(x, float) for x in one)
         assert np.array_equal(rows, one)
-        assert one == [_lifted_norm_H2_before_rows(f, bv, slope) for f in stack]
+        assert one == [_lifted_norm_H2_before_rows(f, bv) for f in stack]
     # one lift per row: Python's scalar b**2 and numpy's square may differ in the last bit
     bvs = rng.uniform(0.25, 2.25, size=300)
     rows = sp.lifted_norm_H2(stack, bvs)
@@ -282,7 +287,7 @@ def test_duhamel_rule_convergence_order():
         errs = []
         for n in (32, 64, 128):
             out = march(n, rule)
-            errs.append(sp.norm_X(sp.StateVW(out.v - ref.v, out.w - ref.w), spec))
+            errs.append(sp.norm_X(out.v - ref.v, out.w - ref.w, spec))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
         assert min(order1, order2) > 1.8, (rule, errs)
@@ -414,5 +419,6 @@ def test_norm_conservation_property(t, seed):
     rng = np.random.default_rng(seed)
     spec = sp.plate_eigenvalues(64)
     s = sp.StateVW(rng.normal(size=64), rng.normal(size=64))
-    n0 = sp.norm_X(s, spec)
-    assert abs(sp.norm_X(sp.semigroup_apply(s, spec, t), spec) - n0) <= 1e-10 * n0
+    n0 = sp.norm_X(s.v, s.w, spec)
+    turned = sp.semigroup_apply(s, spec, t)
+    assert abs(sp.norm_X(turned.v, turned.w, spec) - n0) <= 1e-10 * n0

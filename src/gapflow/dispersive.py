@@ -21,6 +21,7 @@ bounds, which is what the audits check (bound >= measured, never equality).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .spectral import (
     lifted_norm_H2,
     norm_Hk,
     plate_eigenvalues,
-    refined_min,
+    refined_values,
     sine_transform,
     sobolev_embedding_constant,
 )
@@ -90,6 +91,14 @@ class VWPath:
     times: np.ndarray
     v: np.ndarray
     w: np.ndarray
+
+    @cached_property
+    def w_refined_min(self) -> np.ndarray:
+        """min of w~ over the pad-2 refined grid (refined_values, boundary trace
+        excluded) at each node.  Synthesized on first use and kept, so the plate
+        solve's lower-bound check and the coupled driver's gap monitor share one
+        synthesis; the gap minimum is this plus theta2 (a float shift is monotone)."""
+        return refined_values(self.w).min(axis=-1)
 
 
 @dataclass
@@ -398,6 +407,33 @@ def theory_constants(
 # --- Picard construction of the mild solution --------------------------------
 
 
+@dataclass(frozen=True)
+class PlateSetup:
+    """What picard_dispersive needs of its start state and time grid but not of
+    the pressure path: the Duhamel coefficients of the grid and the contraction
+    constants and ball radius of the start gap."""
+
+    params: ModelParams
+    init: StateVW
+    times: np.ndarray
+    omega: np.ndarray
+    coeffs: tuple
+    cc: ContractionConstants
+    r_used: float
+
+
+def plate_setup(p: ModelParams, init: StateVW, times: np.ndarray) -> PlateSetup:
+    """The PlateSetup of plate solves from init on the time grid times.
+
+    A caller that solves on several pressure paths over one grid from one
+    state (gamma_iterate) builds it once and passes it to every solve.
+    """
+    omega = plate_eigenvalues(init.k_max).omega
+    w0_field = GridField(values=inverse_sine_transform(init.w) + p.lift.theta2, bv=p.lift.theta2)
+    cc = contraction_constants(p, w0_field)
+    return PlateSetup(p, init, times, omega, duhamel_coeffs(omega, np.diff(times)), cc, cc.radius())
+
+
 def fixed_point(step, x0, dist, tol: float, max_iter: int, diverged) -> tuple:
     """Iterate x <- step(x) from x0 until dist(new, old) <= tol.
 
@@ -430,6 +466,7 @@ def picard_dispersive(
     T: float,
     tol: float = 1e-10,
     max_iter: int = 200,
+    setup: PlateSetup | None = None,
 ) -> tuple:
     """Construct the mild solution on u_path.times (must end at T) by Picard sweeps.
 
@@ -438,25 +475,24 @@ def picard_dispersive(
     any finite horizon, measures the actual ratios, and raises
     PicardDivergence on observed non-contraction (two successive ratios
     >= 1) or when max_iter sweeps miss tol.  The ball radius reported (and
-    used by the lower-bound check) is the default 0.9 kappa/(2C).
+    used by the lower-bound check) is the default 0.9 kappa/(2C).  setup is
+    plate_setup(p, init, u_path.times), built here when not given.
     """
     times = u_path.times
     if abs(times[-1] - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"u_path must be sampled up to T={T}, got times[-1]={times[-1]}")
-    k_max = init.k_max
-    spec = plate_eigenvalues(k_max)
     u_modes = sine_transform(u_path.values - u_path.bv)
-    if u_modes.shape[1] != k_max:
+    if u_modes.shape[1] != init.k_max:
         raise ValueError("pressure grid size and state k_max must agree")
-
-    w0_field = GridField(values=inverse_sine_transform(init.w) + p.lift.theta2, bv=p.lift.theta2)
-    cc = contraction_constants(p, w0_field)
-    r_used = cc.radius()
-    coeffs = duhamel_coeffs(spec.omega, np.diff(times))
+    if setup is None:
+        setup = plate_setup(p, init, times)
+    elif setup.params != p or setup.init is not init or not np.array_equal(setup.times, times):
+        raise ValueError("setup was built for other parameters, another start state or another time grid")
+    cc, r_used = setup.cc, setup.r_used
 
     def march(g):
         """One Duhamel sweep with G given per node (rows of g, or one row for all)."""
-        return VWPath(times, *duhamel_sweep(init, spec.omega, coeffs, g + p.beta_p * u_modes))
+        return VWPath(times, *duhamel_sweep(init, setup.omega, setup.coeffs, g + p.beta_p * u_modes))
 
     path, diffs, ratios, status = fixed_point(
         lambda path: march(_G_modes(path.w, p)),
@@ -474,7 +510,7 @@ def picard_dispersive(
         )
 
     drift = float(np.max(norm_Hk(path.w - init.w, 2)))
-    min_w = refined_min(path.w, p.lift.theta2)
+    min_w = float(path.w_refined_min.min()) + p.lift.theta2
     report = PicardReport(
         iterations=len(diffs),
         contraction_ratios=ratios,

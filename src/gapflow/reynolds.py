@@ -697,9 +697,11 @@ def gamma_iterate(
     u0 = GridField(values=u_path.values[0], bv=u_path.bv)
     op = assemble_Pstar(u0, *_plate_fields(init_vw, th2))
     u0_tilde = u0.values - th1
+    # every plate solve of this call starts from init_vw on the same grid
+    setup = dp.plate_setup(p, init_vw, times)
 
     def sweep(current):
-        plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
+        plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol, setup=setup)
         F = _F_path(current, plate, p)
         forcing = F - (current.values - th1) @ op.matrix.T
         fresh = linear_parabolic_solve(op, forcing, u0_tilde, T, N_t).values + th1
@@ -716,7 +718,7 @@ def gamma_iterate(
     report = PicardReport(len(diffs), ratios, converged, T, float("nan"), banach_ratio=_banach_ratio(diffs, current))
     if converged:
         if return_plate:
-            plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol)
+            plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol, setup=setup)
             return current, report, plate
         return current, report
     rho = ratios[-1] if ratios else float("nan")
@@ -1088,15 +1090,16 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     u_cap = config.u_cap if config.u_cap is not None else 1e6 * th1
 
     proxy = compat_regularity_proxy(init, p)
-    # the stored run: trajectory parts for _join, and the contraction ratio of each row they add
+    kappa0 = float(_w_min_fine(init.vw.w, th2))
+    # the stored run: trajectory parts for _join, and the gap minimum and the
+    # contraction ratio of each row they add
     parts = [Trajectory(np.array([init.t]), init.u.values[None], init.vw.v[None], init.vw.w[None], th1)]
-    ratios = [np.full(1, np.nan)]
+    w_mins, ratios = [np.array([kappa0])], [np.full(1, np.nan)]
 
     # the initial state is checked for quench and blowup, not for the pressure floor
-    kappa0 = float(_w_min_fine(init.vw.w, th2))
     status0 = str(_status_of(init.u.values, kappa0, quench_eps, u_cap))
     if status0 != "alive":
-        return _finalize_report(p, init, T, config, status0, parts, ratios, proxy, quench_eps, u_cap)
+        return _finalize_report(p, init, T, config, status0, parts, w_mins, ratios, proxy, quench_eps, u_cap)
 
     if p.beta_F > 0:
         guess = 0.05 * kappa0**3 / p.beta_F
@@ -1125,6 +1128,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         if this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
             termination, note, tail = _rk4_tail(p, state, remaining, quench_eps, u_cap)
             parts.append(tail)
+            w_mins.append(_w_min_fine(tail.w[1:], th2))
             ratios.append(np.full(tail.t.size - 1, np.nan))
             break
         guess_path = _constant_path(state.u, this_chunk, config.n_t)
@@ -1148,12 +1152,15 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         # the chunk is cut after its first row that is not alive; at one row
         # quench and blowup take precedence over the pressure floor
         u_rows = u_new.values[1:]
-        status = _status_of(u_rows, _w_min_fine(plate.w[1:], th2), quench_eps, u_cap)
+        # _w_min_fine of the rows, from the synthesis the plate solve's own check made
+        w_min = np.minimum(plate.w_refined_min[1:] + th2, th2)
+        status = _status_of(u_rows, w_min, quench_eps, u_cap)
         below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
         status = np.where((status == "alive") & below_floor, "pressure_floor", status)
         dead = np.flatnonzero(status != "alive")
         rows = dead[0] + 2 if dead.size else u_new.times.size
         parts.append(Trajectory(state.t + u_new.times[:rows], u_new.values[:rows], plate.v[:rows], plate.w[:rows], th1))
+        w_mins.append(w_min[: rows - 1])
         ratios.append(np.full(rows - 1, rep.banach_ratio))
         state = parts[-1].state(-1)
         chunks_done += 1
@@ -1167,7 +1174,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             if config.chunk_cap is not None:
                 chunk = min(chunk, config.chunk_cap)
 
-    return _finalize_report(p, init, T, config, termination, parts, ratios, proxy, quench_eps, u_cap, note)
+    return _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, quench_eps, u_cap, note)
 
 
 def _rk4_tail(p, state, remaining, quench_eps, u_cap):
@@ -1184,12 +1191,13 @@ def _rk4_tail(p, state, remaining, quench_eps, u_cap):
     return "converged", "tail integrated with the reference scheme", tail
 
 
-def _finalize_report(p, init, T, config, termination, parts, ratios, proxy, quench_eps, u_cap, note=""):
-    """The RunReport of a run stored as trajectory parts (see _join) and the contraction ratio of each row they add."""
+def _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, quench_eps, u_cap, note=""):
+    """The RunReport of a run stored as trajectory parts (see _join) and the
+    gap minimum (_w_min_fine) and the contraction ratio of each row they add."""
     tr = _join(parts)
     columns = (
         tr.t,
-        _w_min_fine(tr.w, p.lift.theta2),
+        np.concatenate(w_mins),
         tr.u.max(axis=-1),
         mass_balance_residual(tr, p),
         sp.norm_X(tr.v, tr.w, sp.plate_eigenvalues(init.vw.k_max)),

@@ -20,10 +20,12 @@ Array convention: the transforms, the refined-grid synthesis, dealias_apply
 and norm_Hk act along the last axis, so a (n_t + 1, k) array holds a whole
 time path (one row per node) and is transformed in one call; every row comes
 out bitwise equal to transforming it on its own.  The Duhamel march takes
-its rotation and kick coefficients for all steps at once (duhamel_coeffs)
-and writes one row per node.  Callers that transform one row at a time in a
-hot loop (the Runge-Kutta oracle) use the cached dense matrices of
-sine_matrices instead of a DST dispatch per call.
+its rotation and kick coefficients for all steps at once (duhamel_coeffs),
+forms the forcing kicks of all steps in one array operation, and then steps
+node to node, adding the rotation of each row onto the next row's kick.
+Callers that transform one row at a time in a hot loop (the Runge-Kutta
+oracle) use the cached dense matrices of sine_matrices instead of a DST
+dispatch per call.
 """
 
 from __future__ import annotations
@@ -189,11 +191,6 @@ def refined_values(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> np.ndarray:
     return inverse_sine_transform(padded) + bv
 
 
-def refined_min(m: np.ndarray, bv: float = 0.0) -> float:
-    """min of refined_values(m, bv); the boundary trace bv is not one of the samples."""
-    return float(np.min(refined_values(m, bv)))
-
-
 def dealias_apply(func, *mode_args, bvs=None, pad: int = 2):
     """Apply a pointwise nonlinearity on a pad-times refined grid, truncate back.
 
@@ -259,7 +256,7 @@ def semigroup_apply(s: StateVW, spec: PlateSpectrum, t: float) -> StateVW:
 
 def _rotate(v, w, om, c, sn) -> tuple:
     """(v, w) turned by the mode-wise rotation with cos c and sin sn."""
-    return -w * om * sn + v * c, w * c + v * sn / om
+    return v * c - w * om * sn, w * c + v * sn / om
 
 
 def norm_X(v: np.ndarray, w: np.ndarray, spec: PlateSpectrum):
@@ -421,13 +418,18 @@ def duhamel_sweep(init: StateVW, omega: np.ndarray, coeffs: tuple, forcing: np.n
     (n_steps + 1, k).  Returns (v, w) of the same shape; row 0 is init.
     """
     h, c, sn, s_a, a, a_b, b = coeffs
+    f0, f1 = forcing[:-1], forcing[1:]
     v = np.empty(forcing.shape)
     w = np.empty(forcing.shape)
     v[0], w[0] = init.v, init.w
-    for i in range(h.size):
-        rot_v, rot_w = _rotate(v[i], w[i], omega, c[i], sn[i])
-        v[i + 1] = rot_v + h[i] * (forcing[i] * s_a[i] + forcing[i + 1] * a[i])
-        w[i + 1] = rot_w + h[i] * h[i] * (forcing[i] * a_b[i] + forcing[i + 1] * b[i])
+    # Rows 1.. start as the kicks of all steps, formed at once; each step then
+    # adds the rotation of the row before (_rotate's arithmetic, inlined).
+    # IEEE addition commutes, so kick + rotation is bitwise rotation + kick.
+    v[1:] = h[:, None] * (f0 * s_a + f1 * a)
+    w[1:] = (h * h)[:, None] * (f0 * a_b + f1 * b)
+    for v0, w0, v1, w1, ci, si in zip(v[:-1], w[:-1], v[1:], w[1:], c, sn):
+        v1 += v0 * ci - w0 * omega * si
+        w1 += w0 * ci + v0 * si / omega
     return v, w
 
 

@@ -188,7 +188,7 @@ def test_c06_lower_bound_family():
         T = min(tc.T0, 0.05)
         guess = ry._constant_path(init.u, T, 8)
         _, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10, return_plate=True)
-        min_w = sp.refined_min(plate.w, p.lift.theta2)
+        min_w = float(plate.w_refined_min.min()) + p.lift.theta2
         margins.append(min_w - kappa / 2.0)
         if min_w < kappa / 2.0:
             violations += 1

@@ -161,6 +161,23 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     assert rep.iterations <= 40
 
 
+def test_picard_takes_its_setup_only_from_the_same_solve():
+    # a setup built for these parameters, this start state and this grid
+    # gives the solve bitwise; one built for any other is refused
+    p = base_params()
+    k, T = 16, 1e-3
+    init = small_bump_state(k)
+    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + t), T, 8, k, 1.0)
+    setup = dp.plate_setup(p, init, up.times)
+    given, _ = dp.picard_dispersive(p, up, init, T, setup=setup)
+    alone, _ = dp.picard_dispersive(p, up, init, T)
+    assert given.v.tobytes() == alone.v.tobytes() and given.w.tobytes() == alone.w.tobytes()
+    coarse = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 4, k, 1.0)
+    for other in ((base_params(beta_F=2.0), up, init), (p, up, small_bump_state(k)), (p, coarse, init)):
+        with pytest.raises(ValueError, match="setup was built"):
+            dp.picard_dispersive(*other, T, setup=setup)
+
+
 def test_picard_matches_constant_forcing_to_second_order():
     # constant data: w~0 = 0, u = theta1 everywhere -> frozen forcing G(0) = c.
     # The converged solution equals the forced-oscillator closed form up to the

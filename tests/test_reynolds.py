@@ -602,6 +602,41 @@ class TestGammaIterate:
         assert rep.converged
         assert all(r <= 0.5 for r in rep.contraction_ratios)
 
+    def test_one_call_builds_the_plate_setup_once(self, monkeypatch):
+        # the Duhamel coefficients and contraction constants depend only on the
+        # start state and the time grid: one gamma_iterate call builds them
+        # once for all of its plate solves, which still go through
+        # picard_dispersive, one per outer iteration plus the returned plate
+        p = base_params()
+        k = n = 32
+        T, tol = 0.01, 1e-11
+        init = bump_state(k)
+        built = {"duhamel_coeffs": 0, "contraction_constants": 0}
+        solves = []
+        for name in built:
+
+            def counted(*args, _name=name, _fn=getattr(dp, name)):
+                built[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(dp, name, counted)
+        picard = dp.picard_dispersive
+
+        def counted_picard(*args, **kwargs):
+            solves.append(kwargs["setup"])
+            return picard(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "picard_dispersive", counted_picard)
+        guess = ry._constant_path(bump_pressure(n), T, 16)
+        u_fix, rep, plate = ry.gamma_iterate(guess, p, init, T, tol=tol, return_plate=True)
+        assert rep.converged and rep.iterations >= 3
+        assert built == {"duhamel_coeffs": 1, "contraction_constants": 1}
+        assert len(solves) == rep.iterations + 1 and all(s is solves[0] for s in solves)
+        monkeypatch.undo()
+        # the returned plate is bitwise a standalone solve on the converged path
+        alone, _ = dp.picard_dispersive(p, u_fix, init, T, tol=0.01 * tol)
+        assert alone.v.tobytes() == plate.v.tobytes() and alone.w.tobytes() == plate.w.tobytes()
+
     def test_divergence_surface_carries_measured_ratio(self):
         p = base_params(beta_F=4.0, beta_p=2.0, eps1=0.2)
         k = n = 32
@@ -841,7 +876,7 @@ class TestMolOracle:
         spike[7] = 10.0
         w = sp.sine_transform(spike)
         assert min(sp.inverse_sine_transform(w).min() + 1.0, 1.0) > 0.0
-        fine_min = sp.refined_min(w, 1.0)
+        fine_min = float(sp.refined_values(w, 1.0).min())
         assert fine_min <= 0.0
         with pytest.raises(QuenchSignal, match="dealiasing grid") as exc:
             stacked_rhs(np.full(n, 1.0), np.zeros(n), w, p)

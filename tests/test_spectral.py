@@ -320,6 +320,40 @@ def test_duhamel_sweep_matches_step_by_step():
             assert np.array_equal(v[i + 1], state.v) and np.array_equal(w[i + 1], state.w)
 
 
+@pytest.mark.parametrize("k", [64, 256])
+def test_duhamel_sweep_bytes_equal_the_per_step_formula(k):
+    # the march forms the kicks of all steps at once and adds each rotation
+    # without a negation; byte for byte (tobytes tells -0.0 from 0.0, which
+    # array_equal does not) it is the step as written with the kick formed
+    # per step and the rotation -w om sin + v cos, on a non-uniform grid with
+    # exact zeros of both signs in the initial state and the forcing
+    rng = np.random.default_rng(k)
+    n_t = 24
+    om = sp.plate_eigenvalues(k).omega
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-5, 1e-3, n_t))])
+    forcing = rng.normal(size=(n_t + 1, k))
+    forcing[:3] = -0.0
+    forcing[5] = 0.0
+    forcing[9, ::2] = -0.0
+    v0, w0 = rng.normal(size=k), rng.normal(size=k)
+    v0[: k // 2] = -0.0
+    w0[: k // 4] = 0.0
+    w0[k // 4 : k // 2] = -0.0
+    coeffs = sp.duhamel_coeffs(om, np.diff(times))
+    v, w = sp.duhamel_sweep(sp.StateVW(v0, w0), om, coeffs, forcing)
+
+    h, c, sn, s_a, a, a_b, b = coeffs
+    ref_v, ref_w = [v0], [w0]
+    for i in range(n_t):
+        vi, wi = ref_v[i], ref_w[i]
+        ref_v.append((-wi * om * sn[i] + vi * c[i]) + h[i] * (forcing[i] * s_a[i] + forcing[i + 1] * a[i]))
+        ref_w.append((wi * c[i] + vi * sn[i] / om) + h[i] * h[i] * (forcing[i] * a_b[i] + forcing[i + 1] * b[i]))
+    assert v.tobytes() == np.array(ref_v).tobytes()
+    assert w.tobytes() == np.array(ref_w).tobytes()
+    zeros = np.concatenate([v[v == 0.0], w[w == 0.0]])
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
 def test_dealias_apply_plain_product():
     # product of two low-mode fields computed with 2x padding lands close to
     # the analytic projection (fine-grid reference); the residual is the

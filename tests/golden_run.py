@@ -1,7 +1,7 @@
 """Run `simulate` on a shipped config the way the golden files were written.
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
-        python tests/golden_run.py CONFIG OUTDIR [--scale-E X] [--wrong-K2]
+        python tests/golden_run.py CONFIG OUTDIR [--scale-E X] [--wrong-K2] [--shift-theta2 X]
 
 CONFIG is a file name in configs/.  OUTDIR receives the series.csv and
 snapshots.csv that `gapflow simulate` writes, and mass_terms.csv: per series
@@ -16,8 +16,10 @@ pinned to one thread as above.
 --scale-E X multiplies E = exp(dt P*) of the pressure propagator by 1 + X;
 on both shipped configs that is the E of the eigen route of
 reynolds._propagator, which no operator of theirs leaves for the augmented
-expm.  --wrong-K2 replaces its K2 = dt phi_2(dt P*) by K1/2.  Both exist to
-show which changes the golden comparison lets through and which it catches.
+expm.  --wrong-K2 replaces its K2 = dt phi_2(dt P*) by K1/2.  --shift-theta2 X
+adds X to theta2 where the min_w column is synthesized (the refined minimum
+of w~ plus theta2), and nowhere else.  These exist to show which changes the
+golden comparison lets through and which it catches.
 """
 
 import argparse
@@ -36,6 +38,7 @@ def main(argv=None):
     parser.add_argument("outdir")
     parser.add_argument("--scale-E", type=float, default=0.0)
     parser.add_argument("--wrong-K2", action="store_true")
+    parser.add_argument("--shift-theta2", type=float, default=0.0)
     args = parser.parse_args(argv)
 
     from gapflow import cli
@@ -49,6 +52,15 @@ def main(argv=None):
             return E * (1.0 + args.scale_E), K1, 0.5 * K1 if args.wrong_K2 else K2
 
         ry._propagator = perturbed
+
+    if args.shift_theta2:
+        finalize = ry._finalize_report
+
+        def shifted(p, init, T, config, termination, parts, w_mins, *rest, **kwargs):
+            w_mins = [m + args.shift_theta2 for m in w_mins]
+            return finalize(p, init, T, config, termination, parts, w_mins, *rest, **kwargs)
+
+        ry._finalize_report = shifted
 
     cfg = cli._load_config(str(ROOT / "configs" / args.config))
     os.makedirs(args.outdir, exist_ok=True)

@@ -5,7 +5,10 @@ these files, which are written before the refactor by tests/golden_run.py.
 
 The contract compares each column by what it can carry:
 
-* t, min_w, max_u and norm_X: at most RTOL = 1e-12 relative, NaN equal to NaN.
+* t, max_u and norm_X: at most RTOL = 1e-12 relative, NaN equal to NaN.
+* min_w is the refined minimum of w~ plus theta2, so near touchdown it
+  cancels terms of size theta2.  It is compared at RTOL * max(|min_w|, theta2),
+  the size of those terms, as mass_residual is below.
 * mass_residual = |d/dt int w u - flux| cancels terms of order one, and its
   time derivative is a difference quotient of int w u over the local step dt.
   It is compared at RTOL against the size of the terms it is formed from,
@@ -20,9 +23,10 @@ The contract compares each column by what it can carry:
 
 The runs are child processes with the BLAS and OpenMP pools pinned to one
 thread, as the golden files were written; a run with two threads must write
-the same bytes.  The last tests show the strength
-of the contract: a rounding-level change of the pressure propagator passes
-it, and a 1e-9 change or a wrong phi_2 kick fails it."""
+the same bytes.  The last tests show the strength of the contract: a
+rounding-level change of the pressure propagator passes it, and a 1e-9
+change, a wrong phi_2 kick or theta2 moved by 1e-10 in the min_w synthesis
+fails it."""
 
 import csv
 import os
@@ -33,6 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gapflow import cli
 from gapflow import reynolds as ry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +46,7 @@ RTOL = 1e-12
 RATIO_RTOL = 2.0 / ry._FLOOR_MARGIN
 SNAPSHOT_RTOL = {"reference.ini": RTOL, "quench.ini": 1e-9}
 GOLDEN_DIRS = {"reference.ini": GOLDEN, "quench.ini": GOLDEN / "quench"}
+THETA2 = {config: cli._load_config(str(ROOT / "configs" / config)).theta2 for config in GOLDEN_DIRS}
 
 
 def _read(path):
@@ -60,8 +66,9 @@ def _numeric(rows):
     return np.array([[float(x) for x in r] for r in rows])
 
 
-def series_mismatches(golden, fresh):
-    """Messages for the series.csv values of fresh outside the contract with golden."""
+def series_mismatches(golden, fresh, theta2):
+    """Messages for the series.csv values of fresh outside the contract with golden,
+    whose run has gap boundary value theta2."""
     want = _read(golden / "series.csv")
     got = _read(fresh / "series.csv")
     if got[0] != want[0]:
@@ -77,6 +84,9 @@ def series_mismatches(golden, fresh):
     rtol[:, col] = 0.0
     atol[:, col] = RTOL * (np.abs(mass) / np.gradient(ts) + np.abs(flux))
     rtol[:, header.index("contraction_ratio")] = RATIO_RTOL
+    col = header.index("min_w")
+    rtol[:, col] = 0.0
+    atol[:, col] = RTOL * np.maximum(np.abs(b[:, col]), theta2)
     bad = np.argwhere(~(np.abs(a - b) <= atol + rtol * np.abs(b)) & ~(np.isnan(a) & np.isnan(b)))
     return [f"series row {i + 1}, {header[j]}: {a[i, j]!r} against {b[i, j]!r}" for i, j in bad]
 
@@ -104,7 +114,7 @@ def snapshot_mismatches(golden, fresh, rtol):
 
 def mismatches(config, fresh):
     golden = GOLDEN_DIRS[config]
-    return series_mismatches(golden, fresh) + snapshot_mismatches(golden, fresh, SNAPSHOT_RTOL[config])
+    return series_mismatches(golden, fresh, THETA2[config]) + snapshot_mismatches(golden, fresh, SNAPSHOT_RTOL[config])
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +128,7 @@ def fresh_quench(tmp_path_factory):
 
 
 def test_simulate_reference_series_matches_golden(fresh):
-    bad = series_mismatches(GOLDEN, fresh)
+    bad = series_mismatches(GOLDEN, fresh, THETA2["reference.ini"])
     assert not bad, f"{len(bad)} values outside the contract, first: {bad[0]}"
 
 
@@ -134,7 +144,7 @@ def test_simulate_quench_series_matches_golden(fresh_quench):
     # to it after the last Gamma row, at t = 0.2425687
     handoff = np.flatnonzero(np.isfinite(want[:, -1]))[-1]
     assert want[handoff, 0] == pytest.approx(0.2425687, abs=1e-7)
-    bad = series_mismatches(golden, fresh_quench)
+    bad = series_mismatches(golden, fresh_quench, THETA2["quench.ini"])
     assert not bad, f"{len(bad)} values outside the contract, first: {bad[0]}"
 
 
@@ -164,3 +174,12 @@ def test_1e9_change_of_E_fails(tmp_path):
 def test_wrong_K2_fails(tmp_path):
     bad = mismatches("reference.ini", _simulate("reference.ini", tmp_path, "--wrong-K2"))
     assert any("max_u" in m for m in bad) and any(m.startswith("u at") for m in bad)
+
+
+def test_theta2_shift_in_the_min_w_synthesis_fails(tmp_path):
+    # 1e-10 is 100 times the min_w allowance at theta2 = 1, on every row,
+    # the touchdown rows where min_w is near 1e-3 included
+    bad = mismatches("quench.ini", _simulate("quench.ini", tmp_path, "--shift-theta2", "1e-10"))
+    rows = len(_read(GOLDEN / "quench" / "series.csv")) - 1
+    assert sum("min_w" in m for m in bad) == rows
+    assert all("min_w" in m for m in bad)

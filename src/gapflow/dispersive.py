@@ -467,6 +467,7 @@ def picard_dispersive(
     tol: float = 1e-10,
     max_iter: int = 200,
     setup: PlateSetup | None = None,
+    start: VWPath | None = None,
 ) -> tuple:
     """Construct the mild solution on u_path.times (must end at T) by Picard sweeps.
 
@@ -477,6 +478,12 @@ def picard_dispersive(
     >= 1) or when max_iter sweeps miss tol.  The ball radius reported (and
     used by the lower-bound check) is the default 0.9 kappa/(2C).  setup is
     plate_setup(p, init, u_path.times), built here when not given.
+
+    The first sweep freezes G at w~0 (a cold start), or along start.w when a
+    plate path on the same time grid is given (a warm start, for instance
+    the solution for a nearby pressure path: it depends Hoelder-continuously
+    on the pressure, so fewer sweeps reach tol).  Both converge to the same
+    fixed point within tol.
     """
     times = u_path.times
     if abs(times[-1] - T) > 1e-12 * max(1.0, T):
@@ -489,6 +496,10 @@ def picard_dispersive(
     elif setup.params != p or setup.init is not init or not np.array_equal(setup.times, times):
         raise ValueError("setup was built for other parameters, another start state or another time grid")
     cc, r_used = setup.cc, setup.r_used
+    if start is not None and not (
+        np.array_equal(start.times, times) and start.v.shape == start.w.shape == (times.size, init.k_max)
+    ):
+        raise ValueError("start must be a plate path on the time grid and mode count of this solve")
 
     def march(g):
         """One Duhamel sweep with G given per node (rows of g, or one row for all)."""
@@ -496,7 +507,7 @@ def picard_dispersive(
 
     path, diffs, ratios, status = fixed_point(
         lambda path: march(_G_modes(path.w, p)),
-        march(_G_modes(init.w, p)),  # first sweep: G frozen at w~0
+        march(_G_modes(init.w if start is None else start.w, p)),  # first sweep: G frozen at w~0 or along start
         path_diff_norm,
         tol,
         max_iter,

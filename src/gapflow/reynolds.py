@@ -672,7 +672,7 @@ def gamma_iterate(
     """Fixed-point sweep for the pressure path (full u, trace theta_1).
 
     Each sweep: solve the plate subproblem for the current pressure (at
-    0.01 tol), evaluate the Reynolds nonlinearity along the resulting
+    0.01 tol, warm-started from the previous sweep's plate path), evaluate the Reynolds nonlinearity along the resulting
     (v, w), and propagate
     u~ -> e^{t P*} u~_0 + int e^{(t-s) P*} { F(u~)(s) - P* u~(s) } ds with the
     linearization frozen at the initial data.  Measured sup-t H2 ratios of
@@ -699,10 +699,15 @@ def gamma_iterate(
     u0_tilde = u0.values - th1
     # every plate solve of this call starts from init_vw on the same grid
     setup = dp.plate_setup(p, init_vw, times)
+    plate = None  # the last plate path, where the next plate solve starts
+
+    def solve_plate(current):
+        nonlocal plate
+        plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol, setup=setup, start=plate)
+        return plate
 
     def sweep(current):
-        plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol, setup=setup)
-        F = _F_path(current, plate, p)
+        F = _F_path(current, solve_plate(current), p)
         forcing = F - (current.values - th1) @ op.matrix.T
         fresh = linear_parabolic_solve(op, forcing, u0_tilde, T, N_t).values + th1
         # the Duhamel integral vanishes at t=0, so the initial sample is the
@@ -718,8 +723,7 @@ def gamma_iterate(
     report = PicardReport(len(diffs), ratios, converged, T, float("nan"), banach_ratio=_banach_ratio(diffs, current))
     if converged:
         if return_plate:
-            plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol, setup=setup)
-            return current, report, plate
+            return current, report, solve_plate(current)
         return current, report
     rho = ratios[-1] if ratios else float("nan")
     T_adm = T * (0.5 / rho) ** (1.0 / _ALPHA) if ratios else float("nan")

@@ -178,6 +178,63 @@ def test_picard_takes_its_setup_only_from_the_same_solve():
             dp.picard_dispersive(*other, T, setup=setup)
 
 
+def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
+    # start=None is the cold iteration, spelled out here from its pieces: the
+    # first sweep freezes G at w~0, each later one takes G along the last path
+    p = base_params()
+    k, T, tol = 32, 0.02, 1e-10
+    init = small_bump_state(k)
+    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
+    setup = dp.plate_setup(p, init, up.times)
+    forcing = p.beta_p * sp.sine_transform(up.values - up.bv)
+
+    def march(g):
+        return dp.VWPath(up.times, *sp.duhamel_sweep(init, setup.omega, setup.coeffs, g + forcing))
+
+    want, diffs, _, status = dp.fixed_point(
+        lambda path: march(dp._G_modes(path.w, p)), march(dp._G_modes(init.w, p)), dp.path_diff_norm, tol, 200,
+        lambda ratios: False,
+    )
+    got, rep = dp.picard_dispersive(p, up, init, T, tol=tol, start=None)
+    assert status == "converged" and rep.iterations == len(diffs)
+    assert got.v.tobytes() == want.v.tobytes() and got.w.tobytes() == want.w.tobytes()
+
+
+def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps():
+    # the plate path of a pressure 1e-3 away starts the solve close to its
+    # fixed point (Hoelder dependence on the pressure); it lands within tol of
+    # the cold solve's, and so does a start far from it
+    p = base_params()
+    k, T, tol = 32, 0.02, 1e-10
+    init = small_bump_state(k)
+
+    def pressure(amp):
+        return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
+
+    near, _ = dp.picard_dispersive(p, pressure(0.101), init, T, tol=tol)
+    cold, cold_rep = dp.picard_dispersive(p, pressure(0.1), init, T, tol=tol)
+    warm, warm_rep = dp.picard_dispersive(p, pressure(0.1), init, T, tol=tol, start=near)
+    assert warm_rep.converged and warm_rep.iterations < cold_rep.iterations
+    assert dp.path_diff_norm(warm, cold) <= tol
+    far = dp.VWPath(near.times, np.zeros_like(near.v), np.zeros_like(near.w))  # the flat gap
+    from_far, _ = dp.picard_dispersive(p, pressure(0.1), init, T, tol=tol, start=far)
+    assert dp.path_diff_norm(from_far, cold) <= tol
+
+
+def test_warm_start_must_share_the_grid_and_shape():
+    p = base_params()
+    k, T = 16, 1e-3
+    init = small_bump_state(k)
+    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
+    path, _ = dp.picard_dispersive(p, up, init, T)
+    coarse = dp.VWPath(path.times[::2], path.v[::2], path.w[::2])
+    shifted = dp.VWPath(path.times * (1.0 + 1e-9), path.v, path.w)
+    wider = dp.VWPath(path.times, np.pad(path.v, ((0, 0), (0, 4))), np.pad(path.w, ((0, 0), (0, 4))))
+    for start in (coarse, shifted, wider, dp.VWPath(path.times, path.v, path.w[:, :-1])):
+        with pytest.raises(ValueError, match="start must be a plate path"):
+            dp.picard_dispersive(p, up, init, T, start=start)
+
+
 def test_picard_matches_constant_forcing_to_second_order():
     # constant data: w~0 = 0, u = theta1 everywhere -> frozen forcing G(0) = c.
     # The converged solution equals the forced-oscillator closed form up to the

@@ -606,7 +606,8 @@ class TestGammaIterate:
         # the Duhamel coefficients and contraction constants depend only on the
         # start state and the time grid: one gamma_iterate call builds them
         # once for all of its plate solves, which still go through
-        # picard_dispersive, one per outer iteration plus the returned plate
+        # picard_dispersive, one per outer iteration plus the returned plate;
+        # each solve but the first starts from the plate path of the one before
         p = base_params()
         k = n = 32
         T, tol = 0.01, 1e-11
@@ -623,19 +624,50 @@ class TestGammaIterate:
         picard = dp.picard_dispersive
 
         def counted_picard(*args, **kwargs):
-            solves.append(kwargs["setup"])
-            return picard(*args, **kwargs)
+            result = picard(*args, **kwargs)
+            solves.append((kwargs["setup"], kwargs["start"], result[0]))
+            return result
 
         monkeypatch.setattr(dp, "picard_dispersive", counted_picard)
         guess = ry._constant_path(bump_pressure(n), T, 16)
         u_fix, rep, plate = ry.gamma_iterate(guess, p, init, T, tol=tol, return_plate=True)
         assert rep.converged and rep.iterations >= 3
         assert built == {"duhamel_coeffs": 1, "contraction_constants": 1}
-        assert len(solves) == rep.iterations + 1 and all(s is solves[0] for s in solves)
+        assert len(solves) == rep.iterations + 1 and all(s[0] is solves[0][0] for s in solves)
+        assert solves[0][1] is None
+        assert all(s[1] is prev[2] for prev, s in zip(solves, solves[1:])) and solves[-1][2] is plate
         monkeypatch.undo()
-        # the returned plate is bitwise a standalone solve on the converged path
+        # at ratios of 1e-5 the warm-started solve lands on the floating-point
+        # fixed point of a cold standalone solve on the converged path
         alone, _ = dp.picard_dispersive(p, u_fix, init, T, tol=0.01 * tol)
         assert alone.v.tobytes() == plate.v.tobytes() and alone.w.tobytes() == plate.w.tobytes()
+
+    def test_warm_starts_cut_the_plate_sweeps_of_the_first_quench_chunk(self, monkeypatch):
+        # the first chunk of configs/quench.ini, from the driver's initial guess
+        cfg = cli._load_config(str(ROOT / "configs" / "quench.ini"))
+        p, init = cfg.model_params(), cfg.initial_state()
+        chunk = 0.05 * ry._w_min_fine(init.vw.w, p.lift.theta2) ** 3 / p.beta_F
+        picard = dp.picard_dispersive
+
+        def sweeps(warm):
+            reports = []
+
+            def counted(*args, **kwargs):
+                if not warm:
+                    kwargs["start"] = None
+                path, report = picard(*args, **kwargs)
+                reports.append(report)
+                return path, report
+
+            monkeypatch.setattr(dp, "picard_dispersive", counted)
+            guess = ry._constant_path(init.u, chunk, cfg.N_t)
+            u_fix, rep, _ = ry.gamma_iterate(guess, p, init.vw, chunk, tol=cfg.tol, return_plate=True)
+            assert rep.converged and len(reports) == rep.iterations + 1
+            return sum(r.iterations for r in reports), rep.iterations
+
+        warm, cold = sweeps(True), sweeps(False)
+        assert warm[1] == cold[1]
+        assert warm[0] < cold[0]
 
     def test_divergence_surface_carries_measured_ratio(self):
         p = base_params(beta_F=4.0, beta_p=2.0, eps1=0.2)

@@ -672,8 +672,8 @@ def gamma_iterate(
     """Fixed-point sweep for the pressure path (full u, trace theta_1).
 
     Each sweep: solve the plate subproblem for the current pressure (at
-    0.01 tol, warm-started from the previous sweep's plate path), evaluate the Reynolds nonlinearity along the resulting
-    (v, w), and propagate
+    0.01 tol, warm-started from the previous sweep's plate path), evaluate
+    the Reynolds nonlinearity along the resulting (v, w), and propagate
     u~ -> e^{t P*} u~_0 + int e^{(t-s) P*} { F(u~)(s) - P* u~(s) } ds with the
     linearization frozen at the initial data.  Measured sup-t H2 ratios of
     successive differences are the contraction diagnostics; a ratio >= 0.9

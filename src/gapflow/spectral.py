@@ -26,10 +26,30 @@ node to node, adding the rotation of each row onto the next row's kick.
 Callers that transform one row at a time in a hot loop (the Runge-Kutta
 oracle) use the cached dense matrices of sine_matrices instead of a DST
 dispatch per call.
+
+Transform route, chosen per length (Frigo & Johnson, The Design and
+Implementation of FFTW3, Proc. IEEE 93(2), 2005): a transform between
+n_nodes samples and k modes is a DST-I, whose FFT has length 2(n_nodes+1),
+unless that length has a prime factor p > k.  pocketfft's pass for a prime
+radix costs O(p) per element, so there the transforms multiply by a cached
+(n_nodes, k) sine table instead, one BLAS gemv per row: O(k) per element,
+each row bitwise its own call and independent of the BLAS pool size (one
+gemm over the stack would give neither).  33 rows, one thread, synthesis /
+analysis:
+
+    n_nodes          DST             table (gemv)    route
+    256 (k = 256)    1329 / 809 us   397 / 318 us    table (p = 257)
+    513 (k = 256)    1131 / 1641 us  749 / 752 us    table (p = 257)
+    128, 257         about the same                  DST
+    512              164 us          1827 us         DST (p = 19)
+
+Every length of the shipped configs (n = 48 and 64 and their pad-2 and
+pad-4 grids) stays on the DST; n = 16 and n = 256 take the table.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,21 +151,95 @@ def plate_eigenvalues(k_max: int, biharmonic_only: bool = False) -> PlateSpectru
     return PlateSpectrum(mu=mu, omega=np.sqrt(mu), biharmonic_only=biharmonic_only)
 
 
-def sine_transform(f: np.ndarray) -> np.ndarray:
-    """Forward DST along the last axis: coeffs_k = 2/(n+1) * sum_j f(x_j) sin(k*pi*x_j).
+def _largest_prime_factor(m: int) -> int:
+    p, largest = 2, 1
+    while p * p <= m:
+        while m % p == 0:
+            m, largest = m // p, p
+        p += 1
+    return max(largest, m)
 
-    Exactly inverts inverse_sine_transform when n = k_max.  Note the transform
-    sees only the interior samples; a constant boundary lift leaks into the
+
+@lru_cache(maxsize=None)
+def _table_route(n_nodes: int, k: int) -> bool:
+    """True where the n_nodes-point DST-I is slower than the k-mode table product:
+    its FFT length 2(n_nodes+1) has a prime factor p > k.  pocketfft's pass for a
+    prime radix p costs O(p) per element, the table product O(k)."""
+    return _largest_prime_factor(2 * (n_nodes + 1)) > k
+
+
+_TABLES: dict = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _sine_table(n_nodes: int, k: int) -> np.ndarray:
+    """table[j, i] = sin((j+1)(i+1) pi/(n_nodes+1)), shape (n_nodes, k): nodes by modes.
+
+    Built once per (n_nodes, k), in place and under a lock (the cells of a
+    sweep run on two threads), and cached read-only.  Synthesis multiplies by
+    it, analysis by its transpose (a view).
+    """
+    table = _TABLES.get((n_nodes, k))
+    if table is None:
+        with _TABLES_LOCK:
+            table = _TABLES.get((n_nodes, k))
+            if table is None:
+                # j*i reduced mod 2(n_nodes+1) in integers keeps the angle in [0, 2 pi)
+                ji = np.multiply.outer(np.arange(1, n_nodes + 1), np.arange(1, k + 1))
+                ji %= 2 * (n_nodes + 1)
+                table = ji.astype(float)
+                del ji
+                table *= np.pi
+                table /= n_nodes + 1
+                np.sin(table, out=table)
+                table.setflags(write=False)
+                _TABLES[(n_nodes, k)] = table
+    return table
+
+
+def _rowwise(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ row for every row of x (last axis): one BLAS gemv per row, so each
+    row comes out bitwise as its own call, whatever the pool size.  One gemm over
+    the stack would not keep that."""
+    return np.matmul(matrix, np.ascontiguousarray(x)[..., None])[..., 0]
+
+
+def sine_transform(f: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Forward sine transform along the last axis: coeffs_i = 2/(n+1) * sum_j f(x_j) sin(i*pi*x_j).
+
+    Returns the first k coefficients, i = 1..k (all n by default).  Exactly
+    inverts inverse_sine_transform when n = k_max.  Note the transform sees
+    only the interior samples; a constant boundary lift leaks into the
     coefficients as the sine series of the constant (~ 4/(k*pi) for odd k),
     which is the intended analytic behavior.
     """
     f = np.asarray(f, dtype=float)
-    return dst(f, type=1, axis=-1) / (f.shape[-1] + 1)
+    n = f.shape[-1]
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise ValueError(f"sine_transform returns 1 to {n} coefficients, not {k}")
+    if _table_route(n, k):
+        coeffs = _rowwise(_sine_table(n, k).T, f)
+        coeffs *= 2.0
+        coeffs /= n + 1
+        return coeffs
+    return (dst(f, type=1, axis=-1) / (n + 1))[..., :k]
 
 
-def inverse_sine_transform(m: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k m_k sin(k*pi*x_j) on the n = k_max grid, along the last axis."""
-    return dst(np.asarray(m, dtype=float), type=1, axis=-1) / 2.0
+def inverse_sine_transform(m: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Evaluate sum_k m_k sin(k*pi*x_j) on the n-node grid (n = k_max by default), along the last axis."""
+    m = np.asarray(m, dtype=float)
+    k = m.shape[-1]
+    n = k if n is None else n
+    if n < k:
+        raise ValueError(f"{k} modes need at least {k} nodes, got {n}")
+    if _table_route(n, k):
+        return _rowwise(_sine_table(n, k), m)
+    if n > k:
+        padded = np.zeros(m.shape[:-1] + (n,))
+        padded[..., :k] = m
+        m = padded
+    return dst(m, type=1, axis=-1) / 2.0
 
 
 @lru_cache(maxsize=None)
@@ -157,23 +251,20 @@ def sine_matrices(k: int) -> tuple:
     symmetric); syn2 (2k+1, k) synthesizes on the pad-2 grid of
     refined_values; ana2 = syn2.T/(k+1) (k, 2k+1) is the pad-2 analysis
     truncated to k modes, so ana2 @ func(syn2 @ m + bv) is
-    dealias_apply(func, m, bvs=(bv,)).  The products agree with the DST forms
-    to rounding, not bitwise.  A small matrix-vector product beats a DST
-    dispatch for one row; batched paths keep the DST.  Built on first use of
-    each k and cached; the arrays are read-only.
+    dealias_apply(func, m, bvs=(bv,)).  syn and syn2 are the tables of the
+    transforms' table route; ana and ana2 are scaled copies, so a product
+    with them rounds like neither route, and agrees with both to rounding.
+    A small matrix-vector product beats a DST dispatch for one row (the
+    Runge-Kutta oracle).  Built on first use of each k and cached; the
+    arrays are read-only.
     """
-
-    def sin_table(n_nodes):
-        # j*i reduced mod 2(n_nodes+1) in integers keeps the angle in [0, 2 pi)
-        ji = np.outer(np.arange(1, n_nodes + 1), np.arange(1, k + 1)) % (2 * (n_nodes + 1))
-        return np.sin(np.pi * ji / (n_nodes + 1))
-
-    syn = sin_table(k)
-    syn2 = sin_table(2 * k + 1)
-    mats = (syn, (2.0 / (k + 1)) * syn, syn2, np.ascontiguousarray(syn2.T) / (k + 1))
-    for m in mats:
+    syn = _sine_table(k, k)
+    syn2 = _sine_table(2 * k + 1, k)
+    ana = (2.0 / (k + 1)) * syn
+    ana2 = np.ascontiguousarray(syn2.T) / (k + 1)
+    for m in (ana, ana2):
         m.setflags(write=False)
-    return mats
+    return syn, ana, syn2, ana2
 
 
 def eval_modes_on(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -186,26 +277,23 @@ def eval_modes_on(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def refined_values(m: np.ndarray, bv: float = 0.0, pad: int = 2) -> np.ndarray:
     """sum_k m_k sin(k*pi*x) + bv on the pad-refined grid of pad*K + 1 interior nodes."""
     m = np.asarray(m, dtype=float)
-    padded = np.zeros(m.shape[:-1] + (pad * m.shape[-1] + 1,))
-    padded[..., : m.shape[-1]] = m
-    return inverse_sine_transform(padded) + bv
+    return inverse_sine_transform(m, pad * m.shape[-1] + 1) + bv
 
 
 def dealias_apply(func, *mode_args, bvs=None, pad: int = 2):
     """Apply a pointwise nonlinearity on a pad-times refined grid, truncate back.
 
     Each argument holds mode vectors of length K along its last axis; they are
-    zero-padded to pad*K + 1 modes, evaluated on the matching fine grid (with
-    their boundary lift added), func is applied pointwise, and the raw result
-    is transformed back and truncated to K modes.  Raw samples in,
-    coefficients out — same convention as sine_transform, so a constant
-    output shows up as its sine series.
+    evaluated on the pad*K + 1 node grid (with their boundary lift added),
+    func is applied pointwise, and the raw result is transformed back to its
+    first K modes.  Raw samples in, coefficients out — same convention as
+    sine_transform, so a constant output shows up as its sine series.
     """
     k_max = np.shape(mode_args[0])[-1]
     if bvs is None:
         bvs = (0.0,) * len(mode_args)
     out = func(*(refined_values(m, bv, pad) for m, bv in zip(mode_args, bvs)))
-    return sine_transform(out)[..., :k_max]
+    return sine_transform(out, k_max)
 
 
 # Two-double angle handling for the rotation phases.  With omega_k ~ (k pi)^2

@@ -561,6 +561,30 @@ class TestLinearParabolicSolve:
         path = ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, u0, 0.1, 4)
         assert np.array_equal(path.values[0], u0)
 
+    @pytest.mark.parametrize("route", ["eigen", "expm"])
+    def test_march_is_bitwise_the_per_step_formula(self, route):
+        # the state-free forcing kicks are formed for all steps before the
+        # march; each step is still bitwise E out[m] + K1 F[m] + K2 (F[m+1] - F[m])
+        n, Nt, T = 64, 16, 0.05
+        u = 1.0 + 0.2 * np.sin(np.pi * sp.grid(n))
+        w = np.ones(n)
+        if route == "expm":  # the sign-changing off-diagonals of TestPropagator
+            u[n // 2 :] = 3.0
+            w[n // 2 :] = 0.1
+        op = ry.assemble_Pstar(
+            GridField(values=u, bv=1.0), GridField(values=np.zeros(n), bv=0.0), GridField(values=w, bv=1.0)
+        )
+        assert (op._eigen is None) == (route == "expm")
+        rng = np.random.default_rng(5)
+        F = rng.normal(size=(Nt + 1, n))
+        u0 = rng.normal(size=n)
+        path = ry.linear_parabolic_solve(op, F, u0, T, Nt)
+        E, K1, K2 = ry._propagator(op, T / Nt)
+        want = [u0]
+        for m in range(Nt):
+            want.append(E @ want[m] + K1 @ F[m] + K2 @ (F[m + 1] - F[m]))
+        assert path.values.tobytes() == np.array(want).tobytes()
+
     def test_shape_validation(self):
         n = 8
         op = heat_op(n)

@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.fft import dst
+
 from gapflow import spectral as sp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_grid_nodes():
@@ -50,7 +60,7 @@ def test_sine_transform_constant_matches_analytic_series():
 
 def test_round_trip_identity():
     rng = np.random.default_rng(7)
-    for n in (8, 33, 128):
+    for n in (8, 33, 128, 256):  # 256 takes the table route, the others the DST
         m = rng.normal(size=n)
         again = sp.sine_transform(sp.inverse_sine_transform(m))
         assert np.max(np.abs(again - m)) < 1e-12 * max(1.0, np.max(np.abs(m)))
@@ -59,6 +69,138 @@ def test_round_trip_identity():
         for transform in (sp.sine_transform, sp.inverse_sine_transform):
             assert np.array_equal(transform(rows), [transform(r) for r in rows])
         assert np.array_equal(sp.norm_Hk(rows, 2), [sp.norm_Hk(r, 2) for r in rows])
+
+
+# (n_nodes, k) of the DSTs the shipped configs and the golden runs make
+# (n = 48 and 64 with their pad-2 and pad-4 grids), and of other lengths whose
+# FFT length 2(n_nodes + 1) has no prime factor above k
+DST_LENGTHS = [
+    (48, 48), (97, 48), (195, 48), (64, 64), (129, 64), (259, 64), (128, 128), (257, 128), (512, 512), (1025, 256)
+]
+# n = 256, its pad-2 grid and the pad-2 grid of that: 2(n_nodes + 1) = 2, 4 and 8 times 257
+TABLE_LENGTHS = [(256, 256), (513, 256), (1027, 256)]
+
+
+def _transform_both_ways(n_nodes, k):
+    rng = np.random.default_rng(n_nodes)
+    m = rng.normal(size=(3, k))
+    f = rng.normal(size=(3, n_nodes))
+    return sp.inverse_sine_transform(m, n_nodes), sp.sine_transform(f, k)
+
+
+@pytest.mark.parametrize("n_nodes, k", DST_LENGTHS)
+def test_lengths_without_a_prime_above_k_keep_the_dst(monkeypatch, n_nodes, k):
+    assert not sp._table_route(n_nodes, k)
+
+    def no_table(*args):
+        raise AssertionError("table route taken")
+
+    monkeypatch.setattr(sp, "_sine_table", no_table)
+    _transform_both_ways(n_nodes, k)
+
+
+@pytest.mark.parametrize("n_nodes, k", TABLE_LENGTHS)
+def test_lengths_with_a_prime_above_k_take_the_table(monkeypatch, n_nodes, k):
+    assert sp._table_route(n_nodes, k)
+    monkeypatch.setattr(sp, "dst", None)  # any DST call would raise
+    _transform_both_ways(n_nodes, k)
+
+
+def test_table_route_agrees_with_the_dst_to_rounding():
+    # At n = k = 256 (and its pad-2 grid) the transforms multiply by the sine
+    # table; scipy's DST of the same data is the reference.  A priori, to first
+    # order in u = eps/2, with the terms' sum of magnitudes l1 (|m|_1 for a
+    # synthesis, 2 |f|_1 / (n + 1) for an analysis):
+    # - table: an entry sin(pi (ji mod 2(n+1)) / (n+1)) rounds its angle
+    #   (< 2 pi) twice and its sine once, (4 pi + 1) u; the gemv sums k
+    #   (synthesis) or n (analysis) terms, at most n u; the scaling 1 u;
+    # - DST: the FFT of length 2(n+1) = 2^a 257 is a plain 257-term sum per
+    #   output with twiddles good to an ulp, (257 + 2) u, and a radix-2 or
+    #   radix-4 pass, 4 u.
+    # The bound is their sum; the measured gap is about 1 u l1.
+    u = np.finfo(float).eps / 2
+    rng = np.random.default_rng(256)
+    k = 256
+    for n_nodes in (256, 513):
+        assert sp._table_route(n_nodes, k)
+        bound = (n_nodes + 4 * np.pi + 2 + 257 + 6) * u
+        m = rng.normal(size=(20, k))
+        padded = np.zeros((20, n_nodes))
+        padded[:, :k] = m
+        gap = np.abs(sp.inverse_sine_transform(m, n_nodes) - dst(padded, type=1, axis=-1) / 2).max(axis=-1)
+        assert np.all(gap <= bound * np.abs(m).sum(axis=-1))
+        f = rng.normal(size=(20, n_nodes))
+        want = dst(f, type=1, axis=-1)[:, :k] / (n_nodes + 1)
+        gap = np.abs(sp.sine_transform(f, k) - want).max(axis=-1)
+        assert np.all(gap <= bound * 2 * np.abs(f).sum(axis=-1) / (n_nodes + 1))
+
+
+_TABLE_ROUTE_BYTES = """
+import hashlib
+import numpy as np
+from gapflow import spectral as sp
+
+rng = np.random.default_rng(2)
+m = rng.normal(size=(33, 256)) * np.arange(1, 257) ** -2.0
+digest = hashlib.sha256()
+for out in (
+    sp.refined_values(m, 1.0),
+    sp.dealias_apply(lambda a, b: a / b**2, m, m[::-1], bvs=(1.5, 1.0)),
+    sp.sine_transform(sp.inverse_sine_transform(m)),
+):
+    digest.update(out.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_table_route_bytes_do_not_depend_on_the_blas_pool_size():
+    # the shipped configs stay on the DST, so test_golden's pool test never
+    # reaches the gemv of the table route; a fresh process per pool size
+    def run(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        cmd = [sys.executable, "-c", _TABLE_ROUTE_BYTES]
+        return subprocess.run(cmd, env=env, check=True, capture_output=True, text=True, timeout=120).stdout
+
+    one = run("1")
+    assert len(one.strip()) == 64 and run("2") == one
+
+
+def test_sine_tables_are_built_once_per_length(monkeypatch):
+    monkeypatch.setattr(sp, "_TABLES", {})
+    table = sp._sine_table(13, 6)
+    assert table.shape == (13, 6) and not table.flags.writeable
+    assert sp._sine_table(13, 6) is table and sp._sine_table(6, 6) is not table
+    ji = np.outer(np.arange(1, 14), np.arange(1, 7)) % 28
+    assert np.array_equal(table, np.sin(np.pi * ji / 14))
+
+
+def test_threads_racing_for_a_table_share_one_build(monkeypatch):
+    # the cells of a sweep run on two threads; a table built twice would hand
+    # the threads different arrays (and hold two in memory at once)
+    monkeypatch.setattr(sp, "_TABLES", {})
+    n_threads = 6
+    barrier = threading.Barrier(n_threads, timeout=30)
+    got = [[] for _ in range(n_threads)]
+
+    def build(slot):
+        for n_nodes in (1027, 2053, 4111):
+            barrier.wait()
+            slot.append(sp._sine_table(n_nodes, 256))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(slot,)) for slot in got]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    for i, n_nodes in enumerate((1027, 2053, 4111)):
+        assert all(len(slot) == 3 and slot[i] is sp._TABLES[(n_nodes, 256)] for slot in got)
 
 
 def test_semigroup_t0_identity_and_negative_rejected():
@@ -380,6 +522,8 @@ def test_sine_matrices_match_the_transforms(k):
     syn, ana, syn2, ana2 = sp.sine_matrices(k)
     assert syn.shape == ana.shape == (k, k) and syn2.shape == (2 * k + 1, k) and ana2.shape == (k, 2 * k + 1)
     assert np.array_equal(syn, syn.T) and np.array_equal(ana2, syn2.T / (k + 1))
+    # syn and syn2 are the tables of the transforms' table route, not copies
+    assert syn is sp._sine_table(k, k) and syn2 is sp._sine_table(2 * k + 1, k)
     rng = np.random.default_rng(k)
     m = rng.normal(size=k) * np.arange(1, k + 1) ** -2.0
     f = rng.normal(size=k)

@@ -223,13 +223,8 @@ def _convert(kind: str, name: str, text: str, violations: list):
 
 
 def _resolve_auto_T(p: ModelParams, init: CoupledState) -> float:
-    """Constructive horizon: T0 from the contraction constants of the initial data."""
-    w0 = GridField(values=sp.inverse_sine_transform(init.vw.w) + p.lift.theta2, bv=p.lift.theta2)
-    cc = dp.contraction_constants(p, w0)
-    r = 0.9 * cc.r_max
-    spec = sp.plate_eigenvalues(init.vw.k_max)
-    delta_o = dp.delta_o_bound(init.vw, spec, r)
-    return float(dp.estimate_T0(p, w0, init.u, r, M0=1.0, delta_o=delta_o))
+    """Constructive horizon: T0 of the theory constants of the initial data."""
+    return dp.theory_constants(p, ry._plate_fields(init.vw, p.lift.theta2)[1], init.u, init.vw).T0
 
 
 def parse_config(text: str) -> RunConfig:
@@ -318,7 +313,8 @@ def parse_config(text: str) -> RunConfig:
         elif not os.path.isfile(init_file):
             violations.append(f"init.file: no such file (got {init_file!r})")
         else:
-            blob = open(init_file, "rb").read()
+            with open(init_file, "rb") as fh:
+                blob = fh.read()
             file_sha = hashlib.sha256(blob).hexdigest()
             if file_sha_given and file_sha_given != file_sha:
                 violations.append(
@@ -326,10 +322,10 @@ def parse_config(text: str) -> RunConfig:
                     f"(config says {file_sha_given[:12]}..., file has {file_sha[:12]}...)"
                 )
             try:
-                data = np.load(init_file)
-                u_vals = np.asarray(data["u_values"], dtype=float)
-                v_modes = np.asarray(data["v_modes"], dtype=float)
-                w_modes = np.asarray(data["w_modes"], dtype=float)
+                with np.load(init_file) as data:
+                    u_vals = np.asarray(data["u_values"], dtype=float)
+                    v_modes = np.asarray(data["v_modes"], dtype=float)
+                    w_modes = np.asarray(data["w_modes"], dtype=float)
             except Exception as exc:
                 violations.append(
                     f"init.file: expected .npz with u_values, v_modes, w_modes ({exc!s})"
@@ -751,7 +747,7 @@ def _suite_lipschitz(seed: int) -> list:
     )
 
     # Hoelder audit of the right-hand side: calibrate on several paths, verify on a fresh one
-    T, n_t, alpha = 5e-3, 10, 0.2
+    T, n_t, alpha = 5e-3, 10, dp.HOLDER_ALPHA
     init = StateVW(v=np.zeros(n), w=w0m)
     rng = np.random.default_rng(seed + 2)
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3

@@ -21,7 +21,7 @@ bounds, which is what the audits check (bound >= measured, never equality).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -183,13 +183,14 @@ def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
 
 # --- contraction-theory constants -------------------------------------------
 
-_EMBED_CACHE: dict = {}
+# Hoelder exponent of the plate path in the constants chain (L_U) and of the
+# admissible horizon T (1/(2 rho))^(1/alpha) that a GammaDivergence reports
+HOLDER_ALPHA = 0.2
 
 
+@lru_cache(maxsize=None)
 def embedding_C(k_max: int) -> float:
-    if k_max not in _EMBED_CACHE:
-        _EMBED_CACHE[k_max] = sobolev_embedding_constant(max(k_max, 8))
-    return _EMBED_CACHE[k_max]
+    return sobolev_embedding_constant(max(k_max, 8))
 
 
 def kappa_of(w0: GridField) -> float:
@@ -239,15 +240,8 @@ def contraction_constants(p: ModelParams, w0: GridField) -> ContractionConstants
     return ContractionConstants(kappa=kappa, C=C, C_tilde=C_tilde, C1=C1, C2=C2, C3=C3, L_G=p.beta_F * C2)
 
 
-def estimate_LG(p: ModelParams, w0: GridField, r: float) -> float:
-    """Lipschitz bound L_G = beta_F * C2 for G on the ball of radius r < kappa/(2C)."""
-    cc = contraction_constants(p, w0)
-    cc.radius(r)
-    return cc.L_G
-
-
-def delta_o_bound(init: StateVW, spec: PlateSpectrum, r: float, cap: float = 1.0) -> float:
-    """Largest delta <= cap with sup_{t<=delta} ||T(t)Phi0 - Phi0||_{L2xH2} <= r/2.
+def delta_o_bound(init: StateVW, spec: PlateSpectrum, r: float) -> float:
+    """Largest delta <= 1 with sup_{t<=delta} ||T(t)Phi0 - Phi0||_{L2xH2} <= r/2.
 
     Uses the monotone per-mode envelope |cos(om t)-1| <= min(2, (om delta)^2/2),
     |sin(om t)| <= min(1, om delta), so the bisection bounds the supremum from
@@ -264,9 +258,9 @@ def delta_o_bound(init: StateVW, spec: PlateSpectrum, r: float, cap: float = 1.0
         dw = np.abs(init.w) * e_cos + np.abs(init.v) * e_sin / om
         return float(np.sqrt(0.5 * np.sum(dv**2) + 0.5 * np.sum(lam * dw**2)))
 
-    if dev(cap) <= r / 2.0:
-        return cap
-    lo, hi = 0.0, cap
+    if dev(1.0) <= r / 2.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if dev(mid) <= r / 2.0:
@@ -274,27 +268,6 @@ def delta_o_bound(init: StateVW, spec: PlateSpectrum, r: float, cap: float = 1.0
         else:
             hi = mid
     return lo
-
-
-def _T0_branches(cc: ContractionConstants, g0h2: float, M0: float, delta_o: float) -> tuple:
-    """(delta_o, 1/(2 M0 L_G), kappa/(2M0) / ((L_G+1)kappa + 2C||G0||_H2)); T0 is their minimum."""
-    branch2 = 1.0 / (2.0 * M0 * cc.L_G) if cc.L_G > 0 else np.inf
-    branch3 = cc.kappa / (2.0 * M0) / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * g0h2)
-    return delta_o, branch2, branch3
-
-
-def estimate_T0(
-    p: ModelParams,
-    w0: GridField,
-    u0: GridField,
-    r: float,
-    M0: float = 1.0,
-    delta_o: float = 1.0,
-) -> float:
-    """Horizon formula T0 = min{ delta_o, 1/(2 M0 L_G), kappa/(2M0) / ((L_G+1)kappa + 2C||G0||_H2) }."""
-    cc = contraction_constants(p, w0)
-    cc.radius(r)
-    return float(min(_T0_branches(cc, g0_norm_H2(p, w0, u0), M0, delta_o)))
 
 
 def dom_A_norm(init: StateVW, spec: PlateSpectrum) -> float:
@@ -326,7 +299,6 @@ class TheoryConstants(ContractionConstants):
     L_e: float
     C_t3: float
     C_t4: float
-    alpha: float
     r: float
     M0: float
 
@@ -336,22 +308,30 @@ def theory_constants(
     w0: GridField,
     u0: GridField,
     init: StateVW,
-    alpha: float = 0.2,
 ) -> TheoryConstants:
     """Evaluate the whole constants chain on concrete data.
 
     kappa, C -> C_tilde -> C1 (inverse-gap H2 bound) -> C2, C3 (difference
     bounds for 1/w^2, 1/w^3) -> L_G -> T0 -> L_W (pressure-to-plate Lipschitz)
-    -> L_W2, L_U (Hoelder-in-time) -> L_e (pressure-side Lipschitz of F).
-    The ball radius is the default 0.9 kappa/(2C), the semigroup bound M0 is 1
-    (T is unitary in X) and delta_o is capped at 1.
+    -> L_W2, L_U (Hoelder-in-time, exponent HOLDER_ALPHA) -> L_e
+    (pressure-side Lipschitz of F).  The ball radius is the default
+    0.9 kappa/(2C), the semigroup bound M0 is 1 (T is unitary in X) and
+    delta_o is capped at 1.  T0 is the local-existence horizon
+
+        T0 = min{ delta_o, 1/(2 M0 L_G), kappa/(2M0) / ((L_G+1)kappa + 2C||G0||_H2) },
+
+    the minimum of T0_branches.
     """
     M0 = 1.0
     cc = contraction_constants(p, w0)
     r = cc.radius()
     spec = plate_eigenvalues(init.k_max)
     g0h2 = g0_norm_H2(p, w0, u0)
-    branches = _T0_branches(cc, g0h2, M0, delta_o_bound(init, spec, r, cap=1.0))
+    branches = (
+        delta_o_bound(init, spec, r),
+        1.0 / (2.0 * M0 * cc.L_G) if cc.L_G > 0 else np.inf,
+        cc.kappa / (2.0 * M0) / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * g0h2),
+    )
     T0 = float(min(branches))
 
     L_W = T0 * M0 * p.beta_p * np.exp(M0 * cc.L_G * T0)
@@ -366,7 +346,7 @@ def theory_constants(
     # Hoelder constant of the plate path: P0 and the Gronwall amplification
     P0 = cc.kappa * (cc.L_G + 1.0) / (2.0 * cc.C) + g0h2
     amp = np.exp(M0 * cc.L_G * T0) * M0
-    L_U = amp * (dom_A_norm(init, spec) + P0) * T0 ** (1.0 - alpha) + amp * p.beta_p * T0 * (
+    L_U = amp * (dom_A_norm(init, spec) + P0) * T0 ** (1.0 - HOLDER_ALPHA) + amp * p.beta_p * T0 * (
         cc.kappa / (2.0 * cc.C) + u0t_h2
     )
 
@@ -398,7 +378,6 @@ def theory_constants(
         L_e=float(L_e),
         C_t3=float(C_t3),
         C_t4=float(C_t4),
-        alpha=alpha,
         r=float(r),
         M0=M0,
     )
@@ -471,11 +450,11 @@ def picard_dispersive(
 ) -> tuple:
     """Construct the mild solution on u_path.times (must end at T) by Picard sweeps.
 
-    The certified regime is T below the estimate_T0 horizon, where the sweep
-    map is a contraction with ratio <= T*M0*L_G; the implementation accepts
-    any finite horizon, measures the actual ratios, and raises
-    PicardDivergence on observed non-contraction (two successive ratios
-    >= 1) or when max_iter sweeps miss tol.  The ball radius reported (and
+    The certified regime is T below the horizon T0 of theory_constants,
+    where the sweep map is a contraction with ratio <= T*M0*L_G; the
+    implementation accepts any finite horizon, measures the actual ratios,
+    and raises PicardDivergence on observed non-contraction (two successive
+    ratios >= 1) or when max_iter sweeps miss tol.  The ball radius reported (and
     used by the lower-bound check) is the default 0.9 kappa/(2C).  setup is
     plate_setup(p, init, u_path.times), built here when not given.
 

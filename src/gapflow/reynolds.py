@@ -213,9 +213,6 @@ _GROW_BELOW = 0.2
 _TAIL_FLOOR = 1e-4
 _TAIL_FRACTION = 0.05
 _MAX_CHUNKS = 10_000
-# Hoelder exponent in the admissible horizon T (1/(2 rho))^(1/alpha) that a
-# GammaDivergence reports for a measured outer ratio rho.
-_ALPHA = 0.2
 
 
 @dataclass
@@ -437,7 +434,7 @@ def elliptic_form_check(
     h = op.h
     eps1 = min(float(op.u0.values.min()), op.u0.bv)
     kappa = min(float(op.w0.values.min()), op.w0.bv)
-    C = dp.embedding_C(max(n, 8))
+    C = dp.embedding_C(n)
     u_modes = sp.sine_transform(op.u0.values - op.u0.bv)
     w_modes = sp.sine_transform(op.w0.values - op.w0.bv)
     K2 = C * sp.lifted_norm_H2(u_modes, op.u0.bv) * _lifted_h3(w_modes, op.w0.bv) ** 2
@@ -730,7 +727,7 @@ def gamma_iterate(
             return current, report, solve_plate(current)
         return current, report
     rho = ratios[-1] if ratios else float("nan")
-    T_adm = T * (0.5 / rho) ** (1.0 / _ALPHA) if ratios else float("nan")
+    T_adm = T * (0.5 / rho) ** (1.0 / dp.HOLDER_ALPHA) if ratios else float("nan")
     if status == "diverged":
         message = (
             f"outer contraction failed: measured ratio {rho:.3g} at T={T:.3g}; "

@@ -521,37 +521,15 @@ def duhamel_sweep(init: StateVW, omega: np.ndarray, coeffs: tuple, forcing: np.n
     return v, w
 
 
-def duhamel_step(
-    s: StateVW,
-    spec: PlateSpectrum,
-    g0: np.ndarray,
-    g1: np.ndarray,
-    t0: float,
-    t1: float,
-    rule: str = "exp_trapezoid",
-) -> StateVW:
+def duhamel_step(s: StateVW, spec: PlateSpectrum, g0: np.ndarray, g1: np.ndarray, t0: float, t1: float) -> StateVW:
     """Advance the mild solution one step; forcing enters the v-equation only.
 
-    rule = "exp_trapezoid": piecewise-linear g, trig kernels integrated exactly
-    (order 2, uniformly in omega; exact for constant and linear-in-t forcing);
-    the one-step case of duhamel_sweep.
-    rule = "trapezoid": plain trapezoid on the kernel-weighted integrand (also
-    order 2 but with an omega*h-dependent constant; kept for Richardson
-    cross-checks of the exp-trapezoid kick).
+    The one-step case of duhamel_sweep: piecewise-linear g, trig kernels
+    integrated exactly (order 2, uniformly in omega; exact for constant and
+    linear-in-t forcing).
     """
     h = t1 - t0
     if h < 0:
         raise ValueError("duhamel_step needs t1 >= t0")
-    om = spec.omega
-    if rule == "exp_trapezoid":
-        v, w = duhamel_sweep(s, om, duhamel_coeffs(om, [h]), np.array([g0, g1], dtype=float))
-        return StateVW(v=v[1], w=w[1])
-    if rule != "trapezoid":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    rot = semigroup_apply(s, spec, h)
-    g0 = np.asarray(g0, dtype=float)
-    g1 = np.asarray(g1, dtype=float)
-    x = om * h
-    dv = 0.5 * h * (g0 * np.cos(x) + g1)
-    dw = 0.5 * h * (g0 * np.sin(x) / om)
-    return StateVW(v=rot.v + dv, w=rot.w + dw)
+    v, w = duhamel_sweep(s, spec.omega, duhamel_coeffs(spec.omega, [h]), np.array([g0, g1], dtype=float))
+    return StateVW(v=v[1], w=w[1])

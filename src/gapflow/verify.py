@@ -1,7 +1,7 @@
 """Closed-form benchmarks, regularity diagnostics, and calibrated property audits.
 
-The linear forced-plate benchmark has an exact mode-wise solution; running the
-production Duhamel machinery against it is the one quantitative anchor of the
+The linear forced-plate benchmark has an exact mode-wise solution; marching the
+production Duhamel sweep against it is the one quantitative anchor of the
 whole pipeline.  The remaining suites are computable shadows of the analytic
 estimates: Monte Carlo audits of the algebra constant, the inverse-power
 bounds, the Lipschitz constants of G and F, plus self-convergence studies of
@@ -83,37 +83,25 @@ def linear_plate_closed_form(t: float, k_max: int) -> ClosedFormModes:
     return ClosedFormModes(t=t, w=w, v=v)
 
 
-def benchmark_against_duhamel(
-    k_max: int,
-    T: float,
-    N_t: int,
-    rule: str = "exp_trapezoid",
-    forcing_amplitude: float = 1.0,
-) -> float:
+def benchmark_against_duhamel(k_max: int, T: float, N_t: int) -> float:
     """March the production Duhamel path against the closed form; return the max gap.
 
     The spectral core runs in its biharmonic-only variant (the benchmark
-    equation has no Laplacian term).  The forcing is constant in time, so the
-    exponential-trapezoid kick is exact and the gap is pure rounding; the
-    plain-trapezoid rule is kept for Richardson cross-checks and decays O(dt^2).
+    equation has no Laplacian term).  One duhamel_sweep marches the uniform
+    grid of N_t steps; the forcing is constant in time, so the
+    exponential-trapezoid kick is exact and the gap is pure rounding.
     """
     if N_t < 1:
         raise ValueError("N_t must be >= 1")
-    spec = sp.plate_eigenvalues(k_max, biharmonic_only=True)
-    g = forcing_amplitude * 2.0 * sp.int_sine(k_max)
-    state = StateVW(v=np.zeros(k_max), w=np.zeros(k_max))
+    om = sp.plate_eigenvalues(k_max, biharmonic_only=True).omega
     times = np.linspace(0.0, T, N_t + 1)
+    forcing = np.broadcast_to(2.0 * sp.int_sine(k_max), (N_t + 1, k_max))
+    rest = StateVW(v=np.zeros(k_max), w=np.zeros(k_max))
+    v, w = sp.duhamel_sweep(rest, om, sp.duhamel_coeffs(om, np.diff(times)), forcing)
     gap = 0.0
-    for m in range(N_t):
-        state = sp.duhamel_step(state, spec, g, g, times[m], times[m + 1], rule=rule)
-        cf = linear_plate_closed_form(times[m + 1], k_max)
-        ref_w = forcing_amplitude * cf.w
-        ref_v = forcing_amplitude * cf.v
-        gap = max(
-            gap,
-            float(np.abs(state.w - ref_w).max()),
-            float(np.abs(state.v - ref_v).max()),
-        )
+    for t, v_t, w_t in zip(times[1:], v[1:], w[1:]):
+        cf = linear_plate_closed_form(t, k_max)
+        gap = max(gap, float(np.abs(w_t - cf.w).max()), float(np.abs(v_t - cf.v).max()))
     return gap
 
 
@@ -373,8 +361,9 @@ def lipschitz_G_check(
     measured quotients sit far below it (the chain is existence-grade, not
     sharp), and the audit's job is zero violations, not tightness.
     """
-    r = dp.contraction_constants(p, w0).radius(r)
-    L = dp.estimate_LG(p, w0, r)
+    cc = dp.contraction_constants(p, w0)
+    r = cc.radius(r)
+    L = cc.L_G
     k_max = w0.n
     table = _fine_sines(k_max)
     base_fine = sp.sine_transform(w0.values - w0.bv) @ table + w0.bv

@@ -1,10 +1,12 @@
 """CLI contract tests: config parsing/validation, deterministic outputs,
 export formats, verification suites, and sweeps."""
 
+import gc
 import hashlib
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,9 @@ import pytest
 
 import gapflow
 from gapflow import cli
+from gapflow import dispersive as dp
 from gapflow import reynolds as ry
+from gapflow import spectral as sp
 from gapflow.cli import CheckResult, ConfigError, SweepCell
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -138,6 +142,14 @@ T = -0.5
         echo = cli.parse_config(cfg.canonical())
         assert echo.T == cfg.T and echo.T_source == "auto"
         assert echo.canonical() == cfg.canonical()
+        # the resolved T is the horizon formula
+        # T0 = min{delta_o, 1/(2 L_G), kappa/2 / ((L_G+1)kappa + 2C||G0||_H2)}
+        p, init = cfg.model_params(), cfg.initial_state()
+        w0 = sp.GridField(values=sp.inverse_sine_transform(init.vw.w) + p.lift.theta2, bv=p.lift.theta2)
+        cc = dp.contraction_constants(p, w0)
+        d_o = dp.delta_o_bound(init.vw, sp.plate_eigenvalues(16), 0.9 * cc.r_max)
+        b3 = cc.kappa / 2.0 / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * dp.g0_norm_H2(p, w0, init.u))
+        assert cfg.T == min(d_o, 1.0 / (2.0 * cc.L_G), b3)
 
     def test_snapshot_outside_horizon_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -175,6 +187,16 @@ T = -0.5
         assert ok.config_hash == cfg.config_hash
         with pytest.raises(ConfigError, match="hash mismatch"):
             cli.parse_config(base.format(sha="file_sha256 = " + "0" * 64))
+
+    def test_file_kind_closes_the_init_file(self, tmp_path):
+        path = tmp_path / "init.npz"
+        np.savez(path, u_values=np.ones(8), v_modes=np.zeros(8), w_modes=np.zeros(8))
+        text = f"[init]\nkind = file\nfile = {path}\n\n[discretization]\nk_max = 8\nn = 8\n\n[run]\nT = 0.002\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.parse_config(text)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_file_kind_shape_and_existence_errors(self, tmp_path):
         missing = (

@@ -52,19 +52,29 @@ def test_every_module_level_definition_is_used():
 
 
 def _defaulted(fn) -> dict:
-    """{parameter: position} of fn's parameters with a default; keyword-only ones have position None."""
+    """{parameter: (position, default node)} of fn's parameters with a default;
+    keyword-only ones have position None."""
     positional = fn.args.posonlyargs + fn.args.args
     first = len(positional) - len(fn.args.defaults)
-    out = {a.arg: i for i, a in enumerate(positional) if i >= first}
-    out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None})
+    out = {a.arg: (i, fn.args.defaults[i - first]) for i, a in enumerate(positional) if i >= first}
+    out.update({a.arg: (None, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None})
     return out
+
+
+def _same_literal(a, b) -> bool:
+    """Whether two expression nodes are literals of equal value."""
+    try:
+        return ast.literal_eval(a) == ast.literal_eval(b)
+    except ValueError:
+        return False
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     """An option (a parameter with a default) that no call site in src/, tests/ or
-    perfbench/ passes, by keyword or by position, is a constant in disguise.
-    Calls are matched by the function's name; a call that splats *args or
-    **kwargs counts as passing every option."""
+    perfbench/ passes, by keyword or by position, a value other than a literal
+    equal to its default is a constant in disguise.  Calls are matched by the
+    function's name; a call that splats *args or **kwargs counts as passing
+    every option."""
     options = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -80,9 +90,10 @@ def test_every_defaulted_parameter_is_passed_somewhere():
             if name not in options:
                 continue
             splat = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
-            keywords = {k.arg for k in node.keywords}
-            for param, pos in options[name].items():
-                if splat or param in keywords or (pos is not None and pos < len(node.args)):
+            keywords = {k.arg: k.value for k in node.keywords}
+            for param, (pos, default) in options[name].items():
+                value = keywords.get(param, node.args[pos] if pos is not None and pos < len(node.args) else None)
+                if splat or (value is not None and not _same_literal(value, default)):
                     passed.add((name, param))
     never = [f"{fn}({param})" for fn, params in sorted(options.items()) for param in params if (fn, param) not in passed]
-    assert not never, "options no caller passes: " + ", ".join(never)
+    assert not never, "options no caller passes other than at their default: " + ", ".join(never)

@@ -56,14 +56,15 @@ def test_eval_G_quench():
         dp._G_modes(np.vstack([rows, dip]), p)
 
 
-def test_estimate_LG_r_range_and_value():
+def test_contraction_L_G_r_range_and_value():
     p = base_params(beta_F=3.0)
     k = 32
     w0 = sp.GridField(values=np.ones(k), bv=1.0)  # w0 == 1, kappa = 1
     cc = dp.contraction_constants(p, w0)
     with pytest.raises(ValueError):
-        dp.estimate_LG(p, w0, r=cc.r_max * 1.5)
-    L_G = dp.estimate_LG(p, w0, r=0.5 * cc.r_max)
+        cc.radius(cc.r_max * 1.5)
+    assert cc.radius(0.5 * cc.r_max) == 0.5 * cc.r_max
+    L_G = cc.L_G
     # hand-assembled from the constant chain: C~ = kappa/(2C) + ||w0||_H2,
     # C1^2 = 4C/k^2 + 16 C~^2/k^4 + (4/k^2 + 16 C C~/k^3)^2 C~^2, L_G = beta_F 2 C1^3
     C = dp.embedding_C(k)
@@ -81,7 +82,7 @@ def test_G_lipschitz_bound_monte_carlo():
     w0 = w0_field_of(init)
     cc = dp.contraction_constants(p, w0)
     r = 0.9 * cc.r_max
-    L_G = dp.estimate_LG(p, w0, r)
+    L_G = cc.L_G
     worst = 0.0
     for _ in range(300):
         rho1 = rng.normal(size=k) * np.arange(1, k + 1) ** -3.0
@@ -101,7 +102,7 @@ def test_G_lipschitz_bound_monte_carlo():
     assert worst > 0.1 * 2 * p.beta_F / cc.kappa**3
 
 
-def test_estimate_T0_branch_structure():
+def test_theory_T0_branch_structure():
     p = base_params()
     k = 32
     init = small_bump_state(k)
@@ -110,20 +111,20 @@ def test_estimate_T0_branch_structure():
     cc = dp.contraction_constants(p, w0)
     r = 0.9 * cc.r_max
     d_o = dp.delta_o_bound(init, sp.plate_eigenvalues(k), r)
-    T0 = dp.estimate_T0(p, w0, u0, r, M0=1.0, delta_o=d_o)
+    tc = dp.theory_constants(p, w0, u0, init)
     g0h2 = dp.g0_norm_H2(p, w0, u0)
     b2 = 1.0 / (2.0 * cc.L_G)
     b3 = cc.kappa / 2.0 / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * g0h2)
-    assert T0 == pytest.approx(min(d_o, b2, b3), rel=1e-14)
+    assert tc.T0_branches == pytest.approx((d_o, b2, b3), rel=1e-14)
+    assert tc.T0 == pytest.approx(min(d_o, b2, b3), rel=1e-14)
     # monotonicity in L_G: doubling beta_F cannot increase T0
-    T0b = dp.estimate_T0(base_params(beta_F=2.0), w0, u0, r, 1.0, d_o)
-    assert T0b <= T0
+    assert dp.theory_constants(base_params(beta_F=2.0), w0, u0, init).T0 <= tc.T0
 
 
 def test_delta_o_cap_for_zero_state():
     k = 16
     zero = sp.StateVW(np.zeros(k), np.zeros(k))
-    assert dp.delta_o_bound(zero, sp.plate_eigenvalues(k), r=0.1, cap=1.0) == 1.0
+    assert dp.delta_o_bound(zero, sp.plate_eigenvalues(k), r=0.1) == 1.0
 
 
 def test_delta_o_certifies_continuity():
@@ -148,10 +149,7 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     w0 = w0_field_of(init)
     u0 = sp.GridField(values=np.ones(k) + 0.2 * np.sin(np.pi * sp.grid(k)), bv=1.0)
     cc = dp.contraction_constants(p, w0)
-    r = 0.9 * cc.r_max
-    d_o = dp.delta_o_bound(init, sp.plate_eigenvalues(k), r)
-    T0 = dp.estimate_T0(p, w0, u0, r, 1.0, d_o)
-    T = 0.9 * T0
+    T = 0.9 * dp.theory_constants(p, w0, u0, init).T0
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
     path, rep = dp.picard_dispersive(p, up, init, T)
     assert rep.converged
@@ -400,7 +398,7 @@ def test_empirical_holder_constant_path_and_LU_bound():
     init = small_bump_state(k)
     w0 = w0_field_of(init)
     u0 = sp.GridField(values=np.ones(k), bv=1.0)
-    tc = dp.theory_constants(p, w0, u0, init, alpha=0.2)
+    tc = dp.theory_constants(p, w0, u0, init)
     T = 0.9 * tc.T0
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
     assert dp.empirical_holder(up, alpha=0.5) == 0.0

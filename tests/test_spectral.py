@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.fft import dst
 
 from gapflow import spectral as sp
+from gapflow import verify as vf
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -410,29 +411,61 @@ def test_duhamel_exact_for_linear_forcing():
     assert out.w[0] == pytest.approx(w_ref, abs=1e-16)
 
 
+def trapezoid_step(s, spec, g0, g1, t0, t1):
+    """One step of the plain trapezoid on the kernel-weighted Duhamel integrand.
+
+    Order 2 like the exp-trapezoid step, but with an omega*h-dependent error
+    constant: the Richardson reference for the exp-trapezoid kick.
+    """
+    h = t1 - t0
+    rot = sp.semigroup_apply(s, spec, h)
+    x = spec.omega * h
+    return sp.StateVW(v=rot.v + 0.5 * h * (g0 * np.cos(x) + g1), w=rot.w + 0.5 * h * (g0 * np.sin(x) / spec.omega))
+
+
 def test_duhamel_rule_convergence_order():
     # both rules converge at >= order 2 to the many-step limit; measure on a
     # stiff mode with smooth forcing g(t) = sin(3t)
     spec = sp.plate_eigenvalues(6)
 
-    def march(n_steps, rule):
+    def march(n_steps, step):
         s = sp.StateVW(np.zeros(6), np.zeros(6))
         ts = np.linspace(0.0, 0.8, n_steps + 1)
         for a, b in zip(ts[:-1], ts[1:]):
             g0 = np.full(6, np.sin(3 * a))
             g1 = np.full(6, np.sin(3 * b))
-            s = sp.duhamel_step(s, spec, g0, g1, a, b, rule=rule)
+            s = step(s, spec, g0, g1, a, b)
         return s
 
-    ref = march(4096, "exp_trapezoid")
-    for rule in ("exp_trapezoid", "trapezoid"):
+    ref = march(4096, sp.duhamel_step)
+    for step in (sp.duhamel_step, trapezoid_step):
         errs = []
         for n in (32, 64, 128):
-            out = march(n, rule)
+            out = march(n, step)
             errs.append(sp.norm_X(out.v - ref.v, out.w - ref.w, spec))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
-        assert min(order1, order2) > 1.8, (rule, errs)
+        assert min(order1, order2) > 1.8, (step.__name__, errs)
+
+
+def test_plain_trapezoid_second_order():
+    # against the forced-plate closed form of the Duhamel benchmark (constant
+    # load, biharmonic spectrum, from rest) the plain trapezoid decays O(dt^2)
+    k, T = 4, 0.5
+    spec = sp.plate_eigenvalues(k, biharmonic_only=True)
+    g = 2.0 * sp.int_sine(k)
+    gaps = []
+    for N in (256, 512, 1024):
+        s = sp.StateVW(np.zeros(k), np.zeros(k))
+        times = np.linspace(0.0, T, N + 1)
+        gap = 0.0
+        for a, b in zip(times[:-1], times[1:]):
+            s = trapezoid_step(s, spec, g, g, a, b)
+            cf = vf.linear_plate_closed_form(b, k)
+            gap = max(gap, np.abs(s.w - cf.w).max(), np.abs(s.v - cf.v).max())
+        gaps.append(gap)
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+    assert 3.5 <= gaps[1] / gaps[2] <= 4.5
 
 
 def test_duhamel_sweep_matches_step_by_step():

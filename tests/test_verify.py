@@ -63,13 +63,13 @@ class TestBenchmark:
         gap = vf.benchmark_against_duhamel(128, 1.0, 256)
         assert gap <= 1e-10
 
-    def test_plain_trapezoid_second_order(self):
-        gaps = [vf.benchmark_against_duhamel(4, 0.5, N, rule="trapezoid") for N in (256, 512, 1024)]
-        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
-        assert 3.5 <= gaps[1] / gaps[2] <= 4.5
-
     def test_zero_forcing_zero_everywhere(self):
-        assert vf.benchmark_against_duhamel(16, 1.0, 32, forcing_amplitude=0.0) == 0.0
+        # the benchmark's march, started from rest with zero forcing, stays exactly zero
+        om = sp.plate_eigenvalues(16, biharmonic_only=True).omega
+        rest = StateVW(np.zeros(16), np.zeros(16))
+        coeffs = sp.duhamel_coeffs(om, np.diff(np.linspace(0.0, 1.0, 33)))
+        v, w = sp.duhamel_sweep(rest, om, coeffs, np.zeros((33, 16)))
+        assert not v.any() and not w.any()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -257,8 +257,9 @@ def _ref_inverse_power(p, w0, trials, seed):
 
 
 def _ref_lipschitz_G(p, w0, trials, seed):
-    r = dp.contraction_constants(p, w0).radius(None)
-    L = dp.estimate_LG(p, w0, r)
+    cc = dp.contraction_constants(p, w0)
+    r = cc.radius(None)
+    L = cc.L_G
     k_max = w0.n
     xf = sp.grid(4 * k_max + 3)
     base_modes = sp.sine_transform(w0.values - w0.bv)

@@ -224,7 +224,7 @@ def _convert(kind: str, name: str, text: str, violations: list):
 
 def _resolve_auto_T(p: ModelParams, init: CoupledState) -> float:
     """Constructive horizon: T0 of the theory constants of the initial data."""
-    return dp.theory_constants(p, ry._plate_fields(init.vw, p.lift.theta2)[1], init.u, init.vw).T0
+    return dp.theory_constants(p, init.u, init.vw).T0
 
 
 def parse_config(text: str) -> RunConfig:
@@ -737,18 +737,15 @@ def _suite_lipschitz(seed: int) -> list:
     ]
     w0m = np.zeros(n)
     w0m[0] = 0.05
-    w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
+    init = StateVW(v=np.zeros(n), w=w0m)
     u0 = GridField(values=np.full(n, 1.0), bv=1.0)
-    lf = vf.lipschitz_F_check(
-        _SUITE_PARAMS, u0, w0, StateVW(v=np.zeros(n), w=w0m), trials=1000, seed=seed + 1
-    )
+    lf = vf.lipschitz_F_check(_SUITE_PARAMS, u0, init, trials=1000, seed=seed + 1)
     results.append(
         CheckResult("lipschitz.F", lf.passed, lf.worst_ratio, lf.bound, note=f"{lf.trials} pairs")
     )
 
     # Hoelder audit of the right-hand side: calibrate on several paths, verify on a fresh one
     T, n_t, alpha = 5e-3, 10, dp.HOLDER_ALPHA
-    init = StateVW(v=np.zeros(n), w=w0m)
     rng = np.random.default_rng(seed + 2)
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
     q = np.array([qm * (1.0 + 0.2 * math.cos(2 * math.pi * i / n_t)) for i in range(n_t + 1)])

@@ -29,17 +29,18 @@ from .spectral import (
     BoundaryLift,
     GridField,
     PlateSpectrum,
-    QuenchSignal,
     StateVW,
     dealias_apply,
     duhamel_coeffs,
     duhamel_sweep,
+    gap_min,
     grid,
     inverse_sine_transform,
     lifted_norm_H2,
     norm_Hk,
     plate_eigenvalues,
     refined_values,
+    require_open_gap,
     sine_transform,
     sobolev_embedding_constant,
 )
@@ -95,10 +96,12 @@ class VWPath:
     @cached_property
     def w_refined_min(self) -> np.ndarray:
         """min of w~ over the pad-2 refined grid (refined_values, boundary trace
-        excluded) at each node.  Synthesized on first use and kept, so the plate
-        solve's lower-bound check and the coupled driver's gap monitor share one
-        synthesis; the gap minimum is this plus theta2 (a float shift is monotone)."""
-        return refined_values(self.w).min(axis=-1)
+        excluded) at each node, as an (n_t + 1, 1) column.  Synthesized on first
+        use and kept, so the plate solve's lower-bound check and the coupled
+        driver's gap monitor share one synthesis.  gap_min(w_refined_min +
+        theta2, theta2) is each node's gap minimum: a float shift is monotone,
+        so adding theta2 after the minimum is bitwise adding it before."""
+        return refined_values(self.w).min(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -108,8 +111,7 @@ class PicardReport:
     converged: bool
     T_used: float
     r_used: float
-    sup_drift: float = np.nan  # sup_t ||w~(t) - w~0||_H2 of the converged run
-    min_w: float = np.nan      # min gap over the fine grid after convergence
+    min_w: float = np.nan  # min gap over the fine grid (trace included) after convergence
     banach_ratio: float = np.nan  # largest ratio measured above the rounding floor (gamma_iterate)
 
 
@@ -119,6 +121,16 @@ class PicardDivergence(RuntimeError):
     def __init__(self, message: str, report: PicardReport):
         super().__init__(message)
         self.report = report
+
+
+def gap_field(s: StateVW, theta2: float) -> GridField:
+    """The gap theta2 + w~ of one plate state on the n = k_max grid, carrying its trace theta2."""
+    return GridField(values=inverse_sine_transform(s.w) + theta2, bv=theta2)
+
+
+def plate_fields(s: StateVW, theta2: float) -> tuple:
+    """(v, w) of one plate state as grid fields on the n = k_max grid; w is its gap_field."""
+    return GridField(values=inverse_sine_transform(s.v), bv=0.0), gap_field(s, theta2)
 
 
 def state_norm_L2H2(v: np.ndarray, w: np.ndarray):
@@ -141,9 +153,7 @@ def _G_fine(w_fine: np.ndarray, p: ModelParams) -> np.ndarray:
 
     Raises QuenchSignal where the gap is not strictly positive.
     """
-    m = float(w_fine.min())
-    if m <= 0.0:
-        raise QuenchSignal("gap closed: w <= 0 on the dealiasing grid", min_value=m)
+    require_open_gap(w_fine, "gap closed: w <= 0 on the dealiasing grid")
     return -p.beta_F / w_fine**2 + p.beta_p * (p.lift.theta1 - 1.0)
 
 
@@ -171,9 +181,7 @@ def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
     k_max = w_modes.size
 
     def z_of(w_fine, u_fine):
-        m = float(np.min(w_fine))
-        if m <= 0.0:
-            raise QuenchSignal("gap closed while forming G0", min_value=m)
+        require_open_gap(w_fine, "gap closed while forming G0")
         return -p.beta_F * (1.0 / w_fine**2 - 1.0 / th2**2) + p.beta_p * u_fine
 
     z_modes = dealias_apply(z_of, w_modes, u_modes, bvs=(th2, 0.0), pad=4)[:k_max]
@@ -191,11 +199,6 @@ HOLDER_ALPHA = 0.2
 @lru_cache(maxsize=None)
 def embedding_C(k_max: int) -> float:
     return sobolev_embedding_constant(max(k_max, 8))
-
-
-def kappa_of(w0: GridField) -> float:
-    """kappa = min over the closed interval of w0 (grid nodes plus boundary value)."""
-    return float(min(np.min(w0.values), w0.bv))
 
 
 @dataclass(frozen=True)
@@ -223,9 +226,9 @@ class ContractionConstants:
 
 
 def contraction_constants(p: ModelParams, w0: GridField) -> ContractionConstants:
-    kappa = kappa_of(w0)
-    if kappa <= 0:
-        raise QuenchSignal("w0 must be strictly positive", min_value=kappa)
+    """The chain for the start gap w0; kappa is its minimum over the closed interval."""
+    require_open_gap(np.append(w0.values, w0.bv), "w0 must be strictly positive")
+    kappa = gap_min(w0.values, w0.bv)
     C = embedding_C(w0.n)
     w0_h2 = lifted_norm_H2(sine_transform(w0.values - w0.bv), w0.bv)
     C_tilde = kappa / (2.0 * C) + w0_h2
@@ -303,13 +306,10 @@ class TheoryConstants(ContractionConstants):
     M0: float
 
 
-def theory_constants(
-    p: ModelParams,
-    w0: GridField,
-    u0: GridField,
-    init: StateVW,
-) -> TheoryConstants:
-    """Evaluate the whole constants chain on concrete data.
+def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryConstants:
+    """Evaluate the whole constants chain on the start pressure u0 and plate state init.
+
+    The start gap w0 is gap_field(init, theta2), with the trace theta2 of p.
 
     kappa, C -> C_tilde -> C1 (inverse-gap H2 bound) -> C2, C3 (difference
     bounds for 1/w^2, 1/w^3) -> L_G -> T0 -> L_W (pressure-to-plate Lipschitz)
@@ -323,6 +323,7 @@ def theory_constants(
     the minimum of T0_branches.
     """
     M0 = 1.0
+    w0 = gap_field(init, p.lift.theta2)
     cc = contraction_constants(p, w0)
     r = cc.radius()
     spec = plate_eigenvalues(init.k_max)
@@ -408,8 +409,7 @@ def plate_setup(p: ModelParams, init: StateVW, times: np.ndarray) -> PlateSetup:
     state (gamma_iterate) builds it once and passes it to every solve.
     """
     omega = plate_eigenvalues(init.k_max).omega
-    w0_field = GridField(values=inverse_sine_transform(init.w) + p.lift.theta2, bv=p.lift.theta2)
-    cc = contraction_constants(p, w0_field)
+    cc = contraction_constants(p, gap_field(init, p.lift.theta2))
     return PlateSetup(p, init, times, omega, duhamel_coeffs(omega, np.diff(times)), cc, cc.radius())
 
 
@@ -499,15 +499,14 @@ def picard_dispersive(
             PicardReport(len(diffs), ratios, False, T, r_used),
         )
 
-    drift = float(np.max(norm_Hk(path.w - init.w, 2)))
-    min_w = float(path.w_refined_min.min()) + p.lift.theta2
+    drift = float(np.max(norm_Hk(path.w - init.w, 2)))  # sup_t ||w~(t) - w~0||_H2
+    min_w = float(gap_min(path.w_refined_min + p.lift.theta2, p.lift.theta2).min())
     report = PicardReport(
         iterations=len(diffs),
         contraction_ratios=ratios,
         converged=status == "converged",
         T_used=T,
         r_used=r_used,
-        sup_drift=drift,
         min_w=min_w,
     )
     if status == "exhausted":
@@ -555,9 +554,7 @@ def frechet_W(
     zero = StateVW(np.zeros(k_max), np.zeros(k_max))
 
     def f(w_fine, wq_fine):
-        m = float(np.min(w_fine))
-        if m <= 0.0:
-            raise QuenchSignal("gap closed inside frechet_W", min_value=m)
+        require_open_gap(w_fine, "gap closed inside frechet_W")
         return 2.0 * p.beta_F * wq_fine / w_fine**3
 
     def sweep(path):

@@ -112,15 +112,6 @@ class SectorReport:
     M_bound: float
     samples: list
 
-    def __post_init__(self):
-        if not (math.pi / 2 < self.angle < math.pi):
-            raise ValueError("sector angle must lie in (pi/2, pi)")
-        for lam, prod in self.samples:
-            if not prod <= self.M_bound * (1.0 + 1e-9):
-                raise ValueError(
-                    f"resolvent product {prod} at lambda={lam} exceeds M={self.M_bound}"
-                )
-
 
 @dataclass
 class EllipticReport:
@@ -277,14 +268,6 @@ def _pad(values: np.ndarray, bv: float) -> np.ndarray:
     return out
 
 
-def _plate_fields(s: StateVW, theta2: float) -> tuple:
-    """(v, w) of one plate state as grid fields on the n = k_max grid; w carries its trace theta2."""
-    return (
-        GridField(values=sp.inverse_sine_transform(s.v), bv=0.0),
-        GridField(values=sp.inverse_sine_transform(s.w) + theta2, bv=theta2),
-    )
-
-
 def _require_finite(name: str, values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} values must be finite")
@@ -296,17 +279,6 @@ def _neg_plate_mu(k_max: int) -> np.ndarray:
     neg_mu = -sp.plate_eigenvalues(k_max).mu
     neg_mu.setflags(write=False)
     return neg_mu
-
-
-def _w_min_fine(w_modes: np.ndarray, theta2: float):
-    """Gap minimum over the doubled sine grid (plus the boundary trace), one per row of w_modes.
-
-    The nonlinear terms are evaluated on this refined grid, so touchdown
-    detection must look there too: near quench the mode-limited profile can
-    dip between coarse nodes long before a coarse sample crosses the
-    threshold.
-    """
-    return np.minimum(sp.refined_values(w_modes, theta2).min(axis=-1), theta2)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +319,9 @@ def eval_F(u: GridField, v: GridField, w: GridField, p: ModelParams) -> GridFiel
     n = u.n
     if v.n != n or w.n != n:
         raise ValueError("u, v, w must share the grid")
-    _require_open_gap(w)
-    return GridField(values=_reynolds(u.values, u.bv, v.values, w.values, w.bv), bv=0.0)
-
-
-def _require_open_gap(w: GridField) -> None:
-    """Raise the quench signal of eval_F when the gap (trace included) is closed on the grid."""
-    w_min = min(float(w.values.min()), w.bv)
-    if w_min <= 0.0:
-        raise QuenchSignal("gap closed while evaluating F", min_value=w_min)
+    wp = _pad(w.values, w.bv)
+    sp.require_open_gap(wp, "gap closed while evaluating F")
+    return GridField(values=_reynolds_padded(_pad(u.values, u.bv), v.values, wp), bv=0.0)
 
 
 def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator:
@@ -433,7 +399,7 @@ def elliptic_form_check(
     n = op.u0.n
     h = op.h
     eps1 = min(float(op.u0.values.min()), op.u0.bv)
-    kappa = min(float(op.w0.values.min()), op.w0.bv)
+    kappa = sp.gap_min(op.w0.values, op.w0.bv)
     C = dp.embedding_C(n)
     u_modes = sp.sine_transform(op.u0.values - op.u0.bv)
     w_modes = sp.sine_transform(op.w0.values - op.w0.bv)
@@ -636,10 +602,7 @@ def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
     th2 = p.lift.theta2
     v_grid = sp.inverse_sine_transform(plate.v)
     w_grid = sp.inverse_sine_transform(plate.w) + th2
-    w_min = np.minimum(w_grid.min(axis=-1), th2)
-    closed = np.flatnonzero(w_min <= 0.0)
-    if closed.size:
-        raise QuenchSignal("gap closed while evaluating F", min_value=w_min[closed[0]])
+    sp.require_open_gap(w_grid, "gap closed while evaluating F")
     F = _reynolds(u_path.values, u_path.bv, v_grid, w_grid, th2)
     _require_finite("F", F)
     return F
@@ -668,9 +631,11 @@ def gamma_iterate(
     T: float,
     tol: float = 1e-8,
     max_iter: int = 40,
-    return_plate: bool = False,
-):
+) -> tuple:
     """Fixed-point sweep for the pressure path (full u, trace theta_1).
+
+    Returns (pressure path, PicardReport, plate path): the fixed point, its
+    report and the plate solved for it.
 
     Each sweep: solve the plate subproblem for the current pressure (at
     0.01 tol, warm-started from the previous sweep's plate path), evaluate
@@ -696,7 +661,7 @@ def gamma_iterate(
     N_t = times.size - 1
 
     u0 = GridField(values=u_path.values[0], bv=u_path.bv)
-    op = assemble_Pstar(u0, *_plate_fields(init_vw, th2))
+    op = assemble_Pstar(u0, *dp.plate_fields(init_vw, th2))
     u0_tilde = u0.values - th1
     # every plate solve of this call starts from init_vw on the same grid
     setup = dp.plate_setup(p, init_vw, times)
@@ -723,9 +688,7 @@ def gamma_iterate(
     converged = status == "converged"
     report = PicardReport(len(diffs), ratios, converged, T, float("nan"), banach_ratio=_banach_ratio(diffs, current))
     if converged:
-        if return_plate:
-            return current, report, solve_plate(current)
-        return current, report
+        return current, report, solve_plate(current)
     rho = ratios[-1] if ratios else float("nan")
     T_adm = T * (0.5 / rho) ** (1.0 / dp.HOLDER_ALPHA) if ratios else float("nan")
     if status == "diverged":
@@ -771,12 +734,7 @@ def frechet_F(
     q_vals = sp.inverse_sine_transform(q_modes)
     wq_vals = sp.inverse_sine_transform(wq_modes)
     vq_vals = sp.inverse_sine_transform(vq_modes)
-    w_min = np.minimum(w_vals.min(axis=1), th2)
-    if np.any(w_min <= 0.0):
-        i = int(np.argmax(w_min <= 0.0))
-        raise QuenchSignal(
-            "gap closed while assembling the F derivative", min_value=w_min[i], t=float(u_path.times[i])
-        )
+    sp.require_open_gap(w_vals, "gap closed while assembling the F derivative", times=u_path.times)
 
     u = u_path.values
     up = _pad(u, u_path.bv)
@@ -833,7 +791,7 @@ def holder_F_check(
     plate, _ = dp.picard_dispersive(p, u_path, init_vw, T, tol=_HOLDER_INNER_TOL)
     dW = dp.frechet_W(p, q_modes, plate, tol=_HOLDER_INNER_TOL)
     F_series = _F_path(u_path, plate, p)
-    op = assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *_plate_fields(init_vw, th2))
+    op = assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *dp.plate_fields(init_vw, th2))
     Fp = frechet_F(u_path, q_modes, plate, dW, p)
     D_series = np.array([f - op.matrix @ q for f, q in zip(Fp, sp.inverse_sine_transform(q_modes))])
 
@@ -911,9 +869,7 @@ def mol_rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
     if not math.isfinite(up @ up + grid @ grid):
         for name, values in (("u", up), ("v", v_grid), ("w", wp)):
             _require_finite(name, values)
-    w_min = float(wp.min())  # the traces are theta2
-    if w_min <= 0.0:
-        raise QuenchSignal("gap closed while evaluating F", min_value=w_min)
+    sp.require_open_gap(wp, "gap closed while evaluating F")
     du = _reynolds_padded(up, v_grid, wp)
     _require_finite("du", du)
     g = ana2 @ dp._G_fine(syn2 @ w + th2, p) + p.beta_p * (ana @ (up[1:-1] - th1))
@@ -921,7 +877,8 @@ def mol_rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 def _w_min_oracle(w_modes: np.ndarray, theta2: float) -> float:
-    """_w_min_fine to rounding, by the cached pad-2 synthesis matrix (a float shift is monotone)."""
+    """sp.gap_min over the refined_values of one row of w~ modes, to rounding, by the
+    cached pad-2 synthesis matrix (a float shift is monotone)."""
     syn2 = sp.sine_matrices(w_modes.size)[2]
     return min(float((syn2 @ w_modes).min()) + theta2, theta2)
 
@@ -1066,7 +1023,7 @@ def compat_regularity_proxy(state: CoupledState, p: ModelParams) -> float:
     stand-in for the interpolation-space compatibility condition (no
     computable membership test exists at the discrete level; this decay proxy
     is logged, never gated on)."""
-    F0 = eval_F(state.u, *_plate_fields(state.vw, p.lift.theta2), p)
+    F0 = eval_F(state.u, *dp.plate_fields(state.vw, p.lift.theta2), p)
     c = sp.sine_transform(F0.values)
     k = np.arange(1, c.size + 1) * math.pi
     return math.sqrt(0.5 * float(np.sum(k ** (2.0 * _COMPAT_SIGMA) * c**2)))
@@ -1095,7 +1052,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     u_cap = config.u_cap if config.u_cap is not None else 1e6 * th1
 
     proxy = compat_regularity_proxy(init, p)
-    kappa0 = float(_w_min_fine(init.vw.w, th2))
+    kappa0 = sp.gap_min(sp.refined_values(init.vw.w, th2), th2)
     # the stored run: trajectory parts for _join, and the gap minimum and the
     # contraction ratio of each row they add
     parts = [Trajectory(np.array([init.t]), init.u.values[None], init.vw.v[None], init.vw.w[None], th1)]
@@ -1133,21 +1090,15 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         if this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
             termination, note, tail = _rk4_tail(p, state, remaining, quench_eps, u_cap)
             parts.append(tail)
-            w_mins.append(_w_min_fine(tail.w[1:], th2))
+            w_mins.append(sp.gap_min(sp.refined_values(tail.w[1:], th2), th2))
             ratios.append(np.full(tail.t.size - 1, np.nan))
             break
         guess_path = _constant_path(state.u, this_chunk, config.n_t)
         try:
             u_new, rep, plate = gamma_iterate(
-                guess_path,
-                p,
-                state.vw,
-                this_chunk,
-                tol=config.tol,
-                max_iter=config.max_iter,
-                return_plate=True,
+                guess_path, p, state.vw, this_chunk, tol=config.tol, max_iter=config.max_iter
             )
-        except (GammaDivergence, PicardDivergence, QuenchSignal):
+        except (PicardDivergence, QuenchSignal):  # a GammaDivergence is a PicardDivergence
             chunk = this_chunk / 2.0
             chunks_done += 1
             continue
@@ -1157,8 +1108,8 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         # the chunk is cut after its first row that is not alive; at one row
         # quench and blowup take precedence over the pressure floor
         u_rows = u_new.values[1:]
-        # _w_min_fine of the rows, from the synthesis the plate solve's own check made
-        w_min = np.minimum(plate.w_refined_min[1:] + th2, th2)
+        # the rows' gap minima, from the synthesis the plate solve's own check made
+        w_min = sp.gap_min(plate.w_refined_min[1:] + th2, th2)
         status = _status_of(u_rows, w_min, quench_eps, u_cap)
         below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
         status = np.where((status == "alive") & below_floor, "pressure_floor", status)
@@ -1198,7 +1149,7 @@ def _rk4_tail(p, state, remaining, quench_eps, u_cap):
 
 def _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, quench_eps, u_cap, note=""):
     """The RunReport of a run stored as trajectory parts (see _join) and the
-    gap minimum (_w_min_fine) and the contraction ratio of each row they add."""
+    gap minimum (sp.gap_min on the refined grid) and the contraction ratio of each row they add."""
     tr = _join(parts)
     columns = (
         tr.t,

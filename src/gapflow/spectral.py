@@ -71,6 +71,30 @@ class QuenchSignal(RuntimeError):
         self.t = float(t)
 
 
+def require_open_gap(w: np.ndarray, message: str, times=None) -> None:
+    """Raise QuenchSignal(message) where the gap samples w (last axis) are not all > 0.
+
+    w may be a stack of rows (one per time node); the signal reports the
+    minimum of the first closed row and, given times (one per row), its time.
+    A NaN sample closes nothing: a row whose minimum is NaN passes.  The trace
+    needs no sample where it is known to be positive (theta2).
+    """
+    if w.min() > 0.0:
+        return
+    row_min = np.atleast_1d(w.min(axis=-1))
+    closed = np.flatnonzero(row_min <= 0.0)
+    if closed.size:
+        i = closed[0]
+        raise QuenchSignal(message, min_value=row_min[i], t=np.nan if times is None else times[i])
+
+
+def gap_min(w: np.ndarray, trace: float):
+    """Gap minimum over the closed interval: the minimum of the samples w (last
+    axis) capped by the boundary trace.  One per row; a float for one row."""
+    m = np.minimum(w.min(axis=-1), trace)
+    return m if m.ndim else float(m)
+
+
 @dataclass(frozen=True)
 class BoundaryLift:
     """Constant boundary data: u = theta1 and w = theta2 on the boundary."""

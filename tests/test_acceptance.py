@@ -110,7 +110,7 @@ def test_c04_picard_contraction():
         vm = rng.normal(size=k) * decay
         vm *= 0.1 * 0.9 * r_flat / max(1e-12, sp.norm_Hk(vm, 0))
         init = StateVW(v=vm, w=wm)
-        w0 = GridField(values=sp.inverse_sine_transform(wm) + theta2, bv=theta2)
+        w0 = dp.gap_field(init, theta2)
 
         cc = dp.contraction_constants(p, w0)
         r = 0.9 * cc.r_max
@@ -144,12 +144,11 @@ def test_c05_oracle_equivalence():
     p = base_params()
     n = 128
     init = smooth_init(n)
-    w0 = GridField(values=sp.inverse_sine_transform(init.vw.w) + 1.0, bv=1.0)
-    tc = dp.theory_constants(p, w0, init.u, init.vw)
+    tc = dp.theory_constants(p, init.u, init.vw)
     T = min(tc.T0, 0.05)
     n_t = 8
     guess = ry._constant_path(init.u, T, n_t)
-    u_fix, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10, return_plate=True)
+    u_fix, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10)
     traj = ry.integrate_reference(p, init, T, T / n_t, store_every=1)
     gap = scale = 0.0
     for i in range(n_t + 1):
@@ -182,12 +181,11 @@ def test_c06_lower_bound_family():
             u=GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(n)), bv=1.0),
             vw=StateVW(v=np.zeros(n), w=wm),
         )
-        kappa = ry._w_min_fine(wm, 1.0)
-        w0 = GridField(values=sp.inverse_sine_transform(wm) + 1.0, bv=1.0)
-        tc = dp.theory_constants(p, w0, init.u, init.vw)
+        kappa = sp.gap_min(sp.refined_values(wm, 1.0), 1.0)
+        tc = dp.theory_constants(p, init.u, init.vw)
         T = min(tc.T0, 0.05)
         guess = ry._constant_path(init.u, T, 8)
-        _, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10, return_plate=True)
+        _, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10)
         min_w = float(plate.w_refined_min.min()) + p.lift.theta2
         margins.append(min_w - kappa / 2.0)
         if min_w < kappa / 2.0:
@@ -254,7 +252,7 @@ def test_c08_frechet_consistency():
     u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(n)), bv=1.0)
     init2 = StateVW(v=np.zeros(n), w=np.r_[0.05, np.zeros(n - 1)])
     guess = ry._constant_path(u0, T2, Nt)
-    u_fix, _, plate = ry.gamma_iterate(guess, p2, init2, T2, tol=1e-12, return_plate=True)
+    u_fix, _, plate = ry.gamma_iterate(guess, p2, init2, T2, tol=1e-12)
     rng = np.random.default_rng(9)
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
     qg = sp.inverse_sine_transform(qm)
@@ -263,7 +261,7 @@ def test_c08_frechet_consistency():
     analytic = ry.frechet_F(u_fix, q2, plate, dW, p2)[Nt]
 
     def F_at(pp, plate_path, i):
-        vg, wg = ry._plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
+        vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
         return ry.eval_F(GridField(pp.values[i], pp.bv), vg, wg, p2).values
 
     base = F_at(u_fix, plate, Nt)
@@ -336,9 +334,8 @@ def test_c11_calibrated_constant_audits():
     results["lipschitz_G"] = lg.passed
 
     w0m = np.r_[0.05, np.zeros(n - 1)]
-    w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
     u0 = GridField(values=np.full(n, 1.0), bv=1.0)
-    lf = vf.lipschitz_F_check(p, u0, w0, StateVW(v=np.zeros(n), w=w0m), trials=1000, seed=14)
+    lf = vf.lipschitz_F_check(p, u0, StateVW(v=np.zeros(n), w=w0m), trials=1000, seed=14)
     results["lipschitz_F"] = lf.passed
 
     # Hoelder bounds on the right-hand side: one-time calibration, then >= 10^3

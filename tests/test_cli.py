@@ -145,7 +145,7 @@ T = -0.5
         # the resolved T is the horizon formula
         # T0 = min{delta_o, 1/(2 L_G), kappa/2 / ((L_G+1)kappa + 2C||G0||_H2)}
         p, init = cfg.model_params(), cfg.initial_state()
-        w0 = sp.GridField(values=sp.inverse_sine_transform(init.vw.w) + p.lift.theta2, bv=p.lift.theta2)
+        w0 = dp.gap_field(init.vw, p.lift.theta2)
         cc = dp.contraction_constants(p, w0)
         d_o = dp.delta_o_bound(init.vw, sp.plate_eigenvalues(16), 0.9 * cc.r_max)
         b3 = cc.kappa / 2.0 / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * dp.g0_norm_H2(p, w0, init.u))

@@ -97,3 +97,44 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                     passed.add((name, param))
     never = [f"{fn}({param})" for fn, params in sorted(options.items()) for param in params if (fn, param) not in passed]
     assert not never, "options no caller passes other than at their default: " + ", ".join(never)
+
+
+def _calls_by_function(tree) -> list:
+    """(dotted names of the enclosing defs, call node) for every call in a module."""
+    calls = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, names + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                calls.append((".".join(names), child))
+            visit(child, names)
+
+    visit(tree, ())
+    return calls
+
+
+# The one QuenchSignal outside spectral: the oracle's gap reaching its quench
+# threshold, which is not a closed gap.
+_THRESHOLD_SIGNAL = ("integrate_reference", "gap reached the quench threshold")
+
+
+def test_only_spectral_decides_that_the_gap_closed():
+    """spectral.require_open_gap is the one place that decides the gap has closed:
+    no other module of the package constructs a QuenchSignal, except the
+    threshold signal of integrate_reference."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for where, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            func = call.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "QuenchSignal":
+                continue
+            first = call.args[0] if call.args else None
+            message = first.value if isinstance(first, ast.Constant) else None
+            if (where.split(".")[0], message) != _THRESHOLD_SIGNAL:
+                sites.append(f"{path.stem}.{where or '<module>'}")
+    assert not sites, "QuenchSignal constructed outside spectral.require_open_gap: " + ", ".join(sites)

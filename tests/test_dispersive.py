@@ -17,10 +17,6 @@ def small_bump_state(k, amp=0.1):
     return sp.StateVW(v=np.zeros(k), w=w)
 
 
-def w0_field_of(init, theta2=1.0):
-    return sp.GridField(values=sp.inverse_sine_transform(init.w) + theta2, bv=theta2)
-
-
 def constant_modes(c, k, pad=2):
     """Mode coefficients of the constant c as _G_modes forms them: DST on the pad grid, truncated."""
     return c * sp.sine_transform(np.ones(pad * k + 1))[:k]
@@ -56,6 +52,19 @@ def test_eval_G_quench():
         dp._G_modes(np.vstack([rows, dip]), p)
 
 
+def test_G_modes_reports_the_first_closed_row_of_a_stack():
+    # two closed rows, mode-1 dips whose minimum 1 - a sits at the midpoint, a
+    # node of the dealiasing grid: the first closed row is reported, not the
+    # stack's minimum (-0.5)
+    p = base_params()
+    k = 16
+    shallow, deep = np.zeros(k), np.zeros(k)
+    shallow[0], deep[0] = 1.1, 1.5
+    with pytest.raises(sp.QuenchSignal, match="dealiasing grid") as exc:
+        dp._G_modes(-np.array([np.zeros(k), shallow, deep]), p)
+    assert exc.value.min_value == pytest.approx(-0.1, abs=1e-12)
+
+
 def test_contraction_L_G_r_range_and_value():
     p = base_params(beta_F=3.0)
     k = 32
@@ -79,7 +88,7 @@ def test_G_lipschitz_bound_monte_carlo():
     p = base_params(beta_F=2.0)
     k = 32
     init = small_bump_state(k)
-    w0 = w0_field_of(init)
+    w0 = dp.gap_field(init, 1.0)
     cc = dp.contraction_constants(p, w0)
     r = 0.9 * cc.r_max
     L_G = cc.L_G
@@ -106,19 +115,19 @@ def test_theory_T0_branch_structure():
     p = base_params()
     k = 32
     init = small_bump_state(k)
-    w0 = w0_field_of(init)
+    w0 = dp.gap_field(init, 1.0)
     u0 = sp.GridField(values=np.ones(k), bv=1.0)
     cc = dp.contraction_constants(p, w0)
     r = 0.9 * cc.r_max
     d_o = dp.delta_o_bound(init, sp.plate_eigenvalues(k), r)
-    tc = dp.theory_constants(p, w0, u0, init)
+    tc = dp.theory_constants(p, u0, init)
     g0h2 = dp.g0_norm_H2(p, w0, u0)
     b2 = 1.0 / (2.0 * cc.L_G)
     b3 = cc.kappa / 2.0 / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * g0h2)
     assert tc.T0_branches == pytest.approx((d_o, b2, b3), rel=1e-14)
     assert tc.T0 == pytest.approx(min(d_o, b2, b3), rel=1e-14)
     # monotonicity in L_G: doubling beta_F cannot increase T0
-    assert dp.theory_constants(base_params(beta_F=2.0), w0, u0, init).T0 <= tc.T0
+    assert dp.theory_constants(base_params(beta_F=2.0), u0, init).T0 <= tc.T0
 
 
 def test_delta_o_cap_for_zero_state():
@@ -146,10 +155,10 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     p = base_params()
     k = 64
     init = small_bump_state(k)
-    w0 = w0_field_of(init)
+    w0 = dp.gap_field(init, 1.0)
     u0 = sp.GridField(values=np.ones(k) + 0.2 * np.sin(np.pi * sp.grid(k)), bv=1.0)
     cc = dp.contraction_constants(p, w0)
-    T = 0.9 * dp.theory_constants(p, w0, u0, init).T0
+    T = 0.9 * dp.theory_constants(p, u0, init).T0
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
     path, rep = dp.picard_dispersive(p, up, init, T)
     assert rep.converged
@@ -373,9 +382,8 @@ def test_empirical_lipschitz_W_bounds():
     p = base_params()
     k = 32
     init = small_bump_state(k)
-    w0 = w0_field_of(init)
     u0 = sp.GridField(values=np.ones(k), bv=1.0)
-    tc = dp.theory_constants(p, w0, u0, init)
+    tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
     u1 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x), T, 16, k, 1.0)
     u2 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + 0.01 * np.sin(2 * np.pi * x), T, 16, k, 1.0)
@@ -396,9 +404,8 @@ def test_empirical_holder_constant_path_and_LU_bound():
     p = base_params()
     k = 32
     init = small_bump_state(k)
-    w0 = w0_field_of(init)
     u0 = sp.GridField(values=np.ones(k), bv=1.0)
-    tc = dp.theory_constants(p, w0, u0, init)
+    tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
     assert dp.empirical_holder(up, alpha=0.5) == 0.0

@@ -55,6 +55,11 @@ def smooth_coupled_init(n):
     return CoupledState(u=bump_pressure(n), vw=bump_state(n))
 
 
+def gap_min_fine(w_modes, theta2):
+    """The driver's gap minimum of plate modes (one per row): sp.gap_min over the pad-2 refined grid."""
+    return sp.gap_min(sp.refined_values(w_modes, theta2), theta2)
+
+
 def trajectory_of(states):
     """The Trajectory whose rows are the given coupled states."""
     return ry.Trajectory(
@@ -111,8 +116,7 @@ class TestEvalF:
         plate = dp.VWPath(times=times, v=rng.normal(size=(n_t + 1, n)) * decay, w=0.1 * rng.normal(size=(n_t + 1, n)) * decay)
         F = ry._F_path(u_path, plate, p)
         for u, v, w, row in zip(u_path.values, plate.v, plate.w, F):
-            v_grid = GridField(values=sp.inverse_sine_transform(v), bv=0.0)
-            w_grid = GridField(values=sp.inverse_sine_transform(w) + 1.0, bv=1.0)
+            v_grid, w_grid = dp.plate_fields(StateVW(v, w), 1.0)
             assert np.array_equal(row, ry.eval_F(GridField(values=u, bv=1.0), v_grid, w_grid, p).values)
         # one node with a closed gap quenches the whole path
         plate.w[5] = sp.sine_transform(np.full(n, -2.0))
@@ -123,9 +127,10 @@ class TestEvalF:
         p = base_params()
         n = k = 48
         w0m = np.concatenate([[0.05], np.zeros(k - 1)])
-        w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
+        init = StateVW(v=np.zeros(k), w=w0m)
         u0 = GridField(values=np.full(n, 1.0), bv=1.0)
-        tc = dp.theory_constants(p, w0, u0, StateVW(v=np.zeros(k), w=w0m))
+        tc = dp.theory_constants(p, u0, init)
+        w0 = dp.gap_field(init, 1.0)
         rng = np.random.default_rng(11)
         v_field = GridField(values=np.zeros(n), bv=0.0)
         decay = np.arange(1, k + 1, dtype=float) ** -3
@@ -605,7 +610,7 @@ class TestGammaIterate:
         k = n = 32
         eq = ry.equilibrium_state(p, k)
         guess = ry._constant_path(eq.u, 1e-3, 12)
-        u_fix, rep = ry.gamma_iterate(guess, p, eq.vw, 1e-3, tol=1e-10)
+        u_fix, rep, _ = ry.gamma_iterate(guess, p, eq.vw, 1e-3, tol=1e-10)
         assert rep.converged and rep.iterations == 1
         assert np.abs(u_fix.values - eq.u.values).max() == 0.0
 
@@ -614,7 +619,7 @@ class TestGammaIterate:
         k = n = 32
         u0 = bump_pressure(n, amp=0.07)
         guess = ry._constant_path(u0, 5e-3, 16)
-        u_fix, rep = ry.gamma_iterate(guess, p, bump_state(k), 5e-3, tol=1e-10)
+        u_fix, rep, _ = ry.gamma_iterate(guess, p, bump_state(k), 5e-3, tol=1e-10)
         assert np.array_equal(u_fix.values[0], u0.values)
         assert u_fix.bv == 1.0
 
@@ -622,7 +627,7 @@ class TestGammaIterate:
         p = base_params()
         k = n = 32
         guess = ry._constant_path(bump_pressure(n), 0.01, 16)
-        u_fix, rep = ry.gamma_iterate(guess, p, bump_state(k), 0.01, tol=1e-11)
+        u_fix, rep, _ = ry.gamma_iterate(guess, p, bump_state(k), 0.01, tol=1e-11)
         assert rep.converged
         assert all(r <= 0.5 for r in rep.contraction_ratios)
 
@@ -654,7 +659,7 @@ class TestGammaIterate:
 
         monkeypatch.setattr(dp, "picard_dispersive", counted_picard)
         guess = ry._constant_path(bump_pressure(n), T, 16)
-        u_fix, rep, plate = ry.gamma_iterate(guess, p, init, T, tol=tol, return_plate=True)
+        u_fix, rep, plate = ry.gamma_iterate(guess, p, init, T, tol=tol)
         assert rep.converged and rep.iterations >= 3
         assert built == {"duhamel_coeffs": 1, "contraction_constants": 1}
         assert len(solves) == rep.iterations + 1 and all(s[0] is solves[0][0] for s in solves)
@@ -670,7 +675,7 @@ class TestGammaIterate:
         # the first chunk of configs/quench.ini, from the driver's initial guess
         cfg = cli._load_config(str(ROOT / "configs" / "quench.ini"))
         p, init = cfg.model_params(), cfg.initial_state()
-        chunk = 0.05 * ry._w_min_fine(init.vw.w, p.lift.theta2) ** 3 / p.beta_F
+        chunk = 0.05 * gap_min_fine(init.vw.w, p.lift.theta2) ** 3 / p.beta_F
         picard = dp.picard_dispersive
 
         def sweeps(warm):
@@ -685,7 +690,7 @@ class TestGammaIterate:
 
             monkeypatch.setattr(dp, "picard_dispersive", counted)
             guess = ry._constant_path(init.u, chunk, cfg.N_t)
-            u_fix, rep, _ = ry.gamma_iterate(guess, p, init.vw, chunk, tol=cfg.tol, return_plate=True)
+            u_fix, rep, _ = ry.gamma_iterate(guess, p, init.vw, chunk, tol=cfg.tol)
             assert rep.converged and len(reports) == rep.iterations + 1
             return sum(r.iterations for r in reports), rep.iterations
 
@@ -736,7 +741,7 @@ class TestGammaIterate:
 def _gamma_solution(p, n, T, n_t, amp=0.1, tol=1e-11):
     u0 = bump_pressure(n, amp=amp)
     guess = ry._constant_path(u0, T, n_t)
-    return ry.gamma_iterate(guess, p, bump_state(n), T, tol=tol, return_plate=True)
+    return ry.gamma_iterate(guess, p, bump_state(n), T, tol=tol)
 
 
 class TestFrechetF:
@@ -750,6 +755,22 @@ class TestFrechetF:
         out = ry.frechet_F(u_fix, q, plate, dW, p)
         assert np.abs(out).max() == 0.0
 
+    def test_closed_gap_reports_its_first_node_and_time(self):
+        # nodes 3 and 5 are closed, node 5 deeper: the signal names node 3
+        p = base_params()
+        n, n_t = 16, 6
+        times = np.linspace(0.0, 1e-3, n_t + 1)
+        w = np.zeros((n_t + 1, n))
+        w[3] = sp.sine_transform(np.full(n, -1.5))
+        w[5] = sp.sine_transform(np.full(n, -3.0))
+        plate = dp.VWPath(times, np.zeros_like(w), w)
+        u_path = ry._constant_path(bump_pressure(n), times[-1], n_t)
+        zero = (np.zeros_like(w), np.zeros_like(w))
+        with pytest.raises(QuenchSignal, match="assembling the F derivative") as exc:
+            ry.frechet_F(u_path, np.zeros_like(w), plate, zero, p)
+        assert exc.value.t == times[3]
+        assert exc.value.min_value == (sp.inverse_sine_transform(w[3]) + 1.0).min() < 0.0
+
     def test_matches_linearization_at_t0(self):
         p = base_params()
         n = 48
@@ -760,7 +781,7 @@ class TestFrechetF:
         q = np.tile(qm, (Nt + 1, 1))
         dW = dp.frechet_W(p, q, plate, tol=1e-13)
         out = ry.frechet_F(u_fix, q, plate, dW, p)
-        v0, w0 = ry._plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
+        v0, w0 = dp.plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
         op = ry.assemble_Pstar(GridField(u_fix.values[0], u_fix.bv), v0, w0)
         ref = op.matrix @ sp.inverse_sine_transform(qm)
         assert np.abs(out[0] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -778,7 +799,7 @@ class TestFrechetF:
         analytic = ry.frechet_F(u_fix, q, plate, dW, p)[Nt]
 
         def F_at(path, plate_path, i):
-            vg, wg = ry._plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
+            vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
             return ry.eval_F(GridField(path.values[i], path.bv), vg, wg, p).values
 
         base = F_at(u_fix, plate, Nt)
@@ -914,8 +935,7 @@ class TestMolOracle:
             u = th1 + 0.2 * rng.normal(size=n)
             v = rng.normal(size=n) * decay
             w = 0.1 * rng.normal(size=n) * decay
-            v_grid = GridField(values=sp.inverse_sine_transform(v), bv=0.0)
-            w_grid = GridField(values=sp.inverse_sine_transform(w) + th2, bv=th2)
+            v_grid, w_grid = dp.plate_fields(StateVW(v, w), th2)
             want_du = ry.eval_F(GridField(values=u, bv=th1), v_grid, w_grid, p).values
             want_dv = -spec.mu * w + (dp._G_modes(w, p) + p.beta_p * sp.sine_transform(u - th1))
             du, dv, dw = stacked_rhs(u, v, w, p)
@@ -1006,7 +1026,7 @@ class TestMolOracle:
             for _ in range(50):
                 w = rng.normal(size=k) * decay * 10.0 ** rng.uniform(-3, 0)
                 for th2 in (1.0, 0.3):
-                    want = ry._w_min_fine(w, th2)
+                    want = gap_min_fine(w, th2)
                     assert abs(ry._w_min_oracle(w, th2) - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_oracle_stops_at_the_step_of_the_dst_monitor(self, monkeypatch):
@@ -1023,7 +1043,7 @@ class TestMolOracle:
             return exc.value
 
         matrix = touchdown()
-        monkeypatch.setattr(ry, "_w_min_oracle", ry._w_min_fine)
+        monkeypatch.setattr(ry, "_w_min_oracle", gap_min_fine)
         dst = touchdown()
         assert 0.2 < matrix.t < 0.3 and matrix.t == dst.t
         assert abs(matrix.min_value - dst.min_value) <= 1e-13
@@ -1160,7 +1180,7 @@ class TestQuenchMonitor:
         # min gap = theta2 - a at the midpoint (mode-1 deflection)
 
         def status(u_vals, w_modes):
-            return ry._status_of(u_vals, ry._w_min_fine(w_modes, p.lift.theta2), eps, 1e6)
+            return ry._status_of(u_vals, gap_min_fine(w_modes, p.lift.theta2), eps, 1e6)
 
         for a, expected in ((1.0 - eps / 2, "quench"), (0.1, "alive")):
             w = np.zeros(k)
@@ -1173,9 +1193,9 @@ class TestQuenchMonitor:
         k = 16
         w = np.zeros(k)
         w[0] = -0.4
-        assert ry._w_min_fine(w, 1.0) == pytest.approx(0.6, abs=1e-12)
+        assert gap_min_fine(w, 1.0) == pytest.approx(0.6, abs=1e-12)
         w[0] = 0.4  # upward bump: boundary is the minimum
-        assert ry._w_min_fine(w, 1.0) == 1.0
+        assert gap_min_fine(w, 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1283,7 +1303,7 @@ class TestRunCoupled:
         n = 16
         init = smooth_coupled_init(n)
 
-        def prepared_chunk(path, p, init_vw, T, tol, max_iter, return_plate):
+        def prepared_chunk(path, p, init_vw, T, tol, max_iter):
             u = path.values.copy()
             w = np.tile(init_vw.w, (path.times.size, 1))
             for i, conditions in rows.items():
@@ -1462,7 +1482,7 @@ class TestEquilibriumState:
         spec = sp.plate_eigenvalues(32)
         res = dp._G_modes(eq.vw.w, p) - spec.mu * eq.vw.w
         assert np.abs(res).max() <= 1e-11
-        assert ry._w_min_fine(eq.vw.w, 1.0) > 0.5  # moderate forcing: plate well clear of touchdown
+        assert gap_min_fine(eq.vw.w, 1.0) > 0.5  # moderate forcing: plate well clear of touchdown
         assert np.all(eq.u.values == 1.0)
 
     def test_compat_proxy_zero_at_equilibrium(self):

@@ -602,6 +602,43 @@ def test_quench_signal_carries_fields():
     assert err.min_value == -0.01 and err.t == 1.25
 
 
+def test_require_open_gap_reports_the_first_closed_row():
+    # rows 1 and 2 are closed; row 2 holds the stack's minimum, row 1 is reported
+    w = np.array([[1.0, 0.5, 1.0], [1.0, -0.1, 1.0], [-0.5, 1.0, 1.0]])
+    times = np.array([0.0, 0.25, 0.5])
+    with pytest.raises(sp.QuenchSignal, match="^closed$") as exc:
+        sp.require_open_gap(w, "closed", times=times)
+    assert exc.value.min_value == -0.1 and exc.value.t == 0.25
+    with pytest.raises(sp.QuenchSignal) as exc:
+        sp.require_open_gap(w, "closed")
+    assert exc.value.min_value == -0.1 and np.isnan(exc.value.t)
+    # one row, and a gap that only touches zero
+    with pytest.raises(sp.QuenchSignal) as exc:
+        sp.require_open_gap(w[2], "row")
+    assert exc.value.min_value == -0.5
+    with pytest.raises(sp.QuenchSignal) as exc:
+        sp.require_open_gap(np.array([1.0, 0.0]), "touch")
+    assert exc.value.min_value == 0.0
+    assert sp.require_open_gap(w[:1], "open") is None
+    # a NaN sample closes nothing, and hides no closed row
+    nan_row = np.array([np.nan, -1.0, 1.0])
+    assert sp.require_open_gap(nan_row, "nan") is None
+    with pytest.raises(sp.QuenchSignal) as exc:
+        sp.require_open_gap(np.array([nan_row, w[1]]), "closed", times=times[:2])
+    assert exc.value.min_value == -0.1 and exc.value.t == 0.25
+
+
+def test_gap_min_caps_each_row_by_the_trace():
+    w = np.array([[1.5, 0.7, 2.0], [1.2, 1.4, 1.3]])
+    assert np.array_equal(sp.gap_min(w, 1.0), [0.7, 1.0])
+    assert sp.gap_min(w[0], 1.0) == 0.7 and isinstance(sp.gap_min(w[0], 1.0), float)
+    # a float shift is monotone: shifting the minimum is bitwise shifting the samples
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(50, 129))
+    for th2 in (1.0, 0.3, 0.1 + 1e-9):
+        assert np.array_equal(sp.gap_min(x + th2, th2), sp.gap_min(x.min(axis=-1, keepdims=True) + th2, th2))
+
+
 def test_boundary_lift_validation():
     with pytest.raises(ValueError):
         sp.BoundaryLift(theta1=0.0, theta2=1.0)

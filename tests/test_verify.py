@@ -36,7 +36,18 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             vf.linear_plate_closed_form(-0.1, 8)
         with pytest.raises(ValueError):
+            vf.linear_plate_closed_form(np.array([0.1, -0.1]), 8)
+        with pytest.raises(ValueError):
             vf.linear_plate_closed_form(0.1, 0)
+
+    def test_array_of_times_is_bitwise_the_scalar_calls(self):
+        # the nodes of the verify benchmark, one row per time, modes along the last axis
+        times = np.linspace(0.0, 1.0, 257)[1:]
+        cf = vf.linear_plate_closed_form(times, 128)
+        assert cf.w.shape == cf.v.shape == (256, 128) and cf.k_max == 128
+        for t, w, v in zip(times, cf.w, cf.v):
+            one = vf.linear_plate_closed_form(t, 128)
+            assert w.tobytes() == one.w.tobytes() and v.tobytes() == one.v.tobytes()
 
     def test_against_ode_oracle(self):
         # Independent validation of the closed form: integrate each forced
@@ -174,9 +185,8 @@ class TestLipschitzChecks:
         n = 24
         w0m = np.zeros(n)
         w0m[0] = 0.05
-        w0 = GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
         u0 = GridField(values=np.full(n, 1.0), bv=1.0)
-        rep = vf.lipschitz_F_check(P, u0, w0, StateVW(v=np.zeros(n), w=w0m), trials=300, seed=2)
+        rep = vf.lipschitz_F_check(P, u0, StateVW(v=np.zeros(n), w=w0m), trials=300, seed=2)
         assert rep.passed
         assert 0.0 < rep.worst_ratio < rep.bound
 
@@ -280,13 +290,13 @@ def _ref_lipschitz_G(p, w0, trials, seed):
     return dict(bound=L, worst_ratio=worst, passed=worst <= L)
 
 
-def _ref_lipschitz_F(p, u0, w0, init, trials, seed):
+def _ref_lipschitz_F(p, u0, init, trials, seed):
     ball = 0.2
-    tc = dp.theory_constants(p, w0, u0, init)
+    tc = dp.theory_constants(p, u0, init)
     n = u0.n
     rng = np.random.default_rng(seed)
     decay = np.arange(1, n + 1, dtype=float) ** -3
-    v_field, w_field = ry._plate_fields(init, w0.bv)
+    v_field, w_field = dp.plate_fields(init, p.lift.theta2)
     worst = 0.0
     for _ in range(trials):
         m1 = rng.normal(size=n) * decay
@@ -316,7 +326,7 @@ def _assert_matches(report, ref):
 def _bump_w0(n):
     w0m = np.zeros(n)
     w0m[0] = 0.05
-    return w0m, GridField(values=sp.inverse_sine_transform(w0m) + 1.0, bv=1.0)
+    return w0m, dp.gap_field(StateVW(v=np.zeros(n), w=w0m), 1.0)
 
 
 class _ConstantRng:
@@ -352,11 +362,11 @@ class TestBatchedAuditsMatchPerSampleLoops:
 
     @pytest.mark.parametrize("trials", TRIALS)
     def test_lipschitz_F(self, trials):
-        w0m, w0 = _bump_w0(32)
+        w0m, _ = _bump_w0(32)
         u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(32)), bv=1.0)
         init = StateVW(v=np.zeros(32), w=w0m)
-        rep = vf.lipschitz_F_check(P, u0, w0, init, trials=trials, seed=10)
-        _assert_matches(rep, _ref_lipschitz_F(P, u0, w0, init, trials, 10))
+        rep = vf.lipschitz_F_check(P, u0, init, trials=trials, seed=10)
+        _assert_matches(rep, _ref_lipschitz_F(P, u0, init, trials, 10))
 
     @pytest.mark.parametrize("row", [3, 40])
     @pytest.mark.parametrize("second", [False, True])
@@ -387,7 +397,7 @@ class TestBatchedAuditsMatchPerSampleLoops:
         u0 = GridField(values=np.full(16, 1.0), bv=1.0)
         monkeypatch.setattr(vf.np.random, "default_rng", lambda seed: _ConstantRng())
         assert vf.lipschitz_G_check(P, w0, trials=300).worst_ratio == 0.0
-        rep = vf.lipschitz_F_check(P, u0, w0, StateVW(v=np.zeros(16), w=w0m), trials=300)
+        rep = vf.lipschitz_F_check(P, u0, StateVW(v=np.zeros(16), w=w0m), trials=300)
         assert rep.worst_ratio == 0.0 and rep.passed
         inv = vf.inverse_power_bounds_check(P, w0, trials=300)
         assert inv.worst_diff1 == inv.worst_diff2 == 0.0 and max(inv.worst_single) > 0.0

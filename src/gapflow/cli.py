@@ -545,9 +545,6 @@ class SweepCell:
 @dataclass
 class SweepResult:
     cells: tuple
-    monotonic: bool
-    monotonicity_notes: tuple
-    csv_path: str
 
 
 def _monotonicity_scan(cells) -> tuple:
@@ -617,9 +614,6 @@ def cmd_sweep(cfg: RunConfig, out: str | None = None, jobs: int = 1, quiet: bool
                 f"{_fmt(c.beta_F)},{_fmt(c.beta_p)},{c.termination},{_fmt(c.T_used)},{qt},{note}\n"
             )
     notes = _monotonicity_scan(cells)
-    result = SweepResult(
-        cells=cells, monotonic=not notes, monotonicity_notes=notes, csv_path=csv_path
-    )
     if not quiet:
         for c in cells:
             print(
@@ -631,7 +625,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None = None, jobs: int = 1, quiet: bool
                 print(f"sweep: monotonicity flag: {line}")
         else:
             print("sweep: quench monotonicity holds along sampled beta_F rays")
-    return result
+    return SweepResult(cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +739,7 @@ def _suite_lipschitz(seed: int) -> list:
     )
 
     # Hoelder audit of the right-hand side: calibrate on several paths, verify on a fresh one
-    T, n_t, alpha = 5e-3, 10, dp.HOLDER_ALPHA
+    T, n_t = 5e-3, 10
     rng = np.random.default_rng(seed + 2)
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
     q = np.array([qm * (1.0 + 0.2 * math.cos(2 * math.pi * i / n_t)) for i in range(n_t + 1)])
@@ -759,11 +753,11 @@ def _suite_lipschitz(seed: int) -> list:
         return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
     cal = [
-        ry.holder_F_check(rand_path([seed + 3, j]), q, alpha, T, _SUITE_PARAMS, init)
+        ry.holder_F_check(rand_path([seed + 3, j]), q, _SUITE_PARAMS, init)
         for j in range(_HOLDER_CALIBRATION_PATHS)
     ]
     L_A, L_B = max(c.L_A for c in cal), max(c.L_B for c in cal)
-    ver = ry.holder_F_check(rand_path(seed + 4), q, alpha, T, _SUITE_PARAMS, init, L_A=2 * L_A, L_B=2 * L_B)
+    ver = ry.holder_F_check(rand_path(seed + 4), q, _SUITE_PARAMS, init, L_A=2 * L_A, L_B=2 * L_B)
     worst = max(
         ver.measured_A / ver.bound_A if ver.bound_A > 0 else 0.0,
         ver.measured_B / ver.bound_B if ver.bound_B > 0 else 0.0,

@@ -109,8 +109,6 @@ class PicardReport:
     iterations: int
     contraction_ratios: list
     converged: bool
-    T_used: float
-    r_used: float
     min_w: float = np.nan  # min gap over the fine grid (trace included) after convergence
     banach_ratio: float = np.nan  # largest ratio measured above the rounding floor (gamma_iterate)
 
@@ -290,20 +288,12 @@ class TheoryConstants(ContractionConstants):
     measured <= bound, and the coupled driver treats them as diagnostics.
     """
 
-    g0_h2: float
-    delta_o: float
     T0: float
     T0_branches: tuple
     L_W: float
-    L_W2: float
-    C_t1: float  # ||u0||_H2 + kappa/(2C)
-    C_t2: float  # ||v0||_L2 + kappa/(2C)
     L_U: float
     L_e: float
-    C_t3: float
-    C_t4: float
     r: float
-    M0: float
 
 
 def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryConstants:
@@ -313,7 +303,7 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
 
     kappa, C -> C_tilde -> C1 (inverse-gap H2 bound) -> C2, C3 (difference
     bounds for 1/w^2, 1/w^3) -> L_G -> T0 -> L_W (pressure-to-plate Lipschitz)
-    -> L_W2, L_U (Hoelder-in-time, exponent HOLDER_ALPHA) -> L_e
+    -> L_U (Hoelder-in-time, exponent HOLDER_ALPHA) -> L_e
     (pressure-side Lipschitz of F).  The ball radius is the default
     0.9 kappa/(2C), the semigroup bound M0 is 1 (T is unitary in X) and
     delta_o is capped at 1.  T0 is the local-existence horizon
@@ -336,13 +326,11 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
     T0 = float(min(branches))
 
     L_W = T0 * M0 * p.beta_p * np.exp(M0 * cc.L_G * T0)
-    v0_l2 = norm_Hk(init.v, 0)
-    L_W2 = L_W * max(2.0 / cc.kappa, 4.0 * cc.C / cc.kappa**2 * (v0_l2 + cc.kappa / (2.0 * cc.C)))
 
     u0_h2 = lifted_norm_H2(sine_transform(u0.values - u0.bv), u0.bv)
     u0t_h2 = norm_Hk(sine_transform(u0.values - u0.bv), 2)  # ||u~0||_H2, zero trace
     C_t1 = u0_h2 + cc.kappa / (2.0 * cc.C)
-    C_t2 = v0_l2 + cc.kappa / (2.0 * cc.C)
+    C_t2 = norm_Hk(init.v, 0) + cc.kappa / (2.0 * cc.C)
 
     # Hoelder constant of the plate path: P0 and the Gronwall amplification
     P0 = cc.kappa * (cc.L_G + 1.0) / (2.0 * cc.C) + g0h2
@@ -357,30 +345,8 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
     C_hat3 = cc.C * (C_t2 * cc.C1 + C_t1 * cc.C1 * L_W + C_t1 * C_t2 * cc.C1**2 * L_W)
     L_e = cc.C * cc.C1**2 * cc.C_tilde**3 * C_t1**2 * L_W + C_hat1 + C_hat2 + C_hat3
 
-    # Hoelder constants of the residual pieces (Max-II scaffolding)
-    w0_inv_modes = dealias_apply(
-        lambda wf: 1.0 / wf - 1.0 / w0.bv, sine_transform(w0.values - w0.bv), bvs=(w0.bv,), pad=4
-    )
-    w0_inv_h2 = lifted_norm_H2(w0_inv_modes, 1.0 / w0.bv)
-    C_t3 = cc.C * (cc.C1 * L_U + C_t2 * cc.C1**2 * L_U)
-    C_t4 = cc.C * cc.C1 * (L_U + v0_l2 * w0_inv_h2)
-
     return TheoryConstants(
-        **vars(cc),
-        g0_h2=g0h2,
-        delta_o=branches[0],
-        T0=T0,
-        T0_branches=branches,
-        L_W=float(L_W),
-        L_W2=float(L_W2),
-        C_t1=float(C_t1),
-        C_t2=float(C_t2),
-        L_U=float(L_U),
-        L_e=float(L_e),
-        C_t3=float(C_t3),
-        C_t4=float(C_t4),
-        r=float(r),
-        M0=M0,
+        **vars(cc), T0=T0, T0_branches=branches, L_W=float(L_W), L_U=float(L_U), L_e=float(L_e), r=float(r)
     )
 
 
@@ -442,20 +408,20 @@ def picard_dispersive(
     p: ModelParams,
     u_path: PressurePath,
     init: StateVW,
-    T: float,
+    *,
     tol: float = 1e-10,
     max_iter: int = 200,
     setup: PlateSetup | None = None,
     start: VWPath | None = None,
 ) -> tuple:
-    """Construct the mild solution on u_path.times (must end at T) by Picard sweeps.
+    """Construct the mild solution on u_path.times by Picard sweeps.
 
-    The certified regime is T below the horizon T0 of theory_constants,
-    where the sweep map is a contraction with ratio <= T*M0*L_G; the
-    implementation accepts any finite horizon, measures the actual ratios,
+    The certified regime is a horizon T = times[-1] below the horizon T0 of
+    theory_constants, where the sweep map is a contraction with ratio <= T*M0*L_G;
+    the implementation accepts any finite horizon, measures the actual ratios,
     and raises PicardDivergence on observed non-contraction (two successive
-    ratios >= 1) or when max_iter sweeps miss tol.  The ball radius reported (and
-    used by the lower-bound check) is the default 0.9 kappa/(2C).  setup is
+    ratios >= 1) or when max_iter sweeps miss tol.  The ball radius of the
+    lower-bound check is the default 0.9 kappa/(2C).  setup is
     plate_setup(p, init, u_path.times), built here when not given.
 
     The first sweep freezes G at w~0 (a cold start), or along start.w when a
@@ -465,8 +431,6 @@ def picard_dispersive(
     fixed point within tol.
     """
     times = u_path.times
-    if abs(times[-1] - T) > 1e-12 * max(1.0, T):
-        raise ValueError(f"u_path must be sampled up to T={T}, got times[-1]={times[-1]}")
     u_modes = sine_transform(u_path.values - u_path.bv)
     if u_modes.shape[1] != init.k_max:
         raise ValueError("pressure grid size and state k_max must agree")
@@ -495,8 +459,8 @@ def picard_dispersive(
     if status == "diverged":
         raise PicardDivergence(
             f"Picard sweeps stopped contracting (last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
-            f"horizon T={T:.3g} is past the contraction regime",
-            PicardReport(len(diffs), ratios, False, T, r_used),
+            f"horizon T={times[-1]:.3g} is past the contraction regime",
+            PicardReport(len(diffs), ratios, False),
         )
 
     drift = float(np.max(norm_Hk(path.w - init.w, 2)))  # sup_t ||w~(t) - w~0||_H2
@@ -505,8 +469,6 @@ def picard_dispersive(
         iterations=len(diffs),
         contraction_ratios=ratios,
         converged=status == "converged",
-        T_used=T,
-        r_used=r_used,
         min_w=min_w,
     )
     if status == "exhausted":
@@ -572,12 +534,12 @@ def frechet_W(
     if status == "diverged":
         raise PicardDivergence(
             f"frechet_W linear sweeps not contracting (diff {diffs[-2]:.3g} -> {diffs[-1]:.3g})",
-            PicardReport(len(diffs), [ratios[-1]], False, float(times[-1]), np.nan),
+            PicardReport(len(diffs), [ratios[-1]], False),
         )
     if status == "exhausted":
         raise PicardDivergence(
             f"frechet_W: no convergence to {tol:g} in {_FRECHET_MAX_ITER} sweeps",
-            PicardReport(_FRECHET_MAX_ITER, [], False, float(times[-1]), np.nan),
+            PicardReport(_FRECHET_MAX_ITER, [], False),
         )
     return path.v, path.w
 

@@ -552,30 +552,20 @@ def _propagator(op: PstarOperator, dt: float):
     return E, K1, K2
 
 
-def linear_parabolic_solve(
-    op: PstarOperator,
-    F_path: np.ndarray,
-    u0_tilde: np.ndarray,
-    T: float,
-    N_t: int,
-) -> PressurePath:
+def linear_parabolic_solve(op: PstarOperator, F_path: np.ndarray, u0_tilde: np.ndarray, dt: float) -> np.ndarray:
     """March phi(t) = e^{t P*} u0 + int_0^t e^{(t-s) P*} F(s) ds with exact kicks.
 
-    F_path holds the forcing at the N_t + 1 nodes, shape (N_t + 1, n).  The
+    F_path holds the forcing at the nodes of a uniform grid of step dt, one
+    row per node; the march takes one step per row after the first.  The
     forcing is interpolated linearly on each step; the phi_1/phi_2 kick
     matrices of _propagator make that quadrature exact, so constant
     forcings and steady states are reproduced to rounding.  Returns the
-    shifted (zero-trace) path, bv = 0.
+    shifted (zero-trace) samples, one row per node.
     """
-    if N_t < 1:
-        raise ValueError("N_t must be >= 1")
     F = np.asarray(F_path, dtype=float)
-    if F.shape[0] != N_t + 1:
-        raise ValueError("F_path must carry N_t + 1 samples on the step grid")
     phi = np.asarray(u0_tilde, dtype=float)
     if F.shape[1] != phi.size:
         raise ValueError("forcing and state sizes differ")
-    dt = T / N_t
     E, K1, K2 = _propagator(op, dt)
     # The forcing kicks need no state: one gemv per step, formed before the
     # march, is bitwise K1 @ F[m] and K2 @ (F[m + 1] - F[m]) of that step.
@@ -583,9 +573,9 @@ def linear_parabolic_solve(
     kick2 = np.matmul(K2, (F[1:] - F[:-1])[..., None])[..., 0]
     out = np.empty(F.shape)
     out[0] = phi
-    for m in range(N_t):
+    for m in range(F.shape[0] - 1):
         out[m + 1] = E @ out[m] + kick1[m] + kick2[m]
-    return PressurePath(times=np.linspace(0.0, T, N_t + 1), values=out, bv=0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -625,42 +615,38 @@ def _banach_ratio(diffs: list, path: PressurePath) -> float:
 
 
 def gamma_iterate(
-    u_path: PressurePath,
     p: ModelParams,
-    init_vw: StateVW,
+    state: CoupledState,
     T: float,
+    n_t: int,
     tol: float = 1e-8,
     max_iter: int = 40,
 ) -> tuple:
-    """Fixed-point sweep for the pressure path (full u, trace theta_1).
+    """Fixed-point sweep for the pressure path (full u, trace theta_1) from state
+    on the uniform grid of n_t steps over [0, T], the chunk's one time grid.
 
     Returns (pressure path, PicardReport, plate path): the fixed point, its
     report and the plate solved for it.
 
-    Each sweep: solve the plate subproblem for the current pressure (at
-    0.01 tol, warm-started from the previous sweep's plate path), evaluate
-    the Reynolds nonlinearity along the resulting (v, w), and propagate
+    The first iterate holds state.u at every node.  Each sweep: solve the
+    plate subproblem for the current pressure (at 0.01 tol, warm-started from
+    the previous sweep's plate path), evaluate the Reynolds nonlinearity along
+    the resulting (v, w), and propagate
     u~ -> e^{t P*} u~_0 + int e^{(t-s) P*} { F(u~)(s) - P* u~(s) } ds with the
     linearization frozen at the initial data.  Measured sup-t H2 ratios of
     successive differences are the contraction diagnostics; a ratio >= 0.9
     (two in a row >= 1 would be certain divergence, one >= 0.9 already voids
     the margin) aborts with the implied admissible horizon ~ T (1/(2 rho))^{1/alpha}.
     """
-    times = u_path.times
-    if abs(times[-1] - T) > 1e-12 * max(T, 1.0):
-        raise ValueError("u_path must end at the requested horizon")
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-10, atol=0.0):
-        raise ValueError("gamma_iterate requires a uniform time grid")
-    if init_vw.k_max != u_path.values.shape[1]:
+    u0, init_vw = state.u, state.vw
+    if init_vw.k_max != u0.n:
         raise ValueError("coupled iteration requires k_max == n")
     th1, th2 = p.lift.theta1, p.lift.theta2
-    if abs(u_path.bv - th1) > 1e-12 * max(1.0, th1):
-        raise ValueError("pressure path must carry boundary trace theta1")
+    if abs(u0.bv - th1) > 1e-12 * max(1.0, th1):
+        raise ValueError("the initial pressure must carry boundary trace theta1")
     inner_tol = 0.01 * tol
-    N_t = times.size - 1
+    times = np.linspace(0.0, T, n_t + 1)
 
-    u0 = GridField(values=u_path.values[0], bv=u_path.bv)
     op = assemble_Pstar(u0, *dp.plate_fields(init_vw, th2))
     u0_tilde = u0.values - th1
     # every plate solve of this call starts from init_vw on the same grid
@@ -669,24 +655,25 @@ def gamma_iterate(
 
     def solve_plate(current):
         nonlocal plate
-        plate, _ = dp.picard_dispersive(p, current, init_vw, T, tol=inner_tol, setup=setup, start=plate)
+        plate, _ = dp.picard_dispersive(p, current, init_vw, tol=inner_tol, setup=setup, start=plate)
         return plate
 
     def sweep(current):
         F = _F_path(current, solve_plate(current), p)
         forcing = F - (current.values - th1) @ op.matrix.T
-        fresh = linear_parabolic_solve(op, forcing, u0_tilde, T, N_t).values + th1
+        fresh = linear_parabolic_solve(op, forcing, u0_tilde, T / n_t) + th1
         # the Duhamel integral vanishes at t=0, so the initial sample is the
         # initial datum itself -- pin it bitwise rather than via the
         # subtract-add float roundtrip
         fresh[0] = u0.values
         return PressurePath(times=times.copy(), values=fresh, bv=th1)
 
+    guess = PressurePath(times=times, values=np.tile(u0.values, (n_t + 1, 1)), bv=u0.bv)
     current, diffs, ratios, status = dp.fixed_point(
-        sweep, u_path, dp.pressure_diff_norm, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
+        sweep, guess, dp.pressure_diff_norm, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
     )
     converged = status == "converged"
-    report = PicardReport(len(diffs), ratios, converged, T, float("nan"), banach_ratio=_banach_ratio(diffs, current))
+    report = PicardReport(len(diffs), ratios, converged, banach_ratio=_banach_ratio(diffs, current))
     if converged:
         return current, report, solve_plate(current)
     rho = ratios[-1] if ratios else float("nan")
@@ -765,8 +752,6 @@ _HOLDER_INNER_TOL = 1e-12
 def holder_F_check(
     u_path: PressurePath,
     q_modes: np.ndarray,
-    alpha: float,
-    T: float,
     p: ModelParams,
     init_vw: StateVW,
     L_A: float | None = None,
@@ -774,6 +759,7 @@ def holder_F_check(
 ) -> HolderFReport:
     """Measure the two Hoelder quotients of the right-hand side and compare to bounds.
 
+    The exponent is alpha = dp.HOLDER_ALPHA and the horizon T = u_path.times[-1].
     measured_A = sup ||F(t+h) - F(t)||_{L2} / h^alpha, bounded by
     ([u]_alpha + L_U) L_A with L_U the measured Hoelder constant of the plate
     path; measured_B is the same quotient for F'(u)q - P*q, bounded by
@@ -782,13 +768,13 @@ def holder_F_check(
     making the bounds hold (pass is then trivially true); with both given it
     verifies.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = dp.HOLDER_ALPHA
     times = u_path.times
+    T = float(times[-1])
     th1, th2 = p.lift.theta1, p.lift.theta2
     q_modes = np.asarray(q_modes, dtype=float)
 
-    plate, _ = dp.picard_dispersive(p, u_path, init_vw, T, tol=_HOLDER_INNER_TOL)
+    plate, _ = dp.picard_dispersive(p, u_path, init_vw, tol=_HOLDER_INNER_TOL)
     dW = dp.frechet_W(p, q_modes, plate, tol=_HOLDER_INNER_TOL)
     F_series = _F_path(u_path, plate, p)
     op = assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *dp.plate_fields(init_vw, th2))
@@ -1029,10 +1015,6 @@ def compat_regularity_proxy(state: CoupledState, p: ModelParams) -> float:
     return math.sqrt(0.5 * float(np.sum(k ** (2.0 * _COMPAT_SIGMA) * c**2)))
 
 
-def _constant_path(u: GridField, T: float, n_t: int) -> PressurePath:
-    return PressurePath(times=np.linspace(0.0, T, n_t + 1), values=np.tile(u.values, (n_t + 1, 1)), bv=u.bv)
-
-
 def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConfig | None = None) -> RunReport:
     """Adaptive chunked time integration of the coupled system to horizon T.
 
@@ -1093,10 +1075,9 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             w_mins.append(sp.gap_min(sp.refined_values(tail.w[1:], th2), th2))
             ratios.append(np.full(tail.t.size - 1, np.nan))
             break
-        guess_path = _constant_path(state.u, this_chunk, config.n_t)
         try:
             u_new, rep, plate = gamma_iterate(
-                guess_path, p, state.vw, this_chunk, tol=config.tol, max_iter=config.max_iter
+                p, state, this_chunk, config.n_t, tol=config.tol, max_iter=config.max_iter
             )
         except (PicardDivergence, QuenchSignal):  # a GammaDivergence is a PicardDivergence
             chunk = this_chunk / 2.0

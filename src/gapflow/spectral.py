@@ -397,9 +397,8 @@ def norm_Hk(f: np.ndarray, k: int):
     """Spectral Sobolev norm sqrt( sum_m (1 + (m pi)^2 + ... + (m pi)^{2k}) f_m^2 / 2 ).
 
     Exact for zero-trace functions in the sine span; see lifted_norm_H2 for
-    fields carrying a boundary lift.  k up to 3 is supported (H^3 shows up in
-    the elliptic form constants).  A float for one mode vector, an array of
-    norms (one per row) for a stack of them.
+    fields carrying a boundary lift.  k up to 3 is supported.  A float for one
+    mode vector, an array of norms (one per row) for a stack of them.
     """
     f = np.asarray(f, dtype=float)
     if k not in (0, 1, 2, 3):

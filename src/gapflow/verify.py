@@ -11,7 +11,7 @@ the two integrators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -127,8 +127,6 @@ class RegularityFit:
     s_star: float
     residual: float
     conclusive: bool
-    n_points: int
-    k_used: np.ndarray = field(repr=False)
 
 
 def regularity_exponent_fit(modes: np.ndarray, k_range: tuple = (9, 101)) -> RegularityFit:
@@ -163,8 +161,6 @@ def regularity_exponent_fit(modes: np.ndarray, k_range: tuple = (9, 101)) -> Reg
             s_star=float("nan"),
             residual=float("inf"),
             conclusive=False,
-            n_points=len(pts_k),
-            k_used=np.asarray(pts_k),
         )
     logk = np.log(np.asarray(pts_k))
     loga = np.log(np.asarray(pts_a))
@@ -177,8 +173,6 @@ def regularity_exponent_fit(modes: np.ndarray, k_range: tuple = (9, 101)) -> Reg
         s_star=p - 0.5,
         residual=resid,
         conclusive=resid <= residual_threshold,
-        n_points=len(pts_k),
-        k_used=np.asarray(pts_k),
     )
 
 
@@ -431,7 +425,6 @@ def lipschitz_F_check(
 @dataclass(frozen=True)
 class StudyRow:
     axis: str
-    levels: tuple
     errors: tuple
     order: float
 
@@ -497,15 +490,13 @@ def convergence_study() -> ConvergenceStudy:
     ]
     e1 = float(np.abs(finals[0] - finals[1]).max())
     e2 = float(np.abs(finals[1] - finals[2]).max())
-    rows.append(StudyRow(axis="oracle_dt", levels=dts, errors=(e1, e2), order=math.log2(e1 / e2)))
+    rows.append(StudyRow(axis="oracle_dt", errors=(e1, e2), order=math.log2(e1 / e2)))
 
     # --- driver_h ----------------------------------------------------------
     obs = {n: _driver_observable(p, n, T, tol=1e-10, n_t=32) for n in (16, 32, 64)}
     d1 = float(np.abs(obs[16] - obs[32]).max())
     d2 = float(np.abs(obs[32] - obs[64]).max())
-    rows.append(
-        StudyRow(axis="driver_h", levels=(16, 32, 64), errors=(d1, d2), order=math.log2(d1 / d2))
-    )
+    rows.append(StudyRow(axis="driver_h", errors=(d1, d2), order=math.log2(d1 / d2)))
 
     # --- plate_k -----------------------------------------------------------
     # Spectral accuracy in k_max requires data whose odd periodic extension is
@@ -527,7 +518,7 @@ def convergence_study() -> ConvergenceStudy:
         )
         w1 = np.zeros(k)
         w1[0] = 0.1
-        vw, _ = dp.picard_dispersive(p_k, path, StateVW(v=np.zeros(k), w=w1), T, tol=1e-13)
+        vw, _ = dp.picard_dispersive(p_k, path, StateVW(v=np.zeros(k), w=w1), tol=1e-13)
         return vw.w[-1]
 
     k_levels = (8, 16, 32)
@@ -535,7 +526,7 @@ def convergence_study() -> ConvergenceStudy:
     errs_k = tuple(float(np.abs(plate_w(k) - ref[:k]).max()) for k in k_levels)
     ord1 = math.log2(errs_k[0] / max(errs_k[1], 1e-300))
     ord2 = math.log2(errs_k[1] / max(errs_k[2], 1e-300))
-    rows.append(StudyRow(axis="plate_k", levels=k_levels, errors=errs_k, order=max(ord1, ord2)))
+    rows.append(StudyRow(axis="plate_k", errors=errs_k, order=max(ord1, ord2)))
 
     # --- gamma_tol ---------------------------------------------------------
     n = 32
@@ -546,6 +537,6 @@ def convergence_study() -> ConvergenceStudy:
     )
     logs = [math.log10(max(e, 1e-300)) for e in errs_t]
     slope = (logs[0] - logs[-1]) / (math.log10(tols[-1]) - math.log10(tols[0]))
-    rows.append(StudyRow(axis="gamma_tol", levels=tols, errors=errs_t, order=-slope))
+    rows.append(StudyRow(axis="gamma_tol", errors=errs_t, order=-slope))
 
     return ConvergenceStudy(rows=tuple(rows))

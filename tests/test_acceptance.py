@@ -129,7 +129,7 @@ def test_c04_picard_contraction():
         )
         T = 0.9 * T0
         up = dp.uniform_pressure_path(up_fn, T, 32, k, theta1)
-        _, rep = dp.picard_dispersive(p, up, init, T, tol=1e-10, max_iter=40)
+        _, rep = dp.picard_dispersive(p, up, init, tol=1e-10, max_iter=40)
         assert rep.converged
         assert rep.contraction_ratios, "no ratio measured: criterion would be vacuous"
         worst_iters = max(worst_iters, rep.iterations)
@@ -147,8 +147,7 @@ def test_c05_oracle_equivalence():
     tc = dp.theory_constants(p, init.u, init.vw)
     T = min(tc.T0, 0.05)
     n_t = 8
-    guess = ry._constant_path(init.u, T, n_t)
-    u_fix, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10)
+    u_fix, rep, plate = ry.gamma_iterate(p, init, T, n_t, tol=1e-10)
     traj = ry.integrate_reference(p, init, T, T / n_t, store_every=1)
     gap = scale = 0.0
     for i in range(n_t + 1):
@@ -184,8 +183,7 @@ def test_c06_lower_bound_family():
         kappa = sp.gap_min(sp.refined_values(wm, 1.0), 1.0)
         tc = dp.theory_constants(p, init.u, init.vw)
         T = min(tc.T0, 0.05)
-        guess = ry._constant_path(init.u, T, 8)
-        _, rep, plate = ry.gamma_iterate(guess, p, init.vw, T, tol=1e-10)
+        _, rep, plate = ry.gamma_iterate(p, init, T, 8, tol=1e-10)
         min_w = float(plate.w_refined_min.min()) + p.lift.theta2
         margins.append(min_w - kappa / 2.0)
         if min_w < kappa / 2.0:
@@ -228,7 +226,7 @@ def test_c08_frechet_consistency():
     up = dp.uniform_pressure_path(
         lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k, 1.0
     )
-    path, _ = dp.picard_dispersive(p, up, init, T, tol=1e-13)
+    path, _ = dp.picard_dispersive(p, up, init, tol=1e-13)
     q = np.zeros((n_t + 1, k))
     q[:, 0] = 1.0
     q[:, 1] = 0.4
@@ -236,7 +234,7 @@ def test_c08_frechet_consistency():
     errs_W = []
     for h in hs:
         up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
-        ph, _ = dp.picard_dispersive(p, up_h, init, T, tol=1e-13)
+        ph, _ = dp.picard_dispersive(p, up_h, init, tol=1e-13)
         errs_W.append(
             max(
                 dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
@@ -251,8 +249,7 @@ def test_c08_frechet_consistency():
     T2, Nt = 2e-3, 8
     u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(n)), bv=1.0)
     init2 = StateVW(v=np.zeros(n), w=np.r_[0.05, np.zeros(n - 1)])
-    guess = ry._constant_path(u0, T2, Nt)
-    u_fix, _, plate = ry.gamma_iterate(guess, p2, init2, T2, tol=1e-12)
+    u_fix, _, plate = ry.gamma_iterate(p2, CoupledState(u=u0, vw=init2), T2, Nt, tol=1e-12)
     rng = np.random.default_rng(9)
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
     qg = sp.inverse_sine_transform(qm)
@@ -268,7 +265,7 @@ def test_c08_frechet_consistency():
     errs_F = []
     for h in hs:
         pert = dp.PressurePath(times=u_fix.times.copy(), values=u_fix.values + h * qg, bv=u_fix.bv)
-        plate2, _ = dp.picard_dispersive(p2, pert, init2, T2, tol=1e-13)
+        plate2, _ = dp.picard_dispersive(p2, pert, init2, tol=1e-13)
         fd = (F_at(pert, plate2, Nt) - base) / h
         errs_F.append(np.abs(fd - analytic).max())
     orders_F = [math.log10(errs_F[i] / errs_F[i + 1]) for i in range(2)]
@@ -340,7 +337,7 @@ def test_c11_calibrated_constant_audits():
 
     # Hoelder bounds on the right-hand side: one-time calibration, then >= 10^3
     # fresh pairwise samples across twenty fresh paths
-    T, n_t, alpha = 5e-3, 10, 0.2
+    T, n_t = 5e-3, 10
     init = StateVW(v=np.zeros(n), w=w0m)
     rng = np.random.default_rng(15)
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
@@ -354,13 +351,11 @@ def test_c11_calibrated_constant_audits():
         modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
         return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
-    cal = ry.holder_F_check(rand_path(100), q, alpha, T, p, init)
+    cal = ry.holder_F_check(rand_path(100), q, p, init)
     holder_ok = True
     fresh_samples = 0
     for s in range(101, 121):
-        ver = ry.holder_F_check(
-            rand_path(s), q, alpha, T, p, init, L_A=2 * cal.L_A, L_B=2 * cal.L_B
-        )
+        ver = ry.holder_F_check(rand_path(s), q, p, init, L_A=2 * cal.L_A, L_B=2 * cal.L_B)
         holder_ok = holder_ok and ver.passed
         fresh_samples += n_t * (n_t + 1) // 2
     results["holder_F"] = holder_ok and fresh_samples >= 1000

@@ -138,3 +138,48 @@ def test_only_spectral_decides_that_the_gap_closed():
             if (where.split(".")[0], message) != _THRESHOLD_SIGNAL:
                 sites.append(f"{path.stem}.{where or '<module>'}")
     assert not sites, "QuenchSignal constructed outside spectral.require_open_gap: " + ", ".join(sites)
+
+
+def _callee(call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _dataclass_fields(tree) -> list:
+    """(class name, field name) of every field declared in the body of a @dataclass."""
+    fields = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                fields.append((node.name, stmt.target.id))
+    return fields
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    """A field of a @dataclass in src/gapflow that nothing in src/, tests/ or
+    perfbench/ reads is data computed for no one.  A read is an attribute load
+    of that name, an identifier-like string (a getattr table), or a keyword of
+    a call other than the class's own constructor (a dict of expected values
+    that a test compares with getattr)."""
+    attributes, strings, keywords = set(), set(), {}
+    for path in _sources():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                strings.add(node.value)
+            elif isinstance(node, ast.Call):
+                keywords.setdefault(_callee(node), set()).update(k.arg for k in node.keywords if k.arg)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name in _dataclass_fields(ast.parse(path.read_text(encoding="utf-8"))):
+            passed = any(name in kws for callee, kws in keywords.items() if callee != cls)
+            if name not in attributes and name not in strings and not passed:
+                unread.append(f"{path.stem}.{cls}.{name}")
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)

@@ -160,7 +160,7 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     cc = dp.contraction_constants(p, w0)
     T = 0.9 * dp.theory_constants(p, u0, init).T0
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
-    path, rep = dp.picard_dispersive(p, up, init, T)
+    path, rep = dp.picard_dispersive(p, up, init)
     assert rep.converged
     bound = T * 1.0 * cc.L_G
     assert all(rt <= bound * 1.05 for rt in rep.contraction_ratios)
@@ -176,13 +176,13 @@ def test_picard_takes_its_setup_only_from_the_same_solve():
     init = small_bump_state(k)
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + t), T, 8, k, 1.0)
     setup = dp.plate_setup(p, init, up.times)
-    given, _ = dp.picard_dispersive(p, up, init, T, setup=setup)
-    alone, _ = dp.picard_dispersive(p, up, init, T)
+    given, _ = dp.picard_dispersive(p, up, init, setup=setup)
+    alone, _ = dp.picard_dispersive(p, up, init)
     assert given.v.tobytes() == alone.v.tobytes() and given.w.tobytes() == alone.w.tobytes()
     coarse = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 4, k, 1.0)
     for other in ((base_params(beta_F=2.0), up, init), (p, up, small_bump_state(k)), (p, coarse, init)):
         with pytest.raises(ValueError, match="setup was built"):
-            dp.picard_dispersive(*other, T, setup=setup)
+            dp.picard_dispersive(*other, setup=setup)
 
 
 def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
@@ -202,7 +202,7 @@ def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
         lambda path: march(dp._G_modes(path.w, p)), march(dp._G_modes(init.w, p)), dp.path_diff_norm, tol, 200,
         lambda ratios: False,
     )
-    got, rep = dp.picard_dispersive(p, up, init, T, tol=tol, start=None)
+    got, rep = dp.picard_dispersive(p, up, init, tol=tol, start=None)
     assert status == "converged" and rep.iterations == len(diffs)
     assert got.v.tobytes() == want.v.tobytes() and got.w.tobytes() == want.w.tobytes()
 
@@ -218,13 +218,13 @@ def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps():
     def pressure(amp):
         return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
 
-    near, _ = dp.picard_dispersive(p, pressure(0.101), init, T, tol=tol)
-    cold, cold_rep = dp.picard_dispersive(p, pressure(0.1), init, T, tol=tol)
-    warm, warm_rep = dp.picard_dispersive(p, pressure(0.1), init, T, tol=tol, start=near)
+    near, _ = dp.picard_dispersive(p, pressure(0.101), init, tol=tol)
+    cold, cold_rep = dp.picard_dispersive(p, pressure(0.1), init, tol=tol)
+    warm, warm_rep = dp.picard_dispersive(p, pressure(0.1), init, tol=tol, start=near)
     assert warm_rep.converged and warm_rep.iterations < cold_rep.iterations
     assert dp.path_diff_norm(warm, cold) <= tol
     far = dp.VWPath(near.times, np.zeros_like(near.v), np.zeros_like(near.w))  # the flat gap
-    from_far, _ = dp.picard_dispersive(p, pressure(0.1), init, T, tol=tol, start=far)
+    from_far, _ = dp.picard_dispersive(p, pressure(0.1), init, tol=tol, start=far)
     assert dp.path_diff_norm(from_far, cold) <= tol
 
 
@@ -233,13 +233,13 @@ def test_warm_start_must_share_the_grid_and_shape():
     k, T = 16, 1e-3
     init = small_bump_state(k)
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-    path, _ = dp.picard_dispersive(p, up, init, T)
+    path, _ = dp.picard_dispersive(p, up, init)
     coarse = dp.VWPath(path.times[::2], path.v[::2], path.w[::2])
     shifted = dp.VWPath(path.times * (1.0 + 1e-9), path.v, path.w)
     wider = dp.VWPath(path.times, np.pad(path.v, ((0, 0), (0, 4))), np.pad(path.w, ((0, 0), (0, 4))))
     for start in (coarse, shifted, wider, dp.VWPath(path.times, path.v, path.w[:, :-1])):
         with pytest.raises(ValueError, match="start must be a plate path"):
-            dp.picard_dispersive(p, up, init, T, start=start)
+            dp.picard_dispersive(p, up, init, start=start)
 
 
 def test_picard_matches_constant_forcing_to_second_order():
@@ -255,7 +255,7 @@ def test_picard_matches_constant_forcing_to_second_order():
     def rel_dev(T):
         init = sp.StateVW(np.zeros(k), np.zeros(k))
         up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-        path, _ = dp.picard_dispersive(p, up, init, T, tol=1e-14)
+        path, _ = dp.picard_dispersive(p, up, init, tol=1e-14)
         w_exact = c * 2 * np.sin(spec.omega * T / 2) ** 2 / spec.mu
         v_exact = c * np.sin(spec.omega * T) / spec.omega
         dw = np.max(np.abs(path.w[-1] - w_exact)) / np.max(np.abs(w_exact))
@@ -271,7 +271,7 @@ def test_picard_zero_couplings_is_pure_semigroup():
     k = 32
     init = small_bump_state(k)
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 0.5, 64, k, 1.0)
-    path, rep = dp.picard_dispersive(p, up, init, 0.5)
+    path, rep = dp.picard_dispersive(p, up, init)
     assert rep.iterations == 1
     spec = sp.plate_eigenvalues(k)
     n0 = sp.norm_X(init.v, init.w, spec)
@@ -287,8 +287,8 @@ def test_picard_uniqueness_wrt_time_resolution_tail():
     T = 0.02
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), T, 32, k, 1.0)
     tol = 1e-8
-    path1, _ = dp.picard_dispersive(p, up, init, T, tol=tol)
-    path2, _ = dp.picard_dispersive(p, up, init, T, tol=tol * 1e-3)
+    path1, _ = dp.picard_dispersive(p, up, init, tol=tol)
+    path2, _ = dp.picard_dispersive(p, up, init, tol=tol * 1e-3)
     assert dp.path_diff_norm(path1, path2) <= 10 * tol
 
 
@@ -303,7 +303,7 @@ def test_strictness_residual_decays_with_dt():
 
     def residual(n_t):
         up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(5 * t), T, n_t, k, 1.0)
-        path, _ = dp.picard_dispersive(p, up, init, T, tol=1e-13)
+        path, _ = dp.picard_dispersive(p, up, init, tol=1e-13)
         u_modes = sp.sine_transform(up.values - up.bv)
         dt = T / n_t
         worst = 0.0
@@ -326,12 +326,12 @@ def test_solution_operator_W_initial_value_and_stationarity():
     init = small_bump_state(k, amp=0.05)
     T = 0.01
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
-    path, _ = dp.picard_dispersive(p, up, init, T)
+    path, _ = dp.picard_dispersive(p, up, init)
     # W(u)(0) = (v0, w0) exactly
     assert np.array_equal(path.v[0], init.v)
     assert np.array_equal(path.w[0], init.w)
     # determinism: identical inputs, identical bits
-    path2, _ = dp.picard_dispersive(p, up, init, T)
+    path2, _ = dp.picard_dispersive(p, up, init)
     assert np.array_equal(path.v, path2.v) and np.array_equal(path.w, path2.w)
 
 
@@ -341,7 +341,7 @@ def test_frechet_W_zero_and_fd_order():
     init = small_bump_state(k)
     T, n_t = 0.25, 96
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k, 1.0)
-    path, _ = dp.picard_dispersive(p, up, init, T, tol=1e-13)
+    path, _ = dp.picard_dispersive(p, up, init, tol=1e-13)
 
     zero_q = np.zeros((n_t + 1, k))
     vq0, wq0 = dp.frechet_W(p, zero_q, path, tol=1e-14)
@@ -356,7 +356,7 @@ def test_frechet_W_zero_and_fd_order():
     hs = (1e-2, 1e-3, 1e-4)
     for h in hs:
         up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
-        ph, _ = dp.picard_dispersive(p, up_h, init, T, tol=1e-13)
+        ph, _ = dp.picard_dispersive(p, up_h, init, tol=1e-13)
         errs.append(
             max(
                 dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
@@ -368,13 +368,13 @@ def test_frechet_W_zero_and_fd_order():
     assert order1 > 0.9 and order2 > 0.9, (errs, order1, order2)
 
 
-def empirical_lipschitz_W(p, u1_path, u2_path, init, T, tol=1e-10):
+def empirical_lipschitz_W(p, u1_path, u2_path, init, tol=1e-10):
     """sup_t ||W(u1)(t) - W(u2)(t)||_{L2 x H2} / sup_t ||u1(t) - u2(t)||_H2."""
     du = dp.pressure_diff_norm(u1_path, u2_path)
     if du == 0.0:
         return 0.0
-    vw1, _ = dp.picard_dispersive(p, u1_path, init, T, tol=tol)
-    vw2, _ = dp.picard_dispersive(p, u2_path, init, T, tol=tol)
+    vw1, _ = dp.picard_dispersive(p, u1_path, init, tol=tol)
+    vw2, _ = dp.picard_dispersive(p, u2_path, init, tol=tol)
     return dp.path_diff_norm(vw1, vw2) / du
 
 
@@ -387,8 +387,8 @@ def test_empirical_lipschitz_W_bounds():
     T = 0.9 * tc.T0
     u1 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x), T, 16, k, 1.0)
     u2 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + 0.01 * np.sin(2 * np.pi * x), T, 16, k, 1.0)
-    assert empirical_lipschitz_W(p, u1, u1, init, T) == 0.0
-    ratio = empirical_lipschitz_W(p, u1, u2, init, T)
+    assert empirical_lipschitz_W(p, u1, u1, init) == 0.0
+    ratio = empirical_lipschitz_W(p, u1, u2, init)
     assert 0.0 < ratio <= tc.L_W
     # linear-regime stability across perturbation magnitudes
     ratios = []
@@ -396,7 +396,7 @@ def test_empirical_lipschitz_W_bounds():
         u2e = dp.uniform_pressure_path(
             lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + eps * np.sin(2 * np.pi * x), T, 16, k, 1.0
         )
-        ratios.append(empirical_lipschitz_W(p, u1, u2e, init, T, tol=1e-13))
+        ratios.append(empirical_lipschitz_W(p, u1, u2e, init, tol=1e-13))
     assert max(ratios) <= 1.2 * min(ratios)
 
 
@@ -409,7 +409,7 @@ def test_empirical_holder_constant_path_and_LU_bound():
     T = 0.9 * tc.T0
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
     assert dp.empirical_holder(up, alpha=0.5) == 0.0
-    path, _ = dp.picard_dispersive(p, up, init, T)
+    path, _ = dp.picard_dispersive(p, up, init)
     semi = dp.empirical_holder(path, alpha=0.2)
     assert semi <= tc.L_U
 
@@ -420,6 +420,6 @@ def test_picard_report_fields():
     init = small_bump_state(k)
     T = 0.01
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-    _, rep = dp.picard_dispersive(p, up, init, T)
-    assert rep.T_used == T and rep.converged and rep.r_used > 0
+    _, rep = dp.picard_dispersive(p, up, init)
+    assert rep.converged
     assert isinstance(rep.contraction_ratios, list)

@@ -532,8 +532,8 @@ class TestLinearParabolicSolve:
         modes[2] = 1.0
         u0 = sp.inverse_sine_transform(modes)
         T, Nt = 0.02, 32
-        path = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T, Nt)
-        got = sp.sine_transform(path.values[-1])[2]
+        out = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T / Nt)
+        got = sp.sine_transform(out[-1])[2]
         h = 1.0 / (n + 1)
         lam = -4 / h**2 * math.sin(3 * math.pi * h / 2) ** 2
         assert abs(got - math.exp(lam * T)) <= 5e-14
@@ -546,8 +546,8 @@ class TestLinearParabolicSolve:
             modes = np.zeros(n)
             modes[0] = 1.0
             u0 = sp.inverse_sine_transform(modes)
-            path = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T, Nt)
-            got = sp.sine_transform(path.values[-1])[0]
+            out = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T / Nt)
+            got = sp.sine_transform(out[-1])[0]
             errs.append(abs(got - math.exp(-math.pi**2 * T)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -555,16 +555,16 @@ class TestLinearParabolicSolve:
         n = 48
         op = heat_op(n)
         F = np.sin(np.pi * sp.grid(n))
-        path = ry.linear_parabolic_solve(op, [F] * 129, np.zeros(n), 3.0, 128)
+        out = ry.linear_parabolic_solve(op, [F] * 129, np.zeros(n), 3.0 / 128)
         steady = -np.linalg.solve(op.matrix, F)
-        assert np.abs(path.values[-1] - steady).max() <= 1e-12
+        assert np.abs(out[-1] - steady).max() <= 1e-12
 
     def test_initial_value_exact(self):
         n = 16
         op = heat_op(n)
         u0 = np.sin(np.pi * sp.grid(n)) * 0.3
-        path = ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, u0, 0.1, 4)
-        assert np.array_equal(path.values[0], u0)
+        out = ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, u0, 0.1 / 4)
+        assert np.array_equal(out[0], u0)
 
     @pytest.mark.parametrize("route", ["eigen", "expm"])
     def test_march_is_bitwise_the_per_step_formula(self, route):
@@ -583,20 +583,18 @@ class TestLinearParabolicSolve:
         rng = np.random.default_rng(5)
         F = rng.normal(size=(Nt + 1, n))
         u0 = rng.normal(size=n)
-        path = ry.linear_parabolic_solve(op, F, u0, T, Nt)
+        out = ry.linear_parabolic_solve(op, F, u0, T / Nt)
         E, K1, K2 = ry._propagator(op, T / Nt)
         want = [u0]
         for m in range(Nt):
             want.append(E @ want[m] + K1 @ F[m] + K2 @ (F[m + 1] - F[m]))
-        assert path.values.tobytes() == np.array(want).tobytes()
+        assert out.tobytes() == np.array(want).tobytes()
 
     def test_shape_validation(self):
         n = 8
         op = heat_op(n)
-        with pytest.raises(ValueError):
-            ry.linear_parabolic_solve(op, [np.zeros(n)] * 3, np.zeros(n), 0.1, 4)
-        with pytest.raises(ValueError):
-            ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, np.zeros(n), 0.1, 0)
+        with pytest.raises(ValueError, match="forcing and state sizes differ"):
+            ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, np.zeros(n + 1), 0.1 / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -609,25 +607,25 @@ class TestGammaIterate:
         p = base_params()
         k = n = 32
         eq = ry.equilibrium_state(p, k)
-        guess = ry._constant_path(eq.u, 1e-3, 12)
-        u_fix, rep, _ = ry.gamma_iterate(guess, p, eq.vw, 1e-3, tol=1e-10)
+        u_fix, rep, _ = ry.gamma_iterate(p, eq, 1e-3, 12, tol=1e-10)
         assert rep.converged and rep.iterations == 1
         assert np.abs(u_fix.values - eq.u.values).max() == 0.0
 
     def test_initial_sample_is_datum_bitwise(self):
         p = base_params()
         k = n = 32
+        T, n_t = 5e-3, 16
         u0 = bump_pressure(n, amp=0.07)
-        guess = ry._constant_path(u0, 5e-3, 16)
-        u_fix, rep, _ = ry.gamma_iterate(guess, p, bump_state(k), 5e-3, tol=1e-10)
+        u_fix, rep, _ = ry.gamma_iterate(p, CoupledState(u=u0, vw=bump_state(k)), T, n_t, tol=1e-10)
         assert np.array_equal(u_fix.values[0], u0.values)
         assert u_fix.bv == 1.0
+        assert u_fix.times.tobytes() == np.linspace(0.0, T, n_t + 1).tobytes()
 
     def test_contraction_ratio_small_at_short_horizon(self):
         p = base_params()
         k = n = 32
-        guess = ry._constant_path(bump_pressure(n), 0.01, 16)
-        u_fix, rep, _ = ry.gamma_iterate(guess, p, bump_state(k), 0.01, tol=1e-11)
+        init = CoupledState(u=bump_pressure(n), vw=bump_state(k))
+        u_fix, rep, _ = ry.gamma_iterate(p, init, 0.01, 16, tol=1e-11)
         assert rep.converged
         assert all(r <= 0.5 for r in rep.contraction_ratios)
 
@@ -640,7 +638,7 @@ class TestGammaIterate:
         p = base_params()
         k = n = 32
         T, tol = 0.01, 1e-11
-        init = bump_state(k)
+        init = CoupledState(u=bump_pressure(n), vw=bump_state(k))
         built = {"duhamel_coeffs": 0, "contraction_constants": 0}
         solves = []
         for name in built:
@@ -658,8 +656,7 @@ class TestGammaIterate:
             return result
 
         monkeypatch.setattr(dp, "picard_dispersive", counted_picard)
-        guess = ry._constant_path(bump_pressure(n), T, 16)
-        u_fix, rep, plate = ry.gamma_iterate(guess, p, init, T, tol=tol)
+        u_fix, rep, plate = ry.gamma_iterate(p, init, T, 16, tol=tol)
         assert rep.converged and rep.iterations >= 3
         assert built == {"duhamel_coeffs": 1, "contraction_constants": 1}
         assert len(solves) == rep.iterations + 1 and all(s[0] is solves[0][0] for s in solves)
@@ -668,7 +665,7 @@ class TestGammaIterate:
         monkeypatch.undo()
         # at ratios of 1e-5 the warm-started solve lands on the floating-point
         # fixed point of a cold standalone solve on the converged path
-        alone, _ = dp.picard_dispersive(p, u_fix, init, T, tol=0.01 * tol)
+        alone, _ = dp.picard_dispersive(p, u_fix, init.vw, tol=0.01 * tol)
         assert alone.v.tobytes() == plate.v.tobytes() and alone.w.tobytes() == plate.w.tobytes()
 
     def test_warm_starts_cut_the_plate_sweeps_of_the_first_quench_chunk(self, monkeypatch):
@@ -689,8 +686,7 @@ class TestGammaIterate:
                 return path, report
 
             monkeypatch.setattr(dp, "picard_dispersive", counted)
-            guess = ry._constant_path(init.u, chunk, cfg.N_t)
-            u_fix, rep, _ = ry.gamma_iterate(guess, p, init.vw, chunk, tol=cfg.tol)
+            u_fix, rep, _ = ry.gamma_iterate(p, init, chunk, cfg.N_t, tol=cfg.tol)
             assert rep.converged and len(reports) == rep.iterations + 1
             return sum(r.iterations for r in reports), rep.iterations
 
@@ -703,10 +699,9 @@ class TestGammaIterate:
         k = n = 32
         x = sp.grid(n)
         u0 = GridField(values=1.0 + 0.3 * np.sin(np.pi * x), bv=1.0)
-        init = StateVW(v=np.zeros(k), w=np.concatenate([[-0.2], np.zeros(k - 1)]))
-        guess = ry._constant_path(u0, 0.5, 16)
+        init = CoupledState(u=u0, vw=StateVW(v=np.zeros(k), w=np.concatenate([[-0.2], np.zeros(k - 1)])))
         with pytest.raises(GammaDivergence) as exc:
-            ry.gamma_iterate(guess, p, init, 0.5, tol=1e-30, max_iter=4)
+            ry.gamma_iterate(p, init, 0.5, 16, tol=1e-30, max_iter=4)
         err = exc.value
         assert np.isfinite(err.ratio) and err.ratio > 0
         assert np.isfinite(err.T_admissible) and err.T_admissible > 0
@@ -716,21 +711,15 @@ class TestGammaIterate:
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
         k = n = 32
         u0 = GridField(values=np.full(n, 1.0), bv=1.0)
-        guess = ry._constant_path(u0, 0.3, 16)
+        init = CoupledState(u=u0, vw=StateVW(v=np.zeros(k), w=np.zeros(k)))
         with pytest.raises((QuenchSignal, PicardDivergence)):
-            ry.gamma_iterate(guess, p, StateVW(v=np.zeros(k), w=np.zeros(k)), 0.3, tol=1e-9)
+            ry.gamma_iterate(p, init, 0.3, 16, tol=1e-9)
 
-    def test_requires_uniform_grid_and_matching_shapes(self):
+    def test_requires_k_max_equal_to_n(self):
         p = base_params()
-        k = n = 16
-        u0 = bump_pressure(n)
-        times = np.array([0.0, 0.3, 1.0]) * 1e-3
-        path = PressurePath(times=times, values=np.tile(u0.values, (3, 1)), bv=u0.bv)
-        with pytest.raises(ValueError):
-            ry.gamma_iterate(path, p, bump_state(k), 1e-3)
-        guess = ry._constant_path(u0, 1e-3, 4)
-        with pytest.raises(ValueError):
-            ry.gamma_iterate(guess, p, bump_state(k + 4), 1e-3)
+        n = 16
+        with pytest.raises(ValueError, match="k_max == n"):
+            ry.gamma_iterate(p, CoupledState(u=bump_pressure(n), vw=bump_state(n + 4)), 1e-3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +728,7 @@ class TestGammaIterate:
 
 
 def _gamma_solution(p, n, T, n_t, amp=0.1, tol=1e-11):
-    u0 = bump_pressure(n, amp=amp)
-    guess = ry._constant_path(u0, T, n_t)
-    return ry.gamma_iterate(guess, p, bump_state(n), T, tol=tol)
+    return ry.gamma_iterate(p, CoupledState(u=bump_pressure(n, amp=amp), vw=bump_state(n)), T, n_t, tol=tol)
 
 
 class TestFrechetF:
@@ -764,7 +751,8 @@ class TestFrechetF:
         w[3] = sp.sine_transform(np.full(n, -1.5))
         w[5] = sp.sine_transform(np.full(n, -3.0))
         plate = dp.VWPath(times, np.zeros_like(w), w)
-        u_path = ry._constant_path(bump_pressure(n), times[-1], n_t)
+        u0 = bump_pressure(n)
+        u_path = dp.uniform_pressure_path(lambda x, t: u0.values, times[-1], n_t, n, u0.bv)
         zero = (np.zeros_like(w), np.zeros_like(w))
         with pytest.raises(QuenchSignal, match="assembling the F derivative") as exc:
             ry.frechet_F(u_path, np.zeros_like(w), plate, zero, p)
@@ -806,7 +794,7 @@ class TestFrechetF:
         errs = []
         for h_fd in (1e-2, 1e-3, 1e-4):
             pert = PressurePath(times=u_fix.times.copy(), values=u_fix.values + h_fd * qg, bv=u_fix.bv)
-            plate2, _ = dp.picard_dispersive(p, pert, bump_state(n), T, tol=1e-13)
+            plate2, _ = dp.picard_dispersive(p, pert, bump_state(n), tol=1e-13)
             fd = (F_at(pert, plate2, Nt) - base) / h_fd
             errs.append(np.abs(fd - analytic).max())
         orders = [math.log10(errs[i] / errs[i + 1]) for i in range(2)]
@@ -829,11 +817,9 @@ class TestHolderF:
         rng = np.random.default_rng(3)
         qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
         q = np.array([qm * (1.0 + 0.2 * math.cos(2 * math.pi * i / Nt)) for i in range(Nt + 1)])
-        cal = ry.holder_F_check(self._rand_path(1, n, T, Nt), q, 0.2, T, p, bump_state(n))
+        cal = ry.holder_F_check(self._rand_path(1, n, T, Nt), q, p, bump_state(n))
         assert cal.passed and cal.L_A > 0 and cal.L_B > 0
-        ver = ry.holder_F_check(
-            self._rand_path(2, n, T, Nt), q, 0.2, T, p, bump_state(n), L_A=2 * cal.L_A, L_B=2 * cal.L_B
-        )
+        ver = ry.holder_F_check(self._rand_path(2, n, T, Nt), q, p, bump_state(n), L_A=2 * cal.L_A, L_B=2 * cal.L_B)
         assert ver.passed
         assert ver.measured_A <= ver.bound_A and ver.measured_B <= ver.bound_B
 
@@ -841,20 +827,14 @@ class TestHolderF:
         p = base_params()
         n = 24
         T, Nt = 5e-3, 8
-        path = ry._constant_path(bump_pressure(n), T, Nt)
-        rep = ry.holder_F_check(path, np.zeros((Nt + 1, n)), 0.2, T, p, bump_state(n), L_A=1.0, L_B=1.0)
+        u0 = bump_pressure(n)
+        path = dp.uniform_pressure_path(lambda x, t: u0.values, T, Nt, n, u0.bv)
+        rep = ry.holder_F_check(path, np.zeros((Nt + 1, n)), p, bump_state(n), L_A=1.0, L_B=1.0)
         # [u]_alpha = 0: bound A reduces to L_U * L_A; q == 0: measured_B = 0
         semi_u = dp.empirical_holder(path, 0.2)
         assert semi_u == 0.0
         assert rep.measured_B == 0.0
         assert rep.bound_B == 0.0
-
-    def test_alpha_validation(self):
-        p = base_params()
-        n = 8
-        path = ry._constant_path(bump_pressure(n), 1e-3, 4)
-        with pytest.raises(ValueError):
-            ry.holder_F_check(path, np.zeros((5, n)), 1.5, 1e-3, p, bump_state(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1303,9 +1283,10 @@ class TestRunCoupled:
         n = 16
         init = smooth_coupled_init(n)
 
-        def prepared_chunk(path, p, init_vw, T, tol, max_iter):
-            u = path.values.copy()
-            w = np.tile(init_vw.w, (path.times.size, 1))
+        def prepared_chunk(p, state, T, n_t, tol, max_iter):
+            times = np.linspace(0.0, T, n_t + 1)
+            u = np.tile(state.u.values, (n_t + 1, 1))
+            w = np.tile(state.vw.w, (n_t + 1, 1))
             for i, conditions in rows.items():
                 if "floor" in conditions:
                     u[i, 0] = 0.1
@@ -1313,8 +1294,8 @@ class TestRunCoupled:
                     u[i, -1] = 20.0
                 if "quench" in conditions:
                     w[i, 0] = -1.0
-            report = dp.PicardReport(1, [0.5], True, T, math.nan, banach_ratio=0.25)
-            return PressurePath(path.times, u, path.bv), report, dp.VWPath(path.times, np.zeros_like(w), w)
+            report = dp.PicardReport(1, [0.5], True, banach_ratio=0.25)
+            return PressurePath(times, u, state.u.bv), report, dp.VWPath(times, np.zeros_like(w), w)
 
         monkeypatch.setattr(ry, "gamma_iterate", prepared_chunk)
         cfg = DriverConfig(n_t=4, chunk_init=0.01, u_cap=10.0)

@@ -13,6 +13,12 @@ def _sources():
         yield from sorted((ROOT / folder).rglob("*.py"))
 
 
+def _callee(call) -> str | None:
+    """The name a call is made by: f of f(...) or of obj.f(...)."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _is_all_assignment(node) -> bool:
     return isinstance(node, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -85,8 +91,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _callee(node)
             if name not in options:
                 continue
             splat = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
@@ -130,19 +135,13 @@ def test_only_spectral_decides_that_the_gap_closed():
         if path.name == "spectral.py":
             continue
         for where, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
-            func = call.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "QuenchSignal":
+            if _callee(call) != "QuenchSignal":
                 continue
             first = call.args[0] if call.args else None
             message = first.value if isinstance(first, ast.Constant) else None
             if (where.split(".")[0], message) != _THRESHOLD_SIGNAL:
                 sites.append(f"{path.stem}.{where or '<module>'}")
     assert not sites, "QuenchSignal constructed outside spectral.require_open_gap: " + ", ".join(sites)
-
-
-def _callee(call) -> str | None:
-    func = call.func
-    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def _dataclass_fields(tree) -> list:

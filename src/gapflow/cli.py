@@ -59,10 +59,11 @@ class RunConfig:
     """Fully resolved, validated run configuration.
 
     Every field but init_arrays is one config key of _CONFIG_KEYS, which
-    fixes its text form.  T is always the numeric horizon; T_source records whether it came from the
-    config verbatim or from the constructive horizon estimate ("auto").  For
-    file-loaded initial data the arrays live in init_arrays and the file's
-    content hash enters the canonical echo (and thus the config hash).
+    fixes its text form and its bound.  T is always the numeric horizon;
+    T_source records whether it came from the config verbatim or from the
+    constructive horizon estimate ("auto").  For file-loaded initial data the
+    arrays live in init_arrays and the file's content hash enters the
+    canonical echo (and thus the config hash).
     """
 
     beta_F: float
@@ -99,7 +100,7 @@ class RunConfig:
         lines = []
         for section in dict.fromkeys(sec for sec, *_ in _CONFIG_KEYS):
             lines.append(f"[{section}]")
-            for sec, key, name, kind, _ in _CONFIG_KEYS:
+            for sec, key, name, kind, *_ in _CONFIG_KEYS:
                 if sec == section:
                     lines.append(f"{key} = {_echo(kind, getattr(self, name))}")
             lines.append("")
@@ -145,40 +146,42 @@ class RunConfig:
         )
 
 
-# Every config key: (section, key, RunConfig field, kind, default text).  The
-# kind fixes how the text converts and echoes: "float" (a value is required),
-# "float?" (empty means None), "floats" (comma list), "int", "str" (kept as
-# written) and "horizon" (run.T: kept as written, since it may be "auto", and
-# echoed as the resolved float).  parse_config resolves init.file_sha256 and
-# run.T_source further.  Sections and keys echo in this order.
+# Every config key: (section, key, RunConfig field, kind, default text, lower
+# bound).  The kind fixes how the text converts and echoes: "float" (a value
+# is required), "float?" (empty means None), "floats" (comma list), "int",
+# "str" (kept as written) and "horizon" (run.T: "auto", or a float echoed as
+# the resolved horizon).  Every number must be finite, list entries included.
+# The bound, (">=" or ">", limit), holds for every value given.  parse_config
+# resolves init.file_sha256 and run.T_source further; N_t, tol and max_iter
+# default to DriverConfig's.  Sections and keys echo in this order.
 _CONFIG_KEYS = (
-    ("params", "beta_F", "beta_F", "float", "1.0"),
-    ("params", "beta_p", "beta_p", "float", "0.5"),
-    ("params", "theta1", "theta1", "float", "1.0"),
-    ("params", "theta2", "theta2", "float", "1.0"),
-    ("params", "eps1", "eps1", "float", "0.5"),
-    ("init", "kind", "init_kind", "str", "single-bump"),
-    ("init", "u_amp", "u_amp", "float", "0.1"),
-    ("init", "w_amp", "w_amp", "float", "0.05"),
-    ("init", "v_amp", "v_amp", "float", "0.0"),
-    ("init", "file", "init_file", "str", ""),
-    ("init", "file_sha256", "init_file_sha256", "str", ""),
-    ("discretization", "k_max", "k_max", "int", "48"),
-    ("discretization", "n", "n", "int", "48"),
-    ("discretization", "N_t", "N_t", "int", "32"),
-    ("run", "T", "T", "horizon", "0.02"),
-    ("run", "T_source", "T_source", "str", ""),
-    ("run", "tol", "tol", "float", "1e-9"),
-    ("run", "max_iter", "max_iter", "int", "40"),
-    ("run", "quench_eps", "quench_eps", "float?", ""),
-    ("run", "u_cap", "u_cap", "float?", ""),
-    ("run", "chunk_init", "chunk_init", "float?", ""),
-    ("run", "chunk_cap", "chunk_cap", "float?", ""),
-    ("output", "outdir", "outdir", "str", "out"),
-    ("output", "snapshots", "snapshots", "floats", ""),
-    ("output", "seed", "seed", "int", "0"),
-    ("sweep", "beta_F_values", "sweep_beta_F", "floats", ""),
-    ("sweep", "beta_p_values", "sweep_beta_p", "floats", ""),
+    ("params", "beta_F", "beta_F", "float", "1.0", (">=", 0)),
+    ("params", "beta_p", "beta_p", "float", "0.5", (">=", 0)),
+    ("params", "theta1", "theta1", "float", "1.0", (">", 0)),
+    ("params", "theta2", "theta2", "float", "1.0", (">", 0)),
+    ("params", "eps1", "eps1", "float", "0.5", (">", 0)),
+    ("init", "kind", "init_kind", "str", "single-bump", None),
+    ("init", "u_amp", "u_amp", "float", "0.1", None),
+    ("init", "w_amp", "w_amp", "float", "0.05", None),
+    ("init", "v_amp", "v_amp", "float", "0.0", None),
+    ("init", "file", "init_file", "str", "", None),
+    ("init", "file_sha256", "init_file_sha256", "str", "", None),
+    ("discretization", "k_max", "k_max", "int", "48", (">=", 1)),
+    ("discretization", "n", "n", "int", "48", (">=", 1)),
+    ("discretization", "N_t", "N_t", "int", str(DriverConfig.n_t), (">=", 1)),
+    ("run", "T", "T", "horizon", "0.02", (">", 0)),
+    ("run", "T_source", "T_source", "str", "", None),
+    ("run", "tol", "tol", "float", repr(DriverConfig.tol), (">", 0)),
+    ("run", "max_iter", "max_iter", "int", str(DriverConfig.max_iter), (">=", 1)),
+    ("run", "quench_eps", "quench_eps", "float?", "", (">", 0)),
+    ("run", "u_cap", "u_cap", "float?", "", (">", 0)),
+    ("run", "chunk_init", "chunk_init", "float?", "", (">", 0)),
+    ("run", "chunk_cap", "chunk_cap", "float?", "", (">", 0)),
+    ("output", "outdir", "outdir", "str", "out", None),
+    ("output", "snapshots", "snapshots", "floats", "", None),
+    ("output", "seed", "seed", "int", "0", (">=", 0)),
+    ("sweep", "beta_F_values", "sweep_beta_F", "floats", "", None),
+    ("sweep", "beta_p_values", "sweep_beta_p", "floats", "", None),
 )
 
 
@@ -192,34 +195,39 @@ def _echo(kind: str, value) -> str:
     return str(value)
 
 
+def _finite(name: str, text: str, violations: list) -> float | None:
+    """text as a finite float; otherwise None, with a violation appended."""
+    try:
+        value = float(text)
+    except ValueError:
+        violations.append(f"{name}: not a number (got {text!r})")
+        return None
+    if not math.isfinite(value):
+        violations.append(f"{name}: must be finite (got {value!r})")
+        return None
+    return value
+
+
 def _convert(kind: str, name: str, text: str, violations: list):
-    """The value of one key from its text; a failed conversion appends a violation."""
-    if kind in ("str", "horizon"):
+    """The value of one key from its text: None for an empty "float?" key and,
+    with a violation appended, for a failed conversion."""
+    if kind == "str":
         return text
     if kind == "int":
         try:
             return int(text)
         except ValueError:
             violations.append(f"{name}: not an integer (got {text!r})")
-            return 0
-    if kind == "floats":
-        out = []
-        for piece in text.split(",") if text else ():
-            try:
-                out.append(float(piece.strip()))
-            except ValueError:
-                violations.append(f"{name}: not a number (got {piece.strip()!r})")
-        return tuple(out)
-    if text == "":
-        if kind == "float?":
             return None
-        violations.append(f"{name}: value required")
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        violations.append(f"{name}: not a number (got {text!r})")
-        return math.nan
+    if kind == "floats":
+        return tuple(_finite(name, piece.strip(), violations) for piece in text.split(",")) if text else ()
+    if text == "":
+        if kind != "float?":
+            violations.append(f"{name}: value required")
+        return None
+    if kind == "horizon" and text.lower() == "auto":
+        return "auto"
+    return _finite(name, text, violations)
 
 
 def _resolve_auto_T(p: ModelParams, init: CoupledState) -> float:
@@ -239,7 +247,7 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError([f"syntax: {exc!s}".replace("\n", " ")]) from exc
 
-    raw = {(sec, key): default for sec, key, _, _, default in _CONFIG_KEYS}
+    raw = {(sec, key): default for sec, key, _, _, default, _ in _CONFIG_KEYS}
     sections = {sec for sec, _ in raw}
     for section in cp.sections():
         if section not in sections:
@@ -250,51 +258,28 @@ def parse_config(text: str) -> RunConfig:
                 violations.append(f"unknown key {section}.{key}")
             else:
                 raw[(section, key)] = value.strip()
-    c = {
-        name: _convert(kind, f"{sec}.{key}", raw[(sec, key)], violations)
-        for sec, key, name, kind, _ in _CONFIG_KEYS
-    }
-    beta_F, beta_p, theta1, theta2, eps1 = (c[k] for k in ("beta_F", "beta_p", "theta1", "theta2", "eps1"))
-    init_kind, init_file, k_max, n, N_t = (c[k] for k in ("init_kind", "init_file", "k_max", "n", "N_t"))
-    tol, max_iter, seed, T_raw = (c[k] for k in ("tol", "max_iter", "seed", "T"))
-    quench_eps, u_cap, chunk_init, chunk_cap = (c[k] for k in ("quench_eps", "u_cap", "chunk_init", "chunk_cap"))
+    # every key converts and meets its bound; a rejected value is None
+    c = {}
+    for sec, key, name, kind, _, bound in _CONFIG_KEYS:
+        value = _convert(kind, f"{sec}.{key}", raw[(sec, key)], violations)
+        if bound and value not in (None, "auto"):
+            op, limit = bound
+            if not (value >= limit if op == ">=" else value > limit):
+                violations.append(f"{sec}.{key}: must be {op} {limit} (got {value!r})")
+                value = None
+        c[name] = value
+    init_kind, init_file, k_max, n = c["init_kind"], c["init_file"], c["k_max"], c["n"]
     file_sha_given = c["init_file_sha256"].strip().lower()
     T_source_raw = c["T_source"].strip().lower()
 
-    # semantic validation (mirrors every model/driver invariant checked downstream)
-    if np.isfinite(beta_F) and beta_F < 0:
-        violations.append(f"params.beta_F: must be >= 0 (got {beta_F!r})")
-    if np.isfinite(beta_p) and beta_p < 0:
-        violations.append(f"params.beta_p: must be >= 0 (got {beta_p!r})")
-    if np.isfinite(theta1) and theta1 <= 0:
-        violations.append(f"params.theta1: must be > 0 (got {theta1!r})")
-    if np.isfinite(theta2) and theta2 <= 0:
-        violations.append(f"params.theta2: must be > 0 (got {theta2!r})")
-    if np.isfinite(eps1) and eps1 <= 0:
-        violations.append(f"params.eps1: must be > 0 (got {eps1!r})")
     if init_kind not in ("constant", "single-bump", "file"):
         violations.append(
             f"init.kind: must be one of constant, single-bump, file (got {init_kind!r})"
         )
-    if k_max < 1:
-        violations.append(f"discretization.k_max: must be >= 1 (got {k_max})")
-    if n < 1:
-        violations.append(f"discretization.n: must be >= 1 (got {n})")
-    if k_max >= 1 and n >= 1 and n != k_max:
+    if None not in (k_max, n) and n != k_max:
         violations.append(
             f"discretization: the coupled driver requires n == k_max (got n={n}, k_max={k_max})"
         )
-    if N_t < 1:
-        violations.append(f"discretization.N_t: must be >= 1 (got {N_t})")
-    if not (np.isfinite(tol) and tol > 0):
-        violations.append(f"run.tol: must be > 0 (got {raw[('run', 'tol')]!r})")
-    if max_iter < 1:
-        violations.append(f"run.max_iter: must be >= 1 (got {max_iter})")
-    for name, val in (("quench_eps", quench_eps), ("u_cap", u_cap), ("chunk_init", chunk_init), ("chunk_cap", chunk_cap)):
-        if val is not None and not (np.isfinite(val) and val > 0):
-            violations.append(f"run.{name}: must be > 0 when given (got {val!r})")
-    if seed < 0:
-        violations.append(f"output.seed: must be >= 0 (got {seed})")
     if T_source_raw not in ("", "explicit", "auto"):
         violations.append(
             f"run.T_source: must be explicit or auto when given (got {T_source_raw!r})"
@@ -352,29 +337,14 @@ def parse_config(text: str) -> RunConfig:
     # estimate.  A numeric T together with T_source = auto is the canonical
     # echo of an already-resolved auto horizon and is taken as-is, so the
     # echo re-parses to the identical configuration.
-    T = math.nan
-    T_source = "explicit"
-    needs_resolution = False
-    if T_raw.strip().lower() == "auto":
-        T_source = "auto"
-        needs_resolution = True
-    else:
-        try:
-            T = float(T_raw)
-        except ValueError:
-            violations.append(f"run.T: must be a positive number or 'auto' (got {T_raw!r})")
-        else:
-            if not (np.isfinite(T) and T > 0):
-                violations.append(f"run.T: must be > 0 (got {T!r})")
-            if T_source_raw == "auto":
-                T_source = "auto"
+    needs_resolution = c["T"] == "auto"
+    T_source = "auto" if needs_resolution or T_source_raw == "auto" else "explicit"
 
     if violations:
         raise ConfigError(violations)
 
-    cfg = RunConfig(
-        **{**c, "T": T, "T_source": T_source, "init_file_sha256": file_sha}, init_arrays=init_arrays
-    )
+    T = math.nan if needs_resolution else c["T"]
+    cfg = RunConfig(**{**c, "T": T, "T_source": T_source, "init_file_sha256": file_sha}, init_arrays=init_arrays)
 
     if needs_resolution:
         try:
@@ -447,6 +417,7 @@ def _execute(cfg: RunConfig) -> RunRecord:
 
 def _record_payload(record: RunRecord) -> dict:
     rep = record.report
+    run = rep.config
     return {
         "schema_version": SCHEMA_VERSION,
         "config_hash": record.config_hash,
@@ -455,13 +426,13 @@ def _record_payload(record: RunRecord) -> dict:
         "T": float(rep.T),
         "T_used": float(rep.T_used),
         "quench_time": None if rep.quench_time is None else float(rep.quench_time),
-        "quench_eps": float(rep.quench_eps),
-        "u_cap": float(rep.u_cap),
+        "quench_eps": float(run.quench_eps),
+        "u_cap": float(run.u_cap),
         "note": rep.note,
         "k_max": rep.k_max,
         "n": rep.n,
-        "n_t": rep.n_t,
-        "tol": float(rep.tol),
+        "n_t": run.n_t,
+        "tol": float(run.tol),
         "compat_proxy": float(rep.compat_proxy),
         "series": {c: [_json_float(x) for x in rep.series[c]] for c in SERIES_COLUMNS},
         "snapshots": list(record.snapshots),
@@ -686,11 +657,6 @@ def _suite_benchmark(seed: int) -> list:
     return results
 
 
-_SUITE_PARAMS = ModelParams(
-    beta_F=1.0, beta_p=0.5, lift=BoundaryLift(1.0, 1.0), eps1=0.5
-)
-
-
 def _suite_constants(seed: int) -> list:
     alg = vf.algebra_property_check(trials=10_000, seed=seed)
     results = [
@@ -703,7 +669,7 @@ def _suite_constants(seed: int) -> list:
         )
     ]
     w0 = GridField(values=np.full(32, 1.0), bv=1.0)
-    inv = vf.inverse_power_bounds_check(_SUITE_PARAMS, w0, trials=1000, seed=seed + 1)
+    inv = vf.inverse_power_bounds_check(vf.VERIFY_PARAMS, w0, trials=1000, seed=seed + 1)
     worst = max(max(inv.worst_single), inv.worst_diff1, inv.worst_diff2)
     results.append(
         CheckResult(
@@ -725,7 +691,7 @@ _HOLDER_CALIBRATION_PATHS = 4
 def _suite_lipschitz(seed: int) -> list:
     n = 32
     w0_flat = GridField(values=np.full(n, 1.0), bv=1.0)
-    lg = vf.lipschitz_G_check(_SUITE_PARAMS, w0_flat, trials=1000, seed=seed)
+    lg = vf.lipschitz_G_check(vf.VERIFY_PARAMS, w0_flat, trials=1000, seed=seed)
     results = [
         CheckResult("lipschitz.G", lg.passed, lg.worst_ratio, lg.bound, note=f"{lg.trials} pairs")
     ]
@@ -733,7 +699,7 @@ def _suite_lipschitz(seed: int) -> list:
     w0m[0] = 0.05
     init = StateVW(v=np.zeros(n), w=w0m)
     u0 = GridField(values=np.full(n, 1.0), bv=1.0)
-    lf = vf.lipschitz_F_check(_SUITE_PARAMS, u0, init, trials=1000, seed=seed + 1)
+    lf = vf.lipschitz_F_check(vf.VERIFY_PARAMS, u0, init, trials=1000, seed=seed + 1)
     results.append(
         CheckResult("lipschitz.F", lf.passed, lf.worst_ratio, lf.bound, note=f"{lf.trials} pairs")
     )
@@ -753,11 +719,11 @@ def _suite_lipschitz(seed: int) -> list:
         return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
     cal = [
-        ry.holder_F_check(rand_path([seed + 3, j]), q, _SUITE_PARAMS, init)
+        ry.holder_F_check(rand_path([seed + 3, j]), q, vf.VERIFY_PARAMS, init)
         for j in range(_HOLDER_CALIBRATION_PATHS)
     ]
     L_A, L_B = max(c.L_A for c in cal), max(c.L_B for c in cal)
-    ver = ry.holder_F_check(rand_path(seed + 4), q, _SUITE_PARAMS, init, L_A=2 * L_A, L_B=2 * L_B)
+    ver = ry.holder_F_check(rand_path(seed + 4), q, vf.VERIFY_PARAMS, init, L_A=2 * L_A, L_B=2 * L_B)
     worst = max(
         ver.measured_A / ver.bound_A if ver.bound_A > 0 else 0.0,
         ver.measured_B / ver.bound_B if ver.bound_B > 0 else 0.0,

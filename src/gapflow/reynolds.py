@@ -169,27 +169,25 @@ SERIES_COLUMNS = ("t", "min_w", "max_u", "mass_residual", "norm_X", "contraction
 class RunReport:
     """Per-run record: parameters, discretization, termination, series.
 
+    config is the DriverConfig the run used, with quench_eps and u_cap
+    resolved to numbers; the report keeps no copy of its settings.
     series maps each name of SERIES_COLUMNS to one value per trajectory row;
     contraction_ratio is the chunk's PicardReport.banach_ratio, NaN at the
     initial row and on the Runge-Kutta tail.
     """
 
     params: ModelParams
+    config: "DriverConfig"
     k_max: int
     n: int
-    n_t: int
-    tol: float
     T: float
     termination: str  # converged | quench | pressure_blowup | pressure_floor | budget | endgame_budget
     series: dict
     T_used: float
     trajectory: Trajectory
     compat_proxy: float
-    quench_eps: float
-    u_cap: float
     quench_time: float | None = None
     note: str = ""
-    config: "DriverConfig | None" = None
 
     @property
     def final_state(self) -> CoupledState:
@@ -208,7 +206,9 @@ _MAX_CHUNKS = 10_000
 
 @dataclass
 class DriverConfig:
-    """Adaptive-chunk driver knobs.
+    """Adaptive-chunk driver knobs, and the one owner of their defaults:
+    the config schema (cli._CONFIG_KEYS) and gamma_iterate read theirs from
+    this class.
 
     ``n_t`` time samples per chunk; ``tol`` is the outer Gamma tolerance
     (inner plate solves run at 0.01 tol) and ``max_iter`` its sweep limit.
@@ -219,11 +219,11 @@ class DriverConfig:
     horizon (like kappa^3/beta_F), the driver finishes with the Runge-Kutta
     tail on the same semidiscretization.  The run stops with "quench" once
     the gap falls to ``quench_eps`` and with "pressure_blowup" once max|u|
-    reaches ``u_cap``.
+    reaches ``u_cap``; run_coupled resolves both into the config it stores.
     """
 
     n_t: int = 32
-    tol: float = 1e-8
+    tol: float = 1e-9
     max_iter: int = 40
     chunk_init: float | None = None
     chunk_cap: float | None = None
@@ -619,8 +619,8 @@ def gamma_iterate(
     state: CoupledState,
     T: float,
     n_t: int,
-    tol: float = 1e-8,
-    max_iter: int = 40,
+    tol: float = DriverConfig.tol,
+    max_iter: int = DriverConfig.max_iter,
 ) -> tuple:
     """Fixed-point sweep for the pressure path (full u, trace theta_1) from state
     on the uniform grid of n_t steps over [0, T], the chunk's one time grid.
@@ -1030,8 +1030,11 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     if n != k:
         raise ValueError("the coupled driver requires k_max == n")
     th1, th2 = p.lift.theta1, p.lift.theta2
-    quench_eps = config.quench_eps if config.quench_eps is not None else 1e-3 * th2
-    u_cap = config.u_cap if config.u_cap is not None else 1e6 * th1
+    config = replace(
+        config,
+        quench_eps=config.quench_eps if config.quench_eps is not None else 1e-3 * th2,
+        u_cap=config.u_cap if config.u_cap is not None else 1e6 * th1,
+    )
 
     proxy = compat_regularity_proxy(init, p)
     kappa0 = sp.gap_min(sp.refined_values(init.vw.w, th2), th2)
@@ -1041,9 +1044,9 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     w_mins, ratios = [np.array([kappa0])], [np.full(1, np.nan)]
 
     # the initial state is checked for quench and blowup, not for the pressure floor
-    status0 = str(_status_of(init.u.values, kappa0, quench_eps, u_cap))
+    status0 = str(_status_of(init.u.values, kappa0, config.quench_eps, config.u_cap))
     if status0 != "alive":
-        return _finalize_report(p, init, T, config, status0, parts, w_mins, ratios, proxy, quench_eps, u_cap)
+        return _finalize_report(p, init, T, config, status0, parts, w_mins, ratios, proxy)
 
     if p.beta_F > 0:
         guess = 0.05 * kappa0**3 / p.beta_F
@@ -1070,7 +1073,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             break
         this_chunk = min(chunk, remaining)
         if this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
-            termination, note, tail = _rk4_tail(p, state, remaining, quench_eps, u_cap)
+            termination, note, tail = _rk4_tail(p, state, remaining, config)
             parts.append(tail)
             w_mins.append(sp.gap_min(sp.refined_values(tail.w[1:], th2), th2))
             ratios.append(np.full(tail.t.size - 1, np.nan))
@@ -1091,7 +1094,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
         u_rows = u_new.values[1:]
         # the rows' gap minima, from the synthesis the plate solve's own check made
         w_min = sp.gap_min(plate.w_refined_min[1:] + th2, th2)
-        status = _status_of(u_rows, w_min, quench_eps, u_cap)
+        status = _status_of(u_rows, w_min, config.quench_eps, config.u_cap)
         below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
         status = np.where((status == "alive") & below_floor, "pressure_floor", status)
         dead = np.flatnonzero(status != "alive")
@@ -1111,14 +1114,14 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             if config.chunk_cap is not None:
                 chunk = min(chunk, config.chunk_cap)
 
-    return _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, quench_eps, u_cap, note)
+    return _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, note)
 
 
-def _rk4_tail(p, state, remaining, quench_eps, u_cap):
+def _rk4_tail(p, state, remaining, config):
     """Resolve the final approach with the oracle integrator; returns (termination, note, Trajectory)."""
     dt = 0.25 / float(sp.plate_eigenvalues(state.vw.k_max).omega[-1])
     try:
-        tail = integrate_reference(p, state, remaining, dt, quench_eps=quench_eps, u_cap=u_cap)
+        tail = integrate_reference(p, state, remaining, dt, quench_eps=config.quench_eps, u_cap=config.u_cap)
     except QuenchSignal as sig:
         return "quench", "contraction horizon collapsed; touchdown resolved by the reference scheme", sig.trajectory
     except BlowupSignal as sig:
@@ -1128,7 +1131,7 @@ def _rk4_tail(p, state, remaining, quench_eps, u_cap):
     return "converged", "tail integrated with the reference scheme", tail
 
 
-def _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, quench_eps, u_cap, note=""):
+def _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, note=""):
     """The RunReport of a run stored as trajectory parts (see _join) and the
     gap minimum (sp.gap_min on the refined grid) and the contraction ratio of each row they add."""
     tr = _join(parts)
@@ -1143,21 +1146,17 @@ def _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, pro
     t_final = float(tr.t[-1])
     return RunReport(
         params=p,
+        config=config,
         k_max=init.vw.k_max,
         n=init.u.n,
-        n_t=config.n_t,
-        tol=config.tol,
         T=T,
         termination=termination,
         series=dict(zip(SERIES_COLUMNS, columns)),
         T_used=t_final - init.t,
         trajectory=tr,
         compat_proxy=proxy,
-        quench_eps=quench_eps,
-        u_cap=u_cap,
         quench_time=t_final if termination == "quench" else None,
         note=note,
-        config=config,
     )
 
 
@@ -1176,11 +1175,11 @@ def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None 
         raise ValueError("extra_T must be nonnegative")
     if extra_T == 0:
         return replace(report)
-    cfg = config if config is not None else report.config
-    status = _status_of(report.trajectory.u[-1], report.series["min_w"][-1], report.quench_eps, report.u_cap)
+    first = report.config
+    status = _status_of(report.trajectory.u[-1], report.series["min_w"][-1], first.quench_eps, first.u_cap)
     if status != "alive":
         raise ValueError(f"cannot continue: final state is not alive ({status})")
-    second = run_coupled(report.params, report.final_state, extra_T, cfg)
+    second = run_coupled(report.params, report.final_state, extra_T, config if config is not None else first)
     return replace(
         report,
         T=report.T + extra_T,
@@ -1190,7 +1189,7 @@ def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None 
         trajectory=_join([report.trajectory, second.trajectory]),
         quench_time=second.quench_time,
         note=second.note or report.note,
-        config=cfg,
+        config=second.config,
     )
 
 

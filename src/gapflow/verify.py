@@ -39,6 +39,7 @@ __all__ = [
     "lipschitz_G_check",
     "lipschitz_F_check",
     "convergence_study",
+    "VERIFY_PARAMS",
 ]
 
 
@@ -440,6 +441,10 @@ class ConvergenceStudy:
         raise KeyError(axis)
 
 
+# The model of the convergence study and of cli's verification suites.
+VERIFY_PARAMS = ModelParams(beta_F=1.0, beta_p=0.5, lift=sp.BoundaryLift(1.0, 1.0), eps1=0.5)
+
+
 def _smooth_init(n: int) -> CoupledState:
     x = sp.grid(n)
     u = GridField(values=1.0 + 0.1 * np.sin(np.pi * x), bv=1.0)
@@ -460,8 +465,8 @@ def _driver_observable(p: ModelParams, n: int, T: float, tol: float, n_t: int):
 def convergence_study() -> ConvergenceStudy:
     """Self-convergence orders of the integrators along their refinement axes.
 
-    The studies run the model beta_F = 1, beta_p = 0.5, theta1 = theta2 = 1,
-    eps1 = 0.5 (plate_k with beta_F = 0, see below) to the horizon T = 0.01.
+    The studies run VERIFY_PARAMS (plate_k with beta_F = 0, see below) to
+    the horizon T = 0.01.
 
     oracle_dt: classical Runge-Kutta self-convergence, expected order 4.
     driver_h: coupled driver under grid doubling, expected order 2 (the
@@ -477,7 +482,7 @@ def convergence_study() -> ConvergenceStudy:
         The levels (1e-3, 1e-5, 1e-7) keep every error at least 1e3 times
         the rounding floor eps max|observable|.
     """
-    p = ModelParams(beta_F=1.0, beta_p=0.5, lift=sp.BoundaryLift(1.0, 1.0), eps1=0.5)
+    p = VERIFY_PARAMS
     T = 0.01
     rows = []
 

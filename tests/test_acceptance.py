@@ -306,7 +306,7 @@ def test_c10_quench_dichotomy():
     spec = sp.plate_eigenvalues(n)
     with pytest.raises(sp.QuenchSignal) as exc:
         ry.integrate_reference(
-            p, init, 1.0, 0.4 / float(spec.omega[-1]), store_every=10**9, quench_eps=rep.quench_eps
+            p, init, 1.0, 0.4 / float(spec.omega[-1]), store_every=10**9, quench_eps=rep.config.quench_eps
         )
     rel = abs(exc.value.t - rep.quench_time) / exc.value.t
     el = time.perf_counter() - t0

@@ -1,8 +1,10 @@
 """CLI contract tests: config parsing/validation, deterministic outputs,
 export formats, verification suites, and sweeps."""
 
+import configparser
 import gc
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -48,6 +50,12 @@ tol = 1e-8
 [output]
 outdir = relout
 """
+
+
+# (section, key, kind) of every key whose value is a number or a list of numbers
+NUMBER_KEYS = [
+    (sec, key, kind) for sec, key, _, kind, *_ in cli._CONFIG_KEYS if kind in ("float", "float?", "floats", "horizon")
+]
 
 
 def small_cfg(**kv):
@@ -132,6 +140,21 @@ T = -0.5
         v = "\n".join(err.value.violations)
         assert "params.beta_F: not a number" in v
         assert "discretization.N_t: not an integer" in v
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key, kind", NUMBER_KEYS)
+    def test_non_finite_values_rejected(self, section, key, kind, value):
+        text = f"0.0, {value}" if kind == "floats" else value  # a list is checked entry by entry
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"[{section}]\n{key} = {text}\n")
+        assert any(v.startswith(f"{section}.{key}: must be finite") for v in err.value.violations)
+
+    def test_one_default_serves_both_entry_points(self):
+        # an INI run and a DriverConfig built in code use the same driver defaults
+        assert cli.parse_config("").driver_config() == ry.DriverConfig()
+        params = inspect.signature(ry.gamma_iterate).parameters
+        assert params["tol"].default == ry.DriverConfig.tol
+        assert params["max_iter"].default == ry.DriverConfig.max_iter
 
     def test_auto_horizon_resolved_numerically(self):
         text = "[discretization]\nk_max = 16\nn = 16\n\n[run]\nT = auto\n"
@@ -219,6 +242,18 @@ T = -0.5
     def test_shipped_reference_config_is_the_defaults(self):
         ref = cli.parse_config((REPO_CONFIGS / "reference.ini").read_text())
         assert ref.canonical() == cli.parse_config("").canonical()
+
+    def test_reference_config_lists_every_key_at_its_default(self):
+        cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+        cp.optionxform = str
+        cp.read_string((REPO_CONFIGS / "reference.ini").read_text())
+        listed = {(sec, key): text.strip() for sec in cp.sections() for key, text in cp.items(sec)}
+        assert set(listed) == {(sec, key) for sec, key, *_ in cli._CONFIG_KEYS}
+        violations = []
+        for sec, key, _, kind, default, _ in cli._CONFIG_KEYS:
+            given = cli._convert(kind, key, listed[(sec, key)], violations)
+            assert given == cli._convert(kind, key, default, violations), f"{sec}.{key}"
+        assert not violations
 
     @pytest.mark.parametrize(
         "name, digest",

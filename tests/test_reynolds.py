@@ -1227,11 +1227,11 @@ class TestRunCoupled:
         rep = ry.run_coupled(p, init, 2.0, DriverConfig(n_t=16, tol=1e-7))
         assert rep.termination == "quench"
         assert rep.quench_time is not None and rep.quench_time < 0.5
-        assert rep.series["min_w"][-1] <= rep.quench_eps
+        assert rep.series["min_w"][-1] <= rep.config.quench_eps
         spec = sp.plate_eigenvalues(k)
         with pytest.raises(QuenchSignal) as exc:
             ry.integrate_reference(
-                p, init, 2.0, 0.4 / float(spec.omega[-1]), store_every=10**9, quench_eps=rep.quench_eps
+                p, init, 2.0, 0.4 / float(spec.omega[-1]), store_every=10**9, quench_eps=rep.config.quench_eps
             )
         assert abs(exc.value.t - rep.quench_time) / exc.value.t <= 0.05
 
@@ -1240,7 +1240,7 @@ class TestRunCoupled:
         p = base_params()
         rep = ry.run_coupled(p, smooth_coupled_init(32), 0.01, DriverConfig(n_t=16, tol=1e-8))
         assert rep.termination == "converged"
-        assert np.all(rep.series["min_w"] > rep.quench_eps)
+        assert np.all(rep.series["min_w"] > rep.config.quench_eps)
         assert rep.quench_time is None
 
     def test_driver_requires_matching_shapes(self):

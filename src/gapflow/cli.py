@@ -417,7 +417,6 @@ def _execute(cfg: RunConfig) -> RunRecord:
 
 def _record_payload(record: RunRecord) -> dict:
     rep = record.report
-    run = rep.config
     return {
         "schema_version": SCHEMA_VERSION,
         "config_hash": record.config_hash,
@@ -426,13 +425,13 @@ def _record_payload(record: RunRecord) -> dict:
         "T": float(rep.T),
         "T_used": float(rep.T_used),
         "quench_time": None if rep.quench_time is None else float(rep.quench_time),
-        "quench_eps": float(run.quench_eps),
-        "u_cap": float(run.u_cap),
+        "quench_eps": float(rep.config.quench_eps),
+        "u_cap": float(rep.config.u_cap),
         "note": rep.note,
         "k_max": rep.k_max,
         "n": rep.n,
-        "n_t": run.n_t,
-        "tol": float(run.tol),
+        "n_t": rep.config.n_t,
+        "tol": float(rep.config.tol),
         "compat_proxy": float(rep.compat_proxy),
         "series": {c: [_json_float(x) for x in rep.series[c]] for c in SERIES_COLUMNS},
         "snapshots": list(record.snapshots),

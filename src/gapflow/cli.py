@@ -151,9 +151,10 @@ class RunConfig:
 # is required), "float?" (empty means None), "floats" (comma list), "int",
 # "str" (kept as written) and "horizon" (run.T: "auto", or a float echoed as
 # the resolved horizon).  Every number must be finite, list entries included.
-# The bound, (">=" or ">", limit), holds for every value given.  parse_config
-# resolves init.file_sha256 and run.T_source further; N_t, tol and max_iter
-# default to DriverConfig's.  Sections and keys echo in this order.
+# The bound, (">=" or ">", limit), holds for every value given, and for each
+# entry of a list.  parse_config resolves init.file_sha256 and run.T_source
+# further; N_t, tol and max_iter default to DriverConfig's.  Sections and keys
+# echo in this order.
 _CONFIG_KEYS = (
     ("params", "beta_F", "beta_F", "float", "1.0", (">=", 0)),
     ("params", "beta_p", "beta_p", "float", "0.5", (">=", 0)),
@@ -180,8 +181,8 @@ _CONFIG_KEYS = (
     ("output", "outdir", "outdir", "str", "out", None),
     ("output", "snapshots", "snapshots", "floats", "", None),
     ("output", "seed", "seed", "int", "0", (">=", 0)),
-    ("sweep", "beta_F_values", "sweep_beta_F", "floats", "", None),
-    ("sweep", "beta_p_values", "sweep_beta_p", "floats", "", None),
+    ("sweep", "beta_F_values", "sweep_beta_F", "floats", "", (">=", 0)),
+    ("sweep", "beta_p_values", "sweep_beta_p", "floats", "", (">=", 0)),
 )
 
 
@@ -264,9 +265,11 @@ def parse_config(text: str) -> RunConfig:
         value = _convert(kind, f"{sec}.{key}", raw[(sec, key)], violations)
         if bound and value not in (None, "auto"):
             op, limit = bound
-            if not (value >= limit if op == ">=" else value > limit):
-                violations.append(f"{sec}.{key}: must be {op} {limit} (got {value!r})")
-                value = None
+            entries = value if kind == "floats" else (value,)
+            for x in entries:
+                if x is not None and not (x >= limit if op == ">=" else x > limit):
+                    violations.append(f"{sec}.{key}: must be {op} {limit} (got {x!r})")
+                    value = None
         c[name] = value
     init_kind, init_file, k_max, n = c["init_kind"], c["init_file"], c["k_max"], c["n"]
     file_sha_given = c["init_file_sha256"].strip().lower()
@@ -370,14 +373,13 @@ def parse_config(text: str) -> RunConfig:
 
 @dataclass
 class RunRecord:
-    """One executed simulation: config identity, report, snapshots, file refs."""
+    """One executed simulation: config identity, report, snapshots."""
 
     config_hash: str
     report: RunReport
     snapshots: tuple
     code_version: str
     canonical_config: str
-    files: dict = field(default_factory=dict)
 
 
 def _fmt(x) -> str:
@@ -472,7 +474,6 @@ def export(record: RunRecord, fmt: str, outdir: str) -> dict:
         files["record"] = path
     else:
         raise ValueError(f"unknown export format {fmt!r} (expected csv or json)")
-    record.files.update(files)
     return files
 
 
@@ -489,7 +490,6 @@ def cmd_simulate(cfg: RunConfig, out: str | None = None, quiet: bool = False) ->
     echo_path = os.path.join(outdir, "config_echo.ini")
     with open(echo_path, "w", encoding="utf-8") as fh:
         fh.write(record.canonical_config)
-    record.files["config_echo"] = echo_path
     export(record, "csv", outdir)
     export(record, "json", outdir)
     if not quiet:
@@ -642,7 +642,8 @@ def _suite_semigroup(seed: int) -> list:
 def _suite_benchmark(seed: int) -> list:
     gap = vf.benchmark_against_duhamel(128, 1.0, 256)
     results = [CheckResult("benchmark.closed_form_gap", gap <= 1e-10, gap, 1e-10)]
-    fit = vf.regularity_exponent_fit(vf.linear_plate_closed_form(0.37, 128).w)
+    _, w = vf.linear_plate_closed_form(0.37, 128)
+    fit = vf.regularity_exponent_fit(w)
     ok = 4.7 <= fit.exponent <= 5.3 and fit.conclusive
     results.append(
         CheckResult(
@@ -790,7 +791,6 @@ def _sector_gate(op: ry.PstarOperator) -> CheckResult:
 
 
 def _suite_convergence(seed: int) -> list:
-    study = vf.convergence_study()
     bands = {
         "oracle_dt": (3.6, 4.4),
         "driver_h": (1.5, 2.5),
@@ -798,11 +798,11 @@ def _suite_convergence(seed: int) -> list:
         "gamma_tol": (0.5, 1.5),
     }
     results = []
-    for row in study.rows:
-        lo, hi = bands[row.axis]
+    for axis, row in vf.convergence_study().items():
+        lo, hi = bands[axis]
         results.append(
             CheckResult(
-                f"convergence.{row.axis}",
+                f"convergence.{axis}",
                 lo <= row.order <= hi,
                 row.order,
                 lo,

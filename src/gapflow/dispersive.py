@@ -52,6 +52,7 @@ class ModelParams:
 
     beta_F, beta_p >= 0 (zero is allowed for degenerate diagnostics like the
     energy-identity check, where the forcing vanishes identically); eps1 > 0.
+    All three are finite.
     """
 
     beta_F: float
@@ -60,8 +61,8 @@ class ModelParams:
     eps1: float
 
     def __post_init__(self):
-        if self.beta_F < 0 or self.beta_p < 0 or not self.eps1 > 0:
-            raise ValueError("beta_F, beta_p must be >= 0 and eps1 > 0")
+        if not (0 <= self.beta_F < np.inf and 0 <= self.beta_p < np.inf and 0 < self.eps1 < np.inf):
+            raise ValueError("beta_F, beta_p must be finite and >= 0, and eps1 finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -248,16 +249,14 @@ def delta_o_bound(init: StateVW, spec: PlateSpectrum, r: float) -> float:
     |sin(om t)| <= min(1, om delta), so the bisection bounds the supremum from
     above (a certified delta_o, slightly conservative).
     """
-    mu = spec.mu
     om = spec.omega
-    lam = 1.0 + (np.pi * np.arange(1, init.k_max + 1)) ** 2 + (np.pi * np.arange(1, init.k_max + 1)) ** 4
 
     def dev(delta):
         e_cos = np.minimum(2.0, (om * delta) ** 2 / 2.0)
         e_sin = np.minimum(1.0, om * delta)
         dv = np.abs(init.v) * e_cos + np.abs(init.w) * om * e_sin
         dw = np.abs(init.w) * e_cos + np.abs(init.v) * e_sin / om
-        return float(np.sqrt(0.5 * np.sum(dv**2) + 0.5 * np.sum(lam * dw**2)))
+        return state_norm_L2H2(dv, dw)
 
     if dev(1.0) <= r / 2.0:
         return 1.0

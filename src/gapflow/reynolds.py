@@ -268,6 +268,16 @@ def _pad(values: np.ndarray, bv: float) -> np.ndarray:
     return out
 
 
+def _face_avg(x: np.ndarray) -> np.ndarray:
+    """0.5 (x_j + x_{j+1}) along the last axis: node values averaged to the faces between them."""
+    return 0.5 * (x[..., :-1] + x[..., 1:])
+
+
+def _dq(x: np.ndarray, h: float) -> np.ndarray:
+    """(x_{j+1} - x_j) / h along the last axis, by slicing: what np.diff computes, without its call overhead."""
+    return (x[..., 1:] - x[..., :-1]) / h
+
+
 def _require_finite(name: str, values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} values must be finite")
@@ -299,12 +309,7 @@ def _reynolds(u: np.ndarray, u_bv: float, v: np.ndarray, w: np.ndarray, w_bv: fl
 def _reynolds_padded(up: np.ndarray, v: np.ndarray, wp: np.ndarray) -> np.ndarray:
     """_reynolds on u and w given with their traces as end samples (n + 2 along the last axis)."""
     h = 1.0 / (up.shape[-1] - 1)
-    a = wp**3 * up
-    a_face = 0.5 * (a[..., :-1] + a[..., 1:])
-    # differences by slicing: what np.diff computes, without its call overhead
-    du_face = (up[..., 1:] - up[..., :-1]) / h
-    flux = a_face * du_face
-    div = (flux[..., 1:] - flux[..., :-1]) / h
+    div = _dq(_face_avg(wp**3 * up) * _dq(up, h), h)
     w = wp[..., 1:-1]
     return div / w - (v / w) * up[..., 1:-1]
 
@@ -329,8 +334,10 @@ def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator
 
     Entry-by-entry this is the conservative stencil of
     (1/w0) D( w0^3 u0 D psi + (w0^3 D u0) psi ) - (v0/w0) psi with the second
-    flux face-averaged as (w^3 psi)|_face, so frechet_F at t = 0 reproduces
-    the matrix action identically.
+    flux face-averaged as (w^3 psi)|_face, so frechet_F at t = 0 forms the
+    same matrix action.  Not bit for bit: the matrix multiplies undivided
+    differences by 1/(w0 h^2), while frechet_F divides by h twice and then by
+    w; test_matches_linearization_at_t0 holds the two to 1e-12 relative.
     """
     n = u0.n
     if v0.n != n or w0.n != n:
@@ -354,8 +361,7 @@ def _faces(u0: GridField, w0: GridField, h: float) -> tuple:
     the averages of w0^3 u0 on the left and right face of each interior node, 1/(w0 h^2))."""
     up = _pad(u0.values, u0.bv)
     w3 = _pad(w0.values, w0.bv) ** 3
-    a = w3 * up
-    a_face = 0.5 * (a[:-1] + a[1:])  # length n+1, faces j-1/2 for j=1..n+1
+    a_face = _face_avg(w3 * up)  # length n+1, faces j-1/2 for j=1..n+1
     return up, w3, a_face[:-1], a_face[1:], 1.0 / (w0.values * h * h)
 
 
@@ -414,7 +420,7 @@ def elliptic_form_check(
     for rows in sp.audit_blocks(trials):
         q = rng.normal(size=(rows, n))  # the same stream as rows draws of size n
         lhs = np.abs(h * np.sum(q * (q @ A.T), axis=-1))
-        dq2 = h * np.sum((np.diff(_pad(q, 0.0), axis=-1) / h) ** 2, axis=-1)
+        dq2 = h * np.sum(_dq(_pad(q, 0.0), h) ** 2, axis=-1)
         q2 = h * np.sum(q * q, axis=-1)
         slack = lhs - (K * dq2 - K_o * q2)
         worst = min(worst, float(slack.min()))
@@ -710,8 +716,9 @@ def frechet_F(
 
     (w'q, v'q) are the plate-derivative mode paths from frechet_W.  At t = 0
     they vanish, so the assembly reduces to the assembled linearization
-    applied to q(0) -- identical stencils, identical arithmetic.  Returns one
-    row per time node, shape (n_t + 1, n).
+    applied to q(0): the same stencil, but not the same rounding (see
+    assemble_Pstar), agreeing to 1e-12 relative.  Returns one row per time
+    node, shape (n_t + 1, n).
     """
     vq_modes, wq_modes = dW
     th2 = p.lift.theta2
@@ -727,19 +734,13 @@ def frechet_F(
     up = _pad(u, u_path.bv)
     wp = _pad(w_vals, th2)
     qp = _pad(q_vals, 0.0)
-    wqp = _pad(wq_vals, 0.0)
     w3 = wp**3
-    a_face = 0.5 * (w3[:, :-1] * up[:, :-1] + w3[:, 1:] * up[:, 1:])
-    b_face = 0.5 * (w3[:, :-1] * qp[:, :-1] + w3[:, 1:] * qp[:, 1:])
-    c = 3.0 * wp**2 * wqp * up
-    c_face = 0.5 * (c[:, :-1] + c[:, 1:])
-    dq_face = np.diff(qp, axis=1) / h
-    du_face = np.diff(up, axis=1) / h
+    a = _face_avg(w3 * up)  # the flux coefficient w^3 u of F
+    du = _dq(up, h)
 
-    t1 = np.diff(a_face * dq_face + b_face * du_face, axis=1) / h / w_vals
-    t2 = np.diff(c_face * du_face, axis=1) / h / w_vals
-    div_u = np.diff(a_face * du_face, axis=1) / h
-    t3 = -(wq_vals / w_vals**2) * div_u
+    t1 = _dq(a * _dq(qp, h) + _face_avg(w3 * qp) * du, h) / w_vals
+    t2 = _dq(_face_avg(3.0 * wp**2 * _pad(wq_vals, 0.0) * up) * du, h) / w_vals
+    t3 = -(wq_vals / w_vals**2) * _dq(a * du, h)
     t4 = -(v_vals / w_vals) * q_vals
     t5 = -((w_vals * vq_vals - v_vals * wq_vals) / w_vals**2) * u
     return t1 + t2 + t3 + t4 + t5

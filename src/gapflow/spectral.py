@@ -97,14 +97,14 @@ def gap_min(w: np.ndarray, trace: float):
 
 @dataclass(frozen=True)
 class BoundaryLift:
-    """Constant boundary data: u = theta1 and w = theta2 on the boundary."""
+    """Constant boundary data: u = theta1 and w = theta2 on the boundary, finite and positive."""
 
     theta1: float
     theta2: float
 
     def __post_init__(self):
-        if not (self.theta1 > 0 and self.theta2 > 0):
-            raise ValueError(f"boundary values must be positive, got theta1={self.theta1}, theta2={self.theta2}")
+        if not (0 < self.theta1 < np.inf and 0 < self.theta2 < np.inf):
+            raise ValueError(f"boundary values must be finite and positive, got theta1={self.theta1}, theta2={self.theta2}")
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,10 @@ class GridField:
 
 @dataclass(frozen=True)
 class PlateSpectrum:
-    """Eigenvalues mu_k of -A and frequencies omega_k = sqrt(mu_k) for k = 1..k_max.
-
-    biharmonic_only=True drops the Laplacian term (mu_k = (k*pi)^4); used by the
-    closed-form benchmark of the bare plate equation.
-    """
+    """Eigenvalues mu_k of -A and frequencies omega_k = sqrt(mu_k) for k = 1..k_max."""
 
     mu: np.ndarray
     omega: np.ndarray
-    biharmonic_only: bool = False
 
     @property
     def k_max(self) -> int:
@@ -166,13 +161,13 @@ def grid(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) / (n + 1)
 
 
-def plate_eigenvalues(k_max: int, biharmonic_only: bool = False) -> PlateSpectrum:
-    """mu_k = (k*pi)^2 + (k*pi)^4 (or (k*pi)^4 alone for the bare-plate benchmark)."""
+def plate_eigenvalues(k_max: int) -> PlateSpectrum:
+    """mu_k = (k*pi)^2 + (k*pi)^4."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     kpi = np.pi * np.arange(1, k_max + 1, dtype=float)
-    mu = kpi**4 if biharmonic_only else kpi**2 + kpi**4
-    return PlateSpectrum(mu=mu, omega=np.sqrt(mu), biharmonic_only=biharmonic_only)
+    mu = kpi**2 + kpi**4
+    return PlateSpectrum(mu=mu, omega=np.sqrt(mu))
 
 
 def _largest_prime_factor(m: int) -> int:

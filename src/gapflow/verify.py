@@ -1,11 +1,12 @@
 """Closed-form benchmarks, regularity diagnostics, and calibrated property audits.
 
-The linear forced-plate benchmark has an exact mode-wise solution; marching the
-production Duhamel sweep against it is the one quantitative anchor of the
-whole pipeline.  The remaining suites are computable shadows of the analytic
-estimates: Monte Carlo audits of the algebra constant, the inverse-power
-bounds, the Lipschitz constants of G and F, plus self-convergence studies of
-the two integrators.
+The linear forced-plate benchmark has an exact mode-wise solution on the
+model's own plate operator A = Lap - Lap^2; marching the production Duhamel
+sweep on the production spectrum against it is the one quantitative anchor of
+the whole pipeline.  The remaining suites are computable shadows of the
+analytic estimates: Monte Carlo audits of the algebra constant, the
+inverse-power bounds, the Lipschitz constants of G and F, plus
+self-convergence studies of the two integrators.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from .reynolds import CoupledState, DriverConfig
 from .spectral import GridField, StateVW
 
 __all__ = [
-    "ClosedFormModes",
     "RegularityFit",
     "AlgebraReport",
     "InversePowerReport",
     "LipschitzReport",
     "StudyRow",
-    "ConvergenceStudy",
     "linear_plate_closed_form",
     "benchmark_against_duhamel",
     "regularity_exponent_fit",
@@ -48,33 +47,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormModes:
-    """Mode amplitudes of the pinned plate driven by the constant load f = 1.
+def linear_plate_closed_form(t, k_max: int) -> tuple:
+    """Mode amplitudes (v, w) of the pinned plate driven by the constant load f = 1.
 
-    For d^2 w/dt^2 + d^4 w/dx^4 = 1 with w = w_xx = 0 at the ends and zero
-    initial data, each sine mode is a forced oscillator:
+    For d^2 w/dt^2 - A w = 1 with A = Lap - Lap^2, w = w_xx = 0 at the ends
+    and zero initial data, each sine mode is a forced oscillator:
 
         w_k(t) = b_k (1 - cos(om_k t)) / om_k^2,   v_k(t) = b_k sin(om_k t) / om_k,
 
-    with om_k = (k pi)^2 and load coefficients b_k = 4/(k pi) for odd k and 0
-    for even k (the sine expansion of the constant 1).
-    """
-
-    t: float | np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return self.w.shape[-1]
-
-
-def linear_plate_closed_form(t, k_max: int) -> ClosedFormModes:
-    """Evaluate the forced-oscillator closed form at time t, or at each of an array of times.
-
-    Modes run along the last axis: w and v have shape (k_max,) for a scalar t
-    and (len(t), k_max) for an array, each row bitwise its own scalar call.
+    with om_k^2 = (k pi)^2 + (k pi)^4, stated here rather than read from
+    plate_eigenvalues so that the benchmark checks the production spectrum,
+    and load coefficients b_k = 4/(k pi) for odd k and 0 for even k (the sine
+    expansion of the constant 1).  Modes run along the last axis: v and w have
+    shape (k_max,) for a scalar t and (len(t), k_max) for an array of times,
+    each row bitwise its own scalar call.
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
@@ -83,30 +69,29 @@ def linear_plate_closed_form(t, k_max: int) -> ClosedFormModes:
         raise ValueError("k_max must be >= 1")
     kpi = np.pi * np.arange(1, k_max + 1, dtype=float)
     b = 2.0 * sp.int_sine(k_max)  # 4/(k pi) odd, 0 even
-    om = kpi**2
+    om = np.sqrt(kpi**2 + kpi**4)
     om_t = om * times[..., None]
     w = b * (1.0 - np.cos(om_t)) / om**2
     v = b * np.sin(om_t) / om
-    return ClosedFormModes(t=t, w=w, v=v)
+    return v, w
 
 
 def benchmark_against_duhamel(k_max: int, T: float, N_t: int) -> float:
     """March the production Duhamel path against the closed form; return the max gap.
 
-    The spectral core runs in its biharmonic-only variant (the benchmark
-    equation has no Laplacian term).  One duhamel_sweep marches the uniform
-    grid of N_t steps; the forcing is constant in time, so the
+    One duhamel_sweep marches the uniform grid of N_t steps on the production
+    plate spectrum; the forcing is constant in time, so the
     exponential-trapezoid kick is exact and the gap is pure rounding.
     """
     if N_t < 1:
         raise ValueError("N_t must be >= 1")
-    om = sp.plate_eigenvalues(k_max, biharmonic_only=True).omega
+    om = sp.plate_eigenvalues(k_max).omega
     times = np.linspace(0.0, T, N_t + 1)
     forcing = np.broadcast_to(2.0 * sp.int_sine(k_max), (N_t + 1, k_max))
     rest = StateVW(v=np.zeros(k_max), w=np.zeros(k_max))
     v, w = sp.duhamel_sweep(rest, om, sp.duhamel_coeffs(om, np.diff(times)), forcing)
-    cf = linear_plate_closed_form(times[1:], k_max)
-    return max(float(np.abs(w[1:] - cf.w).max()), float(np.abs(v[1:] - cf.v).max()))
+    v_cf, w_cf = linear_plate_closed_form(times[1:], k_max)
+    return max(float(np.abs(w[1:] - w_cf).max()), float(np.abs(v[1:] - v_cf).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +410,8 @@ def lipschitz_F_check(
 
 @dataclass(frozen=True)
 class StudyRow:
-    axis: str
     errors: tuple
     order: float
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    rows: tuple
-
-    def row(self, axis: str) -> StudyRow:
-        for r in self.rows:
-            if r.axis == axis:
-                return r
-        raise KeyError(axis)
 
 
 # The model of the convergence study and of cli's verification suites.
@@ -462,8 +435,9 @@ def _driver_observable(p: ModelParams, n: int, T: float, tol: float, n_t: int):
     return np.concatenate([u_modes[:8], rep.final_state.vw.w[:8]])
 
 
-def convergence_study() -> ConvergenceStudy:
-    """Self-convergence orders of the integrators along their refinement axes.
+def convergence_study() -> dict:
+    """Self-convergence orders of the integrators along their refinement axes,
+    as {axis: StudyRow} in the order below.
 
     The studies run VERIFY_PARAMS (plate_k with beta_F = 0, see below) to
     the horizon T = 0.01.
@@ -484,7 +458,7 @@ def convergence_study() -> ConvergenceStudy:
     """
     p = VERIFY_PARAMS
     T = 0.01
-    rows = []
+    rows = {}
 
     # --- oracle_dt ---------------------------------------------------------
     n = 24
@@ -495,13 +469,13 @@ def convergence_study() -> ConvergenceStudy:
     ]
     e1 = float(np.abs(finals[0] - finals[1]).max())
     e2 = float(np.abs(finals[1] - finals[2]).max())
-    rows.append(StudyRow(axis="oracle_dt", errors=(e1, e2), order=math.log2(e1 / e2)))
+    rows["oracle_dt"] = StudyRow(errors=(e1, e2), order=math.log2(e1 / e2))
 
     # --- driver_h ----------------------------------------------------------
     obs = {n: _driver_observable(p, n, T, tol=1e-10, n_t=32) for n in (16, 32, 64)}
     d1 = float(np.abs(obs[16] - obs[32]).max())
     d2 = float(np.abs(obs[32] - obs[64]).max())
-    rows.append(StudyRow(axis="driver_h", errors=(d1, d2), order=math.log2(d1 / d2)))
+    rows["driver_h"] = StudyRow(errors=(d1, d2), order=math.log2(d1 / d2))
 
     # --- plate_k -----------------------------------------------------------
     # Spectral accuracy in k_max requires data whose odd periodic extension is
@@ -531,7 +505,7 @@ def convergence_study() -> ConvergenceStudy:
     errs_k = tuple(float(np.abs(plate_w(k) - ref[:k]).max()) for k in k_levels)
     ord1 = math.log2(errs_k[0] / max(errs_k[1], 1e-300))
     ord2 = math.log2(errs_k[1] / max(errs_k[2], 1e-300))
-    rows.append(StudyRow(axis="plate_k", errors=errs_k, order=max(ord1, ord2)))
+    rows["plate_k"] = StudyRow(errors=errs_k, order=max(ord1, ord2))
 
     # --- gamma_tol ---------------------------------------------------------
     n = 32
@@ -542,6 +516,6 @@ def convergence_study() -> ConvergenceStudy:
     )
     logs = [math.log10(max(e, 1e-300)) for e in errs_t]
     slope = (logs[0] - logs[-1]) / (math.log10(tols[-1]) - math.log10(tols[0]))
-    rows.append(StudyRow(axis="gamma_tol", errors=errs_t, order=-slope))
+    rows["gamma_tol"] = StudyRow(errors=errs_t, order=-slope)
 
-    return ConvergenceStudy(rows=tuple(rows))
+    return rows

@@ -106,6 +106,13 @@ class TestParseConfig:
             cli.parse_config("[params]\nbeta_F = -1\n")
         assert any("params.beta_F" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("key", ["beta_F_values", "beta_p_values"])
+    def test_sweep_list_entries_meet_the_bound_of_their_key(self, key):
+        # each entry replaces params.beta_F or params.beta_p in one cell
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"[sweep]\n{key} = -1.0, 1.0\n")
+        assert any(v.startswith(f"sweep.{key}: must be >= 0") for v in err.value.violations)
+
     def test_all_violations_reported_at_once(self):
         bad = """
 [params]

@@ -22,6 +22,23 @@ def constant_modes(c, k, pad=2):
     return c * sp.sine_transform(np.ones(pad * k + 1))[:k]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: dp.ModelParams(beta_F=x, beta_p=1.0, lift=LIFT, eps1=0.5),
+        lambda x: dp.ModelParams(beta_F=1.0, beta_p=x, lift=LIFT, eps1=0.5),
+        lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, lift=LIFT, eps1=x),
+        lambda x: sp.BoundaryLift(theta1=x, theta2=1.0),
+        lambda x: sp.BoundaryLift(theta1=1.0, theta2=x),
+    ],
+    ids=["beta_F", "beta_p", "eps1", "theta1", "theta2"],
+)
+def test_model_data_must_be_finite(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
 def test_eval_G_flat_gap():
     p = base_params(beta_F=1.0, beta_p=1.0)
     g = dp._G_modes(np.zeros(16), p)

@@ -18,19 +18,20 @@ P = ModelParams(beta_F=1.0, beta_p=0.5, lift=BoundaryLift(1.0, 1.0), eps1=0.5)
 
 class TestClosedForm:
     def test_zero_time_is_zero(self):
-        cf = vf.linear_plate_closed_form(0.0, 32)
-        assert np.abs(cf.w).max() == 0.0
-        assert np.abs(cf.v).max() == 0.0
+        v, w = vf.linear_plate_closed_form(0.0, 32)
+        assert np.abs(w).max() == 0.0
+        assert np.abs(v).max() == 0.0
 
     def test_first_mode_supremum(self):
-        # om_1 t = pi maximizes (1 - cos): sup_t |w_1| = 2 b_1 / om_1^2 = 8/pi^5
-        cf = vf.linear_plate_closed_form(math.pi / math.pi**2, 8)
-        assert cf.w[0] == pytest.approx(8.0 / math.pi**5, rel=1e-15)
+        # om_1 t = pi maximizes (1 - cos): sup_t |w_1| = 2 b_1 / om_1^2 = 8/(pi (pi^2 + pi^4))
+        om1_sq = math.pi**2 + math.pi**4
+        _, w = vf.linear_plate_closed_form(math.pi / math.sqrt(om1_sq), 8)
+        assert w[0] == pytest.approx(8.0 / (math.pi * om1_sq), rel=1e-15)
 
     def test_even_modes_vanish(self):
-        cf = vf.linear_plate_closed_form(0.37, 64)
-        assert np.abs(cf.w[1::2]).max() == 0.0
-        assert np.abs(cf.v[1::2]).max() == 0.0
+        v, w = vf.linear_plate_closed_form(0.37, 64)
+        assert np.abs(w[1::2]).max() == 0.0
+        assert np.abs(v[1::2]).max() == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -43,20 +44,20 @@ class TestClosedForm:
     def test_array_of_times_is_bitwise_the_scalar_calls(self):
         # the nodes of the verify benchmark, one row per time, modes along the last axis
         times = np.linspace(0.0, 1.0, 257)[1:]
-        cf = vf.linear_plate_closed_form(times, 128)
-        assert cf.w.shape == cf.v.shape == (256, 128) and cf.k_max == 128
-        for t, w, v in zip(times, cf.w, cf.v):
-            one = vf.linear_plate_closed_form(t, 128)
-            assert w.tobytes() == one.w.tobytes() and v.tobytes() == one.v.tobytes()
+        vs, ws = vf.linear_plate_closed_form(times, 128)
+        assert ws.shape == vs.shape == (256, 128)
+        for t, w, v in zip(times, ws, vs):
+            v_one, w_one = vf.linear_plate_closed_form(t, 128)
+            assert w.tobytes() == w_one.tobytes() and v.tobytes() == v_one.tobytes()
 
     def test_against_ode_oracle(self):
         # Independent validation of the closed form: integrate each forced
         # oscillator w'' = b_k - om_k^2 w with a high-order adaptive scheme.
         t_end = 0.37
-        cf = vf.linear_plate_closed_form(t_end, 9)
+        v, w = vf.linear_plate_closed_form(t_end, 9)
         for k in (1, 3, 9):
             b = 4.0 / (k * math.pi)
-            om2 = (k * math.pi) ** 4
+            om2 = (k * math.pi) ** 2 + (k * math.pi) ** 4
             sol = solve_ivp(
                 lambda t, y: [y[1], b - om2 * y[0]],
                 (0.0, t_end),
@@ -65,8 +66,8 @@ class TestClosedForm:
                 rtol=1e-12,
                 atol=1e-14,
             )
-            assert abs(sol.y[0, -1] - cf.w[k - 1]) <= 1e-9
-            assert abs(sol.y[1, -1] - cf.v[k - 1]) <= 1e-9
+            assert abs(sol.y[0, -1] - w[k - 1]) <= 1e-9
+            assert abs(sol.y[1, -1] - v[k - 1]) <= 1e-9
 
 
 class TestBenchmark:
@@ -74,9 +75,19 @@ class TestBenchmark:
         gap = vf.benchmark_against_duhamel(128, 1.0, 256)
         assert gap <= 1e-10
 
+    def test_wrong_spectrum_fails(self, monkeypatch):
+        # the closed form states its own frequencies, so a march on a wrong
+        # production spectrum (here the bare biharmonic, om = (k pi)^2) falls out
+        def biharmonic_only(k_max):
+            om = (np.pi * np.arange(1, k_max + 1, dtype=float)) ** 2
+            return sp.PlateSpectrum(mu=om**2, omega=om)
+
+        monkeypatch.setattr(sp, "plate_eigenvalues", biharmonic_only)
+        assert vf.benchmark_against_duhamel(128, 1.0, 256) > 1e-10
+
     def test_zero_forcing_zero_everywhere(self):
         # the benchmark's march, started from rest with zero forcing, stays exactly zero
-        om = sp.plate_eigenvalues(16, biharmonic_only=True).omega
+        om = sp.plate_eigenvalues(16).omega
         rest = StateVW(np.zeros(16), np.zeros(16))
         coeffs = sp.duhamel_coeffs(om, np.diff(np.linspace(0.0, 1.0, 33)))
         v, w = sp.duhamel_sweep(rest, om, coeffs, np.zeros((33, 16)))
@@ -96,17 +107,17 @@ class TestRegularityFit:
         assert fit.conclusive
 
     def test_benchmark_modes_hit_ceiling(self):
-        cf = vf.linear_plate_closed_form(0.37, 128)
-        fit = vf.regularity_exponent_fit(cf.w)
+        _, w = vf.linear_plate_closed_form(0.37, 128)
+        fit = vf.regularity_exponent_fit(w)
         assert 4.7 <= fit.exponent <= 5.3
         assert fit.conclusive
         # decay exponent 5 <=> membership in H^{9/2 - eps} but not H^{9/2}
         assert abs(fit.s_star - 4.5) <= 0.3
 
     def test_even_modes_excluded(self):
-        cf = vf.linear_plate_closed_form(0.37, 128)
-        base = vf.regularity_exponent_fit(cf.w)
-        poisoned = cf.w.copy()
+        _, w = vf.linear_plate_closed_form(0.37, 128)
+        base = vf.regularity_exponent_fit(w)
+        poisoned = w.copy()
         poisoned[1::2] = 99.0
         fit = vf.regularity_exponent_fit(poisoned)
         assert fit.exponent == base.exponent
@@ -403,18 +414,15 @@ class TestBatchedAuditsMatchPerSampleLoops:
         assert inv.worst_diff1 == inv.worst_diff2 == 0.0 and max(inv.worst_single) > 0.0
 
 
-class TestConvergenceStudy:
+class TestConvergenceOrders:
     def test_orders(self):
         study = vf.convergence_study()
-        oracle = study.row("oracle_dt")
-        assert 3.6 <= oracle.order <= 4.4
-        driver = study.row("driver_h")
-        assert 1.5 <= driver.order <= 2.5
-        plate = study.row("plate_k")
+        assert list(study) == ["oracle_dt", "driver_h", "plate_k", "gamma_tol"]  # the check order
+        assert 3.6 <= study["oracle_dt"].order <= 4.4
+        assert 1.5 <= study["driver_h"].order <= 2.5
+        plate = study["plate_k"]
         assert plate.order >= 6.0  # super-polynomial: far beyond any FD order
         assert plate.errors[0] > plate.errors[1] > plate.errors[2]
-        tol_row = study.row("gamma_tol")
+        tol_row = study["gamma_tol"]
         assert 0.5 <= tol_row.order <= 1.5
         assert tol_row.errors[0] > tol_row.errors[-1]
-        with pytest.raises(KeyError):
-            study.row("nonexistent")

@@ -36,7 +36,6 @@ from .spectral import (
     gap_min,
     grid,
     inverse_sine_transform,
-    lifted_norm_H2,
     norm_Hk,
     plate_eigenvalues,
     refined_values,
@@ -81,8 +80,8 @@ class PressurePath:
             raise ValueError("times must start at 0 and increase strictly")
         if self.values.ndim != 2 or self.values.shape[0] != self.times.size or self.values.shape[1] < 3:
             raise ValueError("values need one row of n >= 3 interior samples per time node")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("pressure values must be finite")
+        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.bv)):
+            raise ValueError(f"pressure values and trace must be finite, got bv={self.bv}")
 
 
 @dataclass(frozen=True)
@@ -156,14 +155,14 @@ def _G_fine(w_fine: np.ndarray, p: ModelParams) -> np.ndarray:
     return -p.beta_F / w_fine**2 + p.beta_p * (p.lift.theta1 - 1.0)
 
 
-def _G_modes(w_modes: np.ndarray, p: ModelParams, pad: int = 2) -> np.ndarray:
+def _G_modes(w_modes: np.ndarray, p: ModelParams) -> np.ndarray:
     """Mode coefficients of G(w~) = -beta_F/(w~+theta2)^2 + beta_p(theta1 - 1).
 
-    G is evaluated pointwise on the pad-refined grid (the dealiasing, see
+    G is evaluated pointwise on the pad-2 refined grid (the dealiasing, see
     _G_fine).  A (rows, k) array of mode vectors gives one row of
     coefficients per row.
     """
-    return dealias_apply(lambda w_fine: _G_fine(w_fine, p), w_modes, bvs=(p.lift.theta2,), pad=pad)
+    return dealias_apply(lambda w_fine: _G_fine(w_fine, p), w_modes, bvs=(p.lift.theta2,))
 
 
 def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
@@ -171,21 +170,19 @@ def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
 
     The zero-trace part -beta_F (1/w0^2 - 1/theta2^2) + beta_p u~0 vanishes at
     the boundary, so its spectral H2 norm is exact; the constant
-    cb = -beta_F/theta2^2 + beta_p(theta1 - 1) enters through the lifted-norm
-    closed form.
+    cb = -beta_F/theta2^2 + beta_p(theta1 - 1) enters as the lift of norm_Hk.
     """
     th2 = p.lift.theta2
     w_modes = sine_transform(w0.values - th2)
     u_modes = sine_transform(u0.values - u0.bv)
-    k_max = w_modes.size
 
     def z_of(w_fine, u_fine):
         require_open_gap(w_fine, "gap closed while forming G0")
         return -p.beta_F * (1.0 / w_fine**2 - 1.0 / th2**2) + p.beta_p * u_fine
 
-    z_modes = dealias_apply(z_of, w_modes, u_modes, bvs=(th2, 0.0), pad=4)[:k_max]
+    z_modes = dealias_apply(z_of, w_modes, u_modes, bvs=(th2, 0.0), pad=4)
     cb = -p.beta_F / th2**2 + p.beta_p * (p.lift.theta1 - 1.0)
-    return lifted_norm_H2(z_modes, cb)
+    return norm_Hk(z_modes, 2, cb)
 
 
 # --- contraction-theory constants -------------------------------------------
@@ -229,7 +226,7 @@ def contraction_constants(p: ModelParams, w0: GridField) -> ContractionConstants
     require_open_gap(np.append(w0.values, w0.bv), "w0 must be strictly positive")
     kappa = gap_min(w0.values, w0.bv)
     C = embedding_C(w0.n)
-    w0_h2 = lifted_norm_H2(sine_transform(w0.values - w0.bv), w0.bv)
+    w0_h2 = norm_Hk(sine_transform(w0.values - w0.bv), 2, w0.bv)
     C_tilde = kappa / (2.0 * C) + w0_h2
     C1_sq = (
         4.0 * C / kappa**2
@@ -268,15 +265,6 @@ def delta_o_bound(init: StateVW, spec: PlateSpectrum, r: float) -> float:
         else:
             hi = mid
     return lo
-
-
-def dom_A_norm(init: StateVW, spec: PlateSpectrum) -> float:
-    """Graph norm of Phi0 in D(A): sqrt(||Phi||^2_{L2xH2} + ||A Phi||^2_{L2xH2}),
-    with A(v,w) = (A w, v) evaluated spectrally as (-mu_k w_k, v_k)."""
-    a_w = -spec.mu * init.w  # first component of A Phi, an L2 quantity
-    base = norm_Hk(init.v, 0) ** 2 + norm_Hk(init.w, 2) ** 2
-    image = norm_Hk(a_w, 0) ** 2 + norm_Hk(init.v, 2) ** 2
-    return float(np.sqrt(base + image))
 
 
 @dataclass(frozen=True)
@@ -326,15 +314,18 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
 
     L_W = T0 * M0 * p.beta_p * np.exp(M0 * cc.L_G * T0)
 
-    u0_h2 = lifted_norm_H2(sine_transform(u0.values - u0.bv), u0.bv)
-    u0t_h2 = norm_Hk(sine_transform(u0.values - u0.bv), 2)  # ||u~0||_H2, zero trace
+    u0_modes = sine_transform(u0.values - u0.bv)
+    u0_h2 = norm_Hk(u0_modes, 2, u0.bv)
+    u0t_h2 = norm_Hk(u0_modes, 2)  # ||u~0||_H2, zero trace
     C_t1 = u0_h2 + cc.kappa / (2.0 * cc.C)
     C_t2 = norm_Hk(init.v, 0) + cc.kappa / (2.0 * cc.C)
 
     # Hoelder constant of the plate path: P0 and the Gronwall amplification
     P0 = cc.kappa * (cc.L_G + 1.0) / (2.0 * cc.C) + g0h2
     amp = np.exp(M0 * cc.L_G * T0) * M0
-    L_U = amp * (dom_A_norm(init, spec) + P0) * T0 ** (1.0 - HOLDER_ALPHA) + amp * p.beta_p * T0 * (
+    # graph norm of Phi0 in D(A), with A(v, w) = (A w, v) spectrally (-mu_k w_k, v_k)
+    dom_A = np.hypot(state_norm_L2H2(init.v, init.w), state_norm_L2H2(-spec.mu * init.w, init.v))
+    L_U = amp * (dom_A + P0) * T0 ** (1.0 - HOLDER_ALPHA) + amp * p.beta_p * T0 * (
         cc.kappa / (2.0 * cc.C) + u0t_h2
     )
 

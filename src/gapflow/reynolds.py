@@ -380,14 +380,6 @@ def _principal_matrix(op: PstarOperator) -> np.ndarray:
     return _tridiagonal(aL * inv_wh2, -(aL + aR) * inv_wh2, aR * inv_wh2)
 
 
-def _lifted_h3(modes: np.ndarray, bv: float) -> float:
-    """H^3 norm of (constant lift + sine series); the lift has no third derivative."""
-    h2 = sp.lifted_norm_H2(modes, bv)
-    k = np.arange(1, modes.size + 1) * math.pi
-    third = 0.5 * float(np.sum(k**6 * modes**2))
-    return math.sqrt(h2 * h2 + third)
-
-
 def elliptic_form_check(
     op: PstarOperator,
     trials: int = 10_000,
@@ -409,7 +401,7 @@ def elliptic_form_check(
     C = dp.embedding_C(n)
     u_modes = sp.sine_transform(op.u0.values - op.u0.bv)
     w_modes = sp.sine_transform(op.w0.values - op.w0.bv)
-    K2 = C * sp.lifted_norm_H2(u_modes, op.u0.bv) * _lifted_h3(w_modes, op.w0.bv) ** 2
+    K2 = C * sp.norm_Hk(u_modes, 2, op.u0.bv) * sp.norm_Hk(w_modes, 3, op.w0.bv) ** 2
     K = 0.5 * eps1 * kappa**2
     K_o = K2**2 / (2.0 * eps1 * kappa**2) if K2 > 0 else 0.0
 
@@ -790,7 +782,7 @@ def holder_F_check(
 
     semi_u = dp.empirical_holder(u_path, alpha)
     L_U = dp.empirical_holder(plate, alpha)
-    sup_u = float(np.max(sp.lifted_norm_H2(sp.sine_transform(u_path.values - th1), th1)))
+    sup_u = float(np.max(sp.norm_Hk(sp.sine_transform(u_path.values - th1), 2, th1)))
     u_calpha = sup_u + semi_u
     sup_q = float(np.max(sp.norm_Hk(q_modes, 2)))
     semi_q = dp.holder_seminorm(times, q_modes, lambda d: sp.norm_Hk(d, 2), alpha)

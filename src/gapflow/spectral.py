@@ -118,8 +118,8 @@ class GridField:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size < 3:
             raise ValueError("GridField needs a 1-d array with n >= 3 interior nodes")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("GridField values must be finite")
+        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.bv)):
+            raise ValueError(f"GridField values and trace must be finite, got bv={self.bv}")
 
     @property
     def n(self) -> int:
@@ -388,17 +388,26 @@ def _hk_weights(k_max: int, k: int) -> np.ndarray:
     return lam
 
 
-def norm_Hk(f: np.ndarray, k: int):
-    """Spectral Sobolev norm sqrt( sum_m (1 + (m pi)^2 + ... + (m pi)^{2k}) f_m^2 / 2 ).
+def norm_Hk(f: np.ndarray, k: int, bv=0.0):
+    """Spectral Sobolev norm of bv + f(x), f = sum_m f_m sin(m pi x), for k = 0..3:
 
-    Exact for zero-trace functions in the sine span; see lifted_norm_H2 for
-    fields carrying a boundary lift.  k up to 3 is supported.  A float for one
-    mode vector, an array of norms (one per row) for a stack of them.
+        ||bv + f||_Hk^2 = sum_m (1 + (m pi)^2 + ... + (m pi)^{2k}) f_m^2 / 2
+                          + bv^2 + 2 bv int f.
+
+    The constant lift bv (the physical w0 = theta2 + w~0, or G0 with its
+    constant term) has no derivative, so it enters only the L2 term, through
+    the closed-form sine moments int_sine.  Acts along the last axis: a float
+    for one mode vector, one norm per row for a stack, each bitwise its own
+    call; bv is a scalar or holds one value per row.
     """
     f = np.asarray(f, dtype=float)
     if k not in (0, 1, 2, 3):
         raise ValueError("norm_Hk supports k in {0,1,2,3}")
-    norms = np.sqrt(0.5 * np.sum(_hk_weights(f.shape[-1], k) * f**2, axis=-1))
+    k_max = f.shape[-1]
+    sq = 0.5 * np.sum(_hk_weights(k_max, k) * f**2, axis=-1)
+    if not (isinstance(bv, float) and bv == 0.0):  # a zero scalar lift adds nothing
+        sq = sq + bv**2 + 2.0 * (bv * np.sum(f * int_sine(k_max), axis=-1))
+    norms = np.sqrt(sq)
     return norms if f.ndim > 1 else float(norms)
 
 
@@ -416,31 +425,6 @@ def int_sine(k_max: int) -> np.ndarray:
     """int_0^1 sin(k pi x) dx = (1 - (-1)^k)/(k pi)  (4/(k pi) for odd k, 0 even)."""
     k = np.arange(1, k_max + 1, dtype=float)
     return (1.0 - (-1.0) ** np.arange(1, k_max + 1)) / (k * np.pi)
-
-
-def lifted_norm_H2(f: np.ndarray, bv):
-    """H2 norm of bv + f(x): a sine series f lifted by the constant bv.
-
-    The sine-spectral H2 norm only sees the zero-trace part; for lifted fields
-    (the physical w0 = theta2 + w~0, or G0 with its constant term) the L2 piece
-    picks up cross terms, while the derivatives do not see the constant:
-
-        ||bv + f||_L2^2 = ||f||_L2^2 + bv^2 + 2 bv int f,
-        ||(bv + f)'||_L2^2 = ||f'||_L2^2,   ||(bv + f)''||_L2^2 = ||f''||_L2^2.
-
-    So only the L2 term needs the closed-form sine moments.  Like norm_Hk it
-    acts along the last axis: a float for one mode vector, one norm per row
-    for a stack, each bitwise its own call; bv may instead hold one value per
-    row.
-    """
-    f = np.asarray(f, dtype=float)
-    k_max = f.shape[-1]
-    kpi2 = (np.pi * np.arange(1, k_max + 1)) ** 2
-    l2 = 0.5 * np.sum(f**2, axis=-1) + bv**2 + 2.0 * (bv * np.sum(f * int_sine(k_max), axis=-1))
-    h1 = 0.5 * np.sum(kpi2 * f**2, axis=-1)
-    h2 = 0.5 * np.sum(kpi2**2 * f**2, axis=-1)
-    norms = np.sqrt(l2 + h1 + h2)
-    return norms if f.ndim > 1 else float(norms)
 
 
 # scan points of the embedding-constant maximization over x

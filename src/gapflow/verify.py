@@ -225,8 +225,8 @@ def algebra_property_check(
     def worst_ratio(thf, mf, thg, mg):
         th = thf * thg
         prod = (thf[:, None] + mf @ table) * (thg[:, None] + mg @ table) - th[:, None]
-        num = sp.lifted_norm_H2(sp.sine_transform(prod), th)
-        return _worst(num, sp.lifted_norm_H2(mf, thf) * sp.lifted_norm_H2(mg, thg))
+        num = sp.norm_Hk(sp.sine_transform(prod), 2, th)
+        return _worst(num, sp.norm_Hk(mf, 2, thf) * sp.norm_Hk(mg, 2, thg))
 
     def audit(rng, n_pairs):
         def pair():
@@ -304,7 +304,7 @@ def inverse_power_bounds_check(
         inv1 = inv_modes(d1, (1, 2, 3))
         inv2 = inv_modes(d2, (1, 2))
         for kpow in (1, 2, 3):
-            nrm = sp.lifted_norm_H2(inv1[kpow - 1], w0.bv ** (-float(kpow)))
+            nrm = sp.norm_Hk(inv1[kpow - 1], 2, w0.bv ** (-float(kpow)))
             worst_single[kpow - 1] = max(worst_single[kpow - 1], _worst(nrm, cc.C1**kpow))
         den = sp.norm_Hk(d1 - d2, 2)
         worst_d1 = max(worst_d1, _worst(sp.norm_Hk(inv1[0] - inv2[0], 2), cc.C2 * den))

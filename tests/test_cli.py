@@ -181,6 +181,17 @@ T = -0.5
         b3 = cc.kappa / 2.0 / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * dp.g0_norm_H2(p, w0, init.u))
         assert cfg.T == min(d_o, 1.0 / (2.0 * cc.L_G), b3)
 
+    @pytest.mark.parametrize("name, T0", [("reference.ini", 7.01032876302685e-07), ("quench.ini", 3.102728650745424e-08)])
+    def test_shipped_auto_horizon_is_pinned(self, name, T0):
+        # T = auto on a shipped config resolves the whole constants chain; in
+        # both, the third branch kappa/2 / ((L_G+1)kappa + 2C||G0||_H2) is the minimum
+        lines = (REPO_CONFIGS / name).read_text().splitlines()
+        cfg = cli.parse_config("\n".join("T = auto" if line.startswith("T = ") else line for line in lines))
+        assert cfg.T == pytest.approx(T0, rel=1e-12)
+        p, init = cfg.model_params(), cfg.initial_state()
+        branches = dp.theory_constants(p, init.u, init.vw).T0_branches
+        assert branches[2] == min(branches) == cfg.T
+
     def test_snapshot_outside_horizon_rejected(self):
         with pytest.raises(ConfigError) as err:
             cli.parse_config("[run]\nT = 0.01\n\n[output]\nsnapshots = 0.0, 0.5\n")

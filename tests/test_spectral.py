@@ -287,8 +287,10 @@ def test_norm_Hk_with_cached_weights_is_bitwise_unchanged(k_max):
         assert np.array_equal(cached, lam)
 
 
-def test_lifted_norm_H2_against_quadrature():
-    # dense Gauss quadrature of ||bv + f||_H2 for a constant lift
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_norm_Hk_against_quadrature(k):
+    # dense Gauss quadrature of ||bv + f||_Hk for a constant lift: the lift
+    # enters the L2 term only, the derivatives of f all the others
     from numpy.polynomial.legendre import leggauss
 
     rng = np.random.default_rng(11)
@@ -298,16 +300,24 @@ def test_lifted_norm_H2_against_quadrature():
     fm = rng.normal(size=12) / np.arange(1, 13) ** 3
     bv = 1.3
     kpi = np.pi * np.arange(1, 13)
-    f0 = np.sin(np.outer(xs, kpi)) @ fm
-    f1 = (np.cos(np.outer(xs, kpi)) * kpi) @ fm
-    f2 = (-np.sin(np.outer(xs, kpi)) * kpi**2) @ fm
-    dense = np.sqrt(np.sum(ws * (bv + f0) ** 2) + np.sum(ws * f1**2) + np.sum(ws * f2**2))
-    assert sp.lifted_norm_H2(fm, bv) == pytest.approx(dense, rel=1e-12)
+    s, c = np.sin(np.outer(xs, kpi)), np.cos(np.outer(xs, kpi))
+    derivatives = [s @ fm, (c * kpi) @ fm, (-s * kpi**2) @ fm, (-c * kpi**3) @ fm]
+    dense = np.sum(ws * (bv + derivatives[0]) ** 2) + sum(np.sum(ws * d**2) for d in derivatives[1 : k + 1])
+    assert sp.norm_Hk(fm, k, bv) == pytest.approx(np.sqrt(dense), rel=1e-12)
 
 
-def _lifted_norm_H2_before_rows(f, bv):
-    """lifted_norm_H2 as it was before it took stacks (1-d only) and with its
-    affine lift bv + slope (x - 1/2) at slope 0, kept as the reference."""
+def _lifted_norm_Hk_formula(f, k, bv):
+    """norm_Hk of bv + f written out with uncached weights: one weighted sum,
+    with the lift in its L2 term."""
+    k_max = f.shape[-1]
+    lam = _hk_weights_uncached(k_max, k)
+    return np.sqrt(0.5 * np.sum(lam * f**2, axis=-1) + bv**2 + 2.0 * (bv * np.sum(f * sp.int_sine(k_max), axis=-1)))
+
+
+def _three_sum_H2_before(f, bv):
+    """The lifted H2 norm as the package formed it before norm_Hk took a lift
+    (1-d only): its own weights and three separate sums, with the affine lift
+    bv + slope (x - 1/2) at slope 0, kept as a second reference."""
     f = np.asarray(f, dtype=float)
     k_max = f.size
     a = 0.0
@@ -323,20 +333,25 @@ def _lifted_norm_H2_before_rows(f, bv):
 
 
 @pytest.mark.parametrize("k", [12, 32, 131])
-def test_lifted_norm_H2_rows_are_bitwise_the_one_row_calls(k):
+def test_lifted_norm_Hk_rows_are_bitwise_the_one_row_calls(k):
     rng = np.random.default_rng(k)
     stack = rng.normal(size=(300, k)) / np.arange(1, k + 1) ** 2.2
     for bv in (1.3, 0.0):
-        rows = sp.lifted_norm_H2(stack, bv)
-        assert rows.shape == (300,)
-        one = [sp.lifted_norm_H2(f, bv) for f in stack]
-        assert all(isinstance(x, float) for x in one)
-        assert np.array_equal(rows, one)
-        assert one == [_lifted_norm_H2_before_rows(f, bv) for f in stack]
+        for order in (0, 1, 2, 3):
+            rows = sp.norm_Hk(stack, order, bv)
+            assert rows.shape == (300,)
+            one = [sp.norm_Hk(f, order, bv) for f in stack]
+            assert all(isinstance(x, float) for x in one)
+            assert np.array_equal(rows, one)
+            assert np.array_equal(rows, _lifted_norm_Hk_formula(stack, order, bv))
+        # the three-sum H2 norm rounds differently, by a few ulp
+        old = np.array([_three_sum_H2_before(f, bv) for f in stack])
+        assert np.max(np.abs(sp.norm_Hk(stack, 2, bv) - old) / old) <= 1e-15
     # one lift per row: Python's scalar b**2 and numpy's square may differ in the last bit
     bvs = rng.uniform(0.25, 2.25, size=300)
-    rows = sp.lifted_norm_H2(stack, bvs)
-    one = np.array([_lifted_norm_H2_before_rows(f, float(b)) for f, b in zip(stack, bvs)])
+    rows = sp.norm_Hk(stack, 2, bvs)
+    assert np.array_equal(rows, _lifted_norm_Hk_formula(stack, 2, bvs))
+    one = np.array([_three_sum_H2_before(f, float(b)) for f, b in zip(stack, bvs)])
     assert np.max(np.abs(rows - one) / one) <= 1e-15
 
 

@@ -157,10 +157,8 @@ class TestAlgebraCheck:
             thf, thg = lam * 0.8, 1.2
             f = thf + lam * sp.eval_modes_on(mf, xf)
             g = thg + sp.eval_modes_on(mg, xf)
-            num = sp.lifted_norm_H2(sp.sine_transform(f * g - thf * thg), thf * thg)
-            return num / (
-                sp.lifted_norm_H2(lam * mf, thf) * sp.lifted_norm_H2(mg, thg)
-            )
+            num = sp.norm_Hk(sp.sine_transform(f * g - thf * thg), 2, thf * thg)
+            return num / (sp.norm_Hk(lam * mf, 2, thf) * sp.norm_Hk(mg, 2, thg))
 
         assert ratio(1.0) == pytest.approx(ratio(7.0), rel=1e-12)
 
@@ -223,8 +221,8 @@ def _ref_algebra(trials, k_max, seed, calibration_trials):
         sf = sp.eval_modes_on(mf, xf)
         sg = sp.eval_modes_on(mg, xf)
         prod_modes = sp.sine_transform((thf + sf) * (thg + sg) - thf * thg)
-        num = sp.lifted_norm_H2(prod_modes, thf * thg)
-        den = sp.lifted_norm_H2(mf, thf) * sp.lifted_norm_H2(mg, thg)
+        num = sp.norm_Hk(prod_modes, 2, thf * thg)
+        den = sp.norm_Hk(mf, 2, thf) * sp.norm_Hk(mg, 2, thg)
         return num / den
 
     rng_cal = np.random.default_rng(seed)
@@ -265,7 +263,7 @@ def _ref_inverse_power(p, w0, trials, seed):
         d1 = vf._ball_draw(rng, k_max, r)
         d2 = vf._ball_draw(rng, k_max, r)
         for kpow in (1, 2, 3):
-            nrm = sp.lifted_norm_H2(inv_modes(d1, kpow), w0.bv ** (-float(kpow)))
+            nrm = sp.norm_Hk(inv_modes(d1, kpow), 2, w0.bv ** (-float(kpow)))
             worst_single[kpow - 1] = max(worst_single[kpow - 1], nrm / cc.C1**kpow)
         den = sp.norm_Hk(d1 - d2, 2)
         if den > 0:

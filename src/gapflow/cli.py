@@ -718,20 +718,12 @@ def _suite_lipschitz(seed: int) -> list:
         modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
         return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
-    cal = [
-        ry.holder_F_check(rand_path([seed + 3, j]), q, vf.VERIFY_PARAMS, init)
-        for j in range(_HOLDER_CALIBRATION_PATHS)
-    ]
-    L_A, L_B = max(c.L_A for c in cal), max(c.L_B for c in cal)
-    ver = ry.holder_F_check(rand_path(seed + 4), q, vf.VERIFY_PARAMS, init, L_A=2 * L_A, L_B=2 * L_B)
-    worst = max(
-        ver.measured_A / ver.bound_A if ver.bound_A > 0 else 0.0,
-        ver.measured_B / ver.bound_B if ver.bound_B > 0 else 0.0,
-    )
+    cal = [rand_path([seed + 3, j]) for j in range(_HOLDER_CALIBRATION_PATHS)]
+    passed, worst, L_A, L_B = vf.holder_F_audit(cal, [rand_path(seed + 4)], q, vf.VERIFY_PARAMS, init)
     results.append(
         CheckResult(
             "lipschitz.holder_F",
-            ver.passed,
+            passed,
             worst,
             1.0,
             note=f"L_A={L_A:.4g} L_B={L_B:.4g} (2x margin)",

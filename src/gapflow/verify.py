@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +36,7 @@ __all__ = [
     "inverse_power_bounds_check",
     "lipschitz_G_check",
     "lipschitz_F_check",
+    "holder_F_audit",
     "convergence_study",
     "VERIFY_PARAMS",
 ]
@@ -179,23 +179,15 @@ class AlgebraReport:
     passed: bool
 
 
-def _lifted_draw(rng, k_max: int, decay: np.ndarray):
-    theta = float(rng.uniform(0.5, 1.5))
-    modes = rng.normal(size=k_max) * decay * float(rng.uniform(0.1, 1.0))
-    return theta, modes
+def _lifted_draw(rng, k_max: int):
+    """The random numbers of one lifted draw, in drawing order: the lift, the
+    normals of the modes and their scale (the modes are normals * decay * scale)."""
+    return float(rng.uniform(0.5, 1.5)), rng.normal(size=k_max), float(rng.uniform(0.1, 1.0))
 
 
 def _draw_block(rows: int, draw) -> tuple:
     """rows samples of draw() (each a tuple), stacked field by field in drawing order."""
     return tuple(np.array(col) for col in zip(*(draw() for _ in range(rows))))
-
-
-@lru_cache(maxsize=None)
-def _fine_sines(k_max: int) -> np.ndarray:
-    """Read-only (k_max, 4 k_max + 3) table: modes @ table is eval_modes_on on the 4x refined grid, per row."""
-    table = np.sin(np.outer(np.arange(1, k_max + 1, dtype=float) * np.pi, sp.grid(4 * k_max + 3)))
-    table.setflags(write=False)
-    return table
 
 
 def _worst(num, den) -> float:
@@ -219,23 +211,26 @@ def algebra_property_check(
     carries a 1.5x safety margin over the worst observed ratio.
     """
     margin = 1.5
-    table = _fine_sines(k_max)
+    fine = 4 * k_max + 3
     decay = np.arange(1, k_max + 1, dtype=float) ** -2.2
 
-    def worst_ratio(thf, mf, thg, mg):
+    def worst_ratio(thf, nf, sf, thg, ng, sg):  # the draws of _lifted_draw, one row per pair
+        mf, mg = nf * decay * sf[:, None], ng * decay * sg[:, None]
         th = thf * thg
-        prod = (thf[:, None] + mf @ table) * (thg[:, None] + mg @ table) - th[:, None]
+        f = thf[:, None] + sp.inverse_sine_transform(mf, fine)
+        g = thg[:, None] + sp.inverse_sine_transform(mg, fine)
+        prod = f * g - th[:, None]
         num = sp.norm_Hk(sp.sine_transform(prod), 2, th)
         return _worst(num, sp.norm_Hk(mf, 2, thf) * sp.norm_Hk(mg, 2, thg))
 
     def audit(rng, n_pairs):
         def pair():
-            return _lifted_draw(rng, k_max, decay) + _lifted_draw(rng, k_max, decay)
+            return _lifted_draw(rng, k_max) + _lifted_draw(rng, k_max)
 
         return max((worst_ratio(*_draw_block(rows, pair)) for rows in sp.audit_blocks(n_pairs)), default=0.0)
 
     one, zero = np.ones(1), np.zeros((1, k_max))
-    worst_cal = max(worst_ratio(one, zero, one, zero), audit(np.random.default_rng(seed), calibration_trials))
+    worst_cal = max(worst_ratio(one, zero, one, one, zero, one), audit(np.random.default_rng(seed), calibration_trials))
     C_alg = margin * worst_cal
     worst_fresh = audit(np.random.default_rng(seed + 1), trials)
     return AlgebraReport(
@@ -286,14 +281,13 @@ def inverse_power_bounds_check(
     cc = dp.contraction_constants(p, w0)
     r = cc.radius(r)
     k_max = w0.n
-    table = _fine_sines(k_max)
-    base_fine = sp.sine_transform(w0.values - w0.bv) @ table + w0.bv
+    fine = 4 * k_max + 3
+    base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
     rng = np.random.default_rng(seed)
 
     def inv_modes(d, kpows):
-        w_fine = base_fine + d @ table
-        if float(w_fine.min()) <= 0.0:
-            raise RuntimeError("gap closed inside the sampling ball (r too large)")
+        w_fine = base_fine + sp.inverse_sine_transform(d, fine)
+        sp.require_open_gap(w_fine, "gap closed inside the sampling ball (r too large)")
         return [sp.sine_transform(w_fine ** (-float(k)) - w0.bv ** (-float(k))) for k in kpows]
 
     worst_single = [0.0, 0.0, 0.0]
@@ -348,14 +342,14 @@ def lipschitz_G_check(
     r = cc.radius(r)
     L = cc.L_G
     k_max = w0.n
-    table = _fine_sines(k_max)
-    base_fine = sp.sine_transform(w0.values - w0.bv) @ table + w0.bv
+    fine = 4 * k_max + 3
+    base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
     rng = np.random.default_rng(seed)
     worst = 0.0
     for rows in sp.audit_blocks(trials):
         d1, d2 = _draw_block(rows, lambda: (_ball_draw(rng, k_max, r), _ball_draw(rng, k_max, r)))
-        w1 = base_fine + d1 @ table
-        w2 = base_fine + d2 @ table
+        w1 = base_fine + sp.inverse_sine_transform(d1, fine)
+        w2 = base_fine + sp.inverse_sine_transform(d2, fine)
         g_diff = -p.beta_F / w1**2 + p.beta_F / w2**2
         worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(g_diff), 2), sp.norm_Hk(d1 - d2, 2)))
     return LipschitzReport(
@@ -401,6 +395,29 @@ def lipschitz_F_check(
     return LipschitzReport(
         name="F", bound=tc.L_e, worst_ratio=worst, trials=trials, passed=worst <= tc.L_e
     )
+
+
+def holder_F_audit(cal_paths, fresh_paths, q_modes: np.ndarray, p: ModelParams, init_vw: StateVW) -> tuple:
+    """Calibrate the Hoelder constants of the right-hand side on cal_paths, then verify them on fresh_paths.
+
+    Every path is measured by ry.holder_F_quotients with the same q_modes, p
+    and plate state init_vw.  L_A and L_B are the worst measured / shape over
+    the calibration paths (0 where a shape is 0).  A fresh path passes when
+    both of its quotients stay at or under 2 L shape (a 2x margin), up to a
+    relative 1e-12 for rounding.  Returns (passed, worst, L_A, L_B), with
+    worst the largest measured / (2 L shape) over the fresh paths.
+    """
+
+    def measure(paths):  # (measured, shape), one row (A, B) per path
+        reps = [ry.holder_F_quotients(path, q_modes, p, init_vw) for path in paths]
+        measured = np.array([(r.measured_A, r.measured_B) for r in reps])
+        return measured, np.array([(r.shape_A, r.shape_B) for r in reps])
+
+    measured, shape = measure(cal_paths)
+    L_A, L_B = (_worst(measured[:, j], shape[:, j]) for j in (0, 1))
+    measured, shape = measure(fresh_paths)
+    bound = np.array([2.0 * L_A, 2.0 * L_B]) * shape
+    return bool(np.all(measured <= bound * (1.0 + 1e-12))), _worst(measured, bound), L_A, L_B
 
 
 # ---------------------------------------------------------------------------

@@ -351,13 +351,9 @@ def test_c11_calibrated_constant_audits():
         modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
         return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
 
-    cal = ry.holder_F_check(rand_path(100), q, p, init)
-    holder_ok = True
-    fresh_samples = 0
-    for s in range(101, 121):
-        ver = ry.holder_F_check(rand_path(s), q, p, init, L_A=2 * cal.L_A, L_B=2 * cal.L_B)
-        holder_ok = holder_ok and ver.passed
-        fresh_samples += n_t * (n_t + 1) // 2
+    fresh = [rand_path(s) for s in range(101, 121)]
+    holder_ok, _, _, _ = vf.holder_F_audit([rand_path(100)], fresh, q, p, init)
+    fresh_samples = len(fresh) * (n_t * (n_t + 1) // 2)
     results["holder_F"] = holder_ok and fresh_samples >= 1000
 
     el = time.perf_counter() - t0

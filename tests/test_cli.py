@@ -2,6 +2,7 @@
 export formats, verification suites, and sweeps."""
 
 import configparser
+import dataclasses
 import gc
 import hashlib
 import inspect
@@ -452,6 +453,24 @@ class TestVerify:
         holder = {r.name: r for r in cli._suite_lipschitz(0)}["lipschitz.holder_F"]
         assert len(calls) == cli._HOLDER_CALIBRATION_PATHS + 1
         assert not holder.passed and holder.measured > 1.0
+
+    def test_holder_audit_fails_a_fresh_quotient_three_times_the_allowed_one(self, monkeypatch):
+        # the fresh path's quotient A is set to 3x the 2 L_A shape_A that the
+        # four calibration paths allow, L_A being their worst measured/shape
+        real = ry.holder_F_quotients
+        cal = []
+
+        def inflated(u_path, q_modes, p, init_vw):
+            rep = real(u_path, q_modes, p, init_vw)
+            if len(cal) < cli._HOLDER_CALIBRATION_PATHS:
+                cal.append(rep)
+                return rep
+            L_A = max(r.measured_A / r.shape_A for r in cal)
+            return dataclasses.replace(rep, measured_A=3.0 * 2.0 * L_A * rep.shape_A)
+
+        monkeypatch.setattr(ry, "holder_F_quotients", inflated)
+        holder = {r.name: r for r in cli._suite_lipschitz(0)}["lipschitz.holder_F"]
+        assert not holder.passed and holder.measured == pytest.approx(3.0, rel=1e-12)
 
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown suite"):

@@ -1,6 +1,7 @@
 """Tests for the benchmark, regularity, audit, and convergence-study module."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,37 @@ class TestLipschitzChecks:
         assert 0.0 < rep.worst_ratio < rep.bound
 
 
+class TestHolderAudit:
+    @staticmethod
+    def _path_and_q(n=32, T=5e-3, n_t=10):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
+        base = 0.05 * base / sp.norm_Hk(base, 2)
+        times = np.linspace(0, T, n_t + 1)
+        modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in times])
+        path = dp.PressurePath(times=times, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
+        return path, np.array([0.5 * base * (1.0 + 0.2 * math.cos(2 * math.pi * t / T)) for t in times])
+
+    @pytest.mark.parametrize("quotient", ["measured_A", "measured_B"])
+    def test_a_fresh_quotient_three_times_the_allowed_one_fails(self, monkeypatch, quotient):
+        # the fresh path is a copy of the calibration path, so the calibration
+        # allows it 2x its own quotient; six times that quotient is 3x the bound
+        path, q = self._path_and_q()
+        fresh = dp.PressurePath(times=path.times.copy(), values=path.values.copy(), bv=path.bv)
+        real = ry.holder_F_quotients
+
+        def inflated(u_path, q_modes, p, init_vw):
+            rep = real(u_path, q_modes, p, init_vw)
+            return replace(rep, **{quotient: 6.0 * getattr(rep, quotient)}) if u_path is fresh else rep
+
+        init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
+        passed, worst, _, _ = vf.holder_F_audit([path], [fresh], q, P, init)
+        assert passed and worst == pytest.approx(0.5, rel=1e-12)
+        monkeypatch.setattr(ry, "holder_F_quotients", inflated)
+        passed, worst, _, _ = vf.holder_F_audit([path], [fresh], q, P, init)
+        assert not passed and worst == pytest.approx(3.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # per-sample reference loops of the Monte Carlo audits
 # ---------------------------------------------------------------------------
@@ -207,8 +239,9 @@ class TestLipschitzChecks:
 # The audits draw their samples one at a time and measure them in blocks of
 # stacked rows.  These are the per-sample loops they replaced, kept word for
 # word as the reference: the same draws must give the same verdicts and the
-# same worst values to rounding (the refined-grid synthesis is one matrix
-# product per block instead of one per sample, so bits may differ).
+# same worst values to rounding (the audits synthesize the refined grid with
+# the package's sine transforms, a block at a time, and these loops with
+# eval_modes_on, a sample at a time, so bits may differ).
 
 
 def _ref_algebra(trials, k_max, seed, calibration_trials):
@@ -228,14 +261,16 @@ def _ref_algebra(trials, k_max, seed, calibration_trials):
     rng_cal = np.random.default_rng(seed)
     worst_cal = ratio_of(1.0, np.zeros(k_max), 1.0, np.zeros(k_max))
     for _ in range(calibration_trials):
-        thf, mf = vf._lifted_draw(rng_cal, k_max, decay)
-        thg, mg = vf._lifted_draw(rng_cal, k_max, decay)
+        thf, nf, sf = vf._lifted_draw(rng_cal, k_max)
+        thg, ng, sg = vf._lifted_draw(rng_cal, k_max)
+        mf, mg = nf * decay * sf, ng * decay * sg
         worst_cal = max(worst_cal, ratio_of(thf, mf, thg, mg))
     rng_fresh = np.random.default_rng(seed + 1)
     worst_fresh = 0.0
     for _ in range(trials):
-        thf, mf = vf._lifted_draw(rng_fresh, k_max, decay)
-        thg, mg = vf._lifted_draw(rng_fresh, k_max, decay)
+        thf, nf, sf = vf._lifted_draw(rng_fresh, k_max)
+        thg, ng, sg = vf._lifted_draw(rng_fresh, k_max)
+        mf, mg = nf * decay * sf, ng * decay * sg
         worst_fresh = max(worst_fresh, ratio_of(thf, mf, thg, mg))
     C_alg = margin * worst_cal
     return dict(C_alg=C_alg, worst_calibration=worst_cal, worst_fresh=worst_fresh, passed=worst_fresh <= C_alg)

@@ -166,8 +166,12 @@ def regularity_exponent_fit(modes: np.ndarray, k_range: tuple = (9, 101)) -> Reg
 # calibrated Monte Carlo audits
 # ---------------------------------------------------------------------------
 #
-# Each audit draws its samples one at a time, in a fixed order from its seed,
-# and measures them in blocks of stacked rows (sp.audit_blocks).
+# Each audit draws every field of its samples (lifts, normals, scales or
+# radii) from a stream of its own, spawned from its seed, with one generator
+# call per field per block of stacked rows (sp.audit_blocks), and measures
+# the block.  Draws are sample-major, rows before the member of a pair, so
+# sample i sits at the same offset of every stream and a seed gives the same
+# samples whatever the block size.
 
 
 @dataclass(frozen=True)
@@ -179,15 +183,19 @@ class AlgebraReport:
     passed: bool
 
 
-def _lifted_draw(rng, k_max: int):
-    """The random numbers of one lifted draw, in drawing order: the lift, the
-    normals of the modes and their scale (the modes are normals * decay * scale)."""
-    return float(rng.uniform(0.5, 1.5)), rng.normal(size=k_max), float(rng.uniform(0.1, 1.0))
+def _streams(seed: int, count: int) -> list:
+    """count independent generators spawned from seed, one per sample field."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _draw_block(rows: int, draw) -> tuple:
-    """rows samples of draw() (each a tuple), stacked field by field in drawing order."""
-    return tuple(np.array(col) for col in zip(*(draw() for _ in range(rows))))
+def _ball_pairs(streams, rows: int, k_max: int, r: float) -> np.ndarray:
+    """rows pairs of random zero-trace mode vectors, shape (2, rows, k_max), with
+    H2 norms uniformly in [0.05 r, r): normals decaying like k^-3 from the first
+    of streams, each scaled to a radius drawn from the second."""
+    normals, radii = streams
+    modes = normals.standard_normal((rows, 2, k_max)) * np.arange(1, k_max + 1, dtype=float) ** -3
+    modes *= (r * radii.uniform(0.05, 1.0, (rows, 2)) / np.maximum(1e-300, sp.norm_Hk(modes, 2)))[..., None]
+    return modes.transpose(1, 0, 2)
 
 
 def _worst(num, den) -> float:
@@ -208,31 +216,32 @@ def algebra_property_check(
     4x refined grid and measured through the same lifted-H2 metric, the
     discrete shadow of the algebra property.  The constant pair f = g = 1
     (ratio exactly 1) anchors the calibration set, and the calibrated constant
-    carries a 1.5x safety margin over the worst observed ratio.
+    carries a 1.5x safety margin over the worst observed ratio.  Calibration
+    draws from seed, the fresh pairs from seed + 1.
     """
     margin = 1.5
     fine = 4 * k_max + 3
     decay = np.arange(1, k_max + 1, dtype=float) ** -2.2
 
-    def worst_ratio(thf, nf, sf, thg, ng, sg):  # the draws of _lifted_draw, one row per pair
-        mf, mg = nf * decay * sf[:, None], ng * decay * sg[:, None]
-        th = thf * thg
-        f = thf[:, None] + sp.inverse_sine_transform(mf, fine)
-        g = thg[:, None] + sp.inverse_sine_transform(mg, fine)
-        prod = f * g - th[:, None]
-        num = sp.norm_Hk(sp.sine_transform(prod), 2, th)
-        return _worst(num, sp.norm_Hk(mf, 2, thf) * sp.norm_Hk(mg, 2, thg))
+    def worst_ratio(th, modes):  # lifts (rows, 2) and modes (rows, 2, k_max); column 0 is f, 1 is g
+        f, g = (th[..., None] + sp.inverse_sine_transform(modes, fine)).transpose(1, 0, 2)
+        th_fg = th[:, 0] * th[:, 1]
+        num = sp.norm_Hk(sp.sine_transform(f * g - th_fg[:, None]), 2, th_fg)
+        den = sp.norm_Hk(modes, 2, th)
+        return _worst(num, den[:, 0] * den[:, 1])
 
-    def audit(rng, n_pairs):
-        def pair():
-            return _lifted_draw(rng, k_max) + _lifted_draw(rng, k_max)
+    def audit(seed, n_pairs):
+        lifts, normals, scales = _streams(seed, 3)
+        worst = 0.0
+        for rows in sp.audit_blocks(n_pairs):
+            th = lifts.uniform(0.5, 1.5, (rows, 2))
+            modes = normals.standard_normal((rows, 2, k_max)) * decay * scales.uniform(0.1, 1.0, (rows, 2))[..., None]
+            worst = max(worst, worst_ratio(th, modes))
+        return worst
 
-        return max((worst_ratio(*_draw_block(rows, pair)) for rows in sp.audit_blocks(n_pairs)), default=0.0)
-
-    one, zero = np.ones(1), np.zeros((1, k_max))
-    worst_cal = max(worst_ratio(one, zero, one, one, zero, one), audit(np.random.default_rng(seed), calibration_trials))
+    worst_cal = max(worst_ratio(np.ones((1, 2)), np.zeros((1, 2, k_max))), audit(seed, calibration_trials))
     C_alg = margin * worst_cal
-    worst_fresh = audit(np.random.default_rng(seed + 1), trials)
+    worst_fresh = audit(seed + 1, trials)
     return AlgebraReport(
         C_alg=C_alg,
         worst_calibration=worst_cal,
@@ -252,15 +261,6 @@ class InversePowerReport:
     worst_diff2: float  # worst ||1/w1^2 - 1/w2^2||_H2 / (C3 ||dw||_H2)
     trials: int
     passed: bool
-
-
-def _ball_draw(rng, k_max: int, r: float) -> np.ndarray:
-    """Random zero-trace mode vector with H2 norm uniformly in (0, r]."""
-    modes = rng.normal(size=k_max) * np.arange(1, k_max + 1, dtype=float) ** -3
-    nrm = sp.norm_Hk(modes, 2)
-    if nrm == 0.0:
-        return modes
-    return modes * (r * float(rng.uniform(0.05, 1.0)) / nrm)
 
 
 def inverse_power_bounds_check(
@@ -283,7 +283,7 @@ def inverse_power_bounds_check(
     k_max = w0.n
     fine = 4 * k_max + 3
     base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
-    rng = np.random.default_rng(seed)
+    streams = _streams(seed, 2)
 
     def inv_modes(d, kpows):
         w_fine = base_fine + sp.inverse_sine_transform(d, fine)
@@ -294,7 +294,7 @@ def inverse_power_bounds_check(
     worst_d1 = 0.0
     worst_d2 = 0.0
     for rows in sp.audit_blocks(trials):
-        d1, d2 = _draw_block(rows, lambda: (_ball_draw(rng, k_max, r), _ball_draw(rng, k_max, r)))
+        d1, d2 = _ball_pairs(streams, rows, k_max, r)
         inv1 = inv_modes(d1, (1, 2, 3))
         inv2 = inv_modes(d2, (1, 2))
         for kpow in (1, 2, 3):
@@ -344,14 +344,13 @@ def lipschitz_G_check(
     k_max = w0.n
     fine = 4 * k_max + 3
     base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
-    rng = np.random.default_rng(seed)
+    streams = _streams(seed, 2)
     worst = 0.0
     for rows in sp.audit_blocks(trials):
-        d1, d2 = _draw_block(rows, lambda: (_ball_draw(rng, k_max, r), _ball_draw(rng, k_max, r)))
-        w1 = base_fine + sp.inverse_sine_transform(d1, fine)
-        w2 = base_fine + sp.inverse_sine_transform(d2, fine)
+        d = _ball_pairs(streams, rows, k_max, r)
+        w1, w2 = base_fine + sp.inverse_sine_transform(d, fine)
         g_diff = -p.beta_F / w1**2 + p.beta_F / w2**2
-        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(g_diff), 2), sp.norm_Hk(d1 - d2, 2)))
+        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(g_diff), 2), sp.norm_Hk(d[0] - d[1], 2)))
     return LipschitzReport(
         name="G", bound=L, worst_ratio=worst, trials=trials, passed=worst <= L
     )
@@ -372,26 +371,17 @@ def lipschitz_F_check(
     """
     ball = 0.2
     tc = dp.theory_constants(p, u0, init)
-    n = u0.n
-    rng = np.random.default_rng(seed)
-    decay = np.arange(1, n + 1, dtype=float) ** -3
     th2 = p.lift.theta2
     v_field, w_field = dp.plate_fields(init, th2)  # theory_constants raised if this gap is closed
     v, w = v_field.values, w_field.values
-
-    def draw():  # both mode vectors of a pair, then both radii
-        return rng.normal(size=n) * decay, rng.normal(size=n) * decay, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
-
+    streams = _streams(seed, 2)
     worst = 0.0
     for rows in sp.audit_blocks(trials):
-        m1, m2, s1, s2 = _draw_block(rows, draw)
-        m1 *= (ball * s1 / np.maximum(1e-300, sp.norm_Hk(m1, 2)))[:, None]
-        m2 *= (ball * s2 / np.maximum(1e-300, sp.norm_Hk(m2, 2)))[:, None]
-        u1 = u0.values + sp.inverse_sine_transform(m1)
-        u2 = u0.values + sp.inverse_sine_transform(m2)
+        m = _ball_pairs(streams, rows, u0.n, ball)
+        u1, u2 = u0.values + sp.inverse_sine_transform(m)
         dF = ry._reynolds(u1, u0.bv, v, w, th2) - ry._reynolds(u2, u0.bv, v, w, th2)
         ry._require_finite("F", dF)
-        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(dF), 0), sp.norm_Hk(m1 - m2, 2)))
+        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(dF), 0), sp.norm_Hk(m[0] - m[1], 2)))
     return LipschitzReport(
         name="F", bound=tc.L_e, worst_ratio=worst, trials=trials, passed=worst <= tc.L_e
     )

@@ -236,12 +236,28 @@ class TestHolderAudit:
 # per-sample reference loops of the Monte Carlo audits
 # ---------------------------------------------------------------------------
 #
-# The audits draw their samples one at a time and measure them in blocks of
-# stacked rows.  These are the per-sample loops they replaced, kept word for
-# word as the reference: the same draws must give the same verdicts and the
-# same worst values to rounding (the audits synthesize the refined grid with
-# the package's sine transforms, a block at a time, and these loops with
-# eval_modes_on, a sample at a time, so bits may differ).
+# The audits draw each field of a block of samples with one generator call,
+# from one stream per field, and measure the block as stacked rows.  These
+# loops draw all trials at once in the same sample-major layout (rows, then
+# the member of a pair), which by the block-size invariance are the audits'
+# blocks laid end to end, and measure one sample at a time: the same verdicts
+# and the same worst values to rounding (the audits synthesize the refined
+# grid with the package's sine transforms, a block at a time, and these
+# loops with eval_modes_on, a sample at a time, so bits may differ).
+
+
+def _ref_streams(seed, count):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _ref_ball_pairs(seed, trials, k_max, r):
+    """All trials pairs of ball samples, shape (trials, 2, k_max), each scaled on its own."""
+    normals, radii = _ref_streams(seed, 2)
+    modes = normals.standard_normal((trials, 2, k_max)) * np.arange(1, k_max + 1, dtype=float) ** -3
+    scales = r * radii.uniform(0.05, 1.0, (trials, 2))
+    for i, j in np.ndindex(trials, 2):
+        modes[i, j] *= scales[i, j] / max(1e-300, sp.norm_Hk(modes[i, j], 2))
+    return modes
 
 
 def _ref_algebra(trials, k_max, seed, calibration_trials):
@@ -258,32 +274,30 @@ def _ref_algebra(trials, k_max, seed, calibration_trials):
         den = sp.norm_Hk(mf, 2, thf) * sp.norm_Hk(mg, 2, thg)
         return num / den
 
-    rng_cal = np.random.default_rng(seed)
-    worst_cal = ratio_of(1.0, np.zeros(k_max), 1.0, np.zeros(k_max))
-    for _ in range(calibration_trials):
-        thf, nf, sf = vf._lifted_draw(rng_cal, k_max)
-        thg, ng, sg = vf._lifted_draw(rng_cal, k_max)
-        mf, mg = nf * decay * sf, ng * decay * sg
-        worst_cal = max(worst_cal, ratio_of(thf, mf, thg, mg))
-    rng_fresh = np.random.default_rng(seed + 1)
-    worst_fresh = 0.0
-    for _ in range(trials):
-        thf, nf, sf = vf._lifted_draw(rng_fresh, k_max)
-        thg, ng, sg = vf._lifted_draw(rng_fresh, k_max)
-        mf, mg = nf * decay * sf, ng * decay * sg
-        worst_fresh = max(worst_fresh, ratio_of(thf, mf, thg, mg))
+    def worst_of(seed, n_pairs, worst):
+        lifts, normals, scales = _ref_streams(seed, 3)
+        th = lifts.uniform(0.5, 1.5, (n_pairs, 2))
+        nrm = normals.standard_normal((n_pairs, 2, k_max))
+        sc = scales.uniform(0.1, 1.0, (n_pairs, 2))
+        for i in range(n_pairs):
+            mf, mg = nrm[i, 0] * decay * sc[i, 0], nrm[i, 1] * decay * sc[i, 1]
+            worst = max(worst, ratio_of(th[i, 0], mf, th[i, 1], mg))
+        return worst
+
+    worst_cal = worst_of(seed, calibration_trials, ratio_of(1.0, np.zeros(k_max), 1.0, np.zeros(k_max)))
+    worst_fresh = worst_of(seed + 1, trials, 0.0)
     C_alg = margin * worst_cal
     return dict(C_alg=C_alg, worst_calibration=worst_cal, worst_fresh=worst_fresh, passed=worst_fresh <= C_alg)
 
 
-def _ref_inverse_power(p, w0, trials, seed):
+def _ref_inverse_power(p, w0, trials, seed, pairs=None):
     cc = dp.contraction_constants(p, w0)
     r = cc.radius(None)
     k_max = w0.n
     xf = sp.grid(4 * k_max + 3)
     base_modes = sp.sine_transform(w0.values - w0.bv)
     base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
-    rng = np.random.default_rng(seed)
+    pairs = _ref_ball_pairs(seed, trials, k_max, r) if pairs is None else pairs
 
     def inv_modes(wt_modes, kpow):
         w_fine = base_fine + sp.eval_modes_on(wt_modes, xf)
@@ -294,9 +308,7 @@ def _ref_inverse_power(p, w0, trials, seed):
     worst_single = [0.0, 0.0, 0.0]
     worst_d1 = 0.0
     worst_d2 = 0.0
-    for _ in range(trials):
-        d1 = vf._ball_draw(rng, k_max, r)
-        d2 = vf._ball_draw(rng, k_max, r)
+    for d1, d2 in pairs:
         for kpow in (1, 2, 3):
             nrm = sp.norm_Hk(inv_modes(d1, kpow), 2, w0.bv ** (-float(kpow)))
             worst_single[kpow - 1] = max(worst_single[kpow - 1], nrm / cc.C1**kpow)
@@ -318,11 +330,8 @@ def _ref_lipschitz_G(p, w0, trials, seed):
     xf = sp.grid(4 * k_max + 3)
     base_modes = sp.sine_transform(w0.values - w0.bv)
     base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        d1 = vf._ball_draw(rng, k_max, r)
-        d2 = vf._ball_draw(rng, k_max, r)
+    for d1, d2 in _ref_ball_pairs(seed, trials, k_max, r):
         den = sp.norm_Hk(d1 - d2, 2)
         if den == 0.0:
             continue
@@ -337,16 +346,9 @@ def _ref_lipschitz_G(p, w0, trials, seed):
 def _ref_lipschitz_F(p, u0, init, trials, seed):
     ball = 0.2
     tc = dp.theory_constants(p, u0, init)
-    n = u0.n
-    rng = np.random.default_rng(seed)
-    decay = np.arange(1, n + 1, dtype=float) ** -3
     v_field, w_field = dp.plate_fields(init, p.lift.theta2)
     worst = 0.0
-    for _ in range(trials):
-        m1 = rng.normal(size=n) * decay
-        m2 = rng.normal(size=n) * decay
-        m1 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m1, 2))
-        m2 *= ball * float(rng.uniform(0.05, 1.0)) / max(1e-300, sp.norm_Hk(m2, 2))
+    for m1, m2 in _ref_ball_pairs(seed, trials, u0.n, ball):
         u1 = GridField(values=u0.values + sp.inverse_sine_transform(m1), bv=u0.bv)
         u2 = GridField(values=u0.values + sp.inverse_sine_transform(m2), bv=u0.bv)
         dF = ry.eval_F(u1, v_field, w_field, p).values - ry.eval_F(u2, v_field, w_field, p).values
@@ -376,11 +378,11 @@ def _bump_w0(n):
 class _ConstantRng:
     """Stands in for a generator: every draw of a pair is the same, so no pair differs."""
 
-    def normal(self, size):
+    def standard_normal(self, size):
         return np.ones(size)
 
-    def uniform(self, low, high):
-        return 0.5 * (low + high)
+    def uniform(self, low, high, size):
+        return np.full(size, 0.5 * (low + high))
 
 
 class TestBatchedAuditsMatchPerSampleLoops:
@@ -418,22 +420,25 @@ class TestBatchedAuditsMatchPerSampleLoops:
         # the sample of one row of the second block closes the gap
         n = 16
         w0 = GridField(values=np.full(n, 1.0), bv=1.0)
-        closing = 2 * (256 + row) + int(second)
-        calls = []
-        real = vf._ball_draw
+        closing = np.r_[-2.0, np.zeros(n - 1)]
+        blocks = []
+        real = vf._ball_pairs
 
-        def draw(rng, k_max, r):
-            calls.append(1)
-            d = real(rng, k_max, r)
-            return np.r_[-2.0, np.zeros(k_max - 1)] if len(calls) == closing + 1 else d
+        def sampler(streams, rows, k_max, r):
+            d = real(streams, rows, k_max, r)
+            if blocks:
+                d[int(second), row] = closing
+            blocks.append(rows)
+            return d
 
-        monkeypatch.setattr(vf, "_ball_draw", draw)
+        monkeypatch.setattr(vf, "_ball_pairs", sampler)
         with pytest.raises(RuntimeError, match="gap closed inside the sampling ball"):
             vf.inverse_power_bounds_check(P, w0, trials=300, seed=0)
-        assert len(calls) == 2 * 300  # the block was drawn whole, then measured
-        calls.clear()
+        assert blocks == [256, 44]  # the block was drawn whole, then measured
+        pairs = _ref_ball_pairs(0, 300, n, dp.contraction_constants(P, w0).radius(None))
+        pairs[256 + row, int(second)] = closing
         with pytest.raises(RuntimeError, match="gap closed inside the sampling ball"):
-            _ref_inverse_power(P, w0, 300, 0)
+            _ref_inverse_power(P, w0, 300, 0, pairs=pairs)
 
     @pytest.mark.filterwarnings("error")  # a skipped row must not be divided by its zero
     def test_pairs_with_zero_denominator_are_skipped(self, monkeypatch):
@@ -445,6 +450,51 @@ class TestBatchedAuditsMatchPerSampleLoops:
         assert rep.worst_ratio == 0.0 and rep.passed
         inv = vf.inverse_power_bounds_check(P, w0, trials=300)
         assert inv.worst_diff1 == inv.worst_diff2 == 0.0 and max(inv.worst_single) > 0.0
+
+
+def _four_audit_reports():
+    w0m, w0 = _bump_w0(32)
+    u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(32)), bv=1.0)
+    init = StateVW(v=np.zeros(32), w=w0m)
+    return [
+        vf.algebra_property_check(trials=300, k_max=32, seed=3, calibration_trials=100),
+        vf.inverse_power_bounds_check(P, w0, trials=300, seed=4),
+        vf.lipschitz_G_check(P, w0, trials=300, seed=5),
+        vf.lipschitz_F_check(P, u0, init, trials=300, seed=6),
+    ]
+
+
+class TestAuditDraws:
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        default = _four_audit_reports()
+        monkeypatch.setattr(sp, "_AUDIT_BLOCK", 37)
+        assert [repr(rep) for rep in _four_audit_reports()] == [repr(rep) for rep in default]
+
+    def test_the_generator_is_called_a_fixed_number_of_times_per_block(self, monkeypatch):
+        # one call per sample field per block: 3 fields for the algebra pairs,
+        # 2 (normals and radii) for the ball pairs of the other three audits
+        calls = []
+        real = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def __getattr__(self, name):
+                draw = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return draw(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(vf.np.random, "default_rng", Counting)
+        vf.algebra_property_check(trials=1000, calibration_trials=300)
+        assert len(calls) <= 3 * len(sp.audit_blocks(1000) + sp.audit_blocks(300))  # one at a time: 6 per pair
+        calls.clear()
+        _four_audit_reports()  # 300 + 100 algebra pairs, then 300 ball pairs in each of three audits
+        assert len(calls) <= 3 * len(sp.audit_blocks(300) + sp.audit_blocks(100)) + 3 * 2 * len(sp.audit_blocks(300))
 
 
 class TestConvergenceOrders:

@@ -5,7 +5,8 @@ with every key documented in configs/reference.ini; parsing validates the full
 config up front and reports *all* violations at once.  Simulation runs are
 seed-free and deterministic: identical config text produces byte-identical
 series and record files.  Randomness (with a documented seed) appears only in
-the verification suites.
+the verification suites, which verify.SUITES owns with every check's bound
+and verdict; cmd_verify only dispatches to them, prints and writes the JSON.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ SCHEMA_VERSION = "1.1"
 SNAPSHOT_COLUMNS = ("t", "field", "index", "value")
 SWEEP_COLUMNS = ("beta_F", "beta_p", "termination", "T_used", "quench_time", "note")
 
-VERIFY_SUITES = ("semigroup", "benchmark", "constants", "lipschitz", "elliptic", "convergence", "all")
+VERIFY_SUITES = (*vf.SUITES, "all")
 
 
 class ConfigError(ValueError):
@@ -440,6 +441,15 @@ def _record_payload(record: RunRecord) -> dict:
     }
 
 
+def _write_json(path: str, payload: dict) -> str:
+    """Write payload to path as strict JSON (sorted keys, no NaN or infinity,
+    trailing newline); returns path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
+        fh.write("\n")
+    return path
+
+
 def export(record: RunRecord, fmt: str, outdir: str) -> dict:
     """Write the record in one format; returns {logical name: path}.
 
@@ -467,11 +477,7 @@ def export(record: RunRecord, fmt: str, outdir: str) -> dict:
         files["series"] = series_path
         files["snapshots"] = snap_path
     elif fmt == "json":
-        path = os.path.join(outdir, "record.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_record_payload(record), fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
-        files["record"] = path
+        files["record"] = _write_json(os.path.join(outdir, "record.json"), _record_payload(record))
     else:
         raise ValueError(f"unknown export format {fmt!r} (expected csv or json)")
     return files
@@ -544,6 +550,8 @@ def cmd_sweep(cfg: RunConfig, out: str | None = None, jobs: int = 1, quiet: bool
     sweep continues.  The quench-monotonicity diagnostic is logged, never
     asserted.  Cells re-resolve an "auto" horizon for their own parameters.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1 (got {jobs})")
     if not cfg.sweep_beta_F or not cfg.sweep_beta_p:
         raise ConfigError(
             ["sweep: beta_F_values and beta_p_values must both be nonempty for cmd_sweep"]
@@ -568,11 +576,8 @@ def cmd_sweep(cfg: RunConfig, out: str | None = None, jobs: int = 1, quiet: bool
         except Exception as exc:  # partial failure: record and continue
             return SweepCell(bf, bp, "error", math.nan, None, str(exc).replace("\n", " ")[:200])
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = tuple(pool.map(run_cell, grid))
-    else:
-        cells = tuple(run_cell(pair) for pair in grid)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        cells = tuple(pool.map(run_cell, grid))
 
     csv_path = os.path.join(outdir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -599,219 +604,8 @@ def cmd_sweep(cfg: RunConfig, out: str | None = None, jobs: int = 1, quiet: bool
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    bound: float
-    note: str = ""
-
-
-def _suite_semigroup(seed: int) -> list:
-    k = 256
-    spec = sp.plate_eigenvalues(k)
-    rng = np.random.default_rng(seed)
-    decay = np.arange(1, k + 1, dtype=float) ** -2.0
-    phases = [sp.reduced_cossin(spec.omega, float(t)) for t in np.linspace(0.0, 100.0, 33)[1:]]
-
-    worst = 0.0
-    for rows in sp.audit_blocks(100):
-        # one state per row, v then w: the draw order of StateVW(v=..., w=...)
-        v, w = (rng.normal(size=(rows, 2, k)) * decay).transpose(1, 0, 2)
-        base = sp.norm_X(v, w, spec)
-        for c, sn in phases:
-            drift = np.abs(sp.norm_X(*sp._rotate(v, w, spec.omega, c, sn), spec) - base)
-            worst = max(worst, float(np.max(drift / base)))
-    results = [CheckResult("semigroup.norm_conservation", worst <= 1e-10, worst, 1e-10)]
-    s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
-    ab = sp.semigroup_apply(sp.semigroup_apply(s0, spec, 0.7), spec, 2.6)
-    direct = sp.semigroup_apply(s0, spec, 3.3)
-    gap = max(float(np.abs(ab.v - direct.v).max()), float(np.abs(ab.w - direct.w).max()))
-    scale = max(float(np.abs(direct.v).max()), float(np.abs(direct.w).max()))
-    # top-mode phases reach (k pi)^4 * t ~ 1e10, so trig argument reduction
-    # alone costs ~1e-10 relative; 1e-8 leaves margin without hiding real bugs
-    results.append(CheckResult("semigroup.cocycle", gap <= 1e-8 * scale, gap / scale, 1e-8))
-    return results
-
-
-def _suite_benchmark(seed: int) -> list:
-    gap = vf.benchmark_against_duhamel(128, 1.0, 256)
-    results = [CheckResult("benchmark.closed_form_gap", gap <= 1e-10, gap, 1e-10)]
-    _, w = vf.linear_plate_closed_form(0.37, 128)
-    fit = vf.regularity_exponent_fit(w)
-    ok = 4.7 <= fit.exponent <= 5.3 and fit.conclusive
-    results.append(
-        CheckResult(
-            "benchmark.regularity_exponent",
-            ok,
-            fit.exponent,
-            5.3,
-            note=f"residual={fit.residual:.3g}",
-        )
-    )
-    return results
-
-
-def _suite_constants(seed: int) -> list:
-    alg = vf.algebra_property_check(trials=10_000, seed=seed)
-    results = [
-        CheckResult(
-            "constants.algebra",
-            alg.passed,
-            alg.worst_fresh,
-            alg.C_alg,
-            note=f"{alg.trials} fresh draws",
-        )
-    ]
-    w0 = GridField(values=np.full(32, 1.0), bv=1.0)
-    inv = vf.inverse_power_bounds_check(vf.VERIFY_PARAMS, w0, trials=1000, seed=seed + 1)
-    worst = max(max(inv.worst_single), inv.worst_diff1, inv.worst_diff2)
-    results.append(
-        CheckResult(
-            "constants.inverse_power",
-            inv.passed,
-            worst,
-            1.0,
-            note=f"C1={inv.C1:.4g} C2={inv.C2:.4g} C3={inv.C3:.4g}",
-        )
-    )
-    return results
-
-
-# Paths the Hoelder audit calibrates on: its constants spread about 5x across
-# one path family, so a single path would leave the 2x margin to chance.
-_HOLDER_CALIBRATION_PATHS = 4
-
-
-def _suite_lipschitz(seed: int) -> list:
-    n = 32
-    w0_flat = GridField(values=np.full(n, 1.0), bv=1.0)
-    lg = vf.lipschitz_G_check(vf.VERIFY_PARAMS, w0_flat, trials=1000, seed=seed)
-    results = [
-        CheckResult("lipschitz.G", lg.passed, lg.worst_ratio, lg.bound, note=f"{lg.trials} pairs")
-    ]
-    w0m = np.zeros(n)
-    w0m[0] = 0.05
-    init = StateVW(v=np.zeros(n), w=w0m)
-    u0 = GridField(values=np.full(n, 1.0), bv=1.0)
-    lf = vf.lipschitz_F_check(vf.VERIFY_PARAMS, u0, init, trials=1000, seed=seed + 1)
-    results.append(
-        CheckResult("lipschitz.F", lf.passed, lf.worst_ratio, lf.bound, note=f"{lf.trials} pairs")
-    )
-
-    # Hoelder audit of the right-hand side: calibrate on several paths, verify on a fresh one
-    T, n_t = 5e-3, 10
-    rng = np.random.default_rng(seed + 2)
-    qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
-    q = np.array([qm * (1.0 + 0.2 * math.cos(2 * math.pi * i / n_t)) for i in range(n_t + 1)])
-
-    def rand_path(rseed):
-        r = np.random.default_rng(rseed)
-        base = r.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
-        base = 0.05 * base / max(1e-12, sp.norm_Hk(base, 2))
-        ts = np.linspace(0, T, n_t + 1)
-        modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
-        return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
-
-    cal = [rand_path([seed + 3, j]) for j in range(_HOLDER_CALIBRATION_PATHS)]
-    passed, worst, L_A, L_B = vf.holder_F_audit(cal, [rand_path(seed + 4)], q, vf.VERIFY_PARAMS, init)
-    results.append(
-        CheckResult(
-            "lipschitz.holder_F",
-            passed,
-            worst,
-            1.0,
-            note=f"L_A={L_A:.4g} L_B={L_B:.4g} (2x margin)",
-        )
-    )
-    return results
-
-
-def _suite_elliptic(seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    n = 48
-    x = sp.grid(n)
-    results = []
-    worst_slack = math.inf
-    all_passed = True
-    for trial in range(5):
-        u0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(2 * np.pi * x) * rng.uniform(-1, 1)
-        w0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x) * rng.uniform(-1, 1)
-        v0 = 0.3 * np.sin(np.pi * x) * rng.uniform(-1, 1)
-        op = ry.assemble_Pstar(
-            GridField(values=u0, bv=1.0),
-            GridField(values=v0, bv=0.0),
-            GridField(values=w0, bv=1.0),
-        )
-        rep = ry.elliptic_form_check(op, trials=10_000, seed=seed + 10 + trial)
-        all_passed = all_passed and rep.passed
-        worst_slack = min(worst_slack, rep.worst_slack)
-    results.append(
-        CheckResult(
-            "elliptic.coercivity",
-            all_passed,
-            worst_slack,
-            0.0,
-            note="5 triples x 10^4 trials; measured = worst slack (must stay >= bound)",
-        )
-    )
-    op = ry.assemble_Pstar(
-        GridField(values=np.ones(16), bv=1.0),
-        GridField(values=np.zeros(16), bv=0.0),
-        GridField(values=np.ones(16), bv=1.0),
-    )
-    results.append(_sector_gate(op))
-    return results
-
-
-def _sector_gate(op: ry.PstarOperator) -> CheckResult:
-    """Resolvent products along the sampled rays against 1/sin(pi - widest ray).
-
-    That bound is exact for a normal operator with real spectrum, such as the
-    constant-coefficient one of the elliptic suite; a non-normal operator
-    can exceed it and then fails the check.
-    """
-    sec = ry.sector_check(op)
-    bound = 1.0 / math.sin(math.pi - sec.angle)
-    passed = bool(sec.M_bound <= bound * (1.0 + 1e-9))
-    return CheckResult("elliptic.sector", passed, sec.M_bound, bound, note=f"angle={sec.angle:.4f}")
-
-
-def _suite_convergence(seed: int) -> list:
-    bands = {
-        "oracle_dt": (3.6, 4.4),
-        "driver_h": (1.5, 2.5),
-        "plate_k": (6.0, math.inf),
-        "gamma_tol": (0.5, 1.5),
-    }
-    results = []
-    for axis, row in vf.convergence_study().items():
-        lo, hi = bands[axis]
-        results.append(
-            CheckResult(
-                f"convergence.{axis}",
-                lo <= row.order <= hi,
-                row.order,
-                lo,
-                note=f"errors={tuple(float(f'{e:.3e}') for e in row.errors)} (bound = lower edge)",
-            )
-        )
-    return results
-
-
-_SUITE_RUNNERS = {
-    "semigroup": _suite_semigroup,
-    "benchmark": _suite_benchmark,
-    "constants": _suite_constants,
-    "lipschitz": _suite_lipschitz,
-    "elliptic": _suite_elliptic,
-    "convergence": _suite_convergence,
-}
 
 
 @dataclass(frozen=True)
@@ -831,10 +625,9 @@ def cmd_verify(suite: str, seed: int = 0, out: str | None = None, quiet: bool = 
         raise ValueError(
             f"unknown suite {suite!r} (expected one of {', '.join(VERIFY_SUITES)})"
         )
-    names = [s for s in VERIFY_SUITES if s != "all"] if suite == "all" else [suite]
     results = []
-    for name in names:
-        results.extend(_SUITE_RUNNERS[name](seed))
+    for name in vf.SUITES if suite == "all" else [suite]:
+        results.extend(vf.SUITES[name](seed))
     summary = VerifySummary(
         suite=suite, results=tuple(results), passed=all(bool(r.passed) for r in results)
     )
@@ -847,7 +640,6 @@ def cmd_verify(suite: str, seed: int = 0, out: str | None = None, quiet: bool = 
         print(f"suite {suite}: {len(summary.results)} checks, {failed} failed")
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, f"verify_{suite}.json")
         payload = {
             "schema_version": SCHEMA_VERSION,
             "suite": suite,
@@ -863,9 +655,7 @@ def cmd_verify(suite: str, seed: int = 0, out: str | None = None, quiet: bool = 
                 for r in summary.results
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
+        _write_json(os.path.join(out, f"verify_{suite}.json"), payload)
     return summary
 
 

@@ -1,12 +1,19 @@
-"""Closed-form benchmarks, regularity diagnostics, and calibrated property audits.
+"""Every check of `gapflow verify`: closed-form benchmarks, regularity
+diagnostics, calibrated property audits, convergence studies, and the suites
+that hold them.
 
 The linear forced-plate benchmark has an exact mode-wise solution on the
 model's own plate operator A = Lap - Lap^2; marching the production Duhamel
 sweep on the production spectrum against it is the one quantitative anchor of
-the whole pipeline.  The remaining suites are computable shadows of the
+the whole pipeline.  The remaining checks are computable shadows of the
 analytic estimates: Monte Carlo audits of the algebra constant, the
 inverse-power bounds, the Lipschitz constants of G and F, plus
 self-convergence studies of the two integrators.
+
+Each check is defined here and only here: what it measures, its bound and
+its verdict, as one CheckResult.  SUITES maps each suite name to its runner,
+in the order `verify --suite all` runs them; a runner takes the Monte Carlo
+seed and returns its list of CheckResult.
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ from .reynolds import CoupledState, DriverConfig
 from .spectral import GridField, StateVW
 
 __all__ = [
+    "CheckResult",
     "RegularityFit",
-    "AlgebraReport",
     "InversePowerReport",
-    "LipschitzReport",
     "StudyRow",
     "linear_plate_closed_form",
     "benchmark_against_duhamel",
@@ -38,7 +44,7 @@ __all__ = [
     "lipschitz_F_check",
     "holder_F_audit",
     "convergence_study",
-    "VERIFY_PARAMS",
+    "SUITES",
 ]
 
 
@@ -175,12 +181,14 @@ def regularity_exponent_fit(modes: np.ndarray, k_range: tuple = (9, 101)) -> Reg
 
 
 @dataclass(frozen=True)
-class AlgebraReport:
-    C_alg: float
-    worst_calibration: float
-    worst_fresh: float
-    trials: int
+class CheckResult:
+    """One verdict of `gapflow verify`: a measured value against its bound."""
+
+    name: str
     passed: bool
+    measured: float
+    bound: float
+    note: str = ""
 
 
 def _streams(seed: int, count: int) -> list:
@@ -209,7 +217,7 @@ def algebra_property_check(
     k_max: int = 32,
     seed: int = 0,
     calibration_trials: int = 2000,
-) -> AlgebraReport:
+) -> CheckResult:
     """Calibrate C_alg with ||fg||_H2 <= C_alg ||f||_H2 ||g||_H2, then verify fresh.
 
     Draws are constant lifts plus random sine parts; products are formed on a
@@ -217,7 +225,8 @@ def algebra_property_check(
     discrete shadow of the algebra property.  The constant pair f = g = 1
     (ratio exactly 1) anchors the calibration set, and the calibrated constant
     carries a 1.5x safety margin over the worst observed ratio.  Calibration
-    draws from seed, the fresh pairs from seed + 1.
+    draws from seed, the fresh pairs from seed + 1.  The check measures the
+    worst fresh ratio against C_alg.
     """
     margin = 1.5
     fine = 4 * k_max + 3
@@ -242,13 +251,7 @@ def algebra_property_check(
     worst_cal = max(worst_ratio(np.ones((1, 2)), np.zeros((1, 2, k_max))), audit(seed, calibration_trials))
     C_alg = margin * worst_cal
     worst_fresh = audit(seed + 1, trials)
-    return AlgebraReport(
-        C_alg=C_alg,
-        worst_calibration=worst_cal,
-        worst_fresh=worst_fresh,
-        trials=trials,
-        passed=worst_fresh <= C_alg,
-    )
+    return CheckResult("constants.algebra", worst_fresh <= C_alg, worst_fresh, C_alg, note=f"{trials} fresh draws")
 
 
 @dataclass(frozen=True)
@@ -316,27 +319,19 @@ def inverse_power_bounds_check(
     )
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    name: str
-    bound: float
-    worst_ratio: float
-    trials: int
-    passed: bool
-
-
 def lipschitz_G_check(
     p: ModelParams,
     w0: GridField,
     r: float | None = None,
     trials: int = 1000,
     seed: int = 0,
-) -> LipschitzReport:
+) -> CheckResult:
     """Audit ||G(w1) - G(w2)||_H2 <= L_G ||w1 - w2||_H2 on fresh pairs in the r-ball.
 
     L_G = beta_F C2 is the theory constant for the admissible ball; the
     measured quotients sit far below it (the chain is existence-grade, not
-    sharp), and the audit's job is zero violations, not tightness.
+    sharp), and the audit's job is zero violations, not tightness.  G is the
+    model's own, so a sample that closes the gap raises QuenchSignal.
     """
     cc = dp.contraction_constants(p, w0)
     r = cc.radius(r)
@@ -349,11 +344,9 @@ def lipschitz_G_check(
     for rows in sp.audit_blocks(trials):
         d = _ball_pairs(streams, rows, k_max, r)
         w1, w2 = base_fine + sp.inverse_sine_transform(d, fine)
-        g_diff = -p.beta_F / w1**2 + p.beta_F / w2**2
+        g_diff = dp._G_fine(w1, p) - dp._G_fine(w2, p)
         worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(g_diff), 2), sp.norm_Hk(d[0] - d[1], 2)))
-    return LipschitzReport(
-        name="G", bound=L, worst_ratio=worst, trials=trials, passed=worst <= L
-    )
+    return CheckResult("lipschitz.G", worst <= L, worst, L, note=f"{trials} pairs")
 
 
 def lipschitz_F_check(
@@ -362,7 +355,7 @@ def lipschitz_F_check(
     init: StateVW,
     trials: int = 1000,
     seed: int = 0,
-) -> LipschitzReport:
+) -> CheckResult:
     """Audit ||F(u1) - F(u2)||_L2 <= L_e ||u1 - u2||_H2 at frozen (v, w), the plate state init.
 
     L_e is the nonlinearity constant from the theory chain for the given data;
@@ -382,9 +375,7 @@ def lipschitz_F_check(
         dF = ry._reynolds(u1, u0.bv, v, w, th2) - ry._reynolds(u2, u0.bv, v, w, th2)
         ry._require_finite("F", dF)
         worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(dF), 0), sp.norm_Hk(m[0] - m[1], 2)))
-    return LipschitzReport(
-        name="F", bound=tc.L_e, worst_ratio=worst, trials=trials, passed=worst <= tc.L_e
-    )
+    return CheckResult("lipschitz.F", worst <= tc.L_e, worst, tc.L_e, note=f"{trials} pairs")
 
 
 def holder_F_audit(cal_paths, fresh_paths, q_modes: np.ndarray, p: ModelParams, init_vw: StateVW) -> tuple:
@@ -421,7 +412,7 @@ class StudyRow:
     order: float
 
 
-# The model of the convergence study and of cli's verification suites.
+# The model of the convergence study and of the suites' audits.
 VERIFY_PARAMS = ModelParams(beta_F=1.0, beta_p=0.5, lift=sp.BoundaryLift(1.0, 1.0), eps1=0.5)
 
 
@@ -526,3 +517,167 @@ def convergence_study() -> dict:
     rows["gamma_tol"] = StudyRow(errors=errs_t, order=-slope)
 
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the suites of `gapflow verify`
+# ---------------------------------------------------------------------------
+
+
+def _suite_semigroup(seed: int) -> list:
+    k = 256
+    spec = sp.plate_eigenvalues(k)
+    rng = np.random.default_rng(seed)
+    decay = np.arange(1, k + 1, dtype=float) ** -2.0
+    phases = [sp.reduced_cossin(spec.omega, float(t)) for t in np.linspace(0.0, 100.0, 33)[1:]]
+
+    worst = 0.0
+    for rows in sp.audit_blocks(100):
+        # one state per row, v then w: the draw order of StateVW(v=..., w=...)
+        v, w = (rng.normal(size=(rows, 2, k)) * decay).transpose(1, 0, 2)
+        base = sp.norm_X(v, w, spec)
+        for c, sn in phases:
+            drift = np.abs(sp.norm_X(*sp._rotate(v, w, spec.omega, c, sn), spec) - base)
+            worst = max(worst, float(np.max(drift / base)))
+    results = [CheckResult("semigroup.norm_conservation", worst <= 1e-10, worst, 1e-10)]
+    s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
+    ab = sp.semigroup_apply(sp.semigroup_apply(s0, spec, 0.7), spec, 2.6)
+    direct = sp.semigroup_apply(s0, spec, 3.3)
+    gap = max(float(np.abs(ab.v - direct.v).max()), float(np.abs(ab.w - direct.w).max()))
+    scale = max(float(np.abs(direct.v).max()), float(np.abs(direct.w).max()))
+    # top-mode phases reach (k pi)^4 * t ~ 1e10, so trig argument reduction
+    # alone costs ~1e-10 relative; 1e-8 leaves margin without hiding real bugs
+    results.append(CheckResult("semigroup.cocycle", gap <= 1e-8 * scale, gap / scale, 1e-8))
+    return results
+
+
+def _suite_benchmark(seed: int) -> list:
+    gap = benchmark_against_duhamel(128, 1.0, 256)
+    fit = regularity_exponent_fit(linear_plate_closed_form(0.37, 128)[1])
+    ok = 4.7 <= fit.exponent <= 5.3 and fit.conclusive
+    return [
+        CheckResult("benchmark.closed_form_gap", gap <= 1e-10, gap, 1e-10),
+        CheckResult("benchmark.regularity_exponent", ok, fit.exponent, 5.3, note=f"residual={fit.residual:.3g}"),
+    ]
+
+
+def _suite_constants(seed: int) -> list:
+    alg = algebra_property_check(trials=10_000, seed=seed)
+    w0 = GridField(values=np.full(32, 1.0), bv=1.0)
+    inv = inverse_power_bounds_check(VERIFY_PARAMS, w0, trials=1000, seed=seed + 1)
+    worst = max(max(inv.worst_single), inv.worst_diff1, inv.worst_diff2)
+    note = f"C1={inv.C1:.4g} C2={inv.C2:.4g} C3={inv.C3:.4g}"
+    return [alg, CheckResult("constants.inverse_power", inv.passed, worst, 1.0, note=note)]
+
+
+# Paths the Hoelder audit calibrates on: its constants spread about 5x across
+# one path family, so a single path would leave the 2x margin to chance.
+_HOLDER_CALIBRATION_PATHS = 4
+# The Hoelder audit's grid: n modes, n_t steps of [0, T].
+_HOLDER_N, _HOLDER_T, _HOLDER_NT = 32, 5e-3, 10
+
+
+def _holder_q(seed) -> np.ndarray:
+    """The Hoelder audit's direction: one row of k^-3-decaying modes per time
+    node, drawn from seed and modulated by 1 + 0.2 cos."""
+    n, n_t = _HOLDER_N, _HOLDER_NT
+    qm = np.random.default_rng(seed).normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
+    return np.array([qm * (1.0 + 0.2 * math.cos(2 * math.pi * i / n_t)) for i in range(n_t + 1)])
+
+
+def _holder_path(seed) -> dp.PressurePath:
+    """A pressure path of the Hoelder audit: 1 plus k^-3-decaying modes drawn
+    from seed, of H2 norm 0.05, modulated by 1 + 0.3 sin over [0, T]."""
+    n, T, n_t = _HOLDER_N, _HOLDER_T, _HOLDER_NT
+    base = np.random.default_rng(seed).normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
+    base = 0.05 * base / max(1e-12, sp.norm_Hk(base, 2))
+    ts = np.linspace(0, T, n_t + 1)
+    modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
+    return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
+
+
+def _suite_lipschitz(seed: int) -> list:
+    n = _HOLDER_N
+    flat = GridField(values=np.full(n, 1.0), bv=1.0)
+    init = StateVW(v=np.zeros(n), w=np.r_[0.05, np.zeros(n - 1)])
+    results = [
+        lipschitz_G_check(VERIFY_PARAMS, flat, trials=1000, seed=seed),
+        lipschitz_F_check(VERIFY_PARAMS, flat, init, trials=1000, seed=seed + 1),
+    ]
+    # Hoelder audit of the right-hand side: calibrate on several paths, verify on a fresh one
+    cal = [_holder_path([seed + 3, j]) for j in range(_HOLDER_CALIBRATION_PATHS)]
+    passed, worst, L_A, L_B = holder_F_audit(cal, [_holder_path(seed + 4)], _holder_q(seed + 2), VERIFY_PARAMS, init)
+    note = f"L_A={L_A:.4g} L_B={L_B:.4g} (2x margin)"
+    results.append(CheckResult("lipschitz.holder_F", passed, worst, 1.0, note=note))
+    return results
+
+
+def _elliptic_operators(rng):
+    """Yield five P* operators at n = 48, each of a triple (u, v, w) of one or
+    two sine bumps with amplitudes drawn from rng."""
+    x = sp.grid(48)
+    for _ in range(5):
+        u0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(2 * np.pi * x) * rng.uniform(-1, 1)
+        w0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x) * rng.uniform(-1, 1)
+        v0 = 0.3 * np.sin(np.pi * x) * rng.uniform(-1, 1)
+        yield ry.assemble_Pstar(
+            GridField(values=u0, bv=1.0), GridField(values=v0, bv=0.0), GridField(values=w0, bv=1.0)
+        )
+
+
+def _suite_elliptic(seed: int) -> list:
+    reps = [
+        ry.elliptic_form_check(op, trials=10_000, seed=seed + 10 + trial)
+        for trial, op in enumerate(_elliptic_operators(np.random.default_rng(seed)))
+    ]
+    coercivity = CheckResult(
+        "elliptic.coercivity",
+        all(rep.passed for rep in reps),
+        min(rep.worst_slack for rep in reps),
+        0.0,
+        note="5 triples x 10^4 trials; measured = worst slack (must stay >= bound)",
+    )
+    flat = GridField(values=np.ones(16), bv=1.0)
+    return [coercivity, _sector_gate(ry.assemble_Pstar(flat, GridField(values=np.zeros(16), bv=0.0), flat))]
+
+
+def _sector_gate(op: ry.PstarOperator) -> CheckResult:
+    """Resolvent products along the sampled rays against 1/sin(pi - widest ray).
+
+    That bound is exact for a normal operator with real spectrum, such as the
+    constant-coefficient one of the elliptic suite; a non-normal operator
+    can exceed it and then fails the check.
+    """
+    sec = ry.sector_check(op)
+    bound = 1.0 / math.sin(math.pi - sec.angle)
+    passed = bool(sec.M_bound <= bound * (1.0 + 1e-9))
+    return CheckResult("elliptic.sector", passed, sec.M_bound, bound, note=f"angle={sec.angle:.4f}")
+
+
+# Accepted order bands (lo, hi) per convergence axis; the check's bound is lo.
+_CONVERGENCE_BANDS = {
+    "oracle_dt": (3.6, 4.4),
+    "driver_h": (1.5, 2.5),
+    "plate_k": (6.0, math.inf),
+    "gamma_tol": (0.5, 1.5),
+}
+
+
+def _suite_convergence(seed: int) -> list:
+    results = []
+    for axis, row in convergence_study().items():
+        lo, hi = _CONVERGENCE_BANDS[axis]
+        note = f"errors={tuple(float(f'{e:.3e}') for e in row.errors)} (bound = lower edge)"
+        results.append(CheckResult(f"convergence.{axis}", lo <= row.order <= hi, row.order, lo, note=note))
+    return results
+
+
+# Suite name -> runner, in the order `verify --suite all` runs them.
+SUITES = {
+    "semigroup": _suite_semigroup,
+    "benchmark": _suite_benchmark,
+    "constants": _suite_constants,
+    "lipschitz": _suite_lipschitz,
+    "elliptic": _suite_elliptic,
+    "convergence": _suite_convergence,
+}

@@ -20,7 +20,9 @@ from gapflow import cli
 from gapflow import dispersive as dp
 from gapflow import reynolds as ry
 from gapflow import spectral as sp
-from gapflow.cli import CheckResult, ConfigError, SweepCell
+from gapflow import verify as vf
+from gapflow.cli import ConfigError, SweepCell
+from gapflow.verify import CheckResult
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -418,7 +420,7 @@ class TestVerify:
                 turned = cli.sp.semigroup_apply(s0, spec, float(t))
                 drift = abs(cli.sp.norm_X(turned.v, turned.w, spec) - base)
                 worst = max(worst, drift / base)
-        conservation, cocycle = cli._suite_semigroup(seed)
+        conservation, cocycle = vf._suite_semigroup(seed)
         assert conservation.passed == (worst <= 1e-10) and conservation.passed
         assert conservation.measured <= 1e-14 and worst <= 1e-14  # rounding level on both sides
         # the cocycle state is the next draw: equal bits mean the same stream was consumed
@@ -444,14 +446,14 @@ class TestVerify:
         def rough(u_path, plate, p):
             F = real(u_path, plate, p)
             calls.append(1)
-            if len(calls) > cli._HOLDER_CALIBRATION_PATHS:  # the verification call
+            if len(calls) > vf._HOLDER_CALIBRATION_PATHS:  # the verification call
                 F = F.copy()
                 F[5] *= 2.0  # F jumps to twice its value at one time node
             return F
 
         monkeypatch.setattr(ry, "_F_path", rough)
-        holder = {r.name: r for r in cli._suite_lipschitz(0)}["lipschitz.holder_F"]
-        assert len(calls) == cli._HOLDER_CALIBRATION_PATHS + 1
+        holder = {r.name: r for r in vf._suite_lipschitz(0)}["lipschitz.holder_F"]
+        assert len(calls) == vf._HOLDER_CALIBRATION_PATHS + 1
         assert not holder.passed and holder.measured > 1.0
 
     def test_holder_audit_fails_a_fresh_quotient_three_times_the_allowed_one(self, monkeypatch):
@@ -462,14 +464,14 @@ class TestVerify:
 
         def inflated(u_path, q_modes, p, init_vw):
             rep = real(u_path, q_modes, p, init_vw)
-            if len(cal) < cli._HOLDER_CALIBRATION_PATHS:
+            if len(cal) < vf._HOLDER_CALIBRATION_PATHS:
                 cal.append(rep)
                 return rep
             L_A = max(r.measured_A / r.shape_A for r in cal)
             return dataclasses.replace(rep, measured_A=3.0 * 2.0 * L_A * rep.shape_A)
 
         monkeypatch.setattr(ry, "holder_F_quotients", inflated)
-        holder = {r.name: r for r in cli._suite_lipschitz(0)}["lipschitz.holder_F"]
+        holder = {r.name: r for r in vf._suite_lipschitz(0)}["lipschitz.holder_F"]
         assert not holder.passed and holder.measured == pytest.approx(3.0, rel=1e-12)
 
     def test_unknown_suite_raises(self):
@@ -498,12 +500,12 @@ class TestVerify:
             cli.GridField(values=np.ones(n), bv=1.0),
         )
         op.matrix[np.arange(n - 1), np.arange(1, n)] += 0.5 * (n + 1) ** 2  # non-normal
-        skewed = cli._sector_gate(op)
+        skewed = vf._sector_gate(op)
         assert not skewed.passed and skewed.measured > 1.9
 
     def test_failing_suite_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setitem(
-            cli._SUITE_RUNNERS,
+            vf.SUITES,
             "benchmark",
             lambda seed: [CheckResult("benchmark.stub", False, 2.0, 1.0)],
         )
@@ -596,6 +598,14 @@ class TestMain:
         )
         assert rc == 2
         assert "params.beta_F" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exit_two(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sw"
+        rc = cli.main(["sweep", "--config", self._write(tmp_path, SWEEP_1x1), "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the output directory is made
 
     def test_unknown_suite_exit_two(self, capsys):
         assert cli.main(["verify", "--suite", "bogus"]) == 2

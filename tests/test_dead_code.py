@@ -144,6 +144,19 @@ def test_only_spectral_decides_that_the_gap_closed():
     assert not sites, "QuenchSignal constructed outside spectral.require_open_gap: " + ", ".join(sites)
 
 
+def test_only_verify_constructs_a_check_result():
+    """verify.py owns every check of `gapflow verify`, its bound and its
+    verdict: no other module of the package constructs a CheckResult."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        for where, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if _callee(call) == "CheckResult":
+                sites.append(f"{path.stem}.{where or '<module>'}")
+    assert not sites, "CheckResult constructed outside verify.py: " + ", ".join(sites)
+
+
 def _dataclass_fields(tree) -> list:
     """(class name, field name) of every field declared in the body of a @dataclass."""
     fields = []

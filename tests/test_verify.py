@@ -141,9 +141,10 @@ class TestAlgebraCheck:
     def test_calibrate_then_verify(self):
         rep = vf.algebra_property_check(trials=2000, calibration_trials=500, k_max=24, seed=0)
         assert rep.passed
-        assert rep.C_alg >= 1.0  # the constant pair f = g = 1 anchors ratio 1
-        assert rep.worst_fresh <= rep.C_alg
-        assert 0.0 < rep.worst_fresh
+        assert rep.bound >= 1.0  # C_alg: the constant pair f = g = 1 anchors ratio 1
+        assert rep.measured <= rep.bound  # the worst fresh ratio
+        assert 0.0 < rep.measured
+        assert (rep.name, rep.note) == ("constants.algebra", "2000 fresh draws")
 
     def test_ratio_scaling_invariance(self):
         # the measured quotient is invariant under f -> lam f by homogeneity
@@ -189,7 +190,8 @@ class TestLipschitzChecks:
         w0 = GridField(values=np.full(n, 1.0), bv=1.0)
         rep = vf.lipschitz_G_check(P, w0, trials=300, seed=1)
         assert rep.passed
-        assert 0.0 < rep.worst_ratio < rep.bound
+        assert 0.0 < rep.measured < rep.bound
+        assert (rep.name, rep.note) == ("lipschitz.G", "300 pairs")
 
     def test_F_bound_holds(self):
         n = 24
@@ -198,7 +200,8 @@ class TestLipschitzChecks:
         u0 = GridField(values=np.full(n, 1.0), bv=1.0)
         rep = vf.lipschitz_F_check(P, u0, StateVW(v=np.zeros(n), w=w0m), trials=300, seed=2)
         assert rep.passed
-        assert 0.0 < rep.worst_ratio < rep.bound
+        assert 0.0 < rep.measured < rep.bound
+        assert (rep.name, rep.note) == ("lipschitz.F", "300 pairs")
 
 
 class TestHolderAudit:
@@ -287,7 +290,7 @@ def _ref_algebra(trials, k_max, seed, calibration_trials):
     worst_cal = worst_of(seed, calibration_trials, ratio_of(1.0, np.zeros(k_max), 1.0, np.zeros(k_max)))
     worst_fresh = worst_of(seed + 1, trials, 0.0)
     C_alg = margin * worst_cal
-    return dict(C_alg=C_alg, worst_calibration=worst_cal, worst_fresh=worst_fresh, passed=worst_fresh <= C_alg)
+    return dict(bound=C_alg, measured=worst_fresh, passed=worst_fresh <= C_alg)
 
 
 def _ref_inverse_power(p, w0, trials, seed, pairs=None):
@@ -340,7 +343,7 @@ def _ref_lipschitz_G(p, w0, trials, seed):
         g_diff = -p.beta_F / w1**2 + p.beta_F / w2**2
         num = sp.norm_Hk(sp.sine_transform(g_diff), 2)
         worst = max(worst, num / den)
-    return dict(bound=L, worst_ratio=worst, passed=worst <= L)
+    return dict(bound=L, measured=worst, passed=worst <= L)
 
 
 def _ref_lipschitz_F(p, u0, init, trials, seed):
@@ -357,7 +360,7 @@ def _ref_lipschitz_F(p, u0, init, trials, seed):
             continue
         num = sp.norm_Hk(sp.sine_transform(dF), 0)
         worst = max(worst, num / den)
-    return dict(bound=tc.L_e, worst_ratio=worst, passed=worst <= tc.L_e)
+    return dict(bound=tc.L_e, measured=worst, passed=worst <= tc.L_e)
 
 
 def _assert_matches(report, ref):
@@ -414,12 +417,10 @@ class TestBatchedAuditsMatchPerSampleLoops:
         rep = vf.lipschitz_F_check(P, u0, init, trials=trials, seed=10)
         _assert_matches(rep, _ref_lipschitz_F(P, u0, init, trials, 10))
 
-    @pytest.mark.parametrize("row", [3, 40])
-    @pytest.mark.parametrize("second", [False, True])
-    def test_inverse_power_gap_closure_in_one_row_raises(self, monkeypatch, row, second):
-        # the sample of one row of the second block closes the gap
-        n = 16
-        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+    @staticmethod
+    def _plant_closing(monkeypatch, row, second, n):
+        """Make the sample of one row of the second block w = 1 - 2 sin(pi x), a
+        closed gap about the flat w0; returns the rows of the blocks drawn."""
         closing = np.r_[-2.0, np.zeros(n - 1)]
         blocks = []
         real = vf._ball_pairs
@@ -432,6 +433,15 @@ class TestBatchedAuditsMatchPerSampleLoops:
             return d
 
         monkeypatch.setattr(vf, "_ball_pairs", sampler)
+        return closing, blocks
+
+    @pytest.mark.parametrize("row", [3, 40])
+    @pytest.mark.parametrize("second", [False, True])
+    def test_inverse_power_gap_closure_in_one_row_raises(self, monkeypatch, row, second):
+        # the sample of one row of the second block closes the gap
+        n = 16
+        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        closing, blocks = self._plant_closing(monkeypatch, row, second, n)
         with pytest.raises(RuntimeError, match="gap closed inside the sampling ball"):
             vf.inverse_power_bounds_check(P, w0, trials=300, seed=0)
         assert blocks == [256, 44]  # the block was drawn whole, then measured
@@ -440,14 +450,25 @@ class TestBatchedAuditsMatchPerSampleLoops:
         with pytest.raises(RuntimeError, match="gap closed inside the sampling ball"):
             _ref_inverse_power(P, w0, 300, 0, pairs=pairs)
 
+    @pytest.mark.parametrize("row", [3, 40])
+    @pytest.mark.parametrize("second", [False, True])
+    def test_lipschitz_G_gap_closure_in_one_row_raises(self, monkeypatch, row, second):
+        # the audit measures the model's G, which is undefined where the gap is closed
+        n = 16
+        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        _, blocks = self._plant_closing(monkeypatch, row, second, n)
+        with pytest.raises(sp.QuenchSignal, match="gap closed"):
+            vf.lipschitz_G_check(vf.VERIFY_PARAMS, w0, trials=300, seed=0)
+        assert blocks == [256, 44]
+
     @pytest.mark.filterwarnings("error")  # a skipped row must not be divided by its zero
     def test_pairs_with_zero_denominator_are_skipped(self, monkeypatch):
         w0m, w0 = _bump_w0(16)
         u0 = GridField(values=np.full(16, 1.0), bv=1.0)
         monkeypatch.setattr(vf.np.random, "default_rng", lambda seed: _ConstantRng())
-        assert vf.lipschitz_G_check(P, w0, trials=300).worst_ratio == 0.0
+        assert vf.lipschitz_G_check(P, w0, trials=300).measured == 0.0
         rep = vf.lipschitz_F_check(P, u0, StateVW(v=np.zeros(16), w=w0m), trials=300)
-        assert rep.worst_ratio == 0.0 and rep.passed
+        assert rep.measured == 0.0 and rep.passed
         inv = vf.inverse_power_bounds_check(P, w0, trials=300)
         assert inv.worst_diff1 == inv.worst_diff2 == 0.0 and max(inv.worst_single) > 0.0
 

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,46 +55,61 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _key(section: str, kind: str, default: str, bound=None, key: str | None = None):
+    """The RunConfig field of one config key, with its row of _CONFIG_KEYS:
+    [section] key (default: the field name), kind, default text and bound.
+
+    The kind fixes how the text converts and echoes: "float" (a value is
+    required), "float?" (empty means None), "floats" (comma list), "int",
+    "str" (kept as written) and "horizon" (run.T: "auto", or a float echoed
+    as the resolved horizon).  Every number must be finite, list entries
+    included.  The bound, (">=" or ">", limit) or ("in", choices), holds for
+    every value given, and for each entry of a list.  parse_config resolves
+    init.file_sha256 and run.T_source further; N_t, tol and max_iter default
+    to DriverConfig's.  Sections and keys echo in field order.
+    """
+    return field(metadata={"row": (section, key, kind, default, bound)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved, validated run configuration.
 
-    Every field but init_arrays is one config key of _CONFIG_KEYS, which
-    fixes its text form and its bound.  T is always the numeric horizon;
-    T_source records whether it came from the config verbatim or from the
-    constructive horizon estimate ("auto").  For file-loaded initial data the
-    arrays live in init_arrays and the file's content hash enters the
-    canonical echo (and thus the config hash).
+    Every field but init_arrays is one config key, declared by _key.  T is
+    always the numeric horizon; T_source records whether it came from the
+    config verbatim or from the constructive horizon estimate ("auto").  For
+    file-loaded initial data the arrays live in init_arrays and the file's
+    content hash enters the canonical echo (and thus the config hash).
     """
 
-    beta_F: float
-    beta_p: float
-    theta1: float
-    theta2: float
-    eps1: float
-    init_kind: str
-    u_amp: float
-    w_amp: float
-    v_amp: float
-    init_file: str
-    k_max: int
-    n: int
-    N_t: int
-    T: float
-    T_source: str
-    tol: float
-    max_iter: int
-    quench_eps: float | None
-    u_cap: float | None
-    chunk_init: float | None
-    chunk_cap: float | None
-    outdir: str
-    snapshots: tuple
-    seed: int
-    sweep_beta_F: tuple
-    sweep_beta_p: tuple
+    beta_F: float = _key("params", "float", "1.0", (">=", 0))
+    beta_p: float = _key("params", "float", "0.5", (">=", 0))
+    theta1: float = _key("params", "float", "1.0", (">", 0))
+    theta2: float = _key("params", "float", "1.0", (">", 0))
+    eps1: float = _key("params", "float", "0.5", (">", 0))
+    init_kind: str = _key("init", "str", "single-bump", ("in", ("constant", "single-bump", "file")), key="kind")
+    u_amp: float = _key("init", "float", "0.1")
+    w_amp: float = _key("init", "float", "0.05")
+    v_amp: float = _key("init", "float", "0.0")
+    init_file: str = _key("init", "str", "", key="file")
+    init_file_sha256: str = _key("init", "str", "", key="file_sha256")
+    k_max: int = _key("discretization", "int", "48", (">=", 1))
+    n: int = _key("discretization", "int", "48", (">=", 1))
+    n_t: int = _key("discretization", "int", str(DriverConfig.n_t), (">=", 1), key="N_t")
+    T: float = _key("run", "horizon", "0.02", (">", 0))
+    T_source: str = _key("run", "str", "")
+    tol: float = _key("run", "float", repr(DriverConfig.tol), (">", 0))
+    max_iter: int = _key("run", "int", str(DriverConfig.max_iter), (">=", 1))
+    quench_eps: float | None = _key("run", "float?", "", (">", 0))
+    u_cap: float | None = _key("run", "float?", "", (">", 0))
+    chunk_init: float | None = _key("run", "float?", "", (">", 0))
+    chunk_cap: float | None = _key("run", "float?", "", (">", 0))
+    outdir: str = _key("output", "str", "out")
+    snapshots: tuple = _key("output", "floats", "")
+    seed: int = _key("output", "int", "0", (">=", 0))
+    sweep_beta_F: tuple = _key("sweep", "floats", "", (">=", 0), key="beta_F_values")
+    sweep_beta_p: tuple = _key("sweep", "floats", "", (">=", 0), key="beta_p_values")
     init_arrays: tuple | None = field(default=None, repr=False, compare=False)
-    init_file_sha256: str = ""
 
     def canonical(self) -> str:
         """Deterministic full echo: every key explicit, defaults filled, T resolved."""
@@ -136,54 +151,16 @@ class RunConfig:
         )
 
     def driver_config(self) -> DriverConfig:
-        return DriverConfig(
-            n_t=self.N_t,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            quench_eps=self.quench_eps,
-            u_cap=self.u_cap,
-            chunk_init=self.chunk_init,
-            chunk_cap=self.chunk_cap,
-        )
+        return DriverConfig(**{f.name: getattr(self, f.name) for f in fields(DriverConfig)})
 
 
-# Every config key: (section, key, RunConfig field, kind, default text, lower
-# bound).  The kind fixes how the text converts and echoes: "float" (a value
-# is required), "float?" (empty means None), "floats" (comma list), "int",
-# "str" (kept as written) and "horizon" (run.T: "auto", or a float echoed as
-# the resolved horizon).  Every number must be finite, list entries included.
-# The bound, (">=" or ">", limit), holds for every value given, and for each
-# entry of a list.  parse_config resolves init.file_sha256 and run.T_source
-# further; N_t, tol and max_iter default to DriverConfig's.  Sections and keys
-# echo in this order.
-_CONFIG_KEYS = (
-    ("params", "beta_F", "beta_F", "float", "1.0", (">=", 0)),
-    ("params", "beta_p", "beta_p", "float", "0.5", (">=", 0)),
-    ("params", "theta1", "theta1", "float", "1.0", (">", 0)),
-    ("params", "theta2", "theta2", "float", "1.0", (">", 0)),
-    ("params", "eps1", "eps1", "float", "0.5", (">", 0)),
-    ("init", "kind", "init_kind", "str", "single-bump", None),
-    ("init", "u_amp", "u_amp", "float", "0.1", None),
-    ("init", "w_amp", "w_amp", "float", "0.05", None),
-    ("init", "v_amp", "v_amp", "float", "0.0", None),
-    ("init", "file", "init_file", "str", "", None),
-    ("init", "file_sha256", "init_file_sha256", "str", "", None),
-    ("discretization", "k_max", "k_max", "int", "48", (">=", 1)),
-    ("discretization", "n", "n", "int", "48", (">=", 1)),
-    ("discretization", "N_t", "N_t", "int", str(DriverConfig.n_t), (">=", 1)),
-    ("run", "T", "T", "horizon", "0.02", (">", 0)),
-    ("run", "T_source", "T_source", "str", "", None),
-    ("run", "tol", "tol", "float", repr(DriverConfig.tol), (">", 0)),
-    ("run", "max_iter", "max_iter", "int", str(DriverConfig.max_iter), (">=", 1)),
-    ("run", "quench_eps", "quench_eps", "float?", "", (">", 0)),
-    ("run", "u_cap", "u_cap", "float?", "", (">", 0)),
-    ("run", "chunk_init", "chunk_init", "float?", "", (">", 0)),
-    ("run", "chunk_cap", "chunk_cap", "float?", "", (">", 0)),
-    ("output", "outdir", "outdir", "str", "out", None),
-    ("output", "snapshots", "snapshots", "floats", "", None),
-    ("output", "seed", "seed", "int", "0", (">=", 0)),
-    ("sweep", "beta_F_values", "sweep_beta_F", "floats", "", (">=", 0)),
-    ("sweep", "beta_p_values", "sweep_beta_p", "floats", "", (">=", 0)),
+# Every config key: (section, key, RunConfig field, kind, default text, bound),
+# in field order.
+_CONFIG_KEYS = tuple(
+    (sec, key or f.name, f.name, kind, default, bound)
+    for f in fields(RunConfig)
+    if "row" in f.metadata
+    for sec, key, kind, default, bound in [f.metadata["row"]]
 )
 
 
@@ -264,22 +241,19 @@ def parse_config(text: str) -> RunConfig:
     c = {}
     for sec, key, name, kind, _, bound in _CONFIG_KEYS:
         value = _convert(kind, f"{sec}.{key}", raw[(sec, key)], violations)
-        if bound and value not in (None, "auto"):
+        if bound and value is not None and (kind, value) != ("horizon", "auto"):
             op, limit = bound
             entries = value if kind == "floats" else (value,)
             for x in entries:
-                if x is not None and not (x >= limit if op == ">=" else x > limit):
-                    violations.append(f"{sec}.{key}: must be {op} {limit} (got {x!r})")
+                if x is not None and not (x in limit if op == "in" else x >= limit if op == ">=" else x > limit):
+                    want = "one of " + ", ".join(limit) if op == "in" else f"{op} {limit}"
+                    violations.append(f"{sec}.{key}: must be {want} (got {x!r})")
                     value = None
         c[name] = value
     init_kind, init_file, k_max, n = c["init_kind"], c["init_file"], c["k_max"], c["n"]
     file_sha_given = c["init_file_sha256"].strip().lower()
     T_source_raw = c["T_source"].strip().lower()
 
-    if init_kind not in ("constant", "single-bump", "file"):
-        violations.append(
-            f"init.kind: must be one of constant, single-bump, file (got {init_kind!r})"
-        )
     if None not in (k_max, n) and n != k_max:
         violations.append(
             f"discretization: the coupled driver requires n == k_max (got n={n}, k_max={k_max})"
@@ -374,13 +348,11 @@ def parse_config(text: str) -> RunConfig:
 
 @dataclass
 class RunRecord:
-    """One executed simulation: config identity, report, snapshots."""
+    """One executed simulation: its config, report and snapshots."""
 
-    config_hash: str
+    config: RunConfig
     report: RunReport
     snapshots: tuple
-    code_version: str
-    canonical_config: str
 
 
 def _fmt(x) -> str:
@@ -409,21 +381,15 @@ def _execute(cfg: RunConfig) -> RunRecord:
     report = ry.run_coupled(cfg.model_params(), cfg.initial_state(), cfg.T, cfg.driver_config())
     snap_times = cfg.snapshots if cfg.snapshots else (0.0, report.final_state.t)
     snaps = tuple(_snapshot_at(report, t) for t in snap_times)
-    return RunRecord(
-        config_hash=cfg.config_hash,
-        report=report,
-        snapshots=snaps,
-        code_version=__version__,
-        canonical_config=cfg.canonical(),
-    )
+    return RunRecord(cfg, report, snaps)
 
 
 def _record_payload(record: RunRecord) -> dict:
     rep = record.report
     return {
         "schema_version": SCHEMA_VERSION,
-        "config_hash": record.config_hash,
-        "code_version": record.code_version,
+        "config_hash": record.config.config_hash,
+        "code_version": __version__,
         "termination": rep.termination,
         "T": float(rep.T),
         "T_used": float(rep.T_used),
@@ -495,7 +461,7 @@ def cmd_simulate(cfg: RunConfig, out: str | None = None, quiet: bool = False) ->
     os.makedirs(outdir, exist_ok=True)
     echo_path = os.path.join(outdir, "config_echo.ini")
     with open(echo_path, "w", encoding="utf-8") as fh:
-        fh.write(record.canonical_config)
+        fh.write(record.config.canonical())
     export(record, "csv", outdir)
     export(record, "json", outdir)
     if not quiet:

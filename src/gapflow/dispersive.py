@@ -280,7 +280,6 @@ class TheoryConstants(ContractionConstants):
     L_W: float
     L_U: float
     L_e: float
-    r: float
 
 
 def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryConstants:
@@ -335,9 +334,7 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
     C_hat3 = cc.C * (C_t2 * cc.C1 + C_t1 * cc.C1 * L_W + C_t1 * C_t2 * cc.C1**2 * L_W)
     L_e = cc.C * cc.C1**2 * cc.C_tilde**3 * C_t1**2 * L_W + C_hat1 + C_hat2 + C_hat3
 
-    return TheoryConstants(
-        **vars(cc), T0=T0, T0_branches=branches, L_W=float(L_W), L_U=float(L_U), L_e=float(L_e), r=float(r)
-    )
+    return TheoryConstants(**vars(cc), T0=T0, T0_branches=branches, L_W=float(L_W), L_U=float(L_U), L_e=float(L_e))
 
 
 # --- Picard construction of the mild solution --------------------------------

@@ -121,7 +121,6 @@ class EllipticReport:
     K2: float
     passed: bool
     worst_slack: float
-    trials: int
 
 
 @dataclass
@@ -206,8 +205,8 @@ _MAX_CHUNKS = 10_000
 @dataclass
 class DriverConfig:
     """Adaptive-chunk driver knobs, and the one owner of their defaults:
-    the config schema (cli._CONFIG_KEYS) and gamma_iterate read theirs from
-    this class.
+    the config schema (the fields of cli.RunConfig, whose driver keys carry
+    these names) and gamma_iterate read theirs from this class.
 
     ``n_t`` time samples per chunk; ``tol`` is the outer Gamma tolerance
     (inner plate solves run at 0.01 tol) and ``max_iter`` its sweep limit.
@@ -424,7 +423,7 @@ def elliptic_form_check(
         slack = lhs - (K * dq2 - K_o * q2)
         worst = min(worst, float(slack.min()))
         ok = ok and not np.any(slack < -1e-9 * np.maximum(1.0, lhs))
-    return EllipticReport(K=K, K_o=K_o, K2=K2, passed=ok, worst_slack=worst, trials=trials)
+    return EllipticReport(K=K, K_o=K_o, K2=K2, passed=ok, worst_slack=worst)
 
 
 # A resolvent-norm product past this is taken as a singular resolvent.
@@ -871,9 +870,10 @@ def integrate_reference(
 
     Requires dt <= 0.5/omega_max (explicit stability with a 5.6x margin under
     the RK4 imaginary-axis limit |z| <= 2*sqrt(2)), k_max == n and the
-    pressure trace theta1.  Returns the sampled states as a Trajectory,
-    always including the first and last.  Raises the quench signal when the
-    gap reaches quench_eps (or closes entirely); a step in which a stage sees
+    pressure trace theta1; the marched step T/steps stays under that limit.
+    Returns the sampled states as a Trajectory, always including the first
+    and last.  Raises the quench signal when the gap reaches quench_eps (or
+    closes entirely); a step in which a stage sees
     the gap closed is redone in adaptive sub-steps, and EndgameBudgetSignal
     reports that _ENDGAME_SUBSTEPS of them did not resolve it.  Every signal
     carries the stored Trajectory, ending at the state where it was raised.
@@ -881,10 +881,11 @@ def integrate_reference(
     _require_coupled(init, p)
     n = init.u.n
     th1, th2 = p.lift.theta1, p.lift.theta2
-    omega_max = float(sp.plate_eigenvalues(n).omega[-1])
-    if dt > 0.5 / omega_max:
-        raise ValueError(f"step-size violation: dt={dt} exceeds 0.5/omega_max={0.5 / omega_max:.3e}")
+    limit = 0.5 / float(sp.plate_eigenvalues(n).omega[-1])
+    if dt > limit:
+        raise ValueError(f"step-size violation: dt={dt} exceeds 0.5/omega_max={limit:.3e}")
     steps = max(1, int(round(T / dt)))
+    steps += T / steps > limit  # where round() went down to a step over the limit
     dt = T / steps
     if store_every is None:
         store_every = max(1, steps // 512)

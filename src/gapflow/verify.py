@@ -260,9 +260,8 @@ class InversePowerReport:
     C2: float
     C3: float
     worst_single: tuple  # worst ||1/w^k||_H2 / C1^k for k = 1, 2, 3
-    worst_diff1: float  # worst ||1/w1 - 1/w2||_H2 / (C2 ||dw||_H2)
-    worst_diff2: float  # worst ||1/w1^2 - 1/w2^2||_H2 / (C3 ||dw||_H2)
-    trials: int
+    worst_diff1: float  # worst ||1/w1^2 - 1/w2^2||_H2 / (C2 ||dw||_H2)
+    worst_diff2: float  # worst ||1/w1^3 - 1/w2^3||_H2 / (C3 ||dw||_H2)
     passed: bool
 
 
@@ -273,13 +272,13 @@ def inverse_power_bounds_check(
     trials: int = 1000,
     seed: int = 0,
 ) -> InversePowerReport:
-    """Audit ||1/w^k||_H2 <= C1^k and the two difference bounds on the r-ball.
+    """Audit ||1/w^k||_H2 <= C1^k and the difference bounds of 1/w^2 and 1/w^3 on the r-ball.
 
     Samples are w = w0 + (zero-trace perturbation) with perturbation H2 norm
     at most r < kappa/(2C); inverse powers are expanded on a 4x refined grid
     and measured in the lifted H2 metric (differences are zero-trace, so the
-    lifts cancel there).  C2 = 2 C1^3 and C3 = 3 C1^4 follow the constant
-    assembly of the estimates chain.
+    lifts cancel there).  C2 = 2 C1^3 bounds 1/w^2 differences and C3 = 3 C1^4
+    bounds 1/w^3 differences, as in the constant assembly of the estimates chain.
     """
     cc = dp.contraction_constants(p, w0)
     r = cc.radius(r)
@@ -299,13 +298,13 @@ def inverse_power_bounds_check(
     for rows in sp.audit_blocks(trials):
         d1, d2 = _ball_pairs(streams, rows, k_max, r)
         inv1 = inv_modes(d1, (1, 2, 3))
-        inv2 = inv_modes(d2, (1, 2))
+        inv2 = inv_modes(d2, (2, 3))
         for kpow in (1, 2, 3):
             nrm = sp.norm_Hk(inv1[kpow - 1], 2, w0.bv ** (-float(kpow)))
             worst_single[kpow - 1] = max(worst_single[kpow - 1], _worst(nrm, cc.C1**kpow))
         den = sp.norm_Hk(d1 - d2, 2)
-        worst_d1 = max(worst_d1, _worst(sp.norm_Hk(inv1[0] - inv2[0], 2), cc.C2 * den))
-        worst_d2 = max(worst_d2, _worst(sp.norm_Hk(inv1[1] - inv2[1], 2), cc.C3 * den))
+        worst_d1 = max(worst_d1, _worst(sp.norm_Hk(inv1[1] - inv2[0], 2), cc.C2 * den))
+        worst_d2 = max(worst_d2, _worst(sp.norm_Hk(inv1[2] - inv2[1], 2), cc.C3 * den))
     passed = max(worst_single) <= 1.0 and worst_d1 <= 1.0 and worst_d2 <= 1.0
     return InversePowerReport(
         C1=cc.C1,
@@ -314,7 +313,6 @@ def inverse_power_bounds_check(
         worst_single=tuple(worst_single),
         worst_diff1=worst_d1,
         worst_diff2=worst_d2,
-        trials=trials,
         passed=passed,
     )
 

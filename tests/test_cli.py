@@ -82,13 +82,32 @@ class TestParseConfig:
         assert (cfg.theta1, cfg.theta2, cfg.eps1) == (1.0, 1.0, 0.5)
         assert cfg.init_kind == "single-bump"
         assert (cfg.u_amp, cfg.w_amp, cfg.v_amp) == (0.1, 0.05, 0.0)
-        assert (cfg.k_max, cfg.n, cfg.N_t) == (48, 48, 32)
+        assert (cfg.k_max, cfg.n, cfg.n_t) == (48, 48, 32)
         assert (cfg.T, cfg.T_source) == (0.02, "explicit")
         assert (cfg.tol, cfg.max_iter) == (1e-9, 40)
         assert cfg.quench_eps is None and cfg.u_cap is None
         assert cfg.chunk_init is None and cfg.chunk_cap is None
         assert cfg.outdir == "out" and cfg.seed == 0
         assert cfg.snapshots == () and cfg.sweep_beta_F == () and cfg.sweep_beta_p == ()
+
+    def test_every_field_but_init_arrays_is_one_key_in_field_order(self):
+        names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "init_arrays"]
+        assert [name for _, _, name, *_ in cli._CONFIG_KEYS] == names and len(names) == 27
+
+    def test_driver_keys_reach_the_driver_config(self):
+        text = (
+            "[discretization]\nN_t = 7\n\n[run]\ntol = 1e-6\nmax_iter = 5\nquench_eps = 0.01\n"
+            "u_cap = 50.0\nchunk_init = 0.001\nchunk_cap = 0.002\n"
+        )
+        assert cli.parse_config(text).driver_config() == ry.DriverConfig(
+            n_t=7, tol=1e-6, max_iter=5, quench_eps=0.01, u_cap=50.0, chunk_init=0.001, chunk_cap=0.002
+        )
+
+    @pytest.mark.parametrize("kind", ["bogus", "auto", "Constant"])
+    def test_unknown_init_kind_is_rejected(self, kind):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"[init]\nkind = {kind}\n")
+        assert err.value.violations == [f"init.kind: must be one of constant, single-bump, file (got {kind!r})"]
 
     def test_canonical_echo_lists_every_key(self):
         text = cli.parse_config("").canonical()

@@ -184,28 +184,42 @@ def _written_in_place(tree) -> set:
     return ids
 
 
+def _not_names(tree) -> set:
+    """ids of the string constants that name nothing: the argnames of
+    pytest.mark.parametrize(...) and the mode of open(...)."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node) == "parametrize" and node.args:
+            ids.update(id(n) for n in ast.walk(node.args[0]))
+        elif isinstance(node, ast.Call) and _callee(node) == "open":
+            ids.update(id(n) for n in node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"])
+    return ids
+
+
 def test_every_dataclass_field_is_read_somewhere():
     """A field of a @dataclass in src/gapflow that nothing in src/, tests/ or
     perfbench/ reads is data computed for no one.  A read is an attribute load
-    of that name, an identifier-like string (a getattr table), or a keyword of
-    a call other than the class's own constructor (a dict of expected values
-    that a test compares with getattr).  Writing into a field's value,
-    x.f[k] = v or x.f.update(...), is not a read of f."""
-    attributes, strings, keywords = set(), set(), {}
+    of that name, an identifier-like string (a getattr table) other than the
+    argnames of parametrize and the mode of open, or a keyword of a dict(...)
+    call (a dict of expected values that a test compares with getattr).
+    Writing into a field's value, x.f[k] = v or x.f.update(...), is not a
+    read of f."""
+    reads = set()
     for path in _sources():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        written = _written_in_place(tree)
+        skip = _written_in_place(tree) | _not_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in written:
-                attributes.add(node.attr)
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-                strings.add(node.value)
-            elif isinstance(node, ast.Call):
-                keywords.setdefault(_callee(node), set()).update(k.arg for k in node.keywords if k.arg)
+                reads.add(node.value)
+            elif isinstance(node, ast.Call) and _callee(node) == "dict":
+                reads.update(k.arg for k in node.keywords if k.arg)
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls, name in _dataclass_fields(ast.parse(path.read_text(encoding="utf-8"))):
-            passed = any(name in kws for callee, kws in keywords.items() if callee != cls)
-            if name not in attributes and name not in strings and not passed:
+            if name not in reads:
                 unread.append(f"{path.stem}.{cls}.{name}")
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)

@@ -727,7 +727,7 @@ class TestGammaIterate:
                 return path, report
 
             monkeypatch.setattr(dp, "picard_dispersive", counted)
-            u_fix, rep, _ = ry.gamma_iterate(p, init, chunk, cfg.N_t, tol=cfg.tol)
+            u_fix, rep, _ = ry.gamma_iterate(p, init, chunk, cfg.n_t, tol=cfg.tol)
             assert rep.converged and len(reports) == rep.iterations + 1
             return sum(r.iterations for r in reports), rep.iterations
 
@@ -1155,6 +1155,14 @@ class TestMolOracle:
         init = smooth_coupled_init(16)
         with pytest.raises(ValueError, match="step-size"):
             ry.integrate_reference(p, init, 0.1, 1.0)
+
+    def test_marched_step_stays_under_the_stability_limit(self):
+        # a step at the limit rounds to 2 steps of 1.2x the limit over 2.4 limits
+        p = base_params()
+        init = smooth_coupled_init(16)
+        limit = 0.5 / float(sp.plate_eigenvalues(16).omega[-1])
+        traj = ry.integrate_reference(p, init, 2.4 * limit, limit, store_every=1)
+        assert traj.t.size == 4 and np.all(np.diff(traj.t) <= limit)
 
     def test_pressure_blowup_signal(self):
         p = base_params()

@@ -183,6 +183,20 @@ class TestInversePowerCheck:
         with pytest.raises(ValueError):
             vf.inverse_power_bounds_check(P, w0, r=1e9, trials=10)
 
+    def test_C2_bounds_the_difference_of_inverse_squares(self, monkeypatch):
+        # C2 bounds 1/w^2 differences; a C2 shrunk 1e5-fold must fail them (it
+        # still passed the 1/w differences measured against it before)
+        real = dp.contraction_constants
+
+        def shrunk(p, w0):
+            cc = real(p, w0)
+            return replace(cc, C2=1e-5 * cc.C2)
+
+        monkeypatch.setattr(dp, "contraction_constants", shrunk)
+        w0 = GridField(values=np.full(32, 1.0), bv=1.0)
+        rep = vf.inverse_power_bounds_check(vf.VERIFY_PARAMS, w0, trials=300, seed=0)
+        assert rep.worst_diff1 > 1.0 and not rep.passed
+
 
 class TestLipschitzChecks:
     def test_G_bound_holds(self):
@@ -317,10 +331,10 @@ def _ref_inverse_power(p, w0, trials, seed, pairs=None):
             worst_single[kpow - 1] = max(worst_single[kpow - 1], nrm / cc.C1**kpow)
         den = sp.norm_Hk(d1 - d2, 2)
         if den > 0:
-            g1 = inv_modes(d1, 1) - inv_modes(d2, 1)
             g2 = inv_modes(d1, 2) - inv_modes(d2, 2)
-            worst_d1 = max(worst_d1, sp.norm_Hk(g1, 2) / (cc.C2 * den))
-            worst_d2 = max(worst_d2, sp.norm_Hk(g2, 2) / (cc.C3 * den))
+            g3 = inv_modes(d1, 3) - inv_modes(d2, 3)
+            worst_d1 = max(worst_d1, sp.norm_Hk(g2, 2) / (cc.C2 * den))
+            worst_d2 = max(worst_d2, sp.norm_Hk(g3, 2) / (cc.C3 * den))
     passed = max(worst_single) <= 1.0 and worst_d1 <= 1.0 and worst_d2 <= 1.0
     return dict(worst_single=tuple(worst_single), worst_diff1=worst_d1, worst_diff2=worst_d2, passed=passed)
 

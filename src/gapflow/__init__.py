@@ -5,7 +5,7 @@ Layout:
     dispersive  mild-solution Picard solver for the plate given a pressure path
     reynolds    coupled driver: frozen-coefficient parabolic solve + Gamma iteration,
                 finite-difference pressure operator, RK4 method-of-lines reference
-    verify      every verify suite: each check's measurement, bound and verdict
+    verify      every verify suite: each check's measurement (Hoelder chain included), bound, verdict
     cli         simulate / verify / sweep / export entry points
 """
 

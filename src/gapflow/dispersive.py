@@ -9,9 +9,7 @@ Given u(t) (pressure, boundary value theta1), solve for the plate state
 
 by Picard iteration, with the semigroup T and the Duhamel kicks from
 gapflow.spectral.  Also provides the fixed-point loop shared by every
-contraction in the package, the constants chain and its horizon T0, the
-Frechet derivative of the solution operator W, and empirical
-Lipschitz/Hoelder constant estimators used by the verification suites.
+contraction in the package and the constants chain with its horizon T0.
 
 The contraction theory constants (C1, C2, L_G, T0, L_W, ...) are rigorous but
 existence-grade: measured contraction ratios run orders of magnitude below the
@@ -472,96 +470,6 @@ def picard_dispersive(
             f"but min w = {min_w:.6g} < kappa/2 = {cc.kappa/2:.6g}"
         )
     return path, report
-
-
-# sweep limit of the linear Frechet solve
-_FRECHET_MAX_ITER = 200
-
-
-def frechet_W(
-    p: ModelParams,
-    q_path: np.ndarray,
-    vw: VWPath,
-    tol: float = 1e-12,
-) -> tuple:
-    """Directional derivative (v'(u)q, w'(u)q) along a zero-trace perturbation path q.
-
-    Solves the linear mild system
-
-        (v'q, w'q)(t) = int_0^t T(t-s) ( beta_p q(s) + 2 beta_F [w'q](s)/[w(s)]^3, 0 ) ds
-
-    by the same Duhamel/Picard machinery as the forward solve (q_path is the
-    array of q mode coefficients per node, shape (n_t + 1, k_max)).  Returns
-    the arrays (v'q, w'q) of the same shape; both vanish at t = 0 by
-    construction.
-    """
-    times = vw.times
-    k_max = vw.v.shape[1]
-    spec = plate_eigenvalues(k_max)
-    coeffs = duhamel_coeffs(spec.omega, np.diff(times))
-    q_path = np.asarray(q_path, dtype=float)
-    zero = StateVW(np.zeros(k_max), np.zeros(k_max))
-
-    def f(w_fine, wq_fine):
-        require_open_gap(w_fine, "gap closed inside frechet_W")
-        return 2.0 * p.beta_F * wq_fine / w_fine**3
-
-    def sweep(path):
-        forcing = dealias_apply(f, vw.w, path.w, bvs=(p.lift.theta2, 0.0)) + p.beta_p * q_path
-        return VWPath(times, *duhamel_sweep(zero, spec.omega, coeffs, forcing))
-
-    path, diffs, ratios, status = fixed_point(
-        sweep,
-        VWPath(times, np.zeros(vw.v.shape), np.zeros(vw.w.shape)),
-        path_diff_norm,
-        tol,
-        _FRECHET_MAX_ITER,
-        lambda ratios: bool(ratios) and ratios[-1] >= 1.0,
-    )
-    if status == "diverged":
-        raise PicardDivergence(
-            f"frechet_W linear sweeps not contracting (diff {diffs[-2]:.3g} -> {diffs[-1]:.3g})",
-            PicardReport(len(diffs), [ratios[-1]], False),
-        )
-    if status == "exhausted":
-        raise PicardDivergence(
-            f"frechet_W: no convergence to {tol:g} in {_FRECHET_MAX_ITER} sweeps",
-            PicardReport(_FRECHET_MAX_ITER, [], False),
-        )
-    return path.v, path.w
-
-
-def holder_seminorm(times: np.ndarray, values: np.ndarray, norm, alpha: float) -> float:
-    """max over node pairs i < j of norm(values[j] - values[i]) / (t_j - t_i)^alpha.
-
-    norm maps a stack of differences (one per row) to their norms.  The powers
-    are taken one pair at a time in scalar arithmetic, which the vectorized
-    power does not reproduce to the last bit.
-    """
-    worst = 0.0
-    for i in range(times.size - 1):
-        dists = norm(values[i + 1 :] - values[i]).tolist()
-        gaps = (times[i + 1 :] - times[i]).tolist()
-        worst = max(worst, *(d / h**alpha for d, h in zip(dists, gaps)))
-    return worst
-
-
-def empirical_holder(path, alpha: float) -> float:
-    """max over sample pairs of ||X(t+h) - X(t)|| / h^alpha.
-
-    VWPath pairs are measured in L2 x H2, PressurePath pairs in H2 (lifts
-    cancel in differences).
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha in (0, 1] required")
-    if path.times.size < 3:
-        raise ValueError("need at least 3 time samples")
-    if isinstance(path, VWPath):
-        k = path.v.shape[1]
-        return holder_seminorm(
-            path.times, np.concatenate([path.v, path.w], axis=1), lambda d: state_norm_L2H2(d[:, :k], d[:, k:]), alpha
-        )
-    return holder_seminorm(path.times, sine_transform(path.values - path.bv), lambda d: norm_Hk(d, 2), alpha)
 
 
 def uniform_pressure_path(u_fn, T: float, n_t: int, n: int, theta1: float) -> PressurePath:

@@ -10,8 +10,6 @@ This module owns the gas-film side of the model and the fully coupled run:
   dense exp / phi_1 / phi_2 matrices of P* with exponential-trapezoid forcing,
 * ``gamma_iterate`` -- the outer contraction that produces the pressure fixed
   point (each sweep solves the plate subproblem for the current pressure),
-* ``frechet_F`` / ``holder_F_quotients`` -- derivative assembly and the two
-  measured Hoelder quotients of the right-hand side,
 * ``mol_rhs`` / ``integrate_reference`` -- the independent Runge-Kutta
   method-of-lines oracle on the same spatial discretization,
 * ``run_coupled`` / ``continue_run`` -- the adaptive chunked driver with
@@ -22,10 +20,10 @@ fields carry their boundary trace (theta_1) in ``GridField.bv`` (one state)
 or ``PressurePath.bv`` (a path, one row of samples per time node); plate
 fields live in sine-mode space and are synthesized onto the pressure grid
 where the two equations meet.  That synthesis is the n = k_max inverse sine
-transform, so everything that couples the two sides -- the Gamma sweep, the
-F derivative, the oracle right-hand side and the driver -- requires the mode
-count to equal the grid size (k_max == n); the plate forcing built from
-pressure samples is then the exact sine expansion of the grid data.
+transform, so everything that couples the two sides -- the Gamma sweep,
+verify's F derivative, the oracle right-hand side and the driver -- requires
+the mode count to equal the grid size (k_max == n); the plate forcing built
+from pressure samples is then the exact sine expansion of the grid data.
 """
 
 from __future__ import annotations
@@ -53,15 +51,12 @@ __all__ = [
     "GammaDivergence",
     "BlowupSignal",
     "EndgameBudgetSignal",
-    "HolderFReport",
     "eval_F",
     "assemble_Pstar",
     "elliptic_form_check",
     "sector_check",
     "linear_parabolic_solve",
     "gamma_iterate",
-    "frechet_F",
-    "holder_F_quotients",
     "mol_rhs",
     "integrate_reference",
     "run_coupled",
@@ -242,16 +237,6 @@ class BlowupSignal(RuntimeError):
     """Pressure amplitude crossed the blowup cap during reference integration."""
 
 
-@dataclass
-class HolderFReport:
-    """The two Hoelder quotients of holder_F_quotients and the shapes their constants multiply."""
-
-    measured_A: float
-    measured_B: float
-    shape_A: float
-    shape_B: float
-
-
 # ---------------------------------------------------------------------------
 # grid helpers
 # ---------------------------------------------------------------------------
@@ -302,18 +287,11 @@ def _neg_plate_mu(k_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _reynolds(u: np.ndarray, u_bv: float, v: np.ndarray, w: np.ndarray, w_bv: float) -> np.ndarray:
-    """The Reynolds stencil of eval_F on interior samples, along the last axis.
-
-    u and w carry the Dirichlet traces u_bv and w_bv.  A (rows, n) stack gives
-    one row of F per row, each bitwise equal to its own call.  No checks: the
-    callers test the gap and finiteness.
-    """
-    return _reynolds_padded(_pad(u, u_bv), v, _pad(w, w_bv))
-
-
 def _reynolds_padded(up: np.ndarray, v: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    """_reynolds on u and w given with their traces as end samples (n + 2 along the last axis)."""
+    """The Reynolds stencil of eval_F on u and w given with their Dirichlet
+    traces as end samples (n + 2 along the last axis).  A stack of rows gives
+    one row of F per row, each bitwise its own call.  No checks: the callers
+    test the gap and finiteness."""
     h = 1.0 / (up.shape[-1] - 1)
     div = _dq(_face_avg(wp**3 * up) * _dq(up, h), h)
     w = wp[..., 1:-1]
@@ -340,8 +318,8 @@ def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator
 
     Entry-by-entry this is the conservative stencil of
     (1/w0) D( w0^3 u0 D psi + (w0^3 D u0) psi ) - (v0/w0) psi with the second
-    flux face-averaged as (w^3 psi)|_face, so frechet_F at t = 0 forms the
-    same matrix action.  Not bit for bit: the matrix multiplies undivided
+    flux face-averaged as (w^3 psi)|_face, so verify.frechet_F at t = 0 forms
+    the same matrix action.  Not bit for bit: the matrix multiplies undivided
     differences by 1/(w0 h^2), while frechet_F divides by h twice and then by
     w; test_matches_linearization_at_t0 holds the two to 1e-12 relative.
     """
@@ -597,7 +575,7 @@ def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
     v_grid = sp.inverse_sine_transform(plate.v)
     w_grid = sp.inverse_sine_transform(plate.w) + th2
     sp.require_open_gap(w_grid, "gap closed while evaluating F")
-    F = _reynolds(u_path.values, u_path.bv, v_grid, w_grid, th2)
+    F = _reynolds_padded(_pad(u_path.values, u_path.bv), v_grid, _pad(w_grid, th2))
     _require_finite("F", F)
     return F
 
@@ -687,106 +665,6 @@ def gamma_iterate(
     else:
         message = f"outer iteration exhausted {max_iter} sweeps without reaching tol={tol:.3g}"
     raise GammaDivergence(message, report, ratio=rho, T_admissible=T_adm)
-
-
-# ---------------------------------------------------------------------------
-# derivative of F and the Hoelder audit
-# ---------------------------------------------------------------------------
-
-
-def frechet_F(
-    u_path: PressurePath,
-    q_modes: np.ndarray,
-    vw: VWPath,
-    dW: tuple,
-    p: ModelParams,
-) -> np.ndarray:
-    """Directional derivative of F along q: all five terms on the interior grid.
-
-        (1/w) D( w^3 u Dq + w^3 q Du )
-      + (1/w) D( 3 w^2 (w'q) u Du )
-      - ((w'q)/w^2) D( w^3 u Du )
-      - (v/w) q
-      - ( w (v'q) - v (w'q) ) / w^2 * u
-
-    (w'q, v'q) are the plate-derivative mode paths from frechet_W.  At t = 0
-    they vanish, so the assembly reduces to the assembled linearization
-    applied to q(0): the same stencil, but not the same rounding (see
-    assemble_Pstar), agreeing to 1e-12 relative.  Returns one row per time
-    node, shape (n_t + 1, n).
-    """
-    vq_modes, wq_modes = dW
-    th2 = p.lift.theta2
-    h = 1.0 / (u_path.values.shape[1] + 1)
-    w_vals = sp.inverse_sine_transform(vw.w) + th2
-    v_vals = sp.inverse_sine_transform(vw.v)
-    q_vals = sp.inverse_sine_transform(q_modes)
-    wq_vals = sp.inverse_sine_transform(wq_modes)
-    vq_vals = sp.inverse_sine_transform(vq_modes)
-    sp.require_open_gap(w_vals, "gap closed while assembling the F derivative", times=u_path.times)
-
-    u = u_path.values
-    up = _pad(u, u_path.bv)
-    wp = _pad(w_vals, th2)
-    qp = _pad(q_vals, 0.0)
-    w3 = wp**3
-    a = _face_avg(w3 * up)  # the flux coefficient w^3 u of F
-    du = _dq(up, h)
-
-    t1 = _dq(a * _dq(qp, h) + _face_avg(w3 * qp) * du, h) / w_vals
-    t2 = _dq(_face_avg(3.0 * wp**2 * _pad(wq_vals, 0.0) * up) * du, h) / w_vals
-    t3 = -(wq_vals / w_vals**2) * _dq(a * du, h)
-    t4 = -(v_vals / w_vals) * q_vals
-    t5 = -((w_vals * vq_vals - v_vals * wq_vals) / w_vals**2) * u
-    return t1 + t2 + t3 + t4 + t5
-
-
-# tolerance of the plate and Frechet solves inside the Hoelder audit
-_HOLDER_INNER_TOL = 1e-12
-
-
-def holder_F_quotients(
-    u_path: PressurePath,
-    q_modes: np.ndarray,
-    p: ModelParams,
-    init_vw: StateVW,
-) -> HolderFReport:
-    """Measure the two Hoelder quotients of the right-hand side and the shapes of their bounds.
-
-    The exponent is alpha = dp.HOLDER_ALPHA and the horizon T = u_path.times[-1].
-    measured_A = sup ||F(t+h) - F(t)||_{L2} / h^alpha, whose bound is L_A
-    times shape_A = [u]_alpha + L_U, with L_U the measured Hoelder constant of
-    the plate path; measured_B is the same quotient for F'(u)q - P*q, whose
-    bound is L_B times shape_B = (1 + ||u||_{C^alpha}) (T^alpha ||q||_{C^alpha}
-    + sup||q||_{H2}).  This only measures: verify.holder_F_audit sizes L_A and
-    L_B and gives the verdict.
-    """
-    alpha = dp.HOLDER_ALPHA
-    times = u_path.times
-    T = float(times[-1])
-    th1, th2 = p.lift.theta1, p.lift.theta2
-    q_modes = np.asarray(q_modes, dtype=float)
-
-    plate, _ = dp.picard_dispersive(p, u_path, init_vw, tol=_HOLDER_INNER_TOL)
-    dW = dp.frechet_W(p, q_modes, plate, tol=_HOLDER_INNER_TOL)
-    F_series = _F_path(u_path, plate, p)
-    op = assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *dp.plate_fields(init_vw, th2))
-    Fp = frechet_F(u_path, q_modes, plate, dW, p)
-    D_series = np.array([f - op.matrix @ q for f, q in zip(Fp, sp.inverse_sine_transform(q_modes))])
-
-    def l2(vals):
-        return sp.norm_Hk(sp.sine_transform(vals), 0)
-
-    semi_u = dp.empirical_holder(u_path, alpha)
-    sup_u = float(np.max(sp.norm_Hk(sp.sine_transform(u_path.values - th1), 2, th1)))
-    sup_q = float(np.max(sp.norm_Hk(q_modes, 2)))
-    semi_q = dp.holder_seminorm(times, q_modes, lambda d: sp.norm_Hk(d, 2), alpha)
-    return HolderFReport(
-        measured_A=dp.holder_seminorm(times, F_series, l2, alpha),
-        measured_B=dp.holder_seminorm(times, D_series, l2, alpha),
-        shape_A=semi_u + dp.empirical_holder(plate, alpha),
-        shape_B=(1.0 + (sup_u + semi_u)) * (T**alpha * (sup_q + semi_q) + sup_q),
-    )
 
 
 # ---------------------------------------------------------------------------

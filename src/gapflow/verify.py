@@ -7,13 +7,16 @@ model's own plate operator A = Lap - Lap^2; marching the production Duhamel
 sweep on the production spectrum against it is the one quantitative anchor of
 the whole pipeline.  The remaining checks are computable shadows of the
 analytic estimates: Monte Carlo audits of the algebra constant, the
-inverse-power bounds, the Lipschitz constants of G and F, plus
-self-convergence studies of the two integrators.
+inverse-power bounds, the Lipschitz constants of G and F, the Hoelder audit
+of the right-hand side (with the Frechet derivatives of the plate solution
+and of F that it measures), plus self-convergence studies of the two
+integrators.
 
 Each check is defined here and only here: what it measures, its bound and
-its verdict, as one CheckResult.  SUITES maps each suite name to its runner,
-in the order `verify --suite all` runs them; a runner takes the Monte Carlo
-seed and returns its list of CheckResult.
+its verdict, as one CheckResult; the model modules keep only what a run
+uses.  SUITES maps each suite name to its runner, in the order `verify
+--suite all` runs them; a runner takes the Monte Carlo seed and returns its
+list of CheckResult.
 """
 
 from __future__ import annotations
@@ -206,6 +209,19 @@ def _ball_pairs(streams, rows: int, k_max: int, r: float) -> np.ndarray:
     return modes.transpose(1, 0, 2)
 
 
+def _ball_blocks(cc: dp.ContractionConstants, w0: GridField, r: float | None, trials: int, seed: int):
+    """Yield trials pairs in the r-ball about w0 (r = cc.radius(r)), a block at a
+    time: (d, w) with d the _ball_pairs perturbation modes, shape (2, rows, k),
+    and w the gaps w0 + d on the 4k + 3-node grid, shape (2, rows, 4k + 3)."""
+    r = cc.radius(r)
+    fine = 4 * w0.n + 3
+    base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
+    streams = _streams(seed, 2)
+    for rows in sp.audit_blocks(trials):
+        d = _ball_pairs(streams, rows, w0.n, r)
+        yield d, base_fine + sp.inverse_sine_transform(d, fine)
+
+
 def _worst(num, den) -> float:
     """Largest num/den over the rows whose den is not zero; 0 when there is none."""
     keep = den != 0.0
@@ -281,24 +297,17 @@ def inverse_power_bounds_check(
     bounds 1/w^3 differences, as in the constant assembly of the estimates chain.
     """
     cc = dp.contraction_constants(p, w0)
-    r = cc.radius(r)
-    k_max = w0.n
-    fine = 4 * k_max + 3
-    base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
-    streams = _streams(seed, 2)
 
-    def inv_modes(d, kpows):
-        w_fine = base_fine + sp.inverse_sine_transform(d, fine)
-        sp.require_open_gap(w_fine, "gap closed inside the sampling ball (r too large)")
+    def inv_modes(w_fine, kpows):
         return [sp.sine_transform(w_fine ** (-float(k)) - w0.bv ** (-float(k))) for k in kpows]
 
     worst_single = [0.0, 0.0, 0.0]
     worst_d1 = 0.0
     worst_d2 = 0.0
-    for rows in sp.audit_blocks(trials):
-        d1, d2 = _ball_pairs(streams, rows, k_max, r)
-        inv1 = inv_modes(d1, (1, 2, 3))
-        inv2 = inv_modes(d2, (2, 3))
+    for (d1, d2), w_fine in _ball_blocks(cc, w0, r, trials, seed):
+        sp.require_open_gap(np.concatenate(w_fine), "gap closed inside the sampling ball (r too large)")
+        inv1 = inv_modes(w_fine[0], (1, 2, 3))
+        inv2 = inv_modes(w_fine[1], (2, 3))
         for kpow in (1, 2, 3):
             nrm = sp.norm_Hk(inv1[kpow - 1], 2, w0.bv ** (-float(kpow)))
             worst_single[kpow - 1] = max(worst_single[kpow - 1], _worst(nrm, cc.C1**kpow))
@@ -332,16 +341,9 @@ def lipschitz_G_check(
     model's own, so a sample that closes the gap raises QuenchSignal.
     """
     cc = dp.contraction_constants(p, w0)
-    r = cc.radius(r)
     L = cc.L_G
-    k_max = w0.n
-    fine = 4 * k_max + 3
-    base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
-    streams = _streams(seed, 2)
     worst = 0.0
-    for rows in sp.audit_blocks(trials):
-        d = _ball_pairs(streams, rows, k_max, r)
-        w1, w2 = base_fine + sp.inverse_sine_transform(d, fine)
+    for d, (w1, w2) in _ball_blocks(cc, w0, r, trials, seed):
         g_diff = dp._G_fine(w1, p) - dp._G_fine(w2, p)
         worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(g_diff), 2), sp.norm_Hk(d[0] - d[1], 2)))
     return CheckResult("lipschitz.G", worst <= L, worst, L, note=f"{trials} pairs")
@@ -364,22 +366,214 @@ def lipschitz_F_check(
     tc = dp.theory_constants(p, u0, init)
     th2 = p.lift.theta2
     v_field, w_field = dp.plate_fields(init, th2)  # theory_constants raised if this gap is closed
-    v, w = v_field.values, w_field.values
+    v, wp = v_field.values, ry._pad(w_field.values, th2)
     streams = _streams(seed, 2)
     worst = 0.0
     for rows in sp.audit_blocks(trials):
         m = _ball_pairs(streams, rows, u0.n, ball)
-        u1, u2 = u0.values + sp.inverse_sine_transform(m)
-        dF = ry._reynolds(u1, u0.bv, v, w, th2) - ry._reynolds(u2, u0.bv, v, w, th2)
+        up1, up2 = ry._pad(u0.values + sp.inverse_sine_transform(m), u0.bv)
+        dF = ry._reynolds_padded(up1, v, wp) - ry._reynolds_padded(up2, v, wp)
         ry._require_finite("F", dF)
         worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(dF), 0), sp.norm_Hk(m[0] - m[1], 2)))
     return CheckResult("lipschitz.F", worst <= tc.L_e, worst, tc.L_e, note=f"{trials} pairs")
 
 
+# ---------------------------------------------------------------------------
+# the Hoelder audit of the right-hand side
+# ---------------------------------------------------------------------------
+
+# sweep limit of the linear Frechet solve
+_FRECHET_MAX_ITER = 200
+
+
+def frechet_W(p: ModelParams, q_path: np.ndarray, vw: dp.VWPath, tol: float = 1e-12) -> tuple:
+    """Directional derivative (v'(u)q, w'(u)q) along a zero-trace perturbation path q.
+
+    Solves the linear mild system
+
+        (v'q, w'q)(t) = int_0^t T(t-s) ( beta_p q(s) + 2 beta_F [w'q](s)/[w(s)]^3, 0 ) ds
+
+    by the same Duhamel/Picard machinery as the forward solve (q_path is the
+    array of q mode coefficients per node, shape (n_t + 1, k_max)).  Returns
+    the arrays (v'q, w'q) of the same shape; both vanish at t = 0 by
+    construction.  Raises PicardDivergence, whose report carries the sweep
+    count and the ratios, when a sweep ratio reaches 1 or _FRECHET_MAX_ITER
+    sweeps miss tol.
+    """
+    times = vw.times
+    k_max = vw.v.shape[1]
+    spec = sp.plate_eigenvalues(k_max)
+    coeffs = sp.duhamel_coeffs(spec.omega, np.diff(times))
+    q_path = np.asarray(q_path, dtype=float)
+    zero = StateVW(np.zeros(k_max), np.zeros(k_max))
+
+    def f(w_fine, wq_fine):
+        sp.require_open_gap(w_fine, "gap closed inside frechet_W")
+        return 2.0 * p.beta_F * wq_fine / w_fine**3
+
+    def sweep(path):
+        forcing = sp.dealias_apply(f, vw.w, path.w, bvs=(p.lift.theta2, 0.0)) + p.beta_p * q_path
+        return dp.VWPath(times, *sp.duhamel_sweep(zero, spec.omega, coeffs, forcing))
+
+    path, diffs, ratios, status = dp.fixed_point(
+        sweep,
+        dp.VWPath(times, np.zeros(vw.v.shape), np.zeros(vw.w.shape)),
+        dp.path_diff_norm,
+        tol,
+        _FRECHET_MAX_ITER,
+        lambda ratios: bool(ratios) and ratios[-1] >= 1.0,
+    )
+    if status != "converged":
+        raise dp.PicardDivergence(
+            f"frechet_W linear sweeps {status} after {len(diffs)} sweeps (last diff {diffs[-1]:.3g}, tol {tol:g})",
+            dp.PicardReport(len(diffs), ratios, False),
+        )
+    return path.v, path.w
+
+
+def holder_seminorm(times: np.ndarray, values: np.ndarray, norm, alpha: float) -> float:
+    """max over node pairs i < j of norm(values[j] - values[i]) / (t_j - t_i)^alpha.
+
+    norm maps a stack of differences (one per row) to their norms.  The powers
+    are taken one pair at a time in scalar arithmetic, which the vectorized
+    power does not reproduce to the last bit.
+    """
+    worst = 0.0
+    for i in range(times.size - 1):
+        dists = norm(values[i + 1 :] - values[i]).tolist()
+        gaps = (times[i + 1 :] - times[i]).tolist()
+        worst = max(worst, *(d / h**alpha for d, h in zip(dists, gaps)))
+    return worst
+
+
+def empirical_holder(path, alpha: float) -> float:
+    """max over sample pairs of ||X(t+h) - X(t)|| / h^alpha.
+
+    VWPath pairs are measured in L2 x H2, PressurePath pairs in H2 (lifts
+    cancel in differences).
+    """
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError("alpha in (0, 1] required")
+    if path.times.size < 3:
+        raise ValueError("need at least 3 time samples")
+    if isinstance(path, dp.VWPath):
+        k = path.v.shape[1]
+        return holder_seminorm(
+            path.times, np.hstack([path.v, path.w]), lambda d: dp.state_norm_L2H2(d[:, :k], d[:, k:]), alpha
+        )
+    return holder_seminorm(path.times, sp.sine_transform(path.values - path.bv), lambda d: sp.norm_Hk(d, 2), alpha)
+
+
+def frechet_F(
+    u_path: dp.PressurePath,
+    q_modes: np.ndarray,
+    vw: dp.VWPath,
+    dW: tuple,
+    p: ModelParams,
+) -> np.ndarray:
+    """Directional derivative of F along q: all five terms on the interior grid.
+
+        (1/w) D( w^3 u Dq + w^3 q Du )
+      + (1/w) D( 3 w^2 (w'q) u Du )
+      - ((w'q)/w^2) D( w^3 u Du )
+      - (v/w) q
+      - ( w (v'q) - v (w'q) ) / w^2 * u
+
+    (w'q, v'q) are the plate-derivative mode paths from frechet_W.  The face
+    flux is the Reynolds stencil's own (ry._face_avg and ry._dq).  At t = 0
+    (w'q, v'q) vanish, so the assembly reduces to the assembled linearization
+    applied to q(0): the same stencil, but not the same rounding (see
+    ry.assemble_Pstar), agreeing to 1e-12 relative.  Returns one row per time
+    node, shape (n_t + 1, n).
+    """
+    vq_modes, wq_modes = dW
+    th2 = p.lift.theta2
+    h = 1.0 / (u_path.values.shape[1] + 1)
+    w_vals = sp.inverse_sine_transform(vw.w) + th2
+    v_vals = sp.inverse_sine_transform(vw.v)
+    q_vals = sp.inverse_sine_transform(q_modes)
+    wq_vals = sp.inverse_sine_transform(wq_modes)
+    vq_vals = sp.inverse_sine_transform(vq_modes)
+    sp.require_open_gap(w_vals, "gap closed while assembling the F derivative", times=u_path.times)
+
+    u = u_path.values
+    up = ry._pad(u, u_path.bv)
+    wp = ry._pad(w_vals, th2)
+    qp = ry._pad(q_vals, 0.0)
+    w3 = wp**3
+    a = ry._face_avg(w3 * up)  # the flux coefficient w^3 u of F
+    du = ry._dq(up, h)
+
+    t1 = ry._dq(a * ry._dq(qp, h) + ry._face_avg(w3 * qp) * du, h) / w_vals
+    t2 = ry._dq(ry._face_avg(3.0 * wp**2 * ry._pad(wq_vals, 0.0) * up) * du, h) / w_vals
+    t3 = -(wq_vals / w_vals**2) * ry._dq(a * du, h)
+    t4 = -(v_vals / w_vals) * q_vals
+    t5 = -((w_vals * vq_vals - v_vals * wq_vals) / w_vals**2) * u
+    return t1 + t2 + t3 + t4 + t5
+
+
+@dataclass
+class HolderFReport:
+    """The two Hoelder quotients of holder_F_quotients and the shapes their constants multiply."""
+
+    measured_A: float
+    measured_B: float
+    shape_A: float
+    shape_B: float
+
+
+# tolerance of the plate and Frechet solves inside the Hoelder audit
+_HOLDER_INNER_TOL = 1e-12
+
+
+def holder_F_quotients(
+    u_path: dp.PressurePath,
+    q_modes: np.ndarray,
+    p: ModelParams,
+    init_vw: StateVW,
+) -> HolderFReport:
+    """Measure the two Hoelder quotients of the right-hand side and the shapes of their bounds.
+
+    The exponent is alpha = dp.HOLDER_ALPHA and the horizon T = u_path.times[-1].
+    measured_A = sup ||F(t+h) - F(t)||_{L2} / h^alpha, whose bound is L_A
+    times shape_A = [u]_alpha + L_U, with L_U the measured Hoelder constant of
+    the plate path; measured_B is the same quotient for F'(u)q - P*q, whose
+    bound is L_B times shape_B = (1 + ||u||_{C^alpha}) (T^alpha ||q||_{C^alpha}
+    + sup||q||_{H2}).  This only measures: holder_F_audit sizes L_A and L_B
+    and gives the verdict.
+    """
+    alpha = dp.HOLDER_ALPHA
+    times = u_path.times
+    T = float(times[-1])
+    th1, th2 = p.lift.theta1, p.lift.theta2
+    q_modes = np.asarray(q_modes, dtype=float)
+
+    plate, _ = dp.picard_dispersive(p, u_path, init_vw, tol=_HOLDER_INNER_TOL)
+    dW = frechet_W(p, q_modes, plate, tol=_HOLDER_INNER_TOL)
+    F_series = ry._F_path(u_path, plate, p)
+    op = ry.assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *dp.plate_fields(init_vw, th2))
+    Fp = frechet_F(u_path, q_modes, plate, dW, p)
+    D_series = np.array([f - op.matrix @ q for f, q in zip(Fp, sp.inverse_sine_transform(q_modes))])
+
+    def l2(vals):
+        return sp.norm_Hk(sp.sine_transform(vals), 0)
+
+    semi_u = empirical_holder(u_path, alpha)
+    sup_u = float(np.max(sp.norm_Hk(sp.sine_transform(u_path.values - th1), 2, th1)))
+    sup_q = float(np.max(sp.norm_Hk(q_modes, 2)))
+    semi_q = holder_seminorm(times, q_modes, lambda d: sp.norm_Hk(d, 2), alpha)
+    return HolderFReport(
+        measured_A=holder_seminorm(times, F_series, l2, alpha),
+        measured_B=holder_seminorm(times, D_series, l2, alpha),
+        shape_A=semi_u + empirical_holder(plate, alpha),
+        shape_B=(1.0 + (sup_u + semi_u)) * (T**alpha * (sup_q + semi_q) + sup_q),
+    )
+
+
 def holder_F_audit(cal_paths, fresh_paths, q_modes: np.ndarray, p: ModelParams, init_vw: StateVW) -> tuple:
     """Calibrate the Hoelder constants of the right-hand side on cal_paths, then verify them on fresh_paths.
 
-    Every path is measured by ry.holder_F_quotients with the same q_modes, p
+    Every path is measured by holder_F_quotients with the same q_modes, p
     and plate state init_vw.  L_A and L_B are the worst measured / shape over
     the calibration paths (0 where a shape is 0).  A fresh path passes when
     both of its quotients stay at or under 2 L shape (a 2x margin), up to a
@@ -388,7 +582,7 @@ def holder_F_audit(cal_paths, fresh_paths, q_modes: np.ndarray, p: ModelParams, 
     """
 
     def measure(paths):  # (measured, shape), one row (A, B) per path
-        reps = [ry.holder_F_quotients(path, q_modes, p, init_vw) for path in paths]
+        reps = [holder_F_quotients(path, q_modes, p, init_vw) for path in paths]
         measured = np.array([(r.measured_A, r.measured_B) for r in reps])
         return measured, np.array([(r.shape_A, r.shape_B) for r in reps])
 

@@ -221,7 +221,7 @@ def test_c08_frechet_consistency():
     q = np.zeros((n_t + 1, k))
     q[:, 0] = 1.0
     q[:, 1] = 0.4
-    vq, wq = dp.frechet_W(p, q, path, tol=5e-14)
+    vq, wq = vf.frechet_W(p, q, path, tol=5e-14)
     errs_W = []
     for h in hs:
         up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
@@ -245,8 +245,8 @@ def test_c08_frechet_consistency():
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
     qg = sp.inverse_sine_transform(qm)
     q2 = np.tile(qm, (Nt + 1, 1))
-    dW = dp.frechet_W(p2, q2, plate, tol=1e-13)
-    analytic = ry.frechet_F(u_fix, q2, plate, dW, p2)[Nt]
+    dW = vf.frechet_W(p2, q2, plate, tol=1e-13)
+    analytic = vf.frechet_F(u_fix, q2, plate, dW, p2)[Nt]
 
     def F_at(pp, plate_path, i):
         vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)

@@ -478,7 +478,7 @@ class TestVerify:
     def test_holder_audit_fails_a_fresh_quotient_three_times_the_allowed_one(self, monkeypatch):
         # the fresh path's quotient A is set to 3x the 2 L_A shape_A that the
         # four calibration paths allow, L_A being their worst measured/shape
-        real = ry.holder_F_quotients
+        real = vf.holder_F_quotients
         cal = []
 
         def inflated(u_path, q_modes, p, init_vw):
@@ -489,7 +489,7 @@ class TestVerify:
             L_A = max(r.measured_A / r.shape_A for r in cal)
             return dataclasses.replace(rep, measured_A=3.0 * 2.0 * L_A * rep.shape_A)
 
-        monkeypatch.setattr(ry, "holder_F_quotients", inflated)
+        monkeypatch.setattr(vf, "holder_F_quotients", inflated)
         holder = {r.name: r for r in vf._suite_lipschitz(0)}["lipschitz.holder_F"]
         assert not holder.passed and holder.measured == pytest.approx(3.0, rel=1e-12)
 

@@ -1,8 +1,13 @@
 """Guard against dead code: every module-level def or class in src/gapflow
-must be named somewhere in src/, tests/ or perfbench/ besides its own definition."""
+must be named somewhere in src/, tests/ or perfbench/ besides its own
+definition.  Also guards where code lives: only spectral decides that the
+gap closed, only verify constructs a CheckResult, and the model modules hold
+only what a run reaches."""
 
 import ast
 from pathlib import Path
+
+from model_graph import MODULES, named_by, reached, references, sources
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gapflow"
@@ -155,6 +160,57 @@ def test_only_verify_constructs_a_check_result():
             if _callee(call) == "CheckResult":
                 sites.append(f"{path.stem}.{where or '<module>'}")
     assert not sites, "CheckResult constructed outside verify.py: " + ", ".join(sites)
+
+
+# Model-module functions that no run path reaches, each with why it stays
+# beside the run code.
+_NOT_RUN_CODE = {
+    "reynolds.continue_run": "restarts a finished run; acceptance criterion c09 checks its cocycle",
+    "spectral.semigroup_apply": "the exact semigroup T(t) that the semigroup suite checks",
+    "spectral._rotate": "the per-mode rotation of T(t) that semigroup_apply and the semigroup suite apply",
+    "dispersive.uniform_pressure_path": "the builder of sampled pressure paths",
+}
+
+
+def _run_roots() -> set:
+    """The model-module names that cli.py or perfbench/ names: by import, by
+    attribute of an imported module, or in the tracer's LAYERS table."""
+    texts = [(PACKAGE / "cli.py").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    roots = set().union(*map(named_by, texts))
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tracer.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            layers = ast.literal_eval(node.value)
+            roots |= {f"{m}.{fn}" for m in MODULES for fn in layers.get(m, ())}
+    return roots
+
+
+def _not_run_code(texts: dict) -> list:
+    """The module-level functions of the model modules that the run roots do
+    not reach, outside _NOT_RUN_CODE."""
+    kept = reached(references(texts), _run_roots()) | _NOT_RUN_CODE.keys()
+    return [
+        f"{m}.{node.name}"
+        for m, text in texts.items()
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and f"{m}.{node.name}" not in kept
+    ]
+
+
+def test_the_model_modules_hold_only_run_code():
+    """spectral, dispersive and reynolds hold what a run uses: every function
+    of theirs is reached from what cli.py or perfbench/ names, through the
+    references of the model modules alone.  What only verify or the tests
+    call belongs in verify.py, or in _NOT_RUN_CODE with its reason."""
+    unreached = _not_run_code(sources())
+    assert not unreached, "model-module functions no run reaches: " + ", ".join(unreached)
+
+
+def test_the_run_code_guard_sees_a_verify_only_function():
+    texts = sources()
+    texts["reynolds"] += "\n\ndef _slack(op):\n    return sector_check(op).M_bound\n"
+    assert _not_run_code(texts) == ["reynolds._slack"]
 
 
 def _dataclass_fields(tree) -> list:

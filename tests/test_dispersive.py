@@ -3,6 +3,7 @@ import pytest
 
 from gapflow import dispersive as dp
 from gapflow import spectral as sp
+from gapflow import verify as vf
 
 LIFT = sp.BoundaryLift(theta1=1.0, theta2=1.0)
 
@@ -367,13 +368,13 @@ def test_frechet_W_zero_and_fd_order():
     path, _ = dp.picard_dispersive(p, up, init, tol=1e-13)
 
     zero_q = np.zeros((n_t + 1, k))
-    vq0, wq0 = dp.frechet_W(p, zero_q, path, tol=1e-14)
+    vq0, wq0 = vf.frechet_W(p, zero_q, path, tol=1e-14)
     assert max(np.max(np.abs(v)) for v in vq0) == 0.0
 
     q = np.zeros((n_t + 1, k))
     q[:, 0] = 1.0
     q[:, 1] = 0.4
-    vq, wq = dp.frechet_W(p, q, path, tol=5e-14)
+    vq, wq = vf.frechet_W(p, q, path, tol=5e-14)
     assert np.max(np.abs(wq[0])) == 0.0 and np.max(np.abs(vq[0])) == 0.0
     errs = []
     hs = (1e-2, 1e-3, 1e-4)
@@ -431,9 +432,9 @@ def test_empirical_holder_constant_path_and_LU_bound():
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
-    assert dp.empirical_holder(up, alpha=0.5) == 0.0
+    assert vf.empirical_holder(up, alpha=0.5) == 0.0
     path, _ = dp.picard_dispersive(p, up, init)
-    semi = dp.empirical_holder(path, alpha=0.2)
+    semi = vf.empirical_holder(path, alpha=0.2)
     assert semi <= tc.L_U
 
 
@@ -446,3 +447,29 @@ def test_picard_report_fields():
     _, rep = dp.picard_dispersive(p, up, init)
     assert rep.converged
     assert isinstance(rep.contraction_ratios, list)
+
+
+# The tests below read .report.iterations off the raised PicardDivergence: a
+# plate solve that fails still counts its sweeps, and the benchmark's tracer
+# sums them over every solve.
+
+
+def test_picard_exhausting_its_sweeps_raises_with_the_sweep_count():
+    p = base_params(beta_F=1.0, beta_p=0.5)
+    n = 16
+    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), 0.01, 16, n, 1.0)
+    with pytest.raises(dp.PicardDivergence, match="no convergence to tol=1e-30 within 3 sweeps") as exc:
+        dp.picard_dispersive(p, up, small_bump_state(n, amp=0.05), tol=1e-30, max_iter=3)
+    assert exc.value.report.iterations == 3 and not exc.value.report.converged
+
+
+def test_picard_that_stops_contracting_raises_with_its_ratios():
+    # beta_F = 10 over T = 3 is far past the contraction horizon: the first two ratios exceed 1
+    p = base_params(beta_F=10.0, beta_p=0.0)
+    n = 16
+    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 3.0, 16, n, 1.0)
+    with pytest.raises(dp.PicardDivergence, match=r"stopped contracting \(last ratios 2\.096, 3\.485\)") as exc:
+        dp.picard_dispersive(p, up, sp.StateVW(v=np.zeros(n), w=np.zeros(n)))
+    rep = exc.value.report
+    assert rep.iterations == 3 and not rep.converged
+    assert rep.contraction_ratios == pytest.approx([2.10, 3.49], abs=0.01)

@@ -764,7 +764,7 @@ class TestGammaIterate:
 
 
 # ---------------------------------------------------------------------------
-# frechet_F and the Hoelder audit
+# verify's F derivative (frechet_F) and Hoelder quotients
 # ---------------------------------------------------------------------------
 
 
@@ -779,8 +779,8 @@ class TestFrechetF:
         T, Nt = 5e-4, 6
         u_fix, _, plate = _gamma_solution(p, n, T, Nt)
         q = np.zeros((Nt + 1, n))
-        dW = dp.frechet_W(p, q, plate, tol=1e-12)
-        out = ry.frechet_F(u_fix, q, plate, dW, p)
+        dW = vf.frechet_W(p, q, plate, tol=1e-12)
+        out = vf.frechet_F(u_fix, q, plate, dW, p)
         assert np.abs(out).max() == 0.0
 
     def test_closed_gap_reports_its_first_node_and_time(self):
@@ -796,7 +796,7 @@ class TestFrechetF:
         u_path = dp.uniform_pressure_path(lambda x, t: u0.values, times[-1], n_t, n, u0.bv)
         zero = (np.zeros_like(w), np.zeros_like(w))
         with pytest.raises(QuenchSignal, match="assembling the F derivative") as exc:
-            ry.frechet_F(u_path, np.zeros_like(w), plate, zero, p)
+            vf.frechet_F(u_path, np.zeros_like(w), plate, zero, p)
         assert exc.value.t == times[3]
         assert exc.value.min_value == (sp.inverse_sine_transform(w[3]) + 1.0).min() < 0.0
 
@@ -808,8 +808,8 @@ class TestFrechetF:
         rng = np.random.default_rng(7)
         qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
         q = np.tile(qm, (Nt + 1, 1))
-        dW = dp.frechet_W(p, q, plate, tol=1e-13)
-        out = ry.frechet_F(u_fix, q, plate, dW, p)
+        dW = vf.frechet_W(p, q, plate, tol=1e-13)
+        out = vf.frechet_F(u_fix, q, plate, dW, p)
         v0, w0 = dp.plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
         op = ry.assemble_Pstar(GridField(u_fix.values[0], u_fix.bv), v0, w0)
         ref = op.matrix @ sp.inverse_sine_transform(qm)
@@ -824,8 +824,8 @@ class TestFrechetF:
         qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
         qg = sp.inverse_sine_transform(qm)
         q = np.tile(qm, (Nt + 1, 1))
-        dW = dp.frechet_W(p, q, plate, tol=1e-13)
-        analytic = ry.frechet_F(u_fix, q, plate, dW, p)[Nt]
+        dW = vf.frechet_W(p, q, plate, tol=1e-13)
+        analytic = vf.frechet_F(u_fix, q, plate, dW, p)[Nt]
 
         def F_at(path, plate_path, i):
             vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
@@ -869,9 +869,9 @@ class TestHolderF:
         T, Nt = 5e-3, 8
         u0 = bump_pressure(n)
         path = dp.uniform_pressure_path(lambda x, t: u0.values, T, Nt, n, u0.bv)
-        rep = ry.holder_F_quotients(path, np.zeros((Nt + 1, n)), p, bump_state(n))
+        rep = vf.holder_F_quotients(path, np.zeros((Nt + 1, n)), p, bump_state(n))
         # [u]_alpha = 0: shape A reduces to L_U; q == 0: measured_B = 0 and shape B = 0
-        semi_u = dp.empirical_holder(path, 0.2)
+        semi_u = vf.empirical_holder(path, 0.2)
         assert semi_u == 0.0
         assert rep.measured_B == 0.0
         assert rep.shape_B == 0.0
@@ -901,7 +901,7 @@ def three_array_mol_rhs(u, v, w, p):
     w_min = min(float(w_grid.min()), th2)
     if w_min <= 0.0:
         raise QuenchSignal("gap closed while evaluating F", min_value=w_min)
-    du = ry._reynolds(u, th1, v_grid, w_grid, th2)
+    du = ry._reynolds_padded(ry._pad(u, th1), v_grid, ry._pad(w_grid, th2))
     ry._require_finite("du", du)
     g = ana2 @ dp._G_fine(syn2 @ w + th2, p) + p.beta_p * (ana @ (u - th1))
     dv = -sp.plate_eigenvalues(w.size).mu * w + g

@@ -198,6 +198,28 @@ class TestInversePowerCheck:
         assert rep.worst_diff1 > 1.0 and not rep.passed
 
 
+class TestFrechetW:
+    @pytest.mark.parametrize("status", ["diverged", "exhausted"])
+    def test_a_failed_solve_raises_with_its_sweeps_and_ratios(self, monkeypatch, status):
+        # beta_F = 10 over T = 3: the first sweep ratio is 1.07, so the linear
+        # sweeps diverge after 2; with a sweep limit of 1 they exhaust it first
+        if status == "exhausted":
+            monkeypatch.setattr(vf, "_FRECHET_MAX_ITER", 1)
+        p = ModelParams(beta_F=10.0, beta_p=1.0, lift=BoundaryLift(1.0, 1.0), eps1=0.5)
+        n = 16
+        times = np.linspace(0.0, 3.0, 17)
+        flat = dp.VWPath(times, np.zeros((17, n)), np.zeros((17, n)))
+        q = np.tile(np.r_[1.0, np.zeros(n - 1)], (17, 1))
+        with pytest.raises(dp.PicardDivergence, match=f"frechet_W linear sweeps {status}") as exc:
+            vf.frechet_W(p, q, flat)
+        rep = exc.value.report
+        assert not rep.converged
+        if status == "diverged":
+            assert rep.iterations == 2 and rep.contraction_ratios == [pytest.approx(1.0748, abs=1e-4)]
+        else:
+            assert rep.iterations == 1 and rep.contraction_ratios == []
+
+
 class TestLipschitzChecks:
     def test_G_bound_holds(self):
         n = 24
@@ -235,7 +257,7 @@ class TestHolderAudit:
         # allows it 2x its own quotient; six times that quotient is 3x the bound
         path, q = self._path_and_q()
         fresh = dp.PressurePath(times=path.times.copy(), values=path.values.copy(), bv=path.bv)
-        real = ry.holder_F_quotients
+        real = vf.holder_F_quotients
 
         def inflated(u_path, q_modes, p, init_vw):
             rep = real(u_path, q_modes, p, init_vw)
@@ -244,7 +266,7 @@ class TestHolderAudit:
         init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
         passed, worst, _, _ = vf.holder_F_audit([path], [fresh], q, P, init)
         assert passed and worst == pytest.approx(0.5, rel=1e-12)
-        monkeypatch.setattr(ry, "holder_F_quotients", inflated)
+        monkeypatch.setattr(vf, "holder_F_quotients", inflated)
         passed, worst, _, _ = vf.holder_F_audit([path], [fresh], q, P, init)
         assert not passed and worst == pytest.approx(3.0, rel=1e-12)
 

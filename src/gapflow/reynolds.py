@@ -3,11 +3,11 @@
 This module owns the gas-film side of the model and the fully coupled run:
 
 * ``eval_F`` -- the Reynolds nonlinearity F(u; v, w) on the interior grid,
-* ``assemble_Pstar`` -- the Dirichlet-realized linearization of F at the
-  initial data (the exact Jacobian of the discrete ``eval_F`` in u),
+* ``assemble_Pstar`` -- the Dirichlet-realized linearization P* of F at the
+  initial data (the exact Jacobian of the discrete ``eval_F`` in u), a matrix,
 * elliptic and sectorial diagnostics of that linearization,
-* ``linear_parabolic_solve`` -- the analytic-semigroup propagator realized by
-  dense exp / phi_1 / phi_2 matrices of P* with exponential-trapezoid forcing,
+* ``linear_parabolic_solve`` -- the analytic-semigroup march by the dense exp /
+  phi_1 / phi_2 matrices of P* (``_propagator``, built once per Gamma chunk),
 * ``gamma_iterate`` -- the outer contraction that produces the pressure fixed
   point (each sweep solves the plate subproblem for the current pressure),
 * ``mol_rhs`` / ``integrate_reference`` -- the independent Runge-Kutta
@@ -29,8 +29,8 @@ from pressure samples is then the exact sine expansion of the grid data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
@@ -41,7 +41,6 @@ from .dispersive import ModelParams, PicardDivergence, PicardReport, PressurePat
 from .spectral import GridField, QuenchSignal, StateVW
 
 __all__ = [
-    "PstarOperator",
     "SectorReport",
     "EllipticReport",
     "CoupledState",
@@ -70,31 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PstarOperator:
-    """Dense Dirichlet realization of the linearized pressure operator.
-
-    ``matrix`` acts on interior values of zero-trace functions (boundary rows
-    eliminated).  It is the exact algebraic Jacobian of the discrete
-    ``eval_F`` with respect to u at (u0, v0, w0), which coincides with the
-    conservative second-order stencil of
-
-        psi -> (1/w0) D( w0^3 u0 D psi + (w0^3 D u0) psi ) - (v0/w0) psi.
-    """
-
-    matrix: np.ndarray
-    u0: GridField
-    v0: GridField
-    w0: GridField
-    h: float
-    _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @cached_property
-    def _eigen(self):
-        """(W, lam, W_inv) with matrix = W diag(lam) W_inv, or None (_symmetrized_eigen)."""
-        return _symmetrized_eigen(self.matrix)
 
 
 @dataclass
@@ -313,8 +287,9 @@ def eval_F(u: GridField, v: GridField, w: GridField, p: ModelParams) -> GridFiel
     return GridField(values=_reynolds_padded(_pad(u.values, u.bv), v.values, wp), bv=0.0)
 
 
-def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator:
-    """Exact Jacobian of the discrete eval_F in u, with Dirichlet rows eliminated.
+def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> np.ndarray:
+    """P*, the exact Jacobian of the discrete eval_F in u at (u0, v0, w0): a dense
+    tridiagonal matrix on the interior values of zero-trace functions.
 
     Entry-by-entry this is the conservative stencil of
     (1/w0) D( w0^3 u0 D psi + (w0^3 D u0) psi ) - (v0/w0) psi with the second
@@ -323,26 +298,25 @@ def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> PstarOperator
     differences by 1/(w0 h^2), while frechet_F divides by h twice and then by
     w; test_matches_linearization_at_t0 holds the two to 1e-12 relative.
     """
-    n = u0.n
-    if v0.n != n or w0.n != n:
-        raise ValueError("coefficient fields must share the grid")
-    if min(float(u0.values.min()), u0.bv) <= 0.0:
-        raise ValueError("coefficient positivity violation: u0 must be strictly positive")
-    if min(float(w0.values.min()), w0.bv) <= 0.0:
-        raise ValueError("coefficient positivity violation: w0 must be strictly positive")
-    h = 1.0 / (n + 1)
-    up, w3, aL, aR, inv_wh2 = _faces(u0, w0, h)
+    up, w3, aL, aR, inv_wh2 = _faces(u0, w0, v0)
     du_face = np.diff(up)  # undivided differences u_{j+1}-u_j at faces
     duL, duR = du_face[:-1], du_face[1:]
     sub = (aL - 0.5 * w3[:-2] * duL) * inv_wh2  # d F_i / d u_{i-1}
     sup = (aR + 0.5 * w3[2:] * duR) * inv_wh2  # d F_i / d u_{i+1}
     diag = (-aL - aR + 0.5 * w3[1:-1] * (duR - duL)) * inv_wh2 - v0.values / w0.values
-    return PstarOperator(matrix=_tridiagonal(sub, diag, sup), u0=u0, v0=v0, w0=w0, h=h)
+    return _tridiagonal(sub, diag, sup)
 
 
-def _faces(u0: GridField, w0: GridField, h: float) -> tuple:
+def _faces(u0: GridField, w0: GridField, *others: GridField) -> tuple:
     """Face arithmetic of the linearization: (u0 and w0^3 padded with their traces,
-    the averages of w0^3 u0 on the left and right face of each interior node, 1/(w0 h^2))."""
+    the averages of w0^3 u0 on the left and right face of each interior node, 1/(w0 h^2)).
+    ValueError unless u0, w0 and others share the grid and u0, w0 > 0, traces included."""
+    if any(f.n != u0.n for f in (w0, *others)):
+        raise ValueError("coefficient fields must share the grid")
+    for name, f in (("u0", u0), ("w0", w0)):
+        if min(float(f.values.min()), f.bv) <= 0.0:
+            raise ValueError(f"coefficient positivity violation: {name} must be strictly positive")
+    h = 1.0 / (u0.n + 1)
     up = _pad(u0.values, u0.bv)
     w3 = _pad(w0.values, w0.bv) ** 3
     a_face = _face_avg(w3 * up)  # length n+1, faces j-1/2 for j=1..n+1
@@ -358,14 +332,15 @@ def _tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarr
     return m
 
 
-def _principal_matrix(op: PstarOperator) -> np.ndarray:
-    """Highest-order part (1/w0) D(w0^3 u0 D q) of the assembled operator."""
-    _, _, aL, aR, inv_wh2 = _faces(op.u0, op.w0, op.h)
+def _principal_matrix(u0: GridField, w0: GridField) -> np.ndarray:
+    """Highest-order part (1/w0) D(w0^3 u0 D q) of P* at (u0, w0)."""
+    _, _, aL, aR, inv_wh2 = _faces(u0, w0)
     return _tridiagonal(aL * inv_wh2, -(aL + aR) * inv_wh2, aR * inv_wh2)
 
 
 def elliptic_form_check(
-    op: PstarOperator,
+    u0: GridField,
+    w0: GridField,
     trials: int = 10_000,
     seed: int = 0,
 ) -> EllipticReport:
@@ -375,21 +350,21 @@ def elliptic_form_check(
     K2 = C ||u0||_{H2} ||w0||_{H3}^2, eps^2 = eps1 kappa^2 / (2 K2) so that
     K = eps1 kappa^2 / 2 and K_o = K2 / (4 eps^2) = K2^2 / (2 eps1 kappa^2),
     with eps1 = min u0 and kappa = min w0 (boundary values included).
-    Failures are reported in the flag, never raised; q is drawn and measured
-    in blocks of sp.audit_blocks rows.
+    Invalid u0, w0 raise as in assemble_Pstar; failures are reported in the
+    flag, never raised; q is drawn and measured in blocks of sp.audit_blocks rows.
     """
-    n = op.u0.n
-    h = op.h
-    eps1 = min(float(op.u0.values.min()), op.u0.bv)
-    kappa = sp.gap_min(op.w0.values, op.w0.bv)
+    A = _principal_matrix(u0, w0)
+    n = u0.n
+    h = 1.0 / (n + 1)
+    eps1 = min(float(u0.values.min()), u0.bv)
+    kappa = sp.gap_min(w0.values, w0.bv)
     C = dp.embedding_C(n)
-    u_modes = sp.sine_transform(op.u0.values - op.u0.bv)
-    w_modes = sp.sine_transform(op.w0.values - op.w0.bv)
-    K2 = C * sp.norm_Hk(u_modes, 2, op.u0.bv) * sp.norm_Hk(w_modes, 3, op.w0.bv) ** 2
+    u_modes = sp.sine_transform(u0.values - u0.bv)
+    w_modes = sp.sine_transform(w0.values - w0.bv)
+    K2 = C * sp.norm_Hk(u_modes, 2, u0.bv) * sp.norm_Hk(w_modes, 3, w0.bv) ** 2
     K = 0.5 * eps1 * kappa**2
     K_o = K2**2 / (2.0 * eps1 * kappa**2) if K2 > 0 else 0.0
 
-    A = _principal_matrix(op)
     rng = np.random.default_rng(seed)
     worst = np.inf
     ok = True
@@ -409,11 +384,11 @@ _PRODUCT_CAP = 1e12
 
 
 def sector_check(
-    op: PstarOperator,
+    matrix: np.ndarray,
     ray_angles: tuple = (0.55 * math.pi, 0.65 * math.pi, 0.75 * math.pi),
     extra_lambdas: list | None = None,
 ) -> SectorReport:
-    """Sample the resolvent along rays from the measured shift and bound |lambda-omega|*||R||.
+    """Sample the resolvent of matrix (P*) along rays from the measured shift and bound |lambda-omega|*||R||.
 
     The shift omega sits just right of the spectral bound; each ray is sampled
     at 13 radii spaced geometrically over 1e-2..1e2 times the spectral radius,
@@ -422,17 +397,16 @@ def sector_check(
     shadow of singularity -- is a sector violation and raises.  extra_lambdas
     adds explicit sample points (e.g. probing a suspected spectral point).
     """
-    eigs = np.linalg.eigvals(op.matrix)
+    eigs = np.linalg.eigvals(matrix)
     sb = float(eigs.real.max())
     scale = float(np.abs(eigs).max())
     omega = sb + 1e-3 * max(scale, 1.0)
     radii = np.geomspace(1e-2, 1e2, 13) * max(scale, 1.0)
-    n = op.matrix.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(matrix.shape[0])
 
     def measure(lam: complex) -> float:
         try:
-            R = np.linalg.inv(lam * eye - op.matrix)
+            R = np.linalg.inv(lam * eye - matrix)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"sector violation: singular resolvent at lambda={lam}") from exc
         prod = float(np.linalg.norm(R, 2)) * abs(lam - omega)
@@ -500,8 +474,8 @@ def _symmetrized_eigen(m: np.ndarray):
     return s[:, None] * V, lam, V.T / s
 
 
-def _propagator(op: PstarOperator, dt: float):
-    """E = exp(dt P*), K1 = dt phi_1(dt P*), K2 = dt phi_2(dt P*), as dense matrices.
+def _propagator(matrix: np.ndarray, dt: float) -> tuple:
+    """E = exp(dt P*), K1 = dt phi_1(dt P*), K2 = dt phi_2(dt P*), as dense matrices, for P* = matrix.
 
     P* is tridiagonal, so where a diagonal similarity symmetrizes it
     (_symmetrized_eigen) each of the three is W f(dt lam) W_inv for a scalar
@@ -509,19 +483,16 @@ def _propagator(op: PstarOperator, dt: float):
     2010).  Otherwise they are blocks of one expm of the 3n x 3n augmented
     matrix [[dt P*, I, 0], [0, 0, I], [0, 0, 0]].
     """
-    key = float(dt)
-    cached = op._prop_cache.get(key)
-    if cached is not None:
-        return cached
-    if op._eigen is not None:
-        W, lam, W_inv = op._eigen
+    eigen = _symmetrized_eigen(matrix)
+    if eigen is not None:
+        W, lam, W_inv = eigen
         z = dt * lam
         phi1, phi2 = _phi12(z)
         E, K1, K2 = ((W * f) @ W_inv for f in (np.exp(z), dt * phi1, dt * phi2))
     else:
-        n = op.matrix.shape[0]
+        n = matrix.shape[0]
         aug = np.zeros((3 * n, 3 * n))
-        aug[:n, :n] = dt * op.matrix
+        aug[:n, :n] = dt * matrix
         aug[:n, n : 2 * n] = np.eye(n)
         aug[n : 2 * n, 2 * n :] = np.eye(n)
         big = expm(aug)
@@ -530,25 +501,24 @@ def _propagator(op: PstarOperator, dt: float):
         K2 = dt * big[:n, 2 * n :]
     if not all(np.all(np.isfinite(a)) for a in (E, K1, K2)):
         raise RuntimeError("matrix exponential overflow (ill-conditioned operator)")
-    op._prop_cache[key] = (E, K1, K2)
     return E, K1, K2
 
 
-def linear_parabolic_solve(op: PstarOperator, F_path: np.ndarray, u0_tilde: np.ndarray, dt: float) -> np.ndarray:
+def linear_parabolic_solve(propagator: tuple, F_path: np.ndarray, u0_tilde: np.ndarray) -> np.ndarray:
     """March phi(t) = e^{t P*} u0 + int_0^t e^{(t-s) P*} F(s) ds with exact kicks.
 
-    F_path holds the forcing at the nodes of a uniform grid of step dt, one
-    row per node; the march takes one step per row after the first.  The
-    forcing is interpolated linearly on each step; the phi_1/phi_2 kick
-    matrices of _propagator make that quadrature exact, so constant
-    forcings and steady states are reproduced to rounding.  Returns the
-    shifted (zero-trace) samples, one row per node.
+    propagator is _propagator(P*, dt), and F_path holds the forcing at the
+    nodes of a uniform grid of that step dt, one row per node; the march
+    takes one step per row after the first.  The forcing is interpolated
+    linearly on each step; the phi_1/phi_2 kick matrices make that
+    quadrature exact, so constant forcings and steady states are reproduced
+    to rounding.  Returns the shifted (zero-trace) samples, one row per node.
     """
     F = np.asarray(F_path, dtype=float)
     phi = np.asarray(u0_tilde, dtype=float)
     if F.shape[1] != phi.size:
         raise ValueError("forcing and state sizes differ")
-    E, K1, K2 = _propagator(op, dt)
+    E, K1, K2 = propagator
     # The forcing kicks need no state: one gemv per step, formed before the
     # march, is bitwise K1 @ F[m] and K2 @ (F[m + 1] - F[m]) of that step.
     kick1 = np.matmul(K1, F[:-1, :, None])[..., 0]
@@ -626,11 +596,12 @@ def gamma_iterate(
     inner_tol = 0.01 * tol
     times = np.linspace(0.0, T, n_t + 1)
 
-    op = assemble_Pstar(u0, *dp.plate_fields(init_vw, th2))
+    pstar = assemble_Pstar(u0, *dp.plate_fields(init_vw, th2))
     u0_tilde = u0.values - th1
     # every plate solve of this call starts from init_vw on the same grid
     setup = dp.plate_setup(p, init_vw, times)
     plate = None  # the last plate path, where the next plate solve starts
+    propagator = None  # for the step T / n_t, built at the first march (a quench before it needs none)
 
     def solve_plate(current):
         nonlocal plate
@@ -638,9 +609,12 @@ def gamma_iterate(
         return plate
 
     def sweep(current):
+        nonlocal propagator
         F = _F_path(current, solve_plate(current), p)
-        forcing = F - (current.values - th1) @ op.matrix.T
-        fresh = linear_parabolic_solve(op, forcing, u0_tilde, T / n_t) + th1
+        forcing = F - (current.values - th1) @ pstar.T
+        if propagator is None:
+            propagator = _propagator(pstar, T / n_t)
+        fresh = linear_parabolic_solve(propagator, forcing, u0_tilde) + th1
         # the Duhamel integral vanishes at t=0, so the initial sample is the
         # initial datum itself -- pin it bitwise rather than via the
         # subtract-add float roundtrip

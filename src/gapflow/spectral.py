@@ -74,14 +74,14 @@ class QuenchSignal(RuntimeError):
 def require_open_gap(w: np.ndarray, message: str, times=None) -> None:
     """Raise QuenchSignal(message) where the gap samples w (last axis) are not all > 0.
 
-    w may be a stack of rows (one per time node); the signal reports the
-    minimum of the first closed row and, given times (one per row), its time.
+    w may be a stack of rows (any leading axes); the signal reports the minimum
+    of the first closed row in C order and, given times (one per row), its time.
     A NaN sample closes nothing: a row whose minimum is NaN passes.  The trace
     needs no sample where it is known to be positive (theta2).
     """
     if w.min() > 0.0:
         return
-    row_min = np.atleast_1d(w.min(axis=-1))
+    row_min = np.ravel(w.min(axis=-1))
     closed = np.flatnonzero(row_min <= 0.0)
     if closed.size:
         i = closed[0]

@@ -17,10 +17,11 @@ Re-pinning the golden files is this script with OUTDIR tests/golden
 (reference.ini) or tests/golden/quench (quench.ini), run with the pools
 pinned to one thread as above.
 
---scale-E X multiplies E = exp(dt P*) of the pressure propagator by 1 + X;
-on both shipped configs that is the E of the eigen route of
-reynolds._propagator, which no operator of theirs leaves for the augmented
-expm.  --wrong-K2 replaces its K2 = dt phi_2(dt P*) by K1/2.  --shift-theta2 X
+--scale-E X wraps reynolds._propagator(matrix, dt), which each Gamma chunk
+calls once to build its pressure propagator, and multiplies its
+E = exp(dt P*) by 1 + X; on both shipped configs that is the E of the eigen
+route, which no P* of theirs leaves for the augmented expm.  --wrong-K2
+replaces its K2 = dt phi_2(dt P*) by K1/2.  --shift-theta2 X
 adds X to theta2 where the min_w column is synthesized (the refined minimum
 of w~ plus theta2), and nowhere else.  These exist to show which changes the
 golden comparison lets through and which it catches.
@@ -54,8 +55,8 @@ def main(argv=None):
     if args.scale_E or args.wrong_K2:
         exact = ry._propagator
 
-        def perturbed(op, dt):
-            E, K1, K2 = exact(op, dt)
+        def perturbed(matrix, dt):
+            E, K1, K2 = exact(matrix, dt)
             return E * (1.0 + args.scale_E), K1, 0.5 * K1 if args.wrong_K2 else K2
 
         ry._propagator = perturbed

@@ -196,8 +196,8 @@ def test_c07_elliptic_estimate():
     t0 = time.perf_counter()
     violations = 0
     worst_slack = math.inf
-    for trial, op in enumerate(vf._elliptic_operators(np.random.default_rng(7))):
-        rep = ry.elliptic_form_check(op, trials=10_000, seed=70 + trial)
+    for trial, (u0, w0) in enumerate(vf._elliptic_operators(np.random.default_rng(7))):
+        rep = ry.elliptic_form_check(u0, w0, trials=10_000, seed=70 + trial)
         worst_slack = min(worst_slack, rep.worst_slack)
         if not rep.passed:
             violations += 1

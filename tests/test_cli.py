@@ -518,7 +518,7 @@ class TestVerify:
             cli.GridField(values=np.zeros(n), bv=0.0),
             cli.GridField(values=np.ones(n), bv=1.0),
         )
-        op.matrix[np.arange(n - 1), np.arange(1, n)] += 0.5 * (n + 1) ** 2  # non-normal
+        op[np.arange(n - 1), np.arange(1, n)] += 0.5 * (n + 1) ** 2  # non-normal
         skewed = vf._sector_gate(op)
         assert not skewed.passed and skewed.measured > 1.9
 

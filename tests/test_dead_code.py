@@ -209,7 +209,7 @@ def test_the_model_modules_hold_only_run_code():
 
 def test_the_run_code_guard_sees_a_verify_only_function():
     texts = sources()
-    texts["reynolds"] += "\n\ndef _slack(op):\n    return sector_check(op).M_bound\n"
+    texts["reynolds"] += "\n\ndef _slack(pstar):\n    return sector_check(pstar).M_bound\n"
     assert _not_run_code(texts) == ["reynolds._slack"]
 
 
@@ -240,6 +240,18 @@ def _written_in_place(tree) -> set:
     return ids
 
 
+def _copied_by_keyword(tree) -> set:
+    """ids of the attribute loads that only copy a field into a keyword of its
+    own name: x.f of X(f=x.f)."""
+    return {
+        id(k.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for k in node.keywords
+        if isinstance(k.value, ast.Attribute) and k.value.attr == k.arg
+    }
+
+
 def _not_names(tree) -> set:
     """ids of the string constants that name nothing: the argnames of
     pytest.mark.parametrize(...) and the mode of open(...)."""
@@ -252,30 +264,60 @@ def _not_names(tree) -> set:
     return ids
 
 
+def _field_reads(text: str) -> set:
+    """The names a source text reads as fields (see _unread_fields)."""
+    tree = ast.parse(text)
+    skip = _written_in_place(tree) | _copied_by_keyword(tree) | _not_names(tree)
+    reads = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            reads.add(node.value)
+        elif isinstance(node, ast.Call) and _callee(node) == "dict":
+            reads.update(k.arg for k in node.keywords if k.arg)
+    return reads
+
+
+def _unread_fields(texts: dict) -> list:
+    """The fields of the @dataclasses of the package that no text of texts
+    ({path: source text}) reads.
+
+    A read is an attribute load of that name, an identifier-like string (a
+    getattr table) other than the argnames of parametrize and the mode of
+    open, or a keyword of a dict(...) call (a dict of expected values that a
+    test compares with getattr).  Writing into a field's value, x.f[k] = v or
+    x.f.update(...), is not a read of f, and neither is copying it into a
+    keyword of its own name, X(f=x.f).
+    """
+    reads = set().union(*map(_field_reads, texts.values()))
+    return [
+        f"{path.stem}.{cls}.{name}"
+        for path, text in sorted(texts.items())
+        if path.parent == PACKAGE
+        for cls, name in _dataclass_fields(ast.parse(text))
+        if name not in reads
+    ]
+
+
+def _source_texts() -> dict:
+    return {path: path.read_text(encoding="utf-8") for path in _sources()}
+
+
 def test_every_dataclass_field_is_read_somewhere():
     """A field of a @dataclass in src/gapflow that nothing in src/, tests/ or
-    perfbench/ reads is data computed for no one.  A read is an attribute load
-    of that name, an identifier-like string (a getattr table) other than the
-    argnames of parametrize and the mode of open, or a keyword of a dict(...)
-    call (a dict of expected values that a test compares with getattr).
-    Writing into a field's value, x.f[k] = v or x.f.update(...), is not a
-    read of f."""
-    reads = set()
-    for path in _sources():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        skip = _written_in_place(tree) | _not_names(tree)
-        for node in ast.walk(tree):
-            if id(node) in skip:
-                continue
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-                reads.add(node.value)
-            elif isinstance(node, ast.Call) and _callee(node) == "dict":
-                reads.update(k.arg for k in node.keywords if k.arg)
-    unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for cls, name in _dataclass_fields(ast.parse(path.read_text(encoding="utf-8"))):
-            if name not in reads:
-                unread.append(f"{path.stem}.{cls}.{name}")
+    perfbench/ reads (_unread_fields) is data computed for no one."""
+    unread = _unread_fields(_source_texts())
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def test_the_field_guard_does_not_count_a_copy_as_a_read():
+    texts = _source_texts()
+    texts[PACKAGE / "reynolds.py"] += "\n\n@dataclass\nclass _Probe:\n    probe_field: float\n"
+    copy = "\n\ndef _copy(x):\n    return _Probe(probe_field=x.probe_field)\n"
+    texts[ROOT / "tests" / "test_probe.py"] = copy
+    assert _unread_fields(texts) == ["reynolds._Probe.probe_field"]
+    texts[ROOT / "tests" / "test_probe.py"] = copy + "\n\ndef _read(x):\n    return x.probe_field + 1.0\n"
+    assert _unread_fields(texts) == []

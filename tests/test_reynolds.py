@@ -203,8 +203,8 @@ class TestAssemblePstar:
         op = ry.assemble_Pstar(u, v, w)
         h = 1.0 / (n + 1)
         lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / h**2
-        assert np.allclose(op.matrix, lap, rtol=1e-13, atol=0.0)
-        eigs = np.sort(np.linalg.eigvalsh(op.matrix))
+        assert np.allclose(op, lap, rtol=1e-13, atol=0.0)
+        eigs = np.sort(np.linalg.eigvalsh(op))
         exact = np.sort([-4 / h**2 * math.sin(j * math.pi * h / 2) ** 2 for j in range(1, n + 1)])
         assert np.abs(eigs - exact).max() <= 1e-9 * np.abs(exact).max()
 
@@ -215,7 +215,7 @@ class TestAssemblePstar:
             op = ry.assemble_Pstar(
                 u, GridField(values=np.zeros(n), bv=0.0), GridField(values=np.ones(n), bv=1.0)
             )
-            lam1 = np.max(np.linalg.eigvalsh(op.matrix))
+            lam1 = np.max(np.linalg.eigvalsh(op))
             errs.append(abs(lam1 + math.pi**2))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
@@ -230,19 +230,6 @@ class TestAssemblePstar:
             ry.assemble_Pstar(GridField(values=bad, bv=1.0), v, good_w)
         with pytest.raises(ValueError):
             ry.assemble_Pstar(good_u, v, GridField(values=bad, bv=1.0))
-
-    def test_propagator_cached_per_step_size(self):
-        n = 12
-        op = ry.assemble_Pstar(
-            GridField(values=np.ones(n), bv=1.0),
-            GridField(values=np.zeros(n), bv=0.0),
-            GridField(values=np.ones(n), bv=1.0),
-        )
-        E1, _, _ = ry._propagator(op, 0.01)
-        E2, _, _ = ry._propagator(op, 0.01)
-        assert E1 is E2
-        E3, _, _ = ry._propagator(op, 0.02)
-        assert E3 is not E1
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +268,7 @@ tol = 1e-9
 
 @pytest.fixture(scope="module")
 def run_operators(tmp_path_factory):
-    """{run: [(operator, dt), ...]} for every propagator a simulate run builds."""
+    """{run: [(P*, dt), ...]} for every propagator a simulate run builds."""
     configs = {
         "reference.ini": cli._load_config(str(ROOT / "configs" / "reference.ini")),
         "quench.ini": cli._load_config(str(ROOT / "configs" / "quench.ini")),
@@ -330,9 +317,9 @@ class TestPropagator:
     def test_eigen_route_matches_the_augmented_expm(self, run_operators, run, tol):
         ops = run_operators[run]
         for op, dt in ops:
-            assert op._eigen is not None, "a shipped run left the eigen route"
+            assert ry._symmetrized_eigen(op) is not None, "a shipped run left the eigen route"
             got = ry._propagator(op, dt)
-            for name, g, r, bound in zip(("E", "K1", "K2"), got, augmented_propagator(op.matrix, dt), tol):
+            for name, g, r, bound in zip(("E", "K1", "K2"), got, augmented_propagator(op, dt), tol):
                 err = np.abs(g - r).max() / np.abs(r).max()
                 assert err <= bound, f"{run}: {name} at dt={dt} off by {err:.3g} of its sup norm"
 
@@ -362,12 +349,12 @@ class TestPropagator:
         op = ry.assemble_Pstar(
             GridField(values=u, bv=1.0), GridField(values=np.zeros(n), bv=0.0), GridField(values=w, bv=1.0)
         )
-        sub, sup = np.diag(op.matrix, -1), np.diag(op.matrix, 1)
+        sub, sup = np.diag(op, -1), np.diag(op, 1)
         assert np.any(sub * sup <= 0.0)
         calls = count_expm(monkeypatch)
         got = ry._propagator(op, 1e-3)
         assert calls == [(3 * n, 3 * n)]
-        for g, r in zip(got, augmented_propagator(op.matrix, 1e-3)):
+        for g, r in zip(got, augmented_propagator(op, 1e-3)):
             assert np.array_equal(g, r)
 
     @pytest.mark.parametrize("cond, route", [(0.99 * ry._COND_S_MAX, "eigen"), (1.01 * ry._COND_S_MAX, "expm")])
@@ -378,13 +365,12 @@ class TestPropagator:
         n = 12
         heat = heat_op(n)
         r = cond ** (1.0 / (n - 1))
-        m = heat.matrix.copy()
+        m = heat.copy()
         idx = np.arange(n - 1)
         m[idx + 1, idx] *= r
         m[idx, idx + 1] /= r
-        op = ry.PstarOperator(matrix=m, u0=heat.u0, v0=heat.v0, w0=heat.w0, h=heat.h)
         calls = count_expm(monkeypatch)
-        got = ry._propagator(op, 1e-3)
+        got = ry._propagator(m, 1e-3)
         ref = augmented_propagator(m, 1e-3)
         if route == "expm":
             assert calls == [(3 * n, 3 * n)]
@@ -399,16 +385,16 @@ class TestPropagator:
 # ---------------------------------------------------------------------------
 
 
+def unit_fields(n):
+    """(u0, w0) = (1, 1) with traces 1: the coefficients of the constant-coefficient P*."""
+    return GridField(values=np.ones(n), bv=1.0), GridField(values=np.ones(n), bv=1.0)
+
+
 class TestEllipticForm:
     def test_constant_coefficient_form_is_gradient_norm(self):
         n = 31
-        op = ry.assemble_Pstar(
-            GridField(values=np.ones(n), bv=1.0),
-            GridField(values=np.zeros(n), bv=0.0),
-            GridField(values=np.ones(n), bv=1.0),
-        )
-        A = ry._principal_matrix(op)
-        h = op.h
+        A = ry._principal_matrix(*unit_fields(n))
+        h = 1.0 / (n + 1)
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = rng.normal(size=n)
@@ -417,13 +403,7 @@ class TestEllipticForm:
             assert abs(lhs - dq2) <= 1e-12 * dq2
 
     def test_formula_constants_and_pass(self):
-        n = 31
-        op = ry.assemble_Pstar(
-            GridField(values=np.ones(n), bv=1.0),
-            GridField(values=np.zeros(n), bv=0.0),
-            GridField(values=np.ones(n), bv=1.0),
-        )
-        rep = ry.elliptic_form_check(op, trials=500, seed=1)
+        rep = ry.elliptic_form_check(*unit_fields(31), trials=500, seed=1)
         assert rep.passed
         assert rep.K == 0.5  # eps1 = kappa = 1
         assert rep.K_o == pytest.approx(rep.K2**2 / 2.0)
@@ -435,15 +415,33 @@ class TestEllipticForm:
         for trial in range(5):
             uo = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(2 * np.pi * x) * rng.uniform(-1, 1)
             wo = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x) * rng.uniform(-1, 1)
-            vo = 0.3 * np.sin(np.pi * x) * rng.uniform(-1, 1)
-            op = ry.assemble_Pstar(
-                GridField(values=uo, bv=1.0),
-                GridField(values=vo, bv=0.0),
-                GridField(values=wo, bv=1.0),
+            rng.uniform(-1, 1)  # the amplitude of the triple's v0, which the check does not read
+            rep = ry.elliptic_form_check(
+                GridField(values=uo, bv=1.0), GridField(values=wo, bv=1.0), trials=2000, seed=100 + trial
             )
-            rep = ry.elliptic_form_check(op, trials=2000, seed=100 + trial)
             assert rep.passed, f"triple {trial}: worst slack {rep.worst_slack}"
 
+    def test_invalid_coefficients_raise_as_in_the_assembly(self):
+        # the check validates u0 and w0 where the assembly does (ry._faces):
+        # each bad pair raises the same ValueError from both
+        n = 8
+        u, w = unit_fields(n)
+        v = GridField(values=np.zeros(n), bv=0.0)
+        bad = np.ones(n)
+        bad[3] = -0.1
+        cases = [
+            (u, GridField(values=np.ones(n + 1), bv=1.0), "must share the grid"),
+            (GridField(values=bad, bv=1.0), w, "u0 must be strictly positive"),
+            (GridField(values=np.ones(n), bv=0.0), w, "u0 must be strictly positive"),
+            (u, GridField(values=bad, bv=1.0), "w0 must be strictly positive"),
+        ]
+        for u0, w0, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ry.elliptic_form_check(u0, w0, trials=10)
+            with pytest.raises(ValueError, match=message):
+                ry.assemble_Pstar(u0, GridField(values=np.zeros(w0.n), bv=0.0), w0)
+        with pytest.raises(ValueError, match="must share the grid"):
+            ry.assemble_Pstar(u, GridField(values=np.zeros(n + 1), bv=0.0), w)
 
     @pytest.mark.parametrize("trials", [300, 100])
     def test_blocked_check_matches_the_per_sample_loop(self, trials):
@@ -453,12 +451,10 @@ class TestEllipticForm:
         x = sp.grid(n)
         uo = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1)
         wo = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x)
-        op = ry.assemble_Pstar(
-            GridField(values=uo, bv=1.0), GridField(values=0.1 * x, bv=0.0), GridField(values=wo, bv=1.0)
-        )
-        rep = ry.elliptic_form_check(op, trials=trials, seed=5)
-        A = ry._principal_matrix(op)
-        h = op.h
+        u0, w0 = GridField(values=uo, bv=1.0), GridField(values=wo, bv=1.0)
+        rep = ry.elliptic_form_check(u0, w0, trials=trials, seed=5)
+        A = ry._principal_matrix(u0, w0)
+        h = 1.0 / (n + 1)
         rng = np.random.default_rng(5)
         worst = np.inf
         ok = True
@@ -476,19 +472,15 @@ class TestEllipticForm:
 
     def test_one_violating_row_fails_the_check(self, monkeypatch):
         n = 31
-        op = ry.assemble_Pstar(
-            GridField(values=np.ones(n), bv=1.0),
-            GridField(values=np.zeros(n), bv=0.0),
-            GridField(values=np.ones(n), bv=1.0),
-        )
-        assert ry.elliptic_form_check(op, trials=300, seed=1).passed
+        u0, w0 = unit_fields(n)
+        assert ry.elliptic_form_check(u0, w0, trials=300, seed=1).passed
         # a principal part that vanishes on one direction: rows of q along it
         # violate the form, and a single such row in a block must fail it
-        A = ry._principal_matrix(op)
+        A = ry._principal_matrix(u0, w0)
         e = np.zeros(n)
         e[n // 2] = 1.0
-        monkeypatch.setattr(ry, "_principal_matrix", lambda _op: A - np.outer(A @ e, e))
-        assert ry.elliptic_form_check(op, trials=300, seed=1).passed  # random q barely see it
+        monkeypatch.setattr(ry, "_principal_matrix", lambda _u0, _w0: A - np.outer(A @ e, e))
+        assert ry.elliptic_form_check(u0, w0, trials=300, seed=1).passed  # random q barely see it
         real_rng = np.random.default_rng
 
         class OneRowAlong:
@@ -501,7 +493,7 @@ class TestEllipticForm:
                 return q
 
         monkeypatch.setattr(ry.np.random, "default_rng", OneRowAlong)
-        rep = ry.elliptic_form_check(op, trials=300, seed=1)
+        rep = ry.elliptic_form_check(u0, w0, trials=300, seed=1)
         assert not rep.passed and rep.worst_slack < 0
 
 
@@ -523,18 +515,18 @@ class TestSectorAndGraphNorm:
         rep = ry.sector_check(op)
         # normal operator with real spectrum: M ~ 1/sin(pi - widest ray)
         assert rep.M_bound == pytest.approx(1.0 / math.sin(math.pi - rep.angle), rel=0.01)
-        assert rep.omega_shift > float(np.linalg.eigvalsh(op.matrix).max())
+        assert rep.omega_shift > float(np.linalg.eigvalsh(op).max())
 
     def test_real_lambda_right_of_shift(self):
         op = self._const_op()
-        scale = float(np.abs(np.linalg.eigvalsh(op.matrix)).max())
+        scale = float(np.abs(np.linalg.eigvalsh(op)).max())
         rep = ry.sector_check(op, extra_lambdas=[1.0, scale, 10 * scale])
         extras = [prod for lam, prod in rep.samples if abs(complex(lam).imag) == 0.0]
         assert extras and all(prod <= 1.0 + 1e-9 for prod in extras)
 
     def test_lambda_on_spectrum_errors(self):
         op = self._const_op()
-        lam = float(np.linalg.eigvalsh(op.matrix).max())
+        lam = float(np.linalg.eigvalsh(op).max())
         with pytest.raises(ValueError, match="sector violation"):
             ry.sector_check(op, extra_lambdas=[lam])
 
@@ -550,7 +542,7 @@ class TestSectorAndGraphNorm:
         modes = np.zeros(n)
         modes[0] = 1.0
         g = sp.inverse_sine_transform(modes)
-        pg = op.matrix @ g
+        pg = op @ g
         # eigenvector: P* g = lam1 g on the grid
         assert np.abs(pg - lam1 * g).max() <= 1e-9 * abs(lam1)
         ratio = sp.norm_Hk(modes, 2) / (
@@ -573,7 +565,7 @@ class TestLinearParabolicSolve:
         modes[2] = 1.0
         u0 = sp.inverse_sine_transform(modes)
         T, Nt = 0.02, 32
-        out = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T / Nt)
+        out = ry.linear_parabolic_solve(ry._propagator(op, T / Nt), [np.zeros(n)] * (Nt + 1), u0)
         got = sp.sine_transform(out[-1])[2]
         h = 1.0 / (n + 1)
         lam = -4 / h**2 * math.sin(3 * math.pi * h / 2) ** 2
@@ -587,7 +579,7 @@ class TestLinearParabolicSolve:
             modes = np.zeros(n)
             modes[0] = 1.0
             u0 = sp.inverse_sine_transform(modes)
-            out = ry.linear_parabolic_solve(op, [np.zeros(n)] * (Nt + 1), u0, T / Nt)
+            out = ry.linear_parabolic_solve(ry._propagator(op, T / Nt), [np.zeros(n)] * (Nt + 1), u0)
             got = sp.sine_transform(out[-1])[0]
             errs.append(abs(got - math.exp(-math.pi**2 * T)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -596,15 +588,15 @@ class TestLinearParabolicSolve:
         n = 48
         op = heat_op(n)
         F = np.sin(np.pi * sp.grid(n))
-        out = ry.linear_parabolic_solve(op, [F] * 129, np.zeros(n), 3.0 / 128)
-        steady = -np.linalg.solve(op.matrix, F)
+        out = ry.linear_parabolic_solve(ry._propagator(op, 3.0 / 128), [F] * 129, np.zeros(n))
+        steady = -np.linalg.solve(op, F)
         assert np.abs(out[-1] - steady).max() <= 1e-12
 
     def test_initial_value_exact(self):
         n = 16
         op = heat_op(n)
         u0 = np.sin(np.pi * sp.grid(n)) * 0.3
-        out = ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, u0, 0.1 / 4)
+        out = ry.linear_parabolic_solve(ry._propagator(op, 0.1 / 4), [np.zeros(n)] * 5, u0)
         assert np.array_equal(out[0], u0)
 
     @pytest.mark.parametrize("route", ["eigen", "expm"])
@@ -620,12 +612,12 @@ class TestLinearParabolicSolve:
         op = ry.assemble_Pstar(
             GridField(values=u, bv=1.0), GridField(values=np.zeros(n), bv=0.0), GridField(values=w, bv=1.0)
         )
-        assert (op._eigen is None) == (route == "expm")
+        assert (ry._symmetrized_eigen(op) is None) == (route == "expm")
         rng = np.random.default_rng(5)
         F = rng.normal(size=(Nt + 1, n))
         u0 = rng.normal(size=n)
-        out = ry.linear_parabolic_solve(op, F, u0, T / Nt)
         E, K1, K2 = ry._propagator(op, T / Nt)
+        out = ry.linear_parabolic_solve((E, K1, K2), F, u0)
         want = [u0]
         for m in range(Nt):
             want.append(E @ want[m] + K1 @ F[m] + K2 @ (F[m + 1] - F[m]))
@@ -635,7 +627,7 @@ class TestLinearParabolicSolve:
         n = 8
         op = heat_op(n)
         with pytest.raises(ValueError, match="forcing and state sizes differ"):
-            ry.linear_parabolic_solve(op, [np.zeros(n)] * 5, np.zeros(n + 1), 0.1 / 4)
+            ry.linear_parabolic_solve(ry._propagator(op, 0.1 / 4), [np.zeros(n)] * 5, np.zeros(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +700,60 @@ class TestGammaIterate:
         # fixed point of a cold standalone solve on the converged path
         alone, _ = dp.picard_dispersive(p, u_fix, init.vw, tol=0.01 * tol)
         assert alone.v.tobytes() == plate.v.tobytes() and alone.w.tobytes() == plate.w.tobytes()
+
+    def test_one_call_builds_its_propagator_once(self, monkeypatch):
+        # every sweep of a call marches the pressure with the step T / n_t of
+        # its one time grid, so the call builds (E, K1, K2) once and hands the
+        # same matrices to every march
+        p = base_params()
+        n = 32
+        T, n_t = 0.01, 16
+        init = CoupledState(u=bump_pressure(n), vw=bump_state(n))
+        built, marched = [], []
+        propagator, solve = ry._propagator, ry.linear_parabolic_solve
+
+        def counted_propagator(matrix, dt):
+            built.append(propagator(matrix, dt))
+            return built[-1]
+
+        def counted_solve(prop, *args):
+            marched.append(prop)
+            return solve(prop, *args)
+
+        monkeypatch.setattr(ry, "_propagator", counted_propagator)
+        monkeypatch.setattr(ry, "linear_parabolic_solve", counted_solve)
+        _, rep, _ = ry.gamma_iterate(p, init, T, n_t, tol=1e-11)
+        assert rep.converged and rep.iterations >= 3
+        assert len(built) == 1 and len(marched) == rep.iterations
+        assert all(prop is built[0] for prop in marched)
+
+    def test_a_quench_run_builds_one_propagator_per_chunk_that_marches(self, monkeypatch):
+        # configs/quench.ini makes 28 Gamma attempts; 17 of them reach a
+        # pressure march, and each of those builds its propagator once.  The
+        # other 11 end in their first plate solve and build none.
+        cfg = cli._load_config(str(ROOT / "configs" / "quench.ini"))
+        attempts = []  # per gamma_iterate call: [propagators built, pressure marches]
+        gamma, propagator, solve = ry.gamma_iterate, ry._propagator, ry.linear_parabolic_solve
+
+        def counted_gamma(*args, **kwargs):
+            attempts.append([0, 0])
+            return gamma(*args, **kwargs)
+
+        def counted_propagator(matrix, dt):
+            attempts[-1][0] += 1
+            return propagator(matrix, dt)
+
+        def counted_solve(*args):
+            attempts[-1][1] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(ry, "gamma_iterate", counted_gamma)
+        monkeypatch.setattr(ry, "_propagator", counted_propagator)
+        monkeypatch.setattr(ry, "linear_parabolic_solve", counted_solve)
+        ry.run_coupled(cfg.model_params(), cfg.initial_state(), cfg.T, cfg.driver_config())
+        assert len(attempts) == 28
+        assert sum(built for built, _ in attempts) == 17
+        assert all(built == (marches > 0) for built, marches in attempts)
 
     def test_warm_starts_cut_the_plate_sweeps_of_the_first_quench_chunk(self, monkeypatch):
         # the first chunk of configs/quench.ini, from the driver's initial guess
@@ -812,7 +858,7 @@ class TestFrechetF:
         out = vf.frechet_F(u_fix, q, plate, dW, p)
         v0, w0 = dp.plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
         op = ry.assemble_Pstar(GridField(u_fix.values[0], u_fix.bv), v0, w0)
-        ref = op.matrix @ sp.inverse_sine_transform(qm)
+        ref = op @ sp.inverse_sine_transform(qm)
         assert np.abs(out[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_directional_difference_first_order(self):

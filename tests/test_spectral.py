@@ -638,6 +638,24 @@ def test_require_open_gap_reports_the_first_closed_row():
     assert exc.value.min_value == -0.1 and exc.value.t == 0.25
 
 
+@pytest.mark.parametrize("first", [(1, 2, 1), (0, 1, 1)])
+def test_require_open_gap_reports_the_first_closed_row_of_a_deeper_stack(first):
+    # a (2, 3, 4) stack: rows in C order are (0, 0) .. (1, 2); a second closed
+    # row after the first, with a lower minimum, is not the one reported
+    w = np.ones((2, 3, 4))
+    w[first] = -0.25
+    if first != (1, 2, 1):
+        w[1, 2, 3] = -0.5
+    times = np.arange(6) * 0.1
+    with pytest.raises(sp.QuenchSignal, match="^closed$") as exc:
+        sp.require_open_gap(w, "closed", times=times)
+    assert exc.value.min_value == -0.25
+    assert exc.value.t == times[3 * first[0] + first[1]]
+    with pytest.raises(sp.QuenchSignal) as exc:
+        sp.require_open_gap(w, "closed")
+    assert exc.value.min_value == -0.25 and np.isnan(exc.value.t)
+
+
 def test_gap_min_caps_each_row_by_the_trace():
     w = np.array([[1.5, 0.7, 2.0], [1.2, 1.4, 1.3]])
     assert np.array_equal(sp.gap_min(w, 1.0), [0.7, 1.0])

@@ -93,8 +93,8 @@ class RunConfig:
     v_amp: float = _key("init", "float", "0.0")
     init_file: str = _key("init", "str", "", key="file")
     init_file_sha256: str = _key("init", "str", "", key="file_sha256")
-    k_max: int = _key("discretization", "int", "48", (">=", 1))
-    n: int = _key("discretization", "int", "48", (">=", 1))
+    k_max: int = _key("discretization", "int", "48", (">=", 3))
+    n: int = _key("discretization", "int", "48", (">=", 3))
     n_t: int = _key("discretization", "int", str(DriverConfig.n_t), (">=", 1), key="N_t")
     T: float = _key("run", "horizon", "0.02", (">", 0))
     T_source: str = _key("run", "str", "")
@@ -250,6 +250,13 @@ def parse_config(text: str) -> RunConfig:
                     violations.append(f"{sec}.{key}: must be {want} (got {x!r})")
                     value = None
         c[name] = value
+    # a repeated entry of a sweep list would run its cells more than once;
+    # compared as floats, so 0.0 and -0.0 are one value
+    for sec, key, name, *_ in _CONFIG_KEYS:
+        if sec == "sweep" and c[name] is not None:
+            entries = [x for x in c[name] if x is not None]
+            if len(set(entries)) < len(entries):
+                violations.append(f"{sec}.{key}: repeated value (got {', '.join(map(repr, entries))})")
     init_kind, init_file, k_max, n = c["init_kind"], c["init_file"], c["k_max"], c["n"]
     file_sha_given = c["init_file_sha256"].strip().lower()
     T_source_raw = c["T_source"].strip().lower()

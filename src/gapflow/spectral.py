@@ -31,20 +31,26 @@ Transform route, chosen per length (Frigo & Johnson, The Design and
 Implementation of FFTW3, Proc. IEEE 93(2), 2005): a transform between
 n_nodes samples and k modes is a DST-I, whose FFT has length 2(n_nodes+1),
 unless that length has a prime factor p > k.  pocketfft's pass for a prime
-radix costs O(p) per element, so there the transforms multiply by a cached
-(n_nodes, k) sine table instead, one BLAS gemv per row: O(k) per element,
-each row bitwise its own call and independent of the BLAS pool size (one
-gemm over the stack would give neither).  33 rows, one thread, synthesis /
-analysis:
+radix costs O(p) per element, so there the transforms multiply by cached
+sine tables instead, O(k) per element.  Row n_nodes+1-j of the (n_nodes, k)
+table is row j times (-1)^(i+1) in mode i, so the route keeps only the first
+half of its rows, split into the odd and the even modes (_half_tables): the
+two products do half the flops and read half the bytes of one with the full
+table.  Each product is one BLAS gemv per row and the combines are
+elementwise, so each row is bitwise its own call and independent of the BLAS
+pool size (one gemm over the stack would give neither).  33 rows, one
+thread, synthesis / analysis:
 
-    n_nodes          DST             table (gemv)    route
-    256 (k = 256)    1329 / 809 us   397 / 318 us    table (p = 257)
-    513 (k = 256)    1131 / 1641 us  749 / 752 us    table (p = 257)
-    128, 257         about the same                  DST
-    512              164 us          1827 us         DST (p = 19)
+    n_nodes          DST             full table      half tables     route
+    256 (k = 256)    435 / 435 us    210 / 210 us    105 / 100 us    table (p = 257)
+    513 (k = 256)    650 / 650 us    430 / 420 us    200 / 200 us    table (p = 257)
+    16 (k = 16)      10 / 10 us      3 / 3 us        9 / 9 us        table (p = 17)
+    128, 257         43, 76 us       about the DST   25, 60 us       DST
+    512              112 us          1130 us         370 us          DST (p = 19)
 
+At n = 16 the call overhead of two gemvs per row outweighs the halved flops.
 Every length of the shipped configs (n = 48 and 64 and their pad-2 and
-pad-4 grids) stays on the DST; n = 16 and n = 256 take the table.
+pad-4 grids) stays on the DST and keeps its bytes.
 """
 
 from __future__ import annotations
@@ -187,33 +193,55 @@ def _table_route(n_nodes: int, k: int) -> bool:
     return _largest_prime_factor(2 * (n_nodes + 1)) > k
 
 
+# Both caches fill once per key, under the one lock (the cells of a sweep run
+# on two threads), and hold read-only arrays.
 _TABLES: dict = {}
+_HALF_TABLES: dict = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def _sine_table(n_nodes: int, k: int) -> np.ndarray:
-    """table[j, i] = sin((j+1)(i+1) pi/(n_nodes+1)), shape (n_nodes, k): nodes by modes.
-
-    Built once per (n_nodes, k), in place and under a lock (the cells of a
-    sweep run on two threads), and cached read-only.  Synthesis multiplies by
-    it, analysis by its transpose (a view).
-    """
-    table = _TABLES.get((n_nodes, k))
-    if table is None:
+def _cached(cache: dict, key, build):
+    got = cache.get(key)
+    if got is None:
         with _TABLES_LOCK:
-            table = _TABLES.get((n_nodes, k))
-            if table is None:
-                # j*i reduced mod 2(n_nodes+1) in integers keeps the angle in [0, 2 pi)
-                ji = np.multiply.outer(np.arange(1, n_nodes + 1), np.arange(1, k + 1))
-                ji %= 2 * (n_nodes + 1)
-                table = ji.astype(float)
-                del ji
-                table *= np.pi
-                table /= n_nodes + 1
-                np.sin(table, out=table)
-                table.setflags(write=False)
-                _TABLES[(n_nodes, k)] = table
+            got = cache.get(key)
+            if got is None:
+                got = cache[key] = build()
+    return got
+
+
+def _sines(n_nodes: int, rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """sin(j i pi/(n_nodes+1)) for the nodes j in rows by the modes i, read-only."""
+    # j*i reduced mod 2(n_nodes+1) in integers keeps the angle in [0, 2 pi)
+    ji = np.multiply.outer(rows, modes)
+    ji %= 2 * (n_nodes + 1)
+    table = ji.astype(float)
+    del ji
+    table *= np.pi
+    table /= n_nodes + 1
+    np.sin(table, out=table)
+    table.setflags(write=False)
     return table
+
+
+def _sine_table(n_nodes: int, k: int) -> np.ndarray:
+    """table[j, i] = sin((j+1)(i+1) pi/(n_nodes+1)), shape (n_nodes, k): nodes by
+    modes.  The dense matrices of sine_matrices; the transforms use _half_tables."""
+    return _cached(_TABLES, (n_nodes, k), lambda: _sines(n_nodes, np.arange(1, n_nodes + 1), np.arange(1, k + 1)))
+
+
+def _half_tables(n_nodes: int, k: int) -> tuple:
+    """(odd, even): the sine table's rows j = 1..ceil(n_nodes/2) at the odd modes
+    and rows 1..floor(n_nodes/2) at the even modes: all of it, by the mirror
+    symmetry (the first butterfly of the fast DST; Britanak, Yip & Rao,
+    Discrete Cosine and Sine Transforms, 2007)."""
+
+    def build():
+        half = n_nodes // 2
+        odd = _sines(n_nodes, np.arange(1, n_nodes - half + 1), np.arange(1, k + 1, 2))
+        return odd, _sines(n_nodes, np.arange(1, half + 1), np.arange(2, k + 1, 2))
+
+    return _cached(_HALF_TABLES, (n_nodes, k), build)
 
 
 def _rowwise(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -221,6 +249,39 @@ def _rowwise(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     row comes out bitwise as its own call, whatever the pool size.  One gemm over
     the stack would not keep that."""
     return np.matmul(matrix, np.ascontiguousarray(x)[..., None])[..., 0]
+
+
+def _table_synthesis(m: np.ndarray, n_nodes: int) -> np.ndarray:
+    """sum_i m_i sin(i pi x_j) from the half tables: f_j = o_j + e_j and
+    f_{n_nodes+1-j} = o_j - e_j, with o from the odd modes and e from the even."""
+    odd, even = _half_tables(n_nodes, m.shape[-1])
+    half = n_nodes // 2
+    o = _rowwise(odd, m[..., 0::2])
+    e = _rowwise(even, m[..., 1::2])
+    f = np.empty(m.shape[:-1] + (n_nodes,))
+    np.add(o[..., :half], e, out=f[..., :half])
+    np.subtract(o[..., :half], e, out=f[..., ::-1][..., :half])
+    if n_nodes % 2:
+        f[..., half] = o[..., half]
+    return f
+
+
+def _table_analysis(f: np.ndarray, k: int) -> np.ndarray:
+    """sum_j f_j sin(i pi x_j) for i = 1..k from the half tables: the odd modes
+    from f_j + f_{n+1-j} (and the middle sample of an odd n), the even modes
+    from f_j - f_{n+1-j}."""
+    n_nodes = f.shape[-1]
+    odd, even = _half_tables(n_nodes, k)
+    half = n_nodes // 2
+    head, tail = f[..., :half], f[..., ::-1][..., :half]
+    folded = np.empty(f.shape[:-1] + (n_nodes - half,))
+    np.add(head, tail, out=folded[..., :half])
+    if n_nodes % 2:
+        folded[..., half] = f[..., half]
+    coeffs = np.empty(f.shape[:-1] + (k,))
+    coeffs[..., 0::2] = _rowwise(odd.T, folded)
+    coeffs[..., 1::2] = _rowwise(even.T, head - tail)
+    return coeffs
 
 
 def sine_transform(f: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -238,7 +299,7 @@ def sine_transform(f: np.ndarray, k: int | None = None) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"sine_transform returns 1 to {n} coefficients, not {k}")
     if _table_route(n, k):
-        coeffs = _rowwise(_sine_table(n, k).T, f)
+        coeffs = _table_analysis(f, k)
         coeffs *= 2.0
         coeffs /= n + 1
         return coeffs
@@ -253,7 +314,7 @@ def inverse_sine_transform(m: np.ndarray, n: int | None = None) -> np.ndarray:
     if n < k:
         raise ValueError(f"{k} modes need at least {k} nodes, got {n}")
     if _table_route(n, k):
-        return _rowwise(_sine_table(n, k), m)
+        return _table_synthesis(m, n)
     if n > k:
         padded = np.zeros(m.shape[:-1] + (n,))
         padded[..., :k] = m
@@ -270,12 +331,13 @@ def sine_matrices(k: int) -> tuple:
     symmetric); syn2 (2k+1, k) synthesizes on the pad-2 grid of
     refined_values; ana2 = syn2.T/(k+1) (k, 2k+1) is the pad-2 analysis
     truncated to k modes, so ana2 @ func(syn2 @ m + bv) is
-    dealias_apply(func, m, bvs=(bv,)).  syn and syn2 are the tables of the
-    transforms' table route; ana and ana2 are scaled copies, so a product
-    with them rounds like neither route, and agrees with both to rounding.
-    A small matrix-vector product beats a DST dispatch for one row (the
-    Runge-Kutta oracle).  Built on first use of each k and cached; the
-    arrays are read-only.
+    dealias_apply(func, m, bvs=(bv,)).  syn and syn2 are the full sine
+    tables (_sine_table), whose entries the transforms' half tables share
+    bitwise, but a product with any of the four sums every mode at once, so
+    it rounds like neither route and agrees with both to rounding.  A small
+    matrix-vector product beats a DST dispatch for one row (the Runge-Kutta
+    oracle).  Built on first use of each k and cached; the arrays are
+    read-only.
     """
     syn = _sine_table(k, k)
     syn2 = _sine_table(2 * k + 1, k)

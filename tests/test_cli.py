@@ -135,6 +135,28 @@ class TestParseConfig:
             cli.parse_config(f"[sweep]\n{key} = -1.0, 1.0\n")
         assert any(v.startswith(f"sweep.{key}: must be >= 0") for v in err.value.violations)
 
+    def test_grid_sizes_below_three_are_violations(self):
+        # every run needs n >= 3 interior nodes; 2 used to parse and then fail in simulate
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config("[discretization]\nk_max = 2\nn = 2\n")
+        assert err.value.violations == [
+            "discretization.k_max: must be >= 3 (got 2)",
+            "discretization.n: must be >= 3 (got 2)",
+        ]
+        cfg = cli.parse_config("[discretization]\nk_max = 3\nn = 3\n")
+        assert (cfg.k_max, cfg.n) == (3, 3)
+
+    @pytest.mark.parametrize("key", ["beta_F_values", "beta_p_values"])
+    def test_repeated_sweep_values_are_listed_with_the_other_violations(self, key):
+        # a repeat would run its cells twice and write their rows twice; -0.0 repeats 0.0
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"[params]\neps1 = 0\n\n[sweep]\n{key} = 0.0, 1.0, -0.0\n")
+        assert err.value.violations == [
+            "params.eps1: must be > 0 (got 0.0)",
+            f"sweep.{key}: repeated value (got 0.0, 1.0, -0.0)",
+        ]
+        assert cli.parse_config(f"[sweep]\n{key} = 0.0, 1.0\n")
+
     def test_all_violations_reported_at_once(self):
         bad = """
 [params]

@@ -73,8 +73,11 @@ def test_round_trip_identity():
 DST_LENGTHS = [
     (48, 48), (97, 48), (195, 48), (64, 64), (129, 64), (259, 64), (128, 128), (257, 128), (512, 512), (1025, 256)
 ]
-# n = 256, its pad-2 grid and the pad-2 grid of that: 2(n_nodes + 1) = 2, 4 and 8 times 257
-TABLE_LENGTHS = [(256, 256), (513, 256), (1027, 256)]
+# n = 256, its pad-2 grid and the pad-2 grid of that: 2(n_nodes + 1) = 2, 4 and 8 times 257;
+# n = 16 (the convergence study's coarse level) and its pad-2 grid: 2 and 4 times 17
+TABLE_LENGTHS = [(16, 16), (33, 16), (256, 256), (513, 256), (1027, 256)]
+# the half route also at odd mode counts and at k = 1; an odd n_nodes has a middle row
+HALF_ROUTE_LENGTHS = TABLE_LENGTHS + [(16, 15), (33, 15), (7, 1)]
 
 
 def _transform_both_ways(n_nodes, k):
@@ -131,6 +134,67 @@ def test_table_route_agrees_with_the_dst_to_rounding():
         assert np.all(gap <= bound * 2 * np.abs(f).sum(axis=-1) / (n_nodes + 1))
 
 
+def _worst_error_over_bound(n_nodes, k):
+    """Largest error of the table route over its a-priori bound, both ways, on 20 random rows.
+
+    Against the exact transform, to first order in u = eps/2, with the terms'
+    sum of magnitudes l1 (|m|_1 for a synthesis, 2 |f|_1 / (n + 1) for an analysis):
+    - a table entry rounds pi, its product with j i mod 2(n + 1) and the
+      quotient by n + 1, so its angle (< 2 pi) is off by 6 pi u, and its sine
+      rounds once: (6 pi + 1) u;
+    - synthesis: each half table's gemv sums ceil(k/2) terms, ceil(k/2) u,
+      and one add or subtract combines the halves, u;
+    - analysis: one add or subtract folds the samples, u; the gemv sums
+      ceil(n/2) terms, ceil(n/2) u; the scaling by 1/(n + 1), u.
+    Rounding 6 pi + 2 and 6 pi + 3 up to 21 and 22 covers the second-order
+    terms.  The reference sums the same way in long double, good to
+    (max(n, k) + 22) u_ld l1.
+    """
+    u, u_ld = np.finfo(float).eps / 2, np.finfo(np.longdouble).eps / 2
+    pi = 4 * np.arctan(np.longdouble(1))
+    ji = np.outer(np.arange(1, n_nodes + 1), np.arange(1, k + 1)) % (2 * (n_nodes + 1))
+    exact = np.sin(pi * ji.astype(np.longdouble) / (n_nodes + 1))
+    reference = (max(n_nodes, k) + 22) * u_ld
+    rng = np.random.default_rng(n_nodes * k)
+    m = rng.normal(size=(20, k))
+    gap = np.abs(sp.inverse_sine_transform(m, n_nodes) - m.astype(np.longdouble) @ exact.T).max(axis=-1)
+    syn = gap / (((k + 1) // 2 + 21) * u + reference) / np.abs(m).sum(axis=-1)
+    f = rng.normal(size=(20, n_nodes))
+    want = 2 * (f.astype(np.longdouble) @ exact) / (n_nodes + 1)
+    gap = np.abs(sp.sine_transform(f, k) - want).max(axis=-1)
+    ana = gap / (((n_nodes + 1) // 2 + 22) * u + reference) / (2 * np.abs(f).sum(axis=-1) / (n_nodes + 1))
+    return float(max(syn.max(), ana.max()))
+
+
+@pytest.mark.parametrize("n_nodes, k", HALF_ROUTE_LENGTHS)
+def test_half_route_meets_its_a_priori_bound(monkeypatch, n_nodes, k):
+    assert sp._table_route(n_nodes, k)
+    assert _worst_error_over_bound(n_nodes, k) <= 1.0
+    # the bound is tight enough to catch a flipped mirror sign and a dropped middle row
+    odd, even = sp._half_tables(n_nodes, k)
+    mutants = [(odd, -even)] if even.size else []
+    if n_nodes % 2:
+        no_middle = odd.copy()
+        no_middle[-1] = 0.0
+        mutants.append((no_middle, even))
+    for tables in mutants:
+        monkeypatch.setattr(sp, "_HALF_TABLES", {(n_nodes, k): tables})
+        assert _worst_error_over_bound(n_nodes, k) > 1.0
+
+
+@pytest.mark.parametrize("n_nodes, k", HALF_ROUTE_LENGTHS)
+def test_table_route_rows_are_bitwise_their_own_calls(n_nodes, k):
+    # the halves are per-row gemvs and the combines elementwise, so a stack of
+    # any depth (or a strided view of one) gives each row the bytes of its own call
+    rng = np.random.default_rng(k)
+    m, f = rng.normal(size=(2, 3, k)), rng.normal(size=(2, 3, n_nodes))
+    for transform, stack, size in ((sp.inverse_sine_transform, m, n_nodes), (sp.sine_transform, f, k)):
+        each = np.array([[transform(row, size) for row in rows] for rows in stack])
+        assert np.array_equal(transform(stack, size), each)
+        assert np.array_equal(transform(stack[1], size), each[1])
+        assert np.array_equal(transform(stack[:, ::2], size), each[:, ::2])
+
+
 _TABLE_ROUTE_BYTES = """
 import hashlib
 import numpy as np
@@ -171,10 +235,44 @@ def test_sine_tables_are_built_once_per_length(monkeypatch):
     assert np.array_equal(table, np.sin(np.pi * ji / 14))
 
 
+def test_half_tables_are_blocks_of_the_sine_table(monkeypatch):
+    monkeypatch.setattr(sp, "_TABLES", {})
+    monkeypatch.setattr(sp, "_HALF_TABLES", {})
+    for n_nodes, k in ((13, 6), (14, 7), (7, 1)):
+        full = sp._sine_table(n_nodes, k)
+        odd, even = sp._half_tables(n_nodes, k)
+        again = sp._half_tables(n_nodes, k)
+        assert again[0] is odd and again[1] is even
+        assert not (odd.flags.writeable or even.flags.writeable)
+        # the same angle formula, so the same bytes as the full table's first rows
+        assert np.array_equal(odd, full[: n_nodes - n_nodes // 2, 0::2])
+        assert np.array_equal(even, full[: n_nodes // 2, 1::2])
+        # the mirror they stand for: row n_nodes + 1 - j is row j times (-1)^(i+1) in mode i
+        sign = np.where(np.arange(1, k + 1) % 2, 1.0, -1.0)
+        half = n_nodes // 2
+        assert np.allclose(full[::-1][:half], sign * full[:half], rtol=0.0, atol=1e-14)
+        if n_nodes % 2:
+            assert np.allclose(full[half, 1::2], 0.0, rtol=0.0, atol=1e-14)
+
+
+def test_each_route_builds_only_its_own_tables(monkeypatch):
+    # the transforms never build a full table (only sine_matrices does, which
+    # test_sine_matrices_match_the_transforms checks), and the DST route builds none
+    monkeypatch.setattr(sp, "_TABLES", {})
+    monkeypatch.setattr(sp, "_HALF_TABLES", {})
+    for n_nodes, k in DST_LENGTHS:
+        _transform_both_ways(n_nodes, k)
+    assert sp._HALF_TABLES == {}
+    for n_nodes, k in HALF_ROUTE_LENGTHS:
+        _transform_both_ways(n_nodes, k)
+    assert sp._TABLES == {} and set(sp._HALF_TABLES) == set(HALF_ROUTE_LENGTHS)
+
+
 def test_threads_racing_for_a_table_share_one_build(monkeypatch):
     # the cells of a sweep run on two threads; a table built twice would hand
     # the threads different arrays (and hold two in memory at once)
     monkeypatch.setattr(sp, "_TABLES", {})
+    monkeypatch.setattr(sp, "_HALF_TABLES", {})
     n_threads = 6
     barrier = threading.Barrier(n_threads, timeout=30)
     got = [[] for _ in range(n_threads)]
@@ -183,6 +281,7 @@ def test_threads_racing_for_a_table_share_one_build(monkeypatch):
         for n_nodes in (1027, 2053, 4111):
             barrier.wait()
             slot.append(sp._sine_table(n_nodes, 256))
+            slot.append(sp._half_tables(n_nodes, 256))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -196,7 +295,8 @@ def test_threads_racing_for_a_table_share_one_build(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(w.is_alive() for w in workers)
     for i, n_nodes in enumerate((1027, 2053, 4111)):
-        assert all(len(slot) == 3 and slot[i] is sp._TABLES[(n_nodes, 256)] for slot in got)
+        assert all(len(slot) == 6 and slot[2 * i] is sp._TABLES[(n_nodes, 256)] for slot in got)
+        assert all(slot[2 * i + 1] is sp._HALF_TABLES[(n_nodes, 256)] for slot in got)
 
 
 def test_semigroup_t0_identity_and_negative_rejected():
@@ -565,7 +665,8 @@ def test_sine_matrices_match_the_transforms(k):
     syn, ana, syn2, ana2 = sp.sine_matrices(k)
     assert syn.shape == ana.shape == (k, k) and syn2.shape == (2 * k + 1, k) and ana2.shape == (k, 2 * k + 1)
     assert np.array_equal(syn, syn.T) and np.array_equal(ana2, syn2.T / (k + 1))
-    # syn and syn2 are the tables of the transforms' table route, not copies
+    # syn and syn2 are the cached full sine tables, not copies (the transforms'
+    # table route uses the half tables of _half_tables instead)
     assert syn is sp._sine_table(k, k) and syn2 is sp._sine_table(2 * k + 1, k)
     rng = np.random.default_rng(k)
     m = rng.normal(size=k) * np.arange(1, k + 1) ** -2.0

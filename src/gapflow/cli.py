@@ -30,7 +30,7 @@ from . import spectral as sp
 from . import verify as vf
 from .dispersive import ModelParams
 from .reynolds import SERIES_COLUMNS, CoupledState, DriverConfig, RunReport
-from .spectral import BoundaryLift, GridField, StateVW
+from .spectral import GridField, StateVW
 
 SCHEMA_VERSION = "1.1"
 
@@ -127,12 +127,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
     def model_params(self) -> ModelParams:
-        return ModelParams(
-            beta_F=self.beta_F,
-            beta_p=self.beta_p,
-            lift=BoundaryLift(self.theta1, self.theta2),
-            eps1=self.eps1,
-        )
+        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
 
     def initial_state(self) -> CoupledState:
         if self.init_kind == "file":
@@ -301,11 +296,12 @@ def parse_config(text: str) -> RunConfig:
                     f"init.file: expected .npz with u_values, v_modes, w_modes ({exc!s})"
                 )
             else:
-                if u_vals.shape != (n,):
+                # a size that was rejected above has no shape to check against
+                if n is not None and u_vals.shape != (n,):
                     violations.append(
                         f"init.file: u_values must have shape ({n},), got {u_vals.shape}"
                     )
-                if v_modes.shape != (k_max,) or w_modes.shape != (k_max,):
+                if k_max is not None and (v_modes.shape != (k_max,) or w_modes.shape != (k_max,)):
                     violations.append(
                         f"init.file: v_modes/w_modes must have shape ({k_max},)"
                     )
@@ -408,7 +404,7 @@ def _record_payload(record: RunRecord) -> dict:
         "n": rep.n,
         "n_t": rep.config.n_t,
         "tol": float(rep.config.tol),
-        "compat_proxy": float(rep.compat_proxy),
+        "compat_proxy": _json_float(rep.compat_proxy),
         "series": {c: [_json_float(x) for x in rep.series[c]] for c in SERIES_COLUMNS},
         "snapshots": list(record.snapshots),
     }

@@ -10,6 +10,9 @@ Given u(t) (pressure, boundary value theta1), solve for the plate state
 by Picard iteration, with the semigroup T and the Duhamel kicks from
 gapflow.spectral.  Also provides the fixed-point loop shared by every
 contraction in the package and the constants chain with its horizon T0.
+ModelParams holds the five coefficients under their config key names;
+plate_setup(p, init, times) is a solve's one source of model, start state,
+grid and constants, for picard_dispersive and verify.frechet_W alike.
 
 The contraction theory constants (C1, C2, L_G, T0, L_W, ...) are rigorous but
 existence-grade: measured contraction ratios run orders of magnitude below the
@@ -24,7 +27,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .spectral import (
-    BoundaryLift,
     GridField,
     PlateSpectrum,
     StateVW,
@@ -45,21 +47,25 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model coefficients.
+    """The five model coefficients, named as the keys of a config's [params] section.
 
     beta_F, beta_p >= 0 (zero is allowed for degenerate diagnostics like the
-    energy-identity check, where the forcing vanishes identically); eps1 > 0.
-    All three are finite.
+    energy-identity check, where the forcing vanishes identically); the
+    boundary values theta1 of u and theta2 of w, and eps1, are > 0.  All five
+    are finite.
     """
 
     beta_F: float
     beta_p: float
-    lift: BoundaryLift
+    theta1: float
+    theta2: float
     eps1: float
 
     def __post_init__(self):
         if not (0 <= self.beta_F < np.inf and 0 <= self.beta_p < np.inf and 0 < self.eps1 < np.inf):
             raise ValueError("beta_F, beta_p must be finite and >= 0, and eps1 finite and > 0")
+        if not (0 < self.theta1 < np.inf and 0 < self.theta2 < np.inf):
+            raise ValueError(f"boundary values must be finite and positive (theta1={self.theta1}, theta2={self.theta2})")
 
 
 @dataclass(frozen=True)
@@ -150,7 +156,7 @@ def _G_fine(w_fine: np.ndarray, p: ModelParams) -> np.ndarray:
     Raises QuenchSignal where the gap is not strictly positive.
     """
     require_open_gap(w_fine, "gap closed: w <= 0 on the dealiasing grid")
-    return -p.beta_F / w_fine**2 + p.beta_p * (p.lift.theta1 - 1.0)
+    return -p.beta_F / w_fine**2 + p.beta_p * (p.theta1 - 1.0)
 
 
 def _G_modes(w_modes: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -160,7 +166,7 @@ def _G_modes(w_modes: np.ndarray, p: ModelParams) -> np.ndarray:
     _G_fine).  A (rows, k) array of mode vectors gives one row of
     coefficients per row.
     """
-    return dealias_apply(lambda w_fine: _G_fine(w_fine, p), w_modes, bvs=(p.lift.theta2,))
+    return dealias_apply(lambda w_fine: _G_fine(w_fine, p), w_modes, bvs=(p.theta2,))
 
 
 def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
@@ -170,7 +176,7 @@ def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
     the boundary, so its spectral H2 norm is exact; the constant
     cb = -beta_F/theta2^2 + beta_p(theta1 - 1) enters as the lift of norm_Hk.
     """
-    th2 = p.lift.theta2
+    th2 = p.theta2
     w_modes = sine_transform(w0.values - th2)
     u_modes = sine_transform(u0.values - u0.bv)
 
@@ -179,7 +185,7 @@ def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
         return -p.beta_F * (1.0 / w_fine**2 - 1.0 / th2**2) + p.beta_p * u_fine
 
     z_modes = dealias_apply(z_of, w_modes, u_modes, bvs=(th2, 0.0), pad=4)
-    cb = -p.beta_F / th2**2 + p.beta_p * (p.lift.theta1 - 1.0)
+    cb = -p.beta_F / th2**2 + p.beta_p * (p.theta1 - 1.0)
     return norm_Hk(z_modes, 2, cb)
 
 
@@ -297,7 +303,7 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
     the minimum of T0_branches.
     """
     M0 = 1.0
-    w0 = gap_field(init, p.lift.theta2)
+    w0 = gap_field(init, p.theta2)
     cc = contraction_constants(p, w0)
     r = cc.radius()
     spec = plate_eigenvalues(init.k_max)
@@ -340,9 +346,9 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
 
 @dataclass(frozen=True)
 class PlateSetup:
-    """What picard_dispersive needs of its start state and time grid but not of
-    the pressure path: the Duhamel coefficients of the grid and the contraction
-    constants and ball radius of the start gap."""
+    """Everything of a plate solve but its pressure path: the model, the start
+    state and the time grid, the grid's Duhamel coefficients, and the
+    contraction constants of the start gap."""
 
     params: ModelParams
     init: StateVW
@@ -350,7 +356,6 @@ class PlateSetup:
     omega: np.ndarray
     coeffs: tuple
     cc: ContractionConstants
-    r_used: float
 
 
 def plate_setup(p: ModelParams, init: StateVW, times: np.ndarray) -> PlateSetup:
@@ -360,8 +365,8 @@ def plate_setup(p: ModelParams, init: StateVW, times: np.ndarray) -> PlateSetup:
     state (gamma_iterate) builds it once and passes it to every solve.
     """
     omega = plate_eigenvalues(init.k_max).omega
-    cc = contraction_constants(p, gap_field(init, p.lift.theta2))
-    return PlateSetup(p, init, times, omega, duhamel_coeffs(omega, np.diff(times)), cc, cc.radius())
+    cc = contraction_constants(p, gap_field(init, p.theta2))
+    return PlateSetup(p, init, times, omega, duhamel_coeffs(omega, np.diff(times)), cc)
 
 
 def fixed_point(step, x0, dist, tol: float, max_iter: int, diverged) -> tuple:
@@ -389,25 +394,24 @@ def fixed_point(step, x0, dist, tol: float, max_iter: int, diverged) -> tuple:
     return x, diffs, ratios, "exhausted"
 
 
-def picard_dispersive(
-    p: ModelParams,
-    u_path: PressurePath,
-    init: StateVW,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    setup: PlateSetup | None = None,
-    start: VWPath | None = None,
-) -> tuple:
-    """Construct the mild solution on u_path.times by Picard sweeps.
+# sweep limit of a plate solve
+_PICARD_MAX_ITER = 200
 
-    The certified regime is a horizon T = times[-1] below the horizon T0 of
+
+def picard_dispersive(
+    setup: PlateSetup, u_path: PressurePath, *, tol: float = 1e-10, start: VWPath | None = None
+) -> tuple:
+    """Construct the mild solution on u_path by Picard sweeps.
+
+    setup = plate_setup(p, init, times) is the solve's one source of the
+    model p, the start state init, the time grid (u_path must be sampled on
+    it), the Duhamel coefficients and the contraction constants.  The
+    certified regime is a horizon T = times[-1] below the horizon T0 of
     theory_constants, where the sweep map is a contraction with ratio <= T*M0*L_G;
     the implementation accepts any finite horizon, measures the actual ratios,
     and raises PicardDivergence on observed non-contraction (two successive
-    ratios >= 1) or when max_iter sweeps miss tol.  The ball radius of the
-    lower-bound check is the default 0.9 kappa/(2C).  setup is
-    plate_setup(p, init, u_path.times), built here when not given.
+    ratios >= 1) or when _PICARD_MAX_ITER sweeps miss tol.  The ball radius
+    of the lower-bound check is the default 0.9 kappa/(2C).
 
     The first sweep freezes G at w~0 (a cold start), or along start.w when a
     plate path on the same time grid is given (a warm start, for instance
@@ -415,15 +419,12 @@ def picard_dispersive(
     on the pressure, so fewer sweeps reach tol).  Both converge to the same
     fixed point within tol.
     """
-    times = u_path.times
+    p, init, times, cc = setup.params, setup.init, setup.times, setup.cc
     u_modes = sine_transform(u_path.values - u_path.bv)
     if u_modes.shape[1] != init.k_max:
         raise ValueError("pressure grid size and state k_max must agree")
-    if setup is None:
-        setup = plate_setup(p, init, times)
-    elif setup.params != p or setup.init is not init or not np.array_equal(setup.times, times):
-        raise ValueError("setup was built for other parameters, another start state or another time grid")
-    cc, r_used = setup.cc, setup.r_used
+    if not np.array_equal(u_path.times, times):
+        raise ValueError("setup was built for another time grid")
     if start is not None and not (
         np.array_equal(start.times, times) and start.v.shape == start.w.shape == (times.size, init.k_max)
     ):
@@ -438,7 +439,7 @@ def picard_dispersive(
         march(_G_modes(init.w if start is None else start.w, p)),  # first sweep: G frozen at w~0 or along start
         path_diff_norm,
         tol,
-        max_iter,
+        _PICARD_MAX_ITER,
         lambda ratios: len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0,
     )
     if status == "diverged":
@@ -449,7 +450,7 @@ def picard_dispersive(
         )
 
     drift = float(np.max(norm_Hk(path.w - init.w, 2)))  # sup_t ||w~(t) - w~0||_H2
-    min_w = float(gap_min(path.w_refined_min + p.lift.theta2, p.lift.theta2).min())
+    min_w = float(gap_min(path.w_refined_min + p.theta2, p.theta2).min())
     report = PicardReport(
         iterations=len(diffs),
         contraction_ratios=ratios,
@@ -459,14 +460,15 @@ def picard_dispersive(
     if status == "exhausted":
         last = diffs[-1] if diffs else np.nan
         raise PicardDivergence(
-            f"no convergence to tol={tol:g} within {max_iter} sweeps (last diff {last:.3g})",
+            f"no convergence to tol={tol:g} within {_PICARD_MAX_ITER} sweeps (last diff {last:.3g})",
             report,
         )
     # Lower-bound preservation: inside the certified ball the gap cannot lose
     # more than C*r < kappa/2 in sup norm.
-    if drift <= r_used and min_w < cc.kappa / 2.0 - 1e-12:
+    r = cc.radius()
+    if drift <= r and min_w < cc.kappa / 2.0 - 1e-12:
         raise RuntimeError(
-            f"lower-bound invariant violated: drift {drift:.3g} <= r {r_used:.3g} "
+            f"lower-bound invariant violated: drift {drift:.3g} <= r {r:.3g} "
             f"but min w = {min_w:.6g} < kappa/2 = {cc.kappa/2:.6g}"
         )
     return path, report

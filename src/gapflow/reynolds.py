@@ -243,8 +243,7 @@ def _require_coupled(state: CoupledState, p: ModelParams) -> None:
     """The coupled-state contract: k_max == n, and the pressure carries the boundary trace theta1."""
     if state.vw.k_max != state.u.n:
         raise ValueError(f"a coupled state requires k_max == n (got k_max={state.vw.k_max}, n={state.u.n})")
-    th1 = p.lift.theta1
-    if abs(state.u.bv - th1) > 1e-12 * max(1.0, th1):
+    if abs(state.u.bv - p.theta1) > 1e-12 * max(1.0, p.theta1):
         raise ValueError("the initial pressure must carry boundary trace theta1")
 
 
@@ -272,7 +271,7 @@ def _reynolds_padded(up: np.ndarray, v: np.ndarray, wp: np.ndarray) -> np.ndarra
     return div / w - (v / w) * up[..., 1:-1]
 
 
-def eval_F(u: GridField, v: GridField, w: GridField, p: ModelParams) -> GridField:
+def eval_F(u: GridField, v: GridField, w: GridField) -> GridField:
     """Reynolds right-hand side F = (1/w) D(w^3 u D u) - (v/w) u on interior nodes.
 
     The flux coefficient w^3 u is formed pointwise on the grid and averaged to
@@ -541,7 +540,7 @@ def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
     Each row is bitwise eval_F at its node; the first node whose gap is
     closed raises the quench signal.
     """
-    th2 = p.lift.theta2
+    th2 = p.theta2
     v_grid = sp.inverse_sine_transform(plate.v)
     w_grid = sp.inverse_sine_transform(plate.w) + th2
     sp.require_open_gap(w_grid, "gap closed while evaluating F")
@@ -592,7 +591,7 @@ def gamma_iterate(
     """
     _require_coupled(state, p)
     u0, init_vw = state.u, state.vw
-    th1, th2 = p.lift.theta1, p.lift.theta2
+    th1, th2 = p.theta1, p.theta2
     inner_tol = 0.01 * tol
     times = np.linspace(0.0, T, n_t + 1)
 
@@ -605,7 +604,7 @@ def gamma_iterate(
 
     def solve_plate(current):
         nonlocal plate
-        plate, _ = dp.picard_dispersive(p, current, init_vw, tol=inner_tol, setup=setup, start=plate)
+        plate, _ = dp.picard_dispersive(setup, current, tol=inner_tol, start=plate)
         return plate
 
     def sweep(current):
@@ -670,7 +669,7 @@ def mol_rhs(y: np.ndarray, p: ModelParams) -> np.ndarray:
     and the quench signal when the gap (trace included) closes on the grid
     or, after that, on the dealiasing grid.
     """
-    th1, th2 = p.lift.theta1, p.lift.theta2
+    th1, th2 = p.theta1, p.theta2
     n = (y.size - 2) // 3
     syn, ana, syn2, ana2 = sp.sine_matrices(n)
     up, vw, w = y[: n + 2], y[n + 2 :], y[2 * n + 2 :]
@@ -732,7 +731,7 @@ def integrate_reference(
     """
     _require_coupled(init, p)
     n = init.u.n
-    th1, th2 = p.lift.theta1, p.lift.theta2
+    th1, th2 = p.theta1, p.theta2
     limit = 0.5 / float(sp.plate_eigenvalues(n).omega[-1])
     if dt > limit:
         raise ValueError(f"step-size violation: dt={dt} exceeds 0.5/omega_max={limit:.3e}")
@@ -834,7 +833,7 @@ def compat_regularity_proxy(state: CoupledState, p: ModelParams) -> float:
     stand-in for the interpolation-space compatibility condition (no
     computable membership test exists at the discrete level; this decay proxy
     is logged, never gated on)."""
-    F0 = eval_F(state.u, *dp.plate_fields(state.vw, p.lift.theta2), p)
+    F0 = eval_F(state.u, *dp.plate_fields(state.vw, p.theta2))
     c = sp.sine_transform(F0.values)
     k = np.arange(1, c.size + 1) * math.pi
     return math.sqrt(0.5 * float(np.sum(k ** (2.0 * _COMPAT_SIGMA) * c**2)))
@@ -851,14 +850,17 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     if config is None:
         config = DriverConfig()
     _require_coupled(init, p)
-    th1, th2 = p.lift.theta1, p.lift.theta2
+    th1, th2 = p.theta1, p.theta2
     config = replace(
         config,
         quench_eps=config.quench_eps if config.quench_eps is not None else 1e-3 * th2,
         u_cap=config.u_cap if config.u_cap is not None else 1e6 * th1,
     )
 
-    proxy = compat_regularity_proxy(init, p)
+    try:
+        proxy = compat_regularity_proxy(init, p)
+    except QuenchSignal:  # the gap is closed at a grid node; the status check below reports the quench
+        proxy = math.nan
     kappa0 = sp.gap_min(sp.refined_values(init.vw.w, th2), th2)
     # the stored run: trajectory parts for _join, and the gap minimum and the
     # contraction ratio of each row they add
@@ -1035,7 +1037,7 @@ def mass_balance_residual(trajectory: Trajectory, p: ModelParams) -> np.ndarray:
 
 def mass_balance_terms(trajectory: Trajectory, p: ModelParams) -> tuple:
     """(t, int w u dx, [w^3 u u_x]_0^1) at each row of a trajectory, the terms of mass_balance_residual."""
-    th1, th2 = p.lift.theta1, p.lift.theta2
+    th1, th2 = p.theta1, p.theta2
     u = trajectory.u
     h = 1.0 / (u.shape[-1] + 1)
     w_grid = sp.inverse_sine_transform(trajectory.w) + th2

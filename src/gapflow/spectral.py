@@ -13,8 +13,9 @@ so every spectral norm in this module carries the factor 1/2, e.g.
 ||f||_L2^2 = sum_k f_k^2 / 2 for f = sum_k f_k sin(k*pi*x).
 
 Collocation grid: x_j = j/(n+1), j = 1..n (interior nodes only; the boundary
-value of a field lives in GridField.bv).  With n = k_max the type-I DST is a
-square invertible map and round-trips are exact to rounding.
+value of a field lives in GridField.bv, and the model's boundary values
+theta1 and theta2 are fields of dispersive.ModelParams).  With n = k_max the
+type-I DST is a square invertible map and round-trips are exact to rounding.
 
 Array convention: the transforms, the refined-grid synthesis, dealias_apply
 and norm_Hk act along the last axis, so a (n_t + 1, k) array holds a whole
@@ -99,18 +100,6 @@ def gap_min(w: np.ndarray, trace: float):
     axis) capped by the boundary trace.  One per row; a float for one row."""
     m = np.minimum(w.min(axis=-1), trace)
     return m if m.ndim else float(m)
-
-
-@dataclass(frozen=True)
-class BoundaryLift:
-    """Constant boundary data: u = theta1 and w = theta2 on the boundary, finite and positive."""
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        if not (0 < self.theta1 < np.inf and 0 < self.theta2 < np.inf):
-            raise ValueError(f"boundary values must be finite and positive, got theta1={self.theta1}, theta2={self.theta2}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ the whole pipeline.  The remaining checks are computable shadows of the
 analytic estimates: Monte Carlo audits of the algebra constant, the
 inverse-power bounds, the Lipschitz constants of G and F, the Hoelder audit
 of the right-hand side (with the Frechet derivatives of the plate solution
-and of F that it measures), plus self-convergence studies of the two
+and of F that it measures; the plate solve and its derivative march share
+one dispersive.PlateSetup), plus self-convergence studies of the two
 integrators.
 
 Each check is defined here and only here: what it measures, its bound and
@@ -22,7 +23,7 @@ list of CheckResult.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -364,9 +365,8 @@ def lipschitz_F_check(
     """
     ball = 0.2
     tc = dp.theory_constants(p, u0, init)
-    th2 = p.lift.theta2
-    v_field, w_field = dp.plate_fields(init, th2)  # theory_constants raised if this gap is closed
-    v, wp = v_field.values, ry._pad(w_field.values, th2)
+    v_field, w_field = dp.plate_fields(init, p.theta2)  # theory_constants raised if this gap is closed
+    v, wp = v_field.values, ry._pad(w_field.values, p.theta2)
     streams = _streams(seed, 2)
     worst = 0.0
     for rows in sp.audit_blocks(trials):
@@ -386,24 +386,23 @@ def lipschitz_F_check(
 _FRECHET_MAX_ITER = 200
 
 
-def frechet_W(p: ModelParams, q_path: np.ndarray, vw: dp.VWPath, tol: float = 1e-12) -> tuple:
+def frechet_W(setup: dp.PlateSetup, q_path: np.ndarray, vw: dp.VWPath, tol: float = 1e-12) -> tuple:
     """Directional derivative (v'(u)q, w'(u)q) along a zero-trace perturbation path q.
 
     Solves the linear mild system
 
         (v'q, w'q)(t) = int_0^t T(t-s) ( beta_p q(s) + 2 beta_F [w'q](s)/[w(s)]^3, 0 ) ds
 
-    by the same Duhamel/Picard machinery as the forward solve (q_path is the
-    array of q mode coefficients per node, shape (n_t + 1, k_max)).  Returns
+    by the same Duhamel/Picard machinery as the forward solve, on the
+    model, frequencies and Duhamel coefficients of the plate solve's setup;
+    vw is the plate path that solve returned and q_path the array of q mode
+    coefficients per node of setup.times, shape (n_t + 1, k_max).  Returns
     the arrays (v'q, w'q) of the same shape; both vanish at t = 0 by
     construction.  Raises PicardDivergence, whose report carries the sweep
     count and the ratios, when a sweep ratio reaches 1 or _FRECHET_MAX_ITER
     sweeps miss tol.
     """
-    times = vw.times
-    k_max = vw.v.shape[1]
-    spec = sp.plate_eigenvalues(k_max)
-    coeffs = sp.duhamel_coeffs(spec.omega, np.diff(times))
+    p, times, k_max = setup.params, setup.times, setup.init.k_max
     q_path = np.asarray(q_path, dtype=float)
     zero = StateVW(np.zeros(k_max), np.zeros(k_max))
 
@@ -412,8 +411,8 @@ def frechet_W(p: ModelParams, q_path: np.ndarray, vw: dp.VWPath, tol: float = 1e
         return 2.0 * p.beta_F * wq_fine / w_fine**3
 
     def sweep(path):
-        forcing = sp.dealias_apply(f, vw.w, path.w, bvs=(p.lift.theta2, 0.0)) + p.beta_p * q_path
-        return dp.VWPath(times, *sp.duhamel_sweep(zero, spec.omega, coeffs, forcing))
+        forcing = sp.dealias_apply(f, vw.w, path.w, bvs=(p.theta2, 0.0)) + p.beta_p * q_path
+        return dp.VWPath(times, *sp.duhamel_sweep(zero, setup.omega, setup.coeffs, forcing))
 
     path, diffs, ratios, status = dp.fixed_point(
         sweep,
@@ -487,9 +486,8 @@ def frechet_F(
     node, shape (n_t + 1, n).
     """
     vq_modes, wq_modes = dW
-    th2 = p.lift.theta2
     h = 1.0 / (u_path.values.shape[1] + 1)
-    w_vals = sp.inverse_sine_transform(vw.w) + th2
+    w_vals = sp.inverse_sine_transform(vw.w) + p.theta2
     v_vals = sp.inverse_sine_transform(vw.v)
     q_vals = sp.inverse_sine_transform(q_modes)
     wq_vals = sp.inverse_sine_transform(wq_modes)
@@ -498,7 +496,7 @@ def frechet_F(
 
     u = u_path.values
     up = ry._pad(u, u_path.bv)
-    wp = ry._pad(w_vals, th2)
+    wp = ry._pad(w_vals, p.theta2)
     qp = ry._pad(q_vals, 0.0)
     w3 = wp**3
     a = ry._face_avg(w3 * up)  # the flux coefficient w^3 u of F
@@ -545,13 +543,13 @@ def holder_F_quotients(
     alpha = dp.HOLDER_ALPHA
     times = u_path.times
     T = float(times[-1])
-    th1, th2 = p.lift.theta1, p.lift.theta2
     q_modes = np.asarray(q_modes, dtype=float)
 
-    plate, _ = dp.picard_dispersive(p, u_path, init_vw, tol=_HOLDER_INNER_TOL)
-    dW = frechet_W(p, q_modes, plate, tol=_HOLDER_INNER_TOL)
+    setup = dp.plate_setup(p, init_vw, times)  # of the plate solve and its Frechet march
+    plate, _ = dp.picard_dispersive(setup, u_path, tol=_HOLDER_INNER_TOL)
+    dW = frechet_W(setup, q_modes, plate, tol=_HOLDER_INNER_TOL)
     F_series = ry._F_path(u_path, plate, p)
-    pstar = ry.assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *dp.plate_fields(init_vw, th2))
+    pstar = ry.assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *dp.plate_fields(init_vw, p.theta2))
     Fp = frechet_F(u_path, q_modes, plate, dW, p)
     D_series = np.array([f - pstar @ q for f, q in zip(Fp, sp.inverse_sine_transform(q_modes))])
 
@@ -559,7 +557,7 @@ def holder_F_quotients(
         return sp.norm_Hk(sp.sine_transform(vals), 0)
 
     semi_u = empirical_holder(u_path, alpha)
-    sup_u = float(np.max(sp.norm_Hk(sp.sine_transform(u_path.values - th1), 2, th1)))
+    sup_u = float(np.max(sp.norm_Hk(sp.sine_transform(u_path.values - p.theta1), 2, p.theta1)))
     sup_q = float(np.max(sp.norm_Hk(q_modes, 2)))
     semi_q = holder_seminorm(times, q_modes, lambda d: sp.norm_Hk(d, 2), alpha)
     return HolderFReport(
@@ -605,7 +603,7 @@ class StudyRow:
 
 
 # The model of the convergence study and of the suites' audits.
-VERIFY_PARAMS = ModelParams(beta_F=1.0, beta_p=0.5, lift=sp.BoundaryLift(1.0, 1.0), eps1=0.5)
+VERIFY_PARAMS = ModelParams(beta_F=1.0, beta_p=0.5, theta1=1.0, theta2=1.0, eps1=0.5)
 
 
 def _smooth_init(n: int) -> CoupledState:
@@ -621,7 +619,7 @@ def _driver_observable(p: ModelParams, n: int, T: float, tol: float, n_t: int):
     rep = ry.run_coupled(p, _smooth_init(n), T, DriverConfig(n_t=n_t, tol=tol))
     if rep.termination != "converged":
         raise RuntimeError(f"convergence study run did not converge: {rep.termination}")
-    u_modes = sp.sine_transform(rep.final_state.u.values - p.lift.theta1)
+    u_modes = sp.sine_transform(rep.final_state.u.values - p.theta1)
     return np.concatenate([u_modes[:8], rep.final_state.vw.w[:8]])
 
 
@@ -673,21 +671,21 @@ def convergence_study() -> dict:
     # incompatible with the pinned sine basis (the same boundary mismatch that
     # caps the model's Sobolev regularity), so this sub-study drives the plate
     # with beta_F = 0 and a compatible analytic pressure profile instead.
-    p_k = ModelParams(beta_F=0.0, beta_p=1.0, lift=p.lift, eps1=p.eps1)
-    th1 = p.lift.theta1
+    p_k = replace(p, beta_F=0.0, beta_p=1.0)
 
     def plate_w(k):
         path = dp.uniform_pressure_path(
-            lambda x, t: th1
+            lambda x, t: p.theta1
             + 0.2 * np.sin(np.pi * x) * np.exp(np.cos(2 * np.pi * x) - 1.0) * (1.0 + t / T),
             T,
             16,
             k,
-            th1,
+            p.theta1,
         )
         w1 = np.zeros(k)
         w1[0] = 0.1
-        vw, _ = dp.picard_dispersive(p_k, path, StateVW(v=np.zeros(k), w=w1), tol=1e-13)
+        setup = dp.plate_setup(p_k, StateVW(v=np.zeros(k), w=w1), path.times)
+        vw, _ = dp.picard_dispersive(setup, path, tol=1e-13)
         return vw.w[-1]
 
     k_levels = (8, 16, 32)

@@ -17,13 +17,11 @@ from gapflow import reynolds as ry
 from gapflow import spectral as sp
 from gapflow import verify as vf
 from gapflow.reynolds import CoupledState, DriverConfig
-from gapflow.spectral import BoundaryLift, GridField, StateVW
-
-LIFT = BoundaryLift(theta1=1.0, theta2=1.0)
+from gapflow.spectral import GridField, StateVW
 
 
-def base_params(beta_F=1.0, beta_p=0.5, eps1=0.5, lift=LIFT):
-    return dp.ModelParams(beta_F=beta_F, beta_p=beta_p, lift=lift, eps1=eps1)
+def base_params(beta_F=1.0, beta_p=0.5, eps1=0.5):
+    return dp.ModelParams(beta_F=beta_F, beta_p=beta_p, theta1=1.0, theta2=1.0, eps1=eps1)
 
 
 def smooth_init(n):
@@ -98,7 +96,8 @@ def test_c04_picard_contraction():
         p = dp.ModelParams(
             beta_F=rng.uniform(0.2, 2.0),
             beta_p=rng.uniform(0.2, 1.0),
-            lift=BoundaryLift(theta1, theta2),
+            theta1=theta1,
+            theta2=theta2,
             eps1=0.4 * theta2,
         )
         # admissible initial state: plate deviation well inside the contraction
@@ -129,7 +128,7 @@ def test_c04_picard_contraction():
         )
         T = 0.9 * T0
         up = dp.uniform_pressure_path(up_fn, T, 32, k, theta1)
-        _, rep = dp.picard_dispersive(p, up, init, tol=1e-10, max_iter=40)
+        _, rep = dp.picard_dispersive(dp.plate_setup(p, init, up.times), up, tol=1e-10)
         assert rep.converged
         assert rep.contraction_ratios, "no ratio measured: criterion would be vacuous"
         worst_iters = max(worst_iters, rep.iterations)
@@ -184,7 +183,7 @@ def test_c06_lower_bound_family():
         tc = dp.theory_constants(p, init.u, init.vw)
         T = min(tc.T0, 0.05)
         _, rep, plate = ry.gamma_iterate(p, init, T, 8, tol=1e-10)
-        min_w = float(plate.w_refined_min.min()) + p.lift.theta2
+        min_w = float(plate.w_refined_min.min()) + p.theta2
         margins.append(min_w - kappa / 2.0)
         if min_w < kappa / 2.0:
             violations += 1
@@ -210,22 +209,23 @@ def test_c08_frechet_consistency():
     hs = (1e-2, 1e-3, 1e-4)
 
     # directional derivative of the plate solution map W
-    p = dp.ModelParams(beta_F=5.0, beta_p=2.0, lift=LIFT, eps1=0.5)
+    p = base_params(beta_F=5.0, beta_p=2.0)
     k = 48
     init = StateVW(v=np.zeros(k), w=np.r_[0.1, np.zeros(k - 1)])
     T, n_t = 0.25, 96
     up = dp.uniform_pressure_path(
         lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k, 1.0
     )
-    path, _ = dp.picard_dispersive(p, up, init, tol=1e-13)
+    setup = dp.plate_setup(p, init, up.times)
+    path, _ = dp.picard_dispersive(setup, up, tol=1e-13)
     q = np.zeros((n_t + 1, k))
     q[:, 0] = 1.0
     q[:, 1] = 0.4
-    vq, wq = vf.frechet_W(p, q, path, tol=5e-14)
+    vq, wq = vf.frechet_W(setup, q, path, tol=5e-14)
     errs_W = []
     for h in hs:
         up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
-        ph, _ = dp.picard_dispersive(p, up_h, init, tol=1e-13)
+        ph, _ = dp.picard_dispersive(setup, up_h, tol=1e-13)
         errs_W.append(
             max(
                 dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
@@ -245,18 +245,18 @@ def test_c08_frechet_consistency():
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
     qg = sp.inverse_sine_transform(qm)
     q2 = np.tile(qm, (Nt + 1, 1))
-    dW = vf.frechet_W(p2, q2, plate, tol=1e-13)
+    dW = vf.frechet_W(dp.plate_setup(p2, init2, u_fix.times), q2, plate, tol=1e-13)
     analytic = vf.frechet_F(u_fix, q2, plate, dW, p2)[Nt]
 
     def F_at(pp, plate_path, i):
         vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
-        return ry.eval_F(GridField(pp.values[i], pp.bv), vg, wg, p2).values
+        return ry.eval_F(GridField(pp.values[i], pp.bv), vg, wg).values
 
     base = F_at(u_fix, plate, Nt)
     errs_F = []
     for h in hs:
         pert = dp.PressurePath(times=u_fix.times.copy(), values=u_fix.values + h * qg, bv=u_fix.bv)
-        plate2, _ = dp.picard_dispersive(p2, pert, init2, tol=1e-13)
+        plate2, _ = dp.picard_dispersive(dp.plate_setup(p2, init2, pert.times), pert, tol=1e-13)
         fd = (F_at(pert, plate2, Nt) - base) / h
         errs_F.append(np.abs(fd - analytic).max())
     orders_F = [math.log10(errs_F[i] / errs_F[i + 1]) for i in range(2)]
@@ -293,7 +293,7 @@ def test_c10_quench_dichotomy():
         u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n))
     )
     rep = ry.run_coupled(p, init, 1.0, DriverConfig(n_t=32, tol=1e-8))
-    quenched = rep.termination == "quench" and rep.series["min_w"][-1] <= 1e-3 * p.lift.theta2
+    quenched = rep.termination == "quench" and rep.series["min_w"][-1] <= 1e-3 * p.theta2
     spec = sp.plate_eigenvalues(n)
     with pytest.raises(sp.QuenchSignal) as exc:
         ry.integrate_reference(

@@ -103,6 +103,16 @@ class TestParseConfig:
             n_t=7, tol=1e-6, max_iter=5, quench_eps=0.01, u_cap=50.0, chunk_init=0.001, chunk_cap=0.002
         )
 
+    def test_params_keys_reach_the_model_params(self):
+        # ModelParams has one field per [params] key, under the key's name,
+        # and each of five distinct values lands on its own field
+        params_keys = [key for sec, key, *_ in cli._CONFIG_KEYS if sec == "params"]
+        assert [f.name for f in dataclasses.fields(dp.ModelParams)] == params_keys
+        text = "[params]\nbeta_F = 1.5\nbeta_p = 0.25\ntheta1 = 1.25\ntheta2 = 0.75\neps1 = 0.125\n"
+        assert cli.parse_config(text).model_params() == dp.ModelParams(
+            beta_F=1.5, beta_p=0.25, theta1=1.25, theta2=0.75, eps1=0.125
+        )
+
     @pytest.mark.parametrize("kind", ["bogus", "auto", "Constant"])
     def test_unknown_init_kind_is_rejected(self, kind):
         with pytest.raises(ConfigError) as err:
@@ -219,7 +229,7 @@ T = -0.5
         # the resolved T is the horizon formula
         # T0 = min{delta_o, 1/(2 L_G), kappa/2 / ((L_G+1)kappa + 2C||G0||_H2)}
         p, init = cfg.model_params(), cfg.initial_state()
-        w0 = dp.gap_field(init.vw, p.lift.theta2)
+        w0 = dp.gap_field(init.vw, p.theta2)
         cc = dp.contraction_constants(p, w0)
         d_o = dp.delta_o_bound(init.vw, sp.plate_eigenvalues(16), 0.9 * cc.r_max)
         b3 = cc.kappa / 2.0 / ((cc.L_G + 1.0) * cc.kappa + 2.0 * cc.C * dp.g0_norm_H2(p, w0, init.u))
@@ -294,6 +304,20 @@ T = -0.5
         np.savez(bad, u_values=np.ones(5), v_modes=np.zeros(8), w_modes=np.zeros(8))
         with pytest.raises(ConfigError, match="u_values must have shape"):
             cli.parse_config(missing.replace("nope.npz", "bad.npz"))
+
+    @pytest.mark.parametrize("key", ["n", "k_max"])
+    @pytest.mark.parametrize("size", ["2", "x"])
+    def test_a_rejected_grid_size_adds_no_shape_violation(self, tmp_path, key, size):
+        # the size's own violation is the one reported; no array shape is
+        # checked against a size that was rejected
+        path = tmp_path / "init.npz"
+        np.savez(path, u_values=np.ones(8), v_modes=np.zeros(8), w_modes=np.zeros(8))
+        other = "k_max" if key == "n" else "n"
+        text = f"[init]\nkind = file\nfile = {path}\n\n[discretization]\n{key} = {size}\n{other} = 8\n"
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(text)
+        (violation,) = err.value.violations
+        assert violation.startswith(f"discretization.{key}: ")
 
     def test_file_keys_only_valid_for_file_kind(self):
         with pytest.raises(ConfigError, match="only valid with kind = file"):
@@ -597,6 +621,13 @@ class TestSweep:
         assert rows[0] == "beta_F,beta_p,termination,T_used,quench_time,note"
         assert len(rows) == 3 and any(",error," in r for r in rows)
 
+    def test_a_cell_whose_start_gap_is_closed_at_a_node_is_a_quench(self, tmp_path):
+        text = SMALL + "\n[init]\nw_amp = -1.5\n\n[sweep]\nbeta_F_values = 1.0\nbeta_p_values = 0.5\n"
+        result = cli.cmd_sweep(cli.parse_config(text), out=str(tmp_path), quiet=True)
+        assert [(c.termination, c.T_used, c.quench_time) for c in result.cells] == [("quench", 0.0, 0.0)]
+        record = strict_json((tmp_path / "bF_1.0_bp_0.5" / "record.json").read_text())
+        assert record["termination"] == "quench" and record["compat_proxy"] is None
+
     def test_monotonicity_scan_flags_regression(self):
         quench = lambda bf: SweepCell(bf, 1.0, "quench", 0.1, 0.1, "")
         conv = lambda bf: SweepCell(bf, 1.0, "converged", 0.3, None, "")
@@ -694,3 +725,18 @@ tol = 1e-7
         d = strict_json((tmp_path / "q" / "record.json").read_text())
         assert d["termination"] == "quench"
         assert 0.2 < d["quench_time"] < 0.3
+
+    @pytest.mark.parametrize("w_amp", [-1.0, -1.5])
+    def test_a_closed_start_gap_is_a_quench_at_t0(self, tmp_path, capsys, w_amp):
+        # at w_amp = -1 the gap 1 - sin(pi x) is zero only at x = 1/2, between
+        # the nodes of n = 12 but on the refined grid of the gap monitor; at
+        # -1.5 it is negative at nodes, where F and so the compatibility
+        # proxy are undefined (null)
+        text = SMALL + f"\n[init]\nw_amp = {w_amp}\n"
+        rc = cli.main(["simulate", "--config", self._write(tmp_path, text), "--out", str(tmp_path / "q")])
+        assert rc == 0
+        assert "termination=quench" in capsys.readouterr().out
+        d = strict_json((tmp_path / "q" / "record.json").read_text())
+        assert (d["termination"], d["T_used"], d["quench_time"]) == ("quench", 0.0, 0.0)
+        assert (d["compat_proxy"] is None) == (w_amp < -1.0)
+        assert d["compat_proxy"] is None or math.isfinite(d["compat_proxy"])

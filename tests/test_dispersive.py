@@ -5,11 +5,14 @@ from gapflow import dispersive as dp
 from gapflow import spectral as sp
 from gapflow import verify as vf
 
-LIFT = sp.BoundaryLift(theta1=1.0, theta2=1.0)
-
 
 def base_params(beta_F=1.0, beta_p=1.0):
-    return dp.ModelParams(beta_F=beta_F, beta_p=beta_p, lift=LIFT, eps1=0.5)
+    return dp.ModelParams(beta_F=beta_F, beta_p=beta_p, theta1=1.0, theta2=1.0, eps1=0.5)
+
+
+def plate_solve(p, up, init, **options):
+    """The plate solve of the pressure path up from init, on the setup of its grid."""
+    return dp.picard_dispersive(dp.plate_setup(p, init, up.times), up, **options)
 
 
 def small_bump_state(k, amp=0.1):
@@ -27,11 +30,11 @@ def constant_modes(c, k, pad=2):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda x: dp.ModelParams(beta_F=x, beta_p=1.0, lift=LIFT, eps1=0.5),
-        lambda x: dp.ModelParams(beta_F=1.0, beta_p=x, lift=LIFT, eps1=0.5),
-        lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, lift=LIFT, eps1=x),
-        lambda x: sp.BoundaryLift(theta1=x, theta2=1.0),
-        lambda x: sp.BoundaryLift(theta1=1.0, theta2=x),
+        lambda x: dp.ModelParams(beta_F=x, beta_p=1.0, theta1=1.0, theta2=1.0, eps1=0.5),
+        lambda x: dp.ModelParams(beta_F=1.0, beta_p=x, theta1=1.0, theta2=1.0, eps1=0.5),
+        lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=1.0, theta2=1.0, eps1=x),
+        lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=x, theta2=1.0, eps1=0.5),
+        lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=1.0, theta2=x, eps1=0.5),
         lambda x: sp.GridField(np.ones(8), bv=x),
         lambda x: dp.PressurePath(times=[0.0, 0.1], values=np.ones((2, 8)), bv=x),
     ],
@@ -50,7 +53,7 @@ def test_eval_G_flat_gap():
 
 
 def test_eval_G_arithmetic():
-    p = dp.ModelParams(beta_F=2.0, beta_p=3.0, lift=sp.BoundaryLift(2.0, 2.0), eps1=0.5)
+    p = dp.ModelParams(beta_F=2.0, beta_p=3.0, theta1=2.0, theta2=2.0, eps1=0.5)
     g = dp._G_modes(np.zeros(8), p)
     # -2/2^2 + 3*(2-1) = 2.5
     assert np.allclose(g, constant_modes(2.5, 8), rtol=1e-14, atol=1e-15)
@@ -114,7 +117,7 @@ def test_G_lipschitz_bound_monte_carlo():
     L_G = cc.L_G
 
     def G_pad4(w):
-        return sp.dealias_apply(lambda w_fine: dp._G_fine(w_fine, p), w, bvs=(p.lift.theta2,), pad=4)
+        return sp.dealias_apply(lambda w_fine: dp._G_fine(w_fine, p), w, bvs=(p.theta2,), pad=4)
 
     worst = 0.0
     for _ in range(300):
@@ -184,7 +187,7 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     cc = dp.contraction_constants(p, w0)
     T = 0.9 * dp.theory_constants(p, u0, init).T0
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
-    path, rep = dp.picard_dispersive(p, up, init)
+    path, rep = plate_solve(p, up, init)
     assert rep.converged
     bound = T * 1.0 * cc.L_G
     assert all(rt <= bound * 1.05 for rt in rep.contraction_ratios)
@@ -193,20 +196,16 @@ def test_picard_below_T0_contracts_and_preserves_gap():
 
 
 def test_picard_takes_its_setup_only_from_the_same_solve():
-    # a setup built for these parameters, this start state and this grid
-    # gives the solve bitwise; one built for any other is refused
+    # the setup holds the model and the start state; a pressure path on
+    # another time grid than the setup's is refused
     p = base_params()
     k, T = 16, 1e-3
     init = small_bump_state(k)
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + t), T, 8, k, 1.0)
     setup = dp.plate_setup(p, init, up.times)
-    given, _ = dp.picard_dispersive(p, up, init, setup=setup)
-    alone, _ = dp.picard_dispersive(p, up, init)
-    assert given.v.tobytes() == alone.v.tobytes() and given.w.tobytes() == alone.w.tobytes()
     coarse = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 4, k, 1.0)
-    for other in ((base_params(beta_F=2.0), up, init), (p, up, small_bump_state(k)), (p, coarse, init)):
-        with pytest.raises(ValueError, match="setup was built"):
-            dp.picard_dispersive(*other, setup=setup)
+    with pytest.raises(ValueError, match="setup was built for another time grid"):
+        dp.picard_dispersive(setup, coarse)
 
 
 def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
@@ -226,7 +225,7 @@ def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
         lambda path: march(dp._G_modes(path.w, p)), march(dp._G_modes(init.w, p)), dp.path_diff_norm, tol, 200,
         lambda ratios: False,
     )
-    got, rep = dp.picard_dispersive(p, up, init, tol=tol, start=None)
+    got, rep = dp.picard_dispersive(setup, up, tol=tol, start=None)
     assert status == "converged" and rep.iterations == len(diffs)
     assert got.v.tobytes() == want.v.tobytes() and got.w.tobytes() == want.w.tobytes()
 
@@ -242,13 +241,13 @@ def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps():
     def pressure(amp):
         return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
 
-    near, _ = dp.picard_dispersive(p, pressure(0.101), init, tol=tol)
-    cold, cold_rep = dp.picard_dispersive(p, pressure(0.1), init, tol=tol)
-    warm, warm_rep = dp.picard_dispersive(p, pressure(0.1), init, tol=tol, start=near)
+    near, _ = plate_solve(p, pressure(0.101), init, tol=tol)
+    cold, cold_rep = plate_solve(p, pressure(0.1), init, tol=tol)
+    warm, warm_rep = plate_solve(p, pressure(0.1), init, tol=tol, start=near)
     assert warm_rep.converged and warm_rep.iterations < cold_rep.iterations
     assert dp.path_diff_norm(warm, cold) <= tol
     far = dp.VWPath(near.times, np.zeros_like(near.v), np.zeros_like(near.w))  # the flat gap
-    from_far, _ = dp.picard_dispersive(p, pressure(0.1), init, tol=tol, start=far)
+    from_far, _ = plate_solve(p, pressure(0.1), init, tol=tol, start=far)
     assert dp.path_diff_norm(from_far, cold) <= tol
 
 
@@ -257,13 +256,13 @@ def test_warm_start_must_share_the_grid_and_shape():
     k, T = 16, 1e-3
     init = small_bump_state(k)
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-    path, _ = dp.picard_dispersive(p, up, init)
+    path, _ = plate_solve(p, up, init)
     coarse = dp.VWPath(path.times[::2], path.v[::2], path.w[::2])
     shifted = dp.VWPath(path.times * (1.0 + 1e-9), path.v, path.w)
     wider = dp.VWPath(path.times, np.pad(path.v, ((0, 0), (0, 4))), np.pad(path.w, ((0, 0), (0, 4))))
     for start in (coarse, shifted, wider, dp.VWPath(path.times, path.v, path.w[:, :-1])):
         with pytest.raises(ValueError, match="start must be a plate path"):
-            dp.picard_dispersive(p, up, init, start=start)
+            plate_solve(p, up, init, start=start)
 
 
 def test_picard_matches_constant_forcing_to_second_order():
@@ -279,7 +278,7 @@ def test_picard_matches_constant_forcing_to_second_order():
     def rel_dev(T):
         init = sp.StateVW(np.zeros(k), np.zeros(k))
         up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-        path, _ = dp.picard_dispersive(p, up, init, tol=1e-14)
+        path, _ = plate_solve(p, up, init, tol=1e-14)
         w_exact = c * 2 * np.sin(spec.omega * T / 2) ** 2 / spec.mu
         v_exact = c * np.sin(spec.omega * T) / spec.omega
         dw = np.max(np.abs(path.w[-1] - w_exact)) / np.max(np.abs(w_exact))
@@ -291,11 +290,11 @@ def test_picard_matches_constant_forcing_to_second_order():
 
 
 def test_picard_zero_couplings_is_pure_semigroup():
-    p = dp.ModelParams(beta_F=0.0, beta_p=0.0, lift=LIFT, eps1=0.5)
+    p = base_params(beta_F=0.0, beta_p=0.0)
     k = 32
     init = small_bump_state(k)
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 0.5, 64, k, 1.0)
-    path, rep = dp.picard_dispersive(p, up, init)
+    path, rep = plate_solve(p, up, init)
     assert rep.iterations == 1
     spec = sp.plate_eigenvalues(k)
     n0 = sp.norm_X(init.v, init.w, spec)
@@ -311,8 +310,8 @@ def test_picard_uniqueness_wrt_time_resolution_tail():
     T = 0.02
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), T, 32, k, 1.0)
     tol = 1e-8
-    path1, _ = dp.picard_dispersive(p, up, init, tol=tol)
-    path2, _ = dp.picard_dispersive(p, up, init, tol=tol * 1e-3)
+    path1, _ = plate_solve(p, up, init, tol=tol)
+    path2, _ = plate_solve(p, up, init, tol=tol * 1e-3)
     assert dp.path_diff_norm(path1, path2) <= 10 * tol
 
 
@@ -327,7 +326,7 @@ def test_strictness_residual_decays_with_dt():
 
     def residual(n_t):
         up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(5 * t), T, n_t, k, 1.0)
-        path, _ = dp.picard_dispersive(p, up, init, tol=1e-13)
+        path, _ = plate_solve(p, up, init, tol=1e-13)
         u_modes = sp.sine_transform(up.values - up.bv)
         dt = T / n_t
         worst = 0.0
@@ -350,37 +349,38 @@ def test_solution_operator_W_initial_value_and_stationarity():
     init = small_bump_state(k, amp=0.05)
     T = 0.01
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
-    path, _ = dp.picard_dispersive(p, up, init)
+    path, _ = plate_solve(p, up, init)
     # W(u)(0) = (v0, w0) exactly
     assert np.array_equal(path.v[0], init.v)
     assert np.array_equal(path.w[0], init.w)
     # determinism: identical inputs, identical bits
-    path2, _ = dp.picard_dispersive(p, up, init)
+    path2, _ = plate_solve(p, up, init)
     assert np.array_equal(path.v, path2.v) and np.array_equal(path.w, path2.w)
 
 
 def test_frechet_W_zero_and_fd_order():
-    p = dp.ModelParams(beta_F=5.0, beta_p=2.0, lift=LIFT, eps1=0.5)
+    p = base_params(beta_F=5.0, beta_p=2.0)
     k = 48
     init = small_bump_state(k)
     T, n_t = 0.25, 96
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k, 1.0)
-    path, _ = dp.picard_dispersive(p, up, init, tol=1e-13)
+    setup = dp.plate_setup(p, init, up.times)
+    path, _ = dp.picard_dispersive(setup, up, tol=1e-13)
 
     zero_q = np.zeros((n_t + 1, k))
-    vq0, wq0 = vf.frechet_W(p, zero_q, path, tol=1e-14)
+    vq0, wq0 = vf.frechet_W(setup, zero_q, path, tol=1e-14)
     assert max(np.max(np.abs(v)) for v in vq0) == 0.0
 
     q = np.zeros((n_t + 1, k))
     q[:, 0] = 1.0
     q[:, 1] = 0.4
-    vq, wq = vf.frechet_W(p, q, path, tol=5e-14)
+    vq, wq = vf.frechet_W(setup, q, path, tol=5e-14)
     assert np.max(np.abs(wq[0])) == 0.0 and np.max(np.abs(vq[0])) == 0.0
     errs = []
     hs = (1e-2, 1e-3, 1e-4)
     for h in hs:
         up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
-        ph, _ = dp.picard_dispersive(p, up_h, init, tol=1e-13)
+        ph, _ = plate_solve(p, up_h, init, tol=1e-13)
         errs.append(
             max(
                 dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
@@ -397,8 +397,8 @@ def empirical_lipschitz_W(p, u1_path, u2_path, init, tol=1e-10):
     du = dp.pressure_diff_norm(u1_path, u2_path)
     if du == 0.0:
         return 0.0
-    vw1, _ = dp.picard_dispersive(p, u1_path, init, tol=tol)
-    vw2, _ = dp.picard_dispersive(p, u2_path, init, tol=tol)
+    vw1, _ = plate_solve(p, u1_path, init, tol=tol)
+    vw2, _ = plate_solve(p, u2_path, init, tol=tol)
     return dp.path_diff_norm(vw1, vw2) / du
 
 
@@ -433,7 +433,7 @@ def test_empirical_holder_constant_path_and_LU_bound():
     T = 0.9 * tc.T0
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
     assert vf.empirical_holder(up, alpha=0.5) == 0.0
-    path, _ = dp.picard_dispersive(p, up, init)
+    path, _ = plate_solve(p, up, init)
     semi = vf.empirical_holder(path, alpha=0.2)
     assert semi <= tc.L_U
 
@@ -444,7 +444,7 @@ def test_picard_report_fields():
     init = small_bump_state(k)
     T = 0.01
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-    _, rep = dp.picard_dispersive(p, up, init)
+    _, rep = plate_solve(p, up, init)
     assert rep.converged
     assert isinstance(rep.contraction_ratios, list)
 
@@ -454,12 +454,13 @@ def test_picard_report_fields():
 # sums them over every solve.
 
 
-def test_picard_exhausting_its_sweeps_raises_with_the_sweep_count():
+def test_picard_exhausting_its_sweeps_raises_with_the_sweep_count(monkeypatch):
     p = base_params(beta_F=1.0, beta_p=0.5)
     n = 16
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), 0.01, 16, n, 1.0)
+    monkeypatch.setattr(dp, "_PICARD_MAX_ITER", 3)
     with pytest.raises(dp.PicardDivergence, match="no convergence to tol=1e-30 within 3 sweeps") as exc:
-        dp.picard_dispersive(p, up, small_bump_state(n, amp=0.05), tol=1e-30, max_iter=3)
+        plate_solve(p, up, small_bump_state(n, amp=0.05), tol=1e-30)
     assert exc.value.report.iterations == 3 and not exc.value.report.converged
 
 
@@ -469,7 +470,7 @@ def test_picard_that_stops_contracting_raises_with_its_ratios():
     n = 16
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 3.0, 16, n, 1.0)
     with pytest.raises(dp.PicardDivergence, match=r"stopped contracting \(last ratios 2\.096, 3\.485\)") as exc:
-        dp.picard_dispersive(p, up, sp.StateVW(v=np.zeros(n), w=np.zeros(n)))
+        plate_solve(p, up, sp.StateVW(v=np.zeros(n), w=np.zeros(n)))
     rep = exc.value.report
     assert rep.iterations == 3 and not rep.converged
     assert rep.contraction_ratios == pytest.approx([2.10, 3.49], abs=0.01)

@@ -23,14 +23,13 @@ from gapflow.reynolds import (
     DriverConfig,
     GammaDivergence,
 )
-from gapflow.spectral import BoundaryLift, GridField, QuenchSignal, StateVW
+from gapflow.spectral import GridField, QuenchSignal, StateVW
 
 ROOT = Path(__file__).resolve().parent.parent
-LIFT = BoundaryLift(1.0, 1.0)
 
 
 def base_params(beta_F=1.0, beta_p=0.5, eps1=0.5):
-    return ModelParams(beta_F=beta_F, beta_p=beta_p, lift=LIFT, eps1=eps1)
+    return ModelParams(beta_F=beta_F, beta_p=beta_p, theta1=1.0, theta2=1.0, eps1=eps1)
 
 
 def bump_state(k, amp=0.05):
@@ -107,7 +106,7 @@ def _equilibrium_state(p: ModelParams, k_max: int) -> CoupledState:
             s /= 2.0
     else:
         raise RuntimeError(f"equilibrium iteration stalled at residual {res_norm:.3e}")
-    th1 = p.lift.theta1
+    th1 = p.theta1
     u = GridField(values=np.full(k_max, th1), bv=th1)
     return CoupledState(u=u, vw=StateVW(v=np.zeros(k_max), w=w), t=0.0)
 
@@ -119,33 +118,30 @@ def _equilibrium_state(p: ModelParams, k_max: int) -> CoupledState:
 
 class TestEvalF:
     def test_zero_at_lifted_constants(self):
-        p = base_params()
         n = 23
         u = GridField(values=np.full(n, 1.0), bv=1.0)
         v = GridField(values=np.zeros(n), bv=0.0)
         w = GridField(values=1.0 + 0.3 * np.sin(np.pi * sp.grid(n)), bv=1.0)
-        F = ry.eval_F(u, v, w, p)
+        F = ry.eval_F(u, v, w)
         assert np.abs(F.values).max() == 0.0
         assert F.bv == 0.0
 
     def test_velocity_term_only(self):
-        p = base_params()
         n = 17
         u = GridField(values=np.full(n, 1.0), bv=1.0)
         v = GridField(values=np.ones(n), bv=0.0)
         w = GridField(values=np.full(n, 2.0), bv=2.0)
-        F = ry.eval_F(u, v, w, p)
+        F = ry.eval_F(u, v, w)
         assert np.allclose(F.values, -0.5, rtol=0, atol=1e-15)
 
     def test_quench_raises(self):
-        p = base_params()
         n = 9
         u = GridField(values=np.full(n, 1.0), bv=1.0)
         v = GridField(values=np.zeros(n), bv=0.0)
         w_vals = np.full(n, 0.5)
         w_vals[4] = 0.0
         with pytest.raises(QuenchSignal):
-            ry.eval_F(u, v, GridField(values=w_vals, bv=0.5), p)
+            ry.eval_F(u, v, GridField(values=w_vals, bv=0.5))
 
     def test_F_path_is_row_wise_eval_F(self):
         p = base_params()
@@ -158,7 +154,7 @@ class TestEvalF:
         F = ry._F_path(u_path, plate, p)
         for u, v, w, row in zip(u_path.values, plate.v, plate.w, F):
             v_grid, w_grid = dp.plate_fields(StateVW(v, w), 1.0)
-            assert np.array_equal(row, ry.eval_F(GridField(values=u, bv=1.0), v_grid, w_grid, p).values)
+            assert np.array_equal(row, ry.eval_F(GridField(values=u, bv=1.0), v_grid, w_grid).values)
         # one node with a closed gap quenches the whole path
         plate.w[5] = sp.sine_transform(np.full(n, -2.0))
         with pytest.raises(QuenchSignal):
@@ -183,7 +179,7 @@ class TestEvalF:
             m2 *= 0.2 / max(1e-12, sp.norm_Hk(m2, 2))
             u1 = GridField(values=1.0 + sp.inverse_sine_transform(m1), bv=1.0)
             u2 = GridField(values=1.0 + sp.inverse_sine_transform(m2), bv=1.0)
-            dF = ry.eval_F(u1, v_field, w0, p).values - ry.eval_F(u2, v_field, w0, p).values
+            dF = ry.eval_F(u1, v_field, w0).values - ry.eval_F(u2, v_field, w0).values
             num = sp.norm_Hk(sp.sine_transform(dF), 0)
             worst = max(worst, num / sp.norm_Hk(m1 - m2, 2))
         assert 0.0 < worst <= tc.L_e
@@ -685,7 +681,7 @@ class TestGammaIterate:
 
         def counted_picard(*args, **kwargs):
             result = picard(*args, **kwargs)
-            solves.append((kwargs["setup"], kwargs["start"], result[0]))
+            solves.append((args[0], kwargs["start"], result[0]))
             return result
 
         monkeypatch.setattr(dp, "picard_dispersive", counted_picard)
@@ -698,7 +694,7 @@ class TestGammaIterate:
         monkeypatch.undo()
         # at ratios of 1e-5 the warm-started solve lands on the floating-point
         # fixed point of a cold standalone solve on the converged path
-        alone, _ = dp.picard_dispersive(p, u_fix, init.vw, tol=0.01 * tol)
+        alone, _ = dp.picard_dispersive(dp.plate_setup(p, init.vw, u_fix.times), u_fix, tol=0.01 * tol)
         assert alone.v.tobytes() == plate.v.tobytes() and alone.w.tobytes() == plate.w.tobytes()
 
     def test_one_call_builds_its_propagator_once(self, monkeypatch):
@@ -759,7 +755,7 @@ class TestGammaIterate:
         # the first chunk of configs/quench.ini, from the driver's initial guess
         cfg = cli._load_config(str(ROOT / "configs" / "quench.ini"))
         p, init = cfg.model_params(), cfg.initial_state()
-        chunk = 0.05 * gap_min_fine(init.vw.w, p.lift.theta2) ** 3 / p.beta_F
+        chunk = 0.05 * gap_min_fine(init.vw.w, p.theta2) ** 3 / p.beta_F
         picard = dp.picard_dispersive
 
         def sweeps(warm):
@@ -825,7 +821,7 @@ class TestFrechetF:
         T, Nt = 5e-4, 6
         u_fix, _, plate = _gamma_solution(p, n, T, Nt)
         q = np.zeros((Nt + 1, n))
-        dW = vf.frechet_W(p, q, plate, tol=1e-12)
+        dW = vf.frechet_W(dp.plate_setup(p, bump_state(n), plate.times), q, plate, tol=1e-12)
         out = vf.frechet_F(u_fix, q, plate, dW, p)
         assert np.abs(out).max() == 0.0
 
@@ -854,7 +850,7 @@ class TestFrechetF:
         rng = np.random.default_rng(7)
         qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
         q = np.tile(qm, (Nt + 1, 1))
-        dW = vf.frechet_W(p, q, plate, tol=1e-13)
+        dW = vf.frechet_W(dp.plate_setup(p, bump_state(n), plate.times), q, plate, tol=1e-13)
         out = vf.frechet_F(u_fix, q, plate, dW, p)
         v0, w0 = dp.plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
         op = ry.assemble_Pstar(GridField(u_fix.values[0], u_fix.bv), v0, w0)
@@ -870,18 +866,18 @@ class TestFrechetF:
         qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
         qg = sp.inverse_sine_transform(qm)
         q = np.tile(qm, (Nt + 1, 1))
-        dW = vf.frechet_W(p, q, plate, tol=1e-13)
+        dW = vf.frechet_W(dp.plate_setup(p, bump_state(n), plate.times), q, plate, tol=1e-13)
         analytic = vf.frechet_F(u_fix, q, plate, dW, p)[Nt]
 
         def F_at(path, plate_path, i):
             vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
-            return ry.eval_F(GridField(path.values[i], path.bv), vg, wg, p).values
+            return ry.eval_F(GridField(path.values[i], path.bv), vg, wg).values
 
         base = F_at(u_fix, plate, Nt)
         errs = []
         for h_fd in (1e-2, 1e-3, 1e-4):
             pert = PressurePath(times=u_fix.times.copy(), values=u_fix.values + h_fd * qg, bv=u_fix.bv)
-            plate2, _ = dp.picard_dispersive(p, pert, bump_state(n), tol=1e-13)
+            plate2, _ = dp.picard_dispersive(dp.plate_setup(p, bump_state(n), pert.times), pert, tol=1e-13)
             fd = (F_at(pert, plate2, Nt) - base) / h_fd
             errs.append(np.abs(fd - analytic).max())
         orders = [math.log10(errs[i] / errs[i + 1]) for i in range(2)]
@@ -931,14 +927,14 @@ class TestHolderF:
 def stacked_rhs(u, v, w, p):
     """mol_rhs on the stacked state of (u, v, w), split back into (du, dv, dw); the trace entries must be zero."""
     n = u.size
-    dy = ry.mol_rhs(ry._stack(u, v, w, p.lift.theta1), p)
+    dy = ry.mol_rhs(ry._stack(u, v, w, p.theta1), p)
     assert dy.shape == (3 * n + 2,) and dy[0] == dy[n + 1] == 0.0
     return dy[1 : n + 1], dy[n + 2 : 2 * n + 2], dy[2 * n + 2 :]
 
 
 def three_array_mol_rhs(u, v, w, p):
     """The oracle right-hand side on three separate arrays, as it was before the stacked state: the reference."""
-    th1, th2 = p.lift.theta1, p.lift.theta2
+    th1, th2 = p.theta1, p.theta2
     syn, ana, syn2, ana2 = sp.sine_matrices(w.size)
     v_grid = syn @ v
     w_grid = syn @ w + th2
@@ -992,8 +988,8 @@ class TestMolOracle:
     def test_mol_rhs_matches_the_grid_field_recipe(self, n):
         # the matrix right-hand side against eval_F on GridFields, the DST
         # gap forcing and the DST pressure coupling, within 1e-13 of the sup norm
-        p = ModelParams(beta_F=2.0, beta_p=0.7, lift=BoundaryLift(1.1, 0.9), eps1=0.5)
-        th1, th2 = p.lift.theta1, p.lift.theta2
+        p = ModelParams(beta_F=2.0, beta_p=0.7, theta1=1.1, theta2=0.9, eps1=0.5)
+        th1, th2 = p.theta1, p.theta2
         spec = sp.plate_eigenvalues(n)
         rng = np.random.default_rng(n)
         decay = np.arange(1, n + 1, dtype=float) ** -2
@@ -1002,7 +998,7 @@ class TestMolOracle:
             v = rng.normal(size=n) * decay
             w = 0.1 * rng.normal(size=n) * decay
             v_grid, w_grid = dp.plate_fields(StateVW(v, w), th2)
-            want_du = ry.eval_F(GridField(values=u, bv=th1), v_grid, w_grid, p).values
+            want_du = ry.eval_F(GridField(values=u, bv=th1), v_grid, w_grid).values
             want_dv = -spec.mu * w + (dp._G_modes(w, p) + p.beta_p * sp.sine_transform(u - th1))
             du, dv, dw = stacked_rhs(u, v, w, p)
             assert np.max(np.abs(du - want_du)) <= 1e-13 * np.max(np.abs(want_du))
@@ -1068,13 +1064,13 @@ class TestMolOracle:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_stacked_steps_are_bitwise_the_three_array_steps(self, n):
-        p = ModelParams(beta_F=2.0, beta_p=0.7, lift=BoundaryLift(1.1, 0.9), eps1=0.5)
+        p = ModelParams(beta_F=2.0, beta_p=0.7, theta1=1.1, theta2=0.9, eps1=0.5)
         rng = np.random.default_rng(n + 1)
         decay = np.arange(1, n + 1, dtype=float) ** -2
-        u = p.lift.theta1 + 0.2 * np.sin(np.pi * sp.grid(n)) + 0.01 * rng.normal(size=n)
+        u = p.theta1 + 0.2 * np.sin(np.pi * sp.grid(n)) + 0.01 * rng.normal(size=n)
         v = 0.1 * rng.normal(size=n) * decay
         w = 0.05 * rng.normal(size=n) * decay
-        init = CoupledState(u=GridField(values=u, bv=p.lift.theta1), vw=StateVW(v=v, w=w))
+        init = CoupledState(u=GridField(values=u, bv=p.theta1), vw=StateVW(v=v, w=w))
         steps = 4
         T = steps * 0.25 / float(sp.plate_eigenvalues(n).omega[-1])
         traj = ry.integrate_reference(p, init, T, T / steps, store_every=1)
@@ -1254,7 +1250,7 @@ class TestQuenchMonitor:
         # min gap = theta2 - a at the midpoint (mode-1 deflection)
 
         def status(u_vals, w_modes):
-            return ry._status_of(u_vals, gap_min_fine(w_modes, p.lift.theta2), eps, 1e6)
+            return ry._status_of(u_vals, gap_min_fine(w_modes, p.theta2), eps, 1e6)
 
         for a, expected in ((1.0 - eps / 2, "quench"), (0.1, "alive")):
             w = np.zeros(k)
@@ -1521,7 +1517,7 @@ class TestMassBalance:
         # the stacked transform and row sums reproduce the state-by-state
         # recipe bitwise
         p = base_params()
-        th1, th2 = p.lift.theta1, p.lift.theta2
+        th1, th2 = p.theta1, p.theta2
         rng = np.random.default_rng(n)
         decay = np.arange(1, n + 1, dtype=float) ** -2
         traj = [

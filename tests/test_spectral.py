@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from scipy.fft import dst
 
+from gapflow import dispersive as dp
 from gapflow import spectral as sp
 from gapflow import verify as vf
 
@@ -94,7 +95,7 @@ def test_lengths_without_a_prime_above_k_keep_the_dst(monkeypatch, n_nodes, k):
     def no_table(*args):
         raise AssertionError("table route taken")
 
-    monkeypatch.setattr(sp, "_sine_table", no_table)
+    monkeypatch.setattr(sp, "_half_tables", no_table)  # the tables of the table route
     _transform_both_ways(n_nodes, k)
 
 
@@ -769,10 +770,10 @@ def test_gap_min_caps_each_row_by_the_trace():
 
 
 def test_boundary_lift_validation():
-    with pytest.raises(ValueError):
-        sp.BoundaryLift(theta1=0.0, theta2=1.0)
-    with pytest.raises(ValueError):
-        sp.BoundaryLift(theta1=1.0, theta2=-2.0)
+    # the boundary values theta1 and theta2 of the model must be finite and positive
+    for theta1, theta2 in ((0.0, 1.0), (1.0, -2.0), (np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="boundary values must be finite and positive"):
+            dp.ModelParams(beta_F=1.0, beta_p=0.5, theta1=theta1, theta2=theta2, eps1=0.5)
 
 
 def test_grid_field_validation():

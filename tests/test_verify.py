@@ -12,9 +12,9 @@ from gapflow import reynolds as ry
 from gapflow import spectral as sp
 from gapflow import verify as vf
 from gapflow.dispersive import ModelParams
-from gapflow.spectral import BoundaryLift, GridField, StateVW
+from gapflow.spectral import GridField, StateVW
 
-P = ModelParams(beta_F=1.0, beta_p=0.5, lift=BoundaryLift(1.0, 1.0), eps1=0.5)
+P = ModelParams(beta_F=1.0, beta_p=0.5, theta1=1.0, theta2=1.0, eps1=0.5)
 
 
 class TestClosedForm:
@@ -205,13 +205,14 @@ class TestFrechetW:
         # sweeps diverge after 2; with a sweep limit of 1 they exhaust it first
         if status == "exhausted":
             monkeypatch.setattr(vf, "_FRECHET_MAX_ITER", 1)
-        p = ModelParams(beta_F=10.0, beta_p=1.0, lift=BoundaryLift(1.0, 1.0), eps1=0.5)
+        p = ModelParams(beta_F=10.0, beta_p=1.0, theta1=1.0, theta2=1.0, eps1=0.5)
         n = 16
         times = np.linspace(0.0, 3.0, 17)
+        setup = dp.plate_setup(p, StateVW(np.zeros(n), np.zeros(n)), times)
         flat = dp.VWPath(times, np.zeros((17, n)), np.zeros((17, n)))
         q = np.tile(np.r_[1.0, np.zeros(n - 1)], (17, 1))
         with pytest.raises(dp.PicardDivergence, match=f"frechet_W linear sweeps {status}") as exc:
-            vf.frechet_W(p, q, flat)
+            vf.frechet_W(setup, q, flat)
         rep = exc.value.report
         assert not rep.converged
         if status == "diverged":
@@ -385,12 +386,12 @@ def _ref_lipschitz_G(p, w0, trials, seed):
 def _ref_lipschitz_F(p, u0, init, trials, seed):
     ball = 0.2
     tc = dp.theory_constants(p, u0, init)
-    v_field, w_field = dp.plate_fields(init, p.lift.theta2)
+    v_field, w_field = dp.plate_fields(init, p.theta2)
     worst = 0.0
     for m1, m2 in _ref_ball_pairs(seed, trials, u0.n, ball):
         u1 = GridField(values=u0.values + sp.inverse_sine_transform(m1), bv=u0.bv)
         u2 = GridField(values=u0.values + sp.inverse_sine_transform(m2), bv=u0.bv)
-        dF = ry.eval_F(u1, v_field, w_field, p).values - ry.eval_F(u2, v_field, w_field, p).values
+        dF = ry.eval_F(u1, v_field, w_field).values - ry.eval_F(u2, v_field, w_field).values
         den = sp.norm_Hk(m1 - m2, 2)
         if den == 0.0:
             continue

@@ -8,7 +8,8 @@ Given u(t) (pressure, boundary value theta1), solve for the plate state
     G(w~) = -beta_F/(w~ + theta2)^2 + beta_p (theta1 - 1),
 
 by Picard iteration, with the semigroup T and the Duhamel kicks from
-gapflow.spectral.  Also provides the fixed-point loop shared by every
+gapflow.spectral: a solve returns a converged PicardReport or raises
+PicardDivergence.  Also provides the fixed-point loop shared by every
 contraction in the package and the constants chain with its horizon T0.
 ModelParams holds the five coefficients under their config key names;
 plate_setup(p, init, times) is a solve's one source of model, start state,
@@ -110,10 +111,11 @@ class VWPath:
 
 @dataclass
 class PicardReport:
+    """Sweeps and ratios of a fixed-point solve; a returned report is a converged one."""
+
     iterations: int
     contraction_ratios: list
-    converged: bool
-    min_w: float = np.nan  # min gap over the fine grid (trace included) after convergence
+    min_w: float = np.nan  # min gap over the fine grid (trace included) of a returned plate solve
     banach_ratio: float = np.nan  # largest ratio measured above the rounding floor (gamma_iterate)
 
 
@@ -442,27 +444,16 @@ def picard_dispersive(
         _PICARD_MAX_ITER,
         lambda ratios: len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0,
     )
-    if status == "diverged":
-        raise PicardDivergence(
+    if status != "converged":
+        message = (
             f"Picard sweeps stopped contracting (last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
-            f"horizon T={times[-1]:.3g} is past the contraction regime",
-            PicardReport(len(diffs), ratios, False),
+            f"horizon T={times[-1]:.3g} is past the contraction regime"
+            if status == "diverged"
+            else f"no convergence to tol={tol:g} within {_PICARD_MAX_ITER} sweeps (last diff {diffs[-1]:.3g})"
         )
-
+        raise PicardDivergence(message, PicardReport(len(diffs), ratios))
     drift = float(np.max(norm_Hk(path.w - init.w, 2)))  # sup_t ||w~(t) - w~0||_H2
     min_w = float(gap_min(path.w_refined_min + p.theta2, p.theta2).min())
-    report = PicardReport(
-        iterations=len(diffs),
-        contraction_ratios=ratios,
-        converged=status == "converged",
-        min_w=min_w,
-    )
-    if status == "exhausted":
-        last = diffs[-1] if diffs else np.nan
-        raise PicardDivergence(
-            f"no convergence to tol={tol:g} within {_PICARD_MAX_ITER} sweeps (last diff {last:.3g})",
-            report,
-        )
     # Lower-bound preservation: inside the certified ball the gap cannot lose
     # more than C*r < kappa/2 in sup norm.
     r = cc.radius()
@@ -471,7 +462,7 @@ def picard_dispersive(
             f"lower-bound invariant violated: drift {drift:.3g} <= r {r:.3g} "
             f"but min w = {min_w:.6g} < kappa/2 = {cc.kappa/2:.6g}"
         )
-    return path, report
+    return path, PicardReport(len(diffs), ratios, min_w=min_w)
 
 
 def uniform_pressure_path(u_fn, T: float, n_t: int, n: int, theta1: float) -> PressurePath:

@@ -624,9 +624,8 @@ def gamma_iterate(
     current, diffs, ratios, status = dp.fixed_point(
         sweep, guess, dp.pressure_diff_norm, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
     )
-    converged = status == "converged"
-    report = PicardReport(len(diffs), ratios, converged, banach_ratio=_banach_ratio(diffs, current))
-    if converged:
+    report = PicardReport(len(diffs), ratios, banach_ratio=_banach_ratio(diffs, current))
+    if status == "converged":
         return current, report, solve_plate(current)
     rho = ratios[-1] if ratios else float("nan")
     T_adm = T * (0.5 / rho) ** (1.0 / dp.HOLDER_ALPHA) if ratios else float("nan")
@@ -843,9 +842,11 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     """Adaptive chunked time integration of the coupled system to horizon T.
 
     Marches Gamma fixed points chunk by chunk (halving a chunk that fails to
-    contract, growing one that contracts fast), monitors quench/blowup and
-    pressure positivity at every sample, and hands the final approach to
-    touchdown to the Runge-Kutta tail when the contraction horizon collapses.
+    contract, growing one 1.5x up to chunk_cap that contracts fast), monitors
+    quench/blowup and pressure positivity at every sample, and hands the final
+    approach to touchdown to the Runge-Kutta tail when the contraction horizon
+    collapses.  One loop runs while the termination, first the status of the
+    initial state, is "alive", and the run has one exit.
     """
     if config is None:
         config = DriverConfig()
@@ -868,75 +869,53 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     w_mins, ratios = [np.array([kappa0])], [np.full(1, np.nan)]
 
     # the initial state is checked for quench and blowup, not for the pressure floor
-    status0 = str(_status_of(init.u.values, kappa0, config.quench_eps, config.u_cap))
-    if status0 != "alive":
-        return _finalize_report(p, init, T, config, status0, parts, w_mins, ratios, proxy)
-
-    if p.beta_F > 0:
-        guess = 0.05 * kappa0**3 / p.beta_F
-    else:
-        guess = T
-    chunk = config.chunk_init if config.chunk_init is not None else min(T, guess)
-    if config.chunk_cap is not None:
-        chunk = min(chunk, config.chunk_cap)
-    chunk = min(chunk, T)
-
-    state = init
-    t_end = init.t + T
-    chunks_done = 0
-    termination = "budget"
+    termination = str(_status_of(init.u.values, kappa0, config.quench_eps, config.u_cap))
     note = ""
-    while True:
+    cap = math.inf if config.chunk_cap is None else config.chunk_cap
+    guess = T if p.beta_F == 0 else 0.05 * kappa0**3 / p.beta_F
+    chunk = min(T, guess if config.chunk_init is None else config.chunk_init, cap)
+    state, t_end, chunks_done = init, init.t + T, 0
+    while termination == "alive":
         remaining = t_end - state.t
+        this_chunk = min(chunk, remaining)
         if remaining <= 1e-12 * max(1.0, abs(t_end)):
             termination = "converged"
-            break
-        if chunks_done >= _MAX_CHUNKS:
-            termination = "budget"
-            note = "chunk budget exhausted"
-            break
-        this_chunk = min(chunk, remaining)
-        if this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
+        elif chunks_done >= _MAX_CHUNKS:
+            termination, note = "budget", "chunk budget exhausted"
+        elif this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
             termination, note, tail = _rk4_tail(p, state, remaining, config)
             parts.append(tail)
             w_mins.append(sp.gap_min(sp.refined_values(tail.w[1:], th2), th2))
             ratios.append(np.full(tail.t.size - 1, np.nan))
-            break
-        try:
-            u_new, rep, plate = gamma_iterate(
-                p, state, this_chunk, config.n_t, tol=config.tol, max_iter=config.max_iter
-            )
-        except (PicardDivergence, QuenchSignal):  # a GammaDivergence is a PicardDivergence
-            chunk = this_chunk / 2.0
+        else:
             chunks_done += 1
-            continue
-
-        # chunk growth reads the last ratio; the series records Banach's estimate
-        ratio = rep.contraction_ratios[-1] if rep.contraction_ratios else 0.0
-        # the chunk is cut after its first row that is not alive; at one row
-        # quench and blowup take precedence over the pressure floor
-        u_rows = u_new.values[1:]
-        # the rows' gap minima, from the synthesis the plate solve's own check made
-        w_min = sp.gap_min(plate.w_refined_min[1:] + th2, th2)
-        status = _status_of(u_rows, w_min, config.quench_eps, config.u_cap)
-        below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
-        status = np.where((status == "alive") & below_floor, "pressure_floor", status)
-        dead = np.flatnonzero(status != "alive")
-        rows = dead[0] + 2 if dead.size else u_new.times.size
-        parts.append(Trajectory(state.t + u_new.times[:rows], u_new.values[:rows], plate.v[:rows], plate.w[:rows], th1))
-        w_mins.append(w_min[: rows - 1])
-        ratios.append(np.full(rows - 1, rep.banach_ratio))
-        state = parts[-1].state(-1)
-        chunks_done += 1
-        if dead.size:
-            termination = str(status[dead[0]])
-            if termination == "pressure_floor":
-                note = f"pressure positivity floor eps1={p.eps1} violated at t={state.t:.6g}"
-            break
-        if ratio <= _GROW_BELOW:
-            chunk = chunk * 1.5
-            if config.chunk_cap is not None:
-                chunk = min(chunk, config.chunk_cap)
+            try:
+                u_new, rep, plate = gamma_iterate(p, state, this_chunk, config.n_t, tol=config.tol, max_iter=config.max_iter)
+            except (PicardDivergence, QuenchSignal):  # a GammaDivergence is a PicardDivergence
+                chunk = this_chunk / 2.0
+                continue
+            # the chunk is cut after its first row that is not alive; at one row
+            # quench and blowup take precedence over the pressure floor
+            u_rows = u_new.values[1:]
+            # the rows' gap minima, from the synthesis the plate solve's own check made
+            w_min = sp.gap_min(plate.w_refined_min[1:] + th2, th2)
+            status = _status_of(u_rows, w_min, config.quench_eps, config.u_cap)
+            below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
+            status = np.where((status == "alive") & below_floor, "pressure_floor", status)
+            dead = np.flatnonzero(status != "alive")
+            rows = dead[0] + 2 if dead.size else u_new.times.size
+            parts.append(Trajectory(state.t + u_new.times[:rows], u_new.values[:rows], plate.v[:rows], plate.w[:rows], th1))
+            w_mins.append(w_min[: rows - 1])
+            ratios.append(np.full(rows - 1, rep.banach_ratio))
+            state = parts[-1].state(-1)
+            # chunk growth reads the last ratio; the series records Banach's estimate
+            ratio = rep.contraction_ratios[-1] if rep.contraction_ratios else 0.0
+            if dead.size:
+                termination = str(status[dead[0]])
+                if termination == "pressure_floor":
+                    note = f"pressure positivity floor eps1={p.eps1} violated at t={state.t:.6g}"
+            elif ratio <= _GROW_BELOW:
+                chunk = min(1.5 * chunk, cap)
 
     return _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, note)
 

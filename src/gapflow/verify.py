@@ -425,7 +425,7 @@ def frechet_W(setup: dp.PlateSetup, q_path: np.ndarray, vw: dp.VWPath, tol: floa
     if status != "converged":
         raise dp.PicardDivergence(
             f"frechet_W linear sweeps {status} after {len(diffs)} sweeps (last diff {diffs[-1]:.3g}, tol {tol:g})",
-            dp.PicardReport(len(diffs), ratios, False),
+            dp.PicardReport(len(diffs), ratios),
         )
     return path.v, path.w
 
@@ -524,15 +524,12 @@ class HolderFReport:
 _HOLDER_INNER_TOL = 1e-12
 
 
-def holder_F_quotients(
-    u_path: dp.PressurePath,
-    q_modes: np.ndarray,
-    p: ModelParams,
-    init_vw: StateVW,
-) -> HolderFReport:
+def holder_F_quotients(setup: dp.PlateSetup, u_path: dp.PressurePath, q_modes: np.ndarray) -> HolderFReport:
     """Measure the two Hoelder quotients of the right-hand side and the shapes of their bounds.
 
-    The exponent is alpha = dp.HOLDER_ALPHA and the horizon T = u_path.times[-1].
+    The plate solve and its Frechet march take setup's model, start state and
+    grid, on which u_path and q_modes are sampled.  The exponent is alpha =
+    dp.HOLDER_ALPHA and the horizon T = u_path.times[-1].
     measured_A = sup ||F(t+h) - F(t)||_{L2} / h^alpha, whose bound is L_A
     times shape_A = [u]_alpha + L_U, with L_U the measured Hoelder constant of
     the plate path; measured_B is the same quotient for F'(u)q - P*q, whose
@@ -541,11 +538,11 @@ def holder_F_quotients(
     and gives the verdict.
     """
     alpha = dp.HOLDER_ALPHA
+    p, init_vw = setup.params, setup.init
     times = u_path.times
     T = float(times[-1])
     q_modes = np.asarray(q_modes, dtype=float)
 
-    setup = dp.plate_setup(p, init_vw, times)  # of the plate solve and its Frechet march
     plate, _ = dp.picard_dispersive(setup, u_path, tol=_HOLDER_INNER_TOL)
     dW = frechet_W(setup, q_modes, plate, tol=_HOLDER_INNER_TOL)
     F_series = ry._F_path(u_path, plate, p)
@@ -571,16 +568,19 @@ def holder_F_quotients(
 def holder_F_audit(cal_paths, fresh_paths, q_modes: np.ndarray, p: ModelParams, init_vw: StateVW) -> tuple:
     """Calibrate the Hoelder constants of the right-hand side on cal_paths, then verify them on fresh_paths.
 
-    Every path is measured by holder_F_quotients with the same q_modes, p
-    and plate state init_vw.  L_A and L_B are the worst measured / shape over
-    the calibration paths (0 where a shape is 0).  A fresh path passes when
-    both of its quotients stay at or under 2 L shape (a 2x margin), up to a
-    relative 1e-12 for rounding.  Returns (passed, worst, L_A, L_B), with
-    worst the largest measured / (2 L shape) over the fresh paths.
+    Every path is measured by holder_F_quotients with the same q_modes and
+    one plate setup of p and init_vw on the first calibration path's grid, on
+    which every path must be sampled (the plate solve raises otherwise).  L_A
+    and L_B are the worst measured / shape over the calibration paths (0
+    where a shape is 0).  A fresh path passes when both of its quotients stay
+    at or under 2 L shape (a 2x margin), up to a relative 1e-12 for rounding.
+    Returns (passed, worst, L_A, L_B), with worst the largest measured /
+    (2 L shape) over the fresh paths.
     """
+    setup = dp.plate_setup(p, init_vw, cal_paths[0].times)
 
     def measure(paths):  # (measured, shape), one row (A, B) per path
-        reps = [holder_F_quotients(path, q_modes, p, init_vw) for path in paths]
+        reps = [holder_F_quotients(setup, path, q_modes) for path in paths]
         measured = np.array([(r.measured_A, r.measured_B) for r in reps])
         return measured, np.array([(r.shape_A, r.shape_B) for r in reps])
 

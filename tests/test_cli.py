@@ -527,8 +527,8 @@ class TestVerify:
         real = vf.holder_F_quotients
         cal = []
 
-        def inflated(u_path, q_modes, p, init_vw):
-            rep = real(u_path, q_modes, p, init_vw)
+        def inflated(setup, u_path, q_modes):
+            rep = real(setup, u_path, q_modes)
             if len(cal) < vf._HOLDER_CALIBRATION_PATHS:
                 cal.append(rep)
                 return rep

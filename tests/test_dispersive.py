@@ -188,7 +188,6 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     T = 0.9 * dp.theory_constants(p, u0, init).T0
     up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
     path, rep = plate_solve(p, up, init)
-    assert rep.converged
     bound = T * 1.0 * cc.L_G
     assert all(rt <= bound * 1.05 for rt in rep.contraction_ratios)
     assert rep.min_w >= cc.kappa / 2.0
@@ -244,7 +243,7 @@ def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps():
     near, _ = plate_solve(p, pressure(0.101), init, tol=tol)
     cold, cold_rep = plate_solve(p, pressure(0.1), init, tol=tol)
     warm, warm_rep = plate_solve(p, pressure(0.1), init, tol=tol, start=near)
-    assert warm_rep.converged and warm_rep.iterations < cold_rep.iterations
+    assert warm_rep.iterations < cold_rep.iterations
     assert dp.path_diff_norm(warm, cold) <= tol
     far = dp.VWPath(near.times, np.zeros_like(near.v), np.zeros_like(near.w))  # the flat gap
     from_far, _ = plate_solve(p, pressure(0.1), init, tol=tol, start=far)
@@ -445,7 +444,6 @@ def test_picard_report_fields():
     T = 0.01
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
     _, rep = plate_solve(p, up, init)
-    assert rep.converged
     assert isinstance(rep.contraction_ratios, list)
 
 
@@ -461,7 +459,7 @@ def test_picard_exhausting_its_sweeps_raises_with_the_sweep_count(monkeypatch):
     monkeypatch.setattr(dp, "_PICARD_MAX_ITER", 3)
     with pytest.raises(dp.PicardDivergence, match="no convergence to tol=1e-30 within 3 sweeps") as exc:
         plate_solve(p, up, small_bump_state(n, amp=0.05), tol=1e-30)
-    assert exc.value.report.iterations == 3 and not exc.value.report.converged
+    assert exc.value.report.iterations == 3
 
 
 def test_picard_that_stops_contracting_raises_with_its_ratios():
@@ -472,5 +470,5 @@ def test_picard_that_stops_contracting_raises_with_its_ratios():
     with pytest.raises(dp.PicardDivergence, match=r"stopped contracting \(last ratios 2\.096, 3\.485\)") as exc:
         plate_solve(p, up, sp.StateVW(v=np.zeros(n), w=np.zeros(n)))
     rep = exc.value.report
-    assert rep.iterations == 3 and not rep.converged
+    assert rep.iterations == 3
     assert rep.contraction_ratios == pytest.approx([2.10, 3.49], abs=0.01)

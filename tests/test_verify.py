@@ -214,7 +214,6 @@ class TestFrechetW:
         with pytest.raises(dp.PicardDivergence, match=f"frechet_W linear sweeps {status}") as exc:
             vf.frechet_W(setup, q, flat)
         rep = exc.value.report
-        assert not rep.converged
         if status == "diverged":
             assert rep.iterations == 2 and rep.contraction_ratios == [pytest.approx(1.0748, abs=1e-4)]
         else:
@@ -260,8 +259,8 @@ class TestHolderAudit:
         fresh = dp.PressurePath(times=path.times.copy(), values=path.values.copy(), bv=path.bv)
         real = vf.holder_F_quotients
 
-        def inflated(u_path, q_modes, p, init_vw):
-            rep = real(u_path, q_modes, p, init_vw)
+        def inflated(setup, u_path, q_modes):
+            rep = real(setup, u_path, q_modes)
             return replace(rep, **{quotient: 6.0 * getattr(rep, quotient)}) if u_path is fresh else rep
 
         init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
@@ -270,6 +269,28 @@ class TestHolderAudit:
         monkeypatch.setattr(vf, "holder_F_quotients", inflated)
         passed, worst, _, _ = vf.holder_F_audit([path], [fresh], q, P, init)
         assert not passed and worst == pytest.approx(3.0, rel=1e-12)
+
+    def test_the_audit_builds_one_plate_setup_for_all_its_paths(self, monkeypatch):
+        path, q = self._path_and_q()
+        fresh = dp.PressurePath(times=path.times.copy(), values=path.values.copy(), bv=path.bv)
+        setups, real = [], vf.holder_F_quotients
+
+        def recorded(setup, u_path, q_modes):
+            setups.append(setup)
+            return real(setup, u_path, q_modes)
+
+        monkeypatch.setattr(vf, "holder_F_quotients", recorded)
+        vf.holder_F_audit([path, path], [fresh], q, P, StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)]))
+        assert len(setups) == 3 and all(s is setups[0] for s in setups)
+        assert setups[0].times is path.times
+
+    def test_a_fresh_path_on_another_grid_raises(self):
+        # the audit's one setup is built on the grid of its first calibration path
+        path, q = self._path_and_q()
+        other, _ = self._path_and_q(T=4e-3)
+        init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
+        with pytest.raises(ValueError, match="setup was built for another time grid"):
+            vf.holder_F_audit([path], [other], q, P, init)
 
 
 # ---------------------------------------------------------------------------

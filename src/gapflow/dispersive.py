@@ -92,21 +92,33 @@ class PressurePath:
 @dataclass(frozen=True)
 class VWPath:
     """Plate trajectory in mode space: v[i] and w[i] (w~ = w - theta2) at times[i],
-    each of shape (n_t + 1, k_max)."""
+    each of shape (n_t + 1, k_max).
+
+    A path synthesizes w~ on the pad-2 grid once, on first use (w_refined),
+    and every reader shares it: the forcing G of the sweep that starts from
+    the path, the plate solve's lower-bound check and the coupled driver's
+    gap monitor.  So a warm-started solve does not synthesize its start
+    again."""
 
     times: np.ndarray
     v: np.ndarray
     w: np.ndarray
 
     @cached_property
+    def w_refined(self) -> np.ndarray:
+        """w~ on the pad-2 refined grid at each node, boundary trace excluded:
+        refined_values(w), shape (n_t + 1, 2 k_max + 1), read-only."""
+        w_refined = refined_values(self.w)
+        w_refined.setflags(write=False)
+        return w_refined
+
+    @cached_property
     def w_refined_min(self) -> np.ndarray:
-        """min of w~ over the pad-2 refined grid (refined_values, boundary trace
-        excluded) at each node, as an (n_t + 1, 1) column.  Synthesized on first
-        use and kept, so the plate solve's lower-bound check and the coupled
-        driver's gap monitor share one synthesis.  gap_min(w_refined_min +
-        theta2, theta2) is each node's gap minimum: a float shift is monotone,
-        so adding theta2 after the minimum is bitwise adding it before."""
-        return refined_values(self.w).min(axis=-1, keepdims=True)
+        """min of w_refined at each node, as an (n_t + 1, 1) column.
+        gap_min(w_refined_min + theta2, theta2) is each node's gap minimum: a
+        float shift is monotone, so adding theta2 after the minimum is bitwise
+        adding it before."""
+        return self.w_refined.min(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -161,14 +173,22 @@ def _G_fine(w_fine: np.ndarray, p: ModelParams) -> np.ndarray:
     return -p.beta_F / w_fine**2 + p.beta_p * (p.theta1 - 1.0)
 
 
+def _G_refined(w_refined: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The k mode coefficients of G from w~ on the pad-2 refined grid of k modes
+    (2k + 1 samples, trace excluded, as VWPath.w_refined): G is evaluated
+    pointwise there (the dealiasing, see _G_fine) and transformed back.  This
+    is dealias_apply's arithmetic bit for bit: refined_values(w) + theta2 is
+    refined_values(w, theta2), since x + 0.0 is x but for the sign of a zero."""
+    return sine_transform(_G_fine(w_refined + p.theta2, p), (w_refined.shape[-1] - 1) // 2)
+
+
 def _G_modes(w_modes: np.ndarray, p: ModelParams) -> np.ndarray:
     """Mode coefficients of G(w~) = -beta_F/(w~+theta2)^2 + beta_p(theta1 - 1).
 
-    G is evaluated pointwise on the pad-2 refined grid (the dealiasing, see
-    _G_fine).  A (rows, k) array of mode vectors gives one row of
-    coefficients per row.
+    _G_refined on the pad-2 synthesis of w_modes.  A (rows, k) array of mode
+    vectors gives one row of coefficients per row.
     """
-    return dealias_apply(lambda w_fine: _G_fine(w_fine, p), w_modes, bvs=(p.theta2,))
+    return _G_refined(refined_values(w_modes), p)
 
 
 def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
@@ -437,8 +457,9 @@ def picard_dispersive(
         return VWPath(times, *duhamel_sweep(init, setup.omega, setup.coeffs, g + p.beta_p * u_modes))
 
     path, diffs, ratios, status = fixed_point(
-        lambda path: march(_G_modes(path.w, p)),
-        march(_G_modes(init.w if start is None else start.w, p)),  # first sweep: G frozen at w~0 or along start
+        lambda path: march(_G_refined(path.w_refined, p)),
+        # first sweep: G frozen at w~0, or along start from its kept synthesis
+        march(_G_modes(init.w, p) if start is None else _G_refined(start.w_refined, p)),
         path_diff_norm,
         tol,
         _PICARD_MAX_ITER,

@@ -43,13 +43,18 @@ pool size (one gemm over the stack would give neither).  33 rows, one
 thread, synthesis / analysis:
 
     n_nodes          DST             full table      half tables     route
-    256 (k = 256)    435 / 435 us    210 / 210 us    105 / 100 us    table (p = 257)
-    513 (k = 256)    650 / 650 us    430 / 420 us    200 / 200 us    table (p = 257)
-    16 (k = 16)      10 / 10 us      3 / 3 us        9 / 9 us        table (p = 17)
-    128, 257         43, 76 us       about the DST   25, 60 us       DST
-    512              112 us          1130 us         370 us          DST (p = 19)
+    256 (k = 256)    425 / 425 us    215 / 210 us    100 / 95 us     table (p = 257)
+    513 (k = 256)    630 / 630 us    425 / 420 us    200 / 175 us    table (p = 257)
+    16 (k = 16)      6 / 6 us        3 / 2 us        9 / 9 us        table (p = 17)
+    64, 129 (k = 64) 12, 22 us       10, 21 us       14, 22 us       DST
+    128, 257         37, 68 us       about the DST   27, 62 us       DST
+    512              100 us          1035 us         390 us          DST (p = 19)
 
 At n = 16 the call overhead of two gemvs per row outweighs the halved flops.
+The DST is scipy.fftpack's: the same pocketfft kernel as scipy.fft's, with
+the same bytes, without the backend dispatch and array-API conversion that
+cost scipy.fft about 3 us more per call (3.3 against 6.0 us for one row of
+129 nodes).
 Every length of the shipped configs (n = 48 and 64 and their pad-2 and
 pad-4 grids) stays on the DST and keeps its bytes.
 """
@@ -61,7 +66,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fftpack import dst
 
 
 class QuenchSignal(RuntimeError):
@@ -292,7 +297,7 @@ def sine_transform(f: np.ndarray, k: int | None = None) -> np.ndarray:
         coeffs *= 2.0
         coeffs /= n + 1
         return coeffs
-    return (dst(f, type=1, axis=-1) / (n + 1))[..., :k]
+    return dst(f, type=1, axis=-1)[..., :k] / (n + 1)
 
 
 def inverse_sine_transform(m: np.ndarray, n: int | None = None) -> np.ndarray:

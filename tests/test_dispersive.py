@@ -250,6 +250,42 @@ def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps():
     assert dp.path_diff_norm(from_far, cold) <= tol
 
 
+def test_a_warm_plate_solve_synthesizes_each_path_on_the_pad2_grid_once(monkeypatch):
+    # the start path kept the pad-2 synthesis its own solve made for the gap
+    # check (VWPath.w_refined), and the first G reads it: each march makes one
+    # path and each path one (rows, 2k + 1) synthesis, for the next G or the
+    # closing gap check.  The kept synthesis changes no bit of the solve.
+    p = base_params()
+    k, T, tol = 32, 0.02, 1e-10
+    init = small_bump_state(k)
+
+    def pressure(amp):
+        return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
+
+    up = pressure(0.1)
+    setup = dp.plate_setup(p, init, up.times)
+    start, _ = dp.picard_dispersive(setup, pressure(0.101), tol=tol)
+    fresh = dp.VWPath(start.times.copy(), start.v.copy(), start.w.copy())  # nothing kept
+    counts = {"syntheses": 0, "marches": 0}
+    synthesis, march = sp.inverse_sine_transform, dp.duhamel_sweep
+
+    def counted_synthesis(m, n=None):
+        counts["syntheses"] += n == 2 * k + 1
+        return synthesis(m, n)
+
+    def counted_march(*args):
+        counts["marches"] += 1
+        return march(*args)
+
+    monkeypatch.setattr(sp, "inverse_sine_transform", counted_synthesis)
+    monkeypatch.setattr(dp, "duhamel_sweep", counted_march)
+    warm, _ = dp.picard_dispersive(setup, up, tol=tol, start=start)
+    assert counts["marches"] >= 2 and counts["syntheses"] == counts["marches"], counts
+    monkeypatch.undo()
+    again, _ = dp.picard_dispersive(setup, up, tol=tol, start=fresh)
+    assert warm.v.tobytes() == again.v.tobytes() and warm.w.tobytes() == again.w.tobytes()
+
+
 def test_warm_start_must_share_the_grid_and_shape():
     p = base_params()
     k, T = 16, 1e-3

@@ -106,6 +106,20 @@ def test_lengths_with_a_prime_above_k_take_the_table(monkeypatch, n_nodes, k):
     _transform_both_ways(n_nodes, k)
 
 
+def test_the_dst_entry_point_has_the_bytes_of_scipy_fft():
+    # spectral takes its DST from scipy.fftpack, which calls the pocketfft
+    # kernel without scipy.fft's backend dispatch; the two must stay bitwise
+    # equal, so that a SciPy that splits them fails here and not in the golden
+    # files.  Every DST length runs and verify reach (8-131 nodes) and the two
+    # route-test lengths of 512 nodes and up; 1-, 2- and 3-axis stacks, and
+    # views with a stride, a reversed stride and swapped axes.
+    rng = np.random.default_rng(131)
+    for n in list(range(8, 132)) + [512, 1025]:
+        wide = rng.normal(size=(2, 3, 2 * n))
+        for x in (wide[0, 0, :n], wide[0, :, :n], wide[..., :n], wide[..., ::2], wide[0, :, ::-2], wide[..., :n].swapaxes(0, 1)):
+            assert sp.dst(x, type=1, axis=-1).tobytes() == dst(x, type=1, axis=-1).tobytes(), (n, x.shape, x.strides)
+
+
 def test_table_route_agrees_with_the_dst_to_rounding():
     # At n = k = 256 (and its pad-2 grid) the transforms multiply by the sine
     # table; scipy's DST of the same data is the reference.  A priori, to first

@@ -394,12 +394,14 @@ def plate_setup(p: ModelParams, init: StateVW, times: np.ndarray) -> PlateSetup:
 def fixed_point(step, x0, dist, tol: float, max_iter: int, diverged) -> tuple:
     """Iterate x <- step(x) from x0 until dist(new, old) <= tol.
 
-    Returns (x, diffs, ratios, status): the last iterate, the distance moved
-    by each sweep (len(diffs) is the sweep count), the ratios of successive
-    distances (taken when the earlier one is finite and positive), and status
-    "converged", "diverged" (diverged(ratios) held after a sweep that missed
-    tol) or "exhausted" (max_iter sweeps without either).  Callers turn the
-    last two into their own exceptions.
+    Every step is measured, the first one from x0 included, so an x0 already
+    within tol of its fixed point ends the loop after one step.  Returns (x,
+    diffs, ratios, status): the last iterate, the distance moved by each
+    sweep (len(diffs) is the sweep count, the number of steps), the ratios
+    of successive distances (taken when the earlier one is finite and
+    positive), and status "converged", "diverged" (diverged(ratios) held
+    after a sweep that missed tol) or "exhausted" (max_iter sweeps without
+    either).  Callers turn the last two into their own exceptions.
     """
     x, diffs, ratios = x0, [], []
     for _ in range(max_iter):
@@ -435,11 +437,14 @@ def picard_dispersive(
     ratios >= 1) or when _PICARD_MAX_ITER sweeps miss tol.  The ball radius
     of the lower-bound check is the default 0.9 kappa/(2C).
 
-    The first sweep freezes G at w~0 (a cold start), or along start.w when a
-    plate path on the same time grid is given (a warm start, for instance
-    the solution for a nearby pressure path: it depends Hoelder-continuously
-    on the pressure, so fewer sweeps reach tol).  Both converge to the same
-    fixed point within tol.
+    The first iterate is the march with G frozen at w~0 (a cold start), or
+    start itself when a plate path on the same time grid is given (a warm
+    start, for instance the solution for a nearby pressure path: it depends
+    Hoelder-continuously on the pressure, so fewer marches reach tol).  The
+    march from start is then a measured sweep, and a start within tol of the
+    fixed point returns after that one march.  Both starts converge to the
+    same fixed point within tol.  The report's iterations is the number of
+    measured sweeps: a cold solve makes one march more, a warm one as many.
     """
     p, init, times, cc = setup.params, setup.init, setup.times, setup.cc
     u_modes = sine_transform(u_path.values - u_path.bv)
@@ -458,8 +463,9 @@ def picard_dispersive(
 
     path, diffs, ratios, status = fixed_point(
         lambda path: march(_G_refined(path.w_refined, p)),
-        # first sweep: G frozen at w~0, or along start from its kept synthesis
-        march(_G_modes(init.w, p) if start is None else _G_refined(start.w_refined, p)),
+        # first iterate: the march with G frozen at w~0, or start itself, so
+        # that the march from start is a measured sweep
+        march(_G_modes(init.w, p)) if start is None else start,
         path_diff_norm,
         tol,
         _PICARD_MAX_ITER,

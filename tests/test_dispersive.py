@@ -229,25 +229,79 @@ def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
     assert got.v.tobytes() == want.v.tobytes() and got.w.tobytes() == want.w.tobytes()
 
 
-def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps():
+def pressure_near_bump(amp, k=32, T=0.02):
+    """The pressure 1 + amp sin(pi x) cos(t) on 32 steps of [0, T], k interior nodes."""
+    return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
+
+
+def counting_marches(monkeypatch):
+    """Wrap dispersive.duhamel_sweep; the returned list gains one entry per march."""
+    marches, march = [], dp.duhamel_sweep
+
+    def counted(*args):
+        marches.append(1)
+        return march(*args)
+
+    monkeypatch.setattr(dp, "duhamel_sweep", counted)
+    return marches
+
+
+def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps(monkeypatch):
     # the plate path of a pressure 1e-3 away starts the solve close to its
     # fixed point (Hoelder dependence on the pressure); it lands within tol of
-    # the cold solve's, and so does a start far from it
+    # the cold solve's in fewer Duhamel marches, and a start far from it lands
+    # there too
     p = base_params()
-    k, T, tol = 32, 0.02, 1e-10
-    init = small_bump_state(k)
-
-    def pressure(amp):
-        return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
-
-    near, _ = plate_solve(p, pressure(0.101), init, tol=tol)
-    cold, cold_rep = plate_solve(p, pressure(0.1), init, tol=tol)
-    warm, warm_rep = plate_solve(p, pressure(0.1), init, tol=tol, start=near)
-    assert warm_rep.iterations < cold_rep.iterations
+    tol = 1e-10
+    init = small_bump_state(32)
+    near, _ = plate_solve(p, pressure_near_bump(0.101), init, tol=tol)
+    marches = counting_marches(monkeypatch)
+    cold, _ = plate_solve(p, pressure_near_bump(0.1), init, tol=tol)
+    cold_marches = len(marches)
+    warm, _ = plate_solve(p, pressure_near_bump(0.1), init, tol=tol, start=near)
+    assert len(marches) - cold_marches < cold_marches
     assert dp.path_diff_norm(warm, cold) <= tol
     far = dp.VWPath(near.times, np.zeros_like(near.v), np.zeros_like(near.w))  # the flat gap
-    from_far, _ = plate_solve(p, pressure(0.1), init, tol=tol, start=far)
+    from_far, _ = plate_solve(p, pressure_near_bump(0.1), init, tol=tol, start=far)
     assert dp.path_diff_norm(from_far, cold) <= tol
+
+
+def test_picard_warm_start_is_the_start_iteration_bitwise():
+    # a warm start is the iteration whose first iterate is start itself,
+    # spelled out here from its pieces: each sweep, the first one included,
+    # takes G along the last path and is measured
+    p = base_params()
+    k, tol = 32, 1e-10
+    init = small_bump_state(k)
+    up = pressure_near_bump(0.1)
+    setup = dp.plate_setup(p, init, up.times)
+    start, _ = dp.picard_dispersive(setup, pressure_near_bump(0.101), tol=tol)
+    forcing = p.beta_p * sp.sine_transform(up.values - up.bv)
+
+    def march(g):
+        return dp.VWPath(up.times, *sp.duhamel_sweep(init, setup.omega, setup.coeffs, g + forcing))
+
+    want, diffs, ratios, status = dp.fixed_point(
+        lambda path: march(dp._G_modes(path.w, p)), start, dp.path_diff_norm, tol, 200, lambda ratios: False
+    )
+    got, rep = dp.picard_dispersive(setup, up, tol=tol, start=start)
+    assert status == "converged" and rep.iterations == len(diffs) and rep.contraction_ratios == ratios
+    assert got.v.tobytes() == want.v.tobytes() and got.w.tobytes() == want.w.tobytes()
+
+
+def test_a_warm_solve_started_at_its_fixed_point_marches_once(monkeypatch):
+    # the first march from start is a measured sweep: a start within tol of
+    # the fixed point ends the solve after that one march
+    p = base_params()
+    tol = 1e-10
+    init = small_bump_state(32)
+    up = pressure_near_bump(0.1)
+    setup = dp.plate_setup(p, init, up.times)
+    start, _ = dp.picard_dispersive(setup, up, tol=tol)
+    marches = counting_marches(monkeypatch)
+    again, rep = dp.picard_dispersive(setup, up, tol=tol, start=start)
+    assert len(marches) == 1 and rep.iterations == 1
+    assert dp.path_diff_norm(again, start) <= tol
 
 
 def test_a_warm_plate_solve_synthesizes_each_path_on_the_pad2_grid_once(monkeypatch):
@@ -256,31 +310,22 @@ def test_a_warm_plate_solve_synthesizes_each_path_on_the_pad2_grid_once(monkeypa
     # path and each path one (rows, 2k + 1) synthesis, for the next G or the
     # closing gap check.  The kept synthesis changes no bit of the solve.
     p = base_params()
-    k, T, tol = 32, 0.02, 1e-10
+    k, tol = 32, 1e-10
     init = small_bump_state(k)
-
-    def pressure(amp):
-        return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
-
-    up = pressure(0.1)
+    up = pressure_near_bump(0.1)
     setup = dp.plate_setup(p, init, up.times)
-    start, _ = dp.picard_dispersive(setup, pressure(0.101), tol=tol)
+    start, _ = dp.picard_dispersive(setup, pressure_near_bump(0.101), tol=tol)
     fresh = dp.VWPath(start.times.copy(), start.v.copy(), start.w.copy())  # nothing kept
-    counts = {"syntheses": 0, "marches": 0}
-    synthesis, march = sp.inverse_sine_transform, dp.duhamel_sweep
+    syntheses, synthesis = [], sp.inverse_sine_transform
 
     def counted_synthesis(m, n=None):
-        counts["syntheses"] += n == 2 * k + 1
+        syntheses.append(n == 2 * k + 1)
         return synthesis(m, n)
 
-    def counted_march(*args):
-        counts["marches"] += 1
-        return march(*args)
-
     monkeypatch.setattr(sp, "inverse_sine_transform", counted_synthesis)
-    monkeypatch.setattr(dp, "duhamel_sweep", counted_march)
+    marches = counting_marches(monkeypatch)
     warm, _ = dp.picard_dispersive(setup, up, tol=tol, start=start)
-    assert counts["marches"] >= 2 and counts["syntheses"] == counts["marches"], counts
+    assert len(marches) >= 2 and sum(syntheses) == len(marches), (marches, syntheses)
     monkeypatch.undo()
     again, _ = dp.picard_dispersive(setup, up, tol=tol, start=fresh)
     assert warm.v.tobytes() == again.v.tobytes() and warm.w.tobytes() == again.w.tobytes()

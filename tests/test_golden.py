@@ -25,6 +25,11 @@ The contract compares each column by what it can carry:
   for reference.ini and 1e-9 for quench.ini, whose final snapshot comes from
   the Runge-Kutta tail at the touchdown.
 
+series_allowance holds the one per-value allowance of the series columns,
+and allowance_shares reports how much of it a run uses: for each column and
+snapshot field, the largest |diff| over its allowance and the row where it
+falls.  A share is at most 1 exactly where the contract holds.
+
 The runs are child processes with the BLAS and OpenMP pools pinned to one
 thread, as the golden files were written; a run with two threads must write
 the same bytes.  The last tests show the strength of the contract: a
@@ -70,17 +75,12 @@ def _numeric(rows):
     return np.array([[float(x) for x in r] for r in rows])
 
 
-def series_mismatches(golden, fresh, theta2):
-    """Messages for the series.csv values of fresh outside the contract with golden,
-    whose run has gap boundary value theta2."""
+def series_allowance(golden, theta2):
+    """(header, values, allowance) of golden's series.csv, whose run has gap
+    boundary value theta2: the allowance atol + rtol |value| of each value
+    under the contract."""
     want = _read(golden / "series.csv")
-    got = _read(fresh / "series.csv")
-    if got[0] != want[0]:
-        return ["header changed"]
-    if len(got) != len(want):
-        return [f"{len(got) - 1} rows, golden has {len(want) - 1}"]
-    header = want[0]
-    a, b = _numeric(got[1:]), _numeric(want[1:])
+    header, b = want[0], _numeric(want[1:])
     ts, mass, flux = _numeric(_read(golden / "mass_terms.csv")[1:]).T
     atol = np.zeros(b.shape)
     rtol = np.full(b.shape, RTOL)
@@ -91,24 +91,54 @@ def series_mismatches(golden, fresh, theta2):
     col = header.index("min_w")
     rtol[:, col] = 0.0
     atol[:, col] = RTOL * np.maximum(np.abs(b[:, col]), theta2)
-    bad = np.argwhere(~(np.abs(a - b) <= atol + rtol * np.abs(b)) & ~(np.isnan(a) & np.isnan(b)))
+    return header, b, atol + rtol * np.abs(b)
+
+
+def series_pairs(golden, fresh, theta2):
+    """(header, fresh values, golden values, allowance) of series.csv, or a
+    message when the header or the row count changed."""
+    header, b, allowance = series_allowance(golden, theta2)
+    got = _read(fresh / "series.csv")
+    if got[0] != header:
+        return "header changed"
+    if len(got) - 1 != len(b):
+        return f"{len(got) - 1} rows, golden has {len(b)}"
+    return header, _numeric(got[1:]), b, allowance
+
+
+def series_mismatches(golden, fresh, theta2):
+    """Messages for the series.csv values of fresh outside the contract with golden,
+    whose run has gap boundary value theta2."""
+    pairs = series_pairs(golden, fresh, theta2)
+    if isinstance(pairs, str):
+        return [pairs]
+    header, a, b, allowance = pairs
+    bad = np.argwhere(~(np.abs(a - b) <= allowance) & ~(np.isnan(a) & np.isnan(b)))
     return [f"series row {i + 1}, {header[j]}: {a[i, j]!r} against {b[i, j]!r}" for i, j in bad]
+
+
+def snapshot_groups(golden, fresh):
+    """{(t, field): (golden values, fresh values, snapshots.csv rows)} of the
+    two snapshots.csv files, or a message when their layout differs."""
+    want = _read(golden / "snapshots.csv")
+    got = _read(fresh / "snapshots.csv")
+    if got[0] != want[0]:
+        return "header changed"
+    if [r[:3] for r in got[1:]] != [r[:3] for r in want[1:]]:
+        return "t, field or index columns changed"
+    groups = {}
+    for row, (row_w, row_g) in enumerate(zip(want[1:], got[1:]), start=1):
+        groups.setdefault((row_w[0], row_w[1]), []).append((float(row_w[3]), float(row_g[3]), row))
+    return {key: tuple(np.array(column) for column in zip(*values)) for key, values in groups.items()}
 
 
 def snapshot_mismatches(golden, fresh, rtol):
     """Messages for the (time, field) groups of fresh's snapshots.csv outside rtol of their sup norm."""
-    want = _read(golden / "snapshots.csv")
-    got = _read(fresh / "snapshots.csv")
-    if got[0] != want[0]:
-        return ["header changed"]
-    if [r[:3] for r in got[1:]] != [r[:3] for r in want[1:]]:
-        return ["t, field or index columns changed"]
-    groups = {}
-    for row_w, row_g in zip(want[1:], got[1:]):
-        groups.setdefault((row_w[0], row_w[1]), []).append((float(row_w[3]), float(row_g[3])))
+    groups = snapshot_groups(golden, fresh)
+    if isinstance(groups, str):
+        return [groups]
     out = []
-    for (t, field), pairs in groups.items():
-        b, a = np.array(pairs).T
+    for (t, field), (b, a, _) in groups.items():
         scale = np.max(np.abs(b))
         err = np.max(np.abs(a - b))
         if not err <= rtol * scale:
@@ -119,6 +149,37 @@ def snapshot_mismatches(golden, fresh, rtol):
 def mismatches(config, fresh):
     golden = GOLDEN_DIRS[config]
     return series_mismatches(golden, fresh, THETA2[config]) + snapshot_mismatches(golden, fresh, SNAPSHOT_RTOL[config])
+
+
+def _shares(diff, allowance):
+    """diff / allowance per value, 0 where diff is 0 and inf where it is NaN:
+    at most 1 exactly where diff <= allowance."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = diff / allowance
+    share[diff == 0.0] = 0.0
+    return np.nan_to_num(share, nan=np.inf)
+
+
+def allowance_shares(config, fresh):
+    """{name: (share, row)} of fresh against the golden files of config: for
+    each series column, and for each snapshot field as "snapshot <field>", the
+    largest |diff| / allowance and the data row of the CSV file where it
+    occurs (1 is the row under the header).  The allowance is the contract's:
+    a share is at most 1 exactly where the contract holds."""
+    golden = GOLDEN_DIRS[config]
+    pairs, groups = series_pairs(golden, fresh, THETA2[config]), snapshot_groups(golden, fresh)
+    for layout in (pairs, groups):
+        if isinstance(layout, str):
+            raise ValueError(layout)
+    header, a, b, allowance = pairs
+    shares = _shares(np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b)), allowance)
+    out = {name: (float(shares[:, j].max()), int(shares[:, j].argmax()) + 1) for j, name in enumerate(header)}
+    for (_, field), (b, a, rows) in groups.items():
+        share = _shares(np.abs(a - b), SNAPSHOT_RTOL[config] * np.max(np.abs(b)))
+        worst, name = int(share.argmax()), f"snapshot {field}"
+        if name not in out or share[worst] > out[name][0]:
+            out[name] = (float(share[worst]), int(rows[worst]))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +219,16 @@ def test_simulate_quench_snapshots_match_golden(fresh_quench):
 
 
 @pytest.mark.parametrize("config", ["reference.ini", "quench.ini"])
+def test_allowance_shares_are_at_most_one_exactly_when_nothing_mismatches(request, config):
+    run = request.getfixturevalue("fresh" if config == "reference.ini" else "fresh_quench")
+    shares = allowance_shares(config, run)
+    assert set(shares) == {*_read(GOLDEN_DIRS[config] / "series.csv")[0], "snapshot u", "snapshot v", "snapshot w"}
+    within = all(share <= 1.0 for share, _ in shares.values())
+    assert within == (mismatches(config, run) == [])
+    assert within, shares
+
+
+@pytest.mark.parametrize("config", ["reference.ini", "quench.ini"])
 def test_outputs_do_not_depend_on_the_blas_pool_size(request, tmp_path, config):
     one = request.getfixturevalue("fresh" if config == "reference.ini" else "fresh_quench")
     two = _simulate(config, tmp_path, threads="2")
@@ -171,8 +242,11 @@ def test_rounding_level_change_of_E_passes(tmp_path, config):
 
 
 def test_1e9_change_of_E_fails(tmp_path):
-    bad = mismatches("reference.ini", _simulate("reference.ini", tmp_path, "--scale-E", "1e-9"))
+    fresh = _simulate("reference.ini", tmp_path, "--scale-E", "1e-9")
+    bad = mismatches("reference.ini", fresh)
     assert any("max_u" in m for m in bad) and any(m.startswith("u at") for m in bad)
+    shares = allowance_shares("reference.ini", fresh)
+    assert shares["max_u"][0] > 1.0 and shares["snapshot u"][0] > 1.0
 
 
 def test_wrong_K2_fails(tmp_path):

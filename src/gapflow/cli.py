@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import json
 import math
 import os
@@ -287,7 +288,7 @@ def parse_config(text: str) -> RunConfig:
                     f"(config says {file_sha_given[:12]}..., file has {file_sha[:12]}...)"
                 )
             try:
-                with np.load(init_file) as data:
+                with np.load(io.BytesIO(blob)) as data:  # the bytes that were hashed
                     u_vals = np.asarray(data["u_values"], dtype=float)
                     v_modes = np.asarray(data["v_modes"], dtype=float)
                     w_modes = np.asarray(data["w_modes"], dtype=float)

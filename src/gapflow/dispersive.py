@@ -127,7 +127,6 @@ class PicardReport:
 
     iterations: int
     contraction_ratios: list
-    min_w: float = np.nan  # min gap over the fine grid (trace included) of a returned plate solve
     banach_ratio: float = np.nan  # largest ratio measured above the rounding floor (gamma_iterate)
 
 
@@ -489,7 +488,7 @@ def picard_dispersive(
             f"lower-bound invariant violated: drift {drift:.3g} <= r {r:.3g} "
             f"but min w = {min_w:.6g} < kappa/2 = {cc.kappa/2:.6g}"
         )
-    return path, PicardReport(len(diffs), ratios, min_w=min_w)
+    return path, PicardReport(len(diffs), ratios)
 
 
 def uniform_pressure_path(u_fn, T: float, n_t: int, n: int, theta1: float) -> PressurePath:

@@ -40,31 +40,6 @@ from . import spectral as sp
 from .dispersive import ModelParams, PicardDivergence, PicardReport, PressurePath, VWPath
 from .spectral import GridField, QuenchSignal, StateVW
 
-__all__ = [
-    "SectorReport",
-    "EllipticReport",
-    "CoupledState",
-    "Trajectory",
-    "RunReport",
-    "DriverConfig",
-    "GammaDivergence",
-    "BlowupSignal",
-    "EndgameBudgetSignal",
-    "eval_F",
-    "assemble_Pstar",
-    "elliptic_form_check",
-    "sector_check",
-    "linear_parabolic_solve",
-    "gamma_iterate",
-    "mol_rhs",
-    "integrate_reference",
-    "run_coupled",
-    "continue_run",
-    "mass_balance_residual",
-    "mass_balance_terms",
-    "compat_regularity_proxy",
-]
-
 
 # ---------------------------------------------------------------------------
 # domain types

@@ -10,8 +10,9 @@ analytic estimates: Monte Carlo audits of the algebra constant, the
 inverse-power bounds, the Lipschitz constants of G and F, the Hoelder audit
 of the right-hand side (with the Frechet derivatives of the plate solution
 and of F that it measures; the plate solve and its derivative march share
-one dispersive.PlateSetup), plus self-convergence studies of the two
-integrators.
+one dispersive.PlateSetup, and each Hoelder quotient is one call of
+holder_seminorm with its norm written out), plus self-convergence studies of
+the two integrators.
 
 Each check is defined here and only here: what it measures, its bound and
 its verdict, as one CheckResult; the model modules keep only what a run
@@ -33,23 +34,6 @@ from . import spectral as sp
 from .dispersive import ModelParams
 from .reynolds import CoupledState, DriverConfig
 from .spectral import GridField, StateVW
-
-__all__ = [
-    "CheckResult",
-    "RegularityFit",
-    "InversePowerReport",
-    "StudyRow",
-    "linear_plate_closed_form",
-    "benchmark_against_duhamel",
-    "regularity_exponent_fit",
-    "algebra_property_check",
-    "inverse_power_bounds_check",
-    "lipschitz_G_check",
-    "lipschitz_F_check",
-    "holder_F_audit",
-    "convergence_study",
-    "SUITES",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +429,6 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, norm, alpha: float) -
     return worst
 
 
-def empirical_holder(path, alpha: float) -> float:
-    """max over sample pairs of ||X(t+h) - X(t)|| / h^alpha.
-
-    VWPath pairs are measured in L2 x H2, PressurePath pairs in H2 (lifts
-    cancel in differences).
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha in (0, 1] required")
-    if path.times.size < 3:
-        raise ValueError("need at least 3 time samples")
-    if isinstance(path, dp.VWPath):
-        k = path.v.shape[1]
-        return holder_seminorm(
-            path.times, np.hstack([path.v, path.w]), lambda d: dp.state_norm_L2H2(d[:, :k], d[:, k:]), alpha
-        )
-    return holder_seminorm(path.times, sp.sine_transform(path.values - path.bv), lambda d: sp.norm_Hk(d, 2), alpha)
-
-
 def frechet_F(
     u_path: dp.PressurePath,
     q_modes: np.ndarray,
@@ -531,14 +497,16 @@ def holder_F_quotients(setup: dp.PlateSetup, u_path: dp.PressurePath, q_modes: n
     grid, on which u_path and q_modes are sampled.  The exponent is alpha =
     dp.HOLDER_ALPHA and the horizon T = u_path.times[-1].
     measured_A = sup ||F(t+h) - F(t)||_{L2} / h^alpha, whose bound is L_A
-    times shape_A = [u]_alpha + L_U, with L_U the measured Hoelder constant of
-    the plate path; measured_B is the same quotient for F'(u)q - P*q, whose
+    times shape_A = [u]_alpha + L_U, the holder_seminorm of u's sine modes in
+    H2 (the lift cancels in differences) plus that of the plate path in
+    L2 x H2; measured_B is the same quotient for F'(u)q - P*q, whose
     bound is L_B times shape_B = (1 + ||u||_{C^alpha}) (T^alpha ||q||_{C^alpha}
     + sup||q||_{H2}).  This only measures: holder_F_audit sizes L_A and L_B
     and gives the verdict.
     """
     alpha = dp.HOLDER_ALPHA
     p, init_vw = setup.params, setup.init
+    k_max = init_vw.k_max
     times = u_path.times
     T = float(times[-1])
     q_modes = np.asarray(q_modes, dtype=float)
@@ -553,14 +521,20 @@ def holder_F_quotients(setup: dp.PlateSetup, u_path: dp.PressurePath, q_modes: n
     def l2(vals):
         return sp.norm_Hk(sp.sine_transform(vals), 0)
 
-    semi_u = empirical_holder(u_path, alpha)
+    def h2(modes):
+        return sp.norm_Hk(modes, 2)
+
+    def l2h2(vw):  # rows (v | w) of the plate path
+        return dp.state_norm_L2H2(vw[:, :k_max], vw[:, k_max:])
+
+    semi_u = holder_seminorm(times, sp.sine_transform(u_path.values - u_path.bv), h2, alpha)
     sup_u = float(np.max(sp.norm_Hk(sp.sine_transform(u_path.values - p.theta1), 2, p.theta1)))
     sup_q = float(np.max(sp.norm_Hk(q_modes, 2)))
-    semi_q = holder_seminorm(times, q_modes, lambda d: sp.norm_Hk(d, 2), alpha)
+    semi_q = holder_seminorm(times, q_modes, h2, alpha)
     return HolderFReport(
         measured_A=holder_seminorm(times, F_series, l2, alpha),
         measured_B=holder_seminorm(times, D_series, l2, alpha),
-        shape_A=semi_u + empirical_holder(plate, alpha),
+        shape_A=semi_u + holder_seminorm(times, np.hstack([plate.v, plate.w]), l2h2, alpha),
         shape_B=(1.0 + (sup_u + semi_u)) * (T**alpha * (sup_q + semi_q) + sup_q),
     )
 

@@ -283,6 +283,27 @@ T = -0.5
         with pytest.raises(ConfigError, match="hash mismatch"):
             cli.parse_config(base.format(sha="file_sha256 = " + "0" * 64))
 
+    def test_file_kind_loads_the_bytes_it_hashed(self, tmp_path, monkeypatch):
+        # the init file is replaced right after its first read: the arrays
+        # that run are still the ones config_hash describes
+        path, other = tmp_path / "init.npz", tmp_path / "other.npz"
+        np.savez(path, u_values=np.ones(8), v_modes=np.zeros(8), w_modes=np.zeros(8))
+        np.savez(other, u_values=2.0 * np.ones(8), v_modes=np.zeros(8), w_modes=np.zeros(8))
+        hashed, sha256, calls = path.read_bytes(), hashlib.sha256, []
+
+        def replace_after_read(*args, **kwargs):
+            if not calls:
+                path.write_bytes(other.read_bytes())
+            calls.append(args)
+            return sha256(*args, **kwargs)
+
+        monkeypatch.setattr(cli.hashlib, "sha256", replace_after_read)
+        text = f"[init]\nkind = file\nfile = {path}\n\n[discretization]\nk_max = 8\nn = 8\n\n[run]\nT = 0.002\n"
+        cfg = cli.parse_config(text)
+        assert path.read_bytes() != hashed
+        assert cfg.init_file_sha256 == sha256(hashed).hexdigest()
+        assert np.array_equal(np.array(cfg.init_arrays[0]), np.ones(8))
+
     def test_file_kind_closes_the_init_file(self, tmp_path):
         path = tmp_path / "init.npz"
         np.savez(path, u_values=np.ones(8), v_modes=np.zeros(8), w_modes=np.zeros(8))

@@ -1,8 +1,8 @@
 """Guard against dead code: every module-level def or class in src/gapflow
 must be named somewhere in src/, tests/ or perfbench/ besides its own
-definition.  Also guards where code lives: only spectral decides that the
-gap closed, only verify constructs a CheckResult, and the model modules hold
-only what a run reaches."""
+definition, and no module keeps an __all__ list.  Also guards where code
+lives: only spectral decides that the gap closed, only verify constructs a
+CheckResult, and the model modules hold only what a run reaches."""
 
 import ast
 from pathlib import Path
@@ -24,21 +24,11 @@ def _callee(call) -> str | None:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _is_all_assignment(node) -> bool:
-    return isinstance(node, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-    )
-
-
 def _mentions(tree) -> set:
     """Identifiers a module uses: names, attributes, imports and identifier-like
-    string constants (tables that look functions up with getattr), but not the
-    strings of an __all__ list, which only re-export."""
-    skip = {id(n) for node in ast.walk(tree) if _is_all_assignment(node) for n in ast.walk(node)}
+    string constants (tables that look functions up with getattr)."""
     names = set()
     for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -60,6 +50,36 @@ def test_every_module_level_definition_is_used():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, "defined but used nowhere: " + ", ".join(unused)
+
+
+def _export_lists(texts: dict) -> list:
+    """The modules of texts ({module: source text}) that assign __all__."""
+    return [
+        m
+        for m, text in texts.items()
+        if any(
+            isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+            for node in ast.walk(ast.parse(text))
+        )
+    ]
+
+
+def _package_texts() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_package_module_keeps_an_export_list():
+    """No module of the package assigns __all__: nothing star-imports them, a
+    list of names beside the definitions goes stale, and its strings would
+    count as uses of the names it lists."""
+    kept = _export_lists(_package_texts())
+    assert not kept, "modules that assign __all__: " + ", ".join(kept)
+
+
+def test_the_export_list_guard_sees_a_planted_all():
+    texts = _package_texts()
+    texts["reynolds"] += '\n\n__all__ = ["run_coupled"]\n'
+    assert _export_lists(texts) == ["reynolds"]
 
 
 def _defaulted(fn) -> dict:

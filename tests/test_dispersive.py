@@ -190,7 +190,7 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     path, rep = plate_solve(p, up, init)
     bound = T * 1.0 * cc.L_G
     assert all(rt <= bound * 1.05 for rt in rep.contraction_ratios)
-    assert rep.min_w >= cc.kappa / 2.0
+    assert float(sp.gap_min(path.w_refined_min + p.theta2, p.theta2).min()) >= cc.kappa / 2.0
     assert rep.iterations <= 40
 
 
@@ -504,7 +504,7 @@ def test_empirical_lipschitz_W_bounds():
     assert max(ratios) <= 1.2 * min(ratios)
 
 
-def test_empirical_holder_constant_path_and_LU_bound():
+def test_holder_seminorm_constant_path_and_LU_bound():
     p = base_params()
     k = 32
     init = small_bump_state(k)
@@ -512,9 +512,14 @@ def test_empirical_holder_constant_path_and_LU_bound():
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
     up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
-    assert vf.empirical_holder(up, alpha=0.5) == 0.0
+    u_modes = sp.sine_transform(up.values - up.bv)
+    assert vf.holder_seminorm(up.times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.5) == 0.0
     path, _ = plate_solve(p, up, init)
-    semi = vf.empirical_holder(path, alpha=0.2)
+
+    def l2h2(d):
+        return dp.state_norm_L2H2(d[:, :k], d[:, k:])
+
+    semi = vf.holder_seminorm(path.times, np.hstack([path.v, path.w]), l2h2, 0.2)
     assert semi <= tc.L_U
 
 

@@ -912,10 +912,32 @@ class TestHolderF:
         path = dp.uniform_pressure_path(lambda x, t: u0.values, T, Nt, n, u0.bv)
         rep = vf.holder_F_quotients(dp.plate_setup(p, bump_state(n), path.times), path, np.zeros((Nt + 1, n)))
         # [u]_alpha = 0: shape A reduces to L_U; q == 0: measured_B = 0 and shape B = 0
-        semi_u = vf.empirical_holder(path, 0.2)
+        u_modes = sp.sine_transform(path.values - path.bv)
+        semi_u = vf.holder_seminorm(path.times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.2)
         assert semi_u == 0.0
         assert rep.measured_B == 0.0
         assert rep.shape_B == 0.0
+
+    def test_shape_A_is_the_pressure_and_plate_holder_seminorms(self):
+        # on a moving pressure path, shape A is [u]_alpha (u's sine modes in
+        # H2) plus L_U (the plate path in L2 x H2), bitwise
+        p = base_params()
+        n = 24
+        T, Nt = 5e-3, 8
+        path = self._rand_path(5, n, T, Nt)
+        setup = dp.plate_setup(p, bump_state(n), path.times)
+        rep = vf.holder_F_quotients(setup, path, np.zeros((Nt + 1, n)))
+        alpha = dp.HOLDER_ALPHA
+        u_modes = sp.sine_transform(path.values - path.bv)
+        semi_u = vf.holder_seminorm(path.times, u_modes, lambda d: sp.norm_Hk(d, 2), alpha)
+        plate, _ = dp.picard_dispersive(setup, path, tol=vf._HOLDER_INNER_TOL)
+
+        def l2h2(d):
+            return dp.state_norm_L2H2(d[:, :n], d[:, n:])
+
+        L_U = vf.holder_seminorm(plate.times, np.hstack([plate.v, plate.w]), l2h2, alpha)
+        assert semi_u > 0.0 and L_U > 0.0
+        assert rep.shape_A == semi_u + L_U
 
 
 # ---------------------------------------------------------------------------

@@ -70,26 +70,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class PressurePath:
-    """u on an increasing time grid starting at 0: values[i] holds the interior
-    samples at times[i], shape (n_t + 1, n); bv is the boundary trace theta1."""
-
-    times: np.ndarray
-    values: np.ndarray
-    bv: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
-        if self.values.ndim != 2 or self.values.shape[0] != self.times.size or self.values.shape[1] < 3:
-            raise ValueError("values need one row of n >= 3 interior samples per time node")
-        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.bv)):
-            raise ValueError(f"pressure values and trace must be finite, got bv={self.bv}")
-
-
-@dataclass(frozen=True)
 class VWPath:
     """Plate trajectory in mode space: v[i] and w[i] (w~ = w - theta2) at times[i],
     each of shape (n_t + 1, k_max).
@@ -158,9 +138,9 @@ def path_diff_norm(a: VWPath, b: VWPath) -> float:
     return float(np.max(state_norm_L2H2(a.v - b.v, a.w - b.w)))
 
 
-def pressure_diff_norm(a: PressurePath, b: PressurePath) -> float:
+def pressure_diff_norm(a: np.ndarray, b: np.ndarray) -> float:
     """sup_t || a(t) - b(t) ||_H2 over the nodes of two pressure paths (the lifts cancel)."""
-    return float(np.max(norm_Hk(sine_transform(a.values - b.values), 2)))
+    return float(np.max(norm_Hk(sine_transform(a - b), 2)))
 
 
 def _G_fine(w_fine: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -380,14 +360,18 @@ class PlateSetup:
 
 
 def plate_setup(p: ModelParams, init: StateVW, times: np.ndarray) -> PlateSetup:
-    """The PlateSetup of plate solves from init on the time grid times.
+    """The PlateSetup of plate solves from init on the time grid times, from 0 and strictly increasing.
 
     A caller that solves on several pressure paths over one grid from one
     state (gamma_iterate) builds it once and passes it to every solve.
     """
+    times = np.asarray(times, dtype=float)
+    steps = np.diff(times)
+    if times[0] != 0.0 or np.any(steps <= 0):
+        raise ValueError("times must start at 0 and increase strictly")
     omega = plate_eigenvalues(init.k_max).omega
     cc = contraction_constants(p, gap_field(init, p.theta2))
-    return PlateSetup(p, init, times, omega, duhamel_coeffs(omega, np.diff(times)), cc)
+    return PlateSetup(p, init, times, omega, duhamel_coeffs(omega, steps), cc)
 
 
 def fixed_point(step, x0, dist, tol: float, max_iter: int, diverged) -> tuple:
@@ -422,13 +406,14 @@ _PICARD_MAX_ITER = 200
 
 
 def picard_dispersive(
-    setup: PlateSetup, u_path: PressurePath, *, tol: float = 1e-10, start: VWPath | None = None
+    setup: PlateSetup, u_path: np.ndarray, *, tol: float = 1e-10, start: VWPath | None = None
 ) -> tuple:
     """Construct the mild solution on u_path by Picard sweeps.
 
     setup = plate_setup(p, init, times) is the solve's one source of the
-    model p, the start state init, the time grid (u_path must be sampled on
-    it), the Duhamel coefficients and the contraction constants.  The
+    model p, the start state init, the time grid, the Duhamel coefficients
+    and the contraction constants.  u_path holds u's finite interior samples
+    at the grid's nodes, shape (times.size, k_max), with trace p.theta1.  The
     certified regime is a horizon T = times[-1] below the horizon T0 of
     theory_constants, where the sweep map is a contraction with ratio <= T*M0*L_G;
     the implementation accepts any finite horizon, measures the actual ratios,
@@ -446,11 +431,11 @@ def picard_dispersive(
     measured sweeps: a cold solve makes one march more, a warm one as many.
     """
     p, init, times, cc = setup.params, setup.init, setup.times, setup.cc
-    u_modes = sine_transform(u_path.values - u_path.bv)
-    if u_modes.shape[1] != init.k_max:
-        raise ValueError("pressure grid size and state k_max must agree")
-    if not np.array_equal(u_path.times, times):
-        raise ValueError("setup was built for another time grid")
+    if u_path.shape != (times.size, init.k_max):
+        raise ValueError("u_path needs one row of k_max interior samples per node of the setup's grid")
+    if not np.isfinite(u_path).all():
+        raise ValueError("pressure samples must be finite")
+    u_modes = sine_transform(u_path - p.theta1)
     if start is not None and not (
         np.array_equal(start.times, times) and start.v.shape == start.w.shape == (times.size, init.k_max)
     ):
@@ -491,8 +476,8 @@ def picard_dispersive(
     return path, PicardReport(len(diffs), ratios)
 
 
-def uniform_pressure_path(u_fn, T: float, n_t: int, n: int, theta1: float) -> PressurePath:
-    """Sample u_fn(x, t) on the uniform time grid (n_t steps) and interior nodes."""
+def uniform_pressure_path(u_fn, T: float, n_t: int, n: int) -> tuple:
+    """(times, values): the uniform grid of n_t steps over [0, T] and u_fn(x, t) at n interior nodes, a row per time."""
     ts = np.linspace(0.0, T, n_t + 1)
     x = grid(n)
-    return PressurePath(times=ts, values=np.array([u_fn(x, t) for t in ts], dtype=float), bv=theta1)
+    return ts, np.array([u_fn(x, t) for t in ts], dtype=float)

@@ -15,9 +15,9 @@ This module owns the gas-film side of the model and the fully coupled run:
 * ``run_coupled`` / ``continue_run`` -- the adaptive chunked driver with
   quench detection, and the restart machinery.
 
-Geometry is the unit interval with interior nodes x_j = j/(n+1).  Pressure
-fields carry their boundary trace (theta_1) in ``GridField.bv`` (one state)
-or ``PressurePath.bv`` (a path, one row of samples per time node); plate
+Geometry is the unit interval with interior nodes x_j = j/(n+1).  A pressure
+state carries its trace theta_1 in ``GridField.bv``; a pressure path is an
+array (a row of samples per node of the plate setup's grid, trace theta_1); plate
 fields live in sine-mode space and are synthesized onto the pressure grid
 where the two equations meet.  That synthesis is the n = k_max inverse sine
 transform, so everything that couples the two sides -- the Gamma sweep,
@@ -37,7 +37,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from . import dispersive as dp
 from . import spectral as sp
-from .dispersive import ModelParams, PicardDivergence, PicardReport, PressurePath, VWPath
+from .dispersive import ModelParams, PicardDivergence, PicardReport, VWPath
 from .spectral import GridField, QuenchSignal, StateVW
 
 
@@ -288,7 +288,7 @@ def _faces(u0: GridField, w0: GridField, *others: GridField) -> tuple:
     if any(f.n != u0.n for f in (w0, *others)):
         raise ValueError("coefficient fields must share the grid")
     for name, f in (("u0", u0), ("w0", w0)):
-        if min(float(f.values.min()), f.bv) <= 0.0:
+        if sp.gap_min(f.values, f.bv) <= 0.0:
             raise ValueError(f"coefficient positivity violation: {name} must be strictly positive")
     h = 1.0 / (u0.n + 1)
     up = _pad(u0.values, u0.bv)
@@ -330,7 +330,7 @@ def elliptic_form_check(
     A = _principal_matrix(u0, w0)
     n = u0.n
     h = 1.0 / (n + 1)
-    eps1 = min(float(u0.values.min()), u0.bv)
+    eps1 = sp.gap_min(u0.values, u0.bv)
     kappa = sp.gap_min(w0.values, w0.bv)
     C = dp.embedding_C(n)
     u_modes = sp.sine_transform(u0.values - u0.bv)
@@ -509,7 +509,7 @@ def linear_parabolic_solve(propagator: tuple, F_path: np.ndarray, u0_tilde: np.n
 # ---------------------------------------------------------------------------
 
 
-def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
+def _F_path(u_path: np.ndarray, plate: VWPath, p: ModelParams) -> np.ndarray:
     """F(u; v, w) at every node of a pressure path and its plate path, shape (n_t + 1, n).
 
     Each row is bitwise eval_F at its node; the first node whose gap is
@@ -519,7 +519,7 @@ def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
     v_grid = sp.inverse_sine_transform(plate.v)
     w_grid = sp.inverse_sine_transform(plate.w) + th2
     sp.require_open_gap(w_grid, "gap closed while evaluating F")
-    F = _reynolds_padded(_pad(u_path.values, u_path.bv), v_grid, _pad(w_grid, th2))
+    F = _reynolds_padded(_pad(u_path, p.theta1), v_grid, _pad(w_grid, th2))
     _require_finite("F", F)
     return F
 
@@ -528,12 +528,11 @@ def _F_path(u_path: PressurePath, plate: VWPath, p: ModelParams) -> np.ndarray:
 _FLOOR_MARGIN = 1e3
 
 
-def _banach_ratio(diffs: list, path: PressurePath) -> float:
+def _banach_ratio(diffs: list, values: np.ndarray) -> float:
     """Banach's estimate of the contraction constant: the largest ratio d_{i+1}/d_i
     of successive Gamma differences with both at least _FLOOR_MARGIN times the
     rounding floor eps max|u| (n pi)^2 (the H2 norm of a unit roundoff on the
     top grid mode), so known to 2/_FLOOR_MARGIN; NaN if there is none."""
-    values = path.values
     floor = np.finfo(float).eps * float(np.abs(values).max()) * (math.pi * values.shape[-1]) ** 2
     d = np.asarray(diffs, dtype=float)
     above = np.minimum(d[:-1], d[1:]) >= _FLOOR_MARGIN * floor
@@ -551,8 +550,8 @@ def gamma_iterate(
     """Fixed-point sweep for the pressure path (full u, trace theta_1) from state
     on the uniform grid of n_t steps over [0, T], the chunk's one time grid.
 
-    Returns (pressure path, PicardReport, plate path): the fixed point, its
-    report and the plate solved for it.
+    Returns (pressure path, PicardReport, plate path): the fixed point (its
+    samples on plate.times, (n_t + 1, n)), its report and the plate solved for it.
 
     The first iterate holds state.u at every node.  Each sweep: solve the
     plate subproblem for the current pressure (at 0.01 tol, warm-started from
@@ -568,12 +567,11 @@ def gamma_iterate(
     u0, init_vw = state.u, state.vw
     th1, th2 = p.theta1, p.theta2
     inner_tol = 0.01 * tol
-    times = np.linspace(0.0, T, n_t + 1)
 
     pstar = assemble_Pstar(u0, *dp.plate_fields(init_vw, th2))
     u0_tilde = u0.values - th1
-    # every plate solve of this call starts from init_vw on the same grid
-    setup = dp.plate_setup(p, init_vw, times)
+    # every plate solve of this call starts from init_vw on the chunk's time grid
+    setup = dp.plate_setup(p, init_vw, np.linspace(0.0, T, n_t + 1))
     plate = None  # the last plate path, where the next plate solve starts
     propagator = None  # for the step T / n_t, built at the first march (a quench before it needs none)
 
@@ -585,7 +583,7 @@ def gamma_iterate(
     def sweep(current):
         nonlocal propagator
         F = _F_path(current, solve_plate(current), p)
-        forcing = F - (current.values - th1) @ pstar.T
+        forcing = F - (current - th1) @ pstar.T
         if propagator is None:
             propagator = _propagator(pstar, T / n_t)
         fresh = linear_parabolic_solve(propagator, forcing, u0_tilde) + th1
@@ -593,9 +591,10 @@ def gamma_iterate(
         # initial datum itself -- pin it bitwise rather than via the
         # subtract-add float roundtrip
         fresh[0] = u0.values
-        return PressurePath(times=times.copy(), values=fresh, bv=th1)
+        _require_finite("u", fresh)
+        return fresh
 
-    guess = PressurePath(times=times, values=np.tile(u0.values, (n_t + 1, 1)), bv=u0.bv)
+    guess = np.tile(u0.values, (n_t + 1, 1))
     current, diffs, ratios, status = dp.fixed_point(
         sweep, guess, dp.pressure_diff_norm, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
     )
@@ -665,7 +664,7 @@ def _w_min_oracle(w_modes: np.ndarray, theta2: float) -> float:
     """sp.gap_min over the refined_values of one row of w~ modes, to rounding, by the
     cached pad-2 synthesis matrix (a float shift is monotone)."""
     syn2 = sp.sine_matrices(w_modes.size)[2]
-    return min(float((syn2 @ w_modes).min()) + theta2, theta2)
+    return sp.gap_min(syn2 @ w_modes + theta2, theta2)
 
 
 # Sub-steps the Runge-Kutta endgame may take to resolve a step in which the
@@ -871,15 +870,15 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
                 continue
             # the chunk is cut after its first row that is not alive; at one row
             # quench and blowup take precedence over the pressure floor
-            u_rows = u_new.values[1:]
+            u_rows = u_new[1:]
             # the rows' gap minima, from the synthesis the plate solve's own check made
             w_min = sp.gap_min(plate.w_refined_min[1:] + th2, th2)
             status = _status_of(u_rows, w_min, config.quench_eps, config.u_cap)
             below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
             status = np.where((status == "alive") & below_floor, "pressure_floor", status)
             dead = np.flatnonzero(status != "alive")
-            rows = dead[0] + 2 if dead.size else u_new.times.size
-            parts.append(Trajectory(state.t + u_new.times[:rows], u_new.values[:rows], plate.v[:rows], plate.w[:rows], th1))
+            rows = dead[0] + 2 if dead.size else plate.times.size
+            parts.append(Trajectory(state.t + plate.times[:rows], u_new[:rows], plate.v[:rows], plate.w[:rows], th1))
             w_mins.append(w_min[: rows - 1])
             ratios.append(np.full(rows - 1, rep.banach_ratio))
             state = parts[-1].state(-1)

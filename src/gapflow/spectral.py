@@ -133,10 +133,6 @@ class PlateSpectrum:
     mu: np.ndarray
     omega: np.ndarray
 
-    @property
-    def k_max(self) -> int:
-        return self.mu.size
-
 
 @dataclass(frozen=True)
 class StateVW:

@@ -387,15 +387,14 @@ def frechet_W(setup: dp.PlateSetup, q_path: np.ndarray, vw: dp.VWPath, tol: floa
     sweeps miss tol.
     """
     p, times, k_max = setup.params, setup.times, setup.init.k_max
-    q_path = np.asarray(q_path, dtype=float)
     zero = StateVW(np.zeros(k_max), np.zeros(k_max))
 
-    def f(w_fine, wq_fine):
-        sp.require_open_gap(w_fine, "gap closed inside frechet_W")
-        return 2.0 * p.beta_F * wq_fine / w_fine**3
+    w_fine = vw.w_refined + p.theta2  # the gap on the pad-2 grid, from vw's own synthesis
+    sp.require_open_gap(w_fine, "gap closed inside frechet_W")
+    w3_fine = w_fine**3
 
-    def sweep(path):
-        forcing = sp.dealias_apply(f, vw.w, path.w, bvs=(p.theta2, 0.0)) + p.beta_p * q_path
+    def sweep(path):  # the forcing, dealiased on the pad-2 grid
+        forcing = sp.sine_transform(2.0 * p.beta_F * sp.refined_values(path.w) / w3_fine, k_max) + p.beta_p * q_path
         return dp.VWPath(times, *sp.duhamel_sweep(zero, setup.omega, setup.coeffs, forcing))
 
     path, diffs, ratios, status = dp.fixed_point(
@@ -430,7 +429,7 @@ def holder_seminorm(times: np.ndarray, values: np.ndarray, norm, alpha: float) -
 
 
 def frechet_F(
-    u_path: dp.PressurePath,
+    u_path: np.ndarray,
     q_modes: np.ndarray,
     vw: dp.VWPath,
     dW: tuple,
@@ -444,24 +443,24 @@ def frechet_F(
       - (v/w) q
       - ( w (v'q) - v (w'q) ) / w^2 * u
 
-    (w'q, v'q) are the plate-derivative mode paths from frechet_W.  The face
-    flux is the Reynolds stencil's own (ry._face_avg and ry._dq).  At t = 0
-    (w'q, v'q) vanish, so the assembly reduces to the assembled linearization
-    applied to q(0): the same stencil, but not the same rounding (see
-    ry.assemble_Pstar), agreeing to 1e-12 relative.  Returns one row per time
-    node, shape (n_t + 1, n).
+    u_path holds u's samples on vw.times (trace p.theta1); (w'q, v'q) are
+    the plate-derivative mode paths from frechet_W.  The face flux is the
+    Reynolds stencil's own (ry._face_avg and ry._dq).  At t = 0 (w'q, v'q)
+    vanish, so the assembly reduces to the assembled linearization applied
+    to q(0): the same stencil, but not the same rounding (see
+    ry.assemble_Pstar), agreeing to 1e-12 relative.  Returns one row per
+    time node, shape (n_t + 1, n).
     """
     vq_modes, wq_modes = dW
-    h = 1.0 / (u_path.values.shape[1] + 1)
+    h = 1.0 / (u_path.shape[1] + 1)
     w_vals = sp.inverse_sine_transform(vw.w) + p.theta2
     v_vals = sp.inverse_sine_transform(vw.v)
     q_vals = sp.inverse_sine_transform(q_modes)
     wq_vals = sp.inverse_sine_transform(wq_modes)
     vq_vals = sp.inverse_sine_transform(vq_modes)
-    sp.require_open_gap(w_vals, "gap closed while assembling the F derivative", times=u_path.times)
+    sp.require_open_gap(w_vals, "gap closed while assembling the F derivative", times=vw.times)
 
-    u = u_path.values
-    up = ry._pad(u, u_path.bv)
+    up = ry._pad(u_path, p.theta1)
     wp = ry._pad(w_vals, p.theta2)
     qp = ry._pad(q_vals, 0.0)
     w3 = wp**3
@@ -472,7 +471,7 @@ def frechet_F(
     t2 = ry._dq(ry._face_avg(3.0 * wp**2 * ry._pad(wq_vals, 0.0) * up) * du, h) / w_vals
     t3 = -(wq_vals / w_vals**2) * ry._dq(a * du, h)
     t4 = -(v_vals / w_vals) * q_vals
-    t5 = -((w_vals * vq_vals - v_vals * wq_vals) / w_vals**2) * u
+    t5 = -((w_vals * vq_vals - v_vals * wq_vals) / w_vals**2) * u_path
     return t1 + t2 + t3 + t4 + t5
 
 
@@ -490,12 +489,12 @@ class HolderFReport:
 _HOLDER_INNER_TOL = 1e-12
 
 
-def holder_F_quotients(setup: dp.PlateSetup, u_path: dp.PressurePath, q_modes: np.ndarray) -> HolderFReport:
+def holder_F_quotients(setup: dp.PlateSetup, u_path: np.ndarray, q_modes: np.ndarray) -> HolderFReport:
     """Measure the two Hoelder quotients of the right-hand side and the shapes of their bounds.
 
     The plate solve and its Frechet march take setup's model, start state and
-    grid, on which u_path and q_modes are sampled.  The exponent is alpha =
-    dp.HOLDER_ALPHA and the horizon T = u_path.times[-1].
+    grid, on which u_path (trace theta1) and q_modes are sampled.  The
+    exponent is alpha = dp.HOLDER_ALPHA and the horizon T = setup.times[-1].
     measured_A = sup ||F(t+h) - F(t)||_{L2} / h^alpha, whose bound is L_A
     times shape_A = [u]_alpha + L_U, the holder_seminorm of u's sine modes in
     H2 (the lift cancels in differences) plus that of the plate path in
@@ -505,16 +504,15 @@ def holder_F_quotients(setup: dp.PlateSetup, u_path: dp.PressurePath, q_modes: n
     and gives the verdict.
     """
     alpha = dp.HOLDER_ALPHA
-    p, init_vw = setup.params, setup.init
+    p, init_vw, times = setup.params, setup.init, setup.times
     k_max = init_vw.k_max
-    times = u_path.times
     T = float(times[-1])
     q_modes = np.asarray(q_modes, dtype=float)
 
     plate, _ = dp.picard_dispersive(setup, u_path, tol=_HOLDER_INNER_TOL)
     dW = frechet_W(setup, q_modes, plate, tol=_HOLDER_INNER_TOL)
     F_series = ry._F_path(u_path, plate, p)
-    pstar = ry.assemble_Pstar(GridField(values=u_path.values[0], bv=u_path.bv), *dp.plate_fields(init_vw, p.theta2))
+    pstar = ry.assemble_Pstar(GridField(values=u_path[0], bv=p.theta1), *dp.plate_fields(init_vw, p.theta2))
     Fp = frechet_F(u_path, q_modes, plate, dW, p)
     D_series = np.array([f - pstar @ q for f, q in zip(Fp, sp.inverse_sine_transform(q_modes))])
 
@@ -527,8 +525,9 @@ def holder_F_quotients(setup: dp.PlateSetup, u_path: dp.PressurePath, q_modes: n
     def l2h2(vw):  # rows (v | w) of the plate path
         return dp.state_norm_L2H2(vw[:, :k_max], vw[:, k_max:])
 
-    semi_u = holder_seminorm(times, sp.sine_transform(u_path.values - u_path.bv), h2, alpha)
-    sup_u = float(np.max(sp.norm_Hk(sp.sine_transform(u_path.values - p.theta1), 2, p.theta1)))
+    u_modes = sp.sine_transform(u_path - p.theta1)
+    semi_u = holder_seminorm(times, u_modes, h2, alpha)
+    sup_u = float(np.max(sp.norm_Hk(u_modes, 2, p.theta1)))
     sup_q = float(np.max(sp.norm_Hk(q_modes, 2)))
     semi_q = holder_seminorm(times, q_modes, h2, alpha)
     return HolderFReport(
@@ -539,19 +538,19 @@ def holder_F_quotients(setup: dp.PlateSetup, u_path: dp.PressurePath, q_modes: n
     )
 
 
-def holder_F_audit(cal_paths, fresh_paths, q_modes: np.ndarray, p: ModelParams, init_vw: StateVW) -> tuple:
+def holder_F_audit(times, cal_paths, fresh_paths, q_modes: np.ndarray, p: ModelParams, init_vw: StateVW) -> tuple:
     """Calibrate the Hoelder constants of the right-hand side on cal_paths, then verify them on fresh_paths.
 
-    Every path is measured by holder_F_quotients with the same q_modes and
-    one plate setup of p and init_vw on the first calibration path's grid, on
-    which every path must be sampled (the plate solve raises otherwise).  L_A
+    Every path is the pressure samples at the nodes of times, measured by
+    holder_F_quotients with the same q_modes and one plate setup of p and
+    init_vw on that grid (the plate solve raises on a wrong row count).  L_A
     and L_B are the worst measured / shape over the calibration paths (0
     where a shape is 0).  A fresh path passes when both of its quotients stay
     at or under 2 L shape (a 2x margin), up to a relative 1e-12 for rounding.
     Returns (passed, worst, L_A, L_B), with worst the largest measured /
     (2 L shape) over the fresh paths.
     """
-    setup = dp.plate_setup(p, init_vw, cal_paths[0].times)
+    setup = dp.plate_setup(p, init_vw, times)
 
     def measure(paths):  # (measured, shape), one row (A, B) per path
         reps = [holder_F_quotients(setup, path, q_modes) for path in paths]
@@ -648,17 +647,16 @@ def convergence_study() -> dict:
     p_k = replace(p, beta_F=0.0, beta_p=1.0)
 
     def plate_w(k):
-        path = dp.uniform_pressure_path(
+        times, path = dp.uniform_pressure_path(
             lambda x, t: p.theta1
             + 0.2 * np.sin(np.pi * x) * np.exp(np.cos(2 * np.pi * x) - 1.0) * (1.0 + t / T),
             T,
             16,
             k,
-            p.theta1,
         )
         w1 = np.zeros(k)
         w1[0] = 0.1
-        setup = dp.plate_setup(p_k, StateVW(v=np.zeros(k), w=w1), path.times)
+        setup = dp.plate_setup(p_k, StateVW(v=np.zeros(k), w=w1), times)
         vw, _ = dp.picard_dispersive(setup, path, tol=1e-13)
         return vw.w[-1]
 
@@ -749,15 +747,15 @@ def _holder_q(seed) -> np.ndarray:
     return np.array([qm * (1.0 + 0.2 * math.cos(2 * math.pi * i / n_t)) for i in range(n_t + 1)])
 
 
-def _holder_path(seed) -> dp.PressurePath:
-    """A pressure path of the Hoelder audit: 1 plus k^-3-decaying modes drawn
-    from seed, of H2 norm 0.05, modulated by 1 + 0.3 sin over [0, T]."""
-    n, T, n_t = _HOLDER_N, _HOLDER_T, _HOLDER_NT
+def _holder_path(seed, times: np.ndarray) -> np.ndarray:
+    """The samples at the nodes of times of a pressure path of the Hoelder
+    audit (trace 1): 1 plus k^-3-decaying modes drawn from seed, of H2 norm
+    0.05, modulated by 1 + 0.3 sin over [0, T = times[-1]]."""
+    n, T = _HOLDER_N, times[-1]
     base = np.random.default_rng(seed).normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
     base = 0.05 * base / max(1e-12, sp.norm_Hk(base, 2))
-    ts = np.linspace(0, T, n_t + 1)
-    modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in ts])
-    return dp.PressurePath(times=ts, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
+    modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in times])
+    return 1.0 + sp.inverse_sine_transform(modes)
 
 
 def _suite_lipschitz(seed: int) -> list:
@@ -769,8 +767,10 @@ def _suite_lipschitz(seed: int) -> list:
         lipschitz_F_check(VERIFY_PARAMS, flat, init, trials=1000, seed=seed + 1),
     ]
     # Hoelder audit of the right-hand side: calibrate on several paths, verify on a fresh one
-    cal = [_holder_path([seed + 3, j]) for j in range(_HOLDER_CALIBRATION_PATHS)]
-    passed, worst, L_A, L_B = holder_F_audit(cal, [_holder_path(seed + 4)], _holder_q(seed + 2), VERIFY_PARAMS, init)
+    times = np.linspace(0, _HOLDER_T, _HOLDER_NT + 1)
+    cal = [_holder_path([seed + 3, j], times) for j in range(_HOLDER_CALIBRATION_PATHS)]
+    fresh = [_holder_path(seed + 4, times)]
+    passed, worst, L_A, L_B = holder_F_audit(times, cal, fresh, _holder_q(seed + 2), VERIFY_PARAMS, init)
     note = f"L_A={L_A:.4g} L_B={L_B:.4g} (2x margin)"
     results.append(CheckResult("lipschitz.holder_F", passed, worst, 1.0, note=note))
     return results

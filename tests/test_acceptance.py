@@ -127,8 +127,8 @@ def test_c04_picard_contraction():
             cc.kappa / 2.0 / ((L_G_cal + 1.0) * cc.kappa + 2.0 * cc.C * g0h2),
         )
         T = 0.9 * T0
-        up = dp.uniform_pressure_path(up_fn, T, 32, k, theta1)
-        _, rep = dp.picard_dispersive(dp.plate_setup(p, init, up.times), up, tol=1e-10)
+        times, up = dp.uniform_pressure_path(up_fn, T, 32, k)
+        _, rep = dp.picard_dispersive(dp.plate_setup(p, init, times), up, tol=1e-10)
         assert rep.contraction_ratios, "no ratio measured: criterion would be vacuous"
         worst_iters = max(worst_iters, rep.iterations)
         worst_ratio = max(worst_ratio, max(rep.contraction_ratios))
@@ -149,7 +149,7 @@ def test_c05_oracle_equivalence():
     traj = ry.integrate_reference(p, init, T, T / n_t, store_every=1)
     gap = scale = 0.0
     for i in range(n_t + 1):
-        du = u_fix.values[i] - traj.u[i]
+        du = u_fix[i] - traj.u[i]
         dwm = plate.w[i] - traj.w[i]
         gap = max(gap, sp.norm_Hk(sp.sine_transform(du), 1))
         gap = max(gap, sp.norm_Hk(dwm, 1))
@@ -212,10 +212,8 @@ def test_c08_frechet_consistency():
     k = 48
     init = StateVW(v=np.zeros(k), w=np.r_[0.1, np.zeros(k - 1)])
     T, n_t = 0.25, 96
-    up = dp.uniform_pressure_path(
-        lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k, 1.0
-    )
-    setup = dp.plate_setup(p, init, up.times)
+    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k)
+    setup = dp.plate_setup(p, init, times)
     path, _ = dp.picard_dispersive(setup, up, tol=1e-13)
     q = np.zeros((n_t + 1, k))
     q[:, 0] = 1.0
@@ -223,8 +221,7 @@ def test_c08_frechet_consistency():
     vq, wq = vf.frechet_W(setup, q, path, tol=5e-14)
     errs_W = []
     for h in hs:
-        up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
-        ph, _ = dp.picard_dispersive(setup, up_h, tol=1e-13)
+        ph, _ = dp.picard_dispersive(setup, up + h * sp.inverse_sine_transform(q), tol=1e-13)
         errs_W.append(
             max(
                 dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
@@ -244,18 +241,18 @@ def test_c08_frechet_consistency():
     qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5
     qg = sp.inverse_sine_transform(qm)
     q2 = np.tile(qm, (Nt + 1, 1))
-    dW = vf.frechet_W(dp.plate_setup(p2, init2, u_fix.times), q2, plate, tol=1e-13)
+    dW = vf.frechet_W(dp.plate_setup(p2, init2, plate.times), q2, plate, tol=1e-13)
     analytic = vf.frechet_F(u_fix, q2, plate, dW, p2)[Nt]
 
     def F_at(pp, plate_path, i):
         vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
-        return ry.eval_F(GridField(pp.values[i], pp.bv), vg, wg).values
+        return ry.eval_F(GridField(pp[i], p2.theta1), vg, wg).values
 
     base = F_at(u_fix, plate, Nt)
     errs_F = []
     for h in hs:
-        pert = dp.PressurePath(times=u_fix.times.copy(), values=u_fix.values + h * qg, bv=u_fix.bv)
-        plate2, _ = dp.picard_dispersive(dp.plate_setup(p2, init2, pert.times), pert, tol=1e-13)
+        pert = u_fix + h * qg
+        plate2, _ = dp.picard_dispersive(dp.plate_setup(p2, init2, plate.times), pert, tol=1e-13)
         fd = (F_at(pert, plate2, Nt) - base) / h
         errs_F.append(np.abs(fd - analytic).max())
     orders_F = [math.log10(errs_F[i] / errs_F[i + 1]) for i in range(2)]
@@ -328,9 +325,10 @@ def test_c11_calibrated_constant_audits():
     # Hoelder bounds on the right-hand side: one-time calibration on a single
     # path, then >= 10^3 fresh pairwise samples across twenty fresh paths
     init = StateVW(v=np.zeros(n), w=w0m)
-    fresh = [vf._holder_path(s) for s in range(101, 121)]
-    holder_ok, _, _, _ = vf.holder_F_audit([vf._holder_path(100)], fresh, vf._holder_q(15), p, init)
-    n_t = len(fresh[0].times) - 1
+    n_t = vf._HOLDER_NT
+    times = np.linspace(0, vf._HOLDER_T, n_t + 1)
+    fresh = [vf._holder_path(s, times) for s in range(101, 121)]
+    holder_ok, _, _, _ = vf.holder_F_audit(times, [vf._holder_path(100, times)], fresh, vf._holder_q(15), p, init)
     fresh_samples = len(fresh) * (n_t * (n_t + 1) // 2)
     results["holder_F"] = holder_ok and fresh_samples >= 1000
 

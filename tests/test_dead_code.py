@@ -82,14 +82,37 @@ def test_the_export_list_guard_sees_a_planted_all():
     assert _export_lists(texts) == ["reynolds"]
 
 
-def _defaulted(fn) -> dict:
+def _defaulted(fn, offset: int = 0) -> dict:
     """{parameter: (position, default node)} of fn's parameters with a default;
-    keyword-only ones have position None."""
+    keyword-only ones have position None.  A position counts the arguments of
+    a call, which skips the first offset parameters (1 for a method's self)."""
     positional = fn.args.posonlyargs + fn.args.args
     first = len(positional) - len(fn.args.defaults)
-    out = {a.arg: (i, fn.args.defaults[i - first]) for i, a in enumerate(positional) if i >= first}
+    out = {a.arg: (i - offset, fn.args.defaults[i - first]) for i, a in enumerate(positional) if i >= first}
     out.update({a.arg: (None, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None})
     return out
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _options(texts) -> dict:
+    """{callee name: {parameter: (position, default node)}} of the options of
+    the module-level functions and the methods of module-level classes in the
+    source texts.  A method is called by its name, an __init__ by its class's
+    name, and a call to either binds self."""
+    options = {}
+    for text in texts:
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef):
+                methods = [fn for fn in node.body if isinstance(fn, _DEFS)]
+                defs = [(fn, node.name if fn.name == "__init__" else fn.name, 1) for fn in methods]
+            else:
+                defs = [(node, node.name, 0)] if isinstance(node, _DEFS) else []
+            for fn, name, offset in defs:
+                if _defaulted(fn):
+                    options.setdefault(name, {}).update(_defaulted(fn, offset))
+    return options
 
 
 def _same_literal(a, b) -> bool:
@@ -100,20 +123,12 @@ def _same_literal(a, b) -> bool:
         return False
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
-    """An option (a parameter with a default) that no call site in src/, tests/ or
-    perfbench/ passes, by keyword or by position, a value other than a literal
-    equal to its default is a constant in disguise.  Calls are matched by the
-    function's name; a call that splats *args or **kwargs counts as passing
-    every option."""
-    options = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _defaulted(node):
-                options.setdefault(node.name, {}).update(_defaulted(node))
+def _never_passed(options: dict, texts) -> list:
+    """The options, as "name(parameter)", that no call in the source texts passes
+    other than at their default."""
     passed = set()
-    for path in _sources():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
             if not isinstance(node, ast.Call):
                 continue
             name = _callee(node)
@@ -125,8 +140,37 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 value = keywords.get(param, node.args[pos] if pos is not None and pos < len(node.args) else None)
                 if splat or (value is not None and not _same_literal(value, default)):
                     passed.add((name, param))
-    never = [f"{fn}({param})" for fn, params in sorted(options.items()) for param in params if (fn, param) not in passed]
+    return [f"{fn}({param})" for fn, params in sorted(options.items()) for param in params if (fn, param) not in passed]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """An option (a parameter with a default) of a function, a method or an
+    __init__ of the package that no call site in src/, tests/ or perfbench/
+    passes, by keyword or by position, a value other than a literal equal to
+    its default is a constant in disguise.  Calls are matched by the
+    function's, the method's or the class's name; a call that splats *args
+    or **kwargs counts as passing every option."""
+    options = _options(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
+    never = _never_passed(options, [path.read_text(encoding="utf-8") for path in _sources()])
     assert not never, "options no caller passes other than at their default: " + ", ".join(never)
+
+
+def test_the_option_guard_sees_a_method_option_nobody_passes():
+    # a planted method option and an __init__ option, each called only at
+    # their defaults, positionally past self and by keyword
+    probe = (
+        "class _Probe:\n"
+        "    def __init__(self, a, b=2):\n"
+        "        self.a = a\n"
+        "    def scaled(self, x, factor=1.0):\n"
+        "        return factor * x\n"
+    )
+    calls = "_Probe(1, 2).scaled(3, 1.0)\n_Probe(1, b=2).scaled(3, factor=1.0)\n"
+    options = _options([probe])
+    positions = {name: {param: pos for param, (pos, _) in params.items()} for name, params in options.items()}
+    assert positions == {"_Probe": {"b": 1}, "scaled": {"factor": 1}}
+    assert _never_passed(options, [probe, calls]) == ["_Probe(b)", "scaled(factor)"]
+    assert _never_passed(options, [probe, calls, "_Probe(1, 3).scaled(3, 2.0)\n"]) == []
 
 
 def _calls_by_function(tree) -> list:

@@ -10,9 +10,9 @@ def base_params(beta_F=1.0, beta_p=1.0):
     return dp.ModelParams(beta_F=beta_F, beta_p=beta_p, theta1=1.0, theta2=1.0, eps1=0.5)
 
 
-def plate_solve(p, up, init, **options):
-    """The plate solve of the pressure path up from init, on the setup of its grid."""
-    return dp.picard_dispersive(dp.plate_setup(p, init, up.times), up, **options)
+def plate_solve(p, times, up, init, **options):
+    """The plate solve of the pressure samples up from init, on the setup of their grid times."""
+    return dp.picard_dispersive(dp.plate_setup(p, init, times), up, **options)
 
 
 def small_bump_state(k, amp=0.1):
@@ -36,9 +36,11 @@ def constant_modes(c, k, pad=2):
         lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=x, theta2=1.0, eps1=0.5),
         lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=1.0, theta2=x, eps1=0.5),
         lambda x: sp.GridField(np.ones(8), bv=x),
-        lambda x: dp.PressurePath(times=[0.0, 0.1], values=np.ones((2, 8)), bv=x),
+        lambda x: dp.picard_dispersive(
+            dp.plate_setup(base_params(), small_bump_state(8), [0.0, 0.1]), np.full((2, 8), x)
+        ),
     ],
-    ids=["beta_F", "beta_p", "eps1", "theta1", "theta2", "GridField_bv", "PressurePath_bv"],
+    ids=["beta_F", "beta_p", "eps1", "theta1", "theta2", "GridField_bv", "pressure_sample"],
 )
 def test_model_data_must_be_finite(build, value):
     with pytest.raises(ValueError, match="finite"):
@@ -186,8 +188,8 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     u0 = sp.GridField(values=np.ones(k) + 0.2 * np.sin(np.pi * sp.grid(k)), bv=1.0)
     cc = dp.contraction_constants(p, w0)
     T = 0.9 * dp.theory_constants(p, u0, init).T0
-    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
-    path, rep = plate_solve(p, up, init)
+    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k)
+    path, rep = plate_solve(p, times, up, init)
     bound = T * 1.0 * cc.L_G
     assert all(rt <= bound * 1.05 for rt in rep.contraction_ratios)
     assert float(sp.gap_min(path.w_refined_min + p.theta2, p.theta2).min()) >= cc.kappa / 2.0
@@ -195,16 +197,25 @@ def test_picard_below_T0_contracts_and_preserves_gap():
 
 
 def test_picard_takes_its_setup_only_from_the_same_solve():
-    # the setup holds the model and the start state; a pressure path on
-    # another time grid than the setup's is refused
+    # the setup holds the model, the start state and the time grid; pressure
+    # samples with another row count than the grid's nodes, or another
+    # column count than the modes, are refused
     p = base_params()
     k, T = 16, 1e-3
     init = small_bump_state(k)
-    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + t), T, 8, k, 1.0)
-    setup = dp.plate_setup(p, init, up.times)
-    coarse = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 4, k, 1.0)
-    with pytest.raises(ValueError, match="setup was built for another time grid"):
-        dp.picard_dispersive(setup, coarse)
+    times, _ = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + t), T, 8, k)
+    setup = dp.plate_setup(p, init, times)
+    _, coarse = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 4, k)
+    _, wider = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k + 1)
+    for up in (coarse, wider, coarse[0]):
+        with pytest.raises(ValueError, match="one row of k_max interior samples per node"):
+            dp.picard_dispersive(setup, up)
+
+
+@pytest.mark.parametrize("times", [[0.1, 0.2], [-0.1, 0.0, 0.1], [0.0, 0.1, 0.1], [0.0, 0.2, 0.1]])
+def test_a_plate_setups_grid_starts_at_zero_and_increases_strictly(times):
+    with pytest.raises(ValueError, match="times must start at 0 and increase strictly"):
+        dp.plate_setup(base_params(), small_bump_state(8), times)
 
 
 def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
@@ -213,12 +224,12 @@ def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
     p = base_params()
     k, T, tol = 32, 0.02, 1e-10
     init = small_bump_state(k)
-    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
-    setup = dp.plate_setup(p, init, up.times)
-    forcing = p.beta_p * sp.sine_transform(up.values - up.bv)
+    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(t), T, 32, k)
+    setup = dp.plate_setup(p, init, times)
+    forcing = p.beta_p * sp.sine_transform(up - p.theta1)
 
     def march(g):
-        return dp.VWPath(up.times, *sp.duhamel_sweep(init, setup.omega, setup.coeffs, g + forcing))
+        return dp.VWPath(times, *sp.duhamel_sweep(init, setup.omega, setup.coeffs, g + forcing))
 
     want, diffs, _, status = dp.fixed_point(
         lambda path: march(dp._G_modes(path.w, p)), march(dp._G_modes(init.w, p)), dp.path_diff_norm, tol, 200,
@@ -231,7 +242,7 @@ def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
 
 def pressure_near_bump(amp, k=32, T=0.02):
     """The pressure 1 + amp sin(pi x) cos(t) on 32 steps of [0, T], k interior nodes."""
-    return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k, 1.0)
+    return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k)
 
 
 def counting_marches(monkeypatch):
@@ -254,15 +265,15 @@ def test_warm_start_reaches_the_cold_fixed_point_in_fewer_sweeps(monkeypatch):
     p = base_params()
     tol = 1e-10
     init = small_bump_state(32)
-    near, _ = plate_solve(p, pressure_near_bump(0.101), init, tol=tol)
+    near, _ = plate_solve(p, *pressure_near_bump(0.101), init, tol=tol)
     marches = counting_marches(monkeypatch)
-    cold, _ = plate_solve(p, pressure_near_bump(0.1), init, tol=tol)
+    cold, _ = plate_solve(p, *pressure_near_bump(0.1), init, tol=tol)
     cold_marches = len(marches)
-    warm, _ = plate_solve(p, pressure_near_bump(0.1), init, tol=tol, start=near)
+    warm, _ = plate_solve(p, *pressure_near_bump(0.1), init, tol=tol, start=near)
     assert len(marches) - cold_marches < cold_marches
     assert dp.path_diff_norm(warm, cold) <= tol
     far = dp.VWPath(near.times, np.zeros_like(near.v), np.zeros_like(near.w))  # the flat gap
-    from_far, _ = plate_solve(p, pressure_near_bump(0.1), init, tol=tol, start=far)
+    from_far, _ = plate_solve(p, *pressure_near_bump(0.1), init, tol=tol, start=far)
     assert dp.path_diff_norm(from_far, cold) <= tol
 
 
@@ -273,13 +284,13 @@ def test_picard_warm_start_is_the_start_iteration_bitwise():
     p = base_params()
     k, tol = 32, 1e-10
     init = small_bump_state(k)
-    up = pressure_near_bump(0.1)
-    setup = dp.plate_setup(p, init, up.times)
-    start, _ = dp.picard_dispersive(setup, pressure_near_bump(0.101), tol=tol)
-    forcing = p.beta_p * sp.sine_transform(up.values - up.bv)
+    times, up = pressure_near_bump(0.1)
+    setup = dp.plate_setup(p, init, times)
+    start, _ = dp.picard_dispersive(setup, pressure_near_bump(0.101)[1], tol=tol)
+    forcing = p.beta_p * sp.sine_transform(up - p.theta1)
 
     def march(g):
-        return dp.VWPath(up.times, *sp.duhamel_sweep(init, setup.omega, setup.coeffs, g + forcing))
+        return dp.VWPath(times, *sp.duhamel_sweep(init, setup.omega, setup.coeffs, g + forcing))
 
     want, diffs, ratios, status = dp.fixed_point(
         lambda path: march(dp._G_modes(path.w, p)), start, dp.path_diff_norm, tol, 200, lambda ratios: False
@@ -295,8 +306,8 @@ def test_a_warm_solve_started_at_its_fixed_point_marches_once(monkeypatch):
     p = base_params()
     tol = 1e-10
     init = small_bump_state(32)
-    up = pressure_near_bump(0.1)
-    setup = dp.plate_setup(p, init, up.times)
+    times, up = pressure_near_bump(0.1)
+    setup = dp.plate_setup(p, init, times)
     start, _ = dp.picard_dispersive(setup, up, tol=tol)
     marches = counting_marches(monkeypatch)
     again, rep = dp.picard_dispersive(setup, up, tol=tol, start=start)
@@ -312,9 +323,9 @@ def test_a_warm_plate_solve_synthesizes_each_path_on_the_pad2_grid_once(monkeypa
     p = base_params()
     k, tol = 32, 1e-10
     init = small_bump_state(k)
-    up = pressure_near_bump(0.1)
-    setup = dp.plate_setup(p, init, up.times)
-    start, _ = dp.picard_dispersive(setup, pressure_near_bump(0.101), tol=tol)
+    times, up = pressure_near_bump(0.1)
+    setup = dp.plate_setup(p, init, times)
+    start, _ = dp.picard_dispersive(setup, pressure_near_bump(0.101)[1], tol=tol)
     fresh = dp.VWPath(start.times.copy(), start.v.copy(), start.w.copy())  # nothing kept
     syntheses, synthesis = [], sp.inverse_sine_transform
 
@@ -335,14 +346,14 @@ def test_warm_start_must_share_the_grid_and_shape():
     p = base_params()
     k, T = 16, 1e-3
     init = small_bump_state(k)
-    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-    path, _ = plate_solve(p, up, init)
+    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
+    path, _ = plate_solve(p, times, up, init)
     coarse = dp.VWPath(path.times[::2], path.v[::2], path.w[::2])
     shifted = dp.VWPath(path.times * (1.0 + 1e-9), path.v, path.w)
     wider = dp.VWPath(path.times, np.pad(path.v, ((0, 0), (0, 4))), np.pad(path.w, ((0, 0), (0, 4))))
     for start in (coarse, shifted, wider, dp.VWPath(path.times, path.v, path.w[:, :-1])):
         with pytest.raises(ValueError, match="start must be a plate path"):
-            plate_solve(p, up, init, start=start)
+            plate_solve(p, times, up, init, start=start)
 
 
 def test_picard_matches_constant_forcing_to_second_order():
@@ -357,8 +368,8 @@ def test_picard_matches_constant_forcing_to_second_order():
 
     def rel_dev(T):
         init = sp.StateVW(np.zeros(k), np.zeros(k))
-        up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-        path, _ = plate_solve(p, up, init, tol=1e-14)
+        times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
+        path, _ = plate_solve(p, times, up, init, tol=1e-14)
         w_exact = c * 2 * np.sin(spec.omega * T / 2) ** 2 / spec.mu
         v_exact = c * np.sin(spec.omega * T) / spec.omega
         dw = np.max(np.abs(path.w[-1] - w_exact)) / np.max(np.abs(w_exact))
@@ -373,8 +384,8 @@ def test_picard_zero_couplings_is_pure_semigroup():
     p = base_params(beta_F=0.0, beta_p=0.0)
     k = 32
     init = small_bump_state(k)
-    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 0.5, 64, k, 1.0)
-    path, rep = plate_solve(p, up, init)
+    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 0.5, 64, k)
+    path, rep = plate_solve(p, times, up, init)
     assert rep.iterations == 1
     spec = sp.plate_eigenvalues(k)
     n0 = sp.norm_X(init.v, init.w, spec)
@@ -388,10 +399,10 @@ def test_picard_uniqueness_wrt_time_resolution_tail():
     k = 32
     init = small_bump_state(k)
     T = 0.02
-    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), T, 32, k, 1.0)
+    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), T, 32, k)
     tol = 1e-8
-    path1, _ = plate_solve(p, up, init, tol=tol)
-    path2, _ = plate_solve(p, up, init, tol=tol * 1e-3)
+    path1, _ = plate_solve(p, times, up, init, tol=tol)
+    path2, _ = plate_solve(p, times, up, init, tol=tol * 1e-3)
     assert dp.path_diff_norm(path1, path2) <= 10 * tol
 
 
@@ -405,9 +416,9 @@ def test_strictness_residual_decays_with_dt():
     spec = sp.plate_eigenvalues(k)
 
     def residual(n_t):
-        up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(5 * t), T, n_t, k, 1.0)
-        path, _ = plate_solve(p, up, init, tol=1e-13)
-        u_modes = sp.sine_transform(up.values - up.bv)
+        times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(5 * t), T, n_t, k)
+        path, _ = plate_solve(p, times, up, init, tol=1e-13)
+        u_modes = sp.sine_transform(up - p.theta1)
         dt = T / n_t
         worst = 0.0
         for i in range(1, n_t):
@@ -428,13 +439,13 @@ def test_solution_operator_W_initial_value_and_stationarity():
     k = 32
     init = small_bump_state(k, amp=0.05)
     T = 0.01
-    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
-    path, _ = plate_solve(p, up, init)
+    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k)
+    path, _ = plate_solve(p, times, up, init)
     # W(u)(0) = (v0, w0) exactly
     assert np.array_equal(path.v[0], init.v)
     assert np.array_equal(path.w[0], init.w)
     # determinism: identical inputs, identical bits
-    path2, _ = plate_solve(p, up, init)
+    path2, _ = plate_solve(p, times, up, init)
     assert np.array_equal(path.v, path2.v) and np.array_equal(path.w, path2.w)
 
 
@@ -443,8 +454,8 @@ def test_frechet_W_zero_and_fd_order():
     k = 48
     init = small_bump_state(k)
     T, n_t = 0.25, 96
-    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k, 1.0)
-    setup = dp.plate_setup(p, init, up.times)
+    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k)
+    setup = dp.plate_setup(p, init, times)
     path, _ = dp.picard_dispersive(setup, up, tol=1e-13)
 
     zero_q = np.zeros((n_t + 1, k))
@@ -459,8 +470,7 @@ def test_frechet_W_zero_and_fd_order():
     errs = []
     hs = (1e-2, 1e-3, 1e-4)
     for h in hs:
-        up_h = dp.PressurePath(times=up.times, values=up.values + h * sp.inverse_sine_transform(q), bv=1.0)
-        ph, _ = plate_solve(p, up_h, init, tol=1e-13)
+        ph, _ = plate_solve(p, times, up + h * sp.inverse_sine_transform(q), init, tol=1e-13)
         errs.append(
             max(
                 dp.state_norm_L2H2((ph.v[i] - path.v[i]) / h - vq[i], (ph.w[i] - path.w[i]) / h - wq[i])
@@ -472,13 +482,13 @@ def test_frechet_W_zero_and_fd_order():
     assert order1 > 0.9 and order2 > 0.9, (errs, order1, order2)
 
 
-def empirical_lipschitz_W(p, u1_path, u2_path, init, tol=1e-10):
-    """sup_t ||W(u1)(t) - W(u2)(t)||_{L2 x H2} / sup_t ||u1(t) - u2(t)||_H2."""
+def empirical_lipschitz_W(p, times, u1_path, u2_path, init, tol=1e-10):
+    """sup_t ||W(u1)(t) - W(u2)(t)||_{L2 x H2} / sup_t ||u1(t) - u2(t)||_H2, both paths sampled on times."""
     du = dp.pressure_diff_norm(u1_path, u2_path)
     if du == 0.0:
         return 0.0
-    vw1, _ = plate_solve(p, u1_path, init, tol=tol)
-    vw2, _ = plate_solve(p, u2_path, init, tol=tol)
+    vw1, _ = plate_solve(p, times, u1_path, init, tol=tol)
+    vw2, _ = plate_solve(p, times, u2_path, init, tol=tol)
     return dp.path_diff_norm(vw1, vw2) / du
 
 
@@ -489,18 +499,18 @@ def test_empirical_lipschitz_W_bounds():
     u0 = sp.GridField(values=np.ones(k), bv=1.0)
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
-    u1 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x), T, 16, k, 1.0)
-    u2 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + 0.01 * np.sin(2 * np.pi * x), T, 16, k, 1.0)
-    assert empirical_lipschitz_W(p, u1, u1, init) == 0.0
-    ratio = empirical_lipschitz_W(p, u1, u2, init)
+    times, u1 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x), T, 16, k)
+    _, u2 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + 0.01 * np.sin(2 * np.pi * x), T, 16, k)
+    assert empirical_lipschitz_W(p, times, u1, u1, init) == 0.0
+    ratio = empirical_lipschitz_W(p, times, u1, u2, init)
     assert 0.0 < ratio <= tc.L_W
     # linear-regime stability across perturbation magnitudes
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
-        u2e = dp.uniform_pressure_path(
-            lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + eps * np.sin(2 * np.pi * x), T, 16, k, 1.0
+        _, u2e = dp.uniform_pressure_path(
+            lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + eps * np.sin(2 * np.pi * x), T, 16, k
         )
-        ratios.append(empirical_lipschitz_W(p, u1, u2e, init, tol=1e-13))
+        ratios.append(empirical_lipschitz_W(p, times, u1, u2e, init, tol=1e-13))
     assert max(ratios) <= 1.2 * min(ratios)
 
 
@@ -511,10 +521,10 @@ def test_holder_seminorm_constant_path_and_LU_bound():
     u0 = sp.GridField(values=np.ones(k), bv=1.0)
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
-    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k, 1.0)
-    u_modes = sp.sine_transform(up.values - up.bv)
-    assert vf.holder_seminorm(up.times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.5) == 0.0
-    path, _ = plate_solve(p, up, init)
+    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k)
+    u_modes = sp.sine_transform(up - p.theta1)
+    assert vf.holder_seminorm(times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.5) == 0.0
+    path, _ = plate_solve(p, times, up, init)
 
     def l2h2(d):
         return dp.state_norm_L2H2(d[:, :k], d[:, k:])
@@ -528,8 +538,8 @@ def test_picard_report_fields():
     k = 16
     init = small_bump_state(k)
     T = 0.01
-    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k, 1.0)
-    _, rep = plate_solve(p, up, init)
+    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
+    _, rep = plate_solve(p, times, up, init)
     assert isinstance(rep.contraction_ratios, list)
 
 
@@ -541,10 +551,10 @@ def test_picard_report_fields():
 def test_picard_exhausting_its_sweeps_raises_with_the_sweep_count(monkeypatch):
     p = base_params(beta_F=1.0, beta_p=0.5)
     n = 16
-    up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), 0.01, 16, n, 1.0)
+    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), 0.01, 16, n)
     monkeypatch.setattr(dp, "_PICARD_MAX_ITER", 3)
     with pytest.raises(dp.PicardDivergence, match="no convergence to tol=1e-30 within 3 sweeps") as exc:
-        plate_solve(p, up, small_bump_state(n, amp=0.05), tol=1e-30)
+        plate_solve(p, times, up, small_bump_state(n, amp=0.05), tol=1e-30)
     assert exc.value.report.iterations == 3
 
 
@@ -552,9 +562,9 @@ def test_picard_that_stops_contracting_raises_with_its_ratios():
     # beta_F = 10 over T = 3 is far past the contraction horizon: the first two ratios exceed 1
     p = base_params(beta_F=10.0, beta_p=0.0)
     n = 16
-    up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 3.0, 16, n, 1.0)
+    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 3.0, 16, n)
     with pytest.raises(dp.PicardDivergence, match=r"stopped contracting \(last ratios 2\.096, 3\.485\)") as exc:
-        plate_solve(p, up, sp.StateVW(v=np.zeros(n), w=np.zeros(n)))
+        plate_solve(p, times, up, sp.StateVW(v=np.zeros(n), w=np.zeros(n)))
     rep = exc.value.report
     assert rep.iterations == 3
     assert rep.contraction_ratios == pytest.approx([2.10, 3.49], abs=0.01)

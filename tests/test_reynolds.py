@@ -16,7 +16,7 @@ from gapflow import dispersive as dp
 from gapflow import reynolds as ry
 from gapflow import spectral as sp
 from gapflow import verify as vf
-from gapflow.dispersive import ModelParams, PicardDivergence, PressurePath
+from gapflow.dispersive import ModelParams, PicardDivergence
 from gapflow.reynolds import (
     BlowupSignal,
     CoupledState,
@@ -149,10 +149,10 @@ class TestEvalF:
         rng = np.random.default_rng(3)
         decay = np.arange(1, n + 1, dtype=float) ** -2
         times = np.linspace(0.0, 0.01, n_t + 1)
-        u_path = PressurePath(times=times, values=1.0 + 0.1 * rng.normal(size=(n_t + 1, n)), bv=1.0)
+        u_path = 1.0 + 0.1 * rng.normal(size=(n_t + 1, n))
         plate = dp.VWPath(times=times, v=rng.normal(size=(n_t + 1, n)) * decay, w=0.1 * rng.normal(size=(n_t + 1, n)) * decay)
         F = ry._F_path(u_path, plate, p)
-        for u, v, w, row in zip(u_path.values, plate.v, plate.w, F):
+        for u, v, w, row in zip(u_path, plate.v, plate.w, F):
             v_grid, w_grid = dp.plate_fields(StateVW(v, w), 1.0)
             assert np.array_equal(row, ry.eval_F(GridField(values=u, bv=1.0), v_grid, w_grid).values)
         # one node with a closed gap quenches the whole path
@@ -638,17 +638,17 @@ class TestGammaIterate:
         eq = _equilibrium_state(p, k)
         u_fix, rep, _ = ry.gamma_iterate(p, eq, 1e-3, 12, tol=1e-10)
         assert rep.iterations == 1
-        assert np.abs(u_fix.values - eq.u.values).max() == 0.0
+        assert np.abs(u_fix - eq.u.values).max() == 0.0
 
     def test_initial_sample_is_datum_bitwise(self):
         p = base_params()
         k = n = 32
         T, n_t = 5e-3, 16
         u0 = bump_pressure(n, amp=0.07)
-        u_fix, rep, _ = ry.gamma_iterate(p, CoupledState(u=u0, vw=bump_state(k)), T, n_t, tol=1e-10)
-        assert np.array_equal(u_fix.values[0], u0.values)
-        assert u_fix.bv == 1.0
-        assert u_fix.times.tobytes() == np.linspace(0.0, T, n_t + 1).tobytes()
+        u_fix, rep, plate = ry.gamma_iterate(p, CoupledState(u=u0, vw=bump_state(k)), T, n_t, tol=1e-10)
+        assert np.array_equal(u_fix[0], u0.values)
+        assert u_fix.shape == (n_t + 1, n)
+        assert plate.times.tobytes() == np.linspace(0.0, T, n_t + 1).tobytes()
 
     def test_contraction_ratio_small_at_short_horizon(self):
         p = base_params()
@@ -693,7 +693,7 @@ class TestGammaIterate:
         monkeypatch.undo()
         # at ratios of 1e-5 the warm-started solve lands on the floating-point
         # fixed point of a cold standalone solve on the converged path
-        alone, _ = dp.picard_dispersive(dp.plate_setup(p, init.vw, u_fix.times), u_fix, tol=0.01 * tol)
+        alone, _ = dp.picard_dispersive(dp.plate_setup(p, init.vw, plate.times), u_fix, tol=0.01 * tol)
         assert alone.v.tobytes() == plate.v.tobytes() and alone.w.tobytes() == plate.w.tobytes()
 
     def test_one_call_builds_its_propagator_once(self, monkeypatch):
@@ -789,6 +789,23 @@ class TestGammaIterate:
         assert np.isfinite(err.T_admissible) and err.T_admissible > 0
         assert isinstance(err, PicardDivergence)
 
+    def test_a_non_finite_pressure_iterate_raises_at_once(self, monkeypatch):
+        # a march that returns inf raises ValueError before any plate solve
+        # runs on the iterate, not a PicardDivergence after its sweeps
+        p = base_params()
+        n = 16
+        solves, picard = [], dp.picard_dispersive
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return picard(*args, **kwargs)
+
+        monkeypatch.setattr(ry, "linear_parabolic_solve", lambda propagator, F, u0_tilde: np.full_like(F, np.inf))
+        monkeypatch.setattr(dp, "picard_dispersive", counted)
+        with pytest.raises(ValueError, match="u values must be finite"):
+            ry.gamma_iterate(p, CoupledState(u=bump_pressure(n), vw=bump_state(n)), 1e-3, 4)
+        assert len(solves) == 1
+
     def test_quench_data_propagates_signal(self):
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
         k = n = 32
@@ -833,8 +850,7 @@ class TestFrechetF:
         w[3] = sp.sine_transform(np.full(n, -1.5))
         w[5] = sp.sine_transform(np.full(n, -3.0))
         plate = dp.VWPath(times, np.zeros_like(w), w)
-        u0 = bump_pressure(n)
-        u_path = dp.uniform_pressure_path(lambda x, t: u0.values, times[-1], n_t, n, u0.bv)
+        u_path = np.tile(bump_pressure(n).values, (n_t + 1, 1))
         zero = (np.zeros_like(w), np.zeros_like(w))
         with pytest.raises(QuenchSignal, match="assembling the F derivative") as exc:
             vf.frechet_F(u_path, np.zeros_like(w), plate, zero, p)
@@ -852,7 +868,7 @@ class TestFrechetF:
         dW = vf.frechet_W(dp.plate_setup(p, bump_state(n), plate.times), q, plate, tol=1e-13)
         out = vf.frechet_F(u_fix, q, plate, dW, p)
         v0, w0 = dp.plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
-        op = ry.assemble_Pstar(GridField(u_fix.values[0], u_fix.bv), v0, w0)
+        op = ry.assemble_Pstar(GridField(u_fix[0], p.theta1), v0, w0)
         ref = op @ sp.inverse_sine_transform(qm)
         assert np.abs(out[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -870,13 +886,13 @@ class TestFrechetF:
 
         def F_at(path, plate_path, i):
             vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
-            return ry.eval_F(GridField(path.values[i], path.bv), vg, wg).values
+            return ry.eval_F(GridField(path[i], p.theta1), vg, wg).values
 
         base = F_at(u_fix, plate, Nt)
         errs = []
         for h_fd in (1e-2, 1e-3, 1e-4):
-            pert = PressurePath(times=u_fix.times.copy(), values=u_fix.values + h_fd * qg, bv=u_fix.bv)
-            plate2, _ = dp.picard_dispersive(dp.plate_setup(p, bump_state(n), pert.times), pert, tol=1e-13)
+            pert = u_fix + h_fd * qg
+            plate2, _ = dp.picard_dispersive(dp.plate_setup(p, bump_state(n), plate.times), pert, tol=1e-13)
             fd = (F_at(pert, plate2, Nt) - base) / h_fd
             errs.append(np.abs(fd - analytic).max())
         orders = [math.log10(errs[i] / errs[i + 1]) for i in range(2)]
@@ -884,13 +900,13 @@ class TestFrechetF:
 
 
 class TestHolderF:
-    def _rand_path(self, seed, n, T, n_t, amp=0.05):
+    def _rand_path(self, seed, n, times, amp=0.05):
+        """Pressure samples (trace 1) at the nodes of times, which span [0, T]."""
         r = np.random.default_rng(seed)
         base = r.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
         base = amp * base / max(1e-12, sp.norm_Hk(base, 2))
-        times = np.linspace(0, T, n_t + 1)
-        modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in times])
-        return PressurePath(times=times, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
+        modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / times[-1])) for t in times])
+        return 1.0 + sp.inverse_sine_transform(modes)
 
     def test_calibrate_then_verify_fresh_path(self):
         p = base_params()
@@ -899,8 +915,9 @@ class TestHolderF:
         rng = np.random.default_rng(3)
         qm = rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -3
         q = np.array([qm * (1.0 + 0.2 * math.cos(2 * math.pi * i / Nt)) for i in range(Nt + 1)])
-        cal, fresh = [self._rand_path(1, n, T, Nt)], [self._rand_path(2, n, T, Nt)]
-        passed, worst, L_A, L_B = vf.holder_F_audit(cal, fresh, q, p, bump_state(n))
+        times = np.linspace(0, T, Nt + 1)
+        cal, fresh = [self._rand_path(1, n, times)], [self._rand_path(2, n, times)]
+        passed, worst, L_A, L_B = vf.holder_F_audit(times, cal, fresh, q, p, bump_state(n))
         assert L_A > 0 and L_B > 0
         assert passed and worst <= 1.0
 
@@ -909,11 +926,11 @@ class TestHolderF:
         n = 24
         T, Nt = 5e-3, 8
         u0 = bump_pressure(n)
-        path = dp.uniform_pressure_path(lambda x, t: u0.values, T, Nt, n, u0.bv)
-        rep = vf.holder_F_quotients(dp.plate_setup(p, bump_state(n), path.times), path, np.zeros((Nt + 1, n)))
+        times, path = dp.uniform_pressure_path(lambda x, t: u0.values, T, Nt, n)
+        rep = vf.holder_F_quotients(dp.plate_setup(p, bump_state(n), times), path, np.zeros((Nt + 1, n)))
         # [u]_alpha = 0: shape A reduces to L_U; q == 0: measured_B = 0 and shape B = 0
-        u_modes = sp.sine_transform(path.values - path.bv)
-        semi_u = vf.holder_seminorm(path.times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.2)
+        u_modes = sp.sine_transform(path - p.theta1)
+        semi_u = vf.holder_seminorm(times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.2)
         assert semi_u == 0.0
         assert rep.measured_B == 0.0
         assert rep.shape_B == 0.0
@@ -924,12 +941,13 @@ class TestHolderF:
         p = base_params()
         n = 24
         T, Nt = 5e-3, 8
-        path = self._rand_path(5, n, T, Nt)
-        setup = dp.plate_setup(p, bump_state(n), path.times)
+        times = np.linspace(0, T, Nt + 1)
+        path = self._rand_path(5, n, times)
+        setup = dp.plate_setup(p, bump_state(n), times)
         rep = vf.holder_F_quotients(setup, path, np.zeros((Nt + 1, n)))
         alpha = dp.HOLDER_ALPHA
-        u_modes = sp.sine_transform(path.values - path.bv)
-        semi_u = vf.holder_seminorm(path.times, u_modes, lambda d: sp.norm_Hk(d, 2), alpha)
+        u_modes = sp.sine_transform(path - p.theta1)
+        semi_u = vf.holder_seminorm(times, u_modes, lambda d: sp.norm_Hk(d, 2), alpha)
         plate, _ = dp.picard_dispersive(setup, path, tol=vf._HOLDER_INNER_TOL)
 
         def l2h2(d):
@@ -1407,7 +1425,7 @@ class TestRunCoupled:
                 if "quench" in conditions:
                     w[i, 0] = -1.0
             report = dp.PicardReport(1, [0.5], banach_ratio=0.25)
-            return PressurePath(times, u, state.u.bv), report, dp.VWPath(times, np.zeros_like(w), w)
+            return u, report, dp.VWPath(times, np.zeros_like(w), w)
 
         monkeypatch.setattr(ry, "gamma_iterate", prepared_chunk)
         cfg = DriverConfig(n_t=4, chunk_init=0.01, u_cap=10.0)

@@ -248,15 +248,15 @@ class TestHolderAudit:
         base = 0.05 * base / sp.norm_Hk(base, 2)
         times = np.linspace(0, T, n_t + 1)
         modes = np.array([base * (1.0 + 0.3 * math.sin(2 * math.pi * t / T)) for t in times])
-        path = dp.PressurePath(times=times, values=1.0 + sp.inverse_sine_transform(modes), bv=1.0)
-        return path, np.array([0.5 * base * (1.0 + 0.2 * math.cos(2 * math.pi * t / T)) for t in times])
+        path = 1.0 + sp.inverse_sine_transform(modes)
+        return times, path, np.array([0.5 * base * (1.0 + 0.2 * math.cos(2 * math.pi * t / T)) for t in times])
 
     @pytest.mark.parametrize("quotient", ["measured_A", "measured_B"])
     def test_a_fresh_quotient_three_times_the_allowed_one_fails(self, monkeypatch, quotient):
         # the fresh path is a copy of the calibration path, so the calibration
         # allows it 2x its own quotient; six times that quotient is 3x the bound
-        path, q = self._path_and_q()
-        fresh = dp.PressurePath(times=path.times.copy(), values=path.values.copy(), bv=path.bv)
+        times, path, q = self._path_and_q()
+        fresh = path.copy()
         real = vf.holder_F_quotients
 
         def inflated(setup, u_path, q_modes):
@@ -264,15 +264,15 @@ class TestHolderAudit:
             return replace(rep, **{quotient: 6.0 * getattr(rep, quotient)}) if u_path is fresh else rep
 
         init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
-        passed, worst, _, _ = vf.holder_F_audit([path], [fresh], q, P, init)
+        passed, worst, _, _ = vf.holder_F_audit(times, [path], [fresh], q, P, init)
         assert passed and worst == pytest.approx(0.5, rel=1e-12)
         monkeypatch.setattr(vf, "holder_F_quotients", inflated)
-        passed, worst, _, _ = vf.holder_F_audit([path], [fresh], q, P, init)
+        passed, worst, _, _ = vf.holder_F_audit(times, [path], [fresh], q, P, init)
         assert not passed and worst == pytest.approx(3.0, rel=1e-12)
 
     def test_the_audit_builds_one_plate_setup_for_all_its_paths(self, monkeypatch):
-        path, q = self._path_and_q()
-        fresh = dp.PressurePath(times=path.times.copy(), values=path.values.copy(), bv=path.bv)
+        times, path, q = self._path_and_q()
+        fresh = path.copy()
         setups, real = [], vf.holder_F_quotients
 
         def recorded(setup, u_path, q_modes):
@@ -280,17 +280,18 @@ class TestHolderAudit:
             return real(setup, u_path, q_modes)
 
         monkeypatch.setattr(vf, "holder_F_quotients", recorded)
-        vf.holder_F_audit([path, path], [fresh], q, P, StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)]))
+        vf.holder_F_audit(times, [path, path], [fresh], q, P, StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)]))
         assert len(setups) == 3 and all(s is setups[0] for s in setups)
-        assert setups[0].times is path.times
+        assert setups[0].times is times
 
-    def test_a_fresh_path_on_another_grid_raises(self):
-        # the audit's one setup is built on the grid of its first calibration path
-        path, q = self._path_and_q()
-        other, _ = self._path_and_q(T=4e-3)
+    def test_a_fresh_path_with_another_row_count_raises(self):
+        # the audit's one setup is built on the grid it is given; a path
+        # sampled on fewer nodes is refused by the plate solve
+        times, path, q = self._path_and_q()
+        _, other, _ = self._path_and_q(n_t=8)
         init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
-        with pytest.raises(ValueError, match="setup was built for another time grid"):
-            vf.holder_F_audit([path], [other], q, P, init)
+        with pytest.raises(ValueError, match="one row of k_max interior samples per node"):
+            vf.holder_F_audit(times, [path], [other], q, P, init)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from . import spectral as sp
 from . import verify as vf
 from .dispersive import ModelParams
 from .reynolds import SERIES_COLUMNS, CoupledState, DriverConfig, RunReport
-from .spectral import GridField, StateVW
+from .spectral import StateVW
 
 SCHEMA_VERSION = "1.1"
 
@@ -141,10 +141,7 @@ class RunConfig:
                 u_vals = u_vals + self.u_amp * np.sin(np.pi * sp.grid(self.n))
                 w_modes[0] = self.w_amp
                 v_modes[0] = self.v_amp
-        return CoupledState(
-            u=GridField(values=u_vals, bv=self.theta1),
-            vw=StateVW(v=v_modes, w=w_modes),
-        )
+        return CoupledState(u=u_vals, vw=StateVW(v=v_modes, w=w_modes))
 
     def driver_config(self) -> DriverConfig:
         return DriverConfig(**{f.name: getattr(self, f.name) for f in fields(DriverConfig)})
@@ -203,11 +200,6 @@ def _convert(kind: str, name: str, text: str, violations: list):
     if kind == "horizon" and text.lower() == "auto":
         return "auto"
     return _finite(name, text, violations)
-
-
-def _resolve_auto_T(p: ModelParams, init: CoupledState) -> float:
-    """Constructive horizon: T0 of the theory constants of the initial data."""
-    return dp.theory_constants(p, init.u, init.vw).T0
 
 
 def parse_config(text: str) -> RunConfig:
@@ -330,7 +322,8 @@ def parse_config(text: str) -> RunConfig:
 
     if needs_resolution:
         try:
-            T_res = _resolve_auto_T(cfg.model_params(), cfg.initial_state())
+            init = cfg.initial_state()
+            T_res = dp.theory_constants(cfg.model_params(), init.u, init.vw).T0
         except Exception as exc:
             raise ConfigError([f"run.T: auto horizon resolution failed ({exc!s})"]) from exc
         if not (np.isfinite(T_res) and T_res > 0):
@@ -538,8 +531,8 @@ def cmd_sweep(cfg: RunConfig, out: str | None = None, jobs: int = 1, quiet: bool
         cell_dir = os.path.join(outdir, f"bF_{bf!r}_bp_{bp!r}")
         try:
             if cfg.T_source == "auto":
-                t_res = _resolve_auto_T(cell_cfg.model_params(), cell_cfg.initial_state())
-                cell_cfg = replace(cell_cfg, T=float(t_res))
+                init = cell_cfg.initial_state()
+                cell_cfg = replace(cell_cfg, T=float(dp.theory_constants(cell_cfg.model_params(), init.u, init.vw).T0))
             record = cmd_simulate(cell_cfg, out=cell_dir, quiet=True)
             rep = record.report
             return SweepCell(bf, bp, rep.termination, float(rep.T_used), rep.quench_time, rep.note)

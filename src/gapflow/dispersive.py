@@ -28,7 +28,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .spectral import (
-    GridField,
     PlateSpectrum,
     StateVW,
     dealias_apply,
@@ -118,14 +117,14 @@ class PicardDivergence(RuntimeError):
         self.report = report
 
 
-def gap_field(s: StateVW, theta2: float) -> GridField:
-    """The gap theta2 + w~ of one plate state on the n = k_max grid, carrying its trace theta2."""
-    return GridField(values=inverse_sine_transform(s.w) + theta2, bv=theta2)
+def gap_field(s: StateVW, theta2: float) -> np.ndarray:
+    """The gap theta2 + w~ of one plate state at the interior nodes of the n = k_max grid (trace theta2)."""
+    return inverse_sine_transform(s.w) + theta2
 
 
 def plate_fields(s: StateVW, theta2: float) -> tuple:
-    """(v, w) of one plate state as grid fields on the n = k_max grid; w is its gap_field."""
-    return GridField(values=inverse_sine_transform(s.v), bv=0.0), gap_field(s, theta2)
+    """(v, w) samples of one plate state on the n = k_max grid, traces 0 and theta2; w is its gap_field."""
+    return inverse_sine_transform(s.v), gap_field(s, theta2)
 
 
 def state_norm_L2H2(v: np.ndarray, w: np.ndarray):
@@ -170,16 +169,17 @@ def _G_modes(w_modes: np.ndarray, p: ModelParams) -> np.ndarray:
     return _G_refined(refined_values(w_modes), p)
 
 
-def g0_norm_H2(p: ModelParams, w0: GridField, u0: GridField) -> float:
+def g0_norm_H2(p: ModelParams, w0: np.ndarray, u0: np.ndarray) -> float:
     """||G0||_H2 with G0 = G(w~0) + beta_p u~0, split into zero-trace part + constant.
 
+    w0 and u0 are the start gap and pressure samples (traces theta2, theta1 of p).
     The zero-trace part -beta_F (1/w0^2 - 1/theta2^2) + beta_p u~0 vanishes at
     the boundary, so its spectral H2 norm is exact; the constant
     cb = -beta_F/theta2^2 + beta_p(theta1 - 1) enters as the lift of norm_Hk.
     """
     th2 = p.theta2
-    w_modes = sine_transform(w0.values - th2)
-    u_modes = sine_transform(u0.values - u0.bv)
+    w_modes = sine_transform(w0 - th2)
+    u_modes = sine_transform(u0 - p.theta1)
 
     def z_of(w_fine, u_fine):
         require_open_gap(w_fine, "gap closed while forming G0")
@@ -226,12 +226,12 @@ class ContractionConstants:
         return r
 
 
-def contraction_constants(p: ModelParams, w0: GridField) -> ContractionConstants:
-    """The chain for the start gap w0; kappa is its minimum over the closed interval."""
-    require_open_gap(np.append(w0.values, w0.bv), "w0 must be strictly positive")
-    kappa = gap_min(w0.values, w0.bv)
-    C = embedding_C(w0.n)
-    w0_h2 = norm_Hk(sine_transform(w0.values - w0.bv), 2, w0.bv)
+def contraction_constants(p: ModelParams, w0: np.ndarray) -> ContractionConstants:
+    """The chain for the start gap samples w0 (trace theta2); kappa is its minimum over the closed interval."""
+    require_open_gap(w0, "w0 must be strictly positive")
+    kappa = gap_min(w0, p.theta2)
+    C = embedding_C(w0.size)
+    w0_h2 = norm_Hk(sine_transform(w0 - p.theta2), 2, p.theta2)
     C_tilde = kappa / (2.0 * C) + w0_h2
     C1_sq = (
         4.0 * C / kappa**2
@@ -287,10 +287,10 @@ class TheoryConstants(ContractionConstants):
     L_e: float
 
 
-def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryConstants:
-    """Evaluate the whole constants chain on the start pressure u0 and plate state init.
+def theory_constants(p: ModelParams, u0: np.ndarray, init: StateVW) -> TheoryConstants:
+    """Evaluate the whole constants chain on the start pressure samples u0 and plate state init.
 
-    The start gap w0 is gap_field(init, theta2), with the trace theta2 of p.
+    The start gap w0 is gap_field(init, theta2); the traces are theta1 and theta2 of p.
 
     kappa, C -> C_tilde -> C1 (inverse-gap H2 bound) -> C2, C3 (difference
     bounds for 1/w^2, 1/w^3) -> L_G -> T0 -> L_W (pressure-to-plate Lipschitz)
@@ -318,8 +318,8 @@ def theory_constants(p: ModelParams, u0: GridField, init: StateVW) -> TheoryCons
 
     L_W = T0 * M0 * p.beta_p * np.exp(M0 * cc.L_G * T0)
 
-    u0_modes = sine_transform(u0.values - u0.bv)
-    u0_h2 = norm_Hk(u0_modes, 2, u0.bv)
+    u0_modes = sine_transform(u0 - p.theta1)
+    u0_h2 = norm_Hk(u0_modes, 2, p.theta1)
     u0t_h2 = norm_Hk(u0_modes, 2)  # ||u~0||_H2, zero trace
     C_t1 = u0_h2 + cc.kappa / (2.0 * cc.C)
     C_t2 = norm_Hk(init.v, 0) + cc.kappa / (2.0 * cc.C)

@@ -15,15 +15,17 @@ This module owns the gas-film side of the model and the fully coupled run:
 * ``run_coupled`` / ``continue_run`` -- the adaptive chunked driver with
   quench detection, and the restart machinery.
 
-Geometry is the unit interval with interior nodes x_j = j/(n+1).  A pressure
-state carries its trace theta_1 in ``GridField.bv``; a pressure path is an
-array (a row of samples per node of the plate setup's grid, trace theta_1); plate
-fields live in sine-mode space and are synthesized onto the pressure grid
-where the two equations meet.  That synthesis is the n = k_max inverse sine
-transform, so everything that couples the two sides -- the Gamma sweep,
-verify's F derivative, the oracle right-hand side and the driver -- requires
-the mode count to equal the grid size (k_max == n); the plate forcing built
-from pressure samples is then the exact sine expansion of the grid data.
+Geometry is the unit interval with interior nodes x_j = j/(n+1).  A field is
+the array of its interior samples, and its boundary trace is a constant of
+``ModelParams``: theta_1 for the pressure, theta_2 for the gap and 0 for the
+velocity.  A pressure path is an array with a row of samples per node of the
+plate setup's grid; plate fields live in sine-mode space and are synthesized
+onto the pressure grid where the two equations meet.  That synthesis is the
+n = k_max inverse sine transform, so everything that couples the two sides
+-- the Gamma sweep, verify's F derivative, the oracle right-hand side and the
+driver -- requires the mode count to equal the grid size (k_max == n); the
+plate forcing built from pressure samples is then the exact sine expansion
+of the grid data.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from . import dispersive as dp
 from . import spectral as sp
 from .dispersive import ModelParams, PicardDivergence, PicardReport, VWPath
-from .spectral import GridField, QuenchSignal, StateVW
+from .spectral import QuenchSignal, StateVW
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +71,9 @@ class EllipticReport:
 
 @dataclass
 class CoupledState:
-    """Pressure field + plate state at one instant."""
+    """Pressure samples (trace theta1) + plate state at one instant."""
 
-    u: GridField
+    u: np.ndarray
     vw: StateVW
     t: float = 0.0
 
@@ -88,19 +90,16 @@ class Trajectory:
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    theta1: float
 
     def state(self, i: int) -> CoupledState:
-        return CoupledState(
-            u=GridField(values=self.u[i], bv=self.theta1), vw=StateVW(v=self.v[i], w=self.w[i]), t=float(self.t[i])
-        )
+        return CoupledState(u=self.u[i], vw=StateVW(v=self.v[i], w=self.w[i]), t=float(self.t[i]))
 
 
 def _join(parts: list) -> Trajectory:
     """The rows of several trajectories in order; each part after the first
     starts at the last row of the one before, so its first row is dropped."""
     rows = [(p.t, p.u, p.v, p.w) if i == 0 else (p.t[1:], p.u[1:], p.v[1:], p.w[1:]) for i, p in enumerate(parts)]
-    return Trajectory(*(np.concatenate(col) for col in zip(*rows)), theta1=parts[0].theta1)
+    return Trajectory(*(np.concatenate(col) for col in zip(*rows)))
 
 
 # The columns of RunReport.series, in the order the exporters write them.
@@ -214,12 +213,13 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} values must be finite")
 
 
-def _require_coupled(state: CoupledState, p: ModelParams) -> None:
-    """The coupled-state contract: k_max == n, and the pressure carries the boundary trace theta1."""
-    if state.vw.k_max != state.u.n:
-        raise ValueError(f"a coupled state requires k_max == n (got k_max={state.vw.k_max}, n={state.u.n})")
-    if abs(state.u.bv - p.theta1) > 1e-12 * max(1.0, p.theta1):
-        raise ValueError("the initial pressure must carry boundary trace theta1")
+def _require_coupled(state: CoupledState) -> None:
+    """The coupled-state contract: the pressure is a finite 1-d array of n >= 3 samples, and k_max == n."""
+    if state.u.ndim != 1 or state.u.size < 3:
+        raise ValueError("the pressure must be a 1-d array of n >= 3 interior samples")
+    _require_finite("u", state.u)
+    if state.vw.k_max != state.u.size:
+        raise ValueError(f"a coupled state requires k_max == n (got k_max={state.vw.k_max}, n={state.u.size})")
 
 
 @lru_cache(maxsize=None)
@@ -246,24 +246,26 @@ def _reynolds_padded(up: np.ndarray, v: np.ndarray, wp: np.ndarray) -> np.ndarra
     return div / w - (v / w) * up[..., 1:-1]
 
 
-def eval_F(u: GridField, v: GridField, w: GridField) -> GridField:
-    """Reynolds right-hand side F = (1/w) D(w^3 u D u) - (v/w) u on interior nodes.
+def eval_F(u: np.ndarray, v: np.ndarray, w: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Reynolds right-hand side F = (1/w) D(w^3 u D u) - (v/w) u at the interior nodes.
 
-    The flux coefficient w^3 u is formed pointwise on the grid and averaged to
-    faces; boundary neighbours take the Dirichlet traces carried by the
-    fields (u.bv, w.bv).  Raises the quench signal when the gap closes.
+    The flux coefficient w^3 u is formed pointwise from the samples u and w
+    and averaged to faces; boundary neighbours take the Dirichlet traces
+    theta1 of u and theta2 of w from p.  Raises the quench signal when the
+    gap closes, and ValueError when F is not finite.
     """
-    n = u.n
-    if v.n != n or w.n != n:
+    if v.shape != u.shape or w.shape != u.shape:
         raise ValueError("u, v, w must share the grid")
-    wp = _pad(w.values, w.bv)
+    wp = _pad(w, p.theta2)
     sp.require_open_gap(wp, "gap closed while evaluating F")
-    return GridField(values=_reynolds_padded(_pad(u.values, u.bv), v.values, wp), bv=0.0)
+    F = _reynolds_padded(_pad(u, p.theta1), v, wp)
+    _require_finite("F", F)
+    return F
 
 
-def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> np.ndarray:
-    """P*, the exact Jacobian of the discrete eval_F in u at (u0, v0, w0): a dense
-    tridiagonal matrix on the interior values of zero-trace functions.
+def assemble_Pstar(u0: np.ndarray, v0: np.ndarray, w0: np.ndarray, p: ModelParams) -> np.ndarray:
+    """P*, the exact Jacobian of the discrete eval_F in u at (u0, v0, w0) with p's traces:
+    a dense tridiagonal matrix on the interior values of zero-trace functions.
 
     Entry-by-entry this is the conservative stencil of
     (1/w0) D( w0^3 u0 D psi + (w0^3 D u0) psi ) - (v0/w0) psi with the second
@@ -272,29 +274,31 @@ def assemble_Pstar(u0: GridField, v0: GridField, w0: GridField) -> np.ndarray:
     differences by 1/(w0 h^2), while frechet_F divides by h twice and then by
     w; test_matches_linearization_at_t0 holds the two to 1e-12 relative.
     """
-    up, w3, aL, aR, inv_wh2 = _faces(u0, w0, v0)
+    up, w3, aL, aR, inv_wh2 = _faces(u0, w0, p, v0)
     du_face = np.diff(up)  # undivided differences u_{j+1}-u_j at faces
     duL, duR = du_face[:-1], du_face[1:]
     sub = (aL - 0.5 * w3[:-2] * duL) * inv_wh2  # d F_i / d u_{i-1}
     sup = (aR + 0.5 * w3[2:] * duR) * inv_wh2  # d F_i / d u_{i+1}
-    diag = (-aL - aR + 0.5 * w3[1:-1] * (duR - duL)) * inv_wh2 - v0.values / w0.values
+    diag = (-aL - aR + 0.5 * w3[1:-1] * (duR - duL)) * inv_wh2 - v0 / w0
     return _tridiagonal(sub, diag, sup)
 
 
-def _faces(u0: GridField, w0: GridField, *others: GridField) -> tuple:
-    """Face arithmetic of the linearization: (u0 and w0^3 padded with their traces,
+def _faces(u0: np.ndarray, w0: np.ndarray, p: ModelParams, *others: np.ndarray) -> tuple:
+    """Face arithmetic of the linearization: (u0 and w0^3 padded with the traces of p,
     the averages of w0^3 u0 on the left and right face of each interior node, 1/(w0 h^2)).
-    ValueError unless u0, w0 and others share the grid and u0, w0 > 0, traces included."""
-    if any(f.n != u0.n for f in (w0, *others)):
-        raise ValueError("coefficient fields must share the grid")
-    for name, f in (("u0", u0), ("w0", w0)):
-        if sp.gap_min(f.values, f.bv) <= 0.0:
+    ValueError unless u0, w0 and others are finite 1-d samples of one grid and u0, w0 > 0."""
+    if u0.ndim != 1 or any(f.shape != u0.shape for f in (w0, *others)):
+        raise ValueError("1-d coefficient fields must share the grid")
+    if not all(np.isfinite(f).all() for f in (u0, w0, *others)):
+        raise ValueError("coefficient samples must be finite")
+    for name, f, trace in (("u0", u0, p.theta1), ("w0", w0, p.theta2)):
+        if sp.gap_min(f, trace) <= 0.0:
             raise ValueError(f"coefficient positivity violation: {name} must be strictly positive")
-    h = 1.0 / (u0.n + 1)
-    up = _pad(u0.values, u0.bv)
-    w3 = _pad(w0.values, w0.bv) ** 3
+    h = 1.0 / (u0.size + 1)
+    up = _pad(u0, p.theta1)
+    w3 = _pad(w0, p.theta2) ** 3
     a_face = _face_avg(w3 * up)  # length n+1, faces j-1/2 for j=1..n+1
-    return up, w3, a_face[:-1], a_face[1:], 1.0 / (w0.values * h * h)
+    return up, w3, a_face[:-1], a_face[1:], 1.0 / (w0 * h * h)
 
 
 def _tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -306,15 +310,16 @@ def _tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarr
     return m
 
 
-def _principal_matrix(u0: GridField, w0: GridField) -> np.ndarray:
-    """Highest-order part (1/w0) D(w0^3 u0 D q) of P* at (u0, w0)."""
-    _, _, aL, aR, inv_wh2 = _faces(u0, w0)
+def _principal_matrix(u0: np.ndarray, w0: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Highest-order part (1/w0) D(w0^3 u0 D q) of P* at the samples (u0, w0), traces of p."""
+    _, _, aL, aR, inv_wh2 = _faces(u0, w0, p)
     return _tridiagonal(aL * inv_wh2, -(aL + aR) * inv_wh2, aR * inv_wh2)
 
 
 def elliptic_form_check(
-    u0: GridField,
-    w0: GridField,
+    u0: np.ndarray,
+    w0: np.ndarray,
+    p: ModelParams,
     trials: int = 10_000,
     seed: int = 0,
 ) -> EllipticReport:
@@ -323,19 +328,20 @@ def elliptic_form_check(
     K and K_o come from the Young-split of the first-order remainder:
     K2 = C ||u0||_{H2} ||w0||_{H3}^2, eps^2 = eps1 kappa^2 / (2 K2) so that
     K = eps1 kappa^2 / 2 and K_o = K2 / (4 eps^2) = K2^2 / (2 eps1 kappa^2),
-    with eps1 = min u0 and kappa = min w0 (boundary values included).
-    Invalid u0, w0 raise as in assemble_Pstar; failures are reported in the
-    flag, never raised; q is drawn and measured in blocks of sp.audit_blocks rows.
+    with eps1 = min u0 and kappa = min w0 over the samples and the traces
+    theta1, theta2 of p.  Invalid u0, w0 raise as in assemble_Pstar; failures
+    are reported in the flag, never raised; q is drawn and measured in blocks
+    of sp.audit_blocks rows.
     """
-    A = _principal_matrix(u0, w0)
-    n = u0.n
+    A = _principal_matrix(u0, w0, p)
+    n = u0.size
     h = 1.0 / (n + 1)
-    eps1 = sp.gap_min(u0.values, u0.bv)
-    kappa = sp.gap_min(w0.values, w0.bv)
+    eps1 = sp.gap_min(u0, p.theta1)
+    kappa = sp.gap_min(w0, p.theta2)
     C = dp.embedding_C(n)
-    u_modes = sp.sine_transform(u0.values - u0.bv)
-    w_modes = sp.sine_transform(w0.values - w0.bv)
-    K2 = C * sp.norm_Hk(u_modes, 2, u0.bv) * sp.norm_Hk(w_modes, 3, w0.bv) ** 2
+    u_modes = sp.sine_transform(u0 - p.theta1)
+    w_modes = sp.sine_transform(w0 - p.theta2)
+    K2 = C * sp.norm_Hk(u_modes, 2, p.theta1) * sp.norm_Hk(w_modes, 3, p.theta2) ** 2
     K = 0.5 * eps1 * kappa**2
     K_o = K2**2 / (2.0 * eps1 * kappa**2) if K2 > 0 else 0.0
 
@@ -563,13 +569,13 @@ def gamma_iterate(
     (two in a row >= 1 would be certain divergence, one >= 0.9 already voids
     the margin) aborts with the implied admissible horizon ~ T (1/(2 rho))^{1/alpha}.
     """
-    _require_coupled(state, p)
+    _require_coupled(state)
     u0, init_vw = state.u, state.vw
     th1, th2 = p.theta1, p.theta2
     inner_tol = 0.01 * tol
 
-    pstar = assemble_Pstar(u0, *dp.plate_fields(init_vw, th2))
-    u0_tilde = u0.values - th1
+    pstar = assemble_Pstar(u0, *dp.plate_fields(init_vw, th2), p)
+    u0_tilde = u0 - th1
     # every plate solve of this call starts from init_vw on the chunk's time grid
     setup = dp.plate_setup(p, init_vw, np.linspace(0.0, T, n_t + 1))
     plate = None  # the last plate path, where the next plate solve starts
@@ -590,11 +596,11 @@ def gamma_iterate(
         # the Duhamel integral vanishes at t=0, so the initial sample is the
         # initial datum itself -- pin it bitwise rather than via the
         # subtract-add float roundtrip
-        fresh[0] = u0.values
+        fresh[0] = u0
         _require_finite("u", fresh)
         return fresh
 
-    guess = np.tile(u0.values, (n_t + 1, 1))
+    guess = np.tile(u0, (n_t + 1, 1))
     current, diffs, ratios, status = dp.fixed_point(
         sweep, guess, dp.pressure_diff_norm, tol, max_iter, lambda ratios: bool(ratios) and ratios[-1] >= 0.9
     )
@@ -693,8 +699,8 @@ def integrate_reference(
     """Classical four-stage Runge-Kutta on the stacked state of mol_rhs; the independent oracle.
 
     Requires dt <= 0.5/omega_max (explicit stability with a 5.6x margin under
-    the RK4 imaginary-axis limit |z| <= 2*sqrt(2)), k_max == n and the
-    pressure trace theta1; the marched step T/steps stays under that limit.
+    the RK4 imaginary-axis limit |z| <= 2*sqrt(2)) and a coupled init
+    (_require_coupled); the marched step T/steps stays under that limit.
     Returns the sampled states as a Trajectory, always including the first
     and last.  Raises the quench signal when the gap reaches quench_eps (or
     closes entirely); a step in which a stage sees
@@ -702,8 +708,8 @@ def integrate_reference(
     reports that _ENDGAME_SUBSTEPS of them did not resolve it.  Every signal
     carries the stored Trajectory, ending at the state where it was raised.
     """
-    _require_coupled(init, p)
-    n = init.u.n
+    _require_coupled(init)
+    n = init.u.size
     th1, th2 = p.theta1, p.theta2
     limit = 0.5 / float(sp.plate_eigenvalues(n).omega[-1])
     if dt > limit:
@@ -715,13 +721,13 @@ def integrate_reference(
         store_every = max(1, steps // 512)
     floor = 0.0 if quench_eps is None else quench_eps
     u_of, v_of, w_of = slice(1, n + 1), slice(n + 2, 2 * n + 2), slice(2 * n + 2, None)
-    y = _stack(init.u.values, init.vw.v, init.vw.w, th1)
+    y = _stack(init.u, init.vw.v, init.vw.w, th1)
     samples = [(init.t, y)]  # the stored (t, y); no step writes into a stored y
 
     def trajectory():
         ts, ys = zip(*samples)
         rows = np.array(ys)
-        return Trajectory(np.array(ts), rows[:, u_of], rows[:, v_of], rows[:, w_of], th1)
+        return Trajectory(np.array(ts), rows[:, u_of], rows[:, v_of], rows[:, w_of])
 
     def rk_step(y0, step):
         k1 = mol_rhs(y0, p)
@@ -806,8 +812,8 @@ def compat_regularity_proxy(state: CoupledState, p: ModelParams) -> float:
     stand-in for the interpolation-space compatibility condition (no
     computable membership test exists at the discrete level; this decay proxy
     is logged, never gated on)."""
-    F0 = eval_F(state.u, *dp.plate_fields(state.vw, p.theta2))
-    c = sp.sine_transform(F0.values)
+    F0 = eval_F(state.u, *dp.plate_fields(state.vw, p.theta2), p)
+    c = sp.sine_transform(F0)
     k = np.arange(1, c.size + 1) * math.pi
     return math.sqrt(0.5 * float(np.sum(k ** (2.0 * _COMPAT_SIGMA) * c**2)))
 
@@ -824,7 +830,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     """
     if config is None:
         config = DriverConfig()
-    _require_coupled(init, p)
+    _require_coupled(init)
     th1, th2 = p.theta1, p.theta2
     config = replace(
         config,
@@ -839,11 +845,11 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     kappa0 = sp.gap_min(sp.refined_values(init.vw.w, th2), th2)
     # the stored run: trajectory parts for _join, and the gap minimum and the
     # contraction ratio of each row they add
-    parts = [Trajectory(np.array([init.t]), init.u.values[None], init.vw.v[None], init.vw.w[None], th1)]
+    parts = [Trajectory(np.array([init.t]), init.u[None], init.vw.v[None], init.vw.w[None])]
     w_mins, ratios = [np.array([kappa0])], [np.full(1, np.nan)]
 
     # the initial state is checked for quench and blowup, not for the pressure floor
-    termination = str(_status_of(init.u.values, kappa0, config.quench_eps, config.u_cap))
+    termination = str(_status_of(init.u, kappa0, config.quench_eps, config.u_cap))
     note = ""
     cap = math.inf if config.chunk_cap is None else config.chunk_cap
     guess = T if p.beta_F == 0 else 0.05 * kappa0**3 / p.beta_F
@@ -878,7 +884,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             status = np.where((status == "alive") & below_floor, "pressure_floor", status)
             dead = np.flatnonzero(status != "alive")
             rows = dead[0] + 2 if dead.size else plate.times.size
-            parts.append(Trajectory(state.t + plate.times[:rows], u_new[:rows], plate.v[:rows], plate.w[:rows], th1))
+            parts.append(Trajectory(state.t + plate.times[:rows], u_new[:rows], plate.v[:rows], plate.w[:rows]))
             w_mins.append(w_min[: rows - 1])
             ratios.append(np.full(rows - 1, rep.banach_ratio))
             state = parts[-1].state(-1)
@@ -925,7 +931,7 @@ def _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, pro
         params=p,
         config=config,
         k_max=init.vw.k_max,
-        n=init.u.n,
+        n=init.u.size,
         T=T,
         termination=termination,
         series=dict(zip(SERIES_COLUMNS, columns)),

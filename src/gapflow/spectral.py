@@ -12,10 +12,11 @@ L2 normalization convention (documented once, used everywhere):
 so every spectral norm in this module carries the factor 1/2, e.g.
 ||f||_L2^2 = sum_k f_k^2 / 2 for f = sum_k f_k sin(k*pi*x).
 
-Collocation grid: x_j = j/(n+1), j = 1..n (interior nodes only; the boundary
-value of a field lives in GridField.bv, and the model's boundary values
-theta1 and theta2 are fields of dispersive.ModelParams).  With n = k_max the
-type-I DST is a square invertible map and round-trips are exact to rounding.
+Collocation grid: x_j = j/(n+1), j = 1..n (interior nodes only).  A field
+on the grid is the array of its interior samples; its boundary trace is a
+model constant of dispersive.ModelParams (theta1 for the pressure, theta2
+for the gap, 0 for the velocity).  With n = k_max the type-I DST is a square
+invertible map and round-trips are exact to rounding.
 
 Array convention: the transforms, the refined-grid synthesis, dealias_apply
 and norm_Hk act along the last axis, so a (n_t + 1, k) array holds a whole
@@ -108,25 +109,6 @@ def gap_min(w: np.ndarray, trace: float):
 
 
 @dataclass(frozen=True)
-class GridField:
-    """Samples of a field at the interior nodes x_j = j/(n+1), plus its constant boundary value."""
-
-    values: np.ndarray
-    bv: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < 3:
-            raise ValueError("GridField needs a 1-d array with n >= 3 interior nodes")
-        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.bv)):
-            raise ValueError(f"GridField values and trace must be finite, got bv={self.bv}")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class PlateSpectrum:
     """Eigenvalues mu_k of -A and frequencies omega_k = sqrt(mu_k) for k = 1..k_max."""
 
@@ -146,6 +128,8 @@ class StateVW:
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
         if self.v.shape != self.w.shape or self.v.ndim != 1:
             raise ValueError("v and w must be 1-d mode vectors of equal length")
+        if not (np.isfinite(self.v).all() and np.isfinite(self.w).all()):
+            raise ValueError("v and w modes must be finite")
 
     @property
     def k_max(self) -> int:

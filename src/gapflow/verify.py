@@ -33,7 +33,7 @@ from . import reynolds as ry
 from . import spectral as sp
 from .dispersive import ModelParams
 from .reynolds import CoupledState, DriverConfig
-from .spectral import GridField, StateVW
+from .spectral import StateVW
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +194,17 @@ def _ball_pairs(streams, rows: int, k_max: int, r: float) -> np.ndarray:
     return modes.transpose(1, 0, 2)
 
 
-def _ball_blocks(cc: dp.ContractionConstants, w0: GridField, r: float | None, trials: int, seed: int):
-    """Yield trials pairs in the r-ball about w0 (r = cc.radius(r)), a block at a
-    time: (d, w) with d the _ball_pairs perturbation modes, shape (2, rows, k),
-    and w the gaps w0 + d on the 4k + 3-node grid, shape (2, rows, 4k + 3)."""
+def _ball_blocks(cc: dp.ContractionConstants, w0: np.ndarray, theta2: float, r: float | None, trials: int, seed: int):
+    """Yield trials pairs in the r-ball about the gap w0 (interior samples, trace
+    theta2; r = cc.radius(r)), a block at a time: (d, w) with d the _ball_pairs
+    perturbation modes, shape (2, rows, k), and w the gaps w0 + d on the
+    4k + 3-node grid, shape (2, rows, 4k + 3)."""
     r = cc.radius(r)
-    fine = 4 * w0.n + 3
-    base_fine = sp.inverse_sine_transform(sp.sine_transform(w0.values - w0.bv), fine) + w0.bv
+    fine = 4 * w0.size + 3
+    base_fine = sp.inverse_sine_transform(sp.sine_transform(w0 - theta2), fine) + theta2
     streams = _streams(seed, 2)
     for rows in sp.audit_blocks(trials):
-        d = _ball_pairs(streams, rows, w0.n, r)
+        d = _ball_pairs(streams, rows, w0.size, r)
         yield d, base_fine + sp.inverse_sine_transform(d, fine)
 
 
@@ -268,33 +269,34 @@ class InversePowerReport:
 
 def inverse_power_bounds_check(
     p: ModelParams,
-    w0: GridField,
+    w0: np.ndarray,
     r: float | None = None,
     trials: int = 1000,
     seed: int = 0,
 ) -> InversePowerReport:
     """Audit ||1/w^k||_H2 <= C1^k and the difference bounds of 1/w^2 and 1/w^3 on the r-ball.
 
-    Samples are w = w0 + (zero-trace perturbation) with perturbation H2 norm
-    at most r < kappa/(2C); inverse powers are expanded on a 4x refined grid
-    and measured in the lifted H2 metric (differences are zero-trace, so the
-    lifts cancel there).  C2 = 2 C1^3 bounds 1/w^2 differences and C3 = 3 C1^4
-    bounds 1/w^3 differences, as in the constant assembly of the estimates chain.
+    Samples are w = w0 + (zero-trace perturbation), w0 the centre's samples
+    (trace theta2 of p), with perturbation H2 norm at most r < kappa/(2C);
+    inverse powers are expanded on a 4x refined grid and measured in the
+    lifted H2 metric (differences are zero-trace, so the lifts cancel there).
+    C2 = 2 C1^3 bounds 1/w^2 differences and C3 = 3 C1^4 bounds 1/w^3
+    differences, as in the constant assembly of the estimates chain.
     """
     cc = dp.contraction_constants(p, w0)
 
     def inv_modes(w_fine, kpows):
-        return [sp.sine_transform(w_fine ** (-float(k)) - w0.bv ** (-float(k))) for k in kpows]
+        return [sp.sine_transform(w_fine ** (-float(k)) - p.theta2 ** (-float(k))) for k in kpows]
 
     worst_single = [0.0, 0.0, 0.0]
     worst_d1 = 0.0
     worst_d2 = 0.0
-    for (d1, d2), w_fine in _ball_blocks(cc, w0, r, trials, seed):
+    for (d1, d2), w_fine in _ball_blocks(cc, w0, p.theta2, r, trials, seed):
         sp.require_open_gap(np.concatenate(w_fine), "gap closed inside the sampling ball (r too large)")
         inv1 = inv_modes(w_fine[0], (1, 2, 3))
         inv2 = inv_modes(w_fine[1], (2, 3))
         for kpow in (1, 2, 3):
-            nrm = sp.norm_Hk(inv1[kpow - 1], 2, w0.bv ** (-float(kpow)))
+            nrm = sp.norm_Hk(inv1[kpow - 1], 2, p.theta2 ** (-float(kpow)))
             worst_single[kpow - 1] = max(worst_single[kpow - 1], _worst(nrm, cc.C1**kpow))
         den = sp.norm_Hk(d1 - d2, 2)
         worst_d1 = max(worst_d1, _worst(sp.norm_Hk(inv1[1] - inv2[0], 2), cc.C2 * den))
@@ -313,12 +315,13 @@ def inverse_power_bounds_check(
 
 def lipschitz_G_check(
     p: ModelParams,
-    w0: GridField,
+    w0: np.ndarray,
     r: float | None = None,
     trials: int = 1000,
     seed: int = 0,
 ) -> CheckResult:
-    """Audit ||G(w1) - G(w2)||_H2 <= L_G ||w1 - w2||_H2 on fresh pairs in the r-ball.
+    """Audit ||G(w1) - G(w2)||_H2 <= L_G ||w1 - w2||_H2 on fresh pairs in the r-ball
+    about the gap samples w0 (trace theta2 of p).
 
     L_G = beta_F C2 is the theory constant for the admissible ball; the
     measured quotients sit far below it (the chain is existence-grade, not
@@ -328,7 +331,7 @@ def lipschitz_G_check(
     cc = dp.contraction_constants(p, w0)
     L = cc.L_G
     worst = 0.0
-    for d, (w1, w2) in _ball_blocks(cc, w0, r, trials, seed):
+    for d, (w1, w2) in _ball_blocks(cc, w0, p.theta2, r, trials, seed):
         g_diff = dp._G_fine(w1, p) - dp._G_fine(w2, p)
         worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(g_diff), 2), sp.norm_Hk(d[0] - d[1], 2)))
     return CheckResult("lipschitz.G", worst <= L, worst, L, note=f"{trials} pairs")
@@ -336,7 +339,7 @@ def lipschitz_G_check(
 
 def lipschitz_F_check(
     p: ModelParams,
-    u0: GridField,
+    u0: np.ndarray,
     init: StateVW,
     trials: int = 1000,
     seed: int = 0,
@@ -344,18 +347,18 @@ def lipschitz_F_check(
     """Audit ||F(u1) - F(u2)||_L2 <= L_e ||u1 - u2||_H2 at frozen (v, w), the plate state init.
 
     L_e is the nonlinearity constant from the theory chain for the given data;
-    pressure samples are drawn in an H2 ball of radius 0.2 around u0 and
-    measured through the Reynolds stencil of eval_F.
+    pressure samples are drawn in an H2 ball of radius 0.2 around the samples
+    u0 (trace theta1 of p) and measured through the Reynolds stencil of eval_F.
     """
     ball = 0.2
     tc = dp.theory_constants(p, u0, init)
-    v_field, w_field = dp.plate_fields(init, p.theta2)  # theory_constants raised if this gap is closed
-    v, wp = v_field.values, ry._pad(w_field.values, p.theta2)
+    v, w = dp.plate_fields(init, p.theta2)  # theory_constants raised if this gap is closed
+    wp = ry._pad(w, p.theta2)
     streams = _streams(seed, 2)
     worst = 0.0
     for rows in sp.audit_blocks(trials):
-        m = _ball_pairs(streams, rows, u0.n, ball)
-        up1, up2 = ry._pad(u0.values + sp.inverse_sine_transform(m), u0.bv)
+        m = _ball_pairs(streams, rows, u0.size, ball)
+        up1, up2 = ry._pad(u0 + sp.inverse_sine_transform(m), p.theta1)
         dF = ry._reynolds_padded(up1, v, wp) - ry._reynolds_padded(up2, v, wp)
         ry._require_finite("F", dF)
         worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(dF), 0), sp.norm_Hk(m[0] - m[1], 2)))
@@ -512,7 +515,7 @@ def holder_F_quotients(setup: dp.PlateSetup, u_path: np.ndarray, q_modes: np.nda
     plate, _ = dp.picard_dispersive(setup, u_path, tol=_HOLDER_INNER_TOL)
     dW = frechet_W(setup, q_modes, plate, tol=_HOLDER_INNER_TOL)
     F_series = ry._F_path(u_path, plate, p)
-    pstar = ry.assemble_Pstar(GridField(values=u_path[0], bv=p.theta1), *dp.plate_fields(init_vw, p.theta2))
+    pstar = ry.assemble_Pstar(u_path[0], *dp.plate_fields(init_vw, p.theta2), p)
     Fp = frechet_F(u_path, q_modes, plate, dW, p)
     D_series = np.array([f - pstar @ q for f, q in zip(Fp, sp.inverse_sine_transform(q_modes))])
 
@@ -581,7 +584,7 @@ VERIFY_PARAMS = ModelParams(beta_F=1.0, beta_p=0.5, theta1=1.0, theta2=1.0, eps1
 
 def _smooth_init(n: int) -> CoupledState:
     x = sp.grid(n)
-    u = GridField(values=1.0 + 0.1 * np.sin(np.pi * x), bv=1.0)
+    u = 1.0 + 0.1 * np.sin(np.pi * x)
     w = np.zeros(n)
     w[0] = 0.05
     return CoupledState(u=u, vw=StateVW(v=np.zeros(n), w=w))
@@ -592,7 +595,7 @@ def _driver_observable(p: ModelParams, n: int, T: float, tol: float, n_t: int):
     rep = ry.run_coupled(p, _smooth_init(n), T, DriverConfig(n_t=n_t, tol=tol))
     if rep.termination != "converged":
         raise RuntimeError(f"convergence study run did not converge: {rep.termination}")
-    u_modes = sp.sine_transform(rep.final_state.u.values - p.theta1)
+    u_modes = sp.sine_transform(rep.final_state.u - p.theta1)
     return np.concatenate([u_modes[:8], rep.final_state.vw.w[:8]])
 
 
@@ -725,8 +728,7 @@ def _suite_benchmark(seed: int) -> list:
 
 def _suite_constants(seed: int) -> list:
     alg = algebra_property_check(trials=10_000, seed=seed)
-    w0 = GridField(values=np.full(32, 1.0), bv=1.0)
-    inv = inverse_power_bounds_check(VERIFY_PARAMS, w0, trials=1000, seed=seed + 1)
+    inv = inverse_power_bounds_check(VERIFY_PARAMS, np.full(32, 1.0), trials=1000, seed=seed + 1)
     worst = max(max(inv.worst_single), inv.worst_diff1, inv.worst_diff2)
     note = f"C1={inv.C1:.4g} C2={inv.C2:.4g} C3={inv.C3:.4g}"
     return [alg, CheckResult("constants.inverse_power", inv.passed, worst, 1.0, note=note)]
@@ -760,7 +762,7 @@ def _holder_path(seed, times: np.ndarray) -> np.ndarray:
 
 def _suite_lipschitz(seed: int) -> list:
     n = _HOLDER_N
-    flat = GridField(values=np.full(n, 1.0), bv=1.0)
+    flat = np.full(n, 1.0)
     init = StateVW(v=np.zeros(n), w=np.r_[0.05, np.zeros(n - 1)])
     results = [
         lipschitz_G_check(VERIFY_PARAMS, flat, trials=1000, seed=seed),
@@ -777,19 +779,19 @@ def _suite_lipschitz(seed: int) -> list:
 
 
 def _elliptic_operators(rng):
-    """Yield five coefficient pairs (u0, w0) of P* at n = 48, each of one or two
-    sine bumps with amplitudes drawn from rng (and v0's, unused, to keep the stream)."""
+    """Yield five coefficient pairs (u0, w0) of P* at n = 48 (traces 1), each of one or
+    two sine bumps with amplitudes drawn from rng (and v0's, unused, to keep the stream)."""
     x = sp.grid(48)
     for _ in range(5):
         u0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(2 * np.pi * x) * rng.uniform(-1, 1)
         w0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x) * rng.uniform(-1, 1)
         rng.uniform(-1, 1)  # v0
-        yield GridField(values=u0, bv=1.0), GridField(values=w0, bv=1.0)
+        yield u0, w0
 
 
 def _suite_elliptic(seed: int) -> list:
     reps = [
-        ry.elliptic_form_check(u0, w0, trials=10_000, seed=seed + 10 + trial)
+        ry.elliptic_form_check(u0, w0, VERIFY_PARAMS, trials=10_000, seed=seed + 10 + trial)
         for trial, (u0, w0) in enumerate(_elliptic_operators(np.random.default_rng(seed)))
     ]
     coercivity = CheckResult(
@@ -799,8 +801,8 @@ def _suite_elliptic(seed: int) -> list:
         0.0,
         note="5 triples x 10^4 trials; measured = worst slack (must stay >= bound)",
     )
-    flat = GridField(values=np.ones(16), bv=1.0)
-    return [coercivity, _sector_gate(ry.assemble_Pstar(flat, GridField(values=np.zeros(16), bv=0.0), flat))]
+    flat = np.ones(16)
+    return [coercivity, _sector_gate(ry.assemble_Pstar(flat, np.zeros(16), flat, VERIFY_PARAMS))]
 
 
 def _sector_gate(pstar: np.ndarray) -> CheckResult:

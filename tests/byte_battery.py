@@ -9,6 +9,8 @@ pinned to one thread, and writes OUT.json, a map from each output file to
 its SHA-256:
 
 - `gapflow simulate` on each config of DIR/configs (simulate/<config>/);
+- `gapflow simulate` on a copy of each config whose run.T is auto, the
+  horizon T0 of the theory constants (simulate/<config>_auto/);
 - `gapflow verify --suite all --seed S` for each seed S (verify/<S>/);
 - `gapflow sweep --jobs 2` on the n = 256 grid of
   DIR/perfbench/workloads.py's sweep_config_text (sweep/).
@@ -27,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -54,7 +57,15 @@ def run_commands(repo: Path, outdir: Path, seeds: list) -> None:
 
     sweep_config = outdir / "sweep.ini"
     sweep_config.write_text(sweep_config_text(SWEEP_N), encoding="utf-8")
-    commands = {f"simulate/{config.stem}": ["simulate", "--config", str(config)] for config in sorted((repo / "configs").glob("*.ini"))}
+    configs = sorted((repo / "configs").glob("*.ini"))
+    commands = {f"simulate/{config.stem}": ["simulate", "--config", str(config)] for config in configs}
+    for config in configs:
+        text, count = re.subn(r"(?m)^T\s*=.*$", "T = auto", config.read_text(encoding="utf-8"))
+        if count != 1:
+            raise ValueError(f"{config.name}: expected one run.T line, found {count}")
+        auto = outdir / f"{config.stem}_auto.ini"
+        auto.write_text(text, encoding="utf-8")
+        commands[f"simulate/{config.stem}_auto"] = ["simulate", "--config", str(auto)]
     commands.update({f"verify/{seed}": ["verify", "--suite", "all", "--seed", str(seed)] for seed in seeds})
     commands["sweep"] = ["sweep", "--config", str(sweep_config), "--jobs", str(SWEEP_JOBS)]
     for name, argv in commands.items():
@@ -62,7 +73,8 @@ def run_commands(repo: Path, outdir: Path, seeds: list) -> None:
         out.mkdir(parents=True)
         code = cli.main(argv + ["--out", str(out)])
         (out / "exit_code").write_text(f"{code}\n", encoding="utf-8")
-    sweep_config.unlink()
+    for config in outdir.glob("*.ini"):  # sweep.ini and the auto copies
+        config.unlink()
 
 
 def manifest(repo: Path, seeds: list) -> dict:

@@ -17,7 +17,7 @@ from gapflow import reynolds as ry
 from gapflow import spectral as sp
 from gapflow import verify as vf
 from gapflow.reynolds import CoupledState, DriverConfig
-from gapflow.spectral import GridField, StateVW
+from gapflow.spectral import StateVW
 
 
 def base_params(beta_F=1.0, beta_p=0.5, eps1=0.5):
@@ -26,7 +26,7 @@ def base_params(beta_F=1.0, beta_p=0.5, eps1=0.5):
 
 def smooth_init(n):
     x = sp.grid(n)
-    u = GridField(values=1.0 + 0.1 * np.sin(np.pi * x), bv=1.0)
+    u = 1.0 + 0.1 * np.sin(np.pi * x)
     w = np.zeros(n)
     w[0] = 0.05
     return CoupledState(u=u, vw=StateVW(v=np.zeros(n), w=w))
@@ -119,7 +119,7 @@ def test_c04_picard_contraction():
         amp = rng.uniform(0.05, 0.25) * theta1
         freq = rng.uniform(0.0, 5.0)
         up_fn = lambda x, t: theta1 + amp * np.sin(np.pi * x) * (0.5 + 0.5 * np.cos(freq * t))
-        u0 = GridField(values=up_fn(sp.grid(k), 0.0), bv=theta1)
+        u0 = up_fn(sp.grid(k), 0.0)
         g0h2 = dp.g0_norm_H2(p, w0, u0)
         T0 = min(
             d_o,
@@ -167,7 +167,7 @@ def test_c06_lower_bound_family():
     n = 128
     rng = np.random.default_rng(6)
     decay = np.arange(1, n + 1, dtype=float) ** -3.0
-    flat = GridField(values=np.full(n, 1.0), bv=1.0)
+    flat = np.full(n, 1.0)
     r = 0.9 * dp.contraction_constants(p, flat).r_max
     violations = 0
     margins = []
@@ -175,7 +175,7 @@ def test_c06_lower_bound_family():
         wm = rng.normal(size=n) * decay
         wm *= rng.uniform(0.3, 1.0) * r / sp.norm_Hk(wm, 2)
         init = CoupledState(
-            u=GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(n)), bv=1.0),
+            u=1.0 + 0.1 * np.sin(np.pi * sp.grid(n)),
             vw=StateVW(v=np.zeros(n), w=wm),
         )
         kappa = sp.gap_min(sp.refined_values(wm, 1.0), 1.0)
@@ -195,7 +195,7 @@ def test_c07_elliptic_estimate():
     violations = 0
     worst_slack = math.inf
     for trial, (u0, w0) in enumerate(vf._elliptic_operators(np.random.default_rng(7))):
-        rep = ry.elliptic_form_check(u0, w0, trials=10_000, seed=70 + trial)
+        rep = ry.elliptic_form_check(u0, w0, vf.VERIFY_PARAMS, trials=10_000, seed=70 + trial)
         worst_slack = min(worst_slack, rep.worst_slack)
         if not rep.passed:
             violations += 1
@@ -234,7 +234,7 @@ def test_c08_frechet_consistency():
     p2 = base_params(beta_F=2.0, beta_p=1.0)
     n = 32
     T2, Nt = 2e-3, 8
-    u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(n)), bv=1.0)
+    u0 = 1.0 + 0.1 * np.sin(np.pi * sp.grid(n))
     init2 = StateVW(v=np.zeros(n), w=np.r_[0.05, np.zeros(n - 1)])
     u_fix, _, plate = ry.gamma_iterate(p2, CoupledState(u=u0, vw=init2), T2, Nt, tol=1e-12)
     rng = np.random.default_rng(9)
@@ -246,7 +246,7 @@ def test_c08_frechet_consistency():
 
     def F_at(pp, plate_path, i):
         vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
-        return ry.eval_F(GridField(pp[i], p2.theta1), vg, wg).values
+        return ry.eval_F(pp[i], vg, wg, p2)
 
     base = F_at(u_fix, plate, Nt)
     errs_F = []
@@ -273,7 +273,7 @@ def test_c09_continuation_cocycle():
     half = ry.run_coupled(p, init, T / 2, DriverConfig(n_t=64, tol=tol, chunk_init=T / 2, chunk_cap=T / 2))
     joined = ry.continue_run(half, T / 2)
     gap = max(
-        np.abs(full.final_state.u.values - joined.final_state.u.values).max(),
+        np.abs(full.final_state.u - joined.final_state.u).max(),
         np.abs(full.final_state.vw.w - joined.final_state.vw.w).max(),
         np.abs(full.final_state.vw.v - joined.final_state.vw.v).max(),
     )
@@ -286,7 +286,7 @@ def test_c10_quench_dichotomy():
     p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
     n = 64
     init = CoupledState(
-        u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n))
+        u=np.full(n, 1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n))
     )
     rep = ry.run_coupled(p, init, 1.0, DriverConfig(n_t=32, tol=1e-8))
     quenched = rep.termination == "quench" and rep.series["min_w"][-1] <= 1e-3 * p.theta2
@@ -310,7 +310,7 @@ def test_c11_calibrated_constant_audits():
     alg = vf.algebra_property_check(trials=10_000, seed=11)
     results["algebra"] = alg.passed
 
-    flat = GridField(values=np.full(n, 1.0), bv=1.0)
+    flat = np.full(n, 1.0)
     inv = vf.inverse_power_bounds_check(p, flat, trials=1000, seed=12)
     results["inverse_power"] = inv.passed
 
@@ -318,7 +318,7 @@ def test_c11_calibrated_constant_audits():
     results["lipschitz_G"] = lg.passed
 
     w0m = np.r_[0.05, np.zeros(n - 1)]
-    u0 = GridField(values=np.full(n, 1.0), bv=1.0)
+    u0 = np.full(n, 1.0)
     lf = vf.lipschitz_F_check(p, u0, StateVW(v=np.zeros(n), w=w0m), trials=1000, seed=14)
     results["lipschitz_F"] = lf.passed
 

@@ -409,7 +409,7 @@ class TestSimulateAndExport:
         cli.cmd_simulate(cfg, out=str(tmp_path), quiet=True)
         lines = (tmp_path / "snapshots.csv").read_text().splitlines()
         assert lines[0] == "t,field,index,value"
-        u0 = cfg.initial_state().u.values
+        u0 = cfg.initial_state().u
         block = [l.split(",") for l in lines[1:] if l.split(",")[1] == "u" and float(l.split(",")[0]) == 0.0]
         assert len(block) == cfg.n
         for i, row in enumerate(block):
@@ -439,7 +439,7 @@ class TestSimulateAndExport:
         init = cfg.initial_state()
         snap = record.snapshots[0]
         assert snap["t"] == 0.0
-        assert np.array_equal(np.array(snap["u"]), init.u.values)
+        assert np.array_equal(np.array(snap["u"]), init.u)
         assert np.array_equal(np.array(snap["v"]), init.vw.v)
         assert np.array_equal(np.array(snap["w"]), init.vw.w)
 
@@ -580,11 +580,7 @@ class TestVerify:
         assert sector.passed and sector.measured <= sector.bound == pytest.approx(math.sqrt(2.0))
         strict_json((tmp_path / "verify_elliptic.json").read_text())
         n = 16
-        op = ry.assemble_Pstar(
-            cli.GridField(values=np.ones(n), bv=1.0),
-            cli.GridField(values=np.zeros(n), bv=0.0),
-            cli.GridField(values=np.ones(n), bv=1.0),
-        )
+        op = ry.assemble_Pstar(np.ones(n), np.zeros(n), np.ones(n), vf.VERIFY_PARAMS)
         op[np.arange(n - 1), np.arange(1, n)] += 0.5 * (n + 1) ** 2  # non-normal
         skewed = vf._sector_gate(op)
         assert not skewed.passed and skewed.measured > 1.9

@@ -2,7 +2,8 @@
 must be named somewhere in src/, tests/ or perfbench/ besides its own
 definition, and no module keeps an __all__ list.  Also guards where code
 lives: only spectral decides that the gap closed, only verify constructs a
-CheckResult, and the model modules hold only what a run reaches."""
+CheckResult, the model modules hold only what a run reaches, and only
+ModelParams (and the config it is built from) holds a boundary trace."""
 
 import ast
 from pathlib import Path
@@ -385,3 +386,34 @@ def test_the_field_guard_does_not_count_a_copy_as_a_read():
     assert _unread_fields(texts) == ["reynolds._Probe.probe_field"]
     texts[ROOT / "tests" / "test_probe.py"] = copy + "\n\ndef _read(x):\n    return x.probe_field + 1.0\n"
     assert _unread_fields(texts) == []
+
+
+# The dataclasses that may declare a boundary trace: the model's record, and
+# the config whose [params] keys it is built from.
+_TRACE_HOLDERS = {("dispersive", "ModelParams"), ("cli", "RunConfig")}
+
+
+def _trace_fields(texts: dict) -> list:
+    """(module, class, field) of each dataclass field of texts ({module: source
+    text}) named theta1, theta2 or bv, outside _TRACE_HOLDERS."""
+    return [
+        (m, cls, name)
+        for m, text in texts.items()
+        for cls, name in _dataclass_fields(ast.parse(text))
+        if name in ("theta1", "theta2", "bv") and (m, cls) not in _TRACE_HOLDERS
+    ]
+
+
+def test_only_model_params_holds_a_boundary_trace():
+    """theta1 and theta2 have one source, dispersive.ModelParams: a field is
+    the array of its interior samples, and no other dataclass carries a
+    second copy of a trace that could disagree with the model's."""
+    held = _trace_fields(_package_texts())
+    assert not held, "dataclass fields that hold a boundary trace: " + ", ".join(map(".".join, held))
+
+
+def test_the_trace_guard_sees_a_planted_field():
+    texts = _package_texts()
+    texts["spectral"] += "\n\n@dataclass(frozen=True)\nclass _Samples:\n    values: np.ndarray\n    bv: float = 0.0\n"
+    texts["reynolds"] += "\n\n@dataclass\nclass _Run:\n    u: np.ndarray\n    theta1: float\n"
+    assert _trace_fields(texts) == [("reynolds", "_Run", "theta1"), ("spectral", "_Samples", "bv")]

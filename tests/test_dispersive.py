@@ -35,12 +35,13 @@ def constant_modes(c, k, pad=2):
         lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=1.0, theta2=1.0, eps1=x),
         lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=x, theta2=1.0, eps1=0.5),
         lambda x: dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=1.0, theta2=x, eps1=0.5),
-        lambda x: sp.GridField(np.ones(8), bv=x),
+        lambda x: sp.StateVW(v=np.r_[x, np.zeros(7)], w=np.zeros(8)),
+        lambda x: sp.StateVW(v=np.zeros(8), w=np.r_[np.zeros(7), x]),
         lambda x: dp.picard_dispersive(
             dp.plate_setup(base_params(), small_bump_state(8), [0.0, 0.1]), np.full((2, 8), x)
         ),
     ],
-    ids=["beta_F", "beta_p", "eps1", "theta1", "theta2", "GridField_bv", "pressure_sample"],
+    ids=["beta_F", "beta_p", "eps1", "theta1", "theta2", "StateVW_v", "StateVW_w", "pressure_sample"],
 )
 def test_model_data_must_be_finite(build, value):
     with pytest.raises(ValueError, match="finite"):
@@ -93,7 +94,7 @@ def test_G_modes_reports_the_first_closed_row_of_a_stack():
 def test_contraction_L_G_r_range_and_value():
     p = base_params(beta_F=3.0)
     k = 32
-    w0 = sp.GridField(values=np.ones(k), bv=1.0)  # w0 == 1, kappa = 1
+    w0 = np.ones(k)  # w0 == 1, kappa = 1
     cc = dp.contraction_constants(p, w0)
     with pytest.raises(ValueError):
         cc.radius(cc.r_max * 1.5)
@@ -145,7 +146,7 @@ def test_theory_T0_branch_structure():
     k = 32
     init = small_bump_state(k)
     w0 = dp.gap_field(init, 1.0)
-    u0 = sp.GridField(values=np.ones(k), bv=1.0)
+    u0 = np.ones(k)
     cc = dp.contraction_constants(p, w0)
     r = 0.9 * cc.r_max
     d_o = dp.delta_o_bound(init, sp.plate_eigenvalues(k), r)
@@ -185,7 +186,7 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     k = 64
     init = small_bump_state(k)
     w0 = dp.gap_field(init, 1.0)
-    u0 = sp.GridField(values=np.ones(k) + 0.2 * np.sin(np.pi * sp.grid(k)), bv=1.0)
+    u0 = np.ones(k) + 0.2 * np.sin(np.pi * sp.grid(k))
     cc = dp.contraction_constants(p, w0)
     T = 0.9 * dp.theory_constants(p, u0, init).T0
     times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k)
@@ -496,7 +497,7 @@ def test_empirical_lipschitz_W_bounds():
     p = base_params()
     k = 32
     init = small_bump_state(k)
-    u0 = sp.GridField(values=np.ones(k), bv=1.0)
+    u0 = np.ones(k)
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
     times, u1 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x), T, 16, k)
@@ -518,7 +519,7 @@ def test_holder_seminorm_constant_path_and_LU_bound():
     p = base_params()
     k = 32
     init = small_bump_state(k)
-    u0 = sp.GridField(values=np.ones(k), bv=1.0)
+    u0 = np.ones(k)
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
     times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k)

@@ -55,6 +55,11 @@ def interior_grid(n):
     return np.arange(1, n + 1) / (n + 1)
 
 
+def traces(th1, th2):
+    """A model whose boundary traces are theta1 = th1 and theta2 = th2."""
+    return dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=th1, theta2=th2, eps1=0.5)
+
+
 def reynolds_rhs(fields, x):
     """(1/w)(w^3 u u_x)_x - (v/w) u, with the product rule done by hand."""
     (u, ux, uxx), (w, wx, _), (v, _, _) = (sine_field(theta, amps, x) for theta, amps in fields)
@@ -73,7 +78,7 @@ def test_eval_F_is_the_reynolds_equation_to_second_order(fields):
     for n in NS:
         x = interior_grid(n)
         u, w, v = (sine_field(theta, amps, x)[0] for theta, amps in fields)
-        got = ry.eval_F(sp.GridField(u, th1), sp.GridField(v, 0.0), sp.GridField(w, th2)).values
+        got = ry.eval_F(u, v, w, traces(th1, th2))
         want = reynolds_rhs(fields, x)
         errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
     orders = observed_orders(errors, [1.0 / (n + 1) for n in NS])
@@ -131,7 +136,7 @@ def test_Pstar_is_the_linearized_reynolds_equation_to_second_order(fields, psi_a
     for n in NS:
         x = interior_grid(n)
         u, w, v = (sine_field(theta, amps, x)[0] for theta, amps in fields)
-        pstar = ry.assemble_Pstar(sp.GridField(u, th1), sp.GridField(v, 0.0), sp.GridField(w, th2))
+        pstar = ry.assemble_Pstar(u, v, w, traces(th1, th2))
         got = pstar @ sine_field(0.0, psi_amps, x)[0]
         want = pstar_rhs(fields, psi_amps, x)
         errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
@@ -144,7 +149,7 @@ def test_mass_balance_flux_is_the_boundary_flux_to_second_order(fields):
     # on the ends w = theta2 and u = theta1, so [w^3 u u_x]_0^1 is
     # theta2^3 theta1 (u_x(1) - u_x(0)); u_x at the ends from the closed form
     (th1, u_amps), (th2, w_amps), (_, v_amps) = fields
-    p = dp.ModelParams(beta_F=1.0, beta_p=1.0, theta1=th1, theta2=th2, eps1=0.5)
+    p = traces(th1, th2)
     ends = np.array([0.0, 1.0])
     ux0, ux1 = sine_field(th1, u_amps, ends)[1]
     want = th2**3 * th1 * (ux1 - ux0)
@@ -153,7 +158,7 @@ def test_mass_balance_flux_is_the_boundary_flux_to_second_order(fields):
         x = interior_grid(n)
         modes = [np.array([[amps.get(m, 0.0) for m in range(1, n + 1)]]) for amps in (v_amps, w_amps)]
         u = sine_field(th1, u_amps, x)[0][None, :]
-        traj = ry.Trajectory(t=np.zeros(1), u=u, v=modes[0], w=modes[1], theta1=th1)
+        traj = ry.Trajectory(t=np.zeros(1), u=u, v=modes[0], w=modes[1])
         _, _, flux = ry.mass_balance_terms(traj, p)
         errors.append(abs(flux[0] - want) / abs(want))
     orders = observed_orders(errors, [1.0 / (n + 1) for n in NS])

@@ -23,7 +23,7 @@ from gapflow.reynolds import (
     DriverConfig,
     GammaDivergence,
 )
-from gapflow.spectral import GridField, QuenchSignal, StateVW
+from gapflow.spectral import QuenchSignal, StateVW
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,15 +40,11 @@ def bump_state(k, amp=0.05):
 
 def bump_pressure(n, amp=0.1):
     x = sp.grid(n)
-    return GridField(values=1.0 + amp * np.sin(np.pi * x), bv=1.0)
+    return 1.0 + amp * np.sin(np.pi * x)
 
 
 def heat_op(n):
-    return ry.assemble_Pstar(
-        GridField(values=np.ones(n), bv=1.0),
-        GridField(values=np.zeros(n), bv=0.0),
-        GridField(values=np.ones(n), bv=1.0),
-    )
+    return ry.assemble_Pstar(np.ones(n), np.zeros(n), np.ones(n), base_params())
 
 
 def smooth_coupled_init(n):
@@ -64,10 +60,9 @@ def trajectory_of(states):
     """The Trajectory whose rows are the given coupled states."""
     return ry.Trajectory(
         t=np.array([s.t for s in states]),
-        u=np.array([s.u.values for s in states]),
+        u=np.array([s.u for s in states]),
         v=np.array([s.vw.v for s in states]),
         w=np.array([s.vw.w for s in states]),
-        theta1=states[0].u.bv,
     )
 
 
@@ -107,7 +102,7 @@ def _equilibrium_state(p: ModelParams, k_max: int) -> CoupledState:
     else:
         raise RuntimeError(f"equilibrium iteration stalled at residual {res_norm:.3e}")
     th1 = p.theta1
-    u = GridField(values=np.full(k_max, th1), bv=th1)
+    u = np.full(k_max, th1)
     return CoupledState(u=u, vw=StateVW(v=np.zeros(k_max), w=w), t=0.0)
 
 
@@ -119,29 +114,36 @@ def _equilibrium_state(p: ModelParams, k_max: int) -> CoupledState:
 class TestEvalF:
     def test_zero_at_lifted_constants(self):
         n = 23
-        u = GridField(values=np.full(n, 1.0), bv=1.0)
-        v = GridField(values=np.zeros(n), bv=0.0)
-        w = GridField(values=1.0 + 0.3 * np.sin(np.pi * sp.grid(n)), bv=1.0)
-        F = ry.eval_F(u, v, w)
-        assert np.abs(F.values).max() == 0.0
-        assert F.bv == 0.0
+        u = np.full(n, 1.0)
+        v = np.zeros(n)
+        w = 1.0 + 0.3 * np.sin(np.pi * sp.grid(n))
+        F = ry.eval_F(u, v, w, base_params())
+        assert np.abs(F).max() == 0.0
 
     def test_velocity_term_only(self):
         n = 17
-        u = GridField(values=np.full(n, 1.0), bv=1.0)
-        v = GridField(values=np.ones(n), bv=0.0)
-        w = GridField(values=np.full(n, 2.0), bv=2.0)
-        F = ry.eval_F(u, v, w)
-        assert np.allclose(F.values, -0.5, rtol=0, atol=1e-15)
+        u = np.full(n, 1.0)
+        v = np.ones(n)
+        w = np.full(n, 2.0)
+        F = ry.eval_F(u, v, w, ModelParams(beta_F=1.0, beta_p=0.5, theta1=1.0, theta2=2.0, eps1=0.5))
+        assert np.allclose(F, -0.5, rtol=0, atol=1e-15)
 
     def test_quench_raises(self):
         n = 9
-        u = GridField(values=np.full(n, 1.0), bv=1.0)
-        v = GridField(values=np.zeros(n), bv=0.0)
+        u = np.full(n, 1.0)
+        v = np.zeros(n)
         w_vals = np.full(n, 0.5)
         w_vals[4] = 0.0
         with pytest.raises(QuenchSignal):
-            ry.eval_F(u, v, GridField(values=w_vals, bv=0.5))
+            ry.eval_F(u, v, w_vals, ModelParams(beta_F=1.0, beta_p=0.5, theta1=1.0, theta2=0.5, eps1=0.5))
+
+    @pytest.mark.parametrize("field", ["u", "v", "w"])
+    def test_a_nan_sample_raises(self, field):
+        n = 9
+        samples = {"u": np.full(n, 1.0), "v": np.zeros(n), "w": np.full(n, 1.0)}
+        samples[field][4] = np.nan
+        with pytest.raises(ValueError, match="F values must be finite"):
+            ry.eval_F(samples["u"], samples["v"], samples["w"], base_params())
 
     def test_F_path_is_row_wise_eval_F(self):
         p = base_params()
@@ -154,7 +156,7 @@ class TestEvalF:
         F = ry._F_path(u_path, plate, p)
         for u, v, w, row in zip(u_path, plate.v, plate.w, F):
             v_grid, w_grid = dp.plate_fields(StateVW(v, w), 1.0)
-            assert np.array_equal(row, ry.eval_F(GridField(values=u, bv=1.0), v_grid, w_grid).values)
+            assert np.array_equal(row, ry.eval_F(u, v_grid, w_grid, p))
         # one node with a closed gap quenches the whole path
         plate.w[5] = sp.sine_transform(np.full(n, -2.0))
         with pytest.raises(QuenchSignal):
@@ -165,11 +167,11 @@ class TestEvalF:
         n = k = 48
         w0m = np.concatenate([[0.05], np.zeros(k - 1)])
         init = StateVW(v=np.zeros(k), w=w0m)
-        u0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        u0 = np.full(n, 1.0)
         tc = dp.theory_constants(p, u0, init)
         w0 = dp.gap_field(init, 1.0)
         rng = np.random.default_rng(11)
-        v_field = GridField(values=np.zeros(n), bv=0.0)
+        v_field = np.zeros(n)
         decay = np.arange(1, k + 1, dtype=float) ** -3
         worst = 0.0
         for _ in range(200):
@@ -177,9 +179,9 @@ class TestEvalF:
             m2 = rng.normal(size=k) * decay
             m1 *= 0.2 / max(1e-12, sp.norm_Hk(m1, 2))
             m2 *= 0.2 / max(1e-12, sp.norm_Hk(m2, 2))
-            u1 = GridField(values=1.0 + sp.inverse_sine_transform(m1), bv=1.0)
-            u2 = GridField(values=1.0 + sp.inverse_sine_transform(m2), bv=1.0)
-            dF = ry.eval_F(u1, v_field, w0).values - ry.eval_F(u2, v_field, w0).values
+            u1 = 1.0 + sp.inverse_sine_transform(m1)
+            u2 = 1.0 + sp.inverse_sine_transform(m2)
+            dF = ry.eval_F(u1, v_field, w0, p) - ry.eval_F(u2, v_field, w0, p)
             num = sp.norm_Hk(sp.sine_transform(dF), 0)
             worst = max(worst, num / sp.norm_Hk(m1 - m2, 2))
         assert 0.0 < worst <= tc.L_e
@@ -193,10 +195,10 @@ class TestEvalF:
 class TestAssemblePstar:
     def test_constant_coefficients_is_laplacian(self):
         n = 40
-        u = GridField(values=np.ones(n), bv=1.0)
-        v = GridField(values=np.zeros(n), bv=0.0)
-        w = GridField(values=np.ones(n), bv=1.0)
-        op = ry.assemble_Pstar(u, v, w)
+        u = np.ones(n)
+        v = np.zeros(n)
+        w = np.ones(n)
+        op = ry.assemble_Pstar(u, v, w, base_params())
         h = 1.0 / (n + 1)
         lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / h**2
         assert np.allclose(op, lap, rtol=1e-13, atol=0.0)
@@ -207,25 +209,23 @@ class TestAssemblePstar:
     def test_eigenvalue_order_h2(self):
         errs = []
         for n in (32, 64):
-            u = GridField(values=np.ones(n), bv=1.0)
-            op = ry.assemble_Pstar(
-                u, GridField(values=np.zeros(n), bv=0.0), GridField(values=np.ones(n), bv=1.0)
-            )
+            u = np.ones(n)
+            op = ry.assemble_Pstar(u, np.zeros(n), np.ones(n), base_params())
             lam1 = np.max(np.linalg.eigvalsh(op))
             errs.append(abs(lam1 + math.pi**2))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_positivity_violations(self):
         n = 8
-        good_u = GridField(values=np.ones(n), bv=1.0)
-        v = GridField(values=np.zeros(n), bv=0.0)
-        good_w = GridField(values=np.ones(n), bv=1.0)
+        good_u = np.ones(n)
+        v = np.zeros(n)
+        good_w = np.ones(n)
         bad = np.ones(n)
         bad[3] = -0.1
         with pytest.raises(ValueError):
-            ry.assemble_Pstar(GridField(values=bad, bv=1.0), v, good_w)
+            ry.assemble_Pstar(bad, v, good_w, base_params())
         with pytest.raises(ValueError):
-            ry.assemble_Pstar(good_u, v, GridField(values=bad, bv=1.0))
+            ry.assemble_Pstar(good_u, v, bad, base_params())
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +342,7 @@ class TestPropagator:
         u[6:] = 3.0
         w = np.ones(n)
         w[6:] = 0.1
-        op = ry.assemble_Pstar(
-            GridField(values=u, bv=1.0), GridField(values=np.zeros(n), bv=0.0), GridField(values=w, bv=1.0)
-        )
+        op = ry.assemble_Pstar(u, np.zeros(n), w, base_params())
         sub, sup = np.diag(op, -1), np.diag(op, 1)
         assert np.any(sub * sup <= 0.0)
         calls = count_expm(monkeypatch)
@@ -382,14 +380,14 @@ class TestPropagator:
 
 
 def unit_fields(n):
-    """(u0, w0) = (1, 1) with traces 1: the coefficients of the constant-coefficient P*."""
-    return GridField(values=np.ones(n), bv=1.0), GridField(values=np.ones(n), bv=1.0)
+    """(u0, w0) = (1, 1), with the traces 1 of base_params(): the coefficients of the constant-coefficient P*."""
+    return np.ones(n), np.ones(n)
 
 
 class TestEllipticForm:
     def test_constant_coefficient_form_is_gradient_norm(self):
         n = 31
-        A = ry._principal_matrix(*unit_fields(n))
+        A = ry._principal_matrix(*unit_fields(n), base_params())
         h = 1.0 / (n + 1)
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -399,7 +397,7 @@ class TestEllipticForm:
             assert abs(lhs - dq2) <= 1e-12 * dq2
 
     def test_formula_constants_and_pass(self):
-        rep = ry.elliptic_form_check(*unit_fields(31), trials=500, seed=1)
+        rep = ry.elliptic_form_check(*unit_fields(31), base_params(), trials=500, seed=1)
         assert rep.passed
         assert rep.K == 0.5  # eps1 = kappa = 1
         assert rep.K_o == pytest.approx(rep.K2**2 / 2.0)
@@ -412,32 +410,36 @@ class TestEllipticForm:
             uo = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(2 * np.pi * x) * rng.uniform(-1, 1)
             wo = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x) * rng.uniform(-1, 1)
             rng.uniform(-1, 1)  # the amplitude of the triple's v0, which the check does not read
-            rep = ry.elliptic_form_check(
-                GridField(values=uo, bv=1.0), GridField(values=wo, bv=1.0), trials=2000, seed=100 + trial
-            )
+            rep = ry.elliptic_form_check(uo, wo, base_params(), trials=2000, seed=100 + trial)
             assert rep.passed, f"triple {trial}: worst slack {rep.worst_slack}"
 
     def test_invalid_coefficients_raise_as_in_the_assembly(self):
         # the check validates u0 and w0 where the assembly does (ry._faces):
         # each bad pair raises the same ValueError from both
         n = 8
+        p = base_params()
         u, w = unit_fields(n)
-        v = GridField(values=np.zeros(n), bv=0.0)
         bad = np.ones(n)
         bad[3] = -0.1
+        nan = np.ones(n)
+        nan[3] = np.nan
         cases = [
-            (u, GridField(values=np.ones(n + 1), bv=1.0), "must share the grid"),
-            (GridField(values=bad, bv=1.0), w, "u0 must be strictly positive"),
-            (GridField(values=np.ones(n), bv=0.0), w, "u0 must be strictly positive"),
-            (u, GridField(values=bad, bv=1.0), "w0 must be strictly positive"),
+            (u, np.ones(n + 1), "must share the grid"),
+            (np.ones((2, n)), np.ones((2, n)), "must share the grid"),
+            (bad, w, "u0 must be strictly positive"),
+            (u, bad, "w0 must be strictly positive"),
+            (nan, w, "must be finite"),
+            (u, nan, "must be finite"),
         ]
         for u0, w0, message in cases:
             with pytest.raises(ValueError, match=message):
-                ry.elliptic_form_check(u0, w0, trials=10)
+                ry.elliptic_form_check(u0, w0, p, trials=10)
             with pytest.raises(ValueError, match=message):
-                ry.assemble_Pstar(u0, GridField(values=np.zeros(w0.n), bv=0.0), w0)
+                ry.assemble_Pstar(u0, np.zeros(w0.shape), w0, p)
         with pytest.raises(ValueError, match="must share the grid"):
-            ry.assemble_Pstar(u, GridField(values=np.zeros(n + 1), bv=0.0), w)
+            ry.assemble_Pstar(u, np.zeros(n + 1), w, p)
+        with pytest.raises(ValueError, match="must be finite"):
+            ry.assemble_Pstar(u, np.r_[np.zeros(3), np.nan, np.zeros(n - 4)], w, p)
 
     @pytest.mark.parametrize("trials", [300, 100])
     def test_blocked_check_matches_the_per_sample_loop(self, trials):
@@ -445,11 +447,10 @@ class TestEllipticForm:
         rng_op = np.random.default_rng(3)
         n = 48
         x = sp.grid(n)
-        uo = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1)
-        wo = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x)
-        u0, w0 = GridField(values=uo, bv=1.0), GridField(values=wo, bv=1.0)
-        rep = ry.elliptic_form_check(u0, w0, trials=trials, seed=5)
-        A = ry._principal_matrix(u0, w0)
+        u0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1)
+        w0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x)
+        rep = ry.elliptic_form_check(u0, w0, base_params(), trials=trials, seed=5)
+        A = ry._principal_matrix(u0, w0, base_params())
         h = 1.0 / (n + 1)
         rng = np.random.default_rng(5)
         worst = np.inf
@@ -469,14 +470,15 @@ class TestEllipticForm:
     def test_one_violating_row_fails_the_check(self, monkeypatch):
         n = 31
         u0, w0 = unit_fields(n)
-        assert ry.elliptic_form_check(u0, w0, trials=300, seed=1).passed
+        p = base_params()
+        assert ry.elliptic_form_check(u0, w0, p, trials=300, seed=1).passed
         # a principal part that vanishes on one direction: rows of q along it
         # violate the form, and a single such row in a block must fail it
-        A = ry._principal_matrix(u0, w0)
+        A = ry._principal_matrix(u0, w0, p)
         e = np.zeros(n)
         e[n // 2] = 1.0
-        monkeypatch.setattr(ry, "_principal_matrix", lambda _u0, _w0: A - np.outer(A @ e, e))
-        assert ry.elliptic_form_check(u0, w0, trials=300, seed=1).passed  # random q barely see it
+        monkeypatch.setattr(ry, "_principal_matrix", lambda _u0, _w0, _p: A - np.outer(A @ e, e))
+        assert ry.elliptic_form_check(u0, w0, p, trials=300, seed=1).passed  # random q barely see it
         real_rng = np.random.default_rng
 
         class OneRowAlong:
@@ -489,7 +491,7 @@ class TestEllipticForm:
                 return q
 
         monkeypatch.setattr(ry.np.random, "default_rng", OneRowAlong)
-        rep = ry.elliptic_form_check(u0, w0, trials=300, seed=1)
+        rep = ry.elliptic_form_check(u0, w0, p, trials=300, seed=1)
         assert not rep.passed and rep.worst_slack < 0
 
 
@@ -500,11 +502,7 @@ class TestEllipticForm:
 
 class TestSectorAndGraphNorm:
     def _const_op(self, n=24):
-        return ry.assemble_Pstar(
-            GridField(values=np.ones(n), bv=1.0),
-            GridField(values=np.zeros(n), bv=0.0),
-            GridField(values=np.ones(n), bv=1.0),
-        )
+        return heat_op(n)
 
     def test_constant_coefficient_resolvent_constant(self):
         op = self._const_op()
@@ -605,9 +603,7 @@ class TestLinearParabolicSolve:
         if route == "expm":  # the sign-changing off-diagonals of TestPropagator
             u[n // 2 :] = 3.0
             w[n // 2 :] = 0.1
-        op = ry.assemble_Pstar(
-            GridField(values=u, bv=1.0), GridField(values=np.zeros(n), bv=0.0), GridField(values=w, bv=1.0)
-        )
+        op = ry.assemble_Pstar(u, np.zeros(n), w, base_params())
         assert (ry._symmetrized_eigen(op) is None) == (route == "expm")
         rng = np.random.default_rng(5)
         F = rng.normal(size=(Nt + 1, n))
@@ -638,7 +634,7 @@ class TestGammaIterate:
         eq = _equilibrium_state(p, k)
         u_fix, rep, _ = ry.gamma_iterate(p, eq, 1e-3, 12, tol=1e-10)
         assert rep.iterations == 1
-        assert np.abs(u_fix - eq.u.values).max() == 0.0
+        assert np.abs(u_fix - eq.u).max() == 0.0
 
     def test_initial_sample_is_datum_bitwise(self):
         p = base_params()
@@ -646,7 +642,7 @@ class TestGammaIterate:
         T, n_t = 5e-3, 16
         u0 = bump_pressure(n, amp=0.07)
         u_fix, rep, plate = ry.gamma_iterate(p, CoupledState(u=u0, vw=bump_state(k)), T, n_t, tol=1e-10)
-        assert np.array_equal(u_fix[0], u0.values)
+        assert np.array_equal(u_fix[0], u0)
         assert u_fix.shape == (n_t + 1, n)
         assert plate.times.tobytes() == np.linspace(0.0, T, n_t + 1).tobytes()
 
@@ -780,7 +776,7 @@ class TestGammaIterate:
         p = base_params(beta_F=4.0, beta_p=2.0, eps1=0.2)
         k = n = 32
         x = sp.grid(n)
-        u0 = GridField(values=1.0 + 0.3 * np.sin(np.pi * x), bv=1.0)
+        u0 = 1.0 + 0.3 * np.sin(np.pi * x)
         init = CoupledState(u=u0, vw=StateVW(v=np.zeros(k), w=np.concatenate([[-0.2], np.zeros(k - 1)])))
         with pytest.raises(GammaDivergence) as exc:
             ry.gamma_iterate(p, init, 0.5, 16, tol=1e-30, max_iter=4)
@@ -809,7 +805,7 @@ class TestGammaIterate:
     def test_quench_data_propagates_signal(self):
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
         k = n = 32
-        u0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        u0 = np.full(n, 1.0)
         init = CoupledState(u=u0, vw=StateVW(v=np.zeros(k), w=np.zeros(k)))
         with pytest.raises((QuenchSignal, PicardDivergence)):
             ry.gamma_iterate(p, init, 0.3, 16, tol=1e-9)
@@ -850,7 +846,7 @@ class TestFrechetF:
         w[3] = sp.sine_transform(np.full(n, -1.5))
         w[5] = sp.sine_transform(np.full(n, -3.0))
         plate = dp.VWPath(times, np.zeros_like(w), w)
-        u_path = np.tile(bump_pressure(n).values, (n_t + 1, 1))
+        u_path = np.tile(bump_pressure(n), (n_t + 1, 1))
         zero = (np.zeros_like(w), np.zeros_like(w))
         with pytest.raises(QuenchSignal, match="assembling the F derivative") as exc:
             vf.frechet_F(u_path, np.zeros_like(w), plate, zero, p)
@@ -868,7 +864,7 @@ class TestFrechetF:
         dW = vf.frechet_W(dp.plate_setup(p, bump_state(n), plate.times), q, plate, tol=1e-13)
         out = vf.frechet_F(u_fix, q, plate, dW, p)
         v0, w0 = dp.plate_fields(StateVW(plate.v[0], plate.w[0]), 1.0)
-        op = ry.assemble_Pstar(GridField(u_fix[0], p.theta1), v0, w0)
+        op = ry.assemble_Pstar(u_fix[0], v0, w0, p)
         ref = op @ sp.inverse_sine_transform(qm)
         assert np.abs(out[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -886,7 +882,7 @@ class TestFrechetF:
 
         def F_at(path, plate_path, i):
             vg, wg = dp.plate_fields(StateVW(plate_path.v[i], plate_path.w[i]), 1.0)
-            return ry.eval_F(GridField(path[i], p.theta1), vg, wg).values
+            return ry.eval_F(path[i], vg, wg, p)
 
         base = F_at(u_fix, plate, Nt)
         errs = []
@@ -926,7 +922,7 @@ class TestHolderF:
         n = 24
         T, Nt = 5e-3, 8
         u0 = bump_pressure(n)
-        times, path = dp.uniform_pressure_path(lambda x, t: u0.values, T, Nt, n)
+        times, path = dp.uniform_pressure_path(lambda x, t: u0, T, Nt, n)
         rep = vf.holder_F_quotients(dp.plate_setup(p, bump_state(n), times), path, np.zeros((Nt + 1, n)))
         # [u]_alpha = 0: shape A reduces to L_U; q == 0: measured_B = 0 and shape B = 0
         u_modes = sp.sine_transform(path - p.theta1)
@@ -1006,7 +1002,7 @@ class TestMolOracle:
     def test_mol_rhs_equilibrium_nearly_zero(self):
         p = base_params()
         eq = _equilibrium_state(p, 32)
-        du, dv, dw = stacked_rhs(eq.u.values, eq.vw.v, eq.vw.w, p)
+        du, dv, dw = stacked_rhs(eq.u, eq.vw.v, eq.vw.w, p)
         assert np.abs(du).max() == 0.0
         assert np.abs(dv).max() <= 1e-11
         assert np.abs(dw).max() == 0.0
@@ -1025,7 +1021,7 @@ class TestMolOracle:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_mol_rhs_matches_the_grid_field_recipe(self, n):
-        # the matrix right-hand side against eval_F on GridFields, the DST
+        # the matrix right-hand side against eval_F on the grid samples, the DST
         # gap forcing and the DST pressure coupling, within 1e-13 of the sup norm
         p = ModelParams(beta_F=2.0, beta_p=0.7, theta1=1.1, theta2=0.9, eps1=0.5)
         th1, th2 = p.theta1, p.theta2
@@ -1037,7 +1033,7 @@ class TestMolOracle:
             v = rng.normal(size=n) * decay
             w = 0.1 * rng.normal(size=n) * decay
             v_grid, w_grid = dp.plate_fields(StateVW(v, w), th2)
-            want_du = ry.eval_F(GridField(values=u, bv=th1), v_grid, w_grid).values
+            want_du = ry.eval_F(u, v_grid, w_grid, p)
             want_dv = -spec.mu * w + (dp._G_modes(w, p) + p.beta_p * sp.sine_transform(u - th1))
             du, dv, dw = stacked_rhs(u, v, w, p)
             assert np.max(np.abs(du - want_du)) <= 1e-13 * np.max(np.abs(want_du))
@@ -1110,7 +1106,7 @@ class TestMolOracle:
         u = p.theta1 + 0.2 * np.sin(np.pi * sp.grid(n)) + 0.01 * rng.normal(size=n)
         v = 0.1 * rng.normal(size=n) * decay
         w = 0.05 * rng.normal(size=n) * decay
-        init = CoupledState(u=GridField(values=u, bv=p.theta1), vw=StateVW(v=v, w=w))
+        init = CoupledState(u=u, vw=StateVW(v=v, w=w))
         steps = 4
         T = steps * 0.25 / float(sp.plate_eigenvalues(n).omega[-1])
         traj = ry.integrate_reference(p, init, T, T / steps, store_every=1)
@@ -1136,7 +1132,7 @@ class TestMolOracle:
         # at the same step, with the same trajectory
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
         n = 24
-        init = CoupledState(u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n)))
+        init = CoupledState(u=np.full(n, 1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n)))
         dt = 0.5 / float(sp.plate_eigenvalues(n).omega[-1])
 
         def touchdown():
@@ -1152,19 +1148,20 @@ class TestMolOracle:
         assert np.array_equal(matrix.trajectory.t, dst.trajectory.t)
         assert np.array_equal(matrix.trajectory.u[-1], dst.trajectory.u[-1])
 
-    def test_oracle_builds_grid_fields_only_for_stored_samples(self, monkeypatch):
-        # regression guard on the lean right-hand side: no per-stage GridField,
-        # and the stored samples are rows of one Trajectory, not GridFields
+    def test_oracle_builds_no_plate_state_per_stage(self, monkeypatch):
+        # regression guard on the lean right-hand side: no per-stage StateVW
+        # (each one checks its modes), and the stored samples are rows of one
+        # Trajectory, not states
         p = base_params()
         init = smooth_coupled_init(16)
         built = []
-        post_init = GridField.__post_init__
+        post_init = StateVW.__post_init__
 
         def counting(self):
             built.append(1)
             post_init(self)
 
-        monkeypatch.setattr(GridField, "__post_init__", counting)
+        monkeypatch.setattr(StateVW, "__post_init__", counting)
         traj = ry.integrate_reference(p, init, 2e-4, 2e-5, store_every=3)
         assert traj.t.size == 5  # steps 3, 6, 9 and the last, plus the initial state
         assert not built
@@ -1178,7 +1175,7 @@ class TestMolOracle:
         w[0] = -0.99
         v = np.zeros(n)
         v[0] = -1e3
-        init = CoupledState(u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=v, w=w))
+        init = CoupledState(u=np.full(n, 1.0), vw=StateVW(v=v, w=w))
         dt = 0.25 / float(sp.plate_eigenvalues(n).omega[-1])
         with pytest.raises(QuenchSignal):  # the full budget resolves the touchdown
             ry.integrate_reference(p, init, 1e-3, dt, quench_eps=1e-3)
@@ -1203,7 +1200,7 @@ class TestMolOracle:
         v0 = rng.normal(size=k) * decay
         w0 = rng.normal(size=k) * decay
         init = CoupledState(
-            u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=v0.copy(), w=w0.copy())
+            u=np.full(n, 1.0), vw=StateVW(v=v0.copy(), w=w0.copy())
         )
         T = 0.01
         errs = []
@@ -1261,7 +1258,7 @@ class TestMolOracle:
         # and its callers' frames, stored run included, until a cyclic collection
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
         n = 16
-        init = CoupledState(u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n)))
+        init = CoupledState(u=np.full(n, 1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n)))
         dt = 0.5 / float(sp.plate_eigenvalues(n).omega[-1])
         gc.collect()
         gc.disable()
@@ -1325,7 +1322,7 @@ class TestRunCoupled:
         assert rep.T_used == pytest.approx(T, rel=1e-12)
         spec = sp.plate_eigenvalues(k)
         traj = ry.integrate_reference(p, init, T, 0.4 / float(spec.omega[-1]), store_every=10**9)
-        du = rep.final_state.u.values - traj.u[-1]
+        du = rep.final_state.u - traj.u[-1]
         gap = sp.norm_Hk(sp.sine_transform(du), 1)
         scale = sp.norm_Hk(sp.sine_transform(traj.u[-1] - 1.0), 1)
         h = 1.0 / (n + 1)
@@ -1352,7 +1349,7 @@ class TestRunCoupled:
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
         n = k = 32
         init = CoupledState(
-            u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(k), w=np.zeros(k))
+            u=np.full(n, 1.0), vw=StateVW(v=np.zeros(k), w=np.zeros(k))
         )
         rep = ry.run_coupled(p, init, 2.0, DriverConfig(n_t=16, tol=1e-7))
         assert rep.termination == "quench"
@@ -1381,12 +1378,35 @@ class TestRunCoupled:
         with pytest.raises(ValueError, match="k_max == n"):
             ry.integrate_reference(p, init, 0.01, 1e-7)
 
+    @pytest.mark.parametrize(
+        "u, k_max, message",
+        [
+            (np.ones((2, 16)), 16, "1-d array of n >= 3"),
+            (np.ones(2), 2, "1-d array of n >= 3"),
+            (np.ones(16), 24, "k_max == n"),
+            (np.r_[np.ones(8), np.nan, np.ones(7)], 16, "u values must be finite"),
+        ],
+        ids=["2-d", "n=2", "k_max!=n", "nan"],
+    )
+    @pytest.mark.parametrize("entry", ["run_coupled", "gamma_iterate", "integrate_reference"])
+    def test_entry_points_refuse_a_malformed_pressure(self, entry, u, k_max, message):
+        # the coupled-state contract (ry._require_coupled) guards each entry point
+        p = base_params()
+        init = CoupledState(u=u, vw=bump_state(k_max))
+        run = {
+            "run_coupled": lambda: ry.run_coupled(p, init, 0.01),
+            "gamma_iterate": lambda: ry.gamma_iterate(p, init, 1e-3, 4),
+            "integrate_reference": lambda: ry.integrate_reference(p, init, 1e-3, 1e-7),
+        }[entry]
+        with pytest.raises(ValueError, match=message):
+            run()
+
     def test_pressure_floor_stop_has_its_own_termination(self):
         # u0 dips to 0.9 below the floor eps1 = 0.95: the first sample of the
         # first chunk ends the run with "pressure_floor" and says why
         p = base_params(eps1=0.95)
         n = 16
-        u0 = GridField(values=1.0 - 0.1 * np.sin(np.pi * sp.grid(n)), bv=1.0)
+        u0 = 1.0 - 0.1 * np.sin(np.pi * sp.grid(n))
         rep = ry.run_coupled(p, CoupledState(u=u0, vw=bump_state(n)), 0.01, DriverConfig(n_t=8, tol=1e-8))
         assert rep.termination == "pressure_floor"
         assert rep.note.startswith("pressure positivity floor eps1=0.95 violated")
@@ -1415,7 +1435,7 @@ class TestRunCoupled:
 
         def prepared_chunk(p, state, T, n_t, tol, max_iter):
             times = np.linspace(0.0, T, n_t + 1)
-            u = np.tile(state.u.values, (n_t + 1, 1))
+            u = np.tile(state.u, (n_t + 1, 1))
             w = np.tile(state.vw.w, (n_t + 1, 1))
             for i, conditions in rows.items():
                 if "floor" in conditions:
@@ -1448,7 +1468,7 @@ class TestRunCoupled:
         w = np.zeros(k)
         w[0] = -0.9999
         init = CoupledState(
-            u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(k), w=w)
+            u=np.full(n, 1.0), vw=StateVW(v=np.zeros(k), w=w)
         )
         rep = ry.run_coupled(p, init, 0.01, DriverConfig(quench_eps=1e-3))
         assert rep.termination == "quench"
@@ -1526,7 +1546,7 @@ class TestContinueRun:
         half = ry.run_coupled(p, init, T / 2, DriverConfig(n_t=64, tol=tol, chunk_init=T / 2, chunk_cap=T / 2))
         joined = ry.continue_run(half, T / 2)
         gap = max(
-            np.abs(full.final_state.u.values - joined.final_state.u.values).max(),
+            np.abs(full.final_state.u - joined.final_state.u).max(),
             np.abs(full.final_state.vw.w - joined.final_state.vw.w).max(),
         )
         assert gap <= 10 * tol
@@ -1543,7 +1563,7 @@ class TestContinueRun:
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
         n = k = 32
         init = CoupledState(
-            u=GridField(values=np.full(n, 1.0), bv=1.0), vw=StateVW(v=np.zeros(k), w=np.zeros(k))
+            u=np.full(n, 1.0), vw=StateVW(v=np.zeros(k), w=np.zeros(k))
         )
         rep = ry.run_coupled(p, init, 2.0, DriverConfig(n_t=16, tol=1e-7))
         assert rep.termination == "quench"
@@ -1599,7 +1619,7 @@ class TestMassBalance:
         decay = np.arange(1, n + 1, dtype=float) ** -2
         traj = [
             CoupledState(
-                u=GridField(values=th1 + 0.1 * rng.normal(size=n), bv=th1),
+                u=th1 + 0.1 * rng.normal(size=n),
                 vw=StateVW(v=np.zeros(n), w=0.1 * rng.normal(size=n) * decay),
                 t=0.01 * i + 0.001 * rng.random(),
             )
@@ -1608,7 +1628,7 @@ class TestMassBalance:
         h = 1.0 / (n + 1)
         mass, flux = [], []
         for s in traj:
-            u = s.u.values
+            u = s.u
             mass.append(h * (th2 * th1 + float(((sp.inverse_sine_transform(s.vw.w) + th2) * u).sum())))
             ux0 = (-3.0 * th1 + 4.0 * u[0] - u[1]) / (2.0 * h)
             ux1 = (3.0 * th1 - 4.0 * u[-1] + u[-2]) / (2.0 * h)
@@ -1631,7 +1651,7 @@ class TestEquilibriumState:
         res = dp._G_modes(eq.vw.w, p) - spec.mu * eq.vw.w
         assert np.abs(res).max() <= 1e-11
         assert gap_min_fine(eq.vw.w, 1.0) > 0.5  # moderate forcing: plate well clear of touchdown
-        assert np.all(eq.u.values == 1.0)
+        assert np.all(eq.u == 1.0)
 
     def test_compat_proxy_zero_at_equilibrium(self):
         p = base_params()

@@ -790,13 +790,6 @@ def test_boundary_lift_validation():
             dp.ModelParams(beta_F=1.0, beta_p=0.5, theta1=theta1, theta2=theta2, eps1=0.5)
 
 
-def test_grid_field_validation():
-    with pytest.raises(ValueError):
-        sp.GridField(values=np.array([1.0, np.nan, 2.0]))
-    with pytest.raises(ValueError):
-        sp.GridField(values=np.array([1.0, 2.0]))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=3, max_value=200), st.integers(min_value=0, max_value=2**32 - 1))
 def test_round_trip_property(n, seed):

@@ -12,7 +12,7 @@ from gapflow import reynolds as ry
 from gapflow import spectral as sp
 from gapflow import verify as vf
 from gapflow.dispersive import ModelParams
-from gapflow.spectral import GridField, StateVW
+from gapflow.spectral import StateVW
 
 P = ModelParams(beta_F=1.0, beta_p=0.5, theta1=1.0, theta2=1.0, eps1=0.5)
 
@@ -168,7 +168,7 @@ class TestAlgebraCheck:
 class TestInversePowerCheck:
     def test_flat_base_passes(self):
         n = 24
-        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        w0 = np.full(n, 1.0)
         rep = vf.inverse_power_bounds_check(P, w0, trials=300, seed=0)
         assert rep.passed
         assert rep.C1 >= 1.0  # trivial anchor ||1/1||_H2 = 1 <= C1
@@ -179,7 +179,7 @@ class TestInversePowerCheck:
 
     def test_radius_validation(self):
         n = 16
-        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        w0 = np.full(n, 1.0)
         with pytest.raises(ValueError):
             vf.inverse_power_bounds_check(P, w0, r=1e9, trials=10)
 
@@ -193,7 +193,7 @@ class TestInversePowerCheck:
             return replace(cc, C2=1e-5 * cc.C2)
 
         monkeypatch.setattr(dp, "contraction_constants", shrunk)
-        w0 = GridField(values=np.full(32, 1.0), bv=1.0)
+        w0 = np.full(32, 1.0)
         rep = vf.inverse_power_bounds_check(vf.VERIFY_PARAMS, w0, trials=300, seed=0)
         assert rep.worst_diff1 > 1.0 and not rep.passed
 
@@ -223,7 +223,7 @@ class TestFrechetW:
 class TestLipschitzChecks:
     def test_G_bound_holds(self):
         n = 24
-        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        w0 = np.full(n, 1.0)
         rep = vf.lipschitz_G_check(P, w0, trials=300, seed=1)
         assert rep.passed
         assert 0.0 < rep.measured < rep.bound
@@ -233,7 +233,7 @@ class TestLipschitzChecks:
         n = 24
         w0m = np.zeros(n)
         w0m[0] = 0.05
-        u0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        u0 = np.full(n, 1.0)
         rep = vf.lipschitz_F_check(P, u0, StateVW(v=np.zeros(n), w=w0m), trials=300, seed=2)
         assert rep.passed
         assert 0.0 < rep.measured < rep.bound
@@ -355,24 +355,24 @@ def _ref_algebra(trials, k_max, seed, calibration_trials):
 def _ref_inverse_power(p, w0, trials, seed, pairs=None):
     cc = dp.contraction_constants(p, w0)
     r = cc.radius(None)
-    k_max = w0.n
+    k_max = w0.size
     xf = sp.grid(4 * k_max + 3)
-    base_modes = sp.sine_transform(w0.values - w0.bv)
-    base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
+    base_modes = sp.sine_transform(w0 - p.theta2)
+    base_fine = sp.eval_modes_on(base_modes, xf) + p.theta2
     pairs = _ref_ball_pairs(seed, trials, k_max, r) if pairs is None else pairs
 
     def inv_modes(wt_modes, kpow):
         w_fine = base_fine + sp.eval_modes_on(wt_modes, xf)
         if float(w_fine.min()) <= 0.0:
             raise RuntimeError("gap closed inside the sampling ball (r too large)")
-        return sp.sine_transform(w_fine ** (-float(kpow)) - w0.bv ** (-float(kpow)))
+        return sp.sine_transform(w_fine ** (-float(kpow)) - p.theta2 ** (-float(kpow)))
 
     worst_single = [0.0, 0.0, 0.0]
     worst_d1 = 0.0
     worst_d2 = 0.0
     for d1, d2 in pairs:
         for kpow in (1, 2, 3):
-            nrm = sp.norm_Hk(inv_modes(d1, kpow), 2, w0.bv ** (-float(kpow)))
+            nrm = sp.norm_Hk(inv_modes(d1, kpow), 2, p.theta2 ** (-float(kpow)))
             worst_single[kpow - 1] = max(worst_single[kpow - 1], nrm / cc.C1**kpow)
         den = sp.norm_Hk(d1 - d2, 2)
         if den > 0:
@@ -388,10 +388,10 @@ def _ref_lipschitz_G(p, w0, trials, seed):
     cc = dp.contraction_constants(p, w0)
     r = cc.radius(None)
     L = cc.L_G
-    k_max = w0.n
+    k_max = w0.size
     xf = sp.grid(4 * k_max + 3)
-    base_modes = sp.sine_transform(w0.values - w0.bv)
-    base_fine = sp.eval_modes_on(base_modes, xf) + w0.bv
+    base_modes = sp.sine_transform(w0 - p.theta2)
+    base_fine = sp.eval_modes_on(base_modes, xf) + p.theta2
     worst = 0.0
     for d1, d2 in _ref_ball_pairs(seed, trials, k_max, r):
         den = sp.norm_Hk(d1 - d2, 2)
@@ -410,10 +410,10 @@ def _ref_lipschitz_F(p, u0, init, trials, seed):
     tc = dp.theory_constants(p, u0, init)
     v_field, w_field = dp.plate_fields(init, p.theta2)
     worst = 0.0
-    for m1, m2 in _ref_ball_pairs(seed, trials, u0.n, ball):
-        u1 = GridField(values=u0.values + sp.inverse_sine_transform(m1), bv=u0.bv)
-        u2 = GridField(values=u0.values + sp.inverse_sine_transform(m2), bv=u0.bv)
-        dF = ry.eval_F(u1, v_field, w_field).values - ry.eval_F(u2, v_field, w_field).values
+    for m1, m2 in _ref_ball_pairs(seed, trials, u0.size, ball):
+        u1 = u0 + sp.inverse_sine_transform(m1)
+        u2 = u0 + sp.inverse_sine_transform(m2)
+        dF = ry.eval_F(u1, v_field, w_field, p) - ry.eval_F(u2, v_field, w_field, p)
         den = sp.norm_Hk(m1 - m2, 2)
         if den == 0.0:
             continue
@@ -471,7 +471,7 @@ class TestBatchedAuditsMatchPerSampleLoops:
     @pytest.mark.parametrize("trials", TRIALS)
     def test_lipschitz_F(self, trials):
         w0m, _ = _bump_w0(32)
-        u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(32)), bv=1.0)
+        u0 = 1.0 + 0.1 * np.sin(np.pi * sp.grid(32))
         init = StateVW(v=np.zeros(32), w=w0m)
         rep = vf.lipschitz_F_check(P, u0, init, trials=trials, seed=10)
         _assert_matches(rep, _ref_lipschitz_F(P, u0, init, trials, 10))
@@ -499,7 +499,7 @@ class TestBatchedAuditsMatchPerSampleLoops:
     def test_inverse_power_gap_closure_in_one_row_raises(self, monkeypatch, row, second):
         # the sample of one row of the second block closes the gap
         n = 16
-        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        w0 = np.full(n, 1.0)
         closing, blocks = self._plant_closing(monkeypatch, row, second, n)
         with pytest.raises(RuntimeError, match="gap closed inside the sampling ball"):
             vf.inverse_power_bounds_check(P, w0, trials=300, seed=0)
@@ -514,7 +514,7 @@ class TestBatchedAuditsMatchPerSampleLoops:
     def test_lipschitz_G_gap_closure_in_one_row_raises(self, monkeypatch, row, second):
         # the audit measures the model's G, which is undefined where the gap is closed
         n = 16
-        w0 = GridField(values=np.full(n, 1.0), bv=1.0)
+        w0 = np.full(n, 1.0)
         _, blocks = self._plant_closing(monkeypatch, row, second, n)
         with pytest.raises(sp.QuenchSignal, match="gap closed"):
             vf.lipschitz_G_check(vf.VERIFY_PARAMS, w0, trials=300, seed=0)
@@ -523,7 +523,7 @@ class TestBatchedAuditsMatchPerSampleLoops:
     @pytest.mark.filterwarnings("error")  # a skipped row must not be divided by its zero
     def test_pairs_with_zero_denominator_are_skipped(self, monkeypatch):
         w0m, w0 = _bump_w0(16)
-        u0 = GridField(values=np.full(16, 1.0), bv=1.0)
+        u0 = np.full(16, 1.0)
         monkeypatch.setattr(vf.np.random, "default_rng", lambda seed: _ConstantRng())
         assert vf.lipschitz_G_check(P, w0, trials=300).measured == 0.0
         rep = vf.lipschitz_F_check(P, u0, StateVW(v=np.zeros(16), w=w0m), trials=300)
@@ -534,7 +534,7 @@ class TestBatchedAuditsMatchPerSampleLoops:
 
 def _four_audit_reports():
     w0m, w0 = _bump_w0(32)
-    u0 = GridField(values=1.0 + 0.1 * np.sin(np.pi * sp.grid(32)), bv=1.0)
+    u0 = 1.0 + 0.1 * np.sin(np.pi * sp.grid(32))
     init = StateVW(v=np.zeros(32), w=w0m)
     return [
         vf.algebra_property_check(trials=300, k_max=32, seed=3, calibration_trials=100),

@@ -394,8 +394,8 @@ def _record_payload(record: RunRecord) -> dict:
         "quench_eps": float(rep.config.quench_eps),
         "u_cap": float(rep.config.u_cap),
         "note": rep.note,
-        "k_max": rep.k_max,
-        "n": rep.n,
+        "k_max": rep.trajectory.w.shape[1],
+        "n": rep.trajectory.u.shape[1],
         "n_t": rep.config.n_t,
         "tol": float(rep.config.tol),
         "compat_proxy": _json_float(rep.compat_proxy),

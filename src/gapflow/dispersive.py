@@ -228,6 +228,8 @@ class ContractionConstants:
 
 def contraction_constants(p: ModelParams, w0: np.ndarray) -> ContractionConstants:
     """The chain for the start gap samples w0 (trace theta2); kappa is its minimum over the closed interval."""
+    if w0.ndim != 1 or not np.isfinite(w0).all():
+        raise ValueError(f"w0 must be a 1-d array of finite gap samples (got shape {w0.shape})")
     require_open_gap(w0, "w0 must be strictly positive")
     kappa = gap_min(w0, p.theta2)
     C = embedding_C(w0.size)

@@ -12,8 +12,8 @@ This module owns the gas-film side of the model and the fully coupled run:
   point (each sweep solves the plate subproblem for the current pressure),
 * ``mol_rhs`` / ``integrate_reference`` -- the independent Runge-Kutta
   method-of-lines oracle on the same spatial discretization,
-* ``run_coupled`` / ``continue_run`` -- the adaptive chunked driver with
-  quench detection, and the restart machinery.
+* ``run_coupled`` -- the adaptive chunked driver with quench detection; a
+  run restarts from the final state of another (``final_state``).
 
 Geometry is the unit interval with interior nodes x_j = j/(n+1).  A field is
 the array of its interior samples, and its boundary trace is a constant of
@@ -95,23 +95,17 @@ class Trajectory:
         return CoupledState(u=self.u[i], vw=StateVW(v=self.v[i], w=self.w[i]), t=float(self.t[i]))
 
 
-def _join(parts: list) -> Trajectory:
-    """The rows of several trajectories in order; each part after the first
-    starts at the last row of the one before, so its first row is dropped."""
-    rows = [(p.t, p.u, p.v, p.w) if i == 0 else (p.t[1:], p.u[1:], p.v[1:], p.w[1:]) for i, p in enumerate(parts)]
-    return Trajectory(*(np.concatenate(col) for col in zip(*rows)))
-
-
 # The columns of RunReport.series, in the order the exporters write them.
 SERIES_COLUMNS = ("t", "min_w", "max_u", "mass_residual", "norm_X", "contraction_ratio")
 
 
 @dataclass
 class RunReport:
-    """Per-run record: parameters, discretization, termination, series.
+    """Per-run record: parameters, termination, series and trajectory.
 
     config is the DriverConfig the run used, with quench_eps and u_cap
-    resolved to numbers; the report keeps no copy of its settings.
+    resolved to numbers; the report keeps no copy of its settings, nor of
+    what its trajectory and termination fix (T_used, quench_time, n, k_max).
     series maps each name of SERIES_COLUMNS to one value per trajectory row;
     contraction_ratio is the chunk's PicardReport.banach_ratio, NaN at the
     initial row and on the Runge-Kutta tail.
@@ -119,20 +113,24 @@ class RunReport:
 
     params: ModelParams
     config: "DriverConfig"
-    k_max: int
-    n: int
-    T: float
+    T: float  # the requested horizon
     termination: str  # converged | quench | pressure_blowup | pressure_floor | budget | endgame_budget
     series: dict
-    T_used: float
     trajectory: Trajectory
     compat_proxy: float
-    quench_time: float | None = None
     note: str = ""
 
     @property
     def final_state(self) -> CoupledState:
         return self.trajectory.state(-1)
+
+    @property
+    def T_used(self) -> float:
+        return float(self.trajectory.t[-1]) - float(self.trajectory.t[0])
+
+    @property
+    def quench_time(self) -> float | None:
+        return float(self.trajectory.t[-1]) if self.termination == "quench" else None
 
 
 # Driver policy.  A chunk that contracts with ratio <= _GROW_BELOW grows
@@ -843,10 +841,9 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
     except QuenchSignal:  # the gap is closed at a grid node; the status check below reports the quench
         proxy = math.nan
     kappa0 = sp.gap_min(sp.refined_values(init.vw.w, th2), th2)
-    # the stored run: trajectory parts for _join, and the gap minimum and the
-    # contraction ratio of each row they add
-    parts = [Trajectory(np.array([init.t]), init.u[None], init.vw.v[None], init.vw.w[None])]
-    w_mins, ratios = [np.array([kappa0])], [np.full(1, np.nan)]
+    # the stored run: one block of rows (t, u, v, w, min_w, contraction_ratio)
+    # per pass, the initial row first; min_w is sp.gap_min on the refined grid
+    blocks = [(np.array([init.t]), init.u[None], init.vw.v[None], init.vw.w[None], np.array([kappa0]), np.full(1, np.nan))]
 
     # the initial state is checked for quench and blowup, not for the pressure floor
     termination = str(_status_of(init.u, kappa0, config.quench_eps, config.u_cap))
@@ -864,9 +861,8 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             termination, note = "budget", "chunk budget exhausted"
         elif this_chunk < _TAIL_FLOOR and this_chunk < _TAIL_FRACTION * remaining:
             termination, note, tail = _rk4_tail(p, state, remaining, config)
-            parts.append(tail)
-            w_mins.append(sp.gap_min(sp.refined_values(tail.w[1:], th2), th2))
-            ratios.append(np.full(tail.t.size - 1, np.nan))
+            w_min = sp.gap_min(sp.refined_values(tail.w[1:], th2), th2)
+            blocks.append((tail.t[1:], tail.u[1:], tail.v[1:], tail.w[1:], w_min, np.full(w_min.size, np.nan)))
         else:
             chunks_done += 1
             try:
@@ -883,11 +879,11 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
             status = np.where((status == "alive") & below_floor, "pressure_floor", status)
             dead = np.flatnonzero(status != "alive")
-            rows = dead[0] + 2 if dead.size else plate.times.size
-            parts.append(Trajectory(state.t + plate.times[:rows], u_new[:rows], plate.v[:rows], plate.w[:rows]))
-            w_mins.append(w_min[: rows - 1])
-            ratios.append(np.full(rows - 1, rep.banach_ratio))
-            state = parts[-1].state(-1)
+            cut = dead[0] + 1 if dead.size else u_rows.shape[0]
+            new = slice(1, cut + 1)  # the rows this chunk adds
+            ts = state.t + plate.times[new]
+            blocks.append((ts, u_new[new], plate.v[new], plate.w[new], w_min[:cut], np.full(cut, rep.banach_ratio)))
+            state = CoupledState(u=u_new[cut], vw=StateVW(v=plate.v[cut], w=plate.w[cut]), t=float(ts[-1]))
             # chunk growth reads the last ratio; the series records Banach's estimate
             ratio = rep.contraction_ratios[-1] if rep.contraction_ratios else 0.0
             if dead.size:
@@ -897,7 +893,11 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             elif ratio <= _GROW_BELOW:
                 chunk = min(1.5 * chunk, cap)
 
-    return _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, note)
+    t, u, v, w, w_min, ratios = (np.concatenate(column) for column in zip(*blocks))
+    tr = Trajectory(t, u, v, w)
+    norm_X = sp.norm_X(v, w, sp.plate_eigenvalues(init.vw.k_max))
+    series = (t, w_min, u.max(axis=-1), mass_balance_residual(tr, p), norm_X, ratios)
+    return RunReport(p, config, T, termination, dict(zip(SERIES_COLUMNS, series)), tr, proxy, note)
 
 
 def _rk4_tail(p, state, remaining, config):
@@ -912,68 +912,6 @@ def _rk4_tail(p, state, remaining, config):
     except EndgameBudgetSignal as sig:
         return "endgame_budget", str(sig), sig.trajectory
     return "converged", "tail integrated with the reference scheme", tail
-
-
-def _finalize_report(p, init, T, config, termination, parts, w_mins, ratios, proxy, note=""):
-    """The RunReport of a run stored as trajectory parts (see _join) and the
-    gap minimum (sp.gap_min on the refined grid) and the contraction ratio of each row they add."""
-    tr = _join(parts)
-    columns = (
-        tr.t,
-        np.concatenate(w_mins),
-        tr.u.max(axis=-1),
-        mass_balance_residual(tr, p),
-        sp.norm_X(tr.v, tr.w, sp.plate_eigenvalues(init.vw.k_max)),
-        np.concatenate(ratios),
-    )
-    t_final = float(tr.t[-1])
-    return RunReport(
-        params=p,
-        config=config,
-        k_max=init.vw.k_max,
-        n=init.u.size,
-        T=T,
-        termination=termination,
-        series=dict(zip(SERIES_COLUMNS, columns)),
-        T_used=t_final - init.t,
-        trajectory=tr,
-        compat_proxy=proxy,
-        quench_time=t_final if termination == "quench" else None,
-        note=note,
-    )
-
-
-def continue_run(report: RunReport, extra_T: float, config: DriverConfig | None = None) -> RunReport:
-    """Restart the driver from a converged run's final state for extra_T more time.
-
-    The concatenated trajectory must agree with a single longer run over the
-    overlap (restart re-assembles the linearization from data the two runs
-    share to within tol).  Refuses to continue past quench or blowup; zero
-    extra horizon is the identity.  Each part keeps the series values of its
-    own run, mass_residual included.
-    """
-    if report.termination != "converged":
-        raise ValueError(f"cannot continue a run that terminated with '{report.termination}'")
-    if extra_T < 0:
-        raise ValueError("extra_T must be nonnegative")
-    if extra_T == 0:
-        return replace(report)
-    first = report.config
-    status = _status_of(report.trajectory.u[-1], report.series["min_w"][-1], first.quench_eps, first.u_cap)
-    if status != "alive":
-        raise ValueError(f"cannot continue: final state is not alive ({status})")
-    second = run_coupled(report.params, report.final_state, extra_T, config if config is not None else first)
-    return replace(
-        report,
-        T=report.T + extra_T,
-        termination=second.termination,
-        series={c: np.concatenate((report.series[c], second.series[c][1:])) for c in SERIES_COLUMNS},
-        T_used=report.T_used + second.T_used,
-        trajectory=_join([report.trajectory, second.trajectory]),
-        quench_time=second.quench_time,
-        note=second.note or report.note,
-        config=second.config,
-    )
 
 
 # ---------------------------------------------------------------------------

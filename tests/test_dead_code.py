@@ -2,7 +2,8 @@
 must be named somewhere in src/, tests/ or perfbench/ besides its own
 definition, and no module keeps an __all__ list.  Also guards where code
 lives: only spectral decides that the gap closed, only verify constructs a
-CheckResult, the model modules hold only what a run reaches, and only
+CheckResult, the model modules hold only what a run reaches (or what a
+row of _NOT_RUN_CODE names, while it exists and no run reaches it), and only
 ModelParams (and the config it is built from) holds a boundary trace."""
 
 import ast
@@ -230,7 +231,6 @@ def test_only_verify_constructs_a_check_result():
 # Model-module functions that no run path reaches, each with why it stays
 # beside the run code.
 _NOT_RUN_CODE = {
-    "reynolds.continue_run": "restarts a finished run; acceptance criterion c09 checks its cocycle",
     "spectral.semigroup_apply": "the exact semigroup T(t) that the semigroup suite checks",
     "spectral._rotate": "the per-mode rotation of T(t) that semigroup_apply and the semigroup suite apply",
     "dispersive.uniform_pressure_path": "the builder of sampled pressure paths",
@@ -276,6 +276,28 @@ def test_the_run_code_guard_sees_a_verify_only_function():
     texts = sources()
     texts["reynolds"] += "\n\ndef _slack(pstar):\n    return sector_check(pstar).M_bound\n"
     assert _not_run_code(texts) == ["reynolds._slack"]
+
+
+def _stale_rows(texts: dict, rows) -> list:
+    """The rows (names "module.name") that name no module-level function of
+    the model modules in texts, or one that the run roots reach: rows that
+    no longer keep anything out of the run-code guard."""
+    run = reached(references(texts), _run_roots())
+    functions = {f"{m}.{node.name}" for m, text in texts.items() for node in ast.parse(text).body if isinstance(node, _DEFS)}
+    return sorted(row for row in rows if row not in functions or row in run)
+
+
+def test_every_not_run_code_row_names_unreached_code():
+    """Each row of _NOT_RUN_CODE names a function that exists and that no run
+    reaches; a row outlives its function when the function is deleted or
+    joins a run path."""
+    stale = _stale_rows(sources(), _NOT_RUN_CODE)
+    assert not stale, "stale _NOT_RUN_CODE rows: " + ", ".join(stale)
+
+
+def test_the_stale_row_guard_sees_planted_rows():
+    rows = dict(_NOT_RUN_CODE, **{"reynolds._restart": "deleted", "reynolds.run_coupled": "a run reaches it"})
+    assert _stale_rows(sources(), rows) == ["reynolds._restart", "reynolds.run_coupled"]
 
 
 def _dataclass_fields(tree) -> list:

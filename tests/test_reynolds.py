@@ -1513,11 +1513,13 @@ class TestRunCoupled:
 
 
 # ---------------------------------------------------------------------------
-# continuation
+# restart
 # ---------------------------------------------------------------------------
 
 
-class TestContinueRun:
+class TestRestart:
+    """A run restarted with run_coupled from another run's final state."""
+
     def test_cocycle_identical_chunking(self):
         p = base_params()
         n = k = 32
@@ -1526,11 +1528,14 @@ class TestContinueRun:
         cfg = DriverConfig(n_t=16, tol=1e-10, chunk_init=T / 2, chunk_cap=T / 2)
         full = ry.run_coupled(p, init, T, cfg)
         half = ry.run_coupled(p, init, T / 2, cfg)
-        joined = ry.continue_run(half, T / 2, cfg)
-        assert joined.termination == "converged"
-        assert joined.trajectory.t.size == full.trajectory.t.size
-        a, b = full.trajectory, joined.trajectory
-        worst = max(np.abs(a.u - b.u).max(), np.abs(a.w - b.w).max(), np.abs(a.v - b.v).max())
+        rest = ry.run_coupled(p, half.final_state, T / 2, cfg)
+        assert rest.termination == "converged"
+        # the restart's rows are the full run's rows from T/2 on
+        a, b = full.trajectory, rest.trajectory
+        after = half.trajectory.t.size - 1
+        assert a.t.size - after == b.t.size
+        assert np.abs(a.t[after:] - b.t).max() <= 1e-15
+        worst = max(np.abs(a.u[after:] - b.u).max(), np.abs(a.w[after:] - b.w).max(), np.abs(a.v[after:] - b.v).max())
         assert worst <= 10 * cfg.tol
 
     def test_cocycle_different_chunking(self):
@@ -1544,37 +1549,29 @@ class TestContinueRun:
         # the iteration budget at this resolution
         full = ry.run_coupled(p, init, T, DriverConfig(n_t=128, tol=tol, chunk_init=T, chunk_cap=T))
         half = ry.run_coupled(p, init, T / 2, DriverConfig(n_t=64, tol=tol, chunk_init=T / 2, chunk_cap=T / 2))
-        joined = ry.continue_run(half, T / 2)
+        rest = ry.run_coupled(p, half.final_state, T / 2, half.config)
         gap = max(
-            np.abs(full.final_state.u - joined.final_state.u).max(),
-            np.abs(full.final_state.vw.w - joined.final_state.vw.w).max(),
+            np.abs(full.final_state.u - rest.final_state.u).max(),
+            np.abs(full.final_state.vw.w - rest.final_state.vw.w).max(),
         )
         assert gap <= 10 * tol
 
-    def test_zero_extension_identity(self):
-        p = base_params()
-        rep = ry.run_coupled(p, smooth_coupled_init(24), 0.005, DriverConfig(n_t=8, tol=1e-8))
-        same = ry.continue_run(rep, 0.0)
-        assert same.T_used == rep.T_used
-        assert same.trajectory.t.size == rep.trajectory.t.size
-        assert same.termination == "converged"
-
-    def test_refuses_from_quench(self):
+    def test_a_run_from_a_later_start_keeps_absolute_times(self):
+        # a quenching run started at t0 = 5: its rows carry absolute times,
+        # T_used is their span and quench_time the absolute time of touchdown
         p = base_params(beta_F=25.0, beta_p=1.0, eps1=0.2)
-        n = k = 32
-        init = CoupledState(
-            u=np.full(n, 1.0), vw=StateVW(v=np.zeros(k), w=np.zeros(k))
-        )
-        rep = ry.run_coupled(p, init, 2.0, DriverConfig(n_t=16, tol=1e-7))
-        assert rep.termination == "quench"
-        with pytest.raises(ValueError, match="quench"):
-            ry.continue_run(rep, 0.1)
-
-    def test_negative_extension_rejected(self):
-        p = base_params()
-        rep = ry.run_coupled(p, smooth_coupled_init(16), 0.002, DriverConfig(n_t=4, tol=1e-7))
-        with pytest.raises(ValueError):
-            ry.continue_run(rep, -0.1)
+        n = 32
+        t0 = 5.0
+        flat = CoupledState(u=np.full(n, 1.0), vw=StateVW(v=np.zeros(n), w=np.zeros(n)))
+        cfg = DriverConfig(n_t=16, tol=1e-7)
+        late = ry.run_coupled(p, CoupledState(u=flat.u, vw=flat.vw, t=t0), 2.0, cfg)
+        early = ry.run_coupled(p, flat, 2.0, cfg)
+        assert late.termination == early.termination == "quench"
+        t = late.trajectory.t
+        assert t[0] == t0
+        assert late.T_used == t[-1] - t0
+        assert late.quench_time == t[-1] > t0
+        assert late.quench_time - t0 == pytest.approx(early.quench_time, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,13 @@ class TestInversePowerCheck:
         with pytest.raises(ValueError):
             vf.inverse_power_bounds_check(P, w0, r=1e9, trials=10)
 
+    @pytest.mark.parametrize("audit", [vf.inverse_power_bounds_check, vf.lipschitz_G_check], ids=["inverse_power", "lipschitz_G"])
+    @pytest.mark.parametrize("w0", [np.full((2, 16), 1.0), np.r_[np.full(15, 1.0), np.nan]], ids=["2-d", "nan"])
+    def test_a_malformed_centre_is_refused(self, audit, w0):
+        # dp.contraction_constants refuses it before any constant is formed
+        with pytest.raises(ValueError, match="w0 must be a 1-d array of finite gap samples"):
+            audit(P, w0, trials=10)
+
     def test_C2_bounds_the_difference_of_inverse_squares(self, monkeypatch):
         # C2 bounds 1/w^2 differences; a C2 shrunk 1e5-fold must fail them (it
         # still passed the 1/w differences measured against it before)

@@ -91,14 +91,6 @@ class VWPath:
         w_refined.setflags(write=False)
         return w_refined
 
-    @cached_property
-    def w_refined_min(self) -> np.ndarray:
-        """min of w_refined at each node, as an (n_t + 1, 1) column.
-        gap_min(w_refined_min + theta2, theta2) is each node's gap minimum: a
-        float shift is monotone, so adding theta2 after the minimum is bitwise
-        adding it before."""
-        return self.w_refined.min(axis=-1, keepdims=True)
-
 
 @dataclass
 class PicardReport:
@@ -117,13 +109,15 @@ class PicardDivergence(RuntimeError):
         self.report = report
 
 
-def gap_field(s: StateVW, theta2: float) -> np.ndarray:
-    """The gap theta2 + w~ of one plate state at the interior nodes of the n = k_max grid (trace theta2)."""
+def gap_field(s, theta2: float) -> np.ndarray:
+    """The gap theta2 + w~ at the interior nodes of the n = k_max grid (trace theta2),
+    of a plate state or path s: a StateVW, a VWPath or a Trajectory, whose w
+    modes run along the last axis (a row of samples per row of modes)."""
     return inverse_sine_transform(s.w) + theta2
 
 
-def plate_fields(s: StateVW, theta2: float) -> tuple:
-    """(v, w) samples of one plate state on the n = k_max grid, traces 0 and theta2; w is its gap_field."""
+def plate_fields(s, theta2: float) -> tuple:
+    """(v, w) samples of a plate state or path s on the n = k_max grid, traces 0 and theta2; w is its gap_field."""
     return inverse_sine_transform(s.v), gap_field(s, theta2)
 
 
@@ -466,7 +460,7 @@ def picard_dispersive(
         )
         raise PicardDivergence(message, PicardReport(len(diffs), ratios))
     drift = float(np.max(norm_Hk(path.w - init.w, 2)))  # sup_t ||w~(t) - w~0||_H2
-    min_w = float(gap_min(path.w_refined_min + p.theta2, p.theta2).min())
+    min_w = float(gap_min(path.w_refined + p.theta2, p.theta2).min())
     # Lower-bound preservation: inside the certified ball the gap cannot lose
     # more than C*r < kappa/2 in sup norm.
     r = cc.radius()

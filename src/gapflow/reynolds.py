@@ -39,7 +39,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from . import dispersive as dp
 from . import spectral as sp
-from .dispersive import ModelParams, PicardDivergence, PicardReport, VWPath
+from .dispersive import ModelParams, PicardDivergence, PicardReport
 from .spectral import QuenchSignal, StateVW
 
 
@@ -513,21 +513,6 @@ def linear_parabolic_solve(propagator: tuple, F_path: np.ndarray, u0_tilde: np.n
 # ---------------------------------------------------------------------------
 
 
-def _F_path(u_path: np.ndarray, plate: VWPath, p: ModelParams) -> np.ndarray:
-    """F(u; v, w) at every node of a pressure path and its plate path, shape (n_t + 1, n).
-
-    Each row is bitwise eval_F at its node; the first node whose gap is
-    closed raises the quench signal.
-    """
-    th2 = p.theta2
-    v_grid = sp.inverse_sine_transform(plate.v)
-    w_grid = sp.inverse_sine_transform(plate.w) + th2
-    sp.require_open_gap(w_grid, "gap closed while evaluating F")
-    F = _reynolds_padded(_pad(u_path, p.theta1), v_grid, _pad(w_grid, th2))
-    _require_finite("F", F)
-    return F
-
-
 # Margin over the rounding floor of the Gamma differences a recorded ratio uses
 _FLOOR_MARGIN = 1e3
 
@@ -586,7 +571,7 @@ def gamma_iterate(
 
     def sweep(current):
         nonlocal propagator
-        F = _F_path(current, solve_plate(current), p)
+        F = eval_F(current, *dp.plate_fields(solve_plate(current), th2), p)
         forcing = F - (current - th1) @ pstar.T
         if propagator is None:
             propagator = _propagator(pstar, T / n_t)
@@ -874,7 +859,7 @@ def run_coupled(p: ModelParams, init: CoupledState, T: float, config: DriverConf
             # quench and blowup take precedence over the pressure floor
             u_rows = u_new[1:]
             # the rows' gap minima, from the synthesis the plate solve's own check made
-            w_min = sp.gap_min(plate.w_refined_min[1:] + th2, th2)
+            w_min = sp.gap_min(plate.w_refined[1:] + th2, th2)
             status = _status_of(u_rows, w_min, config.quench_eps, config.u_cap)
             below_floor = u_rows.min(axis=-1) < p.eps1 * (1.0 - 1e-9)
             status = np.where((status == "alive") & below_floor, "pressure_floor", status)
@@ -937,7 +922,7 @@ def mass_balance_terms(trajectory: Trajectory, p: ModelParams) -> tuple:
     th1, th2 = p.theta1, p.theta2
     u = trajectory.u
     h = 1.0 / (u.shape[-1] + 1)
-    w_grid = sp.inverse_sine_transform(trajectory.w) + th2
+    w_grid = dp.gap_field(trajectory, th2)
     mass = h * (th2 * th1 + (w_grid * u).sum(axis=-1))  # trapezoid: half of each boundary value twice
     ux0 = (-3.0 * th1 + 4.0 * u[:, 0] - u[:, 1]) / (2.0 * h)
     ux1 = (3.0 * th1 - 4.0 * u[:, -1] + u[:, -2]) / (2.0 * h)

@@ -348,20 +348,18 @@ def lipschitz_F_check(
 
     L_e is the nonlinearity constant from the theory chain for the given data;
     pressure samples are drawn in an H2 ball of radius 0.2 around the samples
-    u0 (trace theta1 of p) and measured through the Reynolds stencil of eval_F.
+    u0 (trace theta1 of p) and measured by eval_F.
     """
     ball = 0.2
     tc = dp.theory_constants(p, u0, init)
     v, w = dp.plate_fields(init, p.theta2)  # theory_constants raised if this gap is closed
-    wp = ry._pad(w, p.theta2)
     streams = _streams(seed, 2)
     worst = 0.0
     for rows in sp.audit_blocks(trials):
         m = _ball_pairs(streams, rows, u0.size, ball)
-        up1, up2 = ry._pad(u0 + sp.inverse_sine_transform(m), p.theta1)
-        dF = ry._reynolds_padded(up1, v, wp) - ry._reynolds_padded(up2, v, wp)
-        ry._require_finite("F", dF)
-        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(dF), 0), sp.norm_Hk(m[0] - m[1], 2)))
+        u = u0 + sp.inverse_sine_transform(m)  # the pairs, shape (2, rows, n)
+        F = ry.eval_F(u, np.broadcast_to(v, u.shape), np.broadcast_to(w, u.shape), p)
+        worst = max(worst, _worst(sp.norm_Hk(sp.sine_transform(F[0] - F[1]), 0), sp.norm_Hk(m[0] - m[1], 2)))
     return CheckResult("lipschitz.F", worst <= tc.L_e, worst, tc.L_e, note=f"{trials} pairs")
 
 
@@ -456,8 +454,7 @@ def frechet_F(
     """
     vq_modes, wq_modes = dW
     h = 1.0 / (u_path.shape[1] + 1)
-    w_vals = sp.inverse_sine_transform(vw.w) + p.theta2
-    v_vals = sp.inverse_sine_transform(vw.v)
+    v_vals, w_vals = dp.plate_fields(vw, p.theta2)
     q_vals = sp.inverse_sine_transform(q_modes)
     wq_vals = sp.inverse_sine_transform(wq_modes)
     vq_vals = sp.inverse_sine_transform(vq_modes)
@@ -514,7 +511,7 @@ def holder_F_quotients(setup: dp.PlateSetup, u_path: np.ndarray, q_modes: np.nda
 
     plate, _ = dp.picard_dispersive(setup, u_path, tol=_HOLDER_INNER_TOL)
     dW = frechet_W(setup, q_modes, plate, tol=_HOLDER_INNER_TOL)
-    F_series = ry._F_path(u_path, plate, p)
+    F_series = ry.eval_F(u_path, *dp.plate_fields(plate, p.theta2), p)
     pstar = ry.assemble_Pstar(u_path[0], *dp.plate_fields(init_vw, p.theta2), p)
     Fp = frechet_F(u_path, q_modes, plate, dW, p)
     D_series = np.array([f - pstar @ q for f, q in zip(Fp, sp.inverse_sine_transform(q_modes))])

@@ -1,12 +1,13 @@
 """Byte-identity battery: the SHA-256 of every file the deterministic commands write.
 
-    python tests/byte_battery.py --manifest OUT.json [--seeds 0-39] [--repo DIR]
+    python tests/byte_battery.py --manifest OUT.json [--seeds 0-39] [--repo DIR | --rev REV]
     python tests/byte_battery.py --compare A.json B.json
 
 --manifest runs these commands with the gapflow of DIR/src (default: the
 checkout that holds this script), in one child process whose BLAS pools are
 pinned to one thread, and writes OUT.json, a map from each output file to
-its SHA-256:
+its SHA-256.  With --rev, DIR is a temporary export (git archive) of the
+revision REV of the checkout that holds this script.  The commands:
 
 - `gapflow simulate` on each config of DIR/configs (simulate/<config>/);
 - `gapflow simulate` on a copy of each config whose run.T is auto, the
@@ -21,17 +22,19 @@ shows as a changed file.  --seeds takes a range A-B, a comma list, or both
 
 --compare lists the files whose hashes differ or that only one manifest
 holds, and exits 1 if there are any.  A change that claims byte identity
-with its parent writes one manifest from a copy of the parent's tree
-(--repo) and one from its own, and compares the two.
+with its parent writes one manifest of the parent (--rev HEAD~1, say) and
+one of its own working tree, and compares the two.
 """
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -96,6 +99,13 @@ def manifest(repo: Path, seeds: list) -> dict:
         }
 
 
+def export(rev: str, dest: Path) -> None:
+    """Write the tree of the git revision rev of this script's checkout into dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def differences(a: dict, b: dict) -> list:
     """The files whose hashes differ, or that only one of the manifests holds."""
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
@@ -108,14 +118,19 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
     mode.add_argument("--run", help=argparse.SUPPRESS)  # the child: run the commands into this directory
     parser.add_argument("--seeds", default="0-39")
-    parser.add_argument("--repo", default=str(ROOT))
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--repo", default=str(ROOT))
+    source.add_argument("--rev", help="a git revision of this checkout, exported to a temporary directory")
     args = parser.parse_args(argv)
 
     if args.run:
         run_commands(Path(args.repo).resolve(), Path(args.run), parse_seeds(args.seeds))
         return 0
     if args.manifest:
-        hashes = manifest(Path(args.repo).resolve(), parse_seeds(args.seeds))
+        with tempfile.TemporaryDirectory() as tmp:
+            if args.rev:
+                export(args.rev, Path(tmp))
+            hashes = manifest(Path(tmp) if args.rev else Path(args.repo).resolve(), parse_seeds(args.seeds))
         Path(args.manifest).write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"{len(hashes)} files -> {args.manifest}")
         return 0

@@ -3,7 +3,7 @@ shared by the guards of test_oracle_guard.py and test_dead_code.py.
 
 A node is a module-level function or class, named "module.name".  A class
 refers to all that its body refers to, its methods included, so a property
-of a class (such as dispersive.VWPath.w_refined_min) reaches the functions
+of a class (such as dispersive.VWPath.w_refined) reaches the functions
 it calls.  The edges are read
 from the source text with the stdlib ast, so a test can edit the text and
 see what the edit reaches.

@@ -182,7 +182,7 @@ def test_c06_lower_bound_family():
         tc = dp.theory_constants(p, init.u, init.vw)
         T = min(tc.T0, 0.05)
         _, rep, plate = ry.gamma_iterate(p, init, T, 8, tol=1e-10)
-        min_w = float(plate.w_refined_min.min()) + p.theta2
+        min_w = float(plate.w_refined.min()) + p.theta2
         margins.append(min_w - kappa / 2.0)
         if min_w < kappa / 2.0:
             violations += 1

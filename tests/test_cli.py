@@ -526,18 +526,20 @@ class TestVerify:
         assert holder.measured <= 1.0
 
     def test_holder_audit_fails_on_a_roughened_F(self, monkeypatch):
-        real = ry._F_path
+        real = ry.eval_F
         calls = []
 
-        def rough(u_path, plate, p):
-            F = real(u_path, plate, p)
+        def rough(u, v, w, p):
+            F = real(u, v, w, p)
+            if u.ndim != 2:  # lipschitz_F_check's (2, rows, n) pairs, not a path of the Hoelder audit
+                return F
             calls.append(1)
             if len(calls) > vf._HOLDER_CALIBRATION_PATHS:  # the verification call
                 F = F.copy()
                 F[5] *= 2.0  # F jumps to twice its value at one time node
             return F
 
-        monkeypatch.setattr(ry, "_F_path", rough)
+        monkeypatch.setattr(ry, "eval_F", rough)
         holder = {r.name: r for r in vf._suite_lipschitz(0)}["lipschitz.holder_F"]
         assert len(calls) == vf._HOLDER_CALIBRATION_PATHS + 1
         assert not holder.passed and holder.measured > 1.0

@@ -1,10 +1,11 @@
 """Guard against dead code: every module-level def or class in src/gapflow
 must be named somewhere in src/, tests/ or perfbench/ besides its own
-definition, and no module keeps an __all__ list.  Also guards where code
-lives: only spectral decides that the gap closed, only verify constructs a
-CheckResult, the model modules hold only what a run reaches (or what a
-row of _NOT_RUN_CODE names, while it exists and no run reaches it), and only
-ModelParams (and the config it is built from) holds a boundary trace."""
+definition, no module keeps an __all__ list, and no module imports a name
+it does not use.  Also guards where code lives: only spectral decides that
+the gap closed, only verify constructs a CheckResult, the model modules
+hold only what a run reaches (or what a row of _NOT_RUN_CODE names, while
+it exists and no run reaches it), and only ModelParams (and the config it
+is built from) holds a boundary trace."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,52 @@ def test_every_module_level_definition_is_used():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, "defined but used nowhere: " + ", ".join(unused)
+
+
+def _unused_imports(texts: dict) -> list:
+    """"module: name" for each name that a module of texts ({module: source
+    text}) imports and never uses.  A use is a load of the bare name, in an
+    annotation too (a string annotation is parsed for its names); the
+    imports of __future__ bind nothing and are exempt."""
+    unused = []
+    for m, text in texts.items():
+        tree = ast.parse(text)
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        annotations = [
+            a
+            for node in ast.walk(tree)
+            for a in (getattr(node, "annotation", None), getattr(node, "returns", None))
+            if isinstance(a, ast.Constant) and isinstance(a.value, str)
+        ]
+        used = {
+            n.id
+            for root in [tree, *(ast.parse(a.value, mode="eval") for a in annotations)]
+            for n in ast.walk(root)
+            if isinstance(n, ast.Name)
+        }
+        unused += [f"{m}: {name}" for name in imported if name not in used]
+    return unused
+
+
+def test_no_package_module_imports_a_name_it_does_not_use():
+    unused = _unused_imports(_package_texts())
+    assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_the_import_guard_sees_a_planted_import():
+    texts = _package_texts()
+    texts["reynolds"] = texts["reynolds"].replace(
+        "from .dispersive import ModelParams,", "from .dispersive import VWPath, ModelParams,"
+    )
+    texts["verify"] = texts["verify"].replace("import math\n", "import math\nimport os.path\n")
+    texts["spectral"] += '\n\ndef _probe(s: "Sequence") -> "Iterator":\n    return iter(s)\n'
+    texts["spectral"] = texts["spectral"].replace("import threading\n", "import threading\nfrom typing import Iterator, Sequence\n")
+    assert _unused_imports(texts) == ["reynolds: VWPath", "verify: os"]
 
 
 def _export_lists(texts: dict) -> list:

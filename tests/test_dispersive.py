@@ -193,7 +193,7 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     path, rep = plate_solve(p, times, up, init)
     bound = T * 1.0 * cc.L_G
     assert all(rt <= bound * 1.05 for rt in rep.contraction_ratios)
-    assert float(sp.gap_min(path.w_refined_min + p.theta2, p.theta2).min()) >= cc.kappa / 2.0
+    assert float(sp.gap_min(path.w_refined + p.theta2, p.theta2).min()) >= cc.kappa / 2.0
     assert rep.iterations <= 40
 
 

@@ -9,11 +9,16 @@ Picard plate solve, the Gamma iteration or the pressure propagator.  From the
 two oracle functions, this follows every reference to a module-level function
 or class of spectral, dispersive and reynolds, through all that those
 reference in turn (the graph of model_graph.py).
+
+The stencil itself has two callers: F's one entry point, eval_F, and the
+oracle's mol_rhs.  The production route and verify.py evaluate F through
+eval_F, which checks the gap and finiteness.
 """
 
-from model_graph import reached, references, sources
+from model_graph import PACKAGE, named_by, reached, references, sources
 
 ORACLE = ("reynolds.mol_rhs", "reynolds.integrate_reference")
+STENCIL = "reynolds._reynolds_padded"
 SHARED = {"reynolds._reynolds_padded", "dispersive._G_fine", "spectral.sine_matrices", "spectral.plate_eigenvalues"}
 FORBIDDEN = (
     "spectral.duhamel_",
@@ -41,3 +46,26 @@ def test_the_guard_sees_an_oracle_that_marches_with_the_production_route():
     assert line in texts["reynolds"]
     texts["reynolds"] = texts["reynolds"].replace(line, line + "    sp.duhamel_sweep(None, None, None, None)\n")
     assert "spectral.duhamel_sweep" in _reached(texts)
+
+
+def _stencil_callers(texts: dict, verify: str) -> set:
+    """The model functions that reference the Reynolds stencil, and "verify"
+    if the source text of verify.py names it."""
+    callers = {name for name, refs in references(texts).items() if STENCIL in refs}
+    return callers | ({"verify"} if STENCIL in named_by(verify) else set())
+
+
+def test_F_has_one_entry_point_besides_the_oracle():
+    verify = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    assert _stencil_callers(sources(), verify) == {"reynolds.eval_F", "reynolds.mol_rhs"}
+
+
+def test_the_entry_point_guard_sees_a_planted_stencil_call():
+    texts = sources()
+    verify = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    line = "        F = eval_F(current, *dp.plate_fields(solve_plate(current), th2), p)\n"
+    assert line in texts["reynolds"]
+    texts["reynolds"] = texts["reynolds"].replace(line, line + "        _reynolds_padded(current, None, None)\n")
+    assert _stencil_callers(texts, verify) == {"reynolds.eval_F", "reynolds.mol_rhs", "reynolds.gamma_iterate"}
+    planted = verify + "\n\ndef _dF(up, v, wp):\n    return ry._reynolds_padded(up, v, wp)\n"
+    assert _stencil_callers(sources(), planted) == {"reynolds.eval_F", "reynolds.mol_rhs", "verify"}

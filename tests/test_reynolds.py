@@ -145,7 +145,7 @@ class TestEvalF:
         with pytest.raises(ValueError, match="F values must be finite"):
             ry.eval_F(samples["u"], samples["v"], samples["w"], base_params())
 
-    def test_F_path_is_row_wise_eval_F(self):
+    def test_eval_F_on_a_plate_path_is_row_wise(self):
         p = base_params()
         n, n_t = 16, 8
         rng = np.random.default_rng(3)
@@ -153,14 +153,37 @@ class TestEvalF:
         times = np.linspace(0.0, 0.01, n_t + 1)
         u_path = 1.0 + 0.1 * rng.normal(size=(n_t + 1, n))
         plate = dp.VWPath(times=times, v=rng.normal(size=(n_t + 1, n)) * decay, w=0.1 * rng.normal(size=(n_t + 1, n)) * decay)
-        F = ry._F_path(u_path, plate, p)
+        F = ry.eval_F(u_path, *dp.plate_fields(plate, 1.0), p)
         for u, v, w, row in zip(u_path, plate.v, plate.w, F):
             v_grid, w_grid = dp.plate_fields(StateVW(v, w), 1.0)
             assert np.array_equal(row, ry.eval_F(u, v_grid, w_grid, p))
         # one node with a closed gap quenches the whole path
         plate.w[5] = sp.sine_transform(np.full(n, -2.0))
         with pytest.raises(QuenchSignal):
-            ry._F_path(u_path, plate, p)
+            ry.eval_F(u_path, *dp.plate_fields(plate, 1.0), p)
+
+    def test_eval_F_on_a_stack_of_pairs_is_row_wise(self):
+        # the (2, rows, n) stack of verify.lipschitz_F_check: pairs of pressure
+        # rows at one plate state, its v and w broadcast to the stack
+        p = base_params()
+        n, rows = 12, 5
+        rng = np.random.default_rng(4)
+        u = 1.0 + 0.1 * rng.normal(size=(2, rows, n))
+        decay = np.arange(1, n + 1, dtype=float) ** -2
+        v, w = dp.plate_fields(StateVW(rng.normal(size=n) * decay, 0.1 * rng.normal(size=n) * decay), 1.0)
+        v, w = np.broadcast_to(v, u.shape), np.broadcast_to(w, u.shape)
+        F = ry.eval_F(u, v, w, p)
+        assert F.shape == u.shape
+        for i, j in np.ndindex(2, rows):
+            assert np.array_equal(F[i, j], ry.eval_F(u[i, j], v[i, j], w[i, j], p))
+        # a closed row quenches the stack with its own minimum: the first
+        # closed row in C order, not the deepest
+        w = w.copy()
+        w[0, 3, 4] = -0.25
+        w[1, 1, 7] = -0.5
+        with pytest.raises(QuenchSignal) as closed:
+            ry.eval_F(u, v, w, p)
+        assert closed.value.min_value == -0.25
 
     def test_lipschitz_in_u_below_theory_constant(self):
         p = base_params()

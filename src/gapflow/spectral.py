@@ -56,8 +56,9 @@ The DST is scipy.fftpack's: the same pocketfft kernel as scipy.fft's, with
 the same bytes, without the backend dispatch and array-API conversion that
 cost scipy.fft about 3 us more per call (3.3 against 6.0 us for one row of
 129 nodes).
-Every length of the shipped configs (n = 48 and 64 and their pad-2 and
-pad-4 grids) stays on the DST and keeps its bytes.
+The shipped configs' lengths (n = 48 and 64, their pad-2 and pad-4 grids)
+stay on the DST but one: 193 nodes, the pad-4 grid of n = 48 (FFT length
+388 = 4 * 97, 97 > 48), which dispersive.g0_norm_H2 reaches when T = auto.
 """
 
 from __future__ import annotations

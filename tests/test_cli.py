@@ -485,6 +485,27 @@ class TestVerify:
         assert "[PASS] benchmark.closed_form_gap" in out
         assert "suite benchmark: 2 checks, 0 failed" in out
 
+    def test_all_suites_run_their_15_checks_in_order_and_pass(self):
+        summary = cli.cmd_verify("all", seed=0, quiet=True)
+        assert [r.name for r in summary.results] == [
+            "semigroup.norm_conservation",
+            "semigroup.cocycle",
+            "benchmark.closed_form_gap",
+            "benchmark.regularity_exponent",
+            "constants.algebra",
+            "constants.inverse_power",
+            "lipschitz.G",
+            "lipschitz.F",
+            "lipschitz.holder_F",
+            "elliptic.coercivity",
+            "elliptic.sector",
+            "convergence.oracle_dt",
+            "convergence.driver_h",
+            "convergence.plate_k",
+            "convergence.gamma_tol",
+        ]
+        assert summary.passed and all(r.passed for r in summary.results)
+
     def test_semigroup_suite_passes(self, capsys):
         summary = cli.cmd_verify("semigroup")
         assert summary.passed

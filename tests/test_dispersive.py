@@ -91,11 +91,14 @@ def test_G_modes_reports_the_first_closed_row_of_a_stack():
     assert exc.value.min_value == pytest.approx(-0.1, abs=1e-12)
 
 
-def test_contraction_L_G_r_range_and_value():
-    p = base_params(beta_F=3.0)
-    k = 32
+@pytest.mark.parametrize("beta_F, k", [(3.0, 32), (1.0, 24)])
+def test_contraction_L_G_r_range_and_value(beta_F, k):
+    p = base_params(beta_F=beta_F)
     w0 = np.ones(k)  # w0 == 1, kappa = 1
     cc = dp.contraction_constants(p, w0)
+    assert cc.C1 >= 1.0  # trivial anchor ||1/1||_H2 = 1 <= C1
+    assert cc.C2 == pytest.approx(2.0 * cc.C1**3, rel=1e-15)
+    assert cc.C3 == pytest.approx(3.0 * cc.C1**4, rel=1e-15)
     with pytest.raises(ValueError):
         cc.radius(cc.r_max * 1.5)
     assert cc.radius(0.5 * cc.r_max) == 0.5 * cc.r_max
@@ -105,7 +108,7 @@ def test_contraction_L_G_r_range_and_value():
     C = dp.embedding_C(k)
     Ct = 1.0 / (2 * C) + 1.0  # ||1||_H2 = 1
     C1 = np.sqrt(4 * C + 16 * Ct**2 + (4 + 16 * C * Ct) ** 2 * Ct**2)
-    assert L_G == pytest.approx(3.0 * 2.0 * C1**3, rel=1e-12)
+    assert L_G == pytest.approx(beta_F * 2.0 * C1**3, rel=1e-12)
 
 
 def test_G_lipschitz_bound_monte_carlo():

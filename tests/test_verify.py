@@ -1,5 +1,6 @@
 """Tests for the benchmark, regularity, audit, and convergence-study module."""
 
+import ast
 import math
 from dataclasses import replace
 
@@ -99,42 +100,55 @@ class TestBenchmark:
             vf.benchmark_against_duhamel(16, 1.0, 0)
 
 
+def _fit_residual(check):
+    """The RMS log-residual of a regularity fit, read back from its note."""
+    return float(check.note.removeprefix("residual="))
+
+
 class TestRegularityFit:
     def test_synthetic_power_law_exact(self):
         modes = np.arange(1, 129, dtype=float) ** -5.0
-        fit = vf.regularity_exponent_fit(modes)
-        assert abs(fit.exponent - 5.0) <= 1e-6
-        assert fit.s_star == pytest.approx(fit.exponent - 0.5)
-        assert fit.conclusive
+        fit = vf.regularity_exponent_check(modes)
+        assert abs(fit.measured - 5.0) <= 1e-6
+        assert fit.passed
+        assert (fit.name, fit.bound) == ("benchmark.regularity_exponent", 5.3)
 
     def test_benchmark_modes_hit_ceiling(self):
         _, w = vf.linear_plate_closed_form(0.37, 128)
-        fit = vf.regularity_exponent_fit(w)
-        assert 4.7 <= fit.exponent <= 5.3
-        assert fit.conclusive
-        # decay exponent 5 <=> membership in H^{9/2 - eps} but not H^{9/2}
-        assert abs(fit.s_star - 4.5) <= 0.3
+        fit = vf.regularity_exponent_check(w)
+        assert 4.7 <= fit.measured <= 5.3
+        assert fit.passed
+        # decay exponent 5 <=> membership in H^{9/2 - eps} but not H^{9/2}, s* = p - 1/2
+        assert abs((fit.measured - 0.5) - 4.5) <= 0.3
 
     def test_even_modes_excluded(self):
         _, w = vf.linear_plate_closed_form(0.37, 128)
-        base = vf.regularity_exponent_fit(w)
+        base = vf.regularity_exponent_check(w)
         poisoned = w.copy()
         poisoned[1::2] = 99.0
-        fit = vf.regularity_exponent_fit(poisoned)
-        assert fit.exponent == base.exponent
-        assert fit.residual == base.residual
+        fit = vf.regularity_exponent_check(poisoned)
+        assert fit.measured == base.measured
+        assert fit.note == base.note  # the residual, to 3 digits
 
     def test_noise_is_inconclusive(self):
         rng = np.random.default_rng(0)
         k = np.arange(1, 129, dtype=float)
         noisy = k**-2.0 * np.exp(2.5 * rng.standard_normal(128))
-        fit = vf.regularity_exponent_fit(noisy)
-        assert not fit.conclusive
-        assert fit.residual > 0.6
+        fit = vf.regularity_exponent_check(noisy)
+        assert not fit.passed
+        assert _fit_residual(fit) > 0.6
+
+    def test_the_residual_rule_alone_fails_an_exponent_in_the_band(self):
+        k = np.arange(1, 129, dtype=float)
+        noisy = k**-5.0 * np.exp(1.5 * np.random.default_rng(1).standard_normal(128))
+        fit = vf.regularity_exponent_check(noisy)
+        assert 4.7 <= fit.measured <= 5.3
+        assert _fit_residual(fit) > 0.6
+        assert not fit.passed
 
     def test_narrow_range_rejected(self):
         with pytest.raises(ValueError):
-            vf.regularity_exponent_fit(np.ones(128), k_range=(9, 15))
+            vf.regularity_exponent_check(np.ones(16))  # 4 odd modes in 9..15
 
 
 class TestAlgebraCheck:
@@ -171,11 +185,9 @@ class TestInversePowerCheck:
         w0 = np.full(n, 1.0)
         rep = vf.inverse_power_bounds_check(P, w0, trials=300, seed=0)
         assert rep.passed
-        assert rep.C1 >= 1.0  # trivial anchor ||1/1||_H2 = 1 <= C1
-        assert rep.C2 == pytest.approx(2.0 * rep.C1**3, rel=1e-15)
-        assert rep.C3 == pytest.approx(3.0 * rep.C1**4, rel=1e-15)
-        assert max(rep.worst_single) <= 1.0
-        assert rep.worst_diff1 <= 1.0 and rep.worst_diff2 <= 1.0
+        assert 0.0 < rep.measured <= rep.bound == 1.0  # the worst of the five ratios
+        cc = dp.contraction_constants(P, w0)  # its C2 = 2 C1^3 and C3 = 3 C1^4: test_dispersive
+        assert (rep.name, rep.note) == ("constants.inverse_power", f"C1={cc.C1:.4g} C2={cc.C2:.4g} C3={cc.C3:.4g}")
 
     def test_radius_validation(self):
         n = 16
@@ -199,10 +211,11 @@ class TestInversePowerCheck:
             cc = real(p, w0)
             return replace(cc, C2=1e-5 * cc.C2)
 
-        monkeypatch.setattr(dp, "contraction_constants", shrunk)
         w0 = np.full(32, 1.0)
+        assert vf.inverse_power_bounds_check(vf.VERIFY_PARAMS, w0, trials=300, seed=0).passed
+        monkeypatch.setattr(dp, "contraction_constants", shrunk)
         rep = vf.inverse_power_bounds_check(vf.VERIFY_PARAMS, w0, trials=300, seed=0)
-        assert rep.worst_diff1 > 1.0 and not rep.passed
+        assert rep.measured > 1.0 and not rep.passed
 
 
 class TestFrechetW:
@@ -271,11 +284,11 @@ class TestHolderAudit:
             return replace(rep, **{quotient: 6.0 * getattr(rep, quotient)}) if u_path is fresh else rep
 
         init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
-        passed, worst, _, _ = vf.holder_F_audit(times, [path], [fresh], q, P, init)
-        assert passed and worst == pytest.approx(0.5, rel=1e-12)
+        rep = vf.holder_F_audit(times, [path], [fresh], q, P, init)
+        assert rep.passed and rep.measured == pytest.approx(0.5, rel=1e-12)
         monkeypatch.setattr(vf, "holder_F_quotients", inflated)
-        passed, worst, _, _ = vf.holder_F_audit(times, [path], [fresh], q, P, init)
-        assert not passed and worst == pytest.approx(3.0, rel=1e-12)
+        rep = vf.holder_F_audit(times, [path], [fresh], q, P, init)
+        assert not rep.passed and rep.measured == pytest.approx(3.0, rel=1e-12)
 
     def test_the_audit_builds_one_plate_setup_for_all_its_paths(self, monkeypatch):
         times, path, q = self._path_and_q()
@@ -387,8 +400,8 @@ def _ref_inverse_power(p, w0, trials, seed, pairs=None):
             g3 = inv_modes(d1, 3) - inv_modes(d2, 3)
             worst_d1 = max(worst_d1, sp.norm_Hk(g2, 2) / (cc.C2 * den))
             worst_d2 = max(worst_d2, sp.norm_Hk(g3, 2) / (cc.C3 * den))
-    passed = max(worst_single) <= 1.0 and worst_d1 <= 1.0 and worst_d2 <= 1.0
-    return dict(worst_single=tuple(worst_single), worst_diff1=worst_d1, worst_diff2=worst_d2, passed=passed)
+    worst = max(*worst_single, worst_d1, worst_d2)
+    return dict(bound=1.0, measured=worst, passed=worst <= 1.0)
 
 
 def _ref_lipschitz_G(p, w0, trials, seed):
@@ -536,7 +549,7 @@ class TestBatchedAuditsMatchPerSampleLoops:
         rep = vf.lipschitz_F_check(P, u0, StateVW(v=np.zeros(16), w=w0m), trials=300)
         assert rep.measured == 0.0 and rep.passed
         inv = vf.inverse_power_bounds_check(P, w0, trials=300)
-        assert inv.worst_diff1 == inv.worst_diff2 == 0.0 and max(inv.worst_single) > 0.0
+        assert inv.measured > 0.0 and inv.passed  # the single powers; the diffs have no pair to measure
 
 
 def _four_audit_reports():
@@ -587,12 +600,17 @@ class TestAuditDraws:
 class TestConvergenceOrders:
     def test_orders(self):
         study = vf.convergence_study()
-        assert list(study) == ["oracle_dt", "driver_h", "plate_k", "gamma_tol"]  # the check order
-        assert 3.6 <= study["oracle_dt"].order <= 4.4
-        assert 1.5 <= study["driver_h"].order <= 2.5
-        plate = study["plate_k"]
-        assert plate.order >= 6.0  # super-polynomial: far beyond any FD order
-        assert plate.errors[0] > plate.errors[1] > plate.errors[2]
-        tol_row = study["gamma_tol"]
-        assert 0.5 <= tol_row.order <= 1.5
-        assert tol_row.errors[0] > tol_row.errors[-1]
+        axes = ["oracle_dt", "driver_h", "plate_k", "gamma_tol"]
+        assert [r.name for r in study] == [f"convergence.{axis}" for axis in axes]  # the check order
+        assert all(r.passed for r in study)
+        oracle, driver, plate, tol_row = study
+
+        def errors(check):  # the errors as the note prints them, to 4 digits
+            return ast.literal_eval(check.note.removeprefix("errors=").removesuffix(" (bound = lower edge)"))
+
+        assert 3.6 <= oracle.measured <= 4.4
+        assert 1.5 <= driver.measured <= 2.5
+        assert plate.measured >= 6.0  # super-polynomial: far beyond any FD order
+        assert errors(plate)[0] > errors(plate)[1] > errors(plate)[2]
+        assert 0.5 <= tol_row.measured <= 1.5
+        assert errors(tol_row)[0] > errors(tol_row)[-1]

@@ -49,6 +49,11 @@ class CheckResult:
     note: str = ""
 
 
+def _band(lo: float, hi: float) -> str:
+    """The note suffix of a check whose measured value must lie in [lo, hi]; its bound is one edge."""
+    return f" (band [{lo:g}, {hi:g}])"
+
+
 # ---------------------------------------------------------------------------
 # the linear forced-plate benchmark
 # ---------------------------------------------------------------------------
@@ -147,7 +152,8 @@ def regularity_exponent_check(modes: np.ndarray) -> CheckResult:
         resid = float(np.sqrt(np.mean((loga - A @ sol) ** 2)))
         p = float(-sol[0])
     passed = 4.7 <= p <= 5.3 and resid <= 0.6
-    return CheckResult("benchmark.regularity_exponent", passed, p, 5.3, note=f"residual={resid:.3g}")
+    note = f"residual={resid:.3g}" + _band(4.7, 5.3)
+    return CheckResult("benchmark.regularity_exponent", passed, p, 5.3, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +562,8 @@ def _driver_observable(p: ModelParams, n: int, T: float, tol: float, n_t: int):
 
 
 def _order_check(axis: str, errors: tuple, order: float, lo: float, hi: float = math.inf) -> CheckResult:
-    """convergence.<axis>: order in [lo, hi], bound lo; the note lists the errors to 4 digits."""
-    note = f"errors={tuple(float(f'{e:.3e}') for e in errors)} (bound = lower edge)"
+    """convergence.<axis>: order in [lo, hi], bound lo; the note lists the errors to 4 digits and the band."""
+    note = f"errors={tuple(float(f'{e:.3e}') for e in errors)}" + _band(lo, hi)
     return CheckResult(f"convergence.{axis}", lo <= order <= hi, order, lo, note=note)
 
 

@@ -1,7 +1,8 @@
 """Run `simulate` on a shipped config the way the golden files were written.
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
-        python tests/golden_run.py CONFIG OUTDIR [--shipped-tol] [--scale-E X] [--wrong-K2] [--shift-theta2 X]
+        python tests/golden_run.py CONFIG OUTDIR [--shipped-tol] [--scale-E X] [--wrong-K2]
+        [--shift-theta2 X] [--scale-march X]
 
 CONFIG is a file name in configs/.  The run overrides the config's tol with
 GOLDEN_TOL = 1e-10, a hundred times under the shipped configs' 1e-8 and
@@ -24,7 +25,9 @@ route, which no P* of theirs leaves for the augmented expm.  --wrong-K2
 replaces its K2 = dt phi_2(dt P*) by K1/2.  --shift-theta2 X
 wraps reynolds.run_coupled and adds X to the min_w column of the report it
 returns (the refined minimum of w~ plus theta2), as if theta2 were shifted
-there and nowhere else.  These exist to show which changes the golden
+there and nowhere else.  --scale-march X wraps spectral.duhamel_sweep where
+the plate solve (dispersive.picard_dispersive) calls it and multiplies the
+(v, w) of every plate march by 1 + X.  These exist to show which changes the golden
 comparison lets through and which it catches.
 """
 
@@ -48,9 +51,11 @@ def main(argv=None):
     parser.add_argument("--scale-E", type=float, default=0.0)
     parser.add_argument("--wrong-K2", action="store_true")
     parser.add_argument("--shift-theta2", type=float, default=0.0)
+    parser.add_argument("--scale-march", type=float, default=0.0)
     args = parser.parse_args(argv)
 
     from gapflow import cli
+    from gapflow import dispersive as dp
     from gapflow import reynolds as ry
 
     if args.scale_E or args.wrong_K2:
@@ -61,6 +66,15 @@ def main(argv=None):
             return E * (1.0 + args.scale_E), K1, 0.5 * K1 if args.wrong_K2 else K2
 
         ry._propagator = perturbed
+
+    if args.scale_march:
+        march = dp.duhamel_sweep
+
+        def scaled(*march_args):
+            v, w = march(*march_args)
+            return v * (1.0 + args.scale_march), w * (1.0 + args.scale_march)
+
+        dp.duhamel_sweep = scaled
 
     if args.shift_theta2:
         run = ry.run_coupled

@@ -34,8 +34,8 @@ The runs are child processes with the BLAS and OpenMP pools pinned to one
 thread, as the golden files were written; a run with two threads must write
 the same bytes.  The last tests show the strength of the contract: a
 rounding-level change of the pressure propagator passes it, and a 1e-9
-change, a wrong phi_2 kick, theta2 moved by 1e-10 in the min_w synthesis or
-a quench run at its shipped tol fails it."""
+change of it or of the plate march, a wrong phi_2 kick, theta2 moved by 1e-10
+in the min_w synthesis or a quench run at its shipped tol fails it."""
 
 import csv
 import os
@@ -247,6 +247,21 @@ def test_1e9_change_of_E_fails(tmp_path):
     assert any("max_u" in m for m in bad) and any(m.startswith("u at") for m in bad)
     shares = allowance_shares("reference.ini", fresh)
     assert shares["max_u"][0] > 1.0 and shares["snapshot u"][0] > 1.0
+
+
+def test_1e9_change_of_the_plate_march_fails(tmp_path):
+    # every plate march's (v, w) scaled by 1 + 1e-9: max_u and norm_X fail on
+    # most rows where min_w is above theta2 / 2, away from the touchdown rows
+    # that magnify a plate-path change by theta2 / min_w, so the contract
+    # catches plate-path errors far below a loose inner solve's
+    theta2 = THETA2["quench.ini"]
+    fresh = _simulate("quench.ini", tmp_path, "--scale-march", "1e-9")
+    header, a, b, allowance = series_pairs(GOLDEN / "quench", fresh, theta2)
+    column = {name: j for j, name in enumerate(header)}
+    failing = ~(np.abs(a - b) <= allowance)
+    far = b[:, column["min_w"]] > 0.5 * theta2
+    for name in ("max_u", "norm_X"):
+        assert failing[far, column[name]].sum() > far.sum() / 2, name
 
 
 def test_wrong_K2_fails(tmp_path):

@@ -63,7 +63,7 @@ def test_F_has_one_entry_point_besides_the_oracle():
 def test_the_entry_point_guard_sees_a_planted_stencil_call():
     texts = sources()
     verify = (PACKAGE / "verify.py").read_text(encoding="utf-8")
-    line = "        F = eval_F(current, *dp.plate_fields(solve_plate(current), th2), p)\n"
+    line = "        F = eval_F(current, *dp.plate_fields(solve_plate(current, plate_tol), th2), p)\n"
     assert line in texts["reynolds"]
     texts["reynolds"] = texts["reynolds"].replace(line, line + "        _reynolds_padded(current, None, None)\n")
     assert _stencil_callers(texts, verify) == {"reynolds.eval_F", "reynolds.mol_rhs", "reynolds.gamma_iterate"}

@@ -716,6 +716,44 @@ class TestGammaIterate:
         alone, _ = dp.picard_dispersive(dp.plate_setup(p, init.vw, plate.times), u_fix, tol=0.01 * tol)
         assert alone.v.tobytes() == plate.v.tobytes() and alone.w.tobytes() == plate.w.tobytes()
 
+    def test_plate_solves_are_as_exact_as_the_outer_step_needs(self, monkeypatch):
+        # sweep 1 and the closing solve run at 0.01 tol; sweep k >= 2 at
+        # max(0.01 tol, c d_{k-1}) with d_{k-1} the previous outer difference
+        p = base_params()
+        n = 32
+        T, n_t, tol = 0.01, 16, 1e-11
+        init = CoupledState(u=bump_pressure(n), vw=bump_state(n))
+        tols, diffs = [], []
+        picard, diff_norm = dp.picard_dispersive, dp.pressure_diff_norm
+
+        def recorded_picard(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return picard(*args, **kwargs)
+
+        def recorded_diff(a, b):
+            diffs.append(diff_norm(a, b))
+            return diffs[-1]
+
+        monkeypatch.setattr(dp, "picard_dispersive", recorded_picard)
+        monkeypatch.setattr(dp, "pressure_diff_norm", recorded_diff)
+        inexact, rep, _ = ry.gamma_iterate(p, init, T, n_t, tol=tol)
+        assert rep.iterations >= 3 and len(diffs) == rep.iterations and len(tols) == rep.iterations + 1
+        assert tols[0] == tols[-1] == 0.01 * tol
+        later = [max(0.01 * tol, ry._INNER_FORCING * d) for d in diffs[:-1]]
+        assert tols[1:-1] == later
+        assert max(later) > 0.01 * tol  # the schedule loosens an early sweep
+        # with c = 0 every solve runs at 0.01 tol.  Both iterations stop
+        # within tol of their last step, so each final iterate lies within
+        # tol rho / (1 - rho) of the one fixed point (Banach's a posteriori
+        # bound), and the two within twice that of each other
+        monkeypatch.setattr(ry, "_INNER_FORCING", 0.0)
+        tols.clear()
+        exact, _, _ = ry.gamma_iterate(p, init, T, n_t, tol=tol)
+        assert set(tols) == {0.01 * tol}
+        rho = rep.banach_ratio
+        assert 0.0 < rho < 1.0
+        assert diff_norm(inexact, exact) <= 2.0 * tol * rho / (1.0 - rho)
+
     def test_one_call_builds_its_propagator_once(self, monkeypatch):
         # every sweep of a call marches the pressure with the step T / n_t of
         # its one time grid, so the call builds (E, K1, K2) once and hands the

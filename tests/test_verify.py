@@ -102,7 +102,7 @@ class TestBenchmark:
 
 def _fit_residual(check):
     """The RMS log-residual of a regularity fit, read back from its note."""
-    return float(check.note.removeprefix("residual="))
+    return float(check.note.removeprefix("residual=").removesuffix(" (band [4.7, 5.3])"))
 
 
 class TestRegularityFit:
@@ -149,6 +149,12 @@ class TestRegularityFit:
     def test_narrow_range_rejected(self):
         with pytest.raises(ValueError):
             vf.regularity_exponent_check(np.ones(16))  # 4 odd modes in 9..15
+
+    def test_an_exponent_below_the_band_fails_and_the_note_names_the_band(self):
+        fit = vf.regularity_exponent_check(np.arange(1, 129, dtype=float) ** -4.0)
+        assert abs(fit.measured - 4.0) <= 1e-6 and _fit_residual(fit) <= 0.6
+        assert not fit.passed and fit.bound == 5.3  # the bound is the upper edge
+        assert fit.note.endswith(" (band [4.7, 5.3])")
 
 
 class TestAlgebraCheck:
@@ -605,8 +611,13 @@ class TestConvergenceOrders:
         assert all(r.passed for r in study)
         oracle, driver, plate, tol_row = study
 
+        # each note names its band; the bound is its lower edge
+        bands = ["[3.6, 4.4]", "[1.5, 2.5]", "[6, inf]", "[0.5, 1.5]"]
+        assert [r.note.partition(" (band ")[2] for r in study] == [f"{band})" for band in bands]
+        assert [r.bound for r in study] == [3.6, 1.5, 6.0, 0.5]
+
         def errors(check):  # the errors as the note prints them, to 4 digits
-            return ast.literal_eval(check.note.removeprefix("errors=").removesuffix(" (bound = lower edge)"))
+            return ast.literal_eval(check.note.removeprefix("errors=").partition(" (band ")[0])
 
         assert 3.6 <= oracle.measured <= 4.4
         assert 1.5 <= driver.measured <= 2.5

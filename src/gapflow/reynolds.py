@@ -518,13 +518,10 @@ def linear_parabolic_solve(propagator: tuple, F_path: np.ndarray, u0_tilde: np.n
 # Margin over the rounding floor of the Gamma differences a recorded ratio uses
 _FLOOR_MARGIN = 1e3
 
-# Forcing constant c of the inexact plate solves: Gamma sweep k >= 2 solves its
-# plate to max(0.01 tol, c d_{k-1}), d_{k-1} the previous sweep's difference.
-# 1e-6 is chosen, not derived: it is the largest decade under which the golden
-# quench rows near touchdown still pass; 1e-2 (the forcing-term rule's usual
-# size, 269 instead of 331 marches per quench.ini run) waits on the golden
-# rule for the touchdown rows that ROADMAP.md proposes, scaled by their
-# conditioning theta2 / min_w.
+# Forcing constant c of the inexact plate solves (see gamma_iterate).  1e-2, the
+# rule's usual size (269 instead of 331 marches per quench.ini run), moves the
+# golden quench row at touchdown by 1.09e-12 relative; it waits on a golden
+# rule for those rows scaled by their conditioning theta2 / min_w (ROADMAP.md).
 _INNER_FORCING = 1e-6
 
 

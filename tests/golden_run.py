@@ -27,8 +27,8 @@ wraps reynolds.run_coupled and adds X to the min_w column of the report it
 returns (the refined minimum of w~ plus theta2), as if theta2 were shifted
 there and nowhere else.  --scale-march X wraps spectral.duhamel_sweep where
 the plate solve (dispersive.picard_dispersive) calls it and multiplies the
-(v, w) of every plate march by 1 + X.  These exist to show which changes the golden
-comparison lets through and which it catches.
+(v, w) of every plate march by 1 + X.  These exist to show which changes the
+golden comparison lets through and which it catches.
 """
 
 import argparse

@@ -7,7 +7,7 @@ Given u(t) (pressure, boundary value theta1), solve for the plate state
 
     G(w~) = -beta_F/(w~ + theta2)^2 + beta_p (theta1 - 1),
 
-by Picard iteration, with the semigroup T and the Duhamel kicks from
+by Picard iteration, with the Duhamel march of the semigroup T from
 gapflow.spectral: a solve returns a converged PicardReport or raises
 PicardDivergence.  Also provides the fixed-point loop shared by every
 contraction in the package and the constants chain with its horizon T0.
@@ -34,7 +34,6 @@ from .spectral import (
     duhamel_coeffs,
     duhamel_sweep,
     gap_min,
-    grid,
     inverse_sine_transform,
     norm_Hk,
     plate_eigenvalues,
@@ -470,10 +469,3 @@ def picard_dispersive(
             f"but min w = {min_w:.6g} < kappa/2 = {cc.kappa/2:.6g}"
         )
     return path, PicardReport(len(diffs), ratios)
-
-
-def uniform_pressure_path(u_fn, T: float, n_t: int, n: int) -> tuple:
-    """(times, values): the uniform grid of n_t steps over [0, T] and u_fn(x, t) at n interior nodes, a row per time."""
-    ts = np.linspace(0.0, T, n_t + 1)
-    x = grid(n)
-    return ts, np.array([u_fn(x, t) for t in ts], dtype=float)

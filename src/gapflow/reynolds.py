@@ -2,7 +2,8 @@
 
 This module owns the gas-film side of the model and the fully coupled run:
 
-* ``eval_F`` -- the Reynolds nonlinearity F(u; v, w) on the interior grid,
+* ``eval_F`` -- the Reynolds nonlinearity F(u; v, w) on the interior grid, in
+  the dtype of its samples (verify differentiates it by complex step),
 * ``assemble_Pstar`` -- the Dirichlet-realized linearization P* of F at the
   initial data (the exact Jacobian of the discrete ``eval_F`` in u), a matrix,
 * elliptic and sectorial diagnostics of that linearization,
@@ -191,8 +192,8 @@ class BlowupSignal(RuntimeError):
 
 
 def _pad(values: np.ndarray, bv: float) -> np.ndarray:
-    """Interior samples with the boundary value bv added at both ends of the last axis."""
-    out = np.empty(values.shape[:-1] + (values.shape[-1] + 2,))
+    """Interior samples with the boundary value bv added at both ends of the last axis, in their dtype."""
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 2,), values.dtype)
     out[..., 0] = out[..., -1] = bv
     out[..., 1:-1] = values
     return out
@@ -269,10 +270,9 @@ def assemble_Pstar(u0: np.ndarray, v0: np.ndarray, w0: np.ndarray, p: ModelParam
 
     Entry-by-entry this is the conservative stencil of
     (1/w0) D( w0^3 u0 D psi + (w0^3 D u0) psi ) - (v0/w0) psi with the second
-    flux face-averaged as (w^3 psi)|_face, so verify.frechet_F at t = 0 forms
-    the same matrix action.  Not bit for bit: the matrix multiplies undivided
-    differences by 1/(w0 h^2), while frechet_F divides by h twice and then by
-    w; test_matches_linearization_at_t0 holds the two to 1e-12 relative.
+    flux face-averaged as (w^3 psi)|_face, assembled by hand: verify.frechet_F
+    at t = 0 differentiates eval_F itself by complex step, and
+    test_matches_linearization_at_t0 holds the two to 1e-12 relative.
     """
     up, w3, aL, aR, inv_wh2 = _faces(u0, w0, p, v0)
     du_face = np.diff(up)  # undivided differences u_{j+1}-u_j at faces
@@ -763,8 +763,6 @@ def integrate_reference(
         left = span
         dt_loc = span / 2.0
         for _ in range(_ENDGAME_SUBSTEPS):
-            if left <= 1e-12 * span:
-                return y_l
             try:
                 y_n = rk_step(y_l, min(dt_loc, left))
             except QuenchSignal:
@@ -777,6 +775,8 @@ def integrate_reference(
             w_min_l = _w_min_oracle(y_l[w_of], th2)
             if w_min_l <= floor:
                 quench_raise(y_l, t_l, w_min_l)
+            if left <= 1e-12 * span:
+                return y_l
         w_min_l = _w_min_oracle(y_l[w_of], th2)
         message = (
             f"Runge-Kutta endgame used its {_ENDGAME_SUBSTEPS} sub-steps at t={t_l:.6g} "

@@ -1,4 +1,4 @@
-"""Sine-spectral backbone on (0,1): transforms, plate spectrum, semigroup, Duhamel kicks, norms.
+"""Sine-spectral backbone on (0,1): transforms, plate spectrum, the Duhamel march, norms.
 
 Everything here is built on the pinned sine basis phi_k(x) = sin(k*pi*x), which
 diagonalizes the plate operator A = Lap - Lap^2 with w = Lap w = 0 at x = 0,1:
@@ -386,23 +386,6 @@ def reduced_cossin(omega: np.ndarray, t):
     return np.cos(theta), np.sin(theta)
 
 
-def semigroup_apply(s: StateVW, spec: PlateSpectrum, t: float) -> StateVW:
-    """Closed-form mode-wise rotation e^{tA_k}: exact, unitary in the X-norm.
-
-    Per mode:  w_k(t) =  w_k cos(om t) + v_k sin(om t)/om
-               v_k(t) = -w_k om sin(om t) + v_k cos(om t)
-    """
-    if t < 0:
-        raise ValueError("semigroup time must be >= 0")
-    c, sn = reduced_cossin(spec.omega, t)
-    return StateVW(*_rotate(s.v, s.w, spec.omega, c, sn))
-
-
-def _rotate(v, w, om, c, sn) -> tuple:
-    """(v, w) turned by the mode-wise rotation with cos c and sin sn."""
-    return v * c - w * om * sn, w * c + v * sn / om
-
-
 def norm_X(v: np.ndarray, w: np.ndarray, spec: PlateSpectrum):
     """Energy norm of the state space X = L2 x H2*: sqrt( sum v_k^2/2 + sum mu_k w_k^2/2 ).
 
@@ -550,7 +533,7 @@ def duhamel_sweep(init: StateVW, omega: np.ndarray, coeffs: tuple, forcing: np.n
     w = np.empty(forcing.shape)
     v[0], w[0] = init.v, init.w
     # Rows 1.. start as the kicks of all steps, formed at once; each step then
-    # adds the rotation of the row before (_rotate's arithmetic, inlined).
+    # adds the rotation of the row before (verify._rotate's arithmetic, inlined).
     # IEEE addition commutes, so kick + rotation is bitwise rotation + kick.
     v[1:] = h[:, None] * (f0 * s_a + f1 * a)
     w[1:] = (h * h)[:, None] * (f0 * a_b + f1 * b)

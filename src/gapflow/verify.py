@@ -9,8 +9,9 @@ the whole pipeline.  The remaining checks are computable shadows of the
 analytic estimates: Monte Carlo audits of the algebra constant, the
 inverse-power bounds, the Lipschitz constants of G and F, the Hoelder audit
 of the right-hand side (with the Frechet derivatives of the plate solution
-and of F that it measures; the plate solve and its derivative march share
-one dispersive.PlateSetup, and each Hoelder quotient is one call of
+and of F that it measures, complex steps of dispersive._G_fine and
+reynolds.eval_F; the plate solve and its derivative march share one
+dispersive.PlateSetup, and each Hoelder quotient is one call of
 holder_seminorm with its norm written out), plus self-convergence studies of
 the two integrators.
 
@@ -18,9 +19,11 @@ Each check is defined here and only here: what it measures, its bound and
 its verdict, as one CheckResult, which the function that measures it
 returns.  The one exception is elliptic.coercivity, whose per-sample verdict
 reynolds.elliptic_form_check still gives; the model modules otherwise keep
-only what a run uses.  SUITES maps each suite name to its runner, in the
-order `verify --suite all` runs them; a runner takes the Monte Carlo seed
-and returns its list of CheckResult.
+only what a run uses (the exact semigroup and the pressure-path builder live
+here), and verify names no private helper of reynolds or spectral.  SUITES
+maps each suite name to its runner, in the order `verify --suite all` runs
+them; a runner takes the Monte Carlo seed and returns its list of
+CheckResult.
 """
 
 from __future__ import annotations
@@ -339,32 +342,37 @@ def lipschitz_F_check(
 # sweep limit of the linear Frechet solve
 _FRECHET_MAX_ITER = 200
 
+# step h of the complex-step derivatives Im f(x + ih y) / h (Squire & Trapp,
+# SIAM Rev. 40, 1998): they take no difference, so they are exact to rounding
+_COMPLEX_STEP = 1e-30
+
 
 def frechet_W(setup: dp.PlateSetup, q_path: np.ndarray, vw: dp.VWPath, tol: float = 1e-12) -> tuple:
     """Directional derivative (v'(u)q, w'(u)q) along a zero-trace perturbation path q.
 
     Solves the linear mild system
 
-        (v'q, w'q)(t) = int_0^t T(t-s) ( beta_p q(s) + 2 beta_F [w'q](s)/[w(s)]^3, 0 ) ds
+        (v'q, w'q)(t) = int_0^t T(t-s) ( beta_p q(s) + G'(w(s)) [w'q](s), 0 ) ds
 
     by the same Duhamel/Picard machinery as the forward solve, on the
     model, frequencies and Duhamel coefficients of the plate solve's setup;
     vw is the plate path that solve returned and q_path the array of q mode
     coefficients per node of setup.times, shape (n_t + 1, k_max).  Returns
     the arrays (v'q, w'q) of the same shape; both vanish at t = 0 by
-    construction.  Raises PicardDivergence, whose report carries the sweep
-    count and the ratios, when a sweep ratio reaches 1 or _FRECHET_MAX_ITER
-    sweeps miss tol.
+    construction; G'(w) w'q is the complex step of dp._G_fine on the pad-2
+    grid.  Raises PicardDivergence, whose report carries the sweep count and
+    the ratios, when a sweep ratio reaches 1 or _FRECHET_MAX_ITER sweeps miss
+    tol.
     """
     p, times, k_max = setup.params, setup.times, setup.init.k_max
     zero = StateVW(np.zeros(k_max), np.zeros(k_max))
 
     w_fine = vw.w_refined + p.theta2  # the gap on the pad-2 grid, from vw's own synthesis
     sp.require_open_gap(w_fine, "gap closed inside frechet_W")
-    w3_fine = w_fine**3
 
     def sweep(path):  # the forcing, dealiased on the pad-2 grid
-        forcing = sp.sine_transform(2.0 * p.beta_F * sp.refined_values(path.w) / w3_fine, k_max) + p.beta_p * q_path
+        dG = dp._G_fine(w_fine + 1j * _COMPLEX_STEP * sp.refined_values(path.w), p).imag / _COMPLEX_STEP
+        forcing = sp.sine_transform(dG, k_max) + p.beta_p * q_path
         return dp.VWPath(times, *sp.duhamel_sweep(zero, setup.omega, setup.coeffs, forcing))
 
     path, diffs, ratios, status = dp.fixed_point(
@@ -405,43 +413,18 @@ def frechet_F(
     dW: tuple,
     p: ModelParams,
 ) -> np.ndarray:
-    """Directional derivative of F along q: all five terms on the interior grid.
+    """Directional derivative of F along q, (v'q, w'q) = dW: the complex step
+    Im eval_F(u + ih q, v + ih v'q, w + ih w'q) / h with h = _COMPLEX_STEP.
 
-        (1/w) D( w^3 u Dq + w^3 q Du )
-      + (1/w) D( 3 w^2 (w'q) u Du )
-      - ((w'q)/w^2) D( w^3 u Du )
-      - (v/w) q
-      - ( w (v'q) - v (w'q) ) / w^2 * u
-
-    u_path holds u's samples on vw.times (trace p.theta1); (w'q, v'q) are
-    the plate-derivative mode paths from frechet_W.  The face flux is the
-    Reynolds stencil's own (ry._face_avg and ry._dq).  At t = 0 (w'q, v'q)
-    vanish, so the assembly reduces to the assembled linearization applied
-    to q(0): the same stencil, but not the same rounding (see
-    ry.assemble_Pstar), agreeing to 1e-12 relative.  Returns one row per
+    u_path holds u's samples on vw.times (trace p.theta1); (v'q, w'q) are the
+    plate-derivative mode paths from frechet_W.  At t = 0 they vanish, so row
+    0 is ry.assemble_Pstar applied to q(0), to rounding.  Returns one row per
     time node, shape (n_t + 1, n).
     """
-    vq_modes, wq_modes = dW
-    h = 1.0 / (u_path.shape[1] + 1)
     v_vals, w_vals = dp.plate_fields(vw, p.theta2)
-    q_vals = sp.inverse_sine_transform(q_modes)
-    wq_vals = sp.inverse_sine_transform(wq_modes)
-    vq_vals = sp.inverse_sine_transform(vq_modes)
     sp.require_open_gap(w_vals, "gap closed while assembling the F derivative", times=vw.times)
-
-    up = ry._pad(u_path, p.theta1)
-    wp = ry._pad(w_vals, p.theta2)
-    qp = ry._pad(q_vals, 0.0)
-    w3 = wp**3
-    a = ry._face_avg(w3 * up)  # the flux coefficient w^3 u of F
-    du = ry._dq(up, h)
-
-    t1 = ry._dq(a * ry._dq(qp, h) + ry._face_avg(w3 * qp) * du, h) / w_vals
-    t2 = ry._dq(ry._face_avg(3.0 * wp**2 * ry._pad(wq_vals, 0.0) * up) * du, h) / w_vals
-    t3 = -(wq_vals / w_vals**2) * ry._dq(a * du, h)
-    t4 = -(v_vals / w_vals) * q_vals
-    t5 = -((w_vals * vq_vals - v_vals * wq_vals) / w_vals**2) * u_path
-    return t1 + t2 + t3 + t4 + t5
+    ihq, ihvq, ihwq = (1j * _COMPLEX_STEP * sp.inverse_sine_transform(m) for m in (q_modes, *dW))
+    return ry.eval_F(u_path + ihq, v_vals + ihvq, w_vals + ihwq, p).imag / _COMPLEX_STEP
 
 
 @dataclass
@@ -567,6 +550,13 @@ def _order_check(axis: str, errors: tuple, order: float, lo: float, hi: float = 
     return CheckResult(f"convergence.{axis}", lo <= order <= hi, order, lo, note=note)
 
 
+def uniform_pressure_path(u_fn, T: float, n_t: int, n: int) -> tuple:
+    """(times, values): the uniform grid of n_t steps over [0, T] and u_fn(x, t) at n interior nodes, a row per time."""
+    ts = np.linspace(0.0, T, n_t + 1)
+    x = sp.grid(n)
+    return ts, np.array([u_fn(x, t) for t in ts], dtype=float)
+
+
 def convergence_study() -> list:
     """Self-convergence orders of the integrators along their refinement axes,
     one check per axis in the order below, each judged against its band.
@@ -618,7 +608,7 @@ def convergence_study() -> list:
     p_k = replace(p, beta_F=0.0, beta_p=1.0)
 
     def plate_w(k):
-        times, path = dp.uniform_pressure_path(
+        times, path = uniform_pressure_path(
             lambda x, t: p.theta1
             + 0.2 * np.sin(np.pi * x) * np.exp(np.cos(2 * np.pi * x) - 1.0) * (1.0 + t / T),
             T,
@@ -656,6 +646,23 @@ def convergence_study() -> list:
 # ---------------------------------------------------------------------------
 
 
+def semigroup_apply(s: StateVW, spec: sp.PlateSpectrum, t: float) -> StateVW:
+    """Closed-form mode-wise rotation e^{tA_k}: exact, unitary in the X-norm.
+
+    Per mode:  w_k(t) =  w_k cos(om t) + v_k sin(om t)/om
+               v_k(t) = -w_k om sin(om t) + v_k cos(om t)
+    """
+    if t < 0:
+        raise ValueError("semigroup time must be >= 0")
+    c, sn = sp.reduced_cossin(spec.omega, t)
+    return StateVW(*_rotate(s.v, s.w, spec.omega, c, sn))
+
+
+def _rotate(v, w, om, c, sn) -> tuple:
+    """(v, w) turned by the mode-wise rotation with cos c and sin sn."""
+    return v * c - w * om * sn, w * c + v * sn / om
+
+
 def _suite_semigroup(seed: int) -> list:
     k = 256
     spec = sp.plate_eigenvalues(k)
@@ -669,12 +676,12 @@ def _suite_semigroup(seed: int) -> list:
         v, w = (rng.normal(size=(rows, 2, k)) * decay).transpose(1, 0, 2)
         base = sp.norm_X(v, w, spec)
         for c, sn in phases:
-            drift = np.abs(sp.norm_X(*sp._rotate(v, w, spec.omega, c, sn), spec) - base)
+            drift = np.abs(sp.norm_X(*_rotate(v, w, spec.omega, c, sn), spec) - base)
             worst = max(worst, float(np.max(drift / base)))
     results = [CheckResult("semigroup.norm_conservation", worst <= 1e-10, worst, 1e-10)]
     s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
-    ab = sp.semigroup_apply(sp.semigroup_apply(s0, spec, 0.7), spec, 2.6)
-    direct = sp.semigroup_apply(s0, spec, 3.3)
+    ab = semigroup_apply(semigroup_apply(s0, spec, 0.7), spec, 2.6)
+    direct = semigroup_apply(s0, spec, 3.3)
     gap = max(float(np.abs(ab.v - direct.v).max()), float(np.abs(ab.w - direct.w).max()))
     scale = max(float(np.abs(direct.v).max()), float(np.abs(direct.w).max()))
     # top-mode phases reach (k pi)^4 * t ~ 1e10, so trig argument reduction

@@ -69,7 +69,7 @@ def test_c03_semigroup_unitarity():
         s0 = StateVW(v=rng.normal(size=k) * decay, w=rng.normal(size=k) * decay)
         base = sp.norm_X(s0.v, s0.w, spec)
         for t in times:
-            turned = sp.semigroup_apply(s0, spec, float(t))
+            turned = vf.semigroup_apply(s0, spec, float(t))
             drift = abs(sp.norm_X(turned.v, turned.w, spec) - base)
             worst = max(worst, drift / base)
     el = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def test_c04_picard_contraction():
             cc.kappa / 2.0 / ((L_G_cal + 1.0) * cc.kappa + 2.0 * cc.C * g0h2),
         )
         T = 0.9 * T0
-        times, up = dp.uniform_pressure_path(up_fn, T, 32, k)
+        times, up = vf.uniform_pressure_path(up_fn, T, 32, k)
         _, rep = dp.picard_dispersive(dp.plate_setup(p, init, times), up, tol=1e-10)
         assert rep.contraction_ratios, "no ratio measured: criterion would be vacuous"
         worst_iters = max(worst_iters, rep.iterations)
@@ -212,7 +212,7 @@ def test_c08_frechet_consistency():
     k = 48
     init = StateVW(v=np.zeros(k), w=np.r_[0.1, np.zeros(k - 1)])
     T, n_t = 0.25, 96
-    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k)
     setup = dp.plate_setup(p, init, times)
     path, _ = dp.picard_dispersive(setup, up, tol=1e-13)
     q = np.zeros((n_t + 1, k))

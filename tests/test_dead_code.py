@@ -3,9 +3,9 @@ must be named somewhere in src/, tests/ or perfbench/ besides its own
 definition, no module keeps an __all__ list, and no module imports a name
 it does not use.  Also guards where code lives: only spectral decides that
 the gap closed, only verify constructs a CheckResult, the model modules
-hold only what a run reaches (or what a row of _NOT_RUN_CODE names, while
-it exists and no run reaches it), and only ModelParams (and the config it
-is built from) holds a boundary trace."""
+hold only what a run reaches, verify names no private helper of reynolds or
+spectral, and only ModelParams (and the config it is built from) holds a
+boundary trace."""
 
 import ast
 from pathlib import Path
@@ -275,15 +275,6 @@ def test_only_verify_constructs_a_check_result():
     assert not sites, "CheckResult constructed outside verify.py: " + ", ".join(sites)
 
 
-# Model-module functions that no run path reaches, each with why it stays
-# beside the run code.
-_NOT_RUN_CODE = {
-    "spectral.semigroup_apply": "the exact semigroup T(t) that the semigroup suite checks",
-    "spectral._rotate": "the per-mode rotation of T(t) that semigroup_apply and the semigroup suite apply",
-    "dispersive.uniform_pressure_path": "the builder of sampled pressure paths",
-}
-
-
 def _run_roots() -> set:
     """The model-module names that cli.py or perfbench/ names: by import, by
     attribute of an imported module, or in the tracer's LAYERS table."""
@@ -300,8 +291,8 @@ def _run_roots() -> set:
 
 def _not_run_code(texts: dict) -> list:
     """The module-level functions of the model modules that the run roots do
-    not reach, outside _NOT_RUN_CODE."""
-    kept = reached(references(texts), _run_roots()) | _NOT_RUN_CODE.keys()
+    not reach."""
+    kept = reached(references(texts), _run_roots())
     return [
         f"{m}.{node.name}"
         for m, text in texts.items()
@@ -314,7 +305,7 @@ def test_the_model_modules_hold_only_run_code():
     """spectral, dispersive and reynolds hold what a run uses: every function
     of theirs is reached from what cli.py or perfbench/ names, through the
     references of the model modules alone.  What only verify or the tests
-    call belongs in verify.py, or in _NOT_RUN_CODE with its reason."""
+    call belongs in verify.py."""
     unreached = _not_run_code(sources())
     assert not unreached, "model-module functions no run reaches: " + ", ".join(unreached)
 
@@ -325,26 +316,31 @@ def test_the_run_code_guard_sees_a_verify_only_function():
     assert _not_run_code(texts) == ["reynolds._slack"]
 
 
-def _stale_rows(texts: dict, rows) -> list:
-    """The rows (names "module.name") that name no module-level function of
-    the model modules in texts, or one that the run roots reach: rows that
-    no longer keep anything out of the run-code guard."""
-    run = reached(references(texts), _run_roots())
-    functions = {f"{m}.{node.name}" for m, text in texts.items() for node in ast.parse(text).body if isinstance(node, _DEFS)}
-    return sorted(row for row in rows if row not in functions or row in run)
+# The model modules whose private helpers verify may not name: verify checks
+# their operators (eval_F, the transforms, the Duhamel march), not the
+# stencils inside them.  dispersive._G_fine is G itself, the operator that
+# lipschitz.G audits, and stays open.
+_SEALED = ("reynolds", "spectral")
 
 
-def test_every_not_run_code_row_names_unreached_code():
-    """Each row of _NOT_RUN_CODE names a function that exists and that no run
-    reaches; a row outlives its function when the function is deleted or
-    joins a run path."""
-    stale = _stale_rows(sources(), _NOT_RUN_CODE)
-    assert not stale, "stale _NOT_RUN_CODE rows: " + ", ".join(stale)
+def _private_reaches(text: str) -> list:
+    """The private names ("module._name") of the sealed model modules that a
+    source text names."""
+    return sorted(r for r in named_by(text) if r.split(".")[0] in _SEALED and r.split(".")[1].startswith("_"))
 
 
-def test_the_stale_row_guard_sees_planted_rows():
-    rows = dict(_NOT_RUN_CODE, **{"reynolds._restart": "deleted", "reynolds.run_coupled": "a run reaches it"})
-    assert _stale_rows(sources(), rows) == ["reynolds._restart", "reynolds.run_coupled"]
+def test_verify_names_no_private_helper_of_reynolds_or_spectral():
+    """verify differentiates and audits the model through its operators: a
+    stencil or transform helper it reached into would be a second copy of
+    the model to keep in step with the first."""
+    reaches = _private_reaches((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    assert not reaches, "private model helpers verify names: " + ", ".join(reaches)
+
+
+def test_the_private_helper_guard_sees_planted_names():
+    text = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    text += "\n\nfrom .spectral import _rotate\n\n\ndef _probe(x):\n    return ry._pad(x, 0.0), _rotate, dp._G_fine\n"
+    assert _private_reaches(text) == ["reynolds._pad", "spectral._rotate"]
 
 
 def _dataclass_fields(tree) -> list:

@@ -179,7 +179,7 @@ def test_delta_o_certifies_continuity():
     d_o = dp.delta_o_bound(init, spec, r)
     assert d_o > 0
     for t in np.linspace(1e-6, d_o, 37):
-        moved = sp.semigroup_apply(init, spec, t)
+        moved = vf.semigroup_apply(init, spec, t)
         dev = dp.state_norm_L2H2(moved.v - init.v, moved.w - init.w)
         assert dev <= r / 2 * (1 + 1e-12)
 
@@ -192,7 +192,7 @@ def test_picard_below_T0_contracts_and_preserves_gap():
     u0 = np.ones(k) + 0.2 * np.sin(np.pi * sp.grid(k))
     cc = dp.contraction_constants(p, w0)
     T = 0.9 * dp.theory_constants(p, u0, init).T0
-    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(t), T, 32, k)
     path, rep = plate_solve(p, times, up, init)
     bound = T * 1.0 * cc.L_G
     assert all(rt <= bound * 1.05 for rt in rep.contraction_ratios)
@@ -207,10 +207,10 @@ def test_picard_takes_its_setup_only_from_the_same_solve():
     p = base_params()
     k, T = 16, 1e-3
     init = small_bump_state(k)
-    times, _ = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + t), T, 8, k)
+    times, _ = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + t), T, 8, k)
     setup = dp.plate_setup(p, init, times)
-    _, coarse = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 4, k)
-    _, wider = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k + 1)
+    _, coarse = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 4, k)
+    _, wider = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k + 1)
     for up in (coarse, wider, coarse[0]):
         with pytest.raises(ValueError, match="one row of k_max interior samples per node"):
             dp.picard_dispersive(setup, up)
@@ -228,7 +228,7 @@ def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
     p = base_params()
     k, T, tol = 32, 0.02, 1e-10
     init = small_bump_state(k)
-    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(t), T, 32, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(t), T, 32, k)
     setup = dp.plate_setup(p, init, times)
     forcing = p.beta_p * sp.sine_transform(up - p.theta1)
 
@@ -246,7 +246,7 @@ def test_picard_cold_start_is_the_frozen_w0_iteration_bitwise():
 
 def pressure_near_bump(amp, k=32, T=0.02):
     """The pressure 1 + amp sin(pi x) cos(t) on 32 steps of [0, T], k interior nodes."""
-    return dp.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k)
+    return vf.uniform_pressure_path(lambda x, t: 1.0 + amp * np.sin(np.pi * x) * np.cos(t), T, 32, k)
 
 
 def counting_marches(monkeypatch):
@@ -350,7 +350,7 @@ def test_warm_start_must_share_the_grid_and_shape():
     p = base_params()
     k, T = 16, 1e-3
     init = small_bump_state(k)
-    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
     path, _ = plate_solve(p, times, up, init)
     coarse = dp.VWPath(path.times[::2], path.v[::2], path.w[::2])
     shifted = dp.VWPath(path.times * (1.0 + 1e-9), path.v, path.w)
@@ -372,7 +372,7 @@ def test_picard_matches_constant_forcing_to_second_order():
 
     def rel_dev(T):
         init = sp.StateVW(np.zeros(k), np.zeros(k))
-        times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
+        times, up = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
         path, _ = plate_solve(p, times, up, init, tol=1e-14)
         w_exact = c * 2 * np.sin(spec.omega * T / 2) ** 2 / spec.mu
         v_exact = c * np.sin(spec.omega * T) / spec.omega
@@ -388,7 +388,7 @@ def test_picard_zero_couplings_is_pure_semigroup():
     p = base_params(beta_F=0.0, beta_p=0.0)
     k = 32
     init = small_bump_state(k)
-    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 0.5, 64, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), 0.5, 64, k)
     path, rep = plate_solve(p, times, up, init)
     assert rep.iterations == 1
     spec = sp.plate_eigenvalues(k)
@@ -403,7 +403,7 @@ def test_picard_uniqueness_wrt_time_resolution_tail():
     k = 32
     init = small_bump_state(k)
     T = 0.02
-    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), T, 32, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), T, 32, k)
     tol = 1e-8
     path1, _ = plate_solve(p, times, up, init, tol=tol)
     path2, _ = plate_solve(p, times, up, init, tol=tol * 1e-3)
@@ -420,7 +420,7 @@ def test_strictness_residual_decays_with_dt():
     spec = sp.plate_eigenvalues(k)
 
     def residual(n_t):
-        times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(5 * t), T, n_t, k)
+        times, up = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x) * np.cos(5 * t), T, n_t, k)
         path, _ = plate_solve(p, times, up, init, tol=1e-13)
         u_modes = sp.sine_transform(up - p.theta1)
         dt = T / n_t
@@ -443,7 +443,7 @@ def test_solution_operator_W_initial_value_and_stationarity():
     k = 32
     init = small_bump_state(k, amp=0.05)
     T = 0.01
-    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k)
     path, _ = plate_solve(p, times, up, init)
     # W(u)(0) = (v0, w0) exactly
     assert np.array_equal(path.v[0], init.v)
@@ -458,7 +458,7 @@ def test_frechet_W_zero_and_fd_order():
     k = 48
     init = small_bump_state(k)
     T, n_t = 0.25, 96
-    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(3 * t), T, n_t, k)
     setup = dp.plate_setup(p, init, times)
     path, _ = dp.picard_dispersive(setup, up, tol=1e-13)
 
@@ -503,15 +503,15 @@ def test_empirical_lipschitz_W_bounds():
     u0 = np.ones(k)
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
-    times, u1 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x), T, 16, k)
-    _, u2 = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + 0.01 * np.sin(2 * np.pi * x), T, 16, k)
+    times, u1 = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x), T, 16, k)
+    _, u2 = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + 0.01 * np.sin(2 * np.pi * x), T, 16, k)
     assert empirical_lipschitz_W(p, times, u1, u1, init) == 0.0
     ratio = empirical_lipschitz_W(p, times, u1, u2, init)
     assert 0.0 < ratio <= tc.L_W
     # linear-regime stability across perturbation magnitudes
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
-        _, u2e = dp.uniform_pressure_path(
+        _, u2e = vf.uniform_pressure_path(
             lambda x, t: 1.0 + 0.2 * np.sin(np.pi * x) + eps * np.sin(2 * np.pi * x), T, 16, k
         )
         ratios.append(empirical_lipschitz_W(p, times, u1, u2e, init, tol=1e-13))
@@ -525,7 +525,7 @@ def test_holder_seminorm_constant_path_and_LU_bound():
     u0 = np.ones(k)
     tc = dp.theory_constants(p, u0, init)
     T = 0.9 * tc.T0
-    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 16, k)
     u_modes = sp.sine_transform(up - p.theta1)
     assert vf.holder_seminorm(times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.5) == 0.0
     path, _ = plate_solve(p, times, up, init)
@@ -542,7 +542,7 @@ def test_picard_report_fields():
     k = 16
     init = small_bump_state(k)
     T = 0.01
-    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
+    times, up = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), T, 8, k)
     _, rep = plate_solve(p, times, up, init)
     assert isinstance(rep.contraction_ratios, list)
 
@@ -555,7 +555,7 @@ def test_picard_report_fields():
 def test_picard_exhausting_its_sweeps_raises_with_the_sweep_count(monkeypatch):
     p = base_params(beta_F=1.0, beta_p=0.5)
     n = 16
-    times, up = dp.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), 0.01, 16, n)
+    times, up = vf.uniform_pressure_path(lambda x, t: 1.0 + 0.1 * np.sin(np.pi * x), 0.01, 16, n)
     monkeypatch.setattr(dp, "_PICARD_MAX_ITER", 3)
     with pytest.raises(dp.PicardDivergence, match="no convergence to tol=1e-30 within 3 sweeps") as exc:
         plate_solve(p, times, up, small_bump_state(n, amp=0.05), tol=1e-30)
@@ -566,7 +566,7 @@ def test_picard_that_stops_contracting_raises_with_its_ratios():
     # beta_F = 10 over T = 3 is far past the contraction horizon: the first two ratios exceed 1
     p = base_params(beta_F=10.0, beta_p=0.0)
     n = 16
-    times, up = dp.uniform_pressure_path(lambda x, t: np.ones_like(x), 3.0, 16, n)
+    times, up = vf.uniform_pressure_path(lambda x, t: np.ones_like(x), 3.0, 16, n)
     with pytest.raises(dp.PicardDivergence, match=r"stopped contracting \(last ratios 2\.096, 3\.485\)") as exc:
         plate_solve(p, times, up, sp.StateVW(v=np.zeros(n), w=np.zeros(n)))
     rep = exc.value.report

@@ -930,6 +930,31 @@ class TestFrechetF:
         ref = op @ sp.inverse_sine_transform(qm)
         assert np.abs(out[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_follows_a_changed_stencil(self, monkeypatch):
+        # a planted stencil with w^2 in place of w^3 in the flux: frechet_F
+        # differentiates whatever eval_F evaluates, so with zero plate
+        # directions it matches a central difference of the planted F
+        p = base_params()
+        n = 16
+        T, Nt = 5e-4, 6
+        u_fix, _, plate = _gamma_solution(p, n, T, Nt)
+
+        def planted(up, v, wp):
+            h = 1.0 / (up.shape[-1] - 1)
+            div = ry._dq(ry._face_avg(wp**2 * up) * ry._dq(up, h), h)
+            w = wp[..., 1:-1]
+            return div / w - (v / w) * up[..., 1:-1]
+
+        monkeypatch.setattr(ry, "_reynolds_padded", planted)
+        rng = np.random.default_rng(3)
+        q = np.tile(rng.normal(size=n) * np.arange(1, n + 1, dtype=float) ** -2.5, (Nt + 1, 1))
+        zero = (np.zeros_like(q), np.zeros_like(q))
+        out = vf.frechet_F(u_fix, q, plate, zero, p)
+        v, w = dp.plate_fields(plate, p.theta2)
+        eps, qg = 1e-4, sp.inverse_sine_transform(q)
+        fd = (ry.eval_F(u_fix + eps * qg, v, w, p) - ry.eval_F(u_fix - eps * qg, v, w, p)) / (2 * eps)
+        assert np.abs(out - fd).max() <= 1e-7 * np.abs(fd).max()
+
     def test_directional_difference_first_order(self):
         p = base_params(beta_F=2.0, beta_p=1.0)
         n = 32
@@ -985,7 +1010,7 @@ class TestHolderF:
         n = 24
         T, Nt = 5e-3, 8
         u0 = bump_pressure(n)
-        times, path = dp.uniform_pressure_path(lambda x, t: u0, T, Nt, n)
+        times, path = vf.uniform_pressure_path(lambda x, t: u0, T, Nt, n)
         rep = vf.holder_F_quotients(dp.plate_setup(p, bump_state(n), times), path, np.zeros((Nt + 1, n)))
         # [u]_alpha = 0: shape A reduces to L_U; q == 0: measured_B = 0 and shape B = 0
         u_modes = sp.sine_transform(path - p.theta1)
@@ -1254,6 +1279,31 @@ class TestMolOracle:
         assert rep.quench_time is None
         assert "t=0 " in rep.note and "min w=" in rep.note
 
+    def test_endgame_returns_a_step_its_last_sub_step_resolves(self, monkeypatch):
+        # one planted closed gap in the first stage sends the only step into
+        # the endgame, whose two half-steps, the last allowed one included,
+        # cover it: the step returns, bitwise the march at half the step
+        p = base_params()
+        n = 16
+        init = CoupledState(u=bump_pressure(n), vw=bump_state(n))
+        dt = 0.4 / float(sp.plate_eigenvalues(n).omega[-1])
+        halves = ry.integrate_reference(p, init, dt, dt / 2.0)
+        real, calls = ry.mol_rhs, []
+
+        def planted(y, p):
+            calls.append(1)
+            if len(calls) == 1:
+                raise QuenchSignal("gap closed in a planted stage")
+            return real(y, p)
+
+        monkeypatch.setattr(ry, "mol_rhs", planted)
+        monkeypatch.setattr(ry, "_ENDGAME_SUBSTEPS", 2)
+        traj = ry.integrate_reference(p, init, dt, dt)
+        assert len(calls) == 1 + 2 * 4
+        assert traj.t[-1] == halves.t[-1] == dt
+        for field in ("u", "v", "w"):
+            assert np.array_equal(getattr(traj, field)[-1], getattr(halves, field)[-1])
+
     def test_linear_case_matches_semigroup_fourth_order(self):
         p0 = base_params(beta_F=0.0, beta_p=0.0)
         k = n = 24
@@ -1269,7 +1319,7 @@ class TestMolOracle:
         errs = []
         for dt in (2e-5, 1e-5):
             traj = ry.integrate_reference(p0, init, T, dt, store_every=10**9)
-            exact = sp.semigroup_apply(StateVW(v=v0, w=w0), spec, T)
+            exact = vf.semigroup_apply(StateVW(v=v0, w=w0), spec, T)
             errs.append(
                 max(np.abs(traj.v[-1] - exact.v).max(), np.abs(traj.w[-1] - exact.w).max())
             )

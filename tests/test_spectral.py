@@ -318,16 +318,16 @@ def test_semigroup_t0_identity_and_negative_rejected():
     rng = np.random.default_rng(1)
     spec = sp.plate_eigenvalues(16)
     s = sp.StateVW(rng.normal(size=16), rng.normal(size=16))
-    s0 = sp.semigroup_apply(s, spec, 0.0)
+    s0 = vf.semigroup_apply(s, spec, 0.0)
     assert np.allclose(s0.v, s.v) and np.allclose(s0.w, s.w)
     with pytest.raises(ValueError):
-        sp.semigroup_apply(s, spec, -0.1)
+        vf.semigroup_apply(s, spec, -0.1)
 
 
 def test_semigroup_single_mode_full_period():
     spec = sp.plate_eigenvalues(1)
     s = sp.StateVW(np.array([0.0]), np.array([1.0]))
-    out = sp.semigroup_apply(s, spec, 2 * np.pi / spec.omega[0])
+    out = vf.semigroup_apply(s, spec, 2 * np.pi / spec.omega[0])
     assert abs(out.w[0] - 1.0) < 1e-12
     assert abs(out.v[0]) < 1e-12 * spec.omega[0]
 
@@ -338,7 +338,7 @@ def test_semigroup_norm_conservation():
     s = sp.StateVW(rng.normal(size=256), rng.normal(size=256))
     n0 = sp.norm_X(s.v, s.w, spec)
     for t in (0.01, 1.0, 37.5, 100.0):
-        turned = sp.semigroup_apply(s, spec, t)
+        turned = vf.semigroup_apply(s, spec, t)
         nt = sp.norm_X(turned.v, turned.w, spec)
         assert abs(nt - n0) <= 1e-10 * n0
 
@@ -348,8 +348,8 @@ def test_semigroup_law():
     spec = sp.plate_eigenvalues(128)
     s = sp.StateVW(rng.normal(size=128), rng.normal(size=128))
     for t, tau in ((0.25, 0.5), (1.0, 0.6875), (40.0, 24.0)):
-        a = sp.semigroup_apply(s, spec, t + tau)
-        b = sp.semigroup_apply(sp.semigroup_apply(s, spec, t), spec, tau)
+        a = vf.semigroup_apply(s, spec, t + tau)
+        b = vf.semigroup_apply(vf.semigroup_apply(s, spec, t), spec, tau)
         scale = sp.norm_X(a.v, a.w, spec)
         assert sp.norm_X(a.v - b.v, a.w - b.w, spec) <= 1e-12 * scale
 
@@ -498,7 +498,7 @@ def test_duhamel_zero_forcing_is_semigroup():
     s = sp.StateVW(rng.normal(size=8), rng.normal(size=8))
     z = np.zeros(8)
     a = sp.duhamel_step(s, spec, z, z, 0.0, 0.37)
-    b = sp.semigroup_apply(s, spec, 0.37)
+    b = vf.semigroup_apply(s, spec, 0.37)
     assert np.allclose(a.v, b.v, atol=1e-14) and np.allclose(a.w, b.w, atol=1e-14)
 
 
@@ -543,7 +543,7 @@ def trapezoid_step(s, spec, g0, g1, t0, t1):
     constant: the Richardson reference for the exp-trapezoid kick.
     """
     h = t1 - t0
-    rot = sp.semigroup_apply(s, spec, h)
+    rot = vf.semigroup_apply(s, spec, h)
     x = spec.omega * h
     return sp.StateVW(v=rot.v + 0.5 * h * (g0 * np.cos(x) + g1), w=rot.w + 0.5 * h * (g0 * np.sin(x) / spec.omega))
 
@@ -610,7 +610,7 @@ def test_duhamel_sweep_matches_step_by_step():
     for i in range(n_t):
         s = sp.duhamel_step(s, spec, forcing[i], forcing[i + 1], times[i], times[i + 1])
         h = times[i + 1] - times[i]
-        rot = sp.semigroup_apply(ref, spec, h)
+        rot = vf.semigroup_apply(ref, spec, h)
         S, A, B = sp._kick_coeffs(spec.omega * h)
         ref = sp.StateVW(
             v=rot.v + h * (forcing[i] * (S - A) + forcing[i + 1] * A),
@@ -805,5 +805,5 @@ def test_norm_conservation_property(t, seed):
     spec = sp.plate_eigenvalues(64)
     s = sp.StateVW(rng.normal(size=64), rng.normal(size=64))
     n0 = sp.norm_X(s.v, s.w, spec)
-    turned = sp.semigroup_apply(s, spec, t)
+    turned = vf.semigroup_apply(s, spec, t)
     assert abs(sp.norm_X(turned.v, turned.w, spec) - n0) <= 1e-10 * n0

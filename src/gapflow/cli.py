@@ -319,8 +319,14 @@ def parse_config(text: str) -> RunConfig:
 
     T = math.nan if needs_resolution else c["T"]
     cfg = RunConfig(**{**c, "T": T, "T_source": T_source, "init_file_sha256": file_sha}, init_arrays=init_arrays)
+    return _with_horizon(cfg, needs_resolution)
 
-    if needs_resolution:
+
+def _with_horizon(cfg: RunConfig, auto: bool) -> RunConfig:
+    """cfg with its snapshots checked against its horizon T, resolved first from the
+    constructive estimate T0 of cfg's own parameters and initial data when auto
+    (ConfigError otherwise): the one horizon rule of parse_config and sweep cells."""
+    if auto:
         try:
             init = cfg.initial_state()
             T_res = dp.theory_constants(cfg.model_params(), init.u, init.vw).T0
@@ -329,7 +335,6 @@ def parse_config(text: str) -> RunConfig:
         if not (np.isfinite(T_res) and T_res > 0):
             raise ConfigError([f"run.T: auto horizon resolved to {T_res!r}"])
         cfg = replace(cfg, T=T_res)
-
     bad_snaps = [t for t in cfg.snapshots if not (0.0 <= t <= cfg.T * (1 + 1e-12))]
     if bad_snaps:
         raise ConfigError(
@@ -530,10 +535,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None = None, jobs: int = 1, quiet: bool
         cell_cfg = replace(cfg, beta_F=bf, beta_p=bp, sweep_beta_F=(), sweep_beta_p=())
         cell_dir = os.path.join(outdir, f"bF_{bf!r}_bp_{bp!r}")
         try:
-            if cfg.T_source == "auto":
-                init = cell_cfg.initial_state()
-                cell_cfg = replace(cell_cfg, T=float(dp.theory_constants(cell_cfg.model_params(), init.u, init.vw).T0))
-            record = cmd_simulate(cell_cfg, out=cell_dir, quiet=True)
+            record = cmd_simulate(_with_horizon(cell_cfg, cfg.T_source == "auto"), out=cell_dir, quiet=True)
             rep = record.report
             return SweepCell(bf, bp, rep.termination, float(rep.T_used), rep.quench_time, rep.note)
         except Exception as exc:  # partial failure: record and continue

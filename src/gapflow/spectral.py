@@ -431,16 +431,6 @@ def norm_Hk(f: np.ndarray, k: int, bv=0.0):
     return norms if f.ndim > 1 else float(norms)
 
 
-# Rows per evaluation block of the Monte Carlo audits: measuring stacked draws
-# a block at a time keeps their working memory independent of the trial count.
-_AUDIT_BLOCK = 256
-
-
-def audit_blocks(trials: int) -> list:
-    """Row counts of the consecutive evaluation blocks that cover trials draws."""
-    return [min(_AUDIT_BLOCK, trials - start) for start in range(0, trials, _AUDIT_BLOCK)]
-
-
 def int_sine(k_max: int) -> np.ndarray:
     """int_0^1 sin(k pi x) dx = (1 - (-1)^k)/(k pi)  (4/(k pi) for odd k, 0 even)."""
     k = np.arange(1, k_max + 1, dtype=float)

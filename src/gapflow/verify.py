@@ -17,13 +17,12 @@ the two integrators.
 
 Each check is defined here and only here: what it measures, its bound and
 its verdict, as one CheckResult, which the function that measures it
-returns.  The one exception is elliptic.coercivity, whose per-sample verdict
-reynolds.elliptic_form_check still gives; the model modules otherwise keep
-only what a run uses (the exact semigroup and the pressure-path builder live
-here), and verify names no private helper of reynolds or spectral.  SUITES
-maps each suite name to its runner, in the order `verify --suite all` runs
-them; a runner takes the Monte Carlo seed and returns its list of
-CheckResult.
+returns.  The model modules keep only what a run uses (the exact
+semigroup, the pressure-path builder and the audit blocks live here), and
+verify names no private helper of reynolds or spectral.  Randomness, always
+seeded, is drawn here and nowhere else in the package.  SUITES maps each
+suite name to its runner, in the order `verify --suite all` runs them; a
+runner takes the Monte Carlo seed and returns its list of CheckResult.
 """
 
 from __future__ import annotations
@@ -165,10 +164,20 @@ def regularity_exponent_check(modes: np.ndarray) -> CheckResult:
 #
 # Each audit draws every field of its samples (lifts, normals, scales or
 # radii) from a stream of its own, spawned from its seed, with one generator
-# call per field per block of stacked rows (sp.audit_blocks), and measures
+# call per field per block of stacked rows (audit_blocks), and measures
 # the block.  Draws are sample-major, rows before the member of a pair, so
 # sample i sits at the same offset of every stream and a seed gives the same
 # samples whatever the block size.
+
+
+# Rows per evaluation block of the Monte Carlo audits: measuring stacked draws
+# a block at a time keeps their working memory independent of the trial count.
+_AUDIT_BLOCK = 256
+
+
+def audit_blocks(trials: int) -> list:
+    """Row counts of the consecutive evaluation blocks that cover trials draws."""
+    return [min(_AUDIT_BLOCK, trials - start) for start in range(0, trials, _AUDIT_BLOCK)]
 
 
 def _streams(seed: int, count: int) -> list:
@@ -195,7 +204,7 @@ def _ball_blocks(cc: dp.ContractionConstants, w0: np.ndarray, theta2: float, r: 
     fine = 4 * w0.size + 3
     base_fine = sp.inverse_sine_transform(sp.sine_transform(w0 - theta2), fine) + theta2
     streams = _streams(seed, 2)
-    for rows in sp.audit_blocks(trials):
+    for rows in audit_blocks(trials):
         d = _ball_pairs(streams, rows, w0.size, r)
         yield d, base_fine + sp.inverse_sine_transform(d, fine)
 
@@ -236,7 +245,7 @@ def algebra_property_check(
     def audit(seed, n_pairs):
         lifts, normals, scales = _streams(seed, 3)
         worst = 0.0
-        for rows in sp.audit_blocks(n_pairs):
+        for rows in audit_blocks(n_pairs):
             th = lifts.uniform(0.5, 1.5, (rows, 2))
             modes = normals.standard_normal((rows, 2, k_max)) * decay * scales.uniform(0.1, 1.0, (rows, 2))[..., None]
             worst = max(worst, worst_ratio(th, modes))
@@ -327,7 +336,7 @@ def lipschitz_F_check(
     v, w = dp.plate_fields(init, p.theta2)  # theory_constants raised if this gap is closed
     streams = _streams(seed, 2)
     worst = 0.0
-    for rows in sp.audit_blocks(trials):
+    for rows in audit_blocks(trials):
         m = _ball_pairs(streams, rows, u0.size, ball)
         u = u0 + sp.inverse_sine_transform(m)  # the pairs, shape (2, rows, n)
         F = ry.eval_F(u, np.broadcast_to(v, u.shape), np.broadcast_to(w, u.shape), p)
@@ -671,7 +680,7 @@ def _suite_semigroup(seed: int) -> list:
     phases = [sp.reduced_cossin(spec.omega, float(t)) for t in np.linspace(0.0, 100.0, 33)[1:]]
 
     worst = 0.0
-    for rows in sp.audit_blocks(100):
+    for rows in audit_blocks(100):
         # one state per row, v then w: the draw order of StateVW(v=..., w=...)
         v, w = (rng.normal(size=(rows, 2, k)) * decay).transpose(1, 0, 2)
         base = sp.norm_X(v, w, spec)
@@ -758,16 +767,14 @@ def _elliptic_operators(rng):
 
 
 def _suite_elliptic(seed: int) -> list:
-    reps = [
-        ry.elliptic_form_check(u0, w0, VERIFY_PARAMS, trials=10_000, seed=seed + 10 + trial)
-        for trial, (u0, w0) in enumerate(_elliptic_operators(np.random.default_rng(seed)))
-    ]
+    operators = _elliptic_operators(np.random.default_rng(seed))
+    slack = min(ry.elliptic_form_check(u0, w0, VERIFY_PARAMS).worst_slack for u0, w0 in operators)
     coercivity = CheckResult(
         "elliptic.coercivity",
-        all(rep.passed for rep in reps),
-        min(rep.worst_slack for rep in reps),
+        slack >= 0.0,
+        slack,
         0.0,
-        note="5 triples x 10^4 trials; measured = worst slack (must stay >= bound)",
+        note="5 triples, exact worst case over q; measured = least slack per unit L2 norm (must stay >= bound)",
     )
     flat = np.ones(16)
     return [coercivity, _sector_gate(ry.assemble_Pstar(flat, np.zeros(16), flat, VERIFY_PARAMS))]

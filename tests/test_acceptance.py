@@ -194,13 +194,13 @@ def test_c07_elliptic_estimate():
     t0 = time.perf_counter()
     violations = 0
     worst_slack = math.inf
-    for trial, (u0, w0) in enumerate(vf._elliptic_operators(np.random.default_rng(7))):
-        rep = ry.elliptic_form_check(u0, w0, vf.VERIFY_PARAMS, trials=10_000, seed=70 + trial)
+    for u0, w0 in vf._elliptic_operators(np.random.default_rng(7)):
+        rep = ry.elliptic_form_check(u0, w0, vf.VERIFY_PARAMS)
         worst_slack = min(worst_slack, rep.worst_slack)
-        if not rep.passed:
+        if rep.worst_slack < 0:
             violations += 1
     el = time.perf_counter() - t0
-    _report(7, "elliptic estimate", violations == 0, f"violations={violations}/5 triples x 10^4 functions, worst slack={worst_slack:.3e}", el, cap=30.0)
+    _report(7, "elliptic estimate", violations == 0, f"violations={violations}/5 triples, exact worst case over q, least slack per unit L2 norm={worst_slack:.3e}", el, cap=30.0)
 
 
 def test_c08_frechet_consistency():

@@ -670,6 +670,21 @@ class TestSweep:
         record = strict_json((tmp_path / "bF_1.0_bp_0.5" / "record.json").read_text())
         assert record["termination"] == "quench" and record["compat_proxy"] is None
 
+    def test_an_auto_cell_checks_its_snapshots_against_its_own_horizon(self, tmp_path):
+        # a snapshot inside the beta_F = 1 horizon lies past the shorter
+        # beta_F = 25 one: that cell is refused as simulate refuses its config
+        auto = "[discretization]\nk_max = 16\nn = 16\n\n[run]\nT = auto\n"
+        T0 = cli.parse_config(auto).T
+        text = auto + f"\n[output]\nsnapshots = {0.9 * T0!r}\n\n[sweep]\nbeta_F_values = 1.0, 25.0\nbeta_p_values = 0.5\n"
+        result = cli.cmd_sweep(cli.parse_config(text), out=str(tmp_path), quiet=True)
+        by_bf = {c.beta_F: c for c in result.cells}
+        assert by_bf[1.0].termination != "error"
+        assert by_bf[25.0].termination == "error" and math.isnan(by_bf[25.0].T_used)
+        assert "output.snapshots" in by_bf[25.0].note and "outside [0, T=" in by_bf[25.0].note
+        assert not (tmp_path / "bF_25.0_bp_0.5").exists()
+        with pytest.raises(ConfigError, match="output.snapshots"):
+            cli.parse_config("[params]\nbeta_F = 25.0\n" + text)  # the cell's own config
+
     def test_monotonicity_scan_flags_regression(self):
         quench = lambda bf: SweepCell(bf, 1.0, "quench", 0.1, 0.1, "")
         conv = lambda bf: SweepCell(bf, 1.0, "converged", 0.3, None, "")

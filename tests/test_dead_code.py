@@ -4,8 +4,8 @@ definition, no module keeps an __all__ list, and no module imports a name
 it does not use.  Also guards where code lives: only spectral decides that
 the gap closed, only verify constructs a CheckResult, the model modules
 hold only what a run reaches, verify names no private helper of reynolds or
-spectral, and only ModelParams (and the config it is built from) holds a
-boundary trace."""
+spectral, only verify draws random numbers, and only ModelParams (and the
+config it is built from) holds a boundary trace."""
 
 import ast
 from pathlib import Path
@@ -314,6 +314,40 @@ def test_the_run_code_guard_sees_a_verify_only_function():
     texts = sources()
     texts["reynolds"] += "\n\ndef _slack(pstar):\n    return sector_check(pstar).M_bound\n"
     assert _not_run_code(texts) == ["reynolds._slack"]
+
+
+def _random_users(texts: dict) -> list:
+    """The modules of texts ({module: source text}) other than verify that name
+    np.random (or numpy.random) or import random or numpy.random."""
+    users = []
+    for m, text in texts.items():
+        names = []
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names.append(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Import):
+                names += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names += [f"{node.module}.{a.name}" for a in node.names]
+        if m != "verify" and any(n.split(".")[0] == "random" or n.startswith(("np.random", "numpy.random")) for n in names):
+            users.append(m)
+    return users
+
+
+def test_randomness_lives_in_verify():
+    """The runs are deterministic: random numbers, always seeded, are drawn
+    only by the verification suites of verify.py."""
+    users = _random_users(_package_texts())
+    assert not users, "package modules besides verify that draw random numbers: " + ", ".join(users)
+
+
+def test_the_randomness_guard_sees_planted_draws():
+    texts = _package_texts()
+    texts["reynolds"] += "\n\ndef _probe(n):\n    return np.random.default_rng(0).normal(size=n)\n"
+    texts["spectral"] = texts["spectral"].replace("import threading\n", "import threading\nimport random\n")
+    texts["dispersive"] += "\n\nfrom numpy.random import default_rng\n"
+    texts["cli"] += "\n\nfrom numpy import random\n"
+    assert _random_users(texts) == ["cli", "dispersive", "reynolds", "spectral"]
 
 
 # The model modules whose private helpers verify may not name: verify checks

@@ -470,13 +470,6 @@ def test_lifted_norm_Hk_rows_are_bitwise_the_one_row_calls(k):
     assert np.max(np.abs(rows - one) / one) <= 1e-15
 
 
-def test_audit_blocks_cover_the_trials():
-    assert sp.audit_blocks(0) == []
-    assert sp.audit_blocks(100) == [100]
-    assert sp.audit_blocks(256) == [256]
-    assert sp.audit_blocks(1000) == [256, 256, 256, 232]
-
-
 def test_embedding_constant_bounds_and_stability():
     C = sp.sobolev_embedding_constant(128)
     # single test function lower bound: sup|sin(pi x)| / ||sin(pi x)||_H2

@@ -571,9 +571,15 @@ def _four_audit_reports():
 
 
 class TestAuditDraws:
+    def test_audit_blocks_cover_the_trials(self):
+        assert vf.audit_blocks(0) == []
+        assert vf.audit_blocks(100) == [100]
+        assert vf.audit_blocks(256) == [256]
+        assert vf.audit_blocks(1000) == [256, 256, 256, 232]
+
     def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
         default = _four_audit_reports()
-        monkeypatch.setattr(sp, "_AUDIT_BLOCK", 37)
+        monkeypatch.setattr(vf, "_AUDIT_BLOCK", 37)
         assert [repr(rep) for rep in _four_audit_reports()] == [repr(rep) for rep in default]
 
     def test_the_generator_is_called_a_fixed_number_of_times_per_block(self, monkeypatch):
@@ -597,10 +603,10 @@ class TestAuditDraws:
 
         monkeypatch.setattr(vf.np.random, "default_rng", Counting)
         vf.algebra_property_check(trials=1000, calibration_trials=300)
-        assert len(calls) <= 3 * len(sp.audit_blocks(1000) + sp.audit_blocks(300))  # one at a time: 6 per pair
+        assert len(calls) <= 3 * len(vf.audit_blocks(1000) + vf.audit_blocks(300))  # one at a time: 6 per pair
         calls.clear()
         _four_audit_reports()  # 300 + 100 algebra pairs, then 300 ball pairs in each of three audits
-        assert len(calls) <= 3 * len(sp.audit_blocks(300) + sp.audit_blocks(100)) + 3 * 2 * len(sp.audit_blocks(300))
+        assert len(calls) <= 3 * len(vf.audit_blocks(300) + vf.audit_blocks(100)) + 3 * 2 * len(vf.audit_blocks(300))
 
 
 class TestConvergenceOrders:

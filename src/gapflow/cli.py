@@ -207,7 +207,8 @@ def parse_config(text: str) -> RunConfig:
     every violation (unknown sections/keys, conversion failures, semantic
     constraints) rather than stopping at the first."""
     violations = []
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    # default_section="": [DEFAULT] is an ordinary (unknown) section, not defaults for every other
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"), default_section="")
     cp.optionxform = str
     try:
         cp.read_string(text)
@@ -260,12 +261,12 @@ def parse_config(text: str) -> RunConfig:
 
     init_arrays = None
     file_sha = ""
-    if init_kind != "file":
+    if init_kind not in (None, "file"):  # a rejected kind has no file keys to cross-check
         if init_file:
             violations.append("init.file: only valid with kind = file")
         if file_sha_given:
             violations.append("init.file_sha256: only valid with kind = file")
-    else:
+    elif init_kind == "file":
         if not init_file:
             violations.append("init.file: path required for kind = file")
         elif not os.path.isfile(init_file):

@@ -6,7 +6,9 @@ This module owns the gas-film side of the model and the fully coupled run:
   the dtype of its samples (verify differentiates it by complex step),
 * ``assemble_Pstar`` -- the Dirichlet-realized linearization P* of F at the
   initial data (the exact Jacobian of the discrete ``eval_F`` in u), a matrix,
-* the exact elliptic slack and the sectorial diagnostics of that linearization,
+* ``elliptic_form_check`` and ``sector_check`` -- the exact least elliptic
+  slack and the largest sampled resolvent product of that linearization,
+  plain numbers whose bounds and verdicts verify owns,
 * ``linear_parabolic_solve`` -- the analytic-semigroup march by the dense exp /
   phi_1 / phi_2 matrices of P* (``_propagator``, built once per Gamma chunk),
 * ``gamma_iterate`` -- the outer contraction that produces the pressure fixed
@@ -47,26 +49,6 @@ from .spectral import QuenchSignal, StateVW
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SectorReport:
-    """Measured sectoriality data: resolvent-norm products along rays."""
-
-    omega_shift: float
-    angle: float
-    M_bound: float
-    samples: list
-
-
-@dataclass
-class EllipticReport:
-    """The constants of the quadratic-form lower bound and its least slack per unit L2 norm."""
-
-    K: float
-    K_o: float
-    K2: float
-    worst_slack: float
 
 
 @dataclass
@@ -315,7 +297,7 @@ def _principal_matrix(u0: np.ndarray, w0: np.ndarray, p: ModelParams) -> np.ndar
     return _tridiagonal(aL * inv_wh2, -(aL + aR) * inv_wh2, aR * inv_wh2)
 
 
-def elliptic_form_check(u0: np.ndarray, w0: np.ndarray, p: ModelParams) -> EllipticReport:
+def elliptic_form_check(u0: np.ndarray, w0: np.ndarray, p: ModelParams) -> float:
     """The least slack of -<q, (1/w0) D(w0^3 u0 D q)> >= K ||Dq||^2 - K_o ||q||^2 over unit ||q||.
 
     K and K_o come from the Young-split of the first-order remainder:
@@ -341,26 +323,23 @@ def elliptic_form_check(u0: np.ndarray, w0: np.ndarray, p: ModelParams) -> Ellip
 
     Dt = _dq(_pad(np.eye(n), 0.0), h)  # row j of D^T is D e_j
     form = -0.5 * (A + A.T) - K * (Dt @ Dt.T) + K_o * np.eye(n)
-    return EllipticReport(K=K, K_o=K_o, K2=K2, worst_slack=float(np.linalg.eigvalsh(form)[0]))
+    return float(np.linalg.eigvalsh(form)[0])
 
 
 # A resolvent-norm product past this is taken as a singular resolvent.
 _PRODUCT_CAP = 1e12
 
 
-def sector_check(
-    matrix: np.ndarray,
-    ray_angles: tuple = (0.55 * math.pi, 0.65 * math.pi, 0.75 * math.pi),
-    extra_lambdas: list | None = None,
-) -> SectorReport:
-    """Sample the resolvent of matrix (P*) along rays from the measured shift and bound |lambda-omega|*||R||.
+def sector_check(matrix: np.ndarray, ray_angles: tuple, extra_lambdas: list | None = None) -> float:
+    """The largest resolvent product |lambda - omega| ||R(lambda)|| of matrix (P*) along rays from the shift omega.
 
-    The shift omega sits just right of the spectral bound; each ray is sampled
-    at 13 radii spaced geometrically over 1e-2..1e2 times the spectral radius,
-    and the report's angle is the widest sampled ray.  A singular resolvent
-    -- or a resolvent-norm product past _PRODUCT_CAP, the floating-point
-    shadow of singularity -- is a sector violation and raises.  extra_lambdas
-    adds explicit sample points (e.g. probing a suspected spectral point).
+    The shift omega sits just right of the spectral bound; each ray, at an
+    angle of ray_angles in (pi/2, pi), is sampled at 13 radii spaced
+    geometrically over 1e-2..1e2 times the spectral radius.  A singular
+    resolvent -- or a resolvent-norm product past _PRODUCT_CAP, the
+    floating-point shadow of singularity -- is a sector violation and raises.
+    extra_lambdas adds explicit sample points (e.g. probing a suspected
+    spectral point).
     """
     eigs = np.linalg.eigvals(matrix)
     sb = float(eigs.real.max())
@@ -379,22 +358,16 @@ def sector_check(
             raise ValueError(f"sector violation: resolvent blowup at lambda={lam}")
         return prod
 
-    samples = []
     M = 0.0
     for phi in ray_angles:
         if not (math.pi / 2 < phi < math.pi):
             raise ValueError("ray angles must lie in (pi/2, pi)")
         for sgn in (1.0, -1.0):
             for rho in radii:
-                lam = omega + rho * complex(math.cos(phi), sgn * math.sin(phi))
-                prod = measure(lam)
-                samples.append((lam, prod))
-                M = max(M, prod)
+                M = max(M, measure(omega + rho * complex(math.cos(phi), sgn * math.sin(phi))))
     for lam in extra_lambdas or ():
-        prod = measure(complex(lam))
-        samples.append((complex(lam), prod))
-        M = max(M, prod)
-    return SectorReport(omega_shift=omega, angle=max(ray_angles), M_bound=M, samples=samples)
+        M = max(M, measure(complex(lam)))
+    return M
 
 
 # ---------------------------------------------------------------------------

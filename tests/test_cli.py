@@ -340,6 +340,22 @@ T = -0.5
         (violation,) = err.value.violations
         assert violation.startswith(f"discretization.{key}: ")
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nbeta_F = 2\n", "[params]\nbeta_F = 3\n[DEFAULT]\nfoo = 1\n"])
+    def test_a_default_section_is_an_unknown_section(self, text):
+        # configparser's [DEFAULT] would otherwise be read as defaults of every
+        # section: its keys dropped silently, or reported under another section
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(text)
+        assert err.value.violations == ["unknown section [DEFAULT]"]
+
+    def test_a_rejected_init_kind_adds_no_file_violation(self):
+        # the kind's own violation is the one reported; the file keys are not
+        # cross-checked against a kind that was rejected
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config("[init]\nkind = fle\nfile = x.npz\n")
+        (violation,) = err.value.violations
+        assert violation.startswith("init.kind: ")
+
     def test_file_keys_only_valid_for_file_kind(self):
         with pytest.raises(ConfigError, match="only valid with kind = file"):
             cli.parse_config("[init]\nfile = stray.npz\n")
@@ -568,8 +584,9 @@ class TestVerify:
         assert not holder.passed and holder.measured > 1.0
 
     def test_holder_audit_fails_a_fresh_quotient_three_times_the_allowed_one(self, monkeypatch):
-        # the fresh path's quotient A is set to 3x the 2 L_A shape_A that the
+        # the fresh path's quotient A is set to 3x the 2 L_A shape A that the
         # four calibration paths allow, L_A being their worst measured/shape
+        # (column 0 of holder_F_quotients: row 0 measured, row 1 shape)
         real = vf.holder_F_quotients
         cal = []
 
@@ -578,8 +595,9 @@ class TestVerify:
             if len(cal) < vf._HOLDER_CALIBRATION_PATHS:
                 cal.append(rep)
                 return rep
-            L_A = max(r.measured_A / r.shape_A for r in cal)
-            return dataclasses.replace(rep, measured_A=3.0 * 2.0 * L_A * rep.shape_A)
+            L_A = max(r[0, 0] / r[1, 0] for r in cal)
+            rep[0, 0] = 3.0 * 2.0 * L_A * rep[1, 0]
+            return rep
 
         monkeypatch.setattr(vf, "holder_F_quotients", inflated)
         holder = {r.name: r for r in vf._suite_lipschitz(0)}["lipschitz.holder_F"]

@@ -4,8 +4,9 @@ definition, no module keeps an __all__ list, and no module imports a name
 it does not use.  Also guards where code lives: only spectral decides that
 the gap closed, only verify constructs a CheckResult, the model modules
 hold only what a run reaches, verify names no private helper of reynolds or
-spectral, only verify draws random numbers, and only ModelParams (and the
-config it is built from) holds a boundary trace."""
+spectral, only verify draws random numbers, run code reads a field of every
+dataclass, and only ModelParams (and the config it is built from) holds a
+boundary trace."""
 
 import ast
 from pathlib import Path
@@ -312,7 +313,7 @@ def test_the_model_modules_hold_only_run_code():
 
 def test_the_run_code_guard_sees_a_verify_only_function():
     texts = sources()
-    texts["reynolds"] += "\n\ndef _slack(pstar):\n    return sector_check(pstar).M_bound\n"
+    texts["reynolds"] += "\n\ndef _slack(pstar):\n    return sector_check(pstar, (2.0,))\n"
     assert _not_run_code(texts) == ["reynolds._slack"]
 
 
@@ -485,6 +486,45 @@ def test_the_field_guard_does_not_count_a_copy_as_a_read():
     assert _unread_fields(texts) == ["reynolds._Probe.probe_field"]
     texts[ROOT / "tests" / "test_probe.py"] = copy + "\n\ndef _read(x):\n    return x.probe_field + 1.0\n"
     assert _unread_fields(texts) == []
+
+
+# The run code: the package modules besides verify, which only judges, and perfbench/.
+_RUN_MODULES = ("cli", "spectral", "dispersive", "reynolds")
+
+
+def _not_read_by_run_code(texts: dict) -> list:
+    """The @dataclasses of the package ("module.Class") none of whose fields the
+    run code of texts ({path: source text}) reads, a read as in _unread_fields."""
+    reads = set().union(
+        *(
+            _field_reads(text)
+            for path, text in texts.items()
+            if path.parent == ROOT / "perfbench" or (path.parent == PACKAGE and path.stem in _RUN_MODULES)
+        )
+    )
+    fields = {}
+    for path, text in sorted(texts.items()):
+        if path.parent == PACKAGE:
+            for cls, name in _dataclass_fields(ast.parse(text)):
+                fields.setdefault(f"{path.stem}.{cls}", set()).add(name)
+    return [cls for cls, names in fields.items() if reads.isdisjoint(names)]
+
+
+def test_every_dataclass_is_read_by_run_code():
+    """A dataclass that only verify and the tests read stands between a
+    measurement and its verdict: the check can return the number itself."""
+    unread = _not_read_by_run_code(_source_texts())
+    assert not unread, "dataclasses no run code reads a field of: " + ", ".join(unread)
+
+
+def test_the_run_read_guard_sees_a_dataclass_only_verify_reads():
+    texts = _source_texts()
+    texts[PACKAGE / "reynolds.py"] += "\n\n@dataclass\nclass _Probe:\n    probe_field: float\n"
+    texts[PACKAGE / "verify.py"] += "\n\ndef _read(x):\n    return x.probe_field + 1.0\n"
+    texts[ROOT / "tests" / "test_probe.py"] = "\n\ndef _read(x):\n    return x.probe_field\n"
+    assert _not_read_by_run_code(texts) == ["reynolds._Probe"]
+    texts[ROOT / "perfbench" / "probe.py"] = "\n\ndef _read(x):\n    return x.probe_field\n"
+    assert _not_read_by_run_code(texts) == []
 
 
 # The dataclasses that may declare a boundary trace: the model's record, and

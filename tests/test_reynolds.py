@@ -408,6 +408,25 @@ def unit_fields(n):
     return np.ones(n), np.ones(n)
 
 
+def form_constants(u0, w0, p):
+    """(K, K_o) of the Young split that elliptic_form_check's docstring writes out:
+    K = eps1 kappa^2 / 2 and K_o = K2^2 / (2 eps1 kappa^2), K2 = C ||u0||_{H2} ||w0||_{H3}^2."""
+    eps1, kappa = sp.gap_min(u0, p.theta1), sp.gap_min(w0, p.theta2)
+    u_norm = sp.norm_Hk(sp.sine_transform(u0 - p.theta1), 2, p.theta1)
+    K2 = dp.embedding_C(u0.size) * u_norm * sp.norm_Hk(sp.sine_transform(w0 - p.theta2), 3, p.theta2) ** 2
+    return 0.5 * eps1 * kappa**2, K2**2 / (2.0 * eps1 * kappa**2)
+
+
+def reference_form(u0, w0, p):
+    """The slack form -(A + A^T)/2 - K D^T D + K_o I over unit ||q||_L2, built from form_constants."""
+    n = u0.size
+    h = 1.0 / (n + 1)
+    A = ry._principal_matrix(u0, w0, p)
+    K, K_o = form_constants(u0, w0, p)
+    D = (np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)) / h  # (Dq)_i = (q_i - q_{i-1}) / h, q_{-1} = q_n = 0
+    return -0.5 * (A + A.T) - K * (D.T @ D) + K_o * np.eye(n)
+
+
 class TestEllipticForm:
     def test_constant_coefficient_form_is_gradient_norm(self):
         n = 31
@@ -421,10 +440,13 @@ class TestEllipticForm:
             assert abs(lhs - dq2) <= 1e-12 * dq2
 
     def test_formula_constants_and_pass(self):
-        rep = ry.elliptic_form_check(*unit_fields(31), base_params())
-        assert rep.worst_slack >= 0
-        assert rep.K == 0.5  # eps1 = kappa = 1
-        assert rep.K_o == pytest.approx(rep.K2**2 / 2.0)
+        u0, w0 = unit_fields(31)
+        slack = ry.elliptic_form_check(u0, w0, base_params())
+        assert slack >= 0
+        assert form_constants(u0, w0, base_params())[0] == 0.5  # eps1 = kappa = 1
+        # the check's slack is the least eigenvalue of the form of the formula constants
+        form = reference_form(u0, w0, base_params())
+        assert slack == pytest.approx(np.linalg.eigvalsh(form)[0], rel=0, abs=1e-12 * np.linalg.norm(form, 2))
 
     def test_random_smooth_triples_pass(self):
         rng = np.random.default_rng(42)
@@ -434,8 +456,8 @@ class TestEllipticForm:
             uo = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(2 * np.pi * x) * rng.uniform(-1, 1)
             wo = 1.0 + 0.2 * np.sin(np.pi * x) * rng.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x) * rng.uniform(-1, 1)
             rng.uniform(-1, 1)  # the amplitude of the triple's v0, which the check does not read
-            rep = ry.elliptic_form_check(uo, wo, base_params())
-            assert rep.worst_slack >= 0, f"triple {trial}: worst slack {rep.worst_slack}"
+            slack = ry.elliptic_form_check(uo, wo, base_params())
+            assert slack >= 0, f"triple {trial}: worst slack {slack}"
 
     def test_invalid_coefficients_raise_as_in_the_assembly(self):
         # the check validates u0 and w0 where the assembly does (ry._faces):
@@ -467,30 +489,30 @@ class TestEllipticForm:
 
     def test_no_draw_of_the_per_sample_loop_falls_below_the_exact_worst_case(self):
         # the per-sample loop of the sampler the exact check replaced, kept as
-        # the reference: every draw's slack per unit norm is at least
-        # worst_slack, and q along the least eigenvector of the form attains it
+        # the reference: every draw's slack per unit norm is at least the
+        # check's least slack, and q along the least eigenvector of the form attains it
         rng_op = np.random.default_rng(3)
         n = 48
         x = sp.grid(n)
         u0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1)
         w0 = 1.0 + 0.2 * np.sin(np.pi * x) * rng_op.uniform(-1, 1) + 0.1 * np.sin(3 * np.pi * x)
-        rep = ry.elliptic_form_check(u0, w0, base_params())
+        slack = ry.elliptic_form_check(u0, w0, base_params())
         A = ry._principal_matrix(u0, w0, base_params())
+        K, K_o = form_constants(u0, w0, base_params())
         h = 1.0 / (n + 1)
 
         def unit_slack(q):
             lhs = -h * float(q @ (A @ q))
             dq2 = h * float(np.sum((np.diff(ry._pad(q, 0.0)) / h) ** 2))
             q2 = h * float(np.dot(q, q))
-            return (lhs - (rep.K * dq2 - rep.K_o * q2)) / q2
+            return (lhs - (K * dq2 - K_o * q2)) / q2
 
-        D = (np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)) / h  # (Dq)_i = (q_i - q_{i-1}) / h, q_{-1} = q_n = 0
-        form = -0.5 * (A + A.T) - rep.K * (D.T @ D) + rep.K_o * np.eye(n)
+        form = reference_form(u0, w0, base_params())
         rounding = 1e-12 * np.linalg.norm(form, 2)
         rng = np.random.default_rng(5)
-        assert min(unit_slack(rng.normal(size=n)) for _ in range(300)) >= rep.worst_slack - rounding
+        assert min(unit_slack(rng.normal(size=n)) for _ in range(300)) >= slack - rounding
         least = np.linalg.eigh(form)[1][:, 0]
-        assert unit_slack(least) == pytest.approx(rep.worst_slack, rel=0, abs=rounding)
+        assert unit_slack(least) == pytest.approx(slack, rel=0, abs=rounding)
 
     @pytest.mark.parametrize("mutation", ["zeroed direction", "sign flip"])
     def test_a_principal_part_that_breaks_the_estimate_fails_the_check(self, monkeypatch, mutation):
@@ -500,7 +522,7 @@ class TestEllipticForm:
         n = 31
         u0, w0 = unit_fields(n)
         p = base_params()
-        assert ry.elliptic_form_check(u0, w0, p).worst_slack >= 0
+        assert ry.elliptic_form_check(u0, w0, p) >= 0
         real = ry._principal_matrix
 
         def mutated(u0, w0, p):
@@ -510,7 +532,7 @@ class TestEllipticForm:
             return A - np.outer(A @ e, e) if mutation == "zeroed direction" else -A
 
         monkeypatch.setattr(ry, "_principal_matrix", mutated)
-        assert ry.elliptic_form_check(u0, w0, p).worst_slack < 0
+        assert ry.elliptic_form_check(u0, w0, p) < 0
         coercivity = vf.SUITES["elliptic"](0)[0]
         assert coercivity.name == "elliptic.coercivity"
         assert not coercivity.passed and coercivity.measured < coercivity.bound
@@ -526,24 +548,28 @@ class TestSectorAndGraphNorm:
         return heat_op(n)
 
     def test_constant_coefficient_resolvent_constant(self):
-        op = self._const_op()
-        rep = ry.sector_check(op)
         # normal operator with real spectrum: M ~ 1/sin(pi - widest ray)
-        assert rep.M_bound == pytest.approx(1.0 / math.sin(math.pi - rep.angle), rel=0.01)
-        assert rep.omega_shift > float(np.linalg.eigvalsh(op).max())
+        M = ry.sector_check(self._const_op(), vf._SECTOR_RAYS)
+        assert M == pytest.approx(1.0 / math.sin(math.pi - max(vf._SECTOR_RAYS)), rel=0.01)
 
     def test_real_lambda_right_of_shift(self):
+        # no rays: the products of the real sample points alone.  For this
+        # normal operator each is (lam - omega) / (lam - max eigenvalue), at
+        # most 1 only when the shift omega sits right of the spectrum
         op = self._const_op()
         scale = float(np.abs(np.linalg.eigvalsh(op)).max())
-        rep = ry.sector_check(op, extra_lambdas=[1.0, scale, 10 * scale])
-        extras = [prod for lam, prod in rep.samples if abs(complex(lam).imag) == 0.0]
-        assert extras and all(prod <= 1.0 + 1e-9 for prod in extras)
+        M = ry.sector_check(op, (), extra_lambdas=[1.0, scale, 10 * scale])
+        assert 0.0 < M <= 1.0 + 1e-9
 
     def test_lambda_on_spectrum_errors(self):
         op = self._const_op()
         lam = float(np.linalg.eigvalsh(op).max())
-        with pytest.raises(ValueError, match="sector violation"):
-            ry.sector_check(op, extra_lambdas=[lam])
+        with pytest.raises(ValueError, match="sector violation: resolvent blowup"):
+            ry.sector_check(op, vf._SECTOR_RAYS, extra_lambdas=[lam])
+
+    def test_an_exactly_singular_resolvent_errors(self):
+        with pytest.raises(ValueError, match="sector violation: singular resolvent at lambda=0j"):
+            ry.sector_check(np.zeros((4, 4)), vf._SECTOR_RAYS, extra_lambdas=[0.0])
 
     def test_bad_ray_angle_rejected(self):
         with pytest.raises(ValueError):
@@ -1008,13 +1034,14 @@ class TestHolderF:
         T, Nt = 5e-3, 8
         u0 = bump_pressure(n)
         times, path = vf.uniform_pressure_path(lambda x, t: u0, T, Nt, n)
-        rep = vf.holder_F_quotients(dp.plate_setup(p, bump_state(n), times), path, np.zeros((Nt + 1, n)))
-        # [u]_alpha = 0: shape A reduces to L_U; q == 0: measured_B = 0 and shape B = 0
+        setup = dp.plate_setup(p, bump_state(n), times)
+        (_, measured_B), (_, shape_B) = vf.holder_F_quotients(setup, path, np.zeros((Nt + 1, n)))
+        # [u]_alpha = 0: shape A reduces to L_U; q == 0: quotient B = 0 and shape B = 0
         u_modes = sp.sine_transform(path - p.theta1)
         semi_u = vf.holder_seminorm(times, u_modes, lambda d: sp.norm_Hk(d, 2), 0.2)
         assert semi_u == 0.0
-        assert rep.measured_B == 0.0
-        assert rep.shape_B == 0.0
+        assert measured_B == 0.0
+        assert shape_B == 0.0
 
     def test_shape_A_is_the_pressure_and_plate_holder_seminorms(self):
         # on a moving pressure path, shape A is [u]_alpha (u's sine modes in
@@ -1025,7 +1052,7 @@ class TestHolderF:
         times = np.linspace(0, T, Nt + 1)
         path = self._rand_path(5, n, times)
         setup = dp.plate_setup(p, bump_state(n), times)
-        rep = vf.holder_F_quotients(setup, path, np.zeros((Nt + 1, n)))
+        shape_A = vf.holder_F_quotients(setup, path, np.zeros((Nt + 1, n)))[1, 0]
         alpha = dp.HOLDER_ALPHA
         u_modes = sp.sine_transform(path - p.theta1)
         semi_u = vf.holder_seminorm(times, u_modes, lambda d: sp.norm_Hk(d, 2), alpha)
@@ -1036,7 +1063,7 @@ class TestHolderF:
 
         L_U = vf.holder_seminorm(plate.times, np.hstack([plate.v, plate.w]), l2h2, alpha)
         assert semi_u > 0.0 and L_U > 0.0
-        assert rep.shape_A == semi_u + L_U
+        assert shape_A == semi_u + L_U
 
 
 # ---------------------------------------------------------------------------

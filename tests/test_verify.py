@@ -277,17 +277,20 @@ class TestHolderAudit:
         path = 1.0 + sp.inverse_sine_transform(modes)
         return times, path, np.array([0.5 * base * (1.0 + 0.2 * math.cos(2 * math.pi * t / T)) for t in times])
 
-    @pytest.mark.parametrize("quotient", ["measured_A", "measured_B"])
+    @pytest.mark.parametrize("quotient", [0, 1], ids=["measured_A", "measured_B"])
     def test_a_fresh_quotient_three_times_the_allowed_one_fails(self, monkeypatch, quotient):
         # the fresh path is a copy of the calibration path, so the calibration
-        # allows it 2x its own quotient; six times that quotient is 3x the bound
+        # allows it 2x its own quotient; six times that quotient (row 0 of
+        # holder_F_quotients, column A or B) is 3x the bound
         times, path, q = self._path_and_q()
         fresh = path.copy()
         real = vf.holder_F_quotients
 
         def inflated(setup, u_path, q_modes):
             rep = real(setup, u_path, q_modes)
-            return replace(rep, **{quotient: 6.0 * getattr(rep, quotient)}) if u_path is fresh else rep
+            if u_path is fresh:
+                rep[0, quotient] *= 6.0
+            return rep
 
         init = StateVW(v=np.zeros(32), w=np.r_[0.05, np.zeros(31)])
         rep = vf.holder_F_audit(times, [path], [fresh], q, P, init)

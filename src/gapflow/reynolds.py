@@ -401,6 +401,9 @@ def _symmetrized_eigen(m: np.ndarray):
     sqrt(sub_i/sup_i) makes S^-1 m S symmetric tridiagonal, with off-diagonal
     sqrt(sub_i sup_i); its eigenpairs (lam, V) give W = S V and W_inv = V^T S^-1.
     None when some sub_i sup_i <= 0 or cond(S) > _COND_S_MAX.
+
+    W_inv is formed first and eigh's V then becomes W in place, so besides
+    eigh's own work the factorisation holds two n x n arrays.
     """
     sub, sup = np.diag(m, -1), np.diag(m, 1)
     if not np.all(sub * sup > 0.0):
@@ -409,7 +412,9 @@ def _symmetrized_eigen(m: np.ndarray):
     if not s.max() <= _COND_S_MAX * s.min():
         return None
     lam, V = eigh_tridiagonal(np.diag(m), np.sqrt(sub * sup))
-    return s[:, None] * V, lam, V.T / s
+    W_inv = V.T / s
+    V *= s[:, None]
+    return V, lam, W_inv
 
 
 def _propagator(matrix: np.ndarray, dt: float) -> tuple:
@@ -420,13 +425,18 @@ def _propagator(matrix: np.ndarray, dt: float) -> tuple:
     f (Hochbruck & Ostermann, Exponential integrators, Acta Numerica 19,
     2010).  Otherwise they are blocks of one expm of the 3n x 3n augmented
     matrix [[dt P*, I, 0], [0, 0, I], [0, 0, 0]].
+
+    The eigen route scales W in place for K2, the last of the three, so at
+    most five n x n arrays coexist: W, W_inv, E, K1 and K2.
     """
     eigen = _symmetrized_eigen(matrix)
     if eigen is not None:
         W, lam, W_inv = eigen
         z = dt * lam
         phi1, phi2 = _phi12(z)
-        E, K1, K2 = ((W * f) @ W_inv for f in (np.exp(z), dt * phi1, dt * phi2))
+        E, K1 = ((W * f) @ W_inv for f in (np.exp(z), dt * phi1))
+        W *= dt * phi2
+        K2 = W @ W_inv
     else:
         n = matrix.shape[0]
         aug = np.zeros((3 * n, 3 * n))

@@ -439,6 +439,13 @@ def int_sine(k_max: int) -> np.ndarray:
 
 # scan points of the embedding-constant maximization over x
 _EMBED_SCAN = 4096
+# Bytes of the sine table the scan holds at once.  Its rows are a power of
+# two, so they divide _EMBED_SCAN, and at least 8, so each row's dot product
+# with the weights rounds as in one gemv over the whole scan.  2 MiB is the
+# whole table up to k_max = 64: smaller blocks there leave glibc's dynamic
+# mmap threshold low, and `gapflow verify` then page-faults on the arrays it
+# allocates and frees (8% of its time, measured in process).
+_EMBED_BLOCK_BYTES = 2 << 20
 
 
 def sobolev_embedding_constant(k_max: int) -> float:
@@ -450,15 +457,30 @@ def sobolev_embedding_constant(k_max: int) -> float:
     subspace operator norm.  It is grid/subspace specific (the continuum
     constant is its k_max -> inf limit) and stabilizes quickly since the
     weights decay like k^-4.
+
+    The _EMBED_SCAN points of x are scanned in blocks of rows, so the
+    working memory is one table of at most _EMBED_BLOCK_BYTES (2 MiB; the
+    one-shot scan held two 4096 x k_max tables, 64 MiB at k_max = 1024);
+    the result has the bits of the one-shot scan.
     """
     if k_max < 8:
         raise ValueError("k_max >= 8 required for a stable embedding estimate")
+    x = (np.arange(1, _EMBED_SCAN + 1) - 0.5) / _EMBED_SCAN
 
     def c_of(km):
-        lam = _hk_weights(km, 2)
-        x = (np.arange(1, _EMBED_SCAN + 1) - 0.5) / _EMBED_SCAN
-        s = np.sin(np.outer(x, np.pi * np.arange(1, km + 1))) ** 2
-        return float(np.sqrt(2.0 * np.max(s @ (1.0 / lam))))
+        w = 1.0 / _hk_weights(km, 2)
+        kpi = np.pi * np.arange(1, km + 1)
+        rows = _EMBED_SCAN
+        while rows > 8 and rows * km * 8 > _EMBED_BLOCK_BYTES:
+            rows //= 2
+        s = np.empty((rows, km))
+        block_max = []
+        for start in range(0, _EMBED_SCAN, rows):
+            np.outer(x[start : start + rows], kpi, out=s)
+            np.sin(s, out=s)
+            s *= s
+            block_max.append(np.max(s @ w))
+        return float(np.sqrt(2.0 * np.max(block_max)))
 
     c_full = c_of(k_max)
     c_half = c_of(max(8, k_max // 2))

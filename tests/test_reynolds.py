@@ -5,6 +5,7 @@ oracle, the coupled driver, continuation, and the balance diagnostics."""
 import gc
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -396,6 +397,47 @@ class TestPropagator:
         else:
             assert calls == []
             assert all(np.abs(g - r).max() <= 1e-12 * np.abs(r).max() for g, r in zip(got, ref))
+
+    @staticmethod
+    def bump_operator(n):
+        """P* at a single-bump state of n interior nodes, which the eigen route takes."""
+        x = sp.grid(n)
+        bump = np.sin(np.pi * x)
+        return ry.assemble_Pstar(1.0 + 0.1 * bump, 0.1 * bump, 1.0 + 0.05 * bump, base_params())
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_eigen_route_has_the_bytes_of_one_scaled_product_per_function(self, n):
+        op, dt = self.bump_operator(n), 0.2 / 32
+        before = op.copy()
+        got = ry._propagator(op, dt)
+        assert op.tobytes() == before.tobytes(), "the propagator wrote into its input"
+        sub, sup = np.diag(op, -1), np.diag(op, 1)
+        s = np.concatenate(([1.0], np.cumprod(np.sqrt(sub / sup))))
+        lam, V = scipy.linalg.eigh_tridiagonal(np.diag(op), np.sqrt(sub * sup))
+        W, W_inv = s[:, None] * V, V.T / s
+        z = dt * lam
+        phi1, phi2 = ry._phi12(z)
+        want = [(W * f) @ W_inv for f in (np.exp(z), dt * phi1, dt * phi2)]
+        for name, g, r in zip(("E", "K1", "K2"), got, want):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes(), f"{name} differs at n = {n}"
+
+    def test_eigen_route_holds_at_most_five_n_by_n_arrays(self):
+        # E, K1 and K2 are returned, and the last product still reads W and
+        # W_inv, so five n x n arrays must coexist; half of one more covers
+        # the length-n vectors and the n x n bool of the finite check.  A
+        # scaled copy of W for each product makes six.
+        n = 256
+        op, dt = self.bump_operator(n), 0.2 / 32
+        ry._propagator(op, dt)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ry._propagator(op, dt)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * n * n * 8, f"{peak / 2**20:.2f} MiB above entry"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,34 @@ def test_embedding_constant_bounds_and_stability():
         m = rng.normal(size=64) * np.arange(1, 65) ** -1.0
         f = sp.eval_modes_on(m, x)
         assert np.max(np.abs(f)) <= C * sp.norm_Hk(m, 2) * (1 + 1e-12)
+
+
+def _one_shot_embedding_constant(k_max):
+    """The embedding scan with the whole _EMBED_SCAN x k_max sine table at once."""
+    x = (np.arange(1, sp._EMBED_SCAN + 1) - 0.5) / sp._EMBED_SCAN
+    kpi = np.pi * np.arange(1, k_max + 1)
+    lam = 1.0 + kpi**2 + kpi**2 * kpi**2
+    table = np.sin(np.outer(x, kpi)) ** 2
+    return float(np.sqrt(2.0 * np.max(table @ (1.0 / lam))))
+
+
+@pytest.mark.parametrize("k_max", [8, 9, 33, 64, 100, 256])
+def test_embedding_constant_has_the_bits_of_the_one_shot_scan(k_max):
+    assert sp.sobolev_embedding_constant(k_max) == _one_shot_embedding_constant(k_max)
+
+
+def test_embedding_scan_holds_a_block_not_the_whole_table():
+    # the one-shot scan holds two 4096 x 1024 tables, 64 MiB; a block holds 2 MiB
+    sp.sobolev_embedding_constant(1024)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sp.sobolev_embedding_constant(1024)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB above entry"
 
 
 def test_duhamel_zero_forcing_is_semigroup():

@@ -459,9 +459,8 @@ def sobolev_embedding_constant(k_max: int) -> float:
     weights decay like k^-4.
 
     The _EMBED_SCAN points of x are scanned in blocks of rows, so the
-    working memory is one table of at most _EMBED_BLOCK_BYTES (2 MiB; the
-    one-shot scan held two 4096 x k_max tables, 64 MiB at k_max = 1024);
-    the result has the bits of the one-shot scan.
+    working memory is one table of at most _EMBED_BLOCK_BYTES (2 MiB) at any
+    k_max; the result has the bits of one scan over the whole table.
     """
     if k_max < 8:
         raise ValueError("k_max >= 8 required for a stable embedding estimate")
